@@ -847,3 +847,43 @@ func TestRecoveryTxnRollbackRestoresSessionState(t *testing.T) {
 		t.Fatalf("instance gone after rolled-back delete: %v", err)
 	}
 }
+
+// TestSimulatePointCountOnInexactWindow: 25 samples over 23 h make the
+// derived step 23/24 h, which does not accumulate to 23 exactly; the result
+// must still have one row per sample and variable, not one extra.
+func TestSimulatePointCountOnInexactWindow(t *testing.T) {
+	s := newTestSession(t)
+	if _, err := s.DB().Exec(`CREATE TABLE m23 (time float, u float)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 24; i++ {
+		if err := s.DB().InsertRow("m23", float64(i)*23/24, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Create(hpSource, "i"); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := s.DB().Query(`SELECT count(*) FROM fmu_simulate('i', 'SELECT * FROM m23')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Rows[0][0].Int(); got != 50 { // 25 points × {x, y}
+		t.Errorf("count(*) = %d, want 50", got)
+	}
+}
+
+// TestCreateRejectsUnknownFunction: fmu_create fails on an equation that
+// could never be evaluated, and leaves no catalogue rows behind.
+func TestCreateRejectsUnknownFunction(t *testing.T) {
+	s := newTestSession(t)
+	src := strings.Replace(hpSource, "A*x + B*u + E", "A*x + frobnicate(u) + E", 1)
+	_, err := s.DB().Query(`SELECT fmu_create($1, 'bad')`, src)
+	if err == nil || !strings.Contains(err.Error(), `unknown function "frobnicate"`) {
+		t.Fatalf("fmu_create: %v, want unknown function", err)
+	}
+	rs, err := s.DB().Query(`SELECT count(*) FROM model`)
+	if err != nil || rs.Rows[0][0].Int() != 0 {
+		t.Errorf("model rows after failed create = %v, %v", rs, err)
+	}
+}

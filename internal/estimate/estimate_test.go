@@ -477,3 +477,37 @@ func TestEstimateMIParallelPropagatesErrors(t *testing.T) {
 		t.Error("parallel MI must propagate job errors")
 	}
 }
+
+// TestCostDeterministicWithTwoMeasuredSeries: squared errors are summed in
+// sorted variable order, not map order, so the objective of a problem with
+// two measured series has one bit pattern however often it is evaluated.
+func TestCostDeterministicWithTwoMeasuredSeries(t *testing.T) {
+	p := synthProblem(t, 1)
+	// y = 7.8*u is a pure output; measure it with an offset so that both
+	// series contribute squared errors of different magnitudes.
+	p.Measured["y"] = p.Inputs["u"].Scale(7.8).Shift(0.37)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	at := []float64{-0.5, 12, 5}
+	seen := make(map[uint64]bool)
+	for i := 0; i < 200; i++ {
+		// A fresh problem each time: map iteration order is drawn per range.
+		q := &Problem{Instance: p.Instance, Params: p.Params, Inputs: p.Inputs, Measured: p.Measured}
+		if i%2 == 0 {
+			if err := q.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			q.T0, q.T1 = p.T0, p.T1 // unvalidated: Cost prepares for itself
+		}
+		c, err := q.Cost(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[math.Float64bits(c)] = true
+	}
+	if len(seen) != 1 {
+		t.Errorf("%d distinct objective values over 200 evaluations, want 1", len(seen))
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/fmu"
 	"repro/internal/solver"
@@ -41,6 +42,48 @@ type Problem struct {
 	// Method is the ODE solver used inside the objective; nil picks the
 	// instance default (adaptive RK45).
 	Method solver.Method
+
+	// prep is what Cost derives from Measured and the window, built by
+	// Validate so that a search prepares once and evaluates many times.
+	prep *prepared
+}
+
+// prepared is the part of the objective no candidate changes: the measured
+// samples inside the training window, in sorted variable order so that the
+// squared errors are always summed in the same order.
+type prepared struct {
+	t0, t1  float64
+	names   []string // the variables actually compared, sorted
+	windows []window // windows[i] belongs to names[i]
+	samples int
+}
+
+// window is one measured variable's samples inside [T0, T1].
+type window struct {
+	times   []float64
+	values  []float64
+	isState bool
+}
+
+// prepare slices the measured series to the window.
+func (p *Problem) prepare() (*prepared, error) {
+	prep := &prepared{t0: p.T0, t1: p.T1}
+	for name := range p.Measured {
+		prep.names = append(prep.names, name)
+	}
+	sort.Strings(prep.names)
+	for _, name := range prep.names {
+		s := p.Measured[name].Slice(p.T0, p.T1)
+		if s.Len() == 0 {
+			return nil, fmt.Errorf("estimate: no measured samples for %q inside [%v, %v]", name, p.T0, p.T1)
+		}
+		prep.windows = append(prep.windows, window{
+			times: s.Times, values: s.Values,
+			isState: p.Instance.KindOf(name) == fmu.VarState,
+		})
+		prep.samples += s.Len()
+	}
+	return prep, nil
 }
 
 // Validate checks the problem is well-formed and fills the time window from
@@ -93,15 +136,27 @@ func (p *Problem) Validate() error {
 	if p.T1 <= p.T0 {
 		return fmt.Errorf("estimate: empty training window [%v, %v]", p.T0, p.T1)
 	}
+	// A window that holds no sample of some measured series is reported by
+	// Cost, as before; Validate only keeps the preparation when there is one.
+	p.prep, _ = p.prepare()
 	return nil
 }
 
 // Cost simulates the instance with the candidate parameter vector (ordered
 // as p.Params) and returns the combined RMSE against all measured series —
-// the paper's sum-of-squared-errors objective expressed as RMSE.
+// the paper's sum-of-squared-errors objective expressed as RMSE. It reads the
+// problem only, so concurrent calls are safe.
 func (p *Problem) Cost(vals []float64) (float64, error) {
 	if len(vals) != len(p.Params) {
 		return 0, fmt.Errorf("estimate: candidate has %d values, want %d", len(vals), len(p.Params))
+	}
+	prep := p.prep
+	if prep == nil || prep.t0 != p.T0 || prep.t1 != p.T1 {
+		// Not validated, or the window was moved since.
+		var err error
+		if prep, err = p.prepare(); err != nil {
+			return 0, err
+		}
 	}
 	// Work on a scratch clone so the caller's instance stays untouched.
 	scratch := p.Instance.Clone(p.Instance.Name() + "/scratch")
@@ -113,13 +168,10 @@ func (p *Problem) Cost(vals []float64) (float64, error) {
 	// Anchor the initial state to the first measured sample inside the
 	// window for measured states, as calibration tooling does: the initial
 	// condition is data, not a free variable.
-	for name, s := range p.Measured {
-		if scratch.KindOf(name) == fmu.VarState {
-			window := s.Slice(p.T0, p.T1)
-			if window.Len() > 0 {
-				if err := scratch.SetReal(name, window.Values[0]); err != nil {
-					return 0, err
-				}
+	for k, w := range prep.windows {
+		if w.isState {
+			if err := scratch.SetReal(prep.names[k], w.values[0]); err != nil {
+				return 0, err
 			}
 		}
 	}
@@ -130,32 +182,25 @@ func (p *Problem) Cost(vals []float64) (float64, error) {
 		// (adaptive step-acceptance jitter otherwise swamps the differences).
 		method = solver.NewDormandPrince(1e-9, 1e-11)
 	}
-	res, err := scratch.Simulate(p.Inputs, p.T0, p.T1, &fmu.SimOptions{Method: method})
+	tr, err := scratch.Integrate(p.Inputs, p.T0, p.T1, &fmu.SimOptions{Method: method})
+	if err != nil {
+		return 0, err
+	}
+	// Only the compared variables are tabulated, and each is read at its
+	// measured times in one forward merge over the solver's steps.
+	sims, err := tr.Columns(prep.names...)
 	if err != nil {
 		return 0, err
 	}
 	totalSSE := 0.0
-	totalN := 0
-	for name, measured := range p.Measured {
-		sim, err := res.Series(name)
-		if err != nil {
-			return 0, err
-		}
-		window := measured.Slice(p.T0, p.T1)
-		if window.Len() == 0 {
-			return 0, fmt.Errorf("estimate: no measured samples for %q inside [%v, %v]", name, p.T0, p.T1)
-		}
-		aligned, err := sim.Resample(window.Times, timeseries.Linear)
-		if err != nil {
-			return 0, err
-		}
-		for i := range window.Values {
-			d := window.Values[i] - aligned.Values[i]
+	for k, w := range prep.windows {
+		cursor := timeseries.NewCursor(tr.Times)
+		for i, t := range w.times {
+			d := w.values[i] - cursor.At(sims[k], t, timeseries.Linear)
 			totalSSE += d * d
 		}
-		totalN += window.Len()
 	}
-	return math.Sqrt(totalSSE / float64(totalN)), nil
+	return math.Sqrt(totalSSE / float64(prep.samples)), nil
 }
 
 // clip projects v into [lo, hi].

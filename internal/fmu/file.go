@@ -82,6 +82,50 @@ type Unit struct {
 	Model       *modelica.Model
 	// GUID is the deterministic content identity of the FMU.
 	GUID uuid.UUID
+
+	// kernel is Model compiled against its slot layout; index resolves a
+	// variable name to its kind and slot with one lookup; columns are the
+	// result-frame columns, states then the outputs that are not states.
+	kernel  *modelica.Kernel
+	index   map[string]varRef
+	columns []string
+}
+
+// varRef locates a variable: slot is the kernel register of a parameter,
+// input or state, and the position in Model.Outputs of a pure output.
+type varRef struct {
+	kind VarKind
+	slot int
+}
+
+// newUnit compiles the model's equations and builds the name index. This is
+// where an equation that names an unknown variable or function, or calls a
+// builtin with the wrong number of arguments, is rejected.
+func newUnit(md *ModelDescription, m *modelica.Model, guid uuid.UUID) (*Unit, error) {
+	k, err := modelica.NewKernel(m)
+	if err != nil {
+		return nil, fmt.Errorf("fmu: compiling model %s: %w", m.Name, err)
+	}
+	u := &Unit{Description: md, Model: m, GUID: guid, kernel: k, index: make(map[string]varRef)}
+	for i, p := range m.Parameters {
+		u.index[p.Name] = varRef{VarParameter, k.ParamSlot + i}
+	}
+	for i, in := range m.Inputs {
+		u.index[in.Name] = varRef{VarInput, k.InputSlot + i}
+	}
+	for i, s := range m.States {
+		u.index[s.Name] = varRef{VarState, k.StateSlot + i}
+		u.columns = append(u.columns, s.Name)
+	}
+	for i, o := range m.Outputs {
+		// An output that is itself a state stays a state: its initial value
+		// is settable and its column is the state's.
+		if _, taken := u.index[o.Name]; !taken {
+			u.index[o.Name] = varRef{VarOutput, i}
+			u.columns = append(u.columns, o.Name)
+		}
+	}
+	return u, nil
 }
 
 // FromModel builds a Unit (and its metadata) from an analysed Modelica model.
@@ -155,7 +199,7 @@ func FromModel(m *modelica.Model) (*Unit, error) {
 		}
 		add(o.Name, "output", "continuous", o.Description, math.NaN(), math.NaN(), math.NaN())
 	}
-	return &Unit{Description: md, Model: m, GUID: guid}, nil
+	return newUnit(md, m, guid)
 }
 
 // CompileModelica parses, analyses, and packages Modelica source as a Unit —
@@ -334,7 +378,7 @@ func Read(data []byte) (*Unit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fmu: model GUID: %w", err)
 	}
-	return &Unit{Description: md, Model: m, GUID: guid}, nil
+	return newUnit(md, m, guid)
 }
 
 // Load reads a .fmu archive from disk.

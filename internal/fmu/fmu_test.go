@@ -547,3 +547,89 @@ end hold;
 		t.Errorf("hold-input x(2) = %v, want 2", got)
 	}
 }
+
+// TestUniformGridPointCount: a window that is a whole number of steps only up
+// to rounding gets exactly that many steps — accumulating t += step used to
+// land an ulp short of t1 and then append t1 again (26 points on 23 h).
+func TestUniformGridPointCount(t *testing.T) {
+	cases := []struct {
+		t0, t1, step float64
+		want         int
+	}{
+		{0, 23, 23.0 / 24, 25},
+		{0, 7, 0.1, 71},
+		{0, 1, 1.0 / 3, 4},
+		{0, 2, 1.0 / 3, 7},
+		{5, 6, 1.0 / 3, 4},
+		{0, 24, 1, 25},
+		{0, 1, 0.3, 5}, // 0, 0.3, 0.6, 0.9 and the stop time
+		{0, 1, 5, 2},   // a step wider than the window
+		{0, 1, math.Inf(1), 2},
+	}
+	for _, c := range cases {
+		grid, err := uniformGrid(c.t0, c.t1, c.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(grid) != c.want || grid[0] != c.t0 || grid[len(grid)-1] != c.t1 {
+			t.Errorf("uniformGrid(%v, %v, %v): %d points %v..%v, want %d from t0 to t1",
+				c.t0, c.t1, c.step, len(grid), grid[0], grid[len(grid)-1], c.want)
+		}
+		for i := 1; i < len(grid); i++ {
+			if grid[i] <= grid[i-1] {
+				t.Errorf("uniformGrid(%v, %v, %v): point %d not after point %d", c.t0, c.t1, c.step, i, i-1)
+			}
+		}
+		if c.step > c.t1-c.t0 {
+			continue
+		}
+		res, err := compileHP1(t).Instantiate("i").Simulate(nil, c.t0, c.t1, &SimOptions{OutputStep: c.step})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Frame.Len() != c.want {
+			t.Errorf("Simulate over [%v, %v] step %v: %d rows, want %d", c.t0, c.t1, c.step, res.Frame.Len(), c.want)
+		}
+	}
+	if _, err := uniformGrid(0, 1, 1e-300); err == nil {
+		t.Error("a grid of 1e300 points should be refused")
+	}
+}
+
+// TestUnknownFunctionRejectedAtCompile: an equation that cannot be evaluated
+// fails CompileModelica (and Read), not the first Simulate.
+func TestUnknownFunctionRejectedAtCompile(t *testing.T) {
+	src := strings.Replace(hp1Source, "A*x + B*u + E", "A*x + frobnicate(u) + E", 1)
+	if _, err := CompileModelica(src); err == nil || !strings.Contains(err.Error(), `unknown function "frobnicate"`) {
+		t.Errorf("CompileModelica: %v, want unknown function", err)
+	}
+	src = strings.Replace(hp1Source, "C*u + D*x", "min(u)", 1)
+	if _, err := CompileModelica(src); err == nil || !strings.Contains(err.Error(), "min expects 2 arguments") {
+		t.Errorf("CompileModelica: %v, want an arity error", err)
+	}
+}
+
+// TestDivisionByZeroAtRunTime: the one error a compiled equation can still
+// raise keeps its message, whether the zero divisor is a parameter-only
+// subtree (evaluated once per simulation) or depends on the state.
+func TestDivisionByZeroAtRunTime(t *testing.T) {
+	for _, eq := range []string{"A*x + B*u + E/(C - C)", "A*x + B*u + E/(x - x)"} {
+		u, err := CompileModelica(strings.Replace(hp1Source, "A*x + B*u + E", eq, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = u.Instantiate("i").Simulate(nil, 0, 1, nil)
+		want := "fmu: simulating heatpump: solver: RHS at t=0: evaluating der(x): modelica: division by zero"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", eq, err, want)
+		}
+	}
+	u, err := CompileModelica(strings.Replace(hp1Source, "C*u + D*x", "C*u/(D*x)", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = u.Instantiate("i").Simulate(nil, 0, 1, nil)
+	if err == nil || err.Error() != "fmu: evaluating output y at t=0: modelica: division by zero" {
+		t.Errorf("output: error %v", err)
+	}
+}

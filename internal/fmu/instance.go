@@ -19,34 +19,30 @@ type Instance struct {
 	unit *Unit
 	name string
 
-	params   map[string]float64
-	initials map[string]float64 // state start values
-	inputs   map[string]float64 // input fallback values
+	// vals holds parameter values, input fallback values and state start
+	// values at their kernel slots; set marks the slots that have a value.
+	vals []float64
+	set  []bool
 }
 
 // Instantiate creates an instance with values seeded from the model defaults.
 func (u *Unit) Instantiate(name string) *Instance {
-	inst := &Instance{
-		unit:     u,
-		name:     name,
-		params:   make(map[string]float64, len(u.Model.Parameters)),
-		initials: make(map[string]float64, len(u.Model.States)),
-		inputs:   make(map[string]float64, len(u.Model.Inputs)),
-	}
-	for _, p := range u.Model.Parameters {
-		if !math.IsNaN(p.Default) {
-			inst.params[p.Name] = p.Default
+	k := u.kernel
+	n := k.StateSlot + len(u.Model.States)
+	inst := &Instance{unit: u, name: name, vals: make([]float64, n), set: make([]bool, n)}
+	seed := func(slot int, v float64) {
+		if !math.IsNaN(v) {
+			inst.vals[slot], inst.set[slot] = v, true
 		}
 	}
-	for _, s := range u.Model.States {
-		if !math.IsNaN(s.Start) {
-			inst.initials[s.Name] = s.Start
-		}
+	for i, p := range u.Model.Parameters {
+		seed(k.ParamSlot+i, p.Default)
 	}
-	for _, in := range u.Model.Inputs {
-		if !math.IsNaN(in.Start) {
-			inst.inputs[in.Name] = in.Start
-		}
+	for i, in := range u.Model.Inputs {
+		seed(k.InputSlot+i, in.Start)
+	}
+	for i, s := range u.Model.States {
+		seed(k.StateSlot+i, s.Start)
 	}
 	return inst
 }
@@ -86,41 +82,15 @@ func (k VarKind) String() string {
 
 // KindOf reports how name is classified by the model. A state that is also
 // an output reports VarState (settable initial value).
-func (inst *Instance) KindOf(name string) VarKind {
-	m := inst.unit.Model
-	for _, p := range m.Parameters {
-		if p.Name == name {
-			return VarParameter
-		}
-	}
-	for _, in := range m.Inputs {
-		if in.Name == name {
-			return VarInput
-		}
-	}
-	for _, s := range m.States {
-		if s.Name == name {
-			return VarState
-		}
-	}
-	for _, o := range m.Outputs {
-		if o.Name == name {
-			return VarOutput
-		}
-	}
-	return VarUnknown
-}
+func (inst *Instance) KindOf(name string) VarKind { return inst.unit.index[name].kind }
 
 // SetReal assigns a parameter value, a state initial value, or an input
 // fallback value. Pure outputs are not settable (they are computed).
 func (inst *Instance) SetReal(name string, v float64) error {
-	switch inst.KindOf(name) {
-	case VarParameter:
-		inst.params[name] = v
-	case VarState:
-		inst.initials[name] = v
-	case VarInput:
-		inst.inputs[name] = v
+	ref := inst.unit.index[name]
+	switch ref.kind {
+	case VarParameter, VarState, VarInput:
+		inst.vals[ref.slot], inst.set[ref.slot] = v, true
 	case VarOutput:
 		return fmt.Errorf("fmu: cannot set computed output %q", name)
 	default:
@@ -131,31 +101,28 @@ func (inst *Instance) SetReal(name string, v float64) error {
 
 // GetReal reads the current parameter / state-initial / input-fallback value.
 func (inst *Instance) GetReal(name string) (float64, error) {
-	var v float64
-	var ok bool
-	switch inst.KindOf(name) {
-	case VarParameter:
-		v, ok = inst.params[name]
-	case VarState:
-		v, ok = inst.initials[name]
-	case VarInput:
-		v, ok = inst.inputs[name]
+	ref := inst.unit.index[name]
+	switch ref.kind {
+	case VarParameter, VarState, VarInput:
+		if !inst.set[ref.slot] {
+			return 0, fmt.Errorf("fmu: variable %q has no value set", name)
+		}
+		return inst.vals[ref.slot], nil
 	case VarOutput:
 		return 0, fmt.Errorf("fmu: output %q has no stored value; simulate to compute it", name)
 	default:
 		return 0, fmt.Errorf("fmu: model %s has no variable %q", inst.unit.Model.Name, name)
 	}
-	if !ok {
-		return 0, fmt.Errorf("fmu: variable %q has no value set", name)
-	}
-	return v, nil
 }
 
 // Parameters returns a copy of the current parameter assignment.
 func (inst *Instance) Parameters() map[string]float64 {
-	out := make(map[string]float64, len(inst.params))
-	for k, v := range inst.params {
-		out[k] = v
+	params := inst.unit.Model.Parameters
+	out := make(map[string]float64, len(params))
+	for i, p := range params {
+		if slot := inst.unit.kernel.ParamSlot + i; inst.set[slot] {
+			out[p.Name] = inst.vals[slot]
+		}
 	}
 	return out
 }
@@ -163,41 +130,28 @@ func (inst *Instance) Parameters() map[string]float64 {
 // SetParameters assigns several parameters at once.
 func (inst *Instance) SetParameters(vals map[string]float64) error {
 	for k, v := range vals {
-		if inst.KindOf(k) != VarParameter {
+		ref := inst.unit.index[k]
+		if ref.kind != VarParameter {
 			return fmt.Errorf("fmu: %q is not a parameter", k)
 		}
-		inst.params[k] = v
+		inst.vals[ref.slot], inst.set[ref.slot] = v, true
 	}
 	return nil
 }
 
 // Reset restores all values to the model defaults — pgFMU's fmu_reset.
 func (inst *Instance) Reset() {
-	fresh := inst.unit.Instantiate(inst.name)
-	inst.params = fresh.params
-	inst.initials = fresh.initials
-	inst.inputs = fresh.inputs
+	*inst = *inst.unit.Instantiate(inst.name)
 }
 
 // Clone copies the instance under a new name — pgFMU's fmu_copy.
 func (inst *Instance) Clone(name string) *Instance {
-	out := &Instance{
-		unit:     inst.unit,
-		name:     name,
-		params:   make(map[string]float64, len(inst.params)),
-		initials: make(map[string]float64, len(inst.initials)),
-		inputs:   make(map[string]float64, len(inst.inputs)),
+	return &Instance{
+		unit: inst.unit,
+		name: name,
+		vals: append([]float64(nil), inst.vals...),
+		set:  append([]bool(nil), inst.set...),
 	}
-	for k, v := range inst.params {
-		out.params[k] = v
-	}
-	for k, v := range inst.initials {
-		out.initials[k] = v
-	}
-	for k, v := range inst.inputs {
-		out.inputs[k] = v
-	}
-	return out
 }
 
 // SimOptions configures a simulation run.
@@ -239,107 +193,115 @@ func (r *SimResult) Final(name string) (float64, error) {
 	return s.Values[s.Len()-1], nil
 }
 
-// inputEnv resolves the model environment at time t during integration.
-type inputEnv struct {
-	params map[string]float64
-	series map[string]*timeseries.Series
-	consts map[string]float64
+// run is one simulation's view of the kernel: a register file with the
+// instance's values bound, and a cursor per input that is read from a
+// series. It is what the derivative closure and output evaluation share.
+type run struct {
+	unit   *Unit
+	regs   []float64
+	series []seriesInput
 	interp timeseries.Interpolation
-
-	// mutable per-evaluation slots
-	time   float64
-	states map[string]float64
-
-	err error
+	// derivErr[i] / outErr[i] hold the division by zero, if any, in the
+	// parameter-only part of that program: raised once by Bind, it belongs
+	// to every evaluation (see modelica.Program.Bind).
+	derivErr, outErr []error
 }
 
-// Lookup implements modelica.Env.
-func (e *inputEnv) Lookup(name string) (float64, bool) {
-	if name == "time" {
-		return e.time, true
+// seriesInput is an input read from a series into its slot at each load.
+type seriesInput struct {
+	slot   int
+	values []float64
+	cursor timeseries.Cursor
+}
+
+// load writes the evaluation point into the slots: time, every series input
+// at that time, and the state vector.
+func (r *run) load(t float64, x []float64) {
+	r.regs[modelica.TimeSlot] = t
+	for i := range r.series {
+		in := &r.series[i]
+		r.regs[in.slot] = in.cursor.At(in.values, t, r.interp)
 	}
-	if v, ok := e.states[name]; ok {
-		return v, true
-	}
-	if v, ok := e.params[name]; ok {
-		return v, true
-	}
-	if s, ok := e.series[name]; ok {
-		v, err := s.At(e.time, e.interp)
-		if err != nil {
-			e.err = err
-			return 0, false
+	copy(r.regs[r.unit.kernel.StateSlot:], x)
+}
+
+// bind validates that the instance and inputs give every slot a value and
+// builds the run plus the initial state vector.
+func (inst *Instance) bind(inputs map[string]*timeseries.Series, interp timeseries.Interpolation) (*run, []float64, error) {
+	u := inst.unit
+	m, k := u.Model, u.kernel
+	for i, p := range m.Parameters {
+		if !inst.set[k.ParamSlot+i] {
+			return nil, nil, fmt.Errorf("fmu: parameter %q has no value; set it before simulating", p.Name)
 		}
-		return v, true
 	}
-	if v, ok := e.consts[name]; ok {
-		return v, true
+	r := &run{unit: u, regs: k.NewRegisters(), interp: interp}
+	copy(r.regs[k.ParamSlot:k.StateSlot], inst.vals[k.ParamSlot:k.StateSlot])
+	// Every input needs a series or a fallback value.
+	bySeries := make([]bool, len(m.Inputs))
+	for name, s := range inputs {
+		ref := u.index[name]
+		if ref.kind != VarInput {
+			return nil, nil, fmt.Errorf("fmu: model %s has no input %q", m.Name, name)
+		}
+		if s == nil || s.Len() == 0 {
+			return nil, nil, fmt.Errorf("fmu: empty input series for %q", name)
+		}
+		bySeries[ref.slot-k.InputSlot] = true
+		r.series = append(r.series, seriesInput{slot: ref.slot, values: s.Values, cursor: timeseries.NewCursor(s.Times)})
 	}
-	return 0, false
+	for i, in := range m.Inputs {
+		if !bySeries[i] && !inst.set[k.InputSlot+i] {
+			return nil, nil, fmt.Errorf("fmu: insufficient model input time series: input %q has neither a series nor a start value", in.Name)
+		}
+	}
+	x0 := make([]float64, len(m.States))
+	for i, s := range m.States {
+		if !inst.set[k.StateSlot+i] {
+			return nil, nil, fmt.Errorf("fmu: state %q has no initial value", s.Name)
+		}
+		x0[i] = inst.vals[k.StateSlot+i]
+	}
+	errs := make([]error, len(k.Derivatives)+len(k.Outputs))
+	r.derivErr, r.outErr = errs[:len(k.Derivatives)], errs[len(k.Derivatives):]
+	for i := range k.Derivatives {
+		r.derivErr[i] = k.Derivatives[i].Bind(r.regs)
+	}
+	for i := range k.Outputs {
+		r.outErr[i] = k.Outputs[i].Bind(r.regs)
+	}
+	return r, x0, nil
 }
 
-// Simulate integrates the model from t0 to t1 with the given input series
-// (one per input variable; inputs without a series fall back to the
-// instance's input value). Returns trajectories for all states and outputs.
-func (inst *Instance) Simulate(inputs map[string]*timeseries.Series, t0, t1 float64, opts *SimOptions) (*SimResult, error) {
+// Trajectory is a simulated state trajectory on a time axis — the solver's
+// accepted steps, or a uniform grid after resampling — together with the
+// bound model that evaluates outputs along it. It is not safe for concurrent
+// use.
+type Trajectory struct {
+	// Times is the time axis, strictly increasing.
+	Times []float64
+	// states[i][j] is state j (model order) at Times[i].
+	states [][]float64
+	run    *run
+}
+
+// Integrate runs the solver over [t0, t1] with the given input series (one
+// per input variable; inputs without a series fall back to the instance's
+// input value) and returns the accepted steps. opts.OutputStep is not
+// applied here: Simulate resamples and tabulates on top of this.
+func (inst *Instance) Integrate(inputs map[string]*timeseries.Series, t0, t1 float64, opts *SimOptions) (*Trajectory, error) {
 	if opts == nil {
 		opts = &SimOptions{}
 	}
 	if t1 <= t0 {
 		return nil, fmt.Errorf("fmu: simulation interval [%v, %v] is empty", t0, t1)
 	}
+	r, x0, err := inst.bind(inputs, opts.InputInterpolation)
+	if err != nil {
+		return nil, err
+	}
 	m := inst.unit.Model
-
-	// Validate parameter completeness.
-	for _, p := range m.Parameters {
-		if _, ok := inst.params[p.Name]; !ok {
-			return nil, fmt.Errorf("fmu: parameter %q has no value; set it before simulating", p.Name)
-		}
-	}
-	// Validate inputs: every input must have a series or fallback value.
-	env := &inputEnv{
-		params: inst.params,
-		series: make(map[string]*timeseries.Series),
-		consts: make(map[string]float64),
-		interp: opts.InputInterpolation,
-		states: make(map[string]float64, len(m.States)),
-	}
-	for name, s := range inputs {
-		found := false
-		for _, in := range m.Inputs {
-			if in.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("fmu: model %s has no input %q", m.Name, name)
-		}
-		if s == nil || s.Len() == 0 {
-			return nil, fmt.Errorf("fmu: empty input series for %q", name)
-		}
-		env.series[name] = s
-	}
-	for _, in := range m.Inputs {
-		if _, ok := env.series[in.Name]; ok {
-			continue
-		}
-		v, ok := inst.inputs[in.Name]
-		if !ok {
-			return nil, fmt.Errorf("fmu: insufficient model input time series: input %q has neither a series nor a start value", in.Name)
-		}
-		env.consts[in.Name] = v
-	}
-
-	// Initial state vector in model order.
-	x0 := make([]float64, len(m.States))
-	for i, s := range m.States {
-		v, ok := inst.initials[s.Name]
-		if !ok {
-			return nil, fmt.Errorf("fmu: state %q has no initial value", s.Name)
-		}
-		x0[i] = v
-	}
+	derivs := inst.unit.kernel.Derivatives
 
 	method := opts.Method
 	if method == nil {
@@ -359,18 +321,14 @@ func (inst *Instance) Simulate(inputs map[string]*timeseries.Series, t0, t1 floa
 			}
 			rhsCalls++
 		}
-		env.time = t
-		for i, s := range m.States {
-			env.states[s.Name] = x[i]
-		}
-		for i, s := range m.States {
-			v, err := s.Derivative.Eval(env)
+		r.load(t, x)
+		for i := range derivs {
+			v, err := derivs[i].Run(r.regs)
+			if err == nil {
+				err = r.derivErr[i]
+			}
 			if err != nil {
-				if env.err != nil {
-					err = env.err
-					env.err = nil
-				}
-				return fmt.Errorf("evaluating der(%s): %w", s.Name, err)
+				return fmt.Errorf("evaluating der(%s): %w", m.States[i].Name, err)
 			}
 			dxdt[i] = v
 		}
@@ -381,92 +339,131 @@ func (inst *Instance) Simulate(inputs map[string]*timeseries.Series, t0, t1 floa
 	if err != nil {
 		return nil, fmt.Errorf("fmu: simulating %s: %w", m.Name, err)
 	}
+	return &Trajectory{Times: res.Times, states: res.States, run: r}, nil
+}
 
+// resample interpolates the states linearly onto grid in one forward merge
+// of the two increasing time axes.
+func (tr *Trajectory) resample(grid []float64) *Trajectory {
+	n := len(tr.run.unit.Model.States)
+	flat := make([]float64, len(grid)*n)
+	rows := make([][]float64, len(grid))
+	cursor := timeseries.NewCursor(tr.Times)
+	for i, t := range grid {
+		row := flat[i*n : (i+1)*n : (i+1)*n]
+		lo, hi := cursor.Seek(t)
+		if lo == hi {
+			copy(row, tr.states[lo])
+		} else {
+			for j := range row {
+				row[j] = timeseries.Interpolate(t, tr.Times[lo], tr.Times[hi], tr.states[lo][j], tr.states[hi][j])
+			}
+		}
+		rows[i] = row
+	}
+	return &Trajectory{Times: grid, states: rows, run: tr.run}
+}
+
+// Columns tabulates the named states and outputs along the trajectory, one
+// slice per name, parallel to Times. Outputs are evaluated from the states,
+// inputs and time at each point.
+func (tr *Trajectory) Columns(names ...string) ([][]float64, error) {
+	u := tr.run.unit
+	cols := make([][]float64, len(names))
+	type outputColumn struct{ col, output int }
+	var outputs []outputColumn
+	for c, name := range names {
+		cols[c] = make([]float64, len(tr.Times))
+		switch ref := u.index[name]; ref.kind {
+		case VarState:
+			j := ref.slot - u.kernel.StateSlot
+			for i, x := range tr.states {
+				cols[c][i] = x[j]
+			}
+		case VarOutput:
+			outputs = append(outputs, outputColumn{col: c, output: ref.slot})
+		default:
+			return nil, fmt.Errorf("fmu: %q is not a state or output of model %s", name, u.Model.Name)
+		}
+	}
+	if len(outputs) == 0 {
+		return cols, nil
+	}
+	for i, t := range tr.Times {
+		tr.run.load(t, tr.states[i])
+		for _, oc := range outputs {
+			v, err := u.kernel.Outputs[oc.output].Run(tr.run.regs)
+			if err == nil {
+				err = tr.run.outErr[oc.output]
+			}
+			if err != nil {
+				return nil, fmt.Errorf("fmu: evaluating output %s at t=%v: %w", u.Model.Outputs[oc.output].Name, t, err)
+			}
+			cols[oc.col][i] = v
+		}
+	}
+	return cols, nil
+}
+
+// Simulate integrates the model from t0 to t1 with the given input series
+// (one per input variable; inputs without a series fall back to the
+// instance's input value). Returns trajectories for all states and outputs.
+func (inst *Instance) Simulate(inputs map[string]*timeseries.Series, t0, t1 float64, opts *SimOptions) (*SimResult, error) {
+	tr, err := inst.Integrate(inputs, t0, t1, opts)
+	if err != nil {
+		return nil, err
+	}
 	// Optionally resample onto a uniform communication grid.
-	times := res.Times
-	states := res.States
-	if opts.OutputStep > 0 {
-		grid := uniformGrid(t0, t1, opts.OutputStep)
-		resampled := make([][]float64, len(grid))
-		for i := range resampled {
-			resampled[i] = make([]float64, len(m.States))
+	if opts != nil && opts.OutputStep > 0 {
+		grid, err := uniformGrid(t0, t1, opts.OutputStep)
+		if err != nil {
+			return nil, err
 		}
-		for j := range m.States {
-			st, sv, err := res.StateSeries(j)
-			if err != nil {
-				return nil, err
-			}
-			series, err := timeseries.New(st, sv)
-			if err != nil {
-				return nil, fmt.Errorf("fmu: building state trajectory: %w", err)
-			}
-			rs, err := series.Resample(grid, timeseries.Linear)
-			if err != nil {
-				return nil, err
-			}
-			for i := range grid {
-				resampled[i][j] = rs.Values[i]
-			}
+		tr = tr.resample(grid)
+	}
+	for i := 1; i < len(tr.Times); i++ {
+		if tr.Times[i] <= tr.Times[i-1] {
+			return nil, fmt.Errorf("fmu: assembling result frame: time %v not after last time %v", tr.Times[i], tr.Times[i-1])
 		}
-		times = grid
-		states = resampled
 	}
-
-	// Assemble the result frame: states then (non-state) outputs.
-	var columns []string
-	for _, s := range m.States {
-		columns = append(columns, s.Name)
+	// The result frame: states then (non-state) outputs.
+	columns := inst.unit.columns
+	cols, err := tr.Columns(columns...)
+	if err != nil {
+		return nil, err
 	}
-	stateSet := make(map[string]int, len(m.States))
-	for i, s := range m.States {
-		stateSet[s.Name] = i
-	}
-	var pureOutputs []modelica.Output
-	for _, o := range m.Outputs {
-		if _, isState := stateSet[o.Name]; isState {
-			continue
-		}
-		columns = append(columns, o.Name)
-		pureOutputs = append(pureOutputs, o)
-	}
-
 	frame := timeseries.NewFrame(columns...)
-	row := make([]float64, len(columns))
-	for i, t := range times {
-		env.time = t
-		for j, s := range m.States {
-			env.states[s.Name] = states[i][j]
-			row[j] = states[i][j]
-		}
-		for k, o := range pureOutputs {
-			v, err := o.Expr.Eval(env)
-			if err != nil {
-				if env.err != nil {
-					err = env.err
-					env.err = nil
-				}
-				return nil, fmt.Errorf("fmu: evaluating output %s at t=%v: %w", o.Name, t, err)
-			}
-			row[len(m.States)+k] = v
-		}
-		if err := frame.AppendRow(t, row...); err != nil {
-			return nil, fmt.Errorf("fmu: assembling result frame: %w", err)
-		}
+	frame.Times = tr.Times
+	for c, name := range columns {
+		frame.Data[name] = cols[c]
 	}
 	return &SimResult{Frame: frame}, nil
 }
 
-// uniformGrid builds t0, t0+step, ..., ending exactly at t1.
-func uniformGrid(t0, t1, step float64) []float64 {
-	var grid []float64
-	for t := t0; t < t1; t += step {
-		grid = append(grid, t)
+// maxGridPoints bounds the communication grid; beyond it the point count no
+// longer fits the arithmetic that builds the grid.
+const maxGridPoints = 1 << 31
+
+// uniformGrid builds t0, t0+step, t0+2*step, ..., ending exactly at t1. When
+// the window is a whole number of steps up to rounding — 23 h in 24 steps of
+// 23/24 h — the last multiple is t1 itself; otherwise t1 follows the last
+// multiple below it. Points are computed as t0 + i*step, not accumulated, so
+// rounding cannot land a point just short of t1 and then add t1 again.
+func uniformGrid(t0, t1, step float64) ([]float64, error) {
+	q := (t1 - t0) / step
+	if !(q < maxGridPoints) {
+		return nil, fmt.Errorf("fmu: output step %v over [%v, %v] gives more than %d points", step, t0, t1, maxGridPoints)
 	}
-	// Always include the stop time exactly once.
-	if len(grid) == 0 || grid[len(grid)-1] < t1 {
-		grid = append(grid, t1)
+	n := int(math.Floor(q)) // whole steps strictly inside the window, if q is not whole
+	if r := math.Round(q); r >= 1 && math.Abs(q-r) <= 1e-9*r {
+		n = int(r) - 1
 	}
-	return grid
+	grid := make([]float64, n+2)
+	grid[0], grid[n+1] = t0, t1
+	for i := 1; i <= n; i++ {
+		grid[i] = t0 + float64(i)*step
+	}
+	return grid, nil
 }
 
 // ResultVariables returns the sorted simulated variable names (states and

@@ -10,28 +10,12 @@ import (
 
 // Expr is a Modelica expression tree node. Expressions are immutable after
 // parsing; String() renders source text that re-parses to an equal tree,
-// which is how equations are serialized into the FMU payload.
+// which is how equations are serialized into the FMU payload. Trees are not
+// evaluated: NewKernel compiles them (kernel.go).
 type Expr interface {
 	fmt.Stringer
-	// Eval computes the expression under the environment. Unknown
-	// identifiers and unknown functions are errors.
-	Eval(env Env) (float64, error)
-	// Vars appends the free identifiers (excluding function names) to dst.
+	// vars adds the free identifiers (excluding function names) to dst.
 	vars(dst map[string]bool)
-}
-
-// Env supplies identifier values during evaluation.
-type Env interface {
-	Lookup(name string) (float64, bool)
-}
-
-// MapEnv is an Env backed by a plain map.
-type MapEnv map[string]float64
-
-// Lookup implements Env.
-func (m MapEnv) Lookup(name string) (float64, bool) {
-	v, ok := m[name]
-	return v, ok
 }
 
 // Number is a numeric literal.
@@ -42,9 +26,6 @@ func (n *Number) String() string {
 	return strconv.FormatFloat(n.Value, 'g', -1, 64)
 }
 
-// Eval implements Expr.
-func (n *Number) Eval(Env) (float64, error) { return n.Value, nil }
-
 func (n *Number) vars(map[string]bool) {}
 
 // Ident is a variable reference.
@@ -52,14 +33,6 @@ type Ident struct{ Name string }
 
 // String implements Expr.
 func (i *Ident) String() string { return i.Name }
-
-// Eval implements Expr.
-func (i *Ident) Eval(env Env) (float64, error) {
-	if v, ok := env.Lookup(i.Name); ok {
-		return v, nil
-	}
-	return 0, fmt.Errorf("modelica: unknown identifier %q", i.Name)
-}
 
 func (i *Ident) vars(dst map[string]bool) { dst[i.Name] = true }
 
@@ -71,22 +44,6 @@ type Unary struct {
 
 // String implements Expr.
 func (u *Unary) String() string { return "(" + u.Op + u.X.String() + ")" }
-
-// Eval implements Expr.
-func (u *Unary) Eval(env Env) (float64, error) {
-	v, err := u.X.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch u.Op {
-	case "-":
-		return -v, nil
-	case "+":
-		return v, nil
-	default:
-		return 0, fmt.Errorf("modelica: unknown unary operator %q", u.Op)
-	}
-}
 
 func (u *Unary) vars(dst map[string]bool) { u.X.vars(dst) }
 
@@ -101,54 +58,6 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
 
-// Eval implements Expr.
-func (b *Binary) Eval(env Env) (float64, error) {
-	l, err := b.L.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.R.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.Op {
-	case "+":
-		return l + r, nil
-	case "-":
-		return l - r, nil
-	case "*":
-		return l * r, nil
-	case "/":
-		if r == 0 {
-			return 0, fmt.Errorf("modelica: division by zero")
-		}
-		return l / r, nil
-	case "^":
-		return math.Pow(l, r), nil
-	case "<":
-		return boolVal(l < r), nil
-	case ">":
-		return boolVal(l > r), nil
-	case "<=":
-		return boolVal(l <= r), nil
-	case ">=":
-		return boolVal(l >= r), nil
-	case "==":
-		return boolVal(l == r), nil
-	case "<>":
-		return boolVal(l != r), nil
-	default:
-		return 0, fmt.Errorf("modelica: unknown binary operator %q", b.Op)
-	}
-}
-
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func (b *Binary) vars(dst map[string]bool) {
 	b.L.vars(dst)
 	b.R.vars(dst)
@@ -156,7 +65,7 @@ func (b *Binary) vars(dst map[string]bool) {
 
 // Call is a function application. The der() operator is represented as a
 // Call with Fn=="der"; it is only legal on the left-hand side of an equation
-// and is rejected by Eval.
+// and is rejected by the compiler anywhere else.
 type Call struct {
 	Fn   string
 	Args []Expr
@@ -207,38 +116,6 @@ var builtin2 = map[string]func(float64, float64) float64{
 	"max":   math.Max,
 	"atan2": math.Atan2,
 	"mod":   math.Mod,
-}
-
-// Eval implements Expr.
-func (c *Call) Eval(env Env) (float64, error) {
-	if c.Fn == "der" {
-		return 0, fmt.Errorf("modelica: der() may only appear on the left-hand side of an equation")
-	}
-	if f, ok := builtin1[c.Fn]; ok {
-		if len(c.Args) != 1 {
-			return 0, fmt.Errorf("modelica: %s expects 1 argument, got %d", c.Fn, len(c.Args))
-		}
-		v, err := c.Args[0].Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		return f(v), nil
-	}
-	if f, ok := builtin2[c.Fn]; ok {
-		if len(c.Args) != 2 {
-			return 0, fmt.Errorf("modelica: %s expects 2 arguments, got %d", c.Fn, len(c.Args))
-		}
-		a, err := c.Args[0].Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		b, err := c.Args[1].Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		return f(a, b), nil
-	}
-	return 0, fmt.Errorf("modelica: unknown function %q", c.Fn)
 }
 
 func (c *Call) vars(dst map[string]bool) {

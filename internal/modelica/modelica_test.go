@@ -73,7 +73,7 @@ func TestLexNumbers(t *testing.T) {
 			t.Errorf("ParseExpression(%q): %v", src, err)
 			continue
 		}
-		got, err := e.Eval(MapEnv{})
+		got, err := evalBoth(e, MapEnv{})
 		if err != nil || got != want {
 			t.Errorf("Eval(%q) = %v, %v; want %v", src, got, err, want)
 		}
@@ -105,7 +105,7 @@ func TestExpressionPrecedence(t *testing.T) {
 			t.Errorf("ParseExpression(%q): %v", src, err)
 			continue
 		}
-		got, err := e.Eval(MapEnv{})
+		got, err := evalBoth(e, MapEnv{})
 		if err != nil {
 			t.Errorf("Eval(%q): %v", src, err)
 			continue
@@ -139,7 +139,7 @@ func TestExpressionFunctions(t *testing.T) {
 			t.Errorf("ParseExpression(%q): %v", src, err)
 			continue
 		}
-		got, err := e.Eval(env)
+		got, err := evalBoth(e, env)
 		if err != nil || math.Abs(got-want) > 1e-12 {
 			t.Errorf("Eval(%q) = %v, %v; want %v", src, got, err, want)
 		}
@@ -161,7 +161,7 @@ func TestExpressionEvalErrors(t *testing.T) {
 			t.Errorf("ParseExpression(%q) should parse: %v", src, err)
 			continue
 		}
-		if _, err := e.Eval(MapEnv{"x": 1}); err == nil {
+		if _, err := evalBoth(e, MapEnv{"x": 1}); err == nil {
 			t.Errorf("Eval(%q) should fail", src)
 		}
 	}
@@ -200,8 +200,8 @@ func TestExpressionStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reparse %q: %v", e1.String(), err)
 		}
-		v1, err1 := e1.Eval(env)
-		v2, err2 := e2.Eval(env)
+		v1, err1 := evalBoth(e1, env)
+		v2, err2 := evalBoth(e2, env)
 		if err1 != nil || err2 != nil || math.Abs(v1-v2) > 1e-12 {
 			t.Errorf("round trip of %q changed value: %v vs %v", src, v1, v2)
 		}
@@ -221,8 +221,8 @@ func TestStringRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v1, err1 := e.Eval(MapEnv{"x": x})
-		v2, err2 := e2.Eval(MapEnv{"x": x})
+		v1, err1 := evalBoth(e, MapEnv{"x": x})
+		v2, err2 := evalBoth(e2, MapEnv{"x": x})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -286,7 +286,7 @@ func TestAnalyzeHP1Model(t *testing.T) {
 	}
 	// Derivative evaluates correctly.
 	env := MapEnv{"A": -0.5, "B": 13, "E": 4, "x": 20, "u": 0.5, "time": 0}
-	v, err := m.States[0].Derivative.Eval(env)
+	v, err := evalBoth(m.States[0].Derivative, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ end inlined;
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.States[0].Derivative.Eval(MapEnv{"k": 2, "x": 1})
+	v, err := evalBoth(m.States[0].Derivative, MapEnv{"k": 2, "x": 1})
 	if err != nil || v != 7 {
 		t.Errorf("inlined derivative = %v, %v; want 7", v, err)
 	}
@@ -344,7 +344,7 @@ end hp0;
 	if len(m.Outputs) != 1 || m.Outputs[0].Name != "x" {
 		t.Fatalf("outputs = %+v", m.Outputs)
 	}
-	v, err := m.Outputs[0].Expr.Eval(MapEnv{"x": 17})
+	v, err := evalBoth(m.Outputs[0].Expr, MapEnv{"x": 17})
 	if err != nil || v != 17 {
 		t.Errorf("identity output = %v, %v", v, err)
 	}
@@ -481,7 +481,7 @@ end classroom;
 	}
 	env := MapEnv{"shgc": 2, "tmass": 40, "RExt": 3, "occheff": 1,
 		"solrad": 500, "tout": 10, "occ": 20, "dpos": 0, "vpos": 0, "t": 21}
-	v, err := m.States[0].Derivative.Eval(env)
+	v, err := evalBoth(m.States[0].Derivative, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,15 @@ import (
 type parser struct {
 	toks []token
 	pos  int
+	// depth counts the parseUnary frames on the stack; every way an
+	// expression nests passes through one.
+	depth int
 }
+
+// maxExprDepth bounds expression nesting (parentheses, call arguments, sign
+// and exponent chains), so hostile source fails with an error instead of
+// exhausting the goroutine stack.
+const maxExprDepth = 500
 
 func (p *parser) cur() token { return p.toks[p.pos] }
 func (p *parser) peek() token {
@@ -211,7 +219,7 @@ func (p *parser) parseDeclaration(causality Causality) (Component, error) {
 		if err != nil {
 			return Component{}, err
 		}
-		val, err := expr.Eval(MapEnv{})
+		val, err := evalConstant(expr)
 		if err != nil {
 			t := p.cur()
 			return Component{}, errAt(t.line, t.col, "declaration value for %s must be constant: %v", name, err)
@@ -246,7 +254,7 @@ func (p *parser) parseAttrs(c *Component) error {
 			if err != nil {
 				return err
 			}
-			val, err := expr.Eval(MapEnv{})
+			val, err := evalConstant(expr)
 			if err != nil {
 				t := p.cur()
 				return errAt(t.line, t.col, "attribute %s must be a constant expression: %v", attr, err)
@@ -384,6 +392,10 @@ func (p *parser) parseMulDiv() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	t := p.cur()
+	if p.depth++; p.depth > maxExprDepth {
+		return nil, errAt(t.line, t.col, "expression nested deeper than %d levels", maxExprDepth)
+	}
+	defer func() { p.depth-- }()
 	if t.kind == tokSymbol && (t.text == "-" || t.text == "+") {
 		p.advance()
 		x, err := p.parseUnary()

@@ -30,17 +30,26 @@ type Result struct {
 	States [][]float64
 }
 
-// StateSeries extracts one state component as parallel time/value slices.
-func (r *Result) StateSeries(j int) (times, values []float64, err error) {
-	if len(r.States) > 0 && (j < 0 || j >= len(r.States[0])) {
-		return nil, nil, fmt.Errorf("solver: state index %d out of range [0,%d)", j, len(r.States[0]))
+// recorder collects accepted steps into one growing flat buffer, so that a
+// trajectory costs a handful of allocations instead of one per step.
+type recorder struct {
+	n     int
+	times []float64
+	flat  []float64
+}
+
+func (r *recorder) add(t float64, x []float64) {
+	r.times = append(r.times, t)
+	r.flat = append(r.flat, x...)
+}
+
+// result slices the flat buffer into per-step rows.
+func (r *recorder) result() *Result {
+	states := make([][]float64, len(r.times))
+	for i := range states {
+		states[i] = r.flat[i*r.n : (i+1)*r.n : (i+1)*r.n]
 	}
-	times = append([]float64(nil), r.Times...)
-	values = make([]float64, len(r.States))
-	for i, st := range r.States {
-		values[i] = st[j]
-	}
-	return times, values, nil
+	return &Result{Times: r.times, States: states}
 }
 
 // Method integrates x' = f over [t0, t1] from x0 and returns the trajectory.
@@ -112,10 +121,8 @@ func (m *FixedStep) Integrate(f System, t0, t1 float64, x0 []float64) (*Result, 
 	xs := make([]float64, n) // stage state scratch
 	x := append([]float64(nil), x0...)
 
-	res := &Result{
-		Times:  []float64{t0},
-		States: [][]float64{append([]float64(nil), x0...)},
-	}
+	rec := recorder{n: n}
+	rec.add(t0, x0)
 	t := t0
 	for t < t1 {
 		h := m.step
@@ -147,10 +154,9 @@ func (m *FixedStep) Integrate(f System, t0, t1 float64, x0 []float64) (*Result, 
 			x[i] += h * acc
 		}
 		t += h
-		res.Times = append(res.Times, t)
-		res.States = append(res.States, append([]float64(nil), x...))
+		rec.add(t, x)
 	}
-	return res, nil
+	return rec.result(), nil
 }
 
 // DormandPrince is the adaptive RK45 (DOPRI5) method with PI step control.
@@ -237,10 +243,8 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 	x5 := make([]float64, n)
 	x := append([]float64(nil), x0...)
 
-	res := &Result{
-		Times:  []float64{t0},
-		States: [][]float64{append([]float64(nil), x0...)},
-	}
+	rec := recorder{n: n}
+	rec.add(t0, x0)
 
 	if err := f(t0, x, k[0]); err != nil {
 		return nil, fmt.Errorf("solver: RHS at t=%v: %w", t0, err)
@@ -288,8 +292,7 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 			// Accept.
 			t += h
 			copy(x, x5)
-			res.Times = append(res.Times, t)
-			res.States = append(res.States, append([]float64(nil), x...))
+			rec.add(t, x)
 			// FSAL: last stage derivative is the first of the next step.
 			copy(k[0], k[6])
 			// PI controller (Gustafsson).
@@ -311,5 +314,5 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 			return nil, fmt.Errorf("%w: h=%v at t=%v", ErrStepSize, h, t)
 		}
 	}
-	return res, nil
+	return rec.result(), nil
 }

@@ -171,21 +171,24 @@ func TestMaxStepsLimit(t *testing.T) {
 	}
 }
 
-func TestStateSeries(t *testing.T) {
-	m, _ := NewRK4(0.25)
-	res, err := m.Integrate(harmonic, 0, 1, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	times, values, err := res.StateSeries(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != len(values) || len(times) != len(res.Times) {
-		t.Error("StateSeries lengths wrong")
-	}
-	if _, _, err := res.StateSeries(5); err == nil {
-		t.Error("out-of-range state index should fail")
+// TestResultRowsAreIndependent: the rows of a Result share one backing
+// buffer; each must hold its own step and be capped so that appending to one
+// cannot overwrite the next.
+func TestResultRowsAreIndependent(t *testing.T) {
+	rk4, _ := NewRK4(0.25)
+	for _, m := range []Method{rk4, NewDormandPrince(0, 0)} {
+		res, err := m.Integrate(harmonic, 0, 1, []float64{1, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.States) != len(res.Times) || res.States[0][0] != 1 || res.States[0][1] != 0 {
+			t.Fatalf("%s: %d rows for %d times, first row %v", m.Name(), len(res.States), len(res.Times), res.States[0])
+		}
+		next := append([]float64(nil), res.States[1]...)
+		_ = append(res.States[0], 99)
+		if res.States[1][0] != next[0] || len(res.States[0]) != 2 {
+			t.Errorf("%s: appending to row 0 changed row 1", m.Name())
+		}
 	}
 }
 

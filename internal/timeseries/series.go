@@ -134,8 +134,68 @@ func (s *Series) At(t float64, mode Interpolation) (float64, error) {
 	if mode == Hold {
 		return s.Values[lo], nil
 	}
-	frac := (t - s.Times[lo]) / (s.Times[hi] - s.Times[lo])
-	return s.Values[lo] + frac*(s.Values[hi]-s.Values[lo]), nil
+	return Interpolate(t, s.Times[lo], s.Times[hi], s.Values[lo], s.Values[hi]), nil
+}
+
+// Interpolate is the linear interpolation formula of At: the value at t on
+// the line through (t0, v0) and (t1, v1). Every reader of a series between
+// samples goes through it, so they all round alike.
+func Interpolate(t, t0, t1, v0, v1 float64) float64 {
+	frac := (t - t0) / (t1 - t0)
+	return v0 + frac*(v1-v0)
+}
+
+// Cursor reads values on a strictly increasing, non-empty time axis at a
+// succession of query times, remembering the segment of the last query and
+// walking from there instead of searching. It is meant for queries that
+// mostly advance (the stages of an ODE step, a merge of two increasing
+// axes); a query may also move backwards, at the cost of the walk. For every
+// t that is not NaN it selects the samples At selects; a NaN t reads as NaN
+// under Linear.
+type Cursor struct {
+	times []float64
+	i     int // 0 <= i <= max(len(times)-2, 0): last segment was [i, i+1]
+}
+
+// NewCursor returns a cursor over times positioned at its start.
+func NewCursor(times []float64) Cursor { return Cursor{times: times} }
+
+// Seek locates t on the axis. lo == hi means the value at t is the sample
+// lo: t falls on it, or outside the axis and clamps to an end. Otherwise
+// hi == lo+1 and times[lo] < t < times[hi].
+func (c *Cursor) Seek(t float64) (lo, hi int) {
+	times := c.times
+	n := len(times)
+	if t <= times[0] || n == 1 {
+		c.i = 0
+		return 0, 0
+	}
+	if t >= times[n-1] {
+		c.i = n - 2
+		return n - 1, n - 1
+	}
+	i := c.i
+	for i > 0 && t < times[i] {
+		i--
+	}
+	for i < n-2 && t >= times[i+1] {
+		i++
+	}
+	c.i = i
+	if times[i] == t {
+		return i, i
+	}
+	return i, i + 1
+}
+
+// At reads values, which runs parallel to the cursor's time axis, at t — what
+// Series.At returns for the same series, t and mode.
+func (c *Cursor) At(values []float64, t float64, mode Interpolation) float64 {
+	lo, hi := c.Seek(t)
+	if lo == hi || mode == Hold {
+		return values[lo]
+	}
+	return Interpolate(t, c.times[lo], c.times[hi], values[lo], values[hi])
 }
 
 // Resample evaluates the series on a new time grid.

@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -300,5 +301,50 @@ func TestClone(t *testing.T) {
 	c.Values[0] = 99
 	if s.Values[0] == 99 {
 		t.Error("Clone must deep-copy values")
+	}
+}
+
+// TestCursorMatchesAt: on random series and random non-monotone query
+// sequences a Cursor returns, bit for bit, what Series.At returns — clamped
+// ends, exact hits, Hold and Linear, single-sample series included.
+func TestCursorMatchesAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		times := make([]float64, n)
+		values := make([]float64, n)
+		tm := rng.NormFloat64() * 10
+		for i := range times {
+			tm += 0.01 + rng.Float64()*3
+			times[i], values[i] = tm, rng.NormFloat64()*100
+		}
+		s := MustNew(times, values)
+		span := times[n-1] - times[0] + 1
+		cur := NewCursor(s.Times)
+		q := times[0]
+		for k := 0; k < 200; k++ {
+			switch rng.Intn(6) {
+			case 0: // exact hit
+				q = times[rng.Intn(n)]
+			case 1: // anywhere, including outside both ends
+				q = times[0] - 0.2*span + rng.Float64()*1.4*span
+			case 2: // a small step back, as after a rejected solver step
+				q -= rng.Float64() * 0.5
+			default: // forward, as within a solver step
+				q += rng.Float64() * 0.7
+			}
+			for _, mode := range []Interpolation{Linear, Hold} {
+				want, err := s.At(q, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := cur.At(s.Values, q, mode); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d query %d: cursor %v, At %v (t=%v mode=%v n=%d)", trial, k, got, want, q, mode, n)
+				}
+			}
+		}
+		if v := cur.At(s.Values, math.NaN(), Linear); n > 1 && !math.IsNaN(v) {
+			t.Fatalf("NaN query read %v", v)
+		}
 	}
 }
