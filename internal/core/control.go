@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/mpc"
 	"repro/internal/sqldb"
-	"repro/internal/timeseries"
 	"repro/internal/variant"
 )
 
@@ -33,26 +34,24 @@ type ControlRequest struct {
 
 // Control optimizes a control trajectory over the horizon and returns one
 // row per segment: (time, control, value) plus the predicted target
-// trajectory rows (time, 'predicted:<target>', value).
+// trajectory rows (time, 'predicted:<target>', value). It only reads, so it
+// runs under the shared database lock.
 func (s *Session) Control(req ControlRequest) (*sqldb.ResultSet, error) {
-	// InputSQL is caller-supplied and may contain DML, so — like the SQL
-	// path, where fmu_control is registered side-effecting — this runs
-	// exclusive, not shared.
 	var rs *sqldb.ResultSet
-	err := s.runWrite(func() error {
+	err := s.db.RunShared(func() error {
 		var cerr error
-		rs, cerr = s.controlLocked(req)
+		rs, cerr = s.control(context.Background(), req)
 		return cerr
 	})
 	return rs, err
 }
 
-func (s *Session) controlLocked(req ControlRequest) (*sqldb.ResultSet, error) {
-	inst, modelID, err := s.instanceLocked(req.InstanceID)
+func (s *Session) control(ctx context.Context, req ControlRequest) (*sqldb.ResultSet, error) {
+	inst, modelID, err := s.snapshot(req.InstanceID)
 	if err != nil {
 		return nil, err
 	}
-	unit := s.units[modelID]
+	unit := inst.Unit()
 
 	control := req.Control
 	if control == "" {
@@ -71,30 +70,20 @@ func (s *Session) controlLocked(req ControlRequest) (*sqldb.ResultSet, error) {
 
 	// Control bounds from the catalogue (fmu_set_minimum/maximum or the
 	// Modelica declaration).
-	lo, hi, err := s.parameterBoundsAny(modelID, control)
+	lo, hi, err := s.parameterBounds(ctx, modelID, control)
 	if err != nil {
 		return nil, err
 	}
-
-	other := make(map[string]*timeseries.Series)
-	if req.InputSQL != "" {
-		rs, err := s.db.QueryNested(req.InputSQL)
-		if err != nil {
-			return nil, fmt.Errorf("core: input query: %w", err)
-		}
-		in, err := decodeInput(rs)
-		if err != nil {
-			return nil, err
-		}
-		for _, mi := range unit.Model.Inputs {
-			if mi.Name == control {
-				continue
-			}
-			if series := in.get(mi.Name); series != nil {
-				other[mi.Name] = series
-			}
-		}
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return nil, fmt.Errorf("core: control %q needs min/max bounds; set them with fmu_set_minimum/fmu_set_maximum or in the model", control)
 	}
+
+	// The exogenous inputs: every bound series except the control's own.
+	in, err := s.loadInput(ctx, unit, req.InputSQL)
+	if err != nil {
+		return nil, err
+	}
+	delete(in.series, control)
 
 	problem := &mpc.Problem{
 		Instance:     inst,
@@ -107,7 +96,7 @@ func (s *Session) controlLocked(req ControlRequest) (*sqldb.ResultSet, error) {
 		T1:           req.TimeTo,
 		Steps:        req.Steps,
 		EffortWeight: req.EffortWeight,
-		OtherInputs:  other,
+		OtherInputs:  in.series,
 	}
 	plan, err := mpc.Solve(problem)
 	if err != nil {
@@ -133,23 +122,10 @@ func (s *Session) controlLocked(req ControlRequest) (*sqldb.ResultSet, error) {
 	return out, nil
 }
 
-// parameterBoundsAny reads min/max bounds for any catalogued variable and
-// requires both to be present.
-func (s *Session) parameterBoundsAny(modelID, varName string) (lo, hi float64, err error) {
-	lo, hi, err = s.parameterBounds(modelID, varName)
-	if err != nil {
-		return 0, 0, err
-	}
-	if lo != lo || hi != hi { // NaN check without importing math here
-		return 0, 0, fmt.Errorf("core: control %q needs min/max bounds; set them with fmu_set_minimum/fmu_set_maximum or in the model", varName)
-	}
-	return lo, hi, nil
-}
-
 // registerControlUDF wires fmu_control into the SQL engine; called from
 // registerUDFs.
 func (s *Session) registerControlUDF() {
-	s.db.RegisterTable("fmu_control", func(_ *sqldb.DB, args []variant.Value) (*sqldb.ResultSet, error) {
+	s.db.RegisterTable("fmu_control", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) < 6 || len(args) > 8 {
 			return nil, fmt.Errorf("fmu_control(instanceId, targetVar, setpoint, time_from, time_to, steps [, input_sql [, effort]]) expects 6–8 arguments")
 		}
@@ -177,10 +153,6 @@ func (s *Session) registerControlUDF() {
 				return nil, fmt.Errorf("effort: %w", err)
 			}
 		}
-		if err := s.lockForUDF(); err != nil {
-			return nil, err
-		}
-		defer s.mu.Unlock()
-		return s.controlLocked(req)
-	})
+		return asStream(s.control(ctx, req))
+	}, true)
 }

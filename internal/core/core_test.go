@@ -843,7 +843,7 @@ func TestRecoveryTxnRollbackRestoresSessionState(t *testing.T) {
 	if _, err := db.Query(`ROLLBACK`); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.instance("i1"); err != nil {
+	if _, _, err := s.snapshot("i1"); err != nil {
 		t.Fatalf("instance gone after rolled-back delete: %v", err)
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"strings"
 
+	"repro/internal/fmu"
 	"repro/internal/sqldb"
 	"repro/internal/timeseries"
 	"repro/internal/variant"
@@ -20,6 +23,85 @@ type inputData struct {
 	// timeIsTimestamp records whether the source time column carried SQL
 	// timestamps (simulation output then renders timestamps again).
 	timeIsTimestamp bool
+}
+
+// modelInput is one input_sql resolved against one model: the decoded result
+// (nil when the caller supplied no query) and the series it binds, by name,
+// to the model's input variables.
+type modelInput struct {
+	data   *inputData
+	series map[string]*timeseries.Series
+}
+
+// loadInput is the one place a caller-supplied input_sql runs, for
+// fmu_simulate, fmu_validate, fmu_control, fmu_parest and sweeps alike. The
+// query must be one the engine classifies read-only: the functions that take
+// it promise to write nothing (or, for fmu_parest, only the catalogue), and
+// DML smuggled in here would run outside any transaction on the shared
+// statement path. It executes inside the caller's database lock and
+// transaction, which ctx carries.
+func (s *Session) loadInput(ctx context.Context, unit *fmu.Unit, inputSQL string) (*modelInput, error) {
+	in := &modelInput{series: make(map[string]*timeseries.Series)}
+	if inputSQL == "" {
+		return in, nil
+	}
+	readOnly, err := s.db.IsReadOnly(inputSQL)
+	if err != nil {
+		return nil, fmt.Errorf("core: input_sql: %w", err)
+	}
+	if !readOnly {
+		return nil, fmt.Errorf("core: input_sql must be a read-only query (a SELECT that calls no side-effecting function), got %q", inputSQL)
+	}
+	rs, err := s.db.QueryNestedContext(ctx, inputSQL)
+	if err != nil {
+		return nil, fmt.Errorf("core: input_sql: %w", err)
+	}
+	if in.data, err = decodeInput(rs); err != nil {
+		return nil, err
+	}
+	for _, mi := range unit.Model.Inputs {
+		if series := in.data.get(mi.Name); series != nil {
+			in.series[mi.Name] = series
+		}
+	}
+	return in, nil
+}
+
+// grid resolves the simulation window and communication step (Algorithm 4
+// lines 7–9): an explicit [from, to], else the span of the input data, else
+// the model's default experiment; an explicit step, else the input sampling
+// grid (the way PyFMI derives ncp from the input object), else the default
+// experiment's step, else a hundredth of the window.
+func (in *modelInput) grid(unit *fmu.Unit, from, to *float64, step float64) (t0, t1, _ float64, err error) {
+	switch {
+	case from != nil && to != nil:
+		t0, t1 = *from, *to
+	case from != nil || to != nil:
+		return 0, 0, 0, fmt.Errorf("core: incomplete simulation time interval: both time_from and time_to are required")
+	case in.data != nil:
+		t0, t1, err = in.data.window()
+	default:
+		t0, t1, err = unit.DefaultInterval()
+	}
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if t1 <= t0 {
+		return 0, 0, 0, fmt.Errorf("core: empty simulation interval [%v, %v]", t0, t1)
+	}
+	if step <= 0 && in.data != nil {
+		if n := in.data.maxLen(); n > 1 {
+			step = (t1 - t0) / float64(n-1)
+		}
+	}
+	if step <= 0 {
+		if ds, err := unit.DefaultStep(); err == nil && !math.IsNaN(ds) && ds > 0 && ds <= t1-t0 {
+			step = ds
+		} else {
+			step = (t1 - t0) / 100
+		}
+	}
+	return t0, t1, step, nil
 }
 
 // timeColumnNames are recognised time-axis column spellings, checked in
@@ -202,4 +284,24 @@ func (in *inputData) window() (t0, t1 float64, err error) {
 // get returns the series for a variable name, nil when absent.
 func (in *inputData) get(name string) *timeseries.Series {
 	return in.series[strings.ToLower(name)]
+}
+
+// maxLen reports the longest series length.
+func (in *inputData) maxLen() int {
+	n := 0
+	for _, s := range in.series {
+		if s.Len() > n {
+			n = s.Len()
+		}
+	}
+	return n
+}
+
+// names lists the decoded column names, for error messages.
+func (in *inputData) names() []string {
+	out := make([]string, 0, len(in.series))
+	for k := range in.series {
+		out = append(out, k)
+	}
+	return out
 }

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/fmu"
 	"repro/internal/sqldb"
-	"repro/internal/timeseries"
 	"repro/internal/variant"
 )
 
@@ -27,9 +26,9 @@ import (
 // the next open, jobs that died mid-run surface as 'interrupted'.
 //
 // Lock ordering: jm.mu is a leaf — it is never held across a database call.
-// Workers take database locks (top-level Exec/Query, runCalib) with jm.mu
-// released; fmu_jobs/fmu_cancel run under the statement's database lock and
-// take jm.mu only for map reads/ctx cancellation.
+// Workers take database locks (RunExclusive, RunShared, RunConcurrent) with
+// jm.mu released; fmu_jobs/fmu_cancel run under the statement's database lock
+// and take jm.mu only for map reads/ctx cancellation.
 
 const fmujobsDDL = `CREATE TABLE IF NOT EXISTS fmujobs (
 	jobid int, kind text, args text, state text, progress float,
@@ -63,8 +62,8 @@ type jobManager struct {
 	workers int
 
 	mu      sync.Mutex
-	live    map[int64]*liveJob  // running jobs, by id
-	claimed map[int64]struct{}  // dispatched but not yet finished
+	live    map[int64]*liveJob // running jobs, by id
+	claimed map[int64]struct{} // dispatched but not yet finished
 	started bool
 	stopped bool
 
@@ -334,19 +333,17 @@ func (jm *jobManager) execParest(ctx context.Context, args []string) (string, er
 	if len(args) >= 3 && args[2] != "" {
 		pars = splitBraceList(args[2])
 	}
-	var results []ParestResult
-	err := jm.s.runCalib(ctx, func(ctx context.Context) error {
-		if len(args) >= 4 && args[3] != "" {
-			t, terr := strconv.ParseFloat(args[3], 64)
-			if terr != nil {
-				return fmt.Errorf("threshold: %w", terr)
-			}
-			old := jm.s.threshold
-			jm.s.threshold = t
-			defer func() { jm.s.threshold = old }()
+	threshold := jm.s.threshold
+	if len(args) >= 4 && args[3] != "" {
+		var err error
+		if threshold, err = strconv.ParseFloat(args[3], 64); err != nil {
+			return "", fmt.Errorf("threshold: %w", err)
 		}
+	}
+	var results []ParestResult
+	err := jm.s.db.RunConcurrent(ctx, func(ctx context.Context) error {
 		var perr error
-		results, perr = jm.s.parestLocked(ctx, ids, sqls, pars)
+		results, perr = jm.s.parest(ctx, ids, sqls, pars, threshold)
 		return perr
 	})
 	if err != nil {
@@ -360,38 +357,46 @@ func (jm *jobManager) execParest(ctx context.Context, args []string) (string, er
 	return string(out), nil
 }
 
+// jobWindow decodes a job's optional time_from/time_to arguments at
+// args[i], args[i+1]; the window is explicit only when both are given.
+func jobWindow(args []string, i int) (from, to *float64, err error) {
+	if len(args) < i+2 || args[i] == "" || args[i+1] == "" {
+		return nil, nil, nil
+	}
+	f, err := strconv.ParseFloat(args[i], 64)
+	if err != nil {
+		return nil, nil, fmt.Errorf("time_from: %w", err)
+	}
+	t, err := strconv.ParseFloat(args[i+1], 64)
+	if err != nil {
+		return nil, nil, fmt.Errorf("time_to: %w", err)
+	}
+	return &f, &t, nil
+}
+
 func (jm *jobManager) execSimulate(ctx context.Context, args []string) (string, error) {
 	if len(args) < 1 {
 		return "", fmt.Errorf("core: simulate job needs an instanceId")
 	}
 	req := SimulateRequest{InstanceID: args[0]}
-	if len(args) >= 2 && args[1] != "" {
+	if len(args) >= 2 {
 		req.InputSQL = args[1]
 	}
-	if len(args) >= 4 && args[2] != "" && args[3] != "" {
-		from, err := strconv.ParseFloat(args[2], 64)
-		if err != nil {
-			return "", fmt.Errorf("time_from: %w", err)
-		}
-		to, err := strconv.ParseFloat(args[3], 64)
-		if err != nil {
-			return "", fmt.Errorf("time_to: %w", err)
-		}
-		req.TimeFrom, req.TimeTo = &from, &to
+	var err error
+	if req.TimeFrom, req.TimeTo, err = jobWindow(args, 2); err != nil {
+		return "", err
 	}
-	var rows, vars int
-	err := jm.s.runCalib(ctx, func(ctx context.Context) error {
-		res, _, serr := jm.s.simulateFrameLocked(ctx, req)
-		if serr != nil {
-			return serr
-		}
-		rows, vars = len(res.Frame.Times), len(res.Frame.Columns)
-		return nil
+	var res *fmu.SimResult
+	err = jm.s.db.RunShared(func() error {
+		var serr error
+		res, _, serr = jm.s.simulateFrame(ctx, req)
+		return serr
 	})
 	if err != nil {
 		return "", err
 	}
-	out, _ := json.Marshal(map[string]any{"instance": req.InstanceID, "points": rows, "vars": vars})
+	out, _ := json.Marshal(map[string]any{"instance": req.InstanceID,
+		"points": len(res.Frame.Times), "vars": len(res.Frame.Columns)})
 	return string(out), nil
 }
 
@@ -478,62 +483,33 @@ func (jm *jobManager) execSweep(ctx context.Context, lj *liveJob, args []string)
 		return "", err
 	}
 
+	// Resolve the base values, the shared inputs and the window once, from
+	// committed data; the points then need no lock at all.
 	s := jm.s
-	s.mu.Lock()
-	inst, modelID, ierr := s.instanceLocked(instanceID)
-	if ierr != nil {
-		s.mu.Unlock()
-		return "", ierr
+	base, _, err := s.snapshot(instanceID)
+	if err != nil {
+		return "", err
 	}
-	unit := s.units[modelID]
-	base := inst.Clone(instanceID + "#sweep")
-	s.mu.Unlock()
-
-	// Resolve the shared inputs and window once, from committed data.
-	var in *inputData
-	if len(args) >= 3 && args[2] != "" {
-		rs, qerr := s.db.QueryContext(ctx, args[2])
-		if qerr != nil {
-			return "", fmt.Errorf("core: sweep input query: %w", qerr)
-		}
-		if in, err = decodeInput(rs); err != nil {
-			return "", err
-		}
+	unit := base.Unit()
+	inputSQL := ""
+	if len(args) >= 3 {
+		inputSQL = args[2]
 	}
-	inputs := make(map[string]*timeseries.Series)
-	if in != nil {
-		for _, mi := range unit.Model.Inputs {
-			if series := in.get(mi.Name); series != nil {
-				inputs[mi.Name] = series
-			}
-		}
+	from, to, err := jobWindow(args, 3)
+	if err != nil {
+		return "", err
 	}
-	var t0, t1 float64
-	switch {
-	case len(args) >= 5 && args[3] != "" && args[4] != "":
-		if t0, err = strconv.ParseFloat(args[3], 64); err != nil {
-			return "", fmt.Errorf("time_from: %w", err)
-		}
-		if t1, err = strconv.ParseFloat(args[4], 64); err != nil {
-			return "", fmt.Errorf("time_to: %w", err)
-		}
-	case in != nil:
-		if t0, t1, err = in.window(); err != nil {
-			return "", err
-		}
-	default:
-		if t0, t1, err = unit.DefaultInterval(); err != nil {
-			return "", err
-		}
+	var in *modelInput
+	if err := s.db.RunShared(func() error {
+		var lerr error
+		in, lerr = s.loadInput(ctx, unit, inputSQL)
+		return lerr
+	}); err != nil {
+		return "", err
 	}
-	if t1 <= t0 {
-		return "", fmt.Errorf("core: empty sweep interval [%v, %v]", t0, t1)
-	}
-	step := (t1 - t0) / 100
-	if in != nil {
-		if n := maxSeriesLen(in); n > 1 {
-			step = (t1 - t0) / float64(n-1)
-		}
+	t0, t1, step, err := in.grid(unit, from, to, 0)
+	if err != nil {
+		return "", err
 	}
 
 	// The summary metric: the final value of the model's first output (or
@@ -578,7 +554,7 @@ func (jm *jobManager) execSweep(ctx context.Context, lj *liveJob, args []string)
 				if bad {
 					continue
 				}
-				res, serr := clone.Simulate(inputs, t0, t1, &fmu.SimOptions{OutputStep: step, Ctx: ctx})
+				res, serr := clone.Simulate(in.series, t0, t1, &fmu.SimOptions{OutputStep: step, Ctx: ctx})
 				if serr != nil {
 					if ctx.Err() == nil {
 						firstErr.CompareAndSwap(nil, error(fmt.Errorf("core: sweep point %d: %w", i, serr)))
@@ -736,8 +712,8 @@ func (jm *jobManager) cancel(ctx context.Context, id int64) (string, error) {
 
 // jobsTable renders fmujobs with live in-memory progress merged over the
 // committed rows.
-func (jm *jobManager) jobsTable(d *sqldb.DB) (*sqldb.ResultSet, error) {
-	rs, err := d.QueryNested(
+func (jm *jobManager) jobsTable(ctx context.Context) (*sqldb.ResultSet, error) {
+	rs, err := jm.s.db.QueryNestedContext(ctx,
 		`SELECT jobid, kind, state, progress, error, result, submitted, started, finished
 		 FROM fmujobs ORDER BY jobid`)
 	if err != nil {
@@ -782,7 +758,7 @@ func (s *Session) registerJobUDFs() {
 
 	// fmu_submit(kind, ...) -> job id. The row is inserted through the
 	// invoking statement's transaction: it becomes runnable at commit.
-	db.RegisterScalarContext("fmu_submit", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_submit", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) < 2 {
 			return variant.Value{}, fmt.Errorf("fmu_submit(kind, ...) expects at least 2 arguments")
 		}
@@ -802,7 +778,7 @@ func (s *Session) registerJobUDFs() {
 
 	// fmu_sweep(instanceId, grid [, input_sql [, time_from, time_to]])
 	//   -> job id for a parameter-grid scenario sweep.
-	db.RegisterScalarContext("fmu_sweep", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_sweep", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) < 2 || len(args) > 5 {
 			return variant.Value{}, fmt.Errorf("fmu_sweep(instanceId, grid [, input_sql [, time_from, time_to]]) expects 2–5 arguments")
 		}
@@ -829,7 +805,7 @@ func (s *Session) registerJobUDFs() {
 	}, false)
 
 	// fmu_cancel(jobId) -> resulting state.
-	db.RegisterScalarContext("fmu_cancel", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_cancel", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_cancel(jobId) expects 1 argument")
 		}
@@ -845,12 +821,12 @@ func (s *Session) registerJobUDFs() {
 	}, false)
 
 	// fmu_jobs() -> system table of job state/progress.
-	db.RegisterTableReadOnly("fmu_jobs", func(d *sqldb.DB, args []variant.Value) (*sqldb.ResultSet, error) {
+	db.RegisterTable("fmu_jobs", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("fmu_jobs() expects no arguments")
 		}
-		return s.jobs.jobsTable(d)
-	})
+		return asStream(s.jobs.jobsTable(ctx))
+	}, true)
 }
 
 // SubmitJob is the typed-API fmu_submit.

@@ -28,15 +28,14 @@ func benchSession(b *testing.B, opts ...Option) *Session {
 // BenchmarkSimCache measures the content-addressed result cache on the
 // trajectory-frame path both executors consume (row rendering is identical
 // either way and benchmarked elsewhere): Cold re-integrates the fine-grid
-// trajectory every run (cache disabled), Warm serves the stored frame. The
-// Cold/Warm pair becomes the cache-hit speedup ratio in BENCH_10.json.
+// trajectory every run (cache disabled), Warm serves the stored frame.
 func BenchmarkSimCache(b *testing.B) {
 	from, to := 0.0, 24.0
 	req := SimulateRequest{InstanceID: "hp", TimeFrom: &from, TimeTo: &to,
 		OutputStep: 0.005} // 4800 communication points over the day
 	frame := func(s *Session) error {
-		return s.runCalib(context.Background(), func(ctx context.Context) error {
-			_, _, err := s.simulateFrameLocked(ctx, req)
+		return s.db.RunShared(func() error {
+			_, _, err := s.simulateFrame(context.Background(), req)
 			return err
 		})
 	}

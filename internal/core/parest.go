@@ -36,20 +36,24 @@ func (s *Session) Parest(instanceIDs, inputSQLs, pars []string) ([]ParestResult,
 // ParestContext is Parest honouring ctx: cancelling it aborts the GA /
 // local-search iterations within one objective evaluation, the enclosing
 // transaction rolls back, and the instances keep their pre-call parameters.
-// The estimation runs as a concurrent MVCC transaction (runCalib): it
-// latches only the catalogue tables it updates, so a long calibration does
-// not stall writers of unrelated tables.
+// The estimation runs as a concurrent MVCC transaction: it holds no
+// database-wide lock and latches only the catalogue table it updates, at the
+// end, so a long calibration stalls neither writers of unrelated tables nor
+// calibrations of other instances.
 func (s *Session) ParestContext(ctx context.Context, instanceIDs, inputSQLs, pars []string) ([]ParestResult, error) {
 	var results []ParestResult
-	err := s.runCalib(ctx, func(ctx context.Context) error {
+	err := s.db.RunConcurrent(ctx, func(ctx context.Context) error {
 		var perr error
-		results, perr = s.parestLocked(ctx, instanceIDs, inputSQLs, pars)
+		results, perr = s.parest(ctx, instanceIDs, inputSQLs, pars, s.threshold)
 		return perr
 	})
 	return results, err
 }
 
-func (s *Session) parestLocked(ctx context.Context, instanceIDs, inputSQLs, pars []string) ([]ParestResult, error) {
+// parest estimates on snapshots of the instances, then writes the fitted
+// values to the catalogue and publishes them to the live instances.
+// threshold is the MI similarity gate for this call.
+func (s *Session) parest(ctx context.Context, instanceIDs, inputSQLs, pars []string, threshold float64) ([]ParestResult, error) {
 	if len(instanceIDs) == 0 {
 		return nil, fmt.Errorf("core: fmu_parest requires at least one instance")
 	}
@@ -78,7 +82,7 @@ func (s *Session) parestLocked(ctx context.Context, instanceIDs, inputSQLs, pars
 	var results []*estimate.Result
 	var err error
 	if s.miOptimization {
-		results, err = estimate.EstimateMI(ctx, jobs, s.threshold, s.estOpts)
+		results, err = estimate.EstimateMI(ctx, jobs, threshold, s.estOpts)
 	} else {
 		// pgFMU-: full SI per instance, no warm starts.
 		results = make([]*estimate.Result, len(jobs))
@@ -96,16 +100,8 @@ func (s *Session) parestLocked(ctx context.Context, instanceIDs, inputSQLs, pars
 	out := make([]ParestResult, len(results))
 	for i, r := range results {
 		id := instanceIDs[i]
-		// Algorithm 2 line 8: write fitted values back to the instance and
-		// the catalogue. A rollback must also restore the live instance's
-		// pre-fit values, which the SQL undo journal cannot see.
-		if prev, ok := s.instances[id]; ok {
-			snapshot := prev.Clone(id)
-			s.onRollbackCtx(ctx, func() { s.instances[id] = snapshot })
-		}
-		if err := estimate.Apply(jobs[i].Problem, r); err != nil {
-			return nil, err
-		}
+		// Algorithm 2 line 8: write fitted values back to the catalogue,
+		// then to the live instance.
 		for name, v := range r.Params {
 			if _, err := s.db.QueryNestedContext(ctx,
 				`UPDATE modelinstancevalues SET value = $1
@@ -113,6 +109,11 @@ func (s *Session) parestLocked(ctx context.Context, instanceIDs, inputSQLs, pars
 				v, id, name); err != nil {
 				return nil, err
 			}
+		}
+		if err := s.publish(ctx, id, func(live *fmu.Instance) error {
+			return live.SetParameters(r.Params)
+		}); err != nil {
+			return nil, err
 		}
 		// Recalibration changes what the instance computes: drop its cached
 		// trajectories (content addressing already keys on the new values;
@@ -129,34 +130,26 @@ func (s *Session) parestLocked(ctx context.Context, instanceIDs, inputSQLs, pars
 	return out, nil
 }
 
-// buildProblem assembles the estimation problem for one instance: run the
-// input query, bind columns to inputs and measured outputs by name
-// (Challenge 2), and read parameter bounds from the catalogue.
+// buildProblem assembles the estimation problem for a snapshot of one
+// instance: bind the input query's columns to inputs and measured outputs
+// by name (Challenge 2), and read parameter bounds from the catalogue.
 func (s *Session) buildProblem(ctx context.Context, instanceID, inputSQL string, pars []string) (*estimate.Problem, string, error) {
-	inst, modelID, err := s.instanceLocked(instanceID)
+	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return nil, "", err
 	}
-	unit := s.units[modelID]
-
-	rs, err := s.db.QueryNestedContext(ctx, inputSQL)
-	if err != nil {
-		return nil, "", fmt.Errorf("input query: %w", err)
-	}
-	in, err := decodeInput(rs)
+	unit := inst.Unit()
+	in, err := s.loadInput(ctx, unit, inputSQL)
 	if err != nil {
 		return nil, "", err
 	}
-
-	inputs := make(map[string]*timeseries.Series)
-	for _, mi := range unit.Model.Inputs {
-		if series := in.get(mi.Name); series != nil {
-			inputs[mi.Name] = series
-		}
+	if in.data == nil {
+		return nil, "", fmt.Errorf("an input_sql with measurements is required")
 	}
+
 	measured := make(map[string]*timeseries.Series)
 	for _, st := range unit.Model.States {
-		if series := in.get(st.Name); series != nil {
+		if series := in.data.get(st.Name); series != nil {
 			measured[st.Name] = series
 		}
 	}
@@ -164,12 +157,12 @@ func (s *Session) buildProblem(ctx context.Context, instanceID, inputSQL string,
 		if _, dup := measured[o.Name]; dup {
 			continue
 		}
-		if series := in.get(o.Name); series != nil {
+		if series := in.data.get(o.Name); series != nil {
 			measured[o.Name] = series
 		}
 	}
 	if len(measured) == 0 {
-		return nil, "", fmt.Errorf("no measured columns match the model's states or outputs (have %v)", columnNames(in))
+		return nil, "", fmt.Errorf("no measured columns match the model's states or outputs (have %v)", in.data.names())
 	}
 
 	// Default parameter list: every model parameter (Algorithm 2 line 3).
@@ -183,7 +176,7 @@ func (s *Session) buildProblem(ctx context.Context, instanceID, inputSQL string,
 		if inst.KindOf(name) != fmu.VarParameter {
 			return nil, "", fmt.Errorf("%q is not a parameter", name)
 		}
-		lo, hi, err := s.parameterBounds(modelID, name)
+		lo, hi, err := s.parameterBounds(ctx, modelID, name)
 		if err != nil {
 			return nil, "", err
 		}
@@ -196,17 +189,9 @@ func (s *Session) buildProblem(ctx context.Context, instanceID, inputSQL string,
 	return &estimate.Problem{
 		Instance: inst,
 		Params:   specs,
-		Inputs:   inputs,
+		Inputs:   in.series,
 		Measured: measured,
 	}, modelID, nil
-}
-
-func columnNames(in *inputData) []string {
-	out := make([]string, 0, len(in.series))
-	for k := range in.series {
-		out = append(out, k)
-	}
-	return out
 }
 
 // ValidateInstance computes the RMSE of an instance's current parameters
@@ -215,21 +200,19 @@ func (s *Session) ValidateInstance(instanceID, inputSQL string, pars []string) (
 	return s.ValidateInstanceContext(context.Background(), instanceID, inputSQL, pars)
 }
 
-// ValidateInstanceContext is ValidateInstance honouring ctx.
+// ValidateInstanceContext is ValidateInstance honouring ctx. Like simulation
+// it only reads, so it runs under the shared database lock.
 func (s *Session) ValidateInstanceContext(ctx context.Context, instanceID, inputSQL string, pars []string) (float64, error) {
-	// inputSQL is caller-supplied and may contain DML, so — like the SQL
-	// path, where fmu_validate is registered side-effecting — this runs
-	// exclusive, not shared.
 	var rmse float64
-	err := s.runWrite(func() error {
+	err := s.db.RunShared(func() error {
 		var verr error
-		rmse, verr = s.validateLocked(ctx, instanceID, inputSQL, pars)
+		rmse, verr = s.validate(ctx, instanceID, inputSQL, pars)
 		return verr
 	})
 	return rmse, err
 }
 
-func (s *Session) validateLocked(ctx context.Context, instanceID, inputSQL string, pars []string) (float64, error) {
+func (s *Session) validate(ctx context.Context, instanceID, inputSQL string, pars []string) (float64, error) {
 	problem, _, err := s.buildProblem(ctx, instanceID, inputSQL, pars)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/base64"
 	"fmt"
 	"io"
@@ -29,9 +30,9 @@ func (s *Session) installStorage() error {
 }
 
 // storeFMU persists the archive bytes for a model.
-func (s *Session) storeFMU(modelID string, data []byte) error {
+func (s *Session) storeFMU(ctx context.Context, modelID string, data []byte) error {
 	encoded := base64.StdEncoding.EncodeToString(data)
-	_, err := s.db.QueryNested(`INSERT INTO fmustorage VALUES ($1, $2)`, modelID, encoded)
+	_, err := s.db.QueryNestedContext(ctx, `INSERT INTO fmustorage VALUES ($1, $2)`, modelID, encoded)
 	return err
 }
 
@@ -127,11 +128,10 @@ func (s *Session) Close() error {
 	return s.db.Close()
 }
 
-// rehydrate loads units and instances from the catalogue tables.
+// rehydrate loads units and instances from the catalogue tables. It runs
+// during open, before the session is shared, and publishes the rebuilt maps
+// at the end.
 func (s *Session) rehydrate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	// Required catalogue tables must exist after the restore.
 	for _, t := range []string{"model", "modelvariable", "modelinstance", "modelinstancevalues", "fmustorage"} {
 		if !s.db.HasTable(t) {
@@ -139,6 +139,7 @@ func (s *Session) rehydrate() error {
 		}
 	}
 
+	units := make(map[string]*fmu.Unit)
 	stored, err := s.db.QueryNested(`SELECT modelid, content FROM fmustorage`)
 	if err != nil {
 		return err
@@ -156,16 +157,18 @@ func (s *Session) rehydrate() error {
 		if unit.GUID.String() != modelID {
 			return fmt.Errorf("core: stored FMU %s has mismatched GUID %s", modelID, unit.GUID)
 		}
-		s.units[modelID] = unit
+		units[modelID] = unit
 	}
 
-	instances, err := s.db.QueryNested(`SELECT instanceid, modelid FROM modelinstance`)
+	instances := make(map[string]*fmu.Instance)
+	instanceModel := make(map[string]string)
+	rows, err := s.db.QueryNested(`SELECT instanceid, modelid FROM modelinstance`)
 	if err != nil {
 		return err
 	}
-	for _, row := range instances.Rows {
+	for _, row := range rows.Rows {
 		instanceID, modelID := row[0].AsText(), row[1].AsText()
-		unit, ok := s.units[modelID]
+		unit, ok := units[modelID]
 		if !ok {
 			return fmt.Errorf("core: instance %q references unknown model %q", instanceID, modelID)
 		}
@@ -191,8 +194,12 @@ func (s *Session) rehydrate() error {
 				return fmt.Errorf("core: restoring %s.%s: %w", instanceID, vr[0].AsText(), err)
 			}
 		}
-		s.instances[instanceID] = inst
-		s.instanceModel[instanceID] = modelID
+		instances[instanceID] = inst
+		instanceModel[instanceID] = modelID
 	}
+
+	s.mu.Lock()
+	s.units, s.instances, s.instanceModel = units, instances, instanceModel
+	s.mu.Unlock()
 	return nil
 }

@@ -29,6 +29,8 @@ import (
 type Session struct {
 	db *sqldb.DB
 
+	// mu guards the three maps and seq. It is a leaf lock: see "Locking"
+	// below.
 	mu sync.Mutex
 	// units is the FMU storage: one loaded Unit per model UUID. Loading an
 	// FMU once and sharing it across instances is one of the paper's
@@ -200,83 +202,53 @@ func (s *Session) JobStats() JobStats { return s.jobs.statsSnapshot() }
 // DB exposes the underlying database for direct SQL.
 func (s *Session) DB() *sqldb.DB { return s.db }
 
-// runWrite executes a catalogue-mutating operation from the typed Go API:
-// it takes the database's exclusive lock and an implicit transaction (so
-// the operation's nested statements commit atomically and hit the WAL on
-// durable sessions), then the session lock. SQL-invoked UDFs must NOT use
-// this — the executing statement already holds both — and instead call the
-// *Locked variants under s.mu alone.
-func (s *Session) runWrite(fn func() error) error {
-	return s.db.RunExclusive(func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return fn()
-	})
-}
+// Locking. s.mu is a leaf: it guards the three maps and seq, is held for map
+// reads/writes and Instance.Clone/SetReal/SetParameters/Reset only, and is
+// never held across a call into s.db, a simulation, an estimation or an MPC
+// solve. Readers take a snapshot (a clone: two small slice copies) and work
+// lock-free. Writers run their catalogue statements first — competing
+// writers serialise on the modelinstancevalues latch there, and the loser
+// rolls back with ErrWriteConflict — then publish to the live instance under
+// s.mu and register a compensator that undoes the publication on rollback.
+// See docs/architecture.md "Lock hierarchy".
 
-// runRead executes a read-only typed-API operation under the database's
-// shared lock (so its nested queries never race a writer), then the
-// session lock. Same caveat as runWrite: SQL-invoked UDFs call the
-// *Locked variants directly instead.
-func (s *Session) runRead(fn func() error) error {
-	return s.db.RunShared(func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return fn()
-	})
-}
-
-// runCalib executes a long calibration/simulation write as a concurrent
-// MVCC transaction: unlike runWrite it holds no database-wide lock, only
-// the per-table write latches its nested statements take — so a long
-// fmu_parest or fmu_simulate does not stall inserts into unrelated tables.
-// fn receives the context carrying the transaction; every nested statement
-// must thread it (QueryNestedContext). When the ambient SQL-text
-// transaction is open, RunConcurrent transparently falls back to the
-// exclusive path and joins it.
-func (s *Session) runCalib(ctx context.Context, fn func(ctx context.Context) error) error {
-	return s.db.RunConcurrent(ctx, func(ctx context.Context) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return fn(ctx)
-	})
-}
-
-// lockForUDF acquires the session lock on behalf of a SQL-invoked UDF. The
-// invoking statement already holds a database lock, while runCalib holds
-// the session lock and takes database locks per nested statement — the
-// opposite order. Waiting unboundedly here could therefore deadlock with a
-// concurrent typed-API calibration; a bounded acquisition surfaces
-// ErrWriteConflict instead, and the caller retries once the calibration
-// commits. On success the caller must s.mu.Unlock().
-func (s *Session) lockForUDF() error {
-	deadline := time.Now().Add(time.Second)
-	for !s.mu.TryLock() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: session is busy with a concurrent calibration", sqldb.ErrWriteConflict)
-		}
-		time.Sleep(time.Millisecond)
+// snapshot returns a private clone of a live instance plus its model UUID.
+func (s *Session) snapshot(instanceID string) (*fmu.Instance, string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	inst, ok := s.instances[instanceID]
+	if !ok {
+		return nil, "", fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
 	}
-	return nil
+	return inst.Clone(instanceID), s.instanceModel[instanceID], nil
+}
+
+// publish applies fn to the live instance under s.mu and registers a
+// compensator that swaps the instance back to its pre-publication values if
+// the enclosing transaction rolls back — SQL's undo journal cannot see the
+// instance map. Compensators run in reverse order, so several publications
+// in one transaction unwind to the state before the first.
+func (s *Session) publish(ctx context.Context, instanceID string, fn func(live *fmu.Instance) error) error {
+	s.mu.Lock()
+	live, ok := s.instances[instanceID]
+	if !ok {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
+	}
+	prev := live.Clone(instanceID)
+	err := fn(live)
+	s.mu.Unlock()
+	s.onRollback(ctx, func() { s.instances[instanceID] = prev })
+	return err
 }
 
 // onRollback registers a compensator that re-synchronizes the session's
-// in-memory FMU state (units, instances, live values) with the catalogue
-// if the enclosing (ambient) transaction rolls back — SQL's undo journal
-// cannot see these maps. The closure retakes s.mu itself: rollback runs
-// after every caller-held session lock is released.
-func (s *Session) onRollback(fn func()) {
-	s.db.OnRollback(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		fn()
-	})
-}
-
-// onRollbackCtx is onRollback for code that may run inside a concurrent
-// transaction (runCalib): if ctx carries one, the compensator registers
-// there; otherwise it falls back to the ambient transaction.
-func (s *Session) onRollbackCtx(ctx context.Context, fn func()) {
+// in-memory FMU state (units, instances, live values) with the catalogue if
+// the enclosing transaction rolls back: the concurrent transaction ctx
+// carries (a Tx handle's statement, fmu_parest under RunConcurrent), else
+// the ambient one. The closure takes s.mu itself: rollback runs with no
+// session lock held.
+func (s *Session) onRollback(ctx context.Context, fn func()) {
 	s.db.OnRollbackContext(ctx, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -333,80 +305,108 @@ func (s *Session) Create(modelRef, instanceID string) (string, error) {
 		return "", err
 	}
 	var id string
-	err = s.runWrite(func() error {
+	err = s.db.RunExclusive(func() error {
 		var cerr error
-		id, cerr = s.createLocked(unit, instanceID)
+		id, cerr = s.create(context.Background(), unit, instanceID)
 		return cerr
 	})
 	return id, err
 }
 
-func (s *Session) createLocked(unit *fmu.Unit, instanceID string) (string, error) {
+// create and the other catalogue writers below run inside the invoking
+// statement's (or RunExclusive's) exclusive database lock; ctx routes their
+// nested statements and compensators into that statement's transaction.
+func (s *Session) create(ctx context.Context, unit *fmu.Unit, instanceID string) (string, error) {
 	modelID := unit.GUID.String()
-
-	if instanceID == "" {
-		s.seq++
-		instanceID = fmt.Sprintf("%s_instance_%d", unit.Model.Name, s.seq)
-	}
-	if _, exists := s.instances[instanceID]; exists {
-		return "", fmt.Errorf("core: instance %q already exists", instanceID)
+	instanceID, err := s.newInstanceID(instanceID, unit.Model.Name+"_instance")
+	if err != nil {
+		return "", err
 	}
 
 	// Reuse the stored FMU if this model is already loaded (Challenge 3).
+	s.mu.Lock()
 	stored, known := s.units[modelID]
+	s.mu.Unlock()
 	if known {
 		unit = stored
 	} else {
-		s.units[modelID] = unit
-		s.onRollback(func() { delete(s.units, modelID) })
 		data, err := unit.Bytes()
 		if err != nil {
 			return "", err
 		}
-		if _, err := s.db.QueryNested(
+		if _, err := s.db.QueryNestedContext(ctx,
 			`INSERT INTO model VALUES ($1, $2, $3)`,
 			modelID, unit.Model.Name, len(data)); err != nil {
 			return "", err
 		}
-		if err := s.storeFMU(modelID, data); err != nil {
+		if err := s.storeFMU(ctx, modelID, data); err != nil {
 			return "", err
 		}
 		// ModelVariable rows: one per scalar variable with initial/min/max.
 		probe := unit.Instantiate("probe")
 		for _, sv := range unit.Description.ModelVariables.Variables {
 			initial, minV, maxV := variantAttr(sv)
-			if _, err := s.db.QueryNested(
+			if _, err := s.db.QueryNestedContext(ctx,
 				`INSERT INTO modelvariable VALUES ($1, $2, $3, $4, $5, $6)`,
 				modelID, sv.Name, varTypeOf(probe, sv.Name), initial, minV, maxV); err != nil {
 				return "", err
 			}
 		}
+		s.mu.Lock()
+		s.units[modelID] = unit
+		s.mu.Unlock()
+		s.onRollback(ctx, func() { delete(s.units, modelID) })
 	}
+	return instanceID, s.addInstance(ctx, unit.Instantiate(instanceID), modelID)
+}
 
-	inst := unit.Instantiate(instanceID)
-	s.instances[instanceID] = inst
-	s.instanceModel[instanceID] = modelID
-	s.onRollback(func() {
-		delete(s.instances, instanceID)
-		delete(s.instanceModel, instanceID)
-	})
-	if _, err := s.db.QueryNested(`INSERT INTO modelinstance VALUES ($1, $2)`, instanceID, modelID); err != nil {
-		return "", err
+// newInstanceID returns id — or, when id is empty, a generated one — after
+// checking that no live instance carries it.
+func (s *Session) newInstanceID(id, prefix string) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id == "" {
+		s.seq++
+		id = fmt.Sprintf("%s_%d", prefix, s.seq)
 	}
-	// ModelInstanceValues: current values of every settable variable.
-	for _, sv := range unit.Description.ModelVariables.Variables {
-		v, err := inst.GetReal(sv.Name)
-		val := variant.NewNull()
-		if err == nil {
-			val = variant.NewFloat(v)
-		}
-		if _, err := s.db.QueryNested(
+	if _, exists := s.instances[id]; exists {
+		return "", fmt.Errorf("core: instance %q already exists", id)
+	}
+	return id, nil
+}
+
+// addInstance catalogues a new instance (ModelInstance plus one
+// ModelInstanceValues row per variable) and then makes it live.
+func (s *Session) addInstance(ctx context.Context, inst *fmu.Instance, modelID string) error {
+	id := inst.Name()
+	if _, err := s.db.QueryNestedContext(ctx, `INSERT INTO modelinstance VALUES ($1, $2)`, id, modelID); err != nil {
+		return err
+	}
+	for _, sv := range inst.Unit().Description.ModelVariables.Variables {
+		if _, err := s.db.QueryNestedContext(ctx,
 			`INSERT INTO modelinstancevalues VALUES ($1, $2, $3, $4)`,
-			modelID, instanceID, sv.Name, val); err != nil {
-			return "", err
+			modelID, id, sv.Name, valueOf(inst, sv.Name)); err != nil {
+			return err
 		}
 	}
-	return instanceID, nil
+	s.mu.Lock()
+	s.instances[id] = inst
+	s.instanceModel[id] = modelID
+	s.mu.Unlock()
+	s.onRollback(ctx, func() {
+		delete(s.instances, id)
+		delete(s.instanceModel, id)
+	})
+	return nil
+}
+
+// valueOf renders an instance variable for the catalogue: NULL for computed
+// outputs and variables without a value.
+func valueOf(inst *fmu.Instance, name string) variant.Value {
+	if v, err := inst.GetReal(name); err == nil {
+		return variant.NewFloat(v)
+	}
+	return variant.NewNull()
 }
 
 // variantAttr converts the XML attributes to variant catalogue values.
@@ -447,106 +447,53 @@ func resolveModelRef(modelRef string) (*fmu.Unit, error) {
 	}
 }
 
-// instance fetches a live instance by id.
-func (s *Session) instance(instanceID string) (*fmu.Instance, string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.instanceLocked(instanceID)
-}
-
-func (s *Session) instanceLocked(instanceID string) (*fmu.Instance, string, error) {
-	inst, ok := s.instances[instanceID]
-	if !ok {
-		return nil, "", fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
-	}
-	return inst, s.instanceModel[instanceID], nil
-}
-
 // Copy implements fmu_copy: duplicate an instance (values included) under a
 // new identifier, reusing the stored FMU.
 func (s *Session) Copy(instanceID, newInstanceID string) (string, error) {
 	var id string
-	err := s.runWrite(func() error {
+	err := s.db.RunExclusive(func() error {
 		var cerr error
-		id, cerr = s.copyLocked(instanceID, newInstanceID)
+		id, cerr = s.copy(context.Background(), instanceID, newInstanceID)
 		return cerr
 	})
 	return id, err
 }
 
-func (s *Session) copyLocked(instanceID, newInstanceID string) (string, error) {
-	inst, modelID, err := s.instanceLocked(instanceID)
+func (s *Session) copy(ctx context.Context, instanceID, newInstanceID string) (string, error) {
+	src, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return "", err
 	}
-	if newInstanceID == "" {
-		s.seq++
-		newInstanceID = fmt.Sprintf("%s_copy_%d", instanceID, s.seq)
-	}
-	if _, exists := s.instances[newInstanceID]; exists {
-		return "", fmt.Errorf("core: instance %q already exists", newInstanceID)
-	}
-	clone := inst.Clone(newInstanceID)
-	s.instances[newInstanceID] = clone
-	s.instanceModel[newInstanceID] = modelID
-	newID := newInstanceID
-	s.onRollback(func() {
-		delete(s.instances, newID)
-		delete(s.instanceModel, newID)
-	})
-	if _, err := s.db.QueryNested(`INSERT INTO modelinstance VALUES ($1, $2)`, newInstanceID, modelID); err != nil {
+	newInstanceID, err = s.newInstanceID(newInstanceID, instanceID+"_copy")
+	if err != nil {
 		return "", err
 	}
-	unit := s.units[modelID]
-	for _, sv := range unit.Description.ModelVariables.Variables {
-		v, err := clone.GetReal(sv.Name)
-		val := variant.NewNull()
-		if err == nil {
-			val = variant.NewFloat(v)
-		}
-		if _, err := s.db.QueryNested(
-			`INSERT INTO modelinstancevalues VALUES ($1, $2, $3, $4)`,
-			modelID, newInstanceID, sv.Name, val); err != nil {
-			return "", err
-		}
-	}
-	return newInstanceID, nil
+	return newInstanceID, s.addInstance(ctx, src.Clone(newInstanceID), modelID)
 }
 
 // setValue updates one variable on an instance and mirrors it to the
 // catalogue; which of initial/min/max is written depends on attr.
-func (s *Session) setValue(instanceID, varName, attr string, value float64) error {
-	return s.runWrite(func() error {
-		return s.setValueLocked(instanceID, varName, attr, value)
-	})
-}
-
-func (s *Session) setValueLocked(instanceID, varName, attr string, value float64) error {
-	inst, modelID, err := s.instanceLocked(instanceID)
+func (s *Session) setValue(ctx context.Context, instanceID, varName, attr string, value float64) error {
+	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return err
 	}
 	switch attr {
 	case "initial":
-		if old, gerr := inst.GetReal(varName); gerr == nil {
-			// Resolve through the map at undo time: a later-registered
-			// rollback step (reset/parest) may have swapped the live object
-			// for a snapshot clone, and the restore must hit that one.
-			s.onRollback(func() {
-				if cur, ok := s.instances[instanceID]; ok {
-					cur.SetReal(varName, old)
-				}
-			})
-		}
+		// The snapshot takes the value first: it rejects unknown variables
+		// and computed outputs before anything is written.
 		if err := inst.SetReal(varName, value); err != nil {
 			return err
 		}
-		if _, err := s.db.QueryNested(
+		if _, err := s.db.QueryNestedContext(ctx,
 			`UPDATE modelinstancevalues SET value = $1
 			 WHERE instanceid = $2 AND varname = $3`,
 			value, instanceID, varName); err != nil {
 			return err
 		}
+		return s.publish(ctx, instanceID, func(live *fmu.Instance) error {
+			return live.SetReal(varName, value)
+		})
 	case "min", "max":
 		if inst.KindOf(varName) == fmu.VarUnknown {
 			return fmt.Errorf("%w: %q", ErrNoSuchVariable, varName)
@@ -555,56 +502,57 @@ func (s *Session) setValueLocked(instanceID, varName, attr string, value float64
 		if attr == "max" {
 			col = "maxvalue"
 		}
-		if _, err := s.db.QueryNested(
+		_, err := s.db.QueryNestedContext(ctx,
 			`UPDATE modelvariable SET `+col+` = $1
 			 WHERE modelid = $2 AND varname = $3`,
-			value, modelID, varName); err != nil {
-			return err
-		}
+			value, modelID, varName)
+		return err
 	default:
 		return fmt.Errorf("core: unknown attribute %q", attr)
 	}
-	return nil
 }
 
 // SetInitial implements fmu_set_initial.
 func (s *Session) SetInitial(instanceID, varName string, value float64) error {
-	return s.setValue(instanceID, varName, "initial", value)
+	return s.db.RunExclusive(func() error {
+		return s.setValue(context.Background(), instanceID, varName, "initial", value)
+	})
 }
 
 // SetMinimum implements fmu_set_minimum.
 func (s *Session) SetMinimum(instanceID, varName string, value float64) error {
-	return s.setValue(instanceID, varName, "min", value)
+	return s.db.RunExclusive(func() error {
+		return s.setValue(context.Background(), instanceID, varName, "min", value)
+	})
 }
 
 // SetMaximum implements fmu_set_maximum.
 func (s *Session) SetMaximum(instanceID, varName string, value float64) error {
-	return s.setValue(instanceID, varName, "max", value)
+	return s.db.RunExclusive(func() error {
+		return s.setValue(context.Background(), instanceID, varName, "max", value)
+	})
 }
 
 // Get implements fmu_get: the current value plus catalogue min/max for one
 // variable.
 func (s *Session) Get(instanceID, varName string) (initial, minV, maxV variant.Value, err error) {
-	err = s.runRead(func() error {
+	err = s.db.RunShared(func() error {
 		var gerr error
-		initial, minV, maxV, gerr = s.getLocked(instanceID, varName)
+		initial, minV, maxV, gerr = s.get(context.Background(), instanceID, varName)
 		return gerr
 	})
 	return initial, minV, maxV, err
 }
 
-func (s *Session) getLocked(instanceID, varName string) (initial, minV, maxV variant.Value, err error) {
-	inst, modelID, err := s.instanceLocked(instanceID)
+func (s *Session) get(ctx context.Context, instanceID, varName string) (initial, minV, maxV variant.Value, err error) {
+	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return variant.Value{}, variant.Value{}, variant.Value{}, err
 	}
-	initial = variant.NewNull()
-	if v, gerr := inst.GetReal(varName); gerr == nil {
-		initial = variant.NewFloat(v)
-	} else if inst.KindOf(varName) == fmu.VarUnknown {
+	if inst.KindOf(varName) == fmu.VarUnknown {
 		return variant.Value{}, variant.Value{}, variant.Value{}, fmt.Errorf("%w: %q", ErrNoSuchVariable, varName)
 	}
-	rs, err := s.db.QueryNested(
+	rs, err := s.db.QueryNestedContext(ctx,
 		`SELECT minvalue, maxvalue FROM modelvariable WHERE modelid = $1 AND varname = $2`,
 		modelID, varName)
 	if err != nil {
@@ -614,75 +562,91 @@ func (s *Session) getLocked(instanceID, varName string) (initial, minV, maxV var
 	if len(rs.Rows) > 0 {
 		minV, maxV = rs.Rows[0][0], rs.Rows[0][1]
 	}
-	return initial, minV, maxV, nil
+	return valueOf(inst, varName), minV, maxV, nil
 }
 
 // Reset implements fmu_reset: restore the instance to model defaults and
 // refresh the catalogue values.
 func (s *Session) Reset(instanceID string) error {
-	return s.runWrite(func() error { return s.resetLocked(instanceID) })
+	return s.db.RunExclusive(func() error { return s.reset(context.Background(), instanceID) })
 }
 
-func (s *Session) resetLocked(instanceID string) error {
-	inst, modelID, err := s.instanceLocked(instanceID)
+func (s *Session) reset(ctx context.Context, instanceID string) error {
+	inst, _, err := s.snapshot(instanceID)
 	if err != nil {
 		return err
 	}
-	prev := inst.Clone(instanceID)
-	s.onRollback(func() { s.instances[instanceID] = prev })
 	inst.Reset()
-	unit := s.units[modelID]
-	for _, sv := range unit.Description.ModelVariables.Variables {
-		v, err := inst.GetReal(sv.Name)
-		val := variant.NewNull()
-		if err == nil {
-			val = variant.NewFloat(v)
-		}
-		if _, err := s.db.QueryNested(
+	for _, sv := range inst.Unit().Description.ModelVariables.Variables {
+		if _, err := s.db.QueryNestedContext(ctx,
 			`UPDATE modelinstancevalues SET value = $1
 			 WHERE instanceid = $2 AND varname = $3`,
-			val, instanceID, sv.Name); err != nil {
+			valueOf(inst, sv.Name), instanceID, sv.Name); err != nil {
 			return err
 		}
 	}
-	return nil
+	return s.publish(ctx, instanceID, func(live *fmu.Instance) error {
+		live.Reset()
+		return nil
+	})
 }
 
 // DeleteInstance implements fmu_delete_instance.
 func (s *Session) DeleteInstance(instanceID string) error {
-	return s.runWrite(func() error { return s.deleteInstanceLocked(instanceID) })
+	return s.db.RunExclusive(func() error { return s.deleteInstance(context.Background(), instanceID) })
 }
 
-func (s *Session) deleteInstanceLocked(instanceID string) error {
+func (s *Session) deleteInstance(ctx context.Context, instanceID string) error {
+	s.mu.Lock()
 	inst, ok := s.instances[instanceID]
+	modelID := s.instanceModel[instanceID]
+	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
 	}
-	modelID := s.instanceModel[instanceID]
-	s.onRollback(func() {
+	if _, err := s.db.QueryNestedContext(ctx, `DELETE FROM modelinstance WHERE instanceid = $1`, instanceID); err != nil {
+		return err
+	}
+	if _, err := s.db.QueryNestedContext(ctx, `DELETE FROM modelinstancevalues WHERE instanceid = $1`, instanceID); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	delete(s.instances, instanceID)
+	delete(s.instanceModel, instanceID)
+	s.mu.Unlock()
+	s.onRollback(ctx, func() {
 		s.instances[instanceID] = inst
 		s.instanceModel[instanceID] = modelID
 	})
-	delete(s.instances, instanceID)
-	delete(s.instanceModel, instanceID)
-	if _, err := s.db.QueryNested(`DELETE FROM modelinstance WHERE instanceid = $1`, instanceID); err != nil {
-		return err
-	}
-	_, err := s.db.QueryNested(`DELETE FROM modelinstancevalues WHERE instanceid = $1`, instanceID)
-	return err
+	return nil
 }
 
 // DeleteModel implements fmu_delete_model: remove the FMU and cascade to all
 // its instances.
 func (s *Session) DeleteModel(modelID string) error {
-	return s.runWrite(func() error { return s.deleteModelLocked(modelID) })
+	return s.db.RunExclusive(func() error { return s.deleteModel(context.Background(), modelID) })
 }
 
-func (s *Session) deleteModelLocked(modelID string) error {
-	unit, ok := s.units[modelID]
+func (s *Session) deleteModel(ctx context.Context, modelID string) error {
+	s.mu.Lock()
+	_, ok := s.units[modelID]
+	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("core: unknown model %q", modelID)
 	}
+	for _, q := range []string{
+		`DELETE FROM model WHERE modelid = $1`,
+		`DELETE FROM modelvariable WHERE modelid = $1`,
+		`DELETE FROM modelinstance WHERE modelid = $1`,
+		`DELETE FROM modelinstancevalues WHERE modelid = $1`,
+		`DELETE FROM fmustorage WHERE modelid = $1`,
+	} {
+		if _, err := s.db.QueryNestedContext(ctx, q, modelID); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	unit := s.units[modelID]
 	removed := make(map[string]*fmu.Instance)
 	delete(s.units, modelID)
 	for id, mid := range s.instanceModel {
@@ -692,31 +656,25 @@ func (s *Session) deleteModelLocked(modelID string) error {
 			delete(s.instanceModel, id)
 		}
 	}
-	s.onRollback(func() {
+	s.mu.Unlock()
+	s.onRollback(ctx, func() {
 		s.units[modelID] = unit
 		for id, inst := range removed {
 			s.instances[id] = inst
 			s.instanceModel[id] = modelID
 		}
 	})
-	for _, q := range []string{
-		`DELETE FROM model WHERE modelid = $1`,
-		`DELETE FROM modelvariable WHERE modelid = $1`,
-		`DELETE FROM modelinstance WHERE modelid = $1`,
-		`DELETE FROM modelinstancevalues WHERE modelid = $1`,
-		`DELETE FROM fmustorage WHERE modelid = $1`,
-	} {
-		if _, err := s.db.QueryNested(q, modelID); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // ModelIDOf reports the parent model UUID of an instance.
 func (s *Session) ModelIDOf(instanceID string) (string, error) {
-	_, modelID, err := s.instance(instanceID)
-	return modelID, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.instances[instanceID]; !ok {
+		return "", fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
+	}
+	return s.instanceModel[instanceID], nil
 }
 
 // InstanceIDs lists live instances (sorted by creation is not guaranteed).
@@ -734,20 +692,20 @@ func (s *Session) InstanceIDs() []string {
 // an instance with current initial values.
 func (s *Session) Variables(instanceID string) (*sqldb.ResultSet, error) {
 	var rs *sqldb.ResultSet
-	err := s.runRead(func() error {
+	err := s.db.RunShared(func() error {
 		var verr error
-		rs, verr = s.variablesLocked(instanceID)
+		rs, verr = s.variables(context.Background(), instanceID)
 		return verr
 	})
 	return rs, err
 }
 
-func (s *Session) variablesLocked(instanceID string) (*sqldb.ResultSet, error) {
-	inst, modelID, err := s.instanceLocked(instanceID)
+func (s *Session) variables(ctx context.Context, instanceID string) (*sqldb.ResultSet, error) {
+	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := s.db.QueryNested(
+	rs, err := s.db.QueryNestedContext(ctx,
 		`SELECT varname, vartype, minvalue, maxvalue FROM modelvariable WHERE modelid = $1`,
 		modelID)
 	if err != nil {
@@ -762,22 +720,18 @@ func (s *Session) variablesLocked(instanceID string) (*sqldb.ResultSet, error) {
 		{Name: "maxValue", Type: "variant"},
 	}}
 	for _, r := range rs.Rows {
-		name := r[0].AsText()
-		initial := variant.NewNull()
-		if v, gerr := inst.GetReal(name); gerr == nil {
-			initial = variant.NewFloat(v)
-		}
 		out.Rows = append(out.Rows, sqldb.Row{
-			variant.NewText(instanceID), r[0], r[1], initial, r[2], r[3],
+			variant.NewText(instanceID), r[0], r[1], valueOf(inst, r[0].AsText()), r[2], r[3],
 		})
 	}
 	return out, nil
 }
 
-// parameterBounds reads the estimation bounds for a parameter from the
-// catalogue, falling back to the model metadata.
-func (s *Session) parameterBounds(modelID, varName string) (lo, hi float64, err error) {
-	rs, err := s.db.QueryNested(
+// parameterBounds reads the min/max bounds of a catalogued variable (the
+// estimation bounds of a parameter, the range of a control input); a missing
+// bound is NaN.
+func (s *Session) parameterBounds(ctx context.Context, modelID, varName string) (lo, hi float64, err error) {
+	rs, err := s.db.QueryNestedContext(ctx,
 		`SELECT minvalue, maxvalue FROM modelvariable WHERE modelid = $1 AND varname = $2`,
 		modelID, varName)
 	if err != nil {

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"time"
 
 	"repro/internal/fmu"
 	"repro/internal/sqldb"
-	"repro/internal/timeseries"
 	"repro/internal/variant"
 )
 
@@ -38,15 +36,14 @@ func (s *Session) Simulate(req SimulateRequest) (*sqldb.ResultSet, error) {
 }
 
 // SimulateContext is Simulate honouring ctx: cancellation is observed
-// during integration stepping, so a long simulation aborts mid-run and the
-// enclosing transaction rolls back.
+// during integration stepping, so a long simulation aborts mid-run.
+// Simulation is a read — a pure function of the instance's current values
+// and the input query — so it runs under the shared database lock, with no
+// transaction.
 func (s *Session) SimulateContext(ctx context.Context, req SimulateRequest) (*sqldb.ResultSet, error) {
-	// Simulation also refreshes catalogued state values, so it runs as a
-	// write — a concurrent one (runCalib), so a long simulation does not
-	// stall writers of unrelated tables.
 	var rs *sqldb.ResultSet
-	err := s.runCalib(ctx, func(ctx context.Context) error {
-		res, timestamps, serr := s.simulateFrameLocked(ctx, req)
+	err := s.db.RunShared(func() error {
+		res, timestamps, serr := s.simulateFrame(ctx, req)
 		if serr != nil {
 			return serr
 		}
@@ -56,130 +53,45 @@ func (s *Session) SimulateContext(ctx context.Context, req SimulateRequest) (*sq
 	return rs, err
 }
 
-// simulateFrameLocked runs Algorithm 4 up to — but not including — the
+// simulateFrame runs Algorithm 4 up to — but not including — the
 // long-format row rendering: it returns the compact trajectory frame plus
 // whether times should render as timestamps. The SQL fmu_simulate UDF
-// streams rows from this frame lazily (see simulateStreamUDF), so a LIMIT
+// streams rows from this frame lazily (see newSimResultStream), so a LIMIT
 // over a large simulation never materializes the full n_times × n_vars
-// relation.
-func (s *Session) simulateFrameLocked(ctx context.Context, req SimulateRequest) (*fmu.SimResult, bool, error) {
-	inst, modelID, err := s.instanceLocked(req.InstanceID)
+// relation. The caller holds a database lock in either mode.
+func (s *Session) simulateFrame(ctx context.Context, req SimulateRequest) (*fmu.SimResult, bool, error) {
+	inst, modelID, err := s.snapshot(req.InstanceID)
 	if err != nil {
 		return nil, false, err
 	}
-	unit := s.units[modelID]
-
-	// Stage 1: build the input object from the query result (Challenge 2).
-	var in *inputData
-	if req.InputSQL != "" {
-		rs, err := s.db.QueryNestedContext(ctx, req.InputSQL)
-		if err != nil {
-			return nil, false, fmt.Errorf("core: input query: %w", err)
-		}
-		in, err = decodeInput(rs)
-		if err != nil {
-			return nil, false, err
-		}
+	unit := inst.Unit()
+	// Build the input object from the query result (Challenge 2).
+	in, err := s.loadInput(ctx, unit, req.InputSQL)
+	if err != nil {
+		return nil, false, err
 	}
-
-	inputs := make(map[string]*timeseries.Series)
-	if in != nil {
-		for _, mi := range unit.Model.Inputs {
-			if series := in.get(mi.Name); series != nil {
-				inputs[mi.Name] = series
-			}
-		}
+	t0, t1, step, err := in.grid(unit, req.TimeFrom, req.TimeTo, req.OutputStep)
+	if err != nil {
+		return nil, false, err
 	}
-
-	// Stage 2: determine the simulation window.
-	var t0, t1 float64
-	switch {
-	case req.TimeFrom != nil && req.TimeTo != nil:
-		t0, t1 = *req.TimeFrom, *req.TimeTo
-	case req.TimeFrom != nil || req.TimeTo != nil:
-		return nil, false, fmt.Errorf("core: incomplete simulation time interval: both time_from and time_to are required")
-	case in != nil:
-		t0, t1, err = in.window()
-		if err != nil {
-			return nil, false, err
-		}
-	default:
-		t0, t1, err = unit.DefaultInterval()
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	if t1 <= t0 {
-		return nil, false, fmt.Errorf("core: empty simulation interval [%v, %v]", t0, t1)
-	}
-
-	step := req.OutputStep
-	if step <= 0 && in != nil {
-		// Align communication points with the input sampling grid, the way
-		// PyFMI derives ncp from the input object.
-		if n := maxSeriesLen(in); n > 1 {
-			step = (t1 - t0) / float64(n-1)
-		}
-	}
-	if step <= 0 {
-		if ds, err := unit.DefaultStep(); err == nil && !math.IsNaN(ds) && ds > 0 && ds <= t1-t0 {
-			step = ds
-		} else {
-			step = (t1 - t0) / 100
-		}
-	}
-
-	timestamps := in != nil && in.timeIsTimestamp
+	timestamps := in.data != nil && in.data.timeIsTimestamp
 
 	// Content-addressed result cache: the key covers everything the
 	// trajectory depends on (model GUID, current instance values, input
 	// series, window, step), so a hit can skip integration outright.
-	// Simulate never mutates instance state, so serving the stored frame is
-	// observationally identical to recomputing it — including the catalogue
-	// mirror below, which reads the same unchanged values either way.
-	var cacheKey string
-	res, hit := (*fmu.SimResult)(nil), false
-	if s.simcache != nil {
-		cacheKey = simCacheKey(modelID, inst, unit, inputs, t0, t1, step)
-		if timestamps {
-			cacheKey += ":ts"
-		}
-		res, _, hit = s.simcache.get(cacheKey)
+	cacheKey := simCacheKey(modelID, inst, unit, in.series, t0, t1, step)
+	if timestamps {
+		cacheKey += ":ts"
 	}
-	if !hit {
-		res, err = inst.Simulate(inputs, t0, t1, &fmu.SimOptions{OutputStep: step, Ctx: ctx})
-		if err != nil {
-			return nil, false, err
-		}
-		s.simcache.put(cacheKey, req.InstanceID, res, timestamps)
+	if res, _, hit := s.simcache.get(cacheKey); hit {
+		return res, timestamps, nil
 	}
-
-	// Mirror the state initial values used by this run into the catalogue
-	// (the paper notes fmu_simulate example queries update
-	// ModelInstanceValues).
-	for _, st := range unit.Model.States {
-		if v, gerr := inst.GetReal(st.Name); gerr == nil {
-			if _, err := s.db.QueryNestedContext(ctx,
-				`UPDATE modelinstancevalues SET value = $1
-				 WHERE instanceid = $2 AND varname = $3`,
-				v, req.InstanceID, st.Name); err != nil {
-				return nil, false, err
-			}
-		}
+	res, err := inst.Simulate(in.series, t0, t1, &fmu.SimOptions{OutputStep: step, Ctx: ctx})
+	if err != nil {
+		return nil, false, err
 	}
-
+	s.simcache.put(cacheKey, req.InstanceID, res, timestamps)
 	return res, timestamps, nil
-}
-
-// maxSeriesLen reports the longest input series length.
-func maxSeriesLen(in *inputData) int {
-	n := 0
-	for _, s := range in.series {
-		if s.Len() > n {
-			n = s.Len()
-		}
-	}
-	return n
 }
 
 // simTableColumns is the Table-4 result shape.

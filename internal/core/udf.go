@@ -10,14 +10,17 @@ import (
 	"repro/internal/variant"
 )
 
-// registerUDFs wires the pgFMU UDF suite into the SQL engine. All UDFs run
-// while the database lock is held, so they use the session's *Locked paths
-// (nested queries only).
+// registerUDFs wires the pgFMU UDF suite into the SQL engine. A UDF body runs
+// inside its statement's database lock and transaction, both carried by ctx.
+// Functions that only read — including fmu_simulate, fmu_validate and
+// fmu_control, which compute from a snapshot of the instance and a read-only
+// input query — are registered read-only, so statements calling them take
+// the shared path: no transaction, no latch, no WAL record.
 func (s *Session) registerUDFs() {
 	db := s.db
 
 	// fmu_create(modelRef [, instanceId]) -> instanceId
-	db.RegisterScalar("fmu_create", func(_ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_create", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 && len(args) != 2 {
 			return variant.Value{}, fmt.Errorf("fmu_create(modelRef [, instanceId]) expects 1 or 2 arguments")
 		}
@@ -35,19 +38,15 @@ func (s *Session) registerUDFs() {
 		if err != nil {
 			return variant.Value{}, err
 		}
-		if err := s.lockForUDF(); err != nil {
-			return variant.Value{}, err
-		}
-		defer s.mu.Unlock()
-		id, err := s.createLocked(unit, instanceID)
+		id, err := s.create(ctx, unit, instanceID)
 		if err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewText(id), nil
-	})
+	}, false)
 
 	// fmu_copy(instanceId [, instanceId2]) -> instanceId2
-	db.RegisterScalar("fmu_copy", func(_ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_copy", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 && len(args) != 2 {
 			return variant.Value{}, fmt.Errorf("fmu_copy(instanceId [, instanceId2]) expects 1 or 2 arguments")
 		}
@@ -55,54 +54,41 @@ func (s *Session) registerUDFs() {
 		if len(args) == 2 {
 			newID = args[1].AsText()
 		}
-		if err := s.lockForUDF(); err != nil {
-			return variant.Value{}, err
-		}
-		defer s.mu.Unlock()
-		id, err := s.copyLocked(args[0].AsText(), newID)
+		id, err := s.copy(ctx, args[0].AsText(), newID)
 		if err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewText(id), nil
-	})
+	}, false)
 
 	// fmu_variables(instanceId) -> table
-	db.RegisterTableReadOnly("fmu_variables", func(_ *sqldb.DB, args []variant.Value) (*sqldb.ResultSet, error) {
+	db.RegisterTable("fmu_variables", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("fmu_variables(instanceId) expects 1 argument")
 		}
-		if err := s.lockForUDF(); err != nil {
-			return nil, err
-		}
-		defer s.mu.Unlock()
-		return s.variablesLocked(args[0].AsText())
-	})
+		return asStream(s.variables(ctx, args[0].AsText()))
+	}, true)
 
 	// fmu_get(instanceId, varName) -> table(initialValue, minValue, maxValue)
-	db.RegisterTableReadOnly("fmu_get", func(_ *sqldb.DB, args []variant.Value) (*sqldb.ResultSet, error) {
+	db.RegisterTable("fmu_get", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("fmu_get(instanceId, varName) expects 2 arguments")
 		}
-		if err := s.lockForUDF(); err != nil {
-			return nil, err
-		}
-		defer s.mu.Unlock()
-		initial, minV, maxV, err := s.getLocked(args[0].AsText(), args[1].AsText())
+		initial, minV, maxV, err := s.get(ctx, args[0].AsText(), args[1].AsText())
 		if err != nil {
 			return nil, err
 		}
-		return &sqldb.ResultSet{
-			Columns: []sqldb.Column{
+		return sqldb.NewSliceStream(
+			[]sqldb.Column{
 				{Name: "initialValue", Type: "variant"},
 				{Name: "minValue", Type: "variant"},
 				{Name: "maxValue", Type: "variant"},
 			},
-			Rows: []sqldb.Row{{initial, minV, maxV}},
-		}, nil
-	})
+			[]sqldb.Row{{initial, minV, maxV}}), nil
+	}, true)
 
 	setter := func(name, attr string) {
-		db.RegisterScalar(name, func(_ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+		db.RegisterScalar(name, func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 			if len(args) != 3 {
 				return variant.Value{}, fmt.Errorf("%s(instanceId, varName, value) expects 3 arguments", name)
 			}
@@ -110,70 +96,54 @@ func (s *Session) registerUDFs() {
 			if err != nil {
 				return variant.Value{}, fmt.Errorf("%s: %w", name, err)
 			}
-			if err := s.lockForUDF(); err != nil {
-				return variant.Value{}, err
-			}
-			defer s.mu.Unlock()
-			if err := s.setValueLocked(args[0].AsText(), args[1].AsText(), attr, v); err != nil {
+			if err := s.setValue(ctx, args[0].AsText(), args[1].AsText(), attr, v); err != nil {
 				return variant.Value{}, err
 			}
 			return args[0], nil
-		})
+		}, false)
 	}
 	setter("fmu_set_initial", "initial")
 	setter("fmu_set_minimum", "min")
 	setter("fmu_set_maximum", "max")
 
 	// fmu_reset(instanceId) -> instanceId
-	db.RegisterScalar("fmu_reset", func(_ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_reset", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_reset(instanceId) expects 1 argument")
 		}
-		if err := s.lockForUDF(); err != nil {
-			return variant.Value{}, err
-		}
-		defer s.mu.Unlock()
-		if err := s.resetLocked(args[0].AsText()); err != nil {
+		if err := s.reset(ctx, args[0].AsText()); err != nil {
 			return variant.Value{}, err
 		}
 		return args[0], nil
-	})
+	}, false)
 
 	// fmu_delete_instance(instanceId)
-	db.RegisterScalar("fmu_delete_instance", func(_ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_delete_instance", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_delete_instance(instanceId) expects 1 argument")
 		}
-		if err := s.lockForUDF(); err != nil {
-			return variant.Value{}, err
-		}
-		defer s.mu.Unlock()
-		if err := s.deleteInstanceLocked(args[0].AsText()); err != nil {
+		if err := s.deleteInstance(ctx, args[0].AsText()); err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewBool(true), nil
-	})
+	}, false)
 
 	// fmu_delete_model(modelId)
-	db.RegisterScalar("fmu_delete_model", func(_ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_delete_model", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_delete_model(modelId) expects 1 argument")
 		}
-		if err := s.lockForUDF(); err != nil {
-			return variant.Value{}, err
-		}
-		defer s.mu.Unlock()
-		if err := s.deleteModelLocked(args[0].AsText()); err != nil {
+		if err := s.deleteModel(ctx, args[0].AsText()); err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewBool(true), nil
-	})
+	}, false)
 
 	// fmu_parest(instanceIds, input_sqls [, pars [, threshold]])
 	//   -> '{rmse1, rmse2, ...}' (the paper's estimationErrors list)
-	// Registered context-aware: a cancelled statement context aborts the
-	// GA / local-search iterations within one objective evaluation.
-	db.RegisterScalarContext("fmu_parest", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	// A cancelled statement context aborts the GA / local-search iterations
+	// within one objective evaluation.
+	db.RegisterScalar("fmu_parest", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		results, err := s.parestFromArgs(ctx, args)
 		if err != nil {
 			return variant.Value{}, err
@@ -187,7 +157,7 @@ func (s *Session) registerUDFs() {
 
 	// fmu_parest_report(...) -> table(instanceId, rmse, warm_start) for
 	// analytical use of estimation outcomes.
-	db.RegisterTableContext("fmu_parest_report", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (*sqldb.ResultSet, error) {
+	db.RegisterTable("fmu_parest_report", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
 		results, err := s.parestFromArgs(ctx, args)
 		if err != nil {
 			return nil, err
@@ -204,11 +174,11 @@ func (s *Session) registerUDFs() {
 				variant.NewBool(r.UsedWarmStart),
 			})
 		}
-		return out, nil
+		return out.Stream(), nil
 	}, false)
 
 	// fmu_validate(instanceId, input_sql [, pars]) -> rmse
-	db.RegisterScalarContext("fmu_validate", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_validate", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		if len(args) != 2 && len(args) != 3 {
 			return variant.Value{}, fmt.Errorf("fmu_validate(instanceId, input_sql [, pars]) expects 2 or 3 arguments")
 		}
@@ -216,26 +186,21 @@ func (s *Session) registerUDFs() {
 		if len(args) == 3 {
 			pars = splitBraceList(args[2].AsText())
 		}
-		if err := s.lockForUDF(); err != nil {
-			return variant.Value{}, err
-		}
-		defer s.mu.Unlock()
-		rmse, err := s.validateLocked(ctx, args[0].AsText(), args[1].AsText(), pars)
+		rmse, err := s.validate(ctx, args[0].AsText(), args[1].AsText(), pars)
 		if err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewFloat(rmse), nil
-	}, false)
+	}, true)
 
 	// fmu_simulate(instanceId [, input_sql [, time_from, time_to]])
 	//   -> table(simulationTime, instanceId, varName, value)
-	// Registered as a streaming table UDF: the simulation runs (and the
-	// catalogue updates commit) under the statement's lock, but the Table-4
-	// long-format rows are rendered lazily from the compact result frame —
-	// so `SELECT ... FROM fmu_simulate(...) LIMIT k` does bounded
-	// materialization work, and large trajectories stream to the client
-	// with bounded memory.
-	db.RegisterTableIter("fmu_simulate", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
+	// The simulation runs under the statement's (shared) lock, but the
+	// Table-4 long-format rows are rendered lazily from the compact result
+	// frame — so `SELECT ... FROM fmu_simulate(...) LIMIT k` does bounded
+	// materialization work, and large trajectories stream to the client with
+	// bounded memory.
+	db.RegisterTable("fmu_simulate", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) < 1 || len(args) > 4 {
 			return nil, fmt.Errorf("fmu_simulate(instanceId [, input_sql [, time_from, time_to]]) expects 1–4 arguments")
 		}
@@ -257,29 +222,33 @@ func (s *Session) registerUDFs() {
 			}
 			req.TimeFrom, req.TimeTo = &from, &to
 		}
-		if err := s.lockForUDF(); err != nil {
-			return nil, err
-		}
-		defer s.mu.Unlock()
-		res, timestamps, err := s.simulateFrameLocked(ctx, req)
+		res, timestamps, err := s.simulateFrame(ctx, req)
 		if err != nil {
 			return nil, err
 		}
 		return newSimResultStream(req.InstanceID, res, timestamps), nil
-	}, false)
+	}, true)
 
 	s.registerControlUDF()
 	s.registerJobUDFs()
 
 	// fmu_models() -> catalogue summary for interactive inspection.
-	db.RegisterTableReadOnly("fmu_models", func(d *sqldb.DB, _ []variant.Value) (*sqldb.ResultSet, error) {
-		return d.QueryNested(`SELECT modelid, modelname, fmusize FROM model`)
-	})
+	db.RegisterTable("fmu_models", func(ctx context.Context, d *sqldb.DB, _ []variant.Value) (sqldb.RowStream, error) {
+		return asStream(d.QueryNestedContext(ctx, `SELECT modelid, modelname, fmusize FROM model`))
+	}, true)
 
 	// fmu_instances() -> live instance listing.
-	db.RegisterTableReadOnly("fmu_instances", func(d *sqldb.DB, _ []variant.Value) (*sqldb.ResultSet, error) {
-		return d.QueryNested(`SELECT instanceid, modelid FROM modelinstance`)
-	})
+	db.RegisterTable("fmu_instances", func(ctx context.Context, d *sqldb.DB, _ []variant.Value) (sqldb.RowStream, error) {
+		return asStream(d.QueryNestedContext(ctx, `SELECT instanceid, modelid FROM modelinstance`))
+	}, true)
+}
+
+// asStream adapts a materialized result to a table UDF's return.
+func asStream(rs *sqldb.ResultSet, err error) (sqldb.RowStream, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rs.Stream(), nil
 }
 
 // parestFromArgs decodes the paper's brace-list UDF argument convention.
@@ -293,20 +262,14 @@ func (s *Session) parestFromArgs(ctx context.Context, args []variant.Value) ([]P
 	if len(args) >= 3 && !args[2].IsNull() {
 		pars = splitBraceList(args[2].AsText())
 	}
-	if err := s.lockForUDF(); err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
+	threshold := s.threshold
 	if len(args) == 4 && !args[3].IsNull() {
-		t, err := args[3].AsFloat()
-		if err != nil {
+		var err error
+		if threshold, err = args[3].AsFloat(); err != nil {
 			return nil, fmt.Errorf("threshold: %w", err)
 		}
-		old := s.threshold
-		s.threshold = t
-		defer func() { s.threshold = old }()
 	}
-	return s.parestLocked(ctx, instanceIDs, inputSQLs, pars)
+	return s.parest(ctx, instanceIDs, inputSQLs, pars, threshold)
 }
 
 // timeArg converts a SQL time_from/time_to argument (number or timestamp)

@@ -279,6 +279,37 @@ func TestUDFArimaTrainAndForecast(t *testing.T) {
 	}
 }
 
+func TestUDFArimaTrainJoinsTxHandle(t *testing.T) {
+	// The summary table's DROP/CREATE/INSERT run inside the calling Tx
+	// handle's transaction, so rolling it back takes the table with it.
+	db := sqldb.New()
+	RegisterUDFs(db)
+	if _, err := db.Exec(`CREATE TABLE s (time float, value float)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if err := db.InsertRow("s", float64(i), math.Sin(float64(i)/5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Query(`SELECT arima_train('s', 's_out', 'time', 'value', 1, 0, 0)`); err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := tx.Query(`SELECT count(*) FROM s_out`); err != nil || rs.Rows[0][0].Int() < 3 {
+		t.Errorf("summary inside the transaction = %v, %v", rs, err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if db.HasTable("s_out") {
+		t.Error("summary table survived the rollback")
+	}
+}
+
 func TestUDFLogisticRoundTrip(t *testing.T) {
 	db := sqldb.New()
 	RegisterUDFs(db)

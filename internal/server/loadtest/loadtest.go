@@ -304,19 +304,13 @@ func runClient(ctx context.Context, c *client.Client, id int, o Options, withFMU
 				st.errors++
 			}
 		case pick < o.Mix.Read+o.Mix.Write+o.Mix.FMU:
-			ok := doFMU(ctx, s, id)
+			conflicts, err := doFMU(ctx, s, id)
 			st.fmus++
-			if !ok {
-				st.corrupted++
-			}
+			st.tally(ctx, conflicts, err)
 		default:
-			ok := doJob(ctx, s, id)
+			conflicts, err := doJob(ctx, s, id)
 			st.jobs++
-			// A job still polling when the run deadline cancels ctx is
-			// abandoned, not corrupted — only a live-run failure counts.
-			if !ok && ctx.Err() == nil {
-				st.corrupted++
-			}
+			st.tally(ctx, conflicts, err)
 		}
 		st.lat = append(st.lat, time.Since(t0))
 	}
@@ -389,66 +383,112 @@ func doWrite(ctx context.Context, s *client.Session, id int, seq *int, rng *rand
 	return 0, conflicts, false
 }
 
-// doFMU streams a bounded simulation slice; corruption = empty trajectory.
-func doFMU(ctx context.Context, s *client.Session, id int) bool {
-	inst := fmt.Sprintf("lt_m%d", id)
-	rows, err := s.Query(ctx, fmt.Sprintf(
-		`SELECT simulationTime, varName, value FROM fmu_simulate('%s', 'SELECT * FROM lt_meas') LIMIT 20`, inst))
-	if err != nil {
-		return false
+// errCorrupted marks a reply that arrived intact but failed verification.
+var errCorrupted = errors.New("loadtest: reply failed verification")
+
+// tally books the outcome of an FMU or job op. An op cut off by the run
+// deadline (ctx cancelled) was abandoned, not failed — only a live-run
+// failure counts.
+func (st *clientStats) tally(ctx context.Context, conflicts int, err error) {
+	st.conflicts += conflicts
+	switch {
+	case err == nil || ctx.Err() != nil:
+	case errors.Is(err, errCorrupted):
+		st.corrupted++
+	default:
+		st.errors++
 	}
-	defer rows.Close()
-	n := 0
-	for rows.Next() {
-		if len(rows.Row()) != 3 {
-			return false
+}
+
+// queryRetry runs one statement and hands its rows to read, retrying the
+// whole exchange while the server answers write_conflict — the documented
+// retry-me reply — with a 1 ms pause, at most conflictRetries times.
+func queryRetry(ctx context.Context, s *client.Session, sql string, read func(*client.Rows) error) (conflicts int, err error) {
+	const conflictRetries = 20
+	for {
+		err = func() error {
+			rows, err := s.Query(ctx, sql)
+			if err != nil {
+				return err
+			}
+			defer rows.Close()
+			if err := read(rows); err != nil {
+				return err
+			}
+			return rows.Err()
+		}()
+		if !isConflict(err) || conflicts == conflictRetries || ctx.Err() != nil {
+			return conflicts, err
 		}
-		n++
+		conflicts++
+		time.Sleep(time.Millisecond)
 	}
-	return rows.Err() == nil && n > 0
+}
+
+// doFMU streams a bounded simulation slice; corruption = empty trajectory.
+func doFMU(ctx context.Context, s *client.Session, id int) (conflicts int, err error) {
+	return queryRetry(ctx, s, fmt.Sprintf(
+		`SELECT simulationTime, varName, value FROM fmu_simulate('lt_m%d', 'SELECT * FROM lt_meas') LIMIT 20`, id),
+		func(rows *client.Rows) error {
+			n := 0
+			for rows.Next() {
+				if len(rows.Row()) != 3 {
+					return errCorrupted
+				}
+				n++
+			}
+			if n == 0 && rows.Err() == nil {
+				return errCorrupted
+			}
+			return nil
+		})
 }
 
 // doJob submits an async simulation and polls fmu_jobs() until it reaches a
 // terminal state; corruption = the job never turning terminal or ending in
 // error. Repeated submissions of the same instance hit the simulation cache,
 // so job throughput under load also exercises the cache path.
-func doJob(ctx context.Context, s *client.Session, id int) bool {
-	inst := fmt.Sprintf("lt_m%d", id)
-	rows, err := s.Query(ctx, fmt.Sprintf(
-		`SELECT fmu_submit('simulate', '%s', 'SELECT * FROM lt_meas')`, inst))
-	if err != nil {
-		return false
-	}
+func doJob(ctx context.Context, s *client.Session, id int) (conflicts int, err error) {
 	var jobID float64
-	okRow := rows.Next() && len(rows.Row()) == 1
-	if okRow {
-		jobID, okRow = rows.Row()[0].(float64)
-	}
-	rows.Close()
-	if !okRow {
-		return false
+	conflicts, err = queryRetry(ctx, s, fmt.Sprintf(
+		`SELECT fmu_submit('simulate', 'lt_m%d', 'SELECT * FROM lt_meas')`, id),
+		func(rows *client.Rows) error {
+			ok := rows.Next() && len(rows.Row()) == 1
+			if ok {
+				jobID, ok = rows.Row()[0].(float64)
+			}
+			if !ok && rows.Err() == nil {
+				return errCorrupted
+			}
+			return nil
+		})
+	if err != nil {
+		return conflicts, err
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		rows, err := s.Query(ctx, fmt.Sprintf(
-			`SELECT state FROM fmu_jobs() WHERE jobid = %d`, int64(jobID)))
-		if err != nil {
-			return false
-		}
 		state := ""
-		if rows.Next() && len(rows.Row()) == 1 {
-			state, _ = rows.Row()[0].(string)
+		n, err := queryRetry(ctx, s, fmt.Sprintf(
+			`SELECT state FROM fmu_jobs() WHERE jobid = %d`, int64(jobID)),
+			func(rows *client.Rows) error {
+				if rows.Next() && len(rows.Row()) == 1 {
+					state, _ = rows.Row()[0].(string)
+				}
+				return nil
+			})
+		conflicts += n
+		if err != nil {
+			return conflicts, err
 		}
-		rows.Close()
 		switch state {
 		case "done":
-			return true
+			return conflicts, nil
 		case "error", "cancelled", "interrupted":
-			return false
+			return conflicts, errCorrupted
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	return false
+	return conflicts, errCorrupted
 }
 
 func isConflict(err error) bool {

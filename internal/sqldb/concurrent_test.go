@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -50,10 +51,10 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 						return
 					}
 				case 3: // registration churn + plan-cache toggling
-					db.RegisterScalarReadOnly(fmt.Sprintf("f_%d_%d", g, i),
-						func(_ *DB, _ []variant.Value) (variant.Value, error) {
+					db.RegisterScalar(fmt.Sprintf("f_%d_%d", g, i),
+						func(context.Context, *DB, []variant.Value) (variant.Value, error) {
 							return variant.NewInt(1), nil
-						})
+						}, true)
 					db.EnablePlanCache(i%2 == 0)
 					if _, err := db.Query(fmt.Sprintf(`SELECT f_%d_%d()`, g, i)); err != nil {
 						errs <- err
@@ -115,12 +116,12 @@ func TestConcurrentIndexedReaders(t *testing.T) {
 func TestWriteUDFUnderSelect(t *testing.T) {
 	db := newSuiteDB(t)
 	mustExec(t, db, `CREATE TABLE log (n integer)`)
-	db.RegisterScalar("log_append", func(d *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("log_append", func(_ context.Context, d *DB, args []variant.Value) (variant.Value, error) {
 		if _, err := d.QueryNested(`INSERT INTO log VALUES ($1)`, args[0]); err != nil {
 			return variant.Value{}, err
 		}
 		return args[0], nil
-	})
+	}, false)
 	if db.isReadOnly(mustParse(t, `SELECT log_append(1)`)) {
 		t.Fatal("write UDF classified read-only")
 	}
@@ -161,12 +162,12 @@ func mustParse(t *testing.T, sql string) Statement {
 // shapes the lock discipline depends on.
 func TestReadOnlyClassification(t *testing.T) {
 	db := newSuiteDB(t)
-	db.RegisterScalarReadOnly("pure_fn", func(_ *DB, _ []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("pure_fn", func(context.Context, *DB, []variant.Value) (variant.Value, error) {
 		return variant.NewInt(1), nil
-	})
-	db.RegisterTable("impure_src", func(_ *DB, _ []variant.Value) (*ResultSet, error) {
-		return &ResultSet{}, nil
-	})
+	}, true)
+	db.RegisterTable("impure_src", func(context.Context, *DB, []variant.Value) (RowStream, error) {
+		return (&ResultSet{}).Stream(), nil
+	}, false)
 	cases := []struct {
 		sql string
 		ro  bool
@@ -181,9 +182,12 @@ func TestReadOnlyClassification(t *testing.T) {
 		{`SELECT unknown_fn()`, false},
 	}
 	for _, c := range cases {
-		if got := db.isReadOnly(mustParse(t, c.sql)); got != c.ro {
-			t.Errorf("isReadOnly(%q) = %v, want %v", c.sql, got, c.ro)
+		if got, err := db.IsReadOnly(c.sql); err != nil || got != c.ro {
+			t.Errorf("IsReadOnly(%q) = %v, %v; want %v", c.sql, got, err, c.ro)
 		}
+	}
+	if _, err := db.IsReadOnly(`SELEKT 1`); err == nil {
+		t.Error("IsReadOnly accepted unparsable SQL")
 	}
 }
 

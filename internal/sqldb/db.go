@@ -157,56 +157,34 @@ func (db *DB) EnablePlanCache(on bool) {
 	}
 }
 
-// RegisterScalar registers a scalar UDF callable from any expression. The
-// function is assumed to have side effects: statements invoking it take the
-// database lock exclusively. Use RegisterScalarReadOnly for pure functions.
-func (db *DB) RegisterScalar(name string, fn ScalarFunc) {
-	db.funcs.registerScalar(name, fn, false)
+// RegisterScalar registers a scalar UDF callable from any expression.
+// readOnly is the function's promise not to modify the database (directly or
+// through nested statements): SELECTs calling only read-only functions run
+// concurrently under the shared lock, with no transaction; any other
+// statement takes the database lock exclusively.
+func (db *DB) RegisterScalar(name string, fn ScalarFunc, readOnly bool) {
+	db.funcs.registerScalar(name, fn, readOnly)
 }
 
-// RegisterScalarReadOnly registers a scalar UDF that promises not to modify
-// the database (directly or via QueryNested), allowing SELECTs that call it
-// to run concurrently under the shared lock.
-func (db *DB) RegisterScalarReadOnly(name string, fn ScalarFunc) {
-	db.funcs.registerScalar(name, fn, true)
-}
-
-// RegisterScalarContext registers a context-aware scalar UDF: it receives
-// the calling statement's context so long-running work (calibration runs,
-// model training) can honour cancellation.
-func (db *DB) RegisterScalarContext(name string, fn ScalarCtxFunc, readOnly bool) {
-	db.funcs.registerScalarCtx(name, fn, readOnly)
-}
-
-// RegisterTable registers a set-returning UDF callable in FROM. Like
-// RegisterScalar, it is assumed to have side effects.
-func (db *DB) RegisterTable(name string, fn TableFunc) {
-	db.funcs.registerTable(name, fn, false)
-}
-
-// RegisterTableReadOnly registers a set-returning UDF that promises not to
-// modify the database, allowing concurrent shared-lock execution.
-func (db *DB) RegisterTableReadOnly(name string, fn TableFunc) {
-	db.funcs.registerTable(name, fn, true)
-}
-
-// RegisterTableContext registers a context-aware set-returning UDF.
-func (db *DB) RegisterTableContext(name string, fn TableCtxFunc, readOnly bool) {
-	db.funcs.registerTableIter(name, func(ctx context.Context, d *DB, args []variant.Value) (RowStream, error) {
-		rs, err := fn(ctx, d, args)
-		if err != nil {
-			return nil, err
-		}
-		return rs.Stream(), nil
-	}, readOnly)
-}
-
-// RegisterTableIter registers a set-returning UDF that produces its relation
-// lazily as a RowStream. The function body runs while the database lock is
+// RegisterTable registers a set-returning UDF callable in FROM; readOnly as
+// for RegisterScalar. The function body runs while the database lock is
 // held; the returned stream may be consumed after the lock is released and
-// therefore must only read data private to the stream (see TableIterFunc).
-func (db *DB) RegisterTableIter(name string, fn TableIterFunc, readOnly bool) {
-	db.funcs.registerTableIter(name, fn, readOnly)
+// therefore must only read data private to the stream (see TableFunc).
+func (db *DB) RegisterTable(name string, fn TableFunc, readOnly bool) {
+	db.funcs.registerTable(name, fn, readOnly)
+}
+
+// IsReadOnly parses sql and reports whether the engine classifies it
+// read-only — a SELECT (or EXPLAIN) whose every function is an aggregate, a
+// builtin or a UDF registered read-only — which is what decides the shared
+// statement path. UDFs that execute caller-supplied SQL use it to keep their
+// own read-only promise.
+func (db *DB) IsReadOnly(sql string) (bool, error) {
+	cp, err := db.parse(sql)
+	if err != nil {
+		return false, err
+	}
+	return db.isReadOnly(cp.stmt), nil
 }
 
 // TableNames lists the catalogued tables (lowercased).
@@ -256,8 +234,8 @@ func (db *DB) Query(sql string, args ...any) (*ResultSet, error) {
 }
 
 // QueryContext is Query honouring ctx: cancellation is observed between
-// rows, inside long-running UDFs registered with a Context variant, and
-// while draining the result.
+// rows, inside long-running UDFs (which receive ctx), and while draining
+// the result.
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...any) (*ResultSet, error) {
 	it, err := db.QueryRowsContext(ctx, sql, args...)
 	if err != nil {
@@ -512,11 +490,11 @@ func (db *DB) runConcurrentWrite(ctx context.Context, name string, params []vari
 // take the exclusive lock. The transaction stays open across statements —
 // nothing commits here.
 //
-// Every lock acquisition is bounded: the caller may hold table latches and
-// application-level locks (e.g. the pgFMU session lock) that an
-// exclusive-lock holder is itself waiting on, so an unbounded wait could
-// close a deadlock cycle across lock orders. Timing out surfaces
-// ErrWriteConflict — the transaction rolls back and the caller retries.
+// Every lock acquisition is bounded: the transaction may already hold table
+// latches (and its caller locks of its own), so a statement that waited
+// forever could close a deadlock cycle with a lock holder waiting on those.
+// Timing out surfaces ErrWriteConflict — the transaction rolls back and the
+// caller retries.
 func (db *DB) execTxStmt(ctx context.Context, text string, cp *cachedPlan, params []variant.Value, tx *txnState) (*RowIter, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -527,13 +505,16 @@ func (db *DB) execTxStmt(ctx context.Context, text string, cp *cachedPlan, param
 	if isTxnControlStmt(cp.stmt) {
 		return nil, fmt.Errorf("sql: transaction control is not valid inside a transaction handle")
 	}
-	// UDFs invoked by this statement receive a context that still carries
-	// the transaction but is marked nested, so their QueryNested calls join
-	// it without re-taking the database lock.
+	// UDFs invoked by this statement receive a context that carries the
+	// transaction (a Tx handle's caller context does not, a RunConcurrent
+	// body's already does) and is marked nested, so their QueryNestedContext
+	// calls and OnRollbackContext compensators join it without re-taking the
+	// database lock.
 	// cx.physLog (whether writes must be physically WAL-logged) depends on
 	// db.wal, which Close nils under db.mu — so it is resolved below, after
 	// each branch acquires the lock, not here.
-	cx := &evalCtx{db: db, params: params, ctx: context.WithValue(ctx, nestedCtxKey{}, true), txn: tx, snap: tx.snap}
+	udfCtx := context.WithValue(context.WithValue(ctx, txnCtxKey{}, tx), nestedCtxKey{}, true)
+	cx := &evalCtx{db: db, params: params, ctx: udfCtx, txn: tx, snap: tx.snap}
 	if db.isReadOnly(cp.stmt) {
 		if err := db.rlockBounded(); err != nil {
 			return nil, err

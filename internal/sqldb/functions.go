@@ -12,60 +12,43 @@ import (
 	"repro/internal/variant"
 )
 
-// ScalarFunc is a user-defined or builtin scalar function. The *DB handle
-// lets UDFs (like pgFMU's fmu_parest) run nested queries, mirroring how
-// PostgreSQL UDFs can use SPI.
-type ScalarFunc func(db *DB, args []variant.Value) (variant.Value, error)
-
-// ScalarCtxFunc is a scalar UDF that observes the calling statement's
-// context, so long-running functions can honour cancellation. Nested queries
-// should run through QueryNestedContext with the same ctx.
-type ScalarCtxFunc func(ctx context.Context, db *DB, args []variant.Value) (variant.Value, error)
+// ScalarFunc is a user-defined scalar function. The *DB handle lets UDFs (like
+// pgFMU's fmu_parest) run nested queries, mirroring how PostgreSQL UDFs can
+// use SPI; ctx is the calling statement's context, so long-running functions
+// can honour cancellation and nested queries join the statement's
+// transaction through QueryNestedContext.
+type ScalarFunc func(ctx context.Context, db *DB, args []variant.Value) (variant.Value, error)
 
 // TableFunc is a set-returning function usable in FROM (like PostgreSQL's
-// SRFs): it returns a full relation.
-type TableFunc func(db *DB, args []variant.Value) (*ResultSet, error)
-
-// TableCtxFunc is a set-returning UDF that observes the calling statement's
-// context.
-type TableCtxFunc func(ctx context.Context, db *DB, args []variant.Value) (*ResultSet, error)
-
-// TableIterFunc is a set-returning UDF that produces its relation lazily as
-// a RowStream. The function itself runs while the database lock is held (so
-// nested queries and side effects are safe), but the returned stream may be
-// iterated after the lock is released: it must only read data private to the
-// stream — e.g. a result frame the function already computed — never live
-// catalogue state. This is the streaming seam that lets large results (like
-// fmu_simulate trajectories) flow to the client row by row.
-type TableIterFunc func(ctx context.Context, db *DB, args []variant.Value) (RowStream, error)
+// SRFs). It produces its relation as a RowStream; a body that has a full
+// ResultSet returns rs.Stream(). The function itself runs while the database
+// lock is held (so nested queries and side effects are safe), but the
+// returned stream may be iterated after the lock is released: it must only
+// read data private to the stream — e.g. a result frame the function already
+// computed — never live catalogue state. This is the streaming seam that lets
+// large results (like fmu_simulate trajectories) flow to the client row by
+// row.
+type TableFunc func(ctx context.Context, db *DB, args []variant.Value) (RowStream, error)
 
 // registry holds scalar and table functions, case-insensitively keyed.
-// Legacy context-free functions are wrapped at registration, so dispatch is
-// uniformly context-aware. readOnly records which UDFs declared themselves
-// free of side effects — the statement classifier uses it to decide shared
-// vs exclusive locking.
+// readOnly records which UDFs declared themselves free of side effects — the
+// statement classifier uses it to decide shared vs exclusive locking.
 type registry struct {
 	mu       sync.RWMutex
-	scalars  map[string]ScalarCtxFunc
-	tables   map[string]TableIterFunc
+	scalars  map[string]ScalarFunc
+	tables   map[string]TableFunc
 	readOnly map[string]bool
 }
 
 func newRegistry() *registry {
 	return &registry{
-		scalars:  make(map[string]ScalarCtxFunc),
-		tables:   make(map[string]TableIterFunc),
+		scalars:  make(map[string]ScalarFunc),
+		tables:   make(map[string]TableFunc),
 		readOnly: make(map[string]bool),
 	}
 }
 
 func (r *registry) registerScalar(name string, fn ScalarFunc, ro bool) {
-	r.registerScalarCtx(name, func(_ context.Context, db *DB, args []variant.Value) (variant.Value, error) {
-		return fn(db, args)
-	}, ro)
-}
-
-func (r *registry) registerScalarCtx(name string, fn ScalarCtxFunc, ro bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := strings.ToLower(name)
@@ -74,16 +57,6 @@ func (r *registry) registerScalarCtx(name string, fn ScalarCtxFunc, ro bool) {
 }
 
 func (r *registry) registerTable(name string, fn TableFunc, ro bool) {
-	r.registerTableIter(name, func(_ context.Context, db *DB, args []variant.Value) (RowStream, error) {
-		rs, err := fn(db, args)
-		if err != nil {
-			return nil, err
-		}
-		return rs.Stream(), nil
-	}, ro)
-}
-
-func (r *registry) registerTableIter(name string, fn TableIterFunc, ro bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := strings.ToLower(name)
@@ -97,14 +70,14 @@ func (r *registry) isReadOnly(name string) bool {
 	return r.readOnly[strings.ToLower(name)]
 }
 
-func (r *registry) scalar(name string) (ScalarCtxFunc, bool) {
+func (r *registry) scalar(name string) (ScalarFunc, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	fn, ok := r.scalars[strings.ToLower(name)]
 	return fn, ok
 }
 
-func (r *registry) table(name string) (TableIterFunc, bool) {
+func (r *registry) table(name string) (TableFunc, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	fn, ok := r.tables[strings.ToLower(name)]
@@ -343,7 +316,7 @@ func extremum(args []variant.Value, name string, sign int) (variant.Value, error
 }
 
 // builtinTableFuncs are the always-available set-returning functions.
-func builtinTableFunc(name string) (TableIterFunc, bool) {
+func builtinTableFunc(name string) (TableFunc, bool) {
 	switch strings.ToLower(name) {
 	case "generate_series":
 		return generateSeries, true

@@ -586,9 +586,9 @@ func TestStreamingDistinctAndSubquerySources(t *testing.T) {
 // under the lock at open time) keep the streaming pipeline.
 func TestOperatorsKeepUDFStatementsOnExecutor(t *testing.T) {
 	db := opTestDB(t)
-	db.RegisterScalarReadOnly("myfn", func(_ *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("myfn", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
 		return args[0], nil
-	})
+	}, true)
 	if k := planKind(t, db, `SELECT myfn(o.id) FROM orders o JOIN custs c ON o.cust = c.id`); k != physMaterialize {
 		t.Fatalf("UDF projection plan kind = %v, want physMaterialize", k)
 	}

@@ -13,7 +13,7 @@ import (
 // RowStream is the engine's pull-based row producer contract: Next returns
 // one row at a time and (nil, io.EOF) when the stream is exhausted. Streams
 // handed across the API boundary (from QueryRows, or returned by a
-// RegisterTableIter UDF) must be iterable after the database lock is
+// RegisterTable UDF) must be iterable after the database lock is
 // released: they may only touch data private to the stream — snapshots taken
 // while the lock was held, or results the producing UDF already computed —
 // never live catalogue state.

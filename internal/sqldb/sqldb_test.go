@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -345,7 +346,7 @@ func TestGenerateSeries(t *testing.T) {
 func TestLateralJoinWithFunction(t *testing.T) {
 	db := New()
 	// A table function that fans out n copies of its argument.
-	db.RegisterTable("fanout", func(_ *DB, args []variant.Value) (*ResultSet, error) {
+	db.RegisterTable("fanout", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
 		n, err := args[0].AsInt()
 		if err != nil {
 			return nil, err
@@ -354,8 +355,8 @@ func TestLateralJoinWithFunction(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			rs.Rows = append(rs.Rows, Row{variant.NewInt(i)})
 		}
-		return rs, nil
-	})
+		return rs.Stream(), nil
+	}, false)
 	// The paper's multi-instance pattern: generate_series feeding a LATERAL
 	// function call that references the series value.
 	rs := mustQuery(t, db, `SELECT * FROM generate_series(1, 3) AS id, LATERAL fanout(id) AS f`)
@@ -383,13 +384,13 @@ func TestSubqueryInFrom(t *testing.T) {
 
 func TestScalarUDF(t *testing.T) {
 	db := New()
-	db.RegisterScalar("plus_one", func(_ *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("plus_one", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
 		n, err := args[0].AsInt()
 		if err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewInt(n + 1), nil
-	})
+	}, false)
 	rs := mustQuery(t, db, `SELECT plus_one(41)`)
 	if rs.Rows[0][0].Int() != 42 {
 		t.Errorf("plus_one = %v", rs.Rows[0][0])
@@ -413,13 +414,13 @@ func TestNestedQueryFromUDF(t *testing.T) {
 	seedMeasurements(t, db)
 	// A UDF that runs the SQL passed to it — the fmu_parest(input_sql)
 	// pattern.
-	db.RegisterScalar("rowcount_of", func(d *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("rowcount_of", func(_ context.Context, d *DB, args []variant.Value) (variant.Value, error) {
 		rs, err := d.QueryNested(args[0].AsText())
 		if err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewInt(int64(len(rs.Rows))), nil
-	})
+	}, false)
 	rs := mustQuery(t, db, `SELECT rowcount_of('SELECT * FROM measurements WHERE x > 21')`)
 	if rs.Rows[0][0].Int() != 3 {
 		t.Errorf("nested count = %v", rs.Rows[0][0])

@@ -319,6 +319,61 @@ func TestTxHandleCommitAndRollback(t *testing.T) {
 	}
 }
 
+// TestTxHandleUDFJoinsTransaction: a UDF invoked by a statement of a Tx
+// handle receives the handle's transaction in its context, so its nested
+// writes and compensators commit and roll back with the handle.
+func TestTxHandleUDFJoinsTransaction(t *testing.T) {
+	db := newSuiteDB(t)
+	if _, err := db.Query(`CREATE TABLE t (a int)`); err != nil {
+		t.Fatal(err)
+	}
+	undone := 0
+	db.RegisterScalar("put", func(ctx context.Context, d *DB, args []variant.Value) (variant.Value, error) {
+		d.OnRollbackContext(ctx, func() { undone++ })
+		_, err := d.QueryNestedContext(ctx, `INSERT INTO t VALUES ($1)`, args[0])
+		return args[0], err
+	}, false)
+	count := func() int64 {
+		rs, err := db.Query(`SELECT count(*) FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := rs.Rows[0][0].AsInt()
+		return n
+	}
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(`SELECT put(1)`); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 0 {
+		t.Fatalf("uncommitted UDF insert visible outside the handle: count = %d", n)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 0 || undone != 1 {
+		t.Fatalf("after rollback: count = %d, compensator runs = %d; want 0, 1", n, undone)
+	}
+
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(`SELECT put(2)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 1 || undone != 1 {
+		t.Fatalf("after commit: count = %d, compensator runs = %d; want 1, 1", n, undone)
+	}
+}
+
 // TestTxHandleInteropWithSQLText: Tx handles are independent of the
 // ambient SQL-text transaction — a SQL COMMIT with no ambient BEGIN is an
 // error and never finishes a handle, and transaction control inside a
@@ -453,13 +508,13 @@ func TestScanDestinations(t *testing.T) {
 	}
 }
 
-// TestStreamingTableUDF: a RegisterTableIter UDF streams through SELECT,
+// TestStreamingTableUDF: a RegisterTable UDF streams through SELECT,
 // honours LIMIT without producing the tail, and still materializes
 // correctly via Query.
 func TestStreamingTableUDF(t *testing.T) {
 	db := newSuiteDB(t)
 	produced := 0
-	db.RegisterTableIter("nat", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+	db.RegisterTable("nat", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
 		n, err := args[0].AsInt()
 		if err != nil {
 			return nil, err

@@ -164,6 +164,24 @@ func TestCombinedFMUAndMLQuery(t *testing.T) {
 	if err != nil || len(rs.Rows) != 3 {
 		t.Errorf("forecast = %v, %v", rs, err)
 	}
+
+	// An ML-predicted series as FMU input: the *_predict functions are pure,
+	// so such a query passes the read-only input_sql check.
+	if _, err := db.Query(`SELECT linregr_train('measurements', 'lr_u', 'u', 'time')`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateModel(dataset.HP1Source, "hp"); err != nil {
+		t.Fatal(err)
+	}
+	rs, err = db.Query(`SELECT count(*) FROM fmu_simulate('hp',
+		'SELECT time, linregr_predict(''lr_u'', time) AS u FROM measurements')`)
+	if err != nil || rs.Rows[0][0].Int() == 0 {
+		t.Errorf("simulate on predicted input = %v, %v", rs, err)
+	}
+	if _, err := db.Query(`SELECT count(*) FROM fmu_simulate('hp',
+		'SELECT time, linregr_train(''measurements'', ''lr2'', ''u'', ''time'') AS u FROM measurements')`); err == nil || !strings.Contains(err.Error(), "input_sql") {
+		t.Errorf("training inside input_sql: error %v, want one naming input_sql", err)
+	}
 }
 
 func TestMIConfigurationOptions(t *testing.T) {
