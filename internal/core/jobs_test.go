@@ -257,9 +257,11 @@ func TestSweepGridWithConcurrentInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The acceptance scenario: a 1000-instance parameter sweep running while
-	// concurrent inserts proceed and fmu_jobs() reports progress.
-	rs, err := s.DB().Query(`SELECT fmu_sweep('hp', '{B=0:20:100, E=0:10:10}')`)
+	// The acceptance scenario: a parameter sweep running while concurrent
+	// inserts proceed and fmu_jobs() reports progress. 10 000 points, so the
+	// sweep outlasts the progress poll below even on a loaded two-core host
+	// (1000 compiled-kernel simulations finish within one poll).
+	rs, err := s.DB().Query(`SELECT fmu_sweep('hp', '{B=0:20:100, E=0:10:100}')`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +297,7 @@ func TestSweepGridWithConcurrentInserts(t *testing.T) {
 		if row["state"] == JobDone || row["state"] == JobError || row["state"] == JobCancelled {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
@@ -323,8 +325,8 @@ func TestSweepGridWithConcurrentInserts(t *testing.T) {
 	if err := json.Unmarshal([]byte(row["result"]), &result); err != nil {
 		t.Fatalf("result %q: %v", row["result"], err)
 	}
-	if result.Points != 1000 || result.Done != 1000 {
-		t.Errorf("sweep covered %d/%d points, want 1000/1000", result.Done, result.Points)
+	if result.Points != 10000 || result.Done != 10000 {
+		t.Errorf("sweep covered %d/%d points, want 10000/10000", result.Done, result.Points)
 	}
 	if result.Metric != "y" {
 		t.Errorf("metric = %q, want the model output y", result.Metric)

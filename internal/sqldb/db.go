@@ -45,6 +45,10 @@ type DB struct {
 	// planner tunes physical planning (access-path choice, parallel scans);
 	// written only under the exclusive lock via SetPlannerOptions.
 	planner PlannerOptions
+	// forceLookupJoin makes every eligible join take the index lookup
+	// whatever its sizes. Not an option: only this package's differential
+	// tests set it, before they query.
+	forceLookupJoin bool
 
 	// txn is the ambient transaction: the explicit database-wide one between
 	// SQL BEGIN and COMMIT/ROLLBACK, or the implicit transaction wrapped

@@ -14,6 +14,11 @@ import (
 // override, mirroring the DisableIndexScan pattern the access-path property
 // test uses. Runs under -race in CI, so it also exercises hash builds,
 // group state, and parallel probe scans for data races.
+//
+// Every table carries an ordered index on its join key, over rows that were
+// updated, deleted and re-inserted (stale index entries), and the query set
+// runs three times: under the shipped rule for the index lookup join, with
+// the lookup forced for every eligible join, and with DisableIndexScan.
 func TestStreamingOperatorEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	db := newSuiteDB(t)
@@ -51,6 +56,17 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 		mustExec(t, db, `INSERT INTO aux VALUES ($1, $2)`, rng.Intn(45), rng.Intn(9))
 	}
 	mustExec(t, db, `CREATE INDEX fact_k ON fact (k)`)
+	mustExec(t, db, `CREATE INDEX dim_k ON dim (k)`)
+	mustExec(t, db, `CREATE INDEX aux_k ON aux (k)`)
+	mustExec(t, db, `UPDATE dim SET w = w + 0.5 WHERE k % 4 = 1`)
+	mustExec(t, db, `UPDATE dim SET k = k + 1 WHERE k % 7 = 3`)
+	mustExec(t, db, `DELETE FROM dim WHERE k = 12`)
+	mustExec(t, db, `INSERT INTO dim VALUES (12, 'g9', 99), (NULL, 'g1', 98)`)
+	mustExec(t, db, `UPDATE aux SET n = n + 1 WHERE k < 10`)
+	mustExec(t, db, `DELETE FROM aux WHERE k > 40`)
+	mustExec(t, db, `INSERT INTO aux VALUES (41, 3), (5, 3)`)
+	mustExec(t, db, `UPDATE fact SET k = 39 - k WHERE id % 5 = 0`)
+	mustExec(t, db, `DELETE FROM fact WHERE id % 11 = 0`)
 	mustExec(t, db, `ANALYZE`)
 
 	joinKinds := []string{"JOIN", "LEFT JOIN"}
@@ -60,37 +76,8 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 		"WHERE f.tag = 't1' AND f.id % 3 = 0", "WHERE d.grp IS NULL",
 	}
 
-	multiset := func(rs *ResultSet) map[string]int {
-		m := make(map[string]int, len(rs.Rows))
-		for _, r := range rs.Rows {
-			m[rowKey(r)]++
-		}
-		return m
-	}
-	check := func(q string) {
-		t.Helper()
-		streamed, serr := db.Query(q)
-		old := db.planner
-		db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-		materialized, merr := db.Query(q)
-		db.SetPlannerOptions(old)
-		if (serr == nil) != (merr == nil) {
-			t.Fatalf("%s:\nstream err = %v\nmaterialized err = %v", q, serr, merr)
-		}
-		if serr != nil {
-			return
-		}
-		sm, mm := multiset(streamed), multiset(materialized)
-		if len(streamed.Rows) != len(materialized.Rows) {
-			t.Fatalf("%s:\nstream %d rows, materialized %d rows", q, len(streamed.Rows), len(materialized.Rows))
-		}
-		for k, n := range sm {
-			if mm[k] != n {
-				t.Fatalf("%s:\nrow %q: stream ×%d, materialized ×%d", q, k, n, mm[k])
-			}
-		}
-	}
-
+	var queries []string
+	add := func(format string, args ...any) { queries = append(queries, fmt.Sprintf(format, args...)) }
 	for iter := 0; iter < 60; iter++ {
 		jk := joinKinds[rng.Intn(len(joinKinds))]
 		where := wheres[rng.Intn(len(wheres))]
@@ -107,7 +94,7 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 		}
 		switch rng.Intn(3) {
 		case 0: // plain join projection
-			check(fmt.Sprintf(`SELECT f.id, f.tag, d.grp, d.w FROM fact f %s dim d ON %s %s`, jk, on, where))
+			add(`SELECT f.id, f.tag, d.grp, d.w FROM fact f %s dim d ON %s %s`, jk, on, where)
 		case 1: // grouped over a join, NULL group keys included
 			agg1 := aggs[rng.Intn(len(aggs))]
 			agg2 := aggs[rng.Intn(len(aggs))]
@@ -115,14 +102,19 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				having = "HAVING count(*) > 1"
 			}
-			check(fmt.Sprintf(`SELECT d.grp, %s, %s FROM fact f %s dim d ON %s %s GROUP BY d.grp %s`,
-				agg1, agg2, jk, on, where, having))
+			add(`SELECT d.grp, %s, %s FROM fact f %s dim d ON %s %s GROUP BY d.grp %s`,
+				agg1, agg2, jk, on, where, having)
 		default: // three-way with the aux table and a cross-join spelling
-			check(fmt.Sprintf(`SELECT d.grp, a.n, count(*) FROM fact f %s dim d ON %s, aux a %s %s GROUP BY d.grp, a.n`,
-				jk, on, whereAnd(where, "a.k = f.k"), ""))
+			add(`SELECT d.grp, a.n, count(*) FROM fact f %s dim d ON %s, aux a %s GROUP BY d.grp, a.n`,
+				jk, on, whereAnd(where, "a.k = f.k"))
 		}
 	}
-
+	// A small outer onto a large indexed inner: what the shipped rule looks up.
+	for _, jk := range joinKinds {
+		add(`SELECT d.k, d.w, f.id, f.f FROM dim d %s fact f ON d.k = f.k WHERE d.w < 3`, jk)
+		add(`SELECT a.n, count(*), sum(f.f) FROM aux a %s fact f ON a.k = f.k AND f.f > a.n WHERE a.n < 2 GROUP BY a.n`, jk)
+		add(`SELECT f.id, a.n FROM fact f %s aux a ON f.k = a.k WHERE f.id < 4`, jk)
+	}
 	// Deterministic ORDER BY spot checks compare ordered output, not just
 	// the multiset.
 	ordered := []string{
@@ -130,18 +122,80 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 		`SELECT d.grp, count(*) AS n FROM fact f LEFT JOIN dim d ON f.k = d.k GROUP BY d.grp ORDER BY n DESC, 1`,
 		`SELECT k, count(*) FROM fact GROUP BY k ORDER BY 1`,
 	}
-	for _, q := range ordered {
-		streamed := mustQuery(t, db, q)
-		db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-		materialized := mustQuery(t, db, q)
-		db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 400})
-		if len(streamed.Rows) != len(materialized.Rows) {
-			t.Fatalf("%s: %d vs %d rows", q, len(streamed.Rows), len(materialized.Rows))
+
+	multiset := func(rs *ResultSet) map[string]int {
+		m := make(map[string]int, len(rs.Rows))
+		for _, r := range rs.Rows {
+			m[rowKey(r)]++
 		}
-		for i := range streamed.Rows {
-			if rowKey(streamed.Rows[i]) != rowKey(materialized.Rows[i]) {
-				t.Fatalf("%s: row %d differs:\n%v\n%v", q, i, streamed.Rows[i], materialized.Rows[i])
+		return m
+	}
+	// check runs q under the current options and compares with the forced
+	// materializing executor (whose answer does not depend on the mode, so it
+	// runs once per query); inOrder additionally compares the row order.
+	type answer struct {
+		rs  *ResultSet
+		err error
+	}
+	reference := make(map[string]answer)
+	check := func(q string, inOrder bool) {
+		t.Helper()
+		streamed, serr := db.Query(q)
+		ref, ok := reference[q]
+		if !ok {
+			old := db.planner
+			db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
+			ref.rs, ref.err = db.Query(q)
+			db.SetPlannerOptions(old)
+			reference[q] = ref
+		}
+		materialized, merr := ref.rs, ref.err
+		if (serr == nil) != (merr == nil) {
+			t.Fatalf("%s:\nstream err = %v\nmaterialized err = %v", q, serr, merr)
+		}
+		if serr != nil {
+			return
+		}
+		sm, mm := multiset(streamed), multiset(materialized)
+		if len(streamed.Rows) != len(materialized.Rows) {
+			t.Fatalf("%s:\nstream %d rows, materialized %d rows", q, len(streamed.Rows), len(materialized.Rows))
+		}
+		for k, n := range sm {
+			if mm[k] != n {
+				t.Fatalf("%s:\nrow %q: stream ×%d, materialized ×%d", q, k, n, mm[k])
 			}
+		}
+		if inOrder && !rowsEqual(streamed, materialized) {
+			t.Fatalf("%s: row order differs", q)
+		}
+	}
+
+	for _, mode := range []struct {
+		name        string
+		opts        PlannerOptions
+		force       bool
+		wantLookups bool
+	}{
+		{"shipped", PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 400}, false, true},
+		// Serial scans: a parallel outer keeps the hash join.
+		{"lookup forced", PlannerOptions{MaxScanWorkers: 1}, true, true},
+		{"DisableIndexScan", PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 400, DisableIndexScan: true}, false, false},
+	} {
+		db.SetPlannerOptions(mode.opts)
+		db.forceLookupJoin = mode.force
+		lookups := 0
+		for _, q := range queries {
+			if planKind(t, db, q) == physOps && joinStrategy(t, db, q) == "lookup" {
+				lookups++
+			}
+			check(q, false)
+		}
+		for _, q := range ordered {
+			check(q, true)
+		}
+		t.Logf("%s: %d of %d joins looked their candidates up", mode.name, lookups, len(queries))
+		if (lookups > 0) != mode.wantLookups || (mode.force && lookups < len(queries)/3) {
+			t.Errorf("%s: %d of %d joins looked their candidates up", mode.name, lookups, len(queries))
 		}
 	}
 }

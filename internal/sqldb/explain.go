@@ -221,6 +221,11 @@ func (r *planRenderer) renderOpInput(p *opPlan, idx, depth int) error {
 		if step.residual != nil {
 			r.detail(depth, "Join Filter: "+exprString(step.residual))
 		}
+		if lk := step.lookup; lk != nil {
+			// Open decides from the outer input's real size (openIndexedJoin).
+			r.detail(depth, fmt.Sprintf("Index Lookup: %s for %s when outer rows × %d ≤ inner rows",
+				lk.ix.name, conds[lk.pair], lookupJoinRatio))
+		}
 		if err := r.renderOpInput(p, idx-1, depth+1); err != nil {
 			return err
 		}

@@ -69,6 +69,7 @@ func TestExplainGolden(t *testing.T) {
 		{name: "join_nested_loop", query: `EXPLAIN SELECT a.id FROM sensors a JOIN sensors b ON a.id = b.id WHERE a.temp > 40`},
 		{name: "hash_join_left", query: `EXPLAIN SELECT a.id, b.room FROM sensors a LEFT JOIN sensors b ON a.id = b.id`},
 		{name: "hash_join_residual", query: `EXPLAIN SELECT a.id FROM sensors a JOIN sensors b ON a.id = b.id AND a.temp < b.temp`},
+		{name: "hash_join_index_lookup", query: `EXPLAIN SELECT a.room, avg(b.temp) FROM sensors a JOIN sensors b ON a.temp = b.temp AND a.id <> b.id WHERE a.id BETWEEN 10 AND 20 GROUP BY a.room`},
 		{name: "join_non_equi_nested_loop", query: `EXPLAIN SELECT a.id FROM sensors a JOIN sensors b ON a.temp < b.temp WHERE b.flag = 1`},
 		{name: "hash_aggregate_join_having", query: `EXPLAIN SELECT a.room, sum(b.temp) FROM sensors a JOIN sensors b ON a.id = b.id GROUP BY a.room HAVING count(*) > 10`},
 		{name: "scalar_aggregate_streamed", query: `EXPLAIN SELECT count(*), avg(temp) FROM sensors WHERE flag = 1`},

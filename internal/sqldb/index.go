@@ -166,31 +166,30 @@ func (ix *index) insertLocked(pos int, v variant.Value) error {
 	return ix.insert(pos, v)
 }
 
-// lookupEqual returns a private copy of the row positions whose key equals
-// v: ordered-index inserts shift entries in place, so handing out the
-// backing array would race later writers.
-func (ix *index) lookupEqual(v variant.Value) ([]int, error) {
+// appendEqual appends the row positions whose key equals v to dst and
+// returns it. Positions are copied out under ix.mu — ordered-index inserts
+// shift entries in place, so handing out the backing array would race later
+// writers — but into the caller's buffer, so a probe loop (the index lookup
+// join issues one per outer row) reuses one allocation.
+func (ix *index) appendEqual(dst []int, v variant.Value) ([]int, error) {
 	if v.IsNull() {
-		return nil, nil
+		return dst, nil
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ix.kind == IndexHash {
-		return append([]int(nil), ix.hash[hashKey(v)]...), nil
+		return append(dst, ix.hash[hashKey(v)]...), nil
 	}
 	i, exact, err := ix.search(v)
-	if err != nil {
-		return nil, err
+	if err != nil || !exact {
+		return dst, err
 	}
-	if !exact {
-		return nil, nil
-	}
-	return append([]int(nil), ix.entries[i].rows...), nil
+	return append(dst, ix.entries[i].rows...), nil
 }
 
 // lookupRange returns row positions with lo ⟨op⟩ key ⟨op⟩ hi on an ordered
 // index. nil bounds are open; loInc/hiInc select >=,<= over >,<. The result
-// is a private slice (see lookupEqual).
+// is a private slice (see appendEqual).
 func (ix *index) lookupRange(lo, hi *variant.Value, loInc, hiInc bool) ([]int, error) {
 	if ix.kind != IndexOrdered {
 		return nil, fmt.Errorf("sql: index %q does not support range lookups", ix.name)
@@ -435,8 +434,9 @@ func tryIndexScan(cx *evalCtx, s *SelectStmt) ([]Row, sourceInfo, bool) {
 
 // probeIndex evaluates a probe's constant expressions, coerces them to the
 // indexed column's type (mirroring the insert path so hash keys line up),
-// and performs the lookup.
-func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe) ([]int, bool) {
+// and performs the lookup. An equality probe appends into buf (see
+// appendEqual); a range probe allocates its own result.
+func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe, buf []int) ([]int, bool) {
 	colType := t.Columns[ix.col].Type
 	evalBound := func(e Expr) (*variant.Value, bool) {
 		if e == nil {
@@ -464,7 +464,7 @@ func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe) ([]int, bool) {
 		if !ok {
 			return nil, false
 		}
-		positions, err := ix.lookupEqual(*v)
+		positions, err := ix.appendEqual(buf, *v)
 		if err != nil {
 			return nil, false
 		}

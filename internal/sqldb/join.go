@@ -7,11 +7,14 @@ import (
 	"repro/internal/variant"
 )
 
-// Streaming join operators. Both strategies share one stream type: the right
-// (build) input is drained once — into hash buckets keyed on the equi-join
-// columns, or into a plain slice for the nested loop — and the left (probe)
-// input then streams through row by row, so the join's output participates
-// in LIMIT early-exit and cancellation like every other operator.
+// Streaming join operators. All strategies share one stream type and differ
+// only in where a left row's candidates come from: the right (build) input is
+// drained once — into hash buckets keyed on the equi-join columns, or into a
+// plain slice for the nested loop — or, for the bottom join over an indexed
+// inner table, the candidates were read from that index when the plan opened
+// (lookupCands; there is no right input then). The left (probe) input streams
+// through row by row, so the join's output participates in LIMIT early-exit
+// and cancellation like every other operator.
 //
 // Output order is the nested-loop order the materializing executor produces:
 // left-major, right rows in stream order within each left row (hash buckets
@@ -44,7 +47,13 @@ type joinStream struct {
 	allSources  []sourceInfo
 	cols        []Column
 
+	// residual is the part of the ON condition the candidate source does
+	// not already guarantee (the whole ON for the nested loop), nil when none.
+	residual Expr
+
 	built   bool
+	lk      *lookupCands // index lookup strategy; leftN counts outer rows pulled
+	leftN   int
 	buckets map[string][]Row // hash strategy
 	rows    []Row            // all build rows (hash cross-family fallback + nested loop)
 	famMask []int            // hash: kind families seen per key component
@@ -72,6 +81,7 @@ func newJoinStream(cx *evalCtx, step *opJoinStep, left, right RowStream, leftSou
 	return &joinStream{
 		cx:          cx,
 		step:        step,
+		residual:    step.residual,
 		left:        left,
 		right:       right,
 		leftSources: leftSources,
@@ -224,11 +234,11 @@ func (j *joinStream) verifyKeys(r Row) (bool, error) {
 // residualOK applies the non-equi remainder of the ON condition to a joined
 // candidate row.
 func (j *joinStream) residualOK(joined Row) (bool, error) {
-	if j.step.residual == nil {
+	if j.residual == nil {
 		return true, nil
 	}
 	sc := bindScope(j.allSources, joined, nil)
-	return truthy(j.cx.withScope(sc), j.step.residual)
+	return truthy(j.cx.withScope(sc), j.residual)
 }
 
 func (j *joinStream) nullPad() Row {
@@ -313,7 +323,10 @@ func (j *joinStream) Next() (Row, error) {
 		j.matched = false
 		j.candIdx = 0
 		j.verify = false
-		if j.step.hash {
+		if j.lk != nil {
+			j.cand = j.lk.rows[j.lk.off[j.leftN]:j.lk.off[j.leftN+1]]
+			j.leftN++
+		} else if j.step.hash {
 			if len(j.rows) == 0 {
 				// No pairs exist: the executor never evaluates any ON
 				// expression, so neither may the probe.
@@ -375,11 +388,57 @@ func (j *joinStream) Close() error {
 	}
 	j.closed = true
 	j.curLeft, j.cand = nil, nil
-	j.buckets, j.rows = nil, nil
-	lerr := j.left.Close()
-	rerr := j.right.Close()
-	if lerr != nil {
-		return lerr
+	j.buckets, j.rows, j.lk = nil, nil, nil
+	err := j.left.Close()
+	if j.right != nil { // the index lookup has no right stream
+		if rerr := j.right.Close(); err == nil {
+			err = rerr
+		}
 	}
-	return rerr
+	return err
+}
+
+// lookupCands is the run-time half of an index lookup join (see joinLookup):
+// rows[off[i]:off[i+1]] are the candidates of the i-th outer row.
+type lookupCands struct {
+	rows []Row
+	off  []int
+}
+
+// probe resolves every outer row's candidates through the index, within the
+// view v the caller loaded beforehand. It returns nil once more than budget
+// candidates have accumulated.
+func (lk *joinLookup) probe(cx *evalCtx, outer []Row, v *tableView, pred *rowPred, budget int) (*lookupCands, error) {
+	c := &lookupCands{rows: make([]Row, 0, len(outer)), off: make([]int, 1, len(outer)+1)}
+	var buf []int
+	for i, row := range outer {
+		if err := cx.checkCancel(i); err != nil {
+			return nil, err
+		}
+		var err error
+		// A NULL key appends nothing; positions ascend within one key.
+		if buf, err = lk.ix.appendEqual(buf[:0], row[lk.outerCol]); err != nil {
+			return nil, err
+		}
+		for _, pos := range buf {
+			// Index entries are insert-only: deleted, superseded, and aborted
+			// versions keep theirs, so each candidate re-checks visibility.
+			if pos >= len(v.rows) || !cx.snap.visible(v.meta[pos]) {
+				continue
+			}
+			if pred != nil {
+				if keep, err := pred.keep(v.rows[pos]); err != nil {
+					return nil, err
+				} else if !keep {
+					continue
+				}
+			}
+			c.rows = append(c.rows, v.rows[pos])
+		}
+		if len(c.rows) > budget {
+			return nil, nil
+		}
+		c.off = append(c.off, len(c.rows))
+	}
+	return c, nil
 }

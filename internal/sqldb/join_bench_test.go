@@ -35,33 +35,46 @@ func joinBenchDB(b *testing.B, n int) *DB {
 // skipped under -short (CI's bench smoke); run without -short for the real
 // ratio. Representative ratio on the 1-vCPU dev container: hash ~18ms vs
 // nested loop ~69s (≈3900×).
+//
+// LookupJoin100x10k is the same join behind a selective outer filter once
+// dim.k has an ordered index: 100 index probes instead of the 10k-row build.
+// Both report allocations, so the un-indexed build's cost per inner row
+// (ROADMAP item 5 replaces it) stays visible.
 func BenchmarkHashJoinVsNestedLoop(b *testing.B) {
 	const n = 10000
 	db := joinBenchDB(b, n)
-	const q = `SELECT count(*) FROM fact f JOIN dim d ON f.k = d.k`
 
-	run := func(b *testing.B) {
+	run := func(b *testing.B, q string, want int64) {
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rs, err := db.Query(q)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got := rs.Rows[0][0].Int(); got != n {
-				b.Fatalf("join produced %d rows, want %d", got, n)
+			if got := rs.Rows[0][0].Int(); got != want {
+				b.Fatalf("join produced %d rows, want %d", got, want)
 			}
 		}
 	}
+	const q = `SELECT count(*) FROM fact f JOIN dim d ON f.k = d.k`
 	b.Run("HashJoin10kx10k", func(b *testing.B) {
 		db.SetPlannerOptions(PlannerOptions{})
-		run(b)
+		run(b, q, n)
 	})
 	b.Run("NestedLoop10kx10k", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("10⁸-pair nested loop; run without -short")
 		}
 		db.SetPlannerOptions(PlannerOptions{DisableHashJoin: true})
-		run(b)
+		run(b, q, n)
+	})
+	if _, err := db.Query(`CREATE INDEX dim_k ON dim (k)`); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("LookupJoin100x10k", func(b *testing.B) {
+		db.SetPlannerOptions(PlannerOptions{})
+		run(b, q+` WHERE f.id < 100`, 100)
 	})
 }
 

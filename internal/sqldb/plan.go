@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -382,11 +382,12 @@ func (ap *accessPath) lookupRows(cx *evalCtx, t *Table) ([]Row, bool) {
 	// beyond this header belongs to a version committed after the probe
 	// began, which our snapshot could not see anyway.
 	v := t.loadView()
-	positions, ok := probeIndex(cx, t, ap.ix, ap.probe)
+	var buf [16]int // a point probe's positions stay on the stack
+	positions, ok := probeIndex(cx, t, ap.ix, ap.probe, buf[:0])
 	if !ok {
 		return nil, false
 	}
-	sort.Ints(positions)
+	slices.Sort(positions)
 	rows := make([]Row, 0, len(positions))
 	for _, pos := range positions {
 		// Index entries are insert-only: deleted, superseded, and aborted

@@ -1,6 +1,10 @@
 package sqldb
 
-import "io"
+import (
+	"io"
+
+	"repro/internal/variant"
+)
 
 // Tail operators of the streaming pipeline: residual filtering, projection,
 // ORDER BY (reusing the executor's applyOrderBy so key resolution — output
@@ -8,21 +12,50 @@ import "io"
 // diverge), DISTINCT with first-occurrence order, and LIMIT/OFFSET
 // accounting with early exit.
 
-// opFilterStream applies a predicate to each row: interpreted via the bound
-// scope, or through a compiled closure when the planner produced one (pushed
-// single-source filters over base tables). In lenient mode — prefilters
-// pushed below a join — an evaluation error keeps the row instead of
-// failing: the executor never evaluates WHERE on source rows the join
-// eliminates, so the error must be left to the residual filter above the
-// join, which only sees rows that actually survive.
-type opFilterStream struct {
+// rowPred is one row predicate: interpreted via the bound scope, or through
+// a compiled closure when the planner produced one (pushed single-source
+// filters over base tables). In lenient mode — prefilters pushed below a
+// join — an evaluation error keeps the row instead of failing: the executor
+// never evaluates WHERE on source rows the join eliminates, so the error
+// must be left to the residual filter above the join, which only sees rows
+// that actually survive.
+type rowPred struct {
 	cx      *evalCtx
-	src     RowStream
+	env     compEnv // the compiled form's environment, built once per predicate
 	sources []sourceInfo
 	pred    Expr
 	predC   compiledExpr
 	lenient bool
-	n       int
+}
+
+func newRowPred(cx *evalCtx, sources []sourceInfo, pred Expr, predC compiledExpr, lenient bool) *rowPred {
+	return &rowPred{cx: cx, env: compEnv{params: cx.params, ctx: cx.ctx},
+		sources: sources, pred: pred, predC: predC, lenient: lenient}
+}
+
+// keep evaluates the predicate on one row: NULL and FALSE drop it.
+func (p *rowPred) keep(row Row) (bool, error) {
+	var keep bool
+	var err error
+	if p.predC != nil {
+		var v variant.Value
+		if v, err = p.predC(&p.env, row); err == nil && !v.IsNull() {
+			keep, err = v.AsBool()
+		}
+	} else {
+		keep, err = truthy(p.cx.withScope(bindScope(p.sources, row, nil)), p.pred)
+	}
+	if err != nil && p.lenient {
+		return true, nil
+	}
+	return keep, err
+}
+
+// opFilterStream drops the rows of src its predicate does not keep.
+type opFilterStream struct {
+	*rowPred
+	src RowStream
+	n   int
 }
 
 func (f *opFilterStream) Columns() []Column { return f.src.Columns() }
@@ -37,28 +70,9 @@ func (f *opFilterStream) Next() (Row, error) {
 		if err != nil {
 			return nil, err // io.EOF included
 		}
-		var keep bool
-		var evalErr error
-		if f.predC != nil {
-			env := &compEnv{params: f.cx.params, ctx: f.cx.ctx}
-			v, err := f.predC(env, row)
-			switch {
-			case err != nil:
-				evalErr = err
-			case v.IsNull():
-				keep = false
-			default:
-				keep, evalErr = v.AsBool()
-			}
-		} else {
-			sc := bindScope(f.sources, row, nil)
-			keep, evalErr = truthy(f.cx.withScope(sc), f.pred)
-		}
-		if evalErr != nil {
-			if !f.lenient {
-				return nil, evalErr
-			}
-			keep = true
+		keep, err := f.keep(row)
+		if err != nil {
+			return nil, err
 		}
 		if keep {
 			return row, nil
