@@ -1460,12 +1460,68 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 		}
 	}
 	t.noteMutations(count)
-	// INSERT reports affected rows via one marker row per insert.
-	out := &ResultSet{Columns: []Column{{Name: "inserted", Type: "integer"}}}
+	return affectedRows("inserted", count), nil
+}
+
+// applyToTargets calls apply for every version of t that cx's snapshot sees
+// and where accepts, and returns how many there were. The candidates come
+// from the planner's access path (chooseAccessPath): an index probe when one
+// is cheaper, else every position of the view header. Either way they are
+// fixed, in ascending version order, before the first apply runs, so
+// versions the statement appends are never revisited (no Halloween problem,
+// also when SET changes the indexed column) and WAL record order, duplicate-
+// row replay matching and first-updater-wins are those of the table walk: a
+// stale index entry — deleted, superseded, aborted — is dropped by the
+// visibility check or, when a newer commit ended it, fails in endVersion.
+func (db *DB) applyToTargets(cx *evalCtx, t *Table, where Expr, apply func(rcx *evalCtx, row Row, m *rowMeta) error) (int, error) {
+	src := sourceInfo{alias: strings.ToLower(t.Name), columns: t.Columns, width: len(t.Columns)}
+	ap := chooseAccessPath(db, t, src.alias, where)
+	var buf [16]int
+	v, positions, probed := ap.lookupPositions(cx, t, buf[:0])
+	n := len(v.rows)
+	if probed {
+		n = len(positions)
+	}
+	count := 0
+	for i := 0; i < n; i++ {
+		if err := cx.checkCancel(i); err != nil {
+			return 0, err
+		}
+		pos := i
+		if probed {
+			pos = positions[i]
+		}
+		if !cx.snap.visible(v.meta[pos]) {
+			continue
+		}
+		row := v.rows[pos]
+		rcx := cx.withScope(bindScope([]sourceInfo{src}, row, nil))
+		if where != nil {
+			// The probe yields a candidate superset: the full WHERE decides.
+			ok, err := truthy(rcx, where)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		if err := apply(rcx, row, v.meta[pos]); err != nil {
+			return 0, err
+		}
+		count++
+	}
+	t.noteMutations(count)
+	return count, nil
+}
+
+// affectedRows reports a DML count as one marker row per affected row.
+func affectedRows(column string, count int) *ResultSet {
+	out := &ResultSet{Columns: []Column{{Name: column, Type: "integer"}}}
 	for i := 0; i < count; i++ {
 		out.Rows = append(out.Rows, Row{variant.NewInt(1)})
 	}
-	return out, nil
+	return out
 }
 
 func (db *DB) execUpdate(cx *evalCtx, s *UpdateStmt) (*ResultSet, error) {
@@ -1484,61 +1540,36 @@ func (db *DB) execUpdate(cx *evalCtx, s *UpdateStmt) (*ResultSet, error) {
 		}
 		setIdx[i] = idx
 	}
-	src := sourceInfo{alias: strings.ToLower(s.Table), columns: t.Columns, width: len(t.Columns)}
 	cx.touch(t)
-	// The scan iterates a fixed view header: versions this statement appends
-	// are published past its end and are never rescanned (no Halloween
-	// problem).
-	v := t.loadView()
-	count := 0
-	for ri, row := range v.rows {
-		if err := cx.checkCancel(ri); err != nil {
-			return nil, err
-		}
-		if !cx.snap.visible(v.meta[ri]) {
-			continue
-		}
-		sc := bindScope([]sourceInfo{src}, row, nil)
-		rcx := cx.withScope(sc)
-		if s.Where != nil {
-			ok, err := truthy(rcx, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	count, err := db.applyToTargets(cx, t, s.Where, func(rcx *evalCtx, row Row, m *rowMeta) error {
 		newRow := append(Row(nil), row...)
 		for i, clause := range s.Set {
 			val, err := evalExpr(rcx, clause.Value)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cv, err := coerceToColumn(val, t.Columns[setIdx[i]].Type)
 			if err != nil {
-				return nil, fmt.Errorf("sql: column %q: %w", clause.Column, err)
+				return fmt.Errorf("sql: column %q: %w", clause.Column, err)
 			}
 			newRow[setIdx[i]] = cv
 		}
-		if err := db.endVersion(cx, t, v.meta[ri]); err != nil {
-			return nil, err
+		if err := db.endVersion(cx, t, m); err != nil {
+			return err
 		}
 		if err := db.insertVersion(cx, t, newRow); err != nil {
-			return nil, err
+			return err
 		}
 		if cx.physLog {
 			cx.logWAL(db, walRecord{Op: "upd", Table: t.Name,
 				Old: encodeWALValues(row), Row: encodeWALValues(newRow)})
 		}
-		count++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.noteMutations(count)
-	out := &ResultSet{Columns: []Column{{Name: "updated", Type: "integer"}}}
-	for i := 0; i < count; i++ {
-		out.Rows = append(out.Rows, Row{variant.NewInt(1)})
-	}
-	return out, nil
+	return affectedRows("updated", count), nil
 }
 
 func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
@@ -1549,43 +1580,22 @@ func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
 	if err := db.latchForWrite(cx, t); err != nil {
 		return nil, err
 	}
-	src := sourceInfo{alias: strings.ToLower(s.Table), columns: t.Columns, width: len(t.Columns)}
 	cx.touch(t)
-	v := t.loadView()
-	deleted := 0
-	for ri, row := range v.rows {
-		if err := cx.checkCancel(ri); err != nil {
-			return nil, err
-		}
-		if !cx.snap.visible(v.meta[ri]) {
-			continue
-		}
-		if s.Where != nil {
-			sc := bindScope([]sourceInfo{src}, row, nil)
-			ok, err := truthy(cx.withScope(sc), s.Where)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	count, err := db.applyToTargets(cx, t, s.Where, func(_ *evalCtx, row Row, m *rowMeta) error {
 		// DELETE is an end stamp: versions stay in place (vacuum reclaims
 		// them) and indexes need no maintenance — probes filter visibility.
-		if err := db.endVersion(cx, t, v.meta[ri]); err != nil {
-			return nil, err
+		if err := db.endVersion(cx, t, m); err != nil {
+			return err
 		}
 		if cx.physLog {
 			cx.logWAL(db, walRecord{Op: "del", Table: t.Name, Old: encodeWALValues(row)})
 		}
-		deleted++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.noteMutations(deleted)
-	out := &ResultSet{Columns: []Column{{Name: "deleted", Type: "integer"}}}
-	for i := 0; i < deleted; i++ {
-		out.Rows = append(out.Rows, Row{variant.NewInt(1)})
-	}
-	return out, nil
+	return affectedRows("deleted", count), nil
 }
 
 // InsertRow appends a row of Go values to a table directly (bulk-load path

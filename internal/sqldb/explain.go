@@ -463,17 +463,17 @@ func (r *planRenderer) renderJoin(j *lJoin, s *SelectStmt, depth int) error {
 	return r.renderLogical(j.right, s, depth+1)
 }
 
-// renderWriteScan renders the scan feeding an UPDATE/DELETE. Writes always
-// walk the heap (index maintenance happens per row), so the leaf is honest
-// about being sequential.
+// renderWriteScan renders the leaf that locates an UPDATE/DELETE's target
+// rows: the access path applyToTargets will ask the chooser for.
 func (r *planRenderer) renderWriteScan(table string, where Expr) {
 	t, ok := r.db.tables.get(table)
 	if !ok {
 		r.node(1, fmt.Sprintf("Seq Scan on %s", strings.ToLower(table)))
 		return
 	}
-	ap := chooseAccessPath(r.db, t, "", nil)
-	r.renderAccess(ap, t.Name, "", where, "Filter", false, 0, 1)
+	alias := strings.ToLower(t.Name)
+	ap := chooseAccessPath(r.db, t, alias, where)
+	r.renderAccess(ap, t.Name, alias, where, "Filter", false, 0, 1)
 }
 
 // windowSpecString renders the inside of an OVER (...) clause.

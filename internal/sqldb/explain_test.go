@@ -82,6 +82,9 @@ func TestExplainGolden(t *testing.T) {
 		{name: "insert_select", query: `EXPLAIN INSERT INTO sensors SELECT * FROM sensors WHERE id = 9`},
 		{name: "update", query: `EXPLAIN UPDATE sensors SET temp = 0 WHERE id = 7`},
 		{name: "delete", query: `EXPLAIN DELETE FROM sensors WHERE temp > 49`},
+		{name: "delete_seq", query: `EXPLAIN DELETE FROM sensors WHERE room = 'room3'`},
+		{name: "delete_by_index", query: `EXPLAIN DELETE FROM sensors WHERE id = $1 AND room <> 'room1'`},
+		{name: "update_by_range", query: `EXPLAIN UPDATE sensors SET temp = temp + 1 WHERE temp BETWEEN 5 AND 6`},
 		{
 			name:  "after_drop_index_seq",
 			query: `EXPLAIN SELECT room FROM sensors WHERE id = 42`,

@@ -36,7 +36,10 @@ type IndexInfo struct {
 // Index maintenance is insert-only on the hot path: every new row version
 // gets an entry, while DELETE and rollback leave entries behind — a probe
 // re-checks each candidate's visibility (and its own view bound) anyway, so
-// stale entries cost a filtered candidate, never a wrong result. Full
+// stale entries cost a filtered candidate, never a wrong result. That holds
+// for writes too: UPDATE and DELETE find their targets through the same
+// probes (DB.applyToTargets), and an entry whose version a newer commit
+// ended is what lets the loser of a write-write race see its conflict. Full
 // rebuilds (DDL rollback, vacuum compaction, recovery) run under the DB's
 // exclusive lock. ix.mu makes the insert/lookup pair safe when concurrent
 // writers grow the index while snapshot readers probe it.
@@ -405,7 +408,8 @@ func matchProbe(e Expr, alias string) *indexProbe {
 // falls back rather than erroring, so behaviour is identical to the scan
 // path. Both the materializing executor (exec.go) and the legacy streaming
 // path (stream.go) route through here, so every execution strategy obeys
-// the same planner decision.
+// the same planner decision (UPDATE and DELETE ask the chooser themselves,
+// see DB.applyToTargets).
 func tryIndexScan(cx *evalCtx, s *SelectStmt) ([]Row, sourceInfo, bool) {
 	if len(s.From) != 1 || s.Where == nil {
 		return nil, sourceInfo{}, false

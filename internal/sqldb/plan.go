@@ -370,32 +370,46 @@ func chooseAccessPath(db *DB, t *Table, alias string, where Expr) accessPath {
 	return best
 }
 
-// lookupRows resolves an index path to its candidate rows (in table order).
-// ok=false means the probe could not be used (type mismatch, NULL bound…)
-// and the caller must fall back to a full scan — behaviour stays identical
-// because the full WHERE is applied either way.
-func (ap *accessPath) lookupRows(cx *evalCtx, t *Table) ([]Row, bool) {
-	if ap.kind == accessSeq {
-		return nil, false
-	}
+// lookupPositions resolves an index path to its candidate version positions,
+// ascending (table order) and bounded by the view header it returns. An
+// equality probe appends into buf. ok=false means there is no probe to use
+// (a sequential path, a type mismatch, a NULL bound…) and the caller must
+// take every position of the header — behaviour stays identical because the
+// full WHERE is applied either way.
+func (ap *accessPath) lookupPositions(cx *evalCtx, t *Table, buf []int) (v *tableView, positions []int, ok bool) {
 	// Resolve the view BEFORE probing: any position the index can surface
 	// beyond this header belongs to a version committed after the probe
 	// began, which our snapshot could not see anyway.
-	v := t.loadView()
+	v = t.loadView()
+	if ap.kind == accessSeq {
+		return v, nil, false
+	}
+	positions, ok = probeIndex(cx, t, ap.ix, ap.probe, buf)
+	if !ok {
+		return v, nil, false
+	}
+	slices.Sort(positions)
+	for len(positions) > 0 && positions[len(positions)-1] >= len(v.rows) {
+		positions = positions[:len(positions)-1]
+	}
+	return v, positions, true
+}
+
+// lookupRows resolves an index path to its candidate rows (in table order);
+// ok is lookupPositions'.
+func (ap *accessPath) lookupRows(cx *evalCtx, t *Table) ([]Row, bool) {
 	var buf [16]int // a point probe's positions stay on the stack
-	positions, ok := probeIndex(cx, t, ap.ix, ap.probe, buf[:0])
+	v, positions, ok := ap.lookupPositions(cx, t, buf[:0])
 	if !ok {
 		return nil, false
 	}
-	slices.Sort(positions)
 	rows := make([]Row, 0, len(positions))
 	for _, pos := range positions {
 		// Index entries are insert-only: deleted, superseded, and aborted
 		// versions keep theirs, so each candidate re-checks visibility.
-		if pos >= len(v.rows) || !cx.snap.visible(v.meta[pos]) {
-			continue
+		if cx.snap.visible(v.meta[pos]) {
+			rows = append(rows, v.rows[pos])
 		}
-		rows = append(rows, v.rows[pos])
 	}
 	return rows, true
 }

@@ -145,3 +145,60 @@ func BenchmarkParallelScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkUpdateByKey times a write by indexed key — served_mix's
+// `UPDATE kv SET val = $1 WHERE k = $2`, and the matching DELETE — with the
+// planner choosing the target rows (an index probe: flat in table size) and
+// under DisableIndexScan (the walk over every version: linear in it). Every
+// rows/4 operations, off the clock, deleted keys are re-inserted and dead
+// versions vacuumed, so neither arm's cost depends on b.N.
+func BenchmarkUpdateByKey(b *testing.B) {
+	for _, rows := range []int{20000, 50000} {
+		for _, arm := range []struct {
+			name string
+			po   PlannerOptions
+		}{{"indexed", PlannerOptions{}}, {"seqscan", PlannerOptions{DisableIndexScan: true}}} {
+			for _, op := range []struct{ name, sql string }{
+				{"update", `UPDATE kv SET val = 0.5 WHERE k = $1`},
+				{"delete", `DELETE FROM kv WHERE k = $1`},
+			} {
+				b.Run(fmt.Sprintf("%s/%s/rows=%d", op.name, arm.name, rows), func(b *testing.B) {
+					db := New()
+					db.SetPlannerOptions(arm.po)
+					if _, err := db.Exec(`CREATE TABLE kv (client integer, k integer, val float, tag text)`); err != nil {
+						b.Fatal(err)
+					}
+					insert := func(k int) {
+						if err := db.InsertRow("kv", k%2, k, float64(k)/8, "preload"); err != nil {
+							b.Fatal(err)
+						}
+					}
+					for k := 0; k < rows; k++ {
+						insert(k)
+					}
+					if _, err := db.Exec(`CREATE INDEX kv_k ON kv (k)`); err != nil {
+						b.Fatal(err)
+					}
+					key := func(i int) int { return i * 7919 % rows } // spread over the table
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if batch := rows / 4; i%batch == batch-1 {
+							b.StopTimer()
+							for j := max(i-batch, 0); op.name == "delete" && j < i; j++ {
+								insert(key(j))
+							}
+							if err := db.Vacuum(); err != nil {
+								b.Fatal(err)
+							}
+							b.StartTimer()
+						}
+						if n, err := db.Exec(op.sql, key(i)); err != nil || n != 1 {
+							b.Fatalf("%s affected %d rows: %v", op.name, n, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

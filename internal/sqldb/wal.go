@@ -507,14 +507,17 @@ func removeStaleWALs(dir string, liveGen int) {
 	os.Remove(filepath.Join(dir, snapshotTmp))
 }
 
-// walValuesEqual compares two encoded rows. The encoding is canonical (one
-// string per kinded value), so byte equality is value equality.
-func walValuesEqual(a, b []walValue) bool {
-	if len(a) != len(b) {
+// walRowEqual reports whether row encodes to the logged pre-image old. The
+// encoding is canonical (one string per kinded value), so byte equality is
+// value equality; cells are encoded one at a time and the first mismatch
+// ends the comparison — nearly every version replay passes over differs from
+// the logged row in its first cells.
+func walRowEqual(row Row, old []walValue) bool {
+	if len(row) != len(old) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, v := range row {
+		if encodeWALValue(v) != old[i] {
 			return false
 		}
 	}
@@ -533,7 +536,7 @@ func (db *DB) findWALRow(t *Table, old []walValue) (*rowMeta, error) {
 		if !snap.visible(m) {
 			continue
 		}
-		if walValuesEqual(encodeWALValues(v.rows[i]), old) {
+		if walRowEqual(v.rows[i], old) {
 			return m, nil
 		}
 	}
