@@ -154,7 +154,7 @@ func (s *Session) rehydrate() error {
 		if err != nil {
 			return fmt.Errorf("core: reading stored FMU %s: %w", modelID, err)
 		}
-		if unit.GUID.String() != modelID {
+		if unit.GUID != modelID {
 			return fmt.Errorf("core: stored FMU %s has mismatched GUID %s", modelID, unit.GUID)
 		}
 		units[modelID] = unit

@@ -317,7 +317,7 @@ func (s *Session) Create(modelRef, instanceID string) (string, error) {
 // statement's (or RunExclusive's) exclusive database lock; ctx routes their
 // nested statements and compensators into that statement's transaction.
 func (s *Session) create(ctx context.Context, unit *fmu.Unit, instanceID string) (string, error) {
-	modelID := unit.GUID.String()
+	modelID := unit.GUID
 	instanceID, err := s.newInstanceID(instanceID, unit.Model.Name+"_instance")
 	if err != nil {
 		return "", err

@@ -3,6 +3,8 @@ package fmu
 import (
 	"archive/zip"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/modelica"
-	"repro/internal/uuid"
 )
 
 // payloadPath is the archive member holding the interpretable model payload,
@@ -80,8 +81,9 @@ func fromOpt(p *float64) float64 {
 type Unit struct {
 	Description *ModelDescription
 	Model       *modelica.Model
-	// GUID is the deterministic content identity of the FMU.
-	GUID uuid.UUID
+	// GUID is the deterministic content identity of the FMU, a UUID in the
+	// canonical lower-case 8-4-4-4-12 hex form.
+	GUID string
 
 	// kernel is Model compiled against its slot layout; index resolves a
 	// variable name to its kind and slot with one lookup; columns are the
@@ -101,7 +103,7 @@ type varRef struct {
 // newUnit compiles the model's equations and builds the name index. This is
 // where an equation that names an unknown variable or function, or calls a
 // builtin with the wrong number of arguments, is rejected.
-func newUnit(md *ModelDescription, m *modelica.Model, guid uuid.UUID) (*Unit, error) {
+func newUnit(md *ModelDescription, m *modelica.Model, guid string) (*Unit, error) {
 	k, err := modelica.NewKernel(m)
 	if err != nil {
 		return nil, fmt.Errorf("fmu: compiling model %s: %w", m.Name, err)
@@ -143,12 +145,12 @@ func FromModel(m *modelica.Model) (*Unit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fmu: encoding payload: %w", err)
 	}
-	guid := uuid.FromContent(raw)
+	guid := contentGUID(raw)
 
 	md := &ModelDescription{
 		FMIVersion:     "2.0",
 		ModelName:      m.Name,
-		GUID:           guid.String(),
+		GUID:           guid,
 		Description:    m.Description,
 		GenerationTool: "pgfmu-go",
 		DefaultExperiment: DefaultExperiment{
@@ -374,11 +376,39 @@ func Read(data []byte) (*Unit, error) {
 	if err := crossValidate(md, m); err != nil {
 		return nil, err
 	}
-	guid, err := uuid.Parse(md.GUID)
+	guid, err := parseGUID(md.GUID)
 	if err != nil {
 		return nil, fmt.Errorf("fmu: model GUID: %w", err)
 	}
 	return newUnit(md, m, guid)
+}
+
+// contentGUID derives an FMU's identity from its payload: an RFC 4122
+// version-5-style UUID with SHA-256 in place of SHA-1, so identical payloads
+// get identical identities — what lets pgFMU reuse one stored FMU across
+// many instances (paper §5).
+func contentGUID(payload []byte) string {
+	u := sha256.Sum256(payload)
+	u[6] = u[6]&0x0f | 0x50 // version 5
+	u[8] = u[8]&0x3f | 0x80 // RFC 4122 variant
+	return formatGUID(u[:16])
+}
+
+func formatGUID(u []byte) string {
+	return fmt.Sprintf("%x-%x-%x-%x-%x", u[0:4], u[4:6], u[6:8], u[8:10], u[10:16])
+}
+
+// parseGUID checks that s is a UUID in the 8-4-4-4-12 hex form and returns
+// it in canonical lower case.
+func parseGUID(s string) (string, error) {
+	if len(s) != 36 || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
+		return "", fmt.Errorf("malformed UUID %q", s)
+	}
+	u, err := hex.DecodeString(s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36])
+	if err != nil {
+		return "", fmt.Errorf("malformed UUID %q: %w", s, err)
+	}
+	return formatGUID(u), nil
 }
 
 // Load reads a .fmu archive from disk.

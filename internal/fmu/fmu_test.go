@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/solver"
 	"repro/internal/timeseries"
@@ -45,7 +46,7 @@ func TestCompileModelicaMetadata(t *testing.T) {
 	if md.ModelName != "heatpump" || md.FMIVersion != "2.0" {
 		t.Errorf("metadata = %+v", md)
 	}
-	if md.GUID != u.GUID.String() {
+	if md.GUID != u.GUID {
 		t.Error("GUID mismatch between metadata and unit")
 	}
 	params := md.VariablesByCausality("parameter")
@@ -85,6 +86,65 @@ func TestGUIDDeterministic(t *testing.T) {
 	}
 	if other.GUID == u1.GUID {
 		t.Error("different models must have different GUIDs")
+	}
+	if s := u1.GUID; len(s) != 36 || s[14] != '5' || !strings.ContainsRune("89ab", rune(s[19])) {
+		t.Errorf("content GUID %q: want canonical form, version 5, RFC 4122 variant", s)
+	}
+}
+
+func TestGUIDFromContentDeterministic(t *testing.T) {
+	a := contentGUID([]byte("model"))
+	b := contentGUID([]byte("model"))
+	c := contentGUID([]byte("other"))
+	if a != b {
+		t.Error("same content should give same GUID")
+	}
+	if a == c {
+		t.Error("different content should give different GUID")
+	}
+	if a[14] != '5' {
+		t.Errorf("content GUID version nibble = %c, want 5", a[14])
+	}
+}
+
+func TestGUIDParseRoundTrip(t *testing.T) {
+	s := contentGUID([]byte("model"))
+	got, err := parseGUID(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != s {
+		t.Errorf("parseGUID(%q) = %q", s, got)
+	}
+}
+
+func TestGUIDParseRoundTripProperty(t *testing.T) {
+	f := func(raw [16]byte) bool {
+		s := formatGUID(raw[:])
+		got, err := parseGUID(s)
+		if err != nil || got != s {
+			return false
+		}
+		upper, err := parseGUID(strings.ToUpper(s))
+		return err == nil && upper == s
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestGUIDParseErrors(t *testing.T) {
+	for _, s := range []string{
+		"",
+		"not-a-uuid",
+		"12345678-1234-1234-1234-12345678901",   // too short
+		"12345678-1234-1234-1234-1234567890123", // too long
+		"12345678x1234-1234-1234-123456789012",  // wrong separator
+		"zzzzzzzz-1234-1234-1234-123456789012",  // non-hex
+	} {
+		if _, err := parseGUID(s); err == nil {
+			t.Errorf("parseGUID(%q) should fail", s)
+		}
 	}
 }
 

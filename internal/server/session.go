@@ -1,13 +1,13 @@
 package server
 
 import (
+	"crypto/rand"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	pgfmu "repro"
-	"repro/internal/uuid"
 )
 
 // session is one remote client's stateful context: an optional open
@@ -79,11 +79,11 @@ var errSessionLimit = fmt.Errorf("server: session limit reached")
 
 // create registers a fresh session.
 func (sm *sessionManager) create() (*session, error) {
-	id, err := uuid.NewRandom()
+	id, err := newSessionID()
 	if err != nil {
 		return nil, err
 	}
-	s := &session{id: id.String(), stmts: make(map[string]*pgfmu.Stmt)}
+	s := &session{id: id, stmts: make(map[string]*pgfmu.Stmt)}
 	s.touch()
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -93,6 +93,18 @@ func (sm *sessionManager) create() (*session, error) {
 	sm.sessions[s.id] = s
 	sm.created.Add(1)
 	return s, nil
+}
+
+// newSessionID returns a random (version 4) UUID in the canonical
+// 8-4-4-4-12 hex form.
+func newSessionID() (string, error) {
+	var u [16]byte
+	if _, err := rand.Read(u[:]); err != nil {
+		return "", fmt.Errorf("server: session id: %w", err)
+	}
+	u[6] = u[6]&0x0f | 0x40 // version 4
+	u[8] = u[8]&0x3f | 0x80 // RFC 4122 variant
+	return fmt.Sprintf("%x-%x-%x-%x-%x", u[0:4], u[4:6], u[6:8], u[8:10], u[10:16]), nil
 }
 
 // acquire locks the named session for one statement execution. The caller

@@ -63,6 +63,10 @@ type Table struct {
 	// view is the current published generation of the version arrays.
 	view atomic.Pointer[tableView]
 
+	// mirror is the typed columnar shadow of view the vectorized executor
+	// reads (colmirror.go).
+	mirror colMirror
+
 	indexes []*index
 
 	// stats is the latest ANALYZE snapshot (nil before the first one); it is

@@ -417,21 +417,7 @@ func (c *compiler) compileBinary(x *BinaryExpr) (compiledExpr, bool) {
 
 	case "=", "<>", "<", "<=", ">", ">=":
 		// Specialize the comparison-result test once, at compile time.
-		var test func(int) bool
-		switch x.Op {
-		case "=":
-			test = func(c int) bool { return c == 0 }
-		case "<>":
-			test = func(c int) bool { return c != 0 }
-		case "<":
-			test = func(c int) bool { return c < 0 }
-		case "<=":
-			test = func(c int) bool { return c <= 0 }
-		case ">":
-			test = func(c int) bool { return c > 0 }
-		case ">=":
-			test = func(c int) bool { return c >= 0 }
-		}
+		test := cmpTest(x.Op)
 		return func(env *compEnv, row Row) (variant.Value, error) {
 			lv, rv, err := evalPair(env, row, l, r)
 			if err != nil || lv.IsNull() || rv.IsNull() {
@@ -441,7 +427,7 @@ func (c *compiler) compileBinary(x *BinaryExpr) (compiledExpr, bool) {
 			if err != nil {
 				return variant.Value{}, err
 			}
-			return variant.NewBool(test(cmp)), nil
+			return variant.NewBool(test.pass(cmp)), nil
 		}, true
 	}
 	return nil, false

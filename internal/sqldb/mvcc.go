@@ -66,9 +66,15 @@ type rowMeta struct {
 // by their own header's length — never observe the new element. All
 // appenders are mutually excluded (table latch + shared DB lock, or the
 // exclusive DB lock), so concurrent append-append races cannot occur.
+//
+// gen is the layout generation: every view with the same gen agrees on the
+// version at each position both hold (appends copy it; only vacuumTable,
+// which publishes a reordered array, bumps it). The column mirror
+// (colmirror.go) is keyed on it.
 type tableView struct {
 	rows []Row
 	meta []*rowMeta
+	gen  uint64
 }
 
 // snapshot fixes what one statement or transaction can see.
@@ -133,7 +139,7 @@ func (t *Table) loadView() *tableView {
 // lock.
 func (t *Table) appendVersion(row Row, m *rowMeta) int {
 	v := t.loadView()
-	nv := &tableView{rows: append(v.rows, row), meta: append(v.meta, m)}
+	nv := &tableView{rows: append(v.rows, row), meta: append(v.meta, m), gen: v.gen}
 	t.view.Store(nv)
 	return len(v.rows)
 }
@@ -153,6 +159,19 @@ func visibleRows(cx *evalCtx, t *Table) []Row {
 	for i, m := range v.meta {
 		if cx.snap.visible(m) {
 			out = append(out, v.rows[i])
+		}
+	}
+	return out
+}
+
+// visiblePositions lists, ascending, the positions of v's versions visible
+// under snap — visibleRows without copying a row header per version, for
+// readers that address the view (and its column mirror) by position.
+func visiblePositions(snap snapshot, v *tableView) []int32 {
+	out := make([]int32, 0, len(v.meta))
+	for i, m := range v.meta {
+		if snap.visible(m) {
+			out = append(out, int32(i))
 		}
 	}
 	return out
@@ -385,6 +404,7 @@ func (db *DB) vacuumTable(t *Table, watermark uint64) error {
 	nv := &tableView{
 		rows: make([]Row, 0, kept),
 		meta: make([]*rowMeta, 0, kept),
+		gen:  v.gen + 1,
 	}
 	for i, m := range v.meta {
 		if versionDeadAt(m, watermark) {

@@ -52,7 +52,7 @@ type vecCompiler struct {
 	rowComp *compiler
 	width   int
 	nodes   int    // buffers a vecEnv must allocate
-	wanted  []bool // column offsets read by kernels (transposition set)
+	wanted  []bool // column offsets read by kernels (the gathered set)
 }
 
 // newVecCompiler builds a compiler over the given sources. The row-compiler
@@ -255,9 +255,9 @@ func (vc *vecCompiler) compileFallback(e Expr) (vecExpr, bool) {
 	return func(ve *vecEnv, b *Batch) (*colVec, error) {
 		out := &ve.bufs[id]
 		out.reset(vecAny, b.n)
-		if b.rows != nil {
+		if b.heap != nil {
 			for i := 0; i < b.n; i++ {
-				v, err := ce(ve.env, b.rows[i])
+				v, err := ce(ve.env, b.row(i))
 				if err != nil {
 					out.setErr(i, b.n, err)
 					continue
@@ -311,20 +311,28 @@ func orNulls(dst, a, b []uint64) {
 	}
 }
 
-func cmpTest(op string) func(int) bool {
+// cmpMask is a comparison operator as the set of three-way outcomes it
+// accepts: bit c+1 is set when outcome c (-1, 0, 1) passes. pass inlines, so
+// kernel loops test a lane without an indirect call.
+type cmpMask uint8
+
+func (m cmpMask) pass(c int) bool { return m&(1<<uint(c+1)) != 0 }
+
+func cmpTest(op string) cmpMask {
+	const lt, eq, gt = 1, 2, 4
 	switch op {
 	case "=":
-		return func(c int) bool { return c == 0 }
+		return eq
 	case "<>":
-		return func(c int) bool { return c != 0 }
+		return lt | gt
 	case "<":
-		return func(c int) bool { return c < 0 }
+		return lt
 	case "<=":
-		return func(c int) bool { return c <= 0 }
+		return lt | eq
 	case ">":
-		return func(c int) bool { return c > 0 }
+		return gt
 	default: // ">="
-		return func(c int) bool { return c >= 0 }
+		return eq | gt
 	}
 }
 
@@ -359,13 +367,13 @@ func (vc *vecCompiler) compileCmp(op string, l, r vecExpr) vecExpr {
 				} else if lf[i] > rf[i] {
 					c = 1
 				}
-				out.bools[i] = test(c)
+				out.bools[i] = test.pass(c)
 			}
 			orNulls(out.nulls, lc.nulls, rc.nulls)
 			return out, nil
 		case clean && lc.kind == vecText && rc.kind == vecText:
 			for i := 0; i < b.n; i++ {
-				out.bools[i] = test(strings.Compare(lc.strs[i], rc.strs[i]))
+				out.bools[i] = test.pass(strings.Compare(lc.strs[i], rc.strs[i]))
 			}
 			orNulls(out.nulls, lc.nulls, rc.nulls)
 			return out, nil
@@ -377,7 +385,7 @@ func (vc *vecCompiler) compileCmp(op string, l, r vecExpr) vecExpr {
 				} else if lc.times[i].After(rc.times[i]) {
 					c = 1
 				}
-				out.bools[i] = test(c)
+				out.bools[i] = test.pass(c)
 			}
 			orNulls(out.nulls, lc.nulls, rc.nulls)
 			return out, nil
@@ -401,7 +409,7 @@ func (vc *vecCompiler) compileCmp(op string, l, r vecExpr) vecExpr {
 				out.setErr(i, b.n, err)
 				continue
 			}
-			out.bools[i] = test(cmp)
+			out.bools[i] = test.pass(cmp)
 		}
 		return out, nil
 	}
@@ -423,43 +431,22 @@ func (vc *vecCompiler) compileLogic(isAnd bool, l, r vecExpr) vecExpr {
 		}
 		out := &ve.bufs[id]
 		out.reset(vecBool, b.n)
-		if lc.kind == vecBool && rc.kind == vecBool {
+		if lc.kind == vecBool && rc.kind == vecBool && lc.errs == nil && rc.errs == nil {
+			// No lane errors to order: a known operand equal to the deciding
+			// value (false for AND, true for OR) decides, else NULL wins.
+			// Lanes with errors take the boxed walk below.
+			decide := !isAnd
 			for i := 0; i < b.n; i++ {
-				if e := lc.laneErr(i); e != nil {
-					out.setErr(i, b.n, e)
-					continue
+				w, bit := i>>6, uint64(1)<<(uint(i)&63)
+				lNull, rNull := lc.nulls[w]&bit != 0, rc.nulls[w]&bit != 0
+				switch {
+				case !lNull && lc.bools[i] == decide, !rNull && rc.bools[i] == decide:
+					out.bools[i] = decide
+				case lNull || rNull:
+					out.nulls[w] |= bit
+				default:
+					out.bools[i] = !decide
 				}
-				lNull := lc.isNull(i)
-				if !lNull {
-					if isAnd && !lc.bools[i] {
-						out.bools[i] = false
-						continue
-					}
-					if !isAnd && lc.bools[i] {
-						out.bools[i] = true
-						continue
-					}
-				}
-				if e := rc.laneErr(i); e != nil {
-					out.setErr(i, b.n, e)
-					continue
-				}
-				rNull := rc.isNull(i)
-				if !rNull {
-					if isAnd && !rc.bools[i] {
-						out.bools[i] = false
-						continue
-					}
-					if !isAnd && rc.bools[i] {
-						out.bools[i] = true
-						continue
-					}
-				}
-				if lNull || rNull {
-					out.setNull(i)
-					continue
-				}
-				out.bools[i] = isAnd // both operands passed their test
 			}
 			return out, nil
 		}

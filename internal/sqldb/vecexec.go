@@ -61,19 +61,18 @@ type vecPlan struct {
 	// EXPLAIN annotations from the chosen (sequential) access path.
 	tableRows int
 	analyzed  bool
-	// baseKinds maps each base-table column to its vector representation;
-	// vc.wanted (aligned with the compiler's offset space) marks which ones
-	// the kernels actually read.
-	baseKinds []vecKind
-	vc        *vecCompiler
-	filter    vecExpr // full WHERE; nil when absent
-	cols      []Column
-	projs     []vecExpr // scan and window modes
+	// vc.wanted (aligned with the compiler's offset space) marks the
+	// base-table columns the kernels read: the ones gathered from the
+	// table's column mirror.
+	vc     *vecCompiler
+	filter vecExpr // full WHERE; nil when absent
+	cols   []Column
+	projs  []vecExpr // scan and window modes
 	// projRefs (scan mode) short-circuits plain column projections: entry i
 	// holds the source offset when projs[i] is a bare ColumnRef — the emit
 	// walk then reads the already-boxed cell straight from the heap row,
-	// skipping both the column's transposition and its re-boxing. -1 runs
-	// the compiled kernel.
+	// skipping both the column's gather and its re-boxing. -1 runs the
+	// compiled kernel.
 	projRefs []int
 	limitC   compiledExpr
 	offsetC  compiledExpr
@@ -151,8 +150,9 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 	default:
 		p.mode = vecScanMode
 		if s.Where == nil {
-			// A bare projection scan is already a tight compiled copy loop;
-			// batching would only add transposition cost.
+			// A bare projection scan has no kernel to feed: the compiled
+			// path's copy loop emits each visible row once, and batches
+			// would only add gather and bookkeeping on top of it.
 			return nil
 		}
 		// Large filtered scans without LIMIT/OFFSET belong to the parallel
@@ -192,10 +192,6 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 
 	vc := newVecCompiler(srcs)
 	p.vc = vc
-	p.baseKinds = make([]vecKind, len(info.columns))
-	for i, c := range info.columns {
-		p.baseKinds[i] = vecKindFor(c.Type)
-	}
 	if s.Where != nil {
 		f, ok := vc.compile(s.Where)
 		if !ok {
@@ -379,10 +375,11 @@ func windowsOutsideItems(s *SelectStmt) bool {
 	return found
 }
 
-// open resolves the snapshot under the caller-held lock and returns the
-// stream; its lazy tail works only over private data.
+// open resolves the snapshot under the caller-held lock — the view, the
+// mirror headers of the columns the kernels read, the visible positions —
+// and returns the stream; its lazy tail reads only what open pinned.
 func (p *vecPlan) open(cx *evalCtx) (RowStream, error) {
-	rows := visibleRows(cx, p.table)
+	scan := openMirrorScan(cx, p.table, p.vc.wanted[:len(p.srcCols)])
 	env := p.vc.newEnv(&compEnv{params: cx.params, ctx: cx.ctx})
 	// Detach grouped/window evaluation from transaction bookkeeping, like
 	// the streaming tails do.
@@ -394,11 +391,11 @@ func (p *vecPlan) open(cx *evalCtx) (RowStream, error) {
 			return nil, err
 		}
 		if p.mode == vecScanMode {
-			return &vecScanStream{env: env, plan: p, rows: rows, offset: offset, limit: limit}, nil
+			return &vecScanStream{env: env, plan: p, scan: scan, offset: offset, limit: limit}, nil
 		}
-		return &vecAggStream{cx: tailCx, env: env, plan: p, rows: rows, offset: offset, limit: limit}, nil
+		return &vecAggStream{cx: tailCx, env: env, plan: p, scan: scan, offset: offset, limit: limit}, nil
 	default:
-		return &vecWindowStream{cx: tailCx, env: env, plan: p, rows: rows}, nil
+		return &vecWindowStream{cx: tailCx, env: env, plan: p, scan: scan}, nil
 	}
 }
 
@@ -472,15 +469,15 @@ func boxLanes(c *colVec, n int) ([]variant.Value, error) {
 
 // --- Scan mode ---
 
-// vecScanStream drains the snapshot batch-wise: transpose the wanted
-// columns, run the filter kernel, walk the selection applying OFFSET/LIMIT,
+// vecScanStream drains the snapshot batch-wise: gather the wanted columns
+// from the mirror, run the filter kernel, walk the selection applying OFFSET/LIMIT,
 // then evaluate projection kernels and box the surviving lanes. Per-lane
 // errors surface in exactly the row order the compiled stream would have hit
 // them — including being discarded entirely when LIMIT exits first.
 type vecScanStream struct {
 	env    *vecEnv
 	plan   *vecPlan
-	rows   []Row
+	scan   *mirrorScan
 	pos    int
 	offset int
 	limit  int
@@ -524,7 +521,8 @@ func (st *vecScanStream) Next() (Row, error) {
 func (st *vecScanStream) fill() error {
 	st.out = st.out[:0]
 	st.outPos = 0
-	if st.limit == 0 || st.pos >= len(st.rows) {
+	vis := st.scan.vis
+	if st.limit == 0 || st.pos >= len(vis) {
 		st.done = true
 		return nil
 	}
@@ -533,14 +531,11 @@ func (st *vecScanStream) fill() error {
 			return err
 		}
 	}
-	end := st.pos + vecBatchSize
-	if end > len(st.rows) {
-		end = len(st.rows)
-	}
-	window := st.rows[st.pos:end]
+	end := min(st.pos+vecBatchSize, len(vis))
+	window := vis[st.pos:end]
 	st.pos = end
 	p := st.plan
-	st.batch.transposeInto(window, p.baseKinds, p.vc.wanted)
+	st.scan.fill(&st.batch, window)
 
 	var fc *colVec
 	if p.filter != nil {
@@ -598,7 +593,7 @@ func (st *vecScanStream) fill() error {
 		flat = flat[len(pcols):]
 		for pi, c := range pcols {
 			if c == nil {
-				row[pi] = window[lane][p.projRefs[pi]]
+				row[pi] = st.batch.row(lane)[p.projRefs[pi]]
 				continue
 			}
 			if e := c.laneErr(lane); e != nil {
@@ -616,7 +611,7 @@ func (st *vecScanStream) fill() error {
 
 func (st *vecScanStream) Close() error {
 	st.done = true
-	st.pos = len(st.rows)
+	st.pos = len(st.scan.vis)
 	st.out = nil
 	st.outPos = 0
 	return nil
@@ -796,7 +791,7 @@ type vecAggStream struct {
 	cx     *evalCtx
 	env    *vecEnv
 	plan   *vecPlan
-	rows   []Row
+	scan   *mirrorScan
 	offset int
 	limit  int
 
@@ -886,32 +881,30 @@ func (st *vecAggStream) Next() (Row, error) {
 // build consumes the snapshot batch-wise into per-group accumulators.
 func (st *vecAggStream) build() error {
 	p := st.plan
-	groupBy := p.sel.GroupBy
-	index := make(map[string]int)
-	var keyScratch []byte
-	keyValsBuf := make([]variant.Value, len(groupBy))
-	var implicit *aggGroup
-	if len(groupBy) == 0 {
+	var groups *groupIndex
+	if len(p.sel.GroupBy) == 0 {
 		// One implicit group, present even on empty input.
-		implicit = newAggGroup(p.specs, nil)
-		st.groups = append(st.groups, implicit)
+		st.groups = append(st.groups, newAggGroup(p.specs, nil))
+	} else {
+		groups = newGroupIndex(len(p.keyExprs), func(keyVals []variant.Value) *aggGroup {
+			g := newAggGroup(p.specs, keyVals)
+			st.groups = append(st.groups, g)
+			return g
+		})
 	}
 	var batch Batch
 	sel := make([]int, 0, vecBatchSize)
 	keyCols := make([]*colVec, len(p.keyExprs))
 	argCols := make([]*colVec, len(p.specs))
 
-	for pos := 0; pos < len(st.rows); pos += vecBatchSize {
-		end := pos + vecBatchSize
-		if end > len(st.rows) {
-			end = len(st.rows)
-		}
+	vis := st.scan.vis
+	for pos := 0; pos < len(vis); pos += vecBatchSize {
 		if st.cx.ctx != nil {
 			if err := st.cx.ctx.Err(); err != nil {
 				return err
 			}
 		}
-		batch.transposeInto(st.rows[pos:end], p.baseKinds, p.vc.wanted)
+		st.scan.fill(&batch, vis[pos:min(pos+vecBatchSize, len(vis))])
 
 		// Selection: lanes passing WHERE, stopping at the first filter-lane
 		// error — whose selected predecessors still feed (and may surface
@@ -958,33 +951,17 @@ func (st *vecAggStream) build() error {
 				argCols[si] = c
 			}
 			for _, lane := range sel {
-				g := implicit
-				if g == nil {
-					// Encode the group key with rowKey's exact bytes; the
-					// string(keyScratch) map lookup does not allocate.
-					keyScratch = keyScratch[:0]
-					for ki, c := range keyCols {
-						if e := c.laneErr(lane); e != nil {
-							return e
-						}
-						v := c.value(lane)
-						keyValsBuf[ki] = v
-						keyScratch = append(keyScratch, v.Kind().String()...)
-						keyScratch = append(keyScratch, ':')
-						keyScratch = append(keyScratch, v.String()...)
-						keyScratch = append(keyScratch, 0)
+				var g *aggGroup
+				if groups == nil {
+					g = st.groups[0]
+				} else {
+					var err error
+					if g, err = groups.lookup(keyCols, lane); err != nil {
+						return err
 					}
-					gi, ok := index[string(keyScratch)]
-					if !ok {
-						gi = len(st.groups)
-						index[string(keyScratch)] = gi
-						st.groups = append(st.groups,
-							newAggGroup(p.specs, append([]variant.Value(nil), keyValsBuf...)))
-					}
-					g = st.groups[gi]
 				}
 				if g.first == nil {
-					g.first = batch.rows[lane]
+					g.first = batch.row(lane)
 				}
 				for si, sp := range p.specs {
 					if sp.fn.Star {
@@ -1019,6 +996,86 @@ func (st *vecAggStream) build() error {
 	return nil
 }
 
+// groupIndex finds a lane's group by its GROUP BY key, creating groups in
+// first-seen order. A single integer, text or boolean key column is looked
+// up by its typed lane value — no boxing, no string encoding. Everything
+// else — floats (whose -0/0 and NaN payloads must group exactly as their
+// rowKey text does), timestamps, boxed lanes, multi-column keys and NULL
+// keys — is looked up by rowKey's exact bytes. The two never hold the same
+// group: a key column's representation is fixed for one execution (kernel
+// output kinds follow from the plan and the mirror's generation), so a
+// non-NULL key takes the same path on every batch.
+type groupIndex struct {
+	create  func(keyVals []variant.Value) *aggGroup
+	byKey   map[string]*aggGroup
+	byInt   map[int64]*aggGroup
+	byText  map[string]*aggGroup
+	byBool  map[bool]*aggGroup
+	scratch []byte
+	keyVals []variant.Value
+}
+
+func newGroupIndex(keys int, create func([]variant.Value) *aggGroup) *groupIndex {
+	return &groupIndex{
+		create:  create,
+		byKey:   make(map[string]*aggGroup),
+		byInt:   make(map[int64]*aggGroup),
+		byText:  make(map[string]*aggGroup),
+		byBool:  make(map[bool]*aggGroup),
+		keyVals: make([]variant.Value, keys),
+	}
+}
+
+func (ix *groupIndex) lookup(keyCols []*colVec, lane int) (*aggGroup, error) {
+	if len(keyCols) == 1 {
+		c := keyCols[0]
+		if e := c.laneErr(lane); e != nil {
+			return nil, e
+		}
+		if c.kind != vecAny && !c.isNull(lane) {
+			switch c.kind {
+			case vecInt:
+				return typedGroup(ix, ix.byInt, c.ints[lane], variant.NewInt), nil
+			case vecText:
+				return typedGroup(ix, ix.byText, c.strs[lane], variant.NewText), nil
+			case vecBool:
+				return typedGroup(ix, ix.byBool, c.bools[lane], variant.NewBool), nil
+			}
+		}
+	}
+	// rowKey's exact bytes; the string(scratch) map lookup does not
+	// allocate.
+	ix.scratch = ix.scratch[:0]
+	for ki, c := range keyCols {
+		if e := c.laneErr(lane); e != nil {
+			return nil, e
+		}
+		v := c.value(lane)
+		ix.keyVals[ki] = v
+		ix.scratch = append(ix.scratch, v.Kind().String()...)
+		ix.scratch = append(ix.scratch, ':')
+		ix.scratch = append(ix.scratch, v.String()...)
+		ix.scratch = append(ix.scratch, 0)
+	}
+	g := ix.byKey[string(ix.scratch)]
+	if g == nil {
+		g = ix.create(append([]variant.Value(nil), ix.keyVals...))
+		ix.byKey[string(ix.scratch)] = g
+	}
+	return g, nil
+}
+
+// typedGroup returns m[k], creating the group (key value box(k)) on first
+// sight.
+func typedGroup[K comparable](ix *groupIndex, m map[K]*aggGroup, k K, box func(K) variant.Value) *aggGroup {
+	g := m[k]
+	if g == nil {
+		g = ix.create([]variant.Value{box(k)})
+		m[k] = g
+	}
+	return g
+}
+
 func (st *vecAggStream) Close() error {
 	st.closed = true
 	st.groups = nil
@@ -1036,7 +1093,7 @@ type vecWindowStream struct {
 	cx     *evalCtx
 	env    *vecEnv
 	plan   *vecPlan
-	rows   []Row
+	scan   *mirrorScan
 	built  bool
 	out    []Row
 	pos    int
@@ -1073,34 +1130,29 @@ func (st *vecWindowStream) Next() (Row, error) {
 func (st *vecWindowStream) build() ([]Row, error) {
 	p := st.plan
 	baseW := len(p.srcCols)
-	baseWanted := p.vc.wanted[:baseW]
 
 	// WHERE over every input row; the first error is fatal before anything
 	// emits, exactly like the materializing executor's filter phase.
-	fr := st.rows
+	var fb Batch
+	st.scan.fill(&fb, st.scan.vis)
 	if p.filter != nil {
-		var all Batch
-		all.transposeInto(st.rows, p.baseKinds, baseWanted)
-		fc, err := p.filter(st.env, &all)
+		fc, err := p.filter(st.env, &fb)
 		if err != nil {
 			return nil, err
 		}
-		keep := make([]Row, 0, len(st.rows))
-		for i := 0; i < all.n; i++ {
+		keep := make([]int32, 0, fb.n)
+		for i := 0; i < fb.n; i++ {
 			k, err := filterLane(fc, i)
 			if err != nil {
 				return nil, err
 			}
 			if k {
-				keep = append(keep, st.rows[i])
+				keep = append(keep, fb.pos[i])
 			}
 		}
-		fr = keep
+		st.scan.fill(&fb, keep)
 	}
-	m := len(fr)
-
-	var fb Batch
-	fb.transposeInto(fr, p.baseKinds, baseWanted)
+	m := fb.n
 
 	// Window calls: kernel-evaluated input columns into the shared window
 	// evaluator.
@@ -1145,17 +1197,19 @@ func (st *vecWindowStream) build() ([]Row, error) {
 
 	// Extend the batch with the window-value columns; the combined rows back
 	// the row-compiled fallbacks (base row ++ window values, matching the
-	// compiler's extra-source offsets).
+	// compiler's extra-source offsets), lane i at position i.
 	cr := make([]Row, m)
+	ident := make([]int32, m)
 	for i := 0; i < m; i++ {
 		r := make(Row, 0, baseW+len(p.winCalls))
-		r = append(r, fr[i]...)
+		r = append(r, fb.row(i)...)
 		for ci := range p.winCalls {
 			r = append(r, winVals[ci][i])
 		}
 		cr[i] = r
+		ident[i] = int32(i)
 	}
-	fb.rows = cr
+	fb.heap, fb.pos = cr, ident
 	fb.cols = fb.cols[:baseW]
 	for ci := range p.winCalls {
 		fb.cols = append(fb.cols, colVec{kind: vecAny, anys: winVals[ci]})

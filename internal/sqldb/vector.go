@@ -10,10 +10,10 @@ import (
 // the pipeline vecBatchSize at a time as typed column vectors: one Go slice
 // per column with a null bitmap beside it, so filters, projections, and
 // aggregate feeds run as per-type kernel loops instead of per-row closure
-// calls. A Batch built from heap rows keeps the backing []Row window too —
-// kernel-resistant expressions fall back to the row-compiled closure over
-// the original row, which makes the fallback trivially identical to the
-// row-at-a-time executors.
+// calls. A Batch gathered from a table (colmirror.go) also knows each lane's
+// backing row version — kernel-resistant expressions fall back to the
+// row-compiled closure over the original row, which makes the fallback
+// trivially identical to the row-at-a-time executors.
 
 // vecBatchSize is the number of rows per batch: large enough to amortize
 // per-batch bookkeeping, small enough that a batch's working set stays
@@ -176,158 +176,19 @@ func (c *colVec) value(i int) variant.Value {
 	}
 }
 
-// setValue stores a boxed value into lane i, downgrading nothing: the column
-// must already have the value's kind or be vecAny.
-func (c *colVec) setValue(i int, v variant.Value) {
-	switch c.kind {
-	case vecInt:
-		c.ints[i] = v.Int()
-	case vecFloat:
-		c.floats[i] = v.Float()
-	case vecBool:
-		c.bools[i] = v.Bool()
-	case vecText:
-		c.strs[i] = v.Text()
-	case vecTime:
-		c.times[i] = v.Time()
-	default:
-		c.anys[i] = v
-	}
-	if c.kind != vecAny && v.IsNull() {
-		c.setNull(i)
-	}
-}
-
-// transpose fills the column from rows' values at offset off, targeting the
-// declared kind. A non-null value of an unexpected kind demotes the whole
-// column to vecAny for this batch (correct for any data the engine can
-// store; the typed kernels simply don't engage).
-func (c *colVec) transpose(rows []Row, off int, want vecKind) {
-	c.reset(want, len(rows))
-	// One tight loop per kind: the dispatch happens once per column, not
-	// once per cell — this is the hot edge between the heap's boxed rows and
-	// the typed kernels.
-	switch want {
-	case vecAny:
-		for i, r := range rows {
-			c.anys[i] = r[off]
-		}
-	case vecInt:
-		for i, r := range rows {
-			v := r[off]
-			if v.IsNull() {
-				c.setNull(i)
-				continue
-			}
-			if v.Kind() != variant.Int {
-				c.transpose(rows, off, vecAny)
-				return
-			}
-			c.ints[i] = v.Int()
-		}
-	case vecFloat:
-		for i, r := range rows {
-			v := r[off]
-			if v.IsNull() {
-				c.setNull(i)
-				continue
-			}
-			if v.Kind() != variant.Float {
-				c.transpose(rows, off, vecAny)
-				return
-			}
-			c.floats[i] = v.Float()
-		}
-	case vecBool:
-		for i, r := range rows {
-			v := r[off]
-			if v.IsNull() {
-				c.setNull(i)
-				continue
-			}
-			if v.Kind() != variant.Bool {
-				c.transpose(rows, off, vecAny)
-				return
-			}
-			c.bools[i] = v.Bool()
-		}
-	case vecText:
-		for i, r := range rows {
-			v := r[off]
-			if v.IsNull() {
-				c.setNull(i)
-				continue
-			}
-			if v.Kind() != variant.Text {
-				c.transpose(rows, off, vecAny)
-				return
-			}
-			c.strs[i] = v.Text()
-		}
-	case vecTime:
-		for i, r := range rows {
-			v := r[off]
-			if v.IsNull() {
-				c.setNull(i)
-				continue
-			}
-			if v.Kind() != variant.Time {
-				c.transpose(rows, off, vecAny)
-				return
-			}
-			c.times[i] = v.Time()
-		}
-	}
-}
-
-// compactFrom copies src's selected lanes into c, in sel order.
-func (c *colVec) compactFrom(src *colVec, sel []int) {
-	n := len(sel)
-	c.reset(src.kind, n)
-	switch src.kind {
-	case vecInt:
-		for i, s := range sel {
-			c.ints[i] = src.ints[s]
-		}
-	case vecFloat:
-		for i, s := range sel {
-			c.floats[i] = src.floats[s]
-		}
-	case vecBool:
-		for i, s := range sel {
-			c.bools[i] = src.bools[s]
-		}
-	case vecText:
-		for i, s := range sel {
-			c.strs[i] = src.strs[s]
-		}
-	case vecTime:
-		for i, s := range sel {
-			c.times[i] = src.times[s]
-		}
-	case vecAny:
-		for i, s := range sel {
-			c.anys[i] = src.anys[s]
-		}
-	}
-	if src.kind != vecAny {
-		for i, s := range sel {
-			if src.isNull(s) {
-				c.setNull(i)
-			}
-		}
-	}
-}
-
-// Batch is one vector of rows in columnar form. When built from heap rows,
-// rows holds the backing window so fallback expressions evaluate against the
-// original row; batches emitted by a BatchSource (trajectory frames) have no
-// backing rows and fallbacks rebuild a scratch row from the columns.
+// Batch is one vector of rows in columnar form. When gathered from a table,
+// lane i's backing row is heap[pos[i]], so fallback expressions evaluate
+// against the original row; batches emitted by a BatchSource (trajectory
+// frames) have no heap and fallbacks rebuild a scratch row from the columns.
 type Batch struct {
 	n    int
 	cols []colVec
-	rows []Row
+	heap []Row
+	pos  []int32
 }
+
+// row returns lane i's backing row (heap batches only).
+func (b *Batch) row(i int) Row { return b.heap[b.pos[i]] }
 
 // NewBatch returns an empty batch of n lanes; columns are appended with the
 // Add*Column builders (all length n, no NULLs unless boxed as values).
@@ -389,22 +250,4 @@ func (b *Batch) Value(row, col int) variant.Value {
 // consumed through Next.
 type BatchSource interface {
 	NextBatch(max int) (*Batch, error)
-}
-
-// transposeInto rebuilds b from a window of heap rows, converting only the
-// wanted column offsets (the ones the compiled kernels actually read);
-// unreferenced columns stay empty and must not be accessed.
-func (b *Batch) transposeInto(rows []Row, kinds []vecKind, wanted []bool) {
-	b.n = len(rows)
-	b.rows = rows
-	if cap(b.cols) < len(kinds) {
-		b.cols = append(b.cols[:0], make([]colVec, len(kinds))...)
-	}
-	b.cols = b.cols[:len(kinds)]
-	for off, want := range wanted {
-		if !want {
-			continue
-		}
-		b.cols[off].transpose(rows, off, kinds[off])
-	}
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/variant"
 )
 
 // Differential suite for the vectorized batch executor: every statement runs
@@ -297,6 +295,17 @@ func TestVectorizedErrorParity(t *testing.T) {
 	checkVecQuery(t, db, `SELECT 10 / (i - 1500) FROM vt WHERE i >= 1400`, true)
 	// Error in the filter itself.
 	checkVecQuery(t, db, `SELECT i FROM vt WHERE 10 / (i - 2000) > 0`, true)
+	// Lane errors under AND/OR (every multiple of 97 divides by zero):
+	// raised when the left operand does not decide the lane, discarded when
+	// it does.
+	for _, q := range []string{
+		`SELECT i FROM vt WHERE i < 1000 AND 10 / (i % 97) > 0`,
+		`SELECT i FROM vt WHERE i > 2000 OR 10 / (i % 97) > 0`,
+		`SELECT i FROM vt WHERE i % 97 = 0 OR 10 / (i % 97) > 0`,
+		`SELECT i FROM vt WHERE i % 97 <> 0 AND NOT (10 / (i % 97) > 0)`,
+	} {
+		checkVecQuery(t, db, q, true)
+	}
 	// Error in an aggregate argument and in a group key.
 	checkVecQuery(t, db, `SELECT s, sum(10 / (v - 50)) FROM vt GROUP BY s`, true)
 	checkVecQuery(t, db, `SELECT 10 / (v - 50), count(*) FROM vt GROUP BY 10 / (v - 50)`, true)
@@ -405,45 +414,6 @@ func TestVectorizedColVecNullBitmap(t *testing.T) {
 			if c.isNull(i) {
 				t.Fatalf("n=%d lane %d: null survived reset", n, i)
 			}
-		}
-	}
-}
-
-func TestVectorizedTransposeDemotesMixedKinds(t *testing.T) {
-	rows := []Row{
-		{variant.NewInt(1)},
-		{variant.NewText("oops")}, // wrong kind for an integer column
-		{variant.Value{}},
-	}
-	var c colVec
-	c.transpose(rows, 0, vecInt)
-	if c.kind != vecAny {
-		t.Fatalf("kind = %v, want vecAny after demotion", c.kind)
-	}
-	for i, r := range rows {
-		if c.value(i) != r[0] {
-			t.Fatalf("lane %d: %v vs %v", i, c.value(i), r[0])
-		}
-	}
-}
-
-func TestVectorizedTransposeTyped(t *testing.T) {
-	rows := make([]Row, 100)
-	for i := range rows {
-		if i%7 == 0 {
-			rows[i] = Row{variant.Value{}}
-		} else {
-			rows[i] = Row{variant.NewFloat(float64(i) / 2)}
-		}
-	}
-	var c colVec
-	c.transpose(rows, 0, vecFloat)
-	if c.kind != vecFloat {
-		t.Fatalf("kind = %v, want vecFloat", c.kind)
-	}
-	for i := range rows {
-		if got := c.value(i); got != rows[i][0] {
-			t.Fatalf("lane %d: %v vs %v", i, got, rows[i][0])
 		}
 	}
 }
