@@ -19,9 +19,8 @@
 //	\q          quit
 //	\d          list tables
 //	\timing     toggle per-statement timing (local: parse / plan / execute
-//	            phases plus the executor that ran — vectorized, compiled,
-//	            stream, operators, or materialize; remote: server execute
-//	            + round trip)
+//	            phases plus the executor that ran — vectorized, operators,
+//	            or materialize; remote: server execute + round trip)
 //	\explain Q  show the physical plan for statement Q (shorthand for EXPLAIN Q)
 //	\i FILE     execute statements from FILE
 package main

@@ -356,7 +356,7 @@ func (db *DB) queryStmt(ctx context.Context, text string, cp *cachedPlan, params
 				st = rs.Stream()
 			}
 		} else {
-			st, err = db.selectStream(cx, cp.stmt.(*SelectStmt), cp)
+			st, err = db.openSelect(cx, cp.stmt.(*SelectStmt), cp)
 		}
 		db.mu.RUnlock()
 		if err != nil {
@@ -535,7 +535,7 @@ func (db *DB) execTxStmt(ctx context.Context, text string, cp *cachedPlan, param
 				st = rs.Stream()
 			}
 		} else {
-			st, err = db.selectStream(cx, cp.stmt.(*SelectStmt), cp)
+			st, err = db.openSelect(cx, cp.stmt.(*SelectStmt), cp)
 		}
 		db.mu.RUnlock()
 		if err != nil {
@@ -596,24 +596,19 @@ func (db *DB) execTxStmt(ctx context.Context, text string, cp *cachedPlan, param
 	return newRowIter(ctx, st), nil
 }
 
-// selectStream executes a SELECT under the held lock and returns its rows
-// as a stream, routed through the physical planner: compiled plans run
-// pull-based operators whose lazy tail is safe to iterate after the lock is
-// released, plans that stream but don't compile use the legacy two-phase
-// stream, and everything else (aggregation, ordering, joins, UDF-bearing
-// expressions) is materialized before returning. cp carries the physical
-// plan: cached (and epoch-revalidated) when the statement came through the
-// plan cache, or a throwaway entry for script/ad-hoc execution.
-func (db *DB) selectStream(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream, error) {
+// openSelect executes a SELECT under the held lock and returns its rows as a
+// stream, routed through the physical planner: vectorized and operator plans
+// resolve their sources now and return a lazy tail that is safe to iterate
+// after the lock is released; the reference executor materializes before
+// returning. cp carries the physical plan: cached (and epoch-revalidated)
+// when the statement came through the plan cache, or a throwaway entry for
+// script/ad-hoc execution.
+func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream, error) {
 	plan, err := cp.physFor(db, s)
 	if err != nil {
 		return nil, err
 	}
 	switch plan.kind {
-	case physCompiled:
-		return plan.run(cx)
-	case physStream:
-		return db.buildSelectStream(cx, s)
 	case physOps:
 		return plan.ops.open(cx)
 	case physVectorized:
@@ -866,7 +861,7 @@ func (db *DB) execStatement(cx *evalCtx, text string, cp *cachedPlan) (RowStream
 // execStream dispatches one parsed statement to its executor, as a stream.
 func (db *DB) execStream(cx *evalCtx, cp *cachedPlan) (RowStream, error) {
 	if s, ok := cp.stmt.(*SelectStmt); ok {
-		return db.selectStream(cx, s, cp)
+		return db.openSelect(cx, s, cp)
 	}
 	rs, err := db.execLocked(cx, cp.stmt)
 	if err != nil {

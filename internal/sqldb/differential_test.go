@@ -1,9 +1,12 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/variant"
 )
 
 // TestStreamingOperatorEquivalence is the streaming pipeline's safety net:
@@ -208,9 +211,12 @@ func whereAnd(where, conj string) string {
 	return where + " AND " + conj
 }
 
-// TestStreamingOperatorEquivalenceSingleTable covers the single-table
-// operator class (GROUP BY, DISTINCT, ORDER BY incl. index-satisfied order)
-// against the forced executor.
+// TestStreamingOperatorEquivalenceSingleTable covers the single-source
+// operator class against the forced executor: GROUP BY, DISTINCT, ORDER BY
+// incl. index-satisfied order, and the plain reads — index probes, LIMIT and
+// OFFSET (parameters, bad values, errors before and after the LIMIT), the
+// FROM-less row, a filtered table function and column-alias errors — which
+// must match on rows and on error text.
 func TestStreamingOperatorEquivalenceSingleTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := newSuiteDB(t)
@@ -248,6 +254,73 @@ func TestStreamingOperatorEquivalenceSingleTable(t *testing.T) {
 		db.SetPlannerOptions(PlannerOptions{})
 		if !rowsEqual(streamed, materialized) {
 			t.Errorf("%s diverges:\nstream %d rows, materialized %d rows", q, len(streamed.Rows), len(materialized.Rows))
+		}
+	}
+
+	mustExec(t, db, `CREATE TABLE z (i integer, d integer)`)
+	for i := 0; i < 10; i++ {
+		mustExec(t, db, `INSERT INTO z VALUES ($1, $2)`, i, i-5) // d = 0 at i = 5
+	}
+	db.RegisterTable("jobs", func(_ context.Context, _ *DB, _ []variant.Value) (RowStream, error) {
+		var rows []Row
+		for i := 1; i <= 6; i++ {
+			rows = append(rows, Row{variant.NewInt(int64(i)), variant.NewText(fmt.Sprintf("state%d", i%3))})
+		}
+		return NewSliceStream([]Column{{Name: "jobid", Type: "integer"}, {Name: "state", Type: "text"}}, rows), nil
+	}, true)
+	plain := []struct {
+		sql  string
+		args []any
+	}{
+		{`SELECT a, b, c FROM s WHERE a = 7`, nil},
+		{`SELECT c, b FROM s WHERE a = $1 AND b > 10`, []any{3}},
+		{`SELECT a, c FROM s WHERE a >= 3 AND a < 6`, nil},
+		{`SELECT b FROM s WHERE a BETWEEN $1 AND $2`, []any{20, 22}},
+		{`SELECT a, c FROM s LIMIT $1 OFFSET $2`, []any{7, 480}},
+		{`SELECT a FROM s WHERE c = 'c1' LIMIT $1 OFFSET $2`, []any{5, 3}},
+		{`SELECT a FROM s WHERE a = 4 LIMIT $1`, []any{2}},
+		{`SELECT a FROM s LIMIT 'many'`, nil},
+		{`SELECT a FROM s LIMIT $1`, []any{2.5}},
+		{`SELECT a FROM s OFFSET 'x'`, nil},
+		{`SELECT i FROM z WHERE 10 / d <> 0 LIMIT 3`, nil}, // stops before d = 0
+		{`SELECT i FROM z WHERE 10 / d <> 0 LIMIT 6`, nil}, // reaches it
+		{`SELECT i FROM z WHERE 10 / d <> 0 LIMIT 2 OFFSET 2`, nil},
+		{`SELECT i FROM z WHERE 10 / d <> 0 LIMIT 2 OFFSET 4`, nil},
+		{`SELECT i, 10 / d FROM z LIMIT 5`, nil},
+		{`SELECT i, 10 / d FROM z LIMIT 6`, nil},
+		{`SELECT 10 / d FROM z WHERE i >= $1 LIMIT 3`, []any{2}},
+		{`SELECT 10 / d FROM z WHERE i >= $1 LIMIT 4`, []any{2}},
+		{`SELECT 1`, nil},
+		{`SELECT $1 + 1, 'x' AS y`, []any{41}},
+		{`SELECT 1 WHERE false`, nil},
+		{`SELECT 1 / 0`, nil},
+		{`SELECT *`, nil},
+		{`SELECT count(*), sum(2) WHERE $1`, []any{false}},
+		{`SELECT DISTINCT 1 ORDER BY 1 LIMIT 0`, nil},
+		{`SELECT q.a, q.n FROM (SELECT a, a * 2 AS n FROM s WHERE a < 4) AS q WHERE q.n > 2 LIMIT 5`, nil},
+		{`SELECT j.state FROM jobs() AS j WHERE j.jobid = $1`, []any{4}},
+		{`SELECT * FROM jobs() AS j WHERE j.jobid > 2 LIMIT 2`, nil},
+		{`SELECT * FROM s AS x(p, q, r, extra)`, nil},
+		{`SELECT * FROM jobs() AS j(a, b, c)`, nil},
+		{`SELECT p FROM s AS x(p) WHERE p = 3`, nil},
+	}
+	run := func(opts PlannerOptions, q string, args []any) (*ResultSet, error) {
+		db.SetPlannerOptions(opts)
+		return db.Query(q, args...)
+	}
+	for _, c := range plain {
+		// The vectorized scan would take the filtered sequential scans.
+		db.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
+		if k := planKind(t, db, c.sql); k != physOps {
+			t.Errorf("%s: plan kind %d, want physOps", c.sql, k)
+		}
+		streamed, serr := run(PlannerOptions{DisableVectorized: true}, c.sql, c.args)
+		ref, rerr := run(PlannerOptions{DisableStreamingExec: true, DisableVectorized: true}, c.sql, c.args)
+		switch {
+		case (serr == nil) != (rerr == nil) || (serr != nil && serr.Error() != rerr.Error()):
+			t.Errorf("%s:\nstream err = %v\nreference err = %v", c.sql, serr, rerr)
+		case serr == nil && !rowsEqual(streamed, ref):
+			t.Errorf("%s diverges:\nstream %v\nreference %v", c.sql, streamed.Rows, ref.Rows)
 		}
 	}
 }

@@ -27,10 +27,29 @@ func execSelect(cx *evalCtx, s *SelectStmt, outer *scope) (*ResultSet, error) {
 		}
 	}
 
+	// LIMIT/OFFSET resolve once the sources are open, before any row is
+	// read. A plain SELECT — no grouping, window, ORDER BY or DISTINCT —
+	// stops filtering and projecting once OFFSET+LIMIT rows qualify, as the
+	// streaming operators do, so an error in a row past the LIMIT never
+	// surfaces.
+	offset, limit, err := evalLimits(cx, s.Limit, s.Offset)
+	if err != nil {
+		return nil, err
+	}
+	hasAggregates := selectHasAggregates(s)
+	need := -1
+	if limit >= 0 && len(s.GroupBy) == 0 && !hasAggregates && !selectHasWindows(s) &&
+		len(s.OrderBy) == 0 && !s.Distinct {
+		need = max(offset, 0) + limit
+	}
+
 	// 2. WHERE.
 	if s.Where != nil {
 		var filtered []Row
 		for ri, joined := range rows {
+			if len(filtered) == need {
+				break
+			}
 			if err := cx.checkCancel(ri); err != nil {
 				return nil, err
 			}
@@ -45,8 +64,9 @@ func execSelect(cx *evalCtx, s *SelectStmt, outer *scope) (*ResultSet, error) {
 		}
 		rows = filtered
 	}
-
-	hasAggregates := selectHasAggregates(s)
+	if need >= 0 && len(rows) > need {
+		rows = rows[:need]
+	}
 
 	// 2b. Window functions: compute each distinct windowed call over the
 	// filtered rows as a synthetic column, then project a rewritten select
@@ -87,35 +107,14 @@ func execSelect(cx *evalCtx, s *SelectStmt, outer *scope) (*ResultSet, error) {
 
 	// LIMIT / OFFSET.
 	if s.Offset != nil {
-		v, err := evalExpr(cx, s.Offset)
-		if err != nil {
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return nil, fmt.Errorf("sql: OFFSET: %w", err)
-		}
-		if n < 0 {
-			n = 0
-		}
-		if int(n) >= len(result.Rows) {
+		if offset = max(offset, 0); offset >= len(result.Rows) {
 			result.Rows = nil
 		} else {
-			result.Rows = result.Rows[n:]
+			result.Rows = result.Rows[offset:]
 		}
 	}
-	if s.Limit != nil {
-		v, err := evalExpr(cx, s.Limit)
-		if err != nil {
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return nil, fmt.Errorf("sql: LIMIT: %w", err)
-		}
-		if n >= 0 && int(n) < len(result.Rows) {
-			result.Rows = result.Rows[:n]
-		}
+	if limit >= 0 && limit < len(result.Rows) {
+		result.Rows = result.Rows[:limit]
 	}
 	return result, nil
 }

@@ -10,7 +10,7 @@ import (
 // EXPLAIN rendering. EXPLAIN <stmt> plans the target without executing it
 // and returns one plan line per row (column "QUERY PLAN"), so access-path
 // choices are observable and testable. SELECT targets render their physical
-// plan — the compiled single-table pipeline when that is what would run,
+// plan — the vectorized or operator pipeline when that is what would run,
 // otherwise the logical operator tree with the same access-path annotation
 // the materializing executor would use. DML targets render their write node
 // over the scan that feeds it.
@@ -87,9 +87,6 @@ func (r *planRenderer) renderSelect(s *SelectStmt, depth int) error {
 		return err
 	}
 	switch plan.kind {
-	case physCompiled:
-		r.renderCompiled(plan, depth)
-		return nil
 	case physOps:
 		return r.renderOps(plan.ops, depth)
 	case physVectorized:
@@ -200,6 +197,10 @@ func (r *planRenderer) renderOps(p *opPlan, depth int) error {
 
 // renderOpInput renders the join subtree whose topmost input is leaf idx.
 func (r *planRenderer) renderOpInput(p *opPlan, idx, depth int) error {
+	if idx < 0 {
+		r.node(depth, "Result (one row)") // FROM-less
+		return nil
+	}
 	if idx == 0 {
 		return r.renderOpLeaf(p.leaves[0], p.ordered, depth)
 	}
@@ -295,24 +296,6 @@ func (r *planRenderer) renderOpLeaf(leaf *opSource, ordered *orderedScanInfo, de
 	}
 }
 
-// renderCompiled renders the compiled single-table pipeline.
-func (r *planRenderer) renderCompiled(p *physPlan, depth int) {
-	s := p.sel
-	if s.Limit != nil || s.Offset != nil {
-		label := "Limit"
-		var parts []string
-		if s.Limit != nil {
-			parts = append(parts, exprString(s.Limit))
-		}
-		if s.Offset != nil {
-			parts = append(parts, "offset "+exprString(s.Offset))
-		}
-		r.node(depth, fmt.Sprintf("%s (%s)", label, strings.Join(parts, ", ")))
-		depth++
-	}
-	r.renderAccess(p.access, p.table.Name, p.alias, s.Where, "Filter", p.parallel, p.workers, depth)
-}
-
 // renderAccess renders the scan leaf with its access-path annotation.
 // filterLabel names the predicate detail: "Filter" for a real filter,
 // "Prefilter" for a lenient pushed predicate under a join.
@@ -350,7 +333,7 @@ func (r *planRenderer) renderAccess(ap accessPath, table, alias string, where Ex
 }
 
 // renderLogical renders the operator tree for plans that execute through the
-// legacy streaming or materializing executors. The scan leaf of a
+// materializing executor. The scan leaf of a
 // single-table filtered query is annotated with the access path the
 // executor's shared chooser would pick.
 func (r *planRenderer) renderLogical(n logicalNode, s *SelectStmt, depth int) error {

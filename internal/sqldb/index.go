@@ -406,10 +406,10 @@ func matchProbe(e Expr, alias string) *indexProbe {
 // (in table order) — the caller still applies the full WHERE — or ok=false
 // to fall back to a scan. Any difficulty (type mismatch, no usable index)
 // falls back rather than erroring, so behaviour is identical to the scan
-// path. Both the materializing executor (exec.go) and the legacy streaming
-// path (stream.go) route through here, so every execution strategy obeys
-// the same planner decision (UPDATE and DELETE ask the chooser themselves,
-// see DB.applyToTargets).
+// path. It serves the materializing executor (exec.go); the operator
+// pipeline's scan leaves, the vectorized planner, and UPDATE and DELETE (see
+// DB.applyToTargets) ask the same chooser themselves, so every execution
+// strategy obeys the same planner decision.
 func tryIndexScan(cx *evalCtx, s *SelectStmt) ([]Row, sourceInfo, bool) {
 	if len(s.From) != 1 || s.Where == nil {
 		return nil, sourceInfo{}, false

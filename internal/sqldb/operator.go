@@ -9,14 +9,15 @@ import (
 	"repro/internal/variant"
 )
 
-// Streaming operator plans. The join/aggregate/sort/distinct statement class
-// — everything PR 4 left on the materializing executor — lowers here to a
-// pipeline of pull-based operators behind the same RowStream contract the
-// single-table fast path uses:
+// Streaming operator plans. Every SELECT the vectorized executor does not take
+// and whose expressions outside FROM are pure builtins — single-source reads
+// (base table, function scan, subquery, or the FROM-less single row) as well
+// as joins, aggregation, ORDER BY and DISTINCT — lowers here to a pipeline of
+// pull-based operators behind the RowStream contract:
 //
 //   scan leaves (with WHERE conjuncts pushed below joins, access paths from
-//   the shared cost model, and optionally a parallel partitioned scan on the
-//   probe side)
+//   the shared cost model, and optionally a parallel partitioned scan feeding
+//   a single-source projection or the bottom hash join's probe side)
 //     → build/probe hash joins for equi-join conjuncts (the bottom join
 //       probes the inner table's index instead when it has one on a key
 //       column and the outer input turns out small; see joinLookup),
@@ -24,7 +25,8 @@ import (
 //       estimates)
 //       → residual WHERE filter
 //         → incremental hash aggregation (COUNT/SUM/AVG/MIN/MAX fed
-//           row-at-a-time) or streaming projection
+//           row-at-a-time) or streaming projection (compiled closures over a
+//           single base table, interpreted otherwise)
 //           → sort (skipped when a btree index already proves the order)
 //             → distinct → limit/offset
 //
@@ -53,6 +55,10 @@ type opPlan struct {
 	// ordered is set when ORDER BY is satisfied by walking a btree index in
 	// key order instead of sorting (single-table plans only).
 	ordered *orderedScanInfo
+	// projs is the SELECT list compiled against a single base-table source
+	// (cols its output columns); nil means projectStream interprets.
+	cols  []Column
+	projs []compiledExpr
 }
 
 // opSource is one FROM item leaf.
@@ -74,10 +80,14 @@ type opSource struct {
 	pushed  Expr
 	pushedC compiledExpr
 	lenient bool
-	// parallel partitions the scan across workers (probe side of a hash
-	// join only; see planOperators).
+	// parallel partitions the scan across workers (a single-source scan or
+	// the probe side of a hash join; see planOperators).
 	parallel bool
 	workers  int
+	// batchTail marks a single function-scan leaf whose statement tail may
+	// drain the source's columnar batches (newVecFuncScanStream): open then
+	// leaves a BatchSource unfiltered for the tail to take over.
+	batchTail bool
 	// est is the planner's output-cardinality estimate after the pushed
 	// filter, feeding the join-strategy cost model.
 	est float64
@@ -166,12 +176,9 @@ type sourceMeta struct {
 // and builds its plan; nil falls back to the materializing executor. Caller
 // holds the database lock (either mode).
 func (db *DB) planOperators(s *SelectStmt) *opPlan {
-	if db.planner.DisableStreamingExec || len(s.From) == 0 {
-		return nil
-	}
 	// Window functions run on the materializing executor (the reference
 	// path) or the vectorized pipeline, never the row operators.
-	if selectHasWindows(s) {
+	if db.planner.DisableStreamingExec || selectHasWindows(s) {
 		return nil
 	}
 	for i, item := range s.From {
@@ -227,6 +234,10 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	}
 
 	plan := &opPlan{sel: s, grouped: grouped, specs: specs}
+	if len(s.From) == 0 {
+		plan.where = s.Where // FROM-less: one empty row, filtered above
+		return plan
+	}
 
 	// WHERE handling. A single-source plan evaluates the full WHERE at the
 	// scan — every scanned row is a result candidate, so the semantics
@@ -266,7 +277,7 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 			}
 			leaf.table = t
 			// Column aliases rename WHERE references away from the names
-			// the indexes know (same rule as the compiled fast path).
+			// the indexes know (same rule as the vectorized planner).
 			if leaf.pushed != nil && len(item.ColAliases) == 0 {
 				leaf.access = chooseAccessPath(db, t, metas[i].alias, leaf.pushed)
 			} else {
@@ -305,14 +316,15 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 		leftEst = step.est
 	}
 
-	// Parallel partitioned scan feeding the probe side of the bottom hash
-	// join: gated like the compiled single-table path (large filtered seq
-	// scan, no LIMIT/OFFSET) and additionally restricted to plain join
-	// projections — the merge is order-insensitive, and grouped, DISTINCT,
-	// or sorted pipelines have order-sensitive engine semantics (group
-	// first-row resolution and emission order, first-occurrence dedup,
-	// stable-sort ties) that must stay deterministic.
-	if len(plan.steps) > 0 && plan.steps[0].hash &&
+	// Parallel partitioned scan of a large sequential scan whose filter
+	// compiled, feeding a single-source projection or the probe side of the
+	// bottom hash join, with no LIMIT/OFFSET, grouping, DISTINCT or ORDER BY:
+	// the merge is order-insensitive, LIMIT's early-exit accounting does not
+	// partition, and grouped, DISTINCT, or sorted pipelines have
+	// order-sensitive engine semantics (group first-row resolution and
+	// emission order, first-occurrence dedup, stable-sort ties) that must
+	// stay deterministic.
+	if (len(plan.steps) == 0 || plan.steps[0].hash) &&
 		!grouped && !s.Distinct && len(s.OrderBy) == 0 &&
 		s.Limit == nil && s.Offset == nil {
 		probe := plan.leaves[0]
@@ -334,7 +346,37 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	if len(plan.leaves) == 1 && !grouped && len(s.OrderBy) == 1 {
 		plan.ordered = db.chooseOrderedScan(s, plan.leaves[0], metas[0])
 	}
+
+	if len(plan.leaves) == 1 && !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) {
+		switch leaf := plan.leaves[0]; {
+		case leaf.table != nil && metas[0].known:
+			plan.cols, plan.projs = compileProjection(s.Items, metas[0])
+		case leaf.item.Func != nil && s.Where != nil && !s.Distinct:
+			leaf.batchTail = !db.planner.DisableVectorized
+		}
+	}
 	return plan
+}
+
+// compileProjection compiles a single-source SELECT list against the source's
+// plan-time shape; nil projs when any item does not compile (or does not
+// expand), leaving projectStream to interpret it — and to surface expansion
+// errors at open, as the executor does.
+func compileProjection(items []SelectItem, m sourceMeta) ([]Column, []compiledExpr) {
+	cols, exprs, err := expandItems(items, []sourceInfo{{alias: m.alias, columns: m.cols, width: len(m.cols)}})
+	if err != nil {
+		return nil, nil
+	}
+	comp := &compiler{alias: m.alias, cols: m.cols}
+	projs := make([]compiledExpr, len(exprs))
+	for i, e := range exprs {
+		ce, ok := comp.compile(e)
+		if !ok {
+			return nil, nil
+		}
+		projs[i] = ce
+	}
+	return cols, projs
 }
 
 // sourceMetaFor computes the plan-time shape of one FROM item.
@@ -352,7 +394,7 @@ func (db *DB) sourceMetaFor(item FromItem) (sourceMeta, bool) {
 		cols := t.Columns
 		if len(item.ColAliases) > 0 {
 			if len(item.ColAliases) > len(cols) {
-				return sourceMeta{}, false // executor surfaces the alias error
+				return sourceMeta{alias: alias}, true // open surfaces the alias error
 			}
 			cols = append([]Column(nil), cols...)
 			for i, a := range item.ColAliases {
@@ -715,10 +757,13 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 	var curSources []sourceInfo
 	next := 1
 	var err error
-	if len(p.steps) > 0 && p.steps[0].lookup != nil {
+	switch {
+	case len(p.leaves) == 0:
+		cur = &sliceStream{rows: []Row{{}}}
+	case len(p.steps) > 0 && p.steps[0].lookup != nil:
 		cur, curSources, err = p.openIndexedJoin(cx, tailCx)
 		next = 2
-	} else {
+	default:
 		var info sourceInfo
 		cur, info, err = p.leaves[0].open(cx, tailCx, p.ordered)
 		curSources = []sourceInfo{info}
@@ -741,10 +786,26 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 		cur = &opFilterStream{rowPred: newRowPred(tailCx, curSources, p.where, nil, false), src: cur}
 	}
 
-	cols, exprs, err := expandItems(s.Items, curSources)
+	cols, exprs := p.cols, []Expr(nil)
+	if p.projs == nil {
+		if cols, exprs, err = expandItems(s.Items, curSources); err != nil {
+			cur.Close()
+			return nil, err
+		}
+	}
+	offset, limit, err := evalLimits(cx, s.Limit, s.Offset)
 	if err != nil {
 		cur.Close()
 		return nil, err
+	}
+	if _, ok := cur.(BatchSource); ok && len(p.leaves) == 1 && p.leaves[0].batchTail {
+		// The function scan's batches feed the vectorized tail when its
+		// filter and projections vec-compile, skipping per-cell boxing of
+		// dropped lanes; otherwise the leaf's filter goes on now.
+		if vs := newVecFuncScanStream(tailCx, cur, curSources[0], s, cols, exprs, offset, limit); vs != nil {
+			return vs, nil
+		}
+		cur = &opFilterStream{rowPred: p.leaves[0].filter(tailCx, curSources[0]), src: cur}
 	}
 	if p.grouped {
 		cur = newHashAggStream(tailCx, cur, curSources, s, p.specs, cols, exprs)
@@ -754,7 +815,8 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 	} else if len(s.OrderBy) > 0 && p.ordered == nil {
 		cur = &projectSortStream{cx: tailCx, src: cur, sources: curSources, sel: s, cols: cols, exprs: exprs}
 	} else {
-		cur = &projectStream{cx: tailCx, src: cur, sources: curSources, cols: cols, exprs: exprs}
+		cur = &projectStream{cx: tailCx, src: cur, sources: curSources, cols: cols, exprs: exprs,
+			projs: p.projs, env: compEnv{params: cx.params, ctx: cx.ctx}}
 	}
 
 	if s.Distinct {
@@ -762,11 +824,6 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 	}
 
 	if s.Limit != nil || s.Offset != nil {
-		offset, limit, err := evalLimits(cx, s.Limit, s.Offset)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
 		cur = &limitStream{src: cur, offset: offset, limit: limit}
 	}
 	return cur, nil
@@ -795,11 +852,10 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 			rows = src.tableRows(cx)
 		}
 		if src.parallel {
-			env := &compEnv{params: tailCx.params, ctx: tailCx.ctx}
-			// Parallel probes only exist under joins, where the pushed
-			// filter is a lenient prefilter: evaluation errors keep the
-			// row for the residual WHERE instead of failing the pool.
-			ps := newParallelScanStream(env, rows, lenientPred(src.pushedC), nil, info.columns, src.workers)
+			// Under a join the pushed filter is a lenient prefilter:
+			// evaluation errors keep the row for the residual WHERE instead
+			// of failing the pool.
+			ps := newParallelScanStream(src.filter(tailCx, info), rows, info.columns, src.workers)
 			ps.align = pageAlignRows(cx.db, t.Name, len(rows))
 			return ps, info, nil
 		}
@@ -817,6 +873,9 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 		if err != nil {
 			st.Close()
 			return nil, sourceInfo{}, err
+		}
+		if _, ok := st.(BatchSource); ok && src.batchTail {
+			return st, info, nil // opPlan.open decides how to filter it
 		}
 		base = st
 	default: // subquery, materialized once under the lock
@@ -935,26 +994,6 @@ func (p *opPlan) openIndexedJoin(cx *evalCtx, tailCx *evalCtx) (RowStream, []sou
 	js := newJoinStream(tailCx, step, left, nil, sources[:1], innerInfo, sources)
 	js.lk, js.built, js.residual = cands, true, step.lookup.residual
 	return js, sources, nil
-}
-
-// lenientPred wraps a compiled predicate into a total boolean: NULL and
-// clean false drop the row, and any evaluation or coercion error reads as
-// "keep the row" — the prefilter contract under joins.
-func lenientPred(ce compiledExpr) compiledExpr {
-	return func(env *compEnv, row Row) (variant.Value, error) {
-		v, err := ce(env, row)
-		if err != nil {
-			return variant.NewBool(true), nil
-		}
-		if v.IsNull() {
-			return variant.NewBool(false), nil
-		}
-		b, err := v.AsBool()
-		if err != nil {
-			return variant.NewBool(true), nil
-		}
-		return variant.NewBool(b), nil
-	}
 }
 
 // orderedSnapshot materializes t's visible versions in index-key order:

@@ -6,20 +6,21 @@ import (
 )
 
 // Parallel partitioned scans. The planner partitions a large snapshot across
-// a worker pool; each worker runs the compiled filter and projections over
-// its contiguous slice and the merge is order-insensitive (rows surface in
-// whatever order workers produce them — fine for a SELECT with no ORDER BY,
-// where row order is unspecified anyway). The snapshot rows, compiled
-// closures, and environment are all read-only after construction, so workers
-// share them without synchronization; results flow through a batched channel
-// to amortize coordination.
+// a worker pool; each worker runs the scan leaf's filter (a compiled rowPred,
+// strict or lenient) over its contiguous slice, and the merge is
+// order-insensitive (rows surface in whatever order workers produce them —
+// fine for a SELECT with no ORDER BY, where row order is unspecified anyway).
+// Projection happens above the scan, in the pipeline's projectStream. The
+// snapshot rows, the predicate and its environment are all read-only after
+// construction, so workers share them without synchronization; results flow
+// through a batched channel to amortize coordination.
 //
 // Cancellation: workers poll the statement context every 256 rows and a stop
 // channel whenever they hand off a batch, so Close (or the first error)
 // stops the pool promptly; Close then waits for every worker to exit, so no
 // goroutine outlives the stream.
 
-// parBatch is one worker handoff: some projected rows, or a terminal error.
+// parBatch is one worker handoff: some kept rows, or a terminal error.
 type parBatch struct {
 	rows []Row
 	err  error
@@ -29,10 +30,8 @@ type parBatch struct {
 // contract. The pool starts lazily on the first Next, i.e. after the caller
 // released the database lock.
 type parallelScanStream struct {
-	env     *compEnv
+	pred    *rowPred
 	rows    []Row
-	filter  compiledExpr
-	projs   []compiledExpr
 	cols    []Column
 	workers int
 
@@ -52,8 +51,8 @@ type parallelScanStream struct {
 	align int
 }
 
-func newParallelScanStream(env *compEnv, rows []Row, filter compiledExpr, projs []compiledExpr, cols []Column, workers int) *parallelScanStream {
-	return &parallelScanStream{env: env, rows: rows, filter: filter, projs: projs, cols: cols, workers: workers, align: 1}
+func newParallelScanStream(pred *rowPred, rows []Row, cols []Column, workers int) *parallelScanStream {
+	return &parallelScanStream{pred: pred, rows: rows, cols: cols, workers: workers, align: 1}
 }
 
 // pageAlignRows estimates how many rows share one heap page of a paged
@@ -104,7 +103,7 @@ func (ps *parallelScanStream) start() {
 	}()
 }
 
-// scan filters and projects one partition, handing off batches of rows.
+// scan filters one partition, handing off batches of rows.
 func (ps *parallelScanStream) scan(lo, hi int) {
 	defer ps.wg.Done()
 	const batchSize = 128
@@ -136,48 +135,20 @@ func (ps *parallelScanStream) scan(lo, hi int) {
 				return
 			default:
 			}
-			if ps.env.ctx != nil {
-				if err := ps.env.ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}
-		in := ps.rows[i]
-		if ps.filter != nil {
-			v, err := ps.filter(ps.env, in)
-			if err != nil {
+			if err := ps.pred.cx.checkCancel(i - lo); err != nil {
 				fail(err)
 				return
 			}
-			if v.IsNull() {
-				continue
-			}
-			b, err := v.AsBool()
-			if err != nil {
-				fail(err)
-				return
-			}
-			if !b {
-				continue
-			}
 		}
-		// nil projs means identity: the partition feeds a downstream
-		// operator (a hash-join probe side) that wants the source row
-		// unchanged.
-		out := in
-		if ps.projs != nil {
-			out = make(Row, len(ps.projs))
-			for pi, proj := range ps.projs {
-				v, err := proj(ps.env, in)
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[pi] = v
-			}
+		keep, err := ps.pred.keep(ps.rows[i])
+		if err != nil {
+			fail(err)
+			return
 		}
-		batch = append(batch, out)
+		if !keep {
+			continue
+		}
+		batch = append(batch, ps.rows[i])
 		if len(batch) == batchSize && !flush() {
 			return
 		}

@@ -1,8 +1,6 @@
 package sqldb
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -19,11 +17,13 @@ import (
 //     by the catalogue's per-table row counts and per-column cardinalities
 //     (stats.go), plus whether the scan runs serially or partitioned across
 //     a worker pool (parallel.go).
-//  3. A physical executor: for the streamable single-table class the plan's
-//     WHERE predicate and projections are compiled once into closures
-//     (compile.go) and run through pull-based streams; everything else
-//     lowers to the legacy streaming or materializing executors, which share
-//     the same access-path chooser.
+//  3. One of three physical executors: the vectorized batch executor for
+//     single-table analytical scans, aggregates and windows (vecexec.go);
+//     the streaming operator pipeline (operator.go) for every other SELECT
+//     whose expressions outside FROM are pure builtins, compiling scan
+//     filters and single-table projections once into closures (compile.go);
+//     and the reference materializing executor (exec.go) for the rest. All
+//     three share the same access-path chooser.
 //
 // Physical plans are cached per statement (cachedPlan) and revalidated
 // against the catalogue epoch, so any DDL — CREATE/DROP TABLE or INDEX,
@@ -179,10 +179,10 @@ type PlannerOptions struct {
 	// DisableIndexScan forces full scans — the debugging/testing knob the
 	// property suite uses to cross-check planner-chosen access paths.
 	DisableIndexScan bool
-	// DisableStreamingExec forces joins, aggregates, ORDER BY and DISTINCT
-	// back onto the legacy materializing executor — the differential-testing
-	// knob that cross-checks the streaming operators (operator.go) against
-	// the reference implementation.
+	// DisableStreamingExec forces every SELECT the streaming operators
+	// (operator.go) would run — single-source reads, joins, aggregates,
+	// ORDER BY and DISTINCT — onto the reference materializing executor: the
+	// differential-testing knob that cross-checks the pipeline against it.
 	DisableStreamingExec bool
 	// DisableHashJoin keeps equi-joins on the streaming nested-loop
 	// strategy, for testing and for working around pathological key
@@ -254,8 +254,9 @@ func (o PlannerOptions) parallelMinRows() int {
 // scan over tableRows rows, or 0 when the scan should stay serial: below the
 // row threshold, with a single-worker pool, or when the partitions would
 // drop under the per-worker chunk floor (a lowered ParallelMinRows — tests,
-// benchmarks — lowers the floor with it). Shared by the compiled
-// single-table path and the operator pipeline's probe-side feed.
+// benchmarks — lowers the floor with it). Shared by the vectorized planner,
+// which leaves such scans to the operator pipeline, and that pipeline's
+// single-source and join probe-side leaves.
 func (o PlannerOptions) parallelScanWorkers(tableRows int) int {
 	workers := o.scanWorkers()
 	minRows := o.parallelMinRows()
@@ -419,19 +420,14 @@ func (ap *accessPath) lookupRows(cx *evalCtx, t *Table) ([]Row, bool) {
 type physKind int
 
 const (
-	// physCompiled: single base-table streamable SELECT with fully compiled
-	// predicates/projections — the fast path.
-	physCompiled physKind = iota
-	// physStream: streamable, but source or expressions aren't compilable
-	// (function scans, subqueries, FROM-less) — legacy two-phase stream.
-	physStream
-	// physOps: joins, aggregation, ORDER BY, DISTINCT over pure-builtin
-	// expressions — the streaming operator pipeline (operator.go): hash or
-	// nested-loop joins, incremental hash aggregation, and sort, all behind
-	// the pull-based RowStream contract.
-	physOps
+	// physOps: every SELECT whose expressions outside FROM are pure
+	// builtins — single-source reads (base table, function scan, subquery,
+	// or FROM-less) as well as joins, aggregation, ORDER BY and DISTINCT —
+	// runs on the streaming operator pipeline (operator.go) behind the
+	// pull-based RowStream contract.
+	physOps physKind = iota
 	// physMaterialize: everything else (UDF-bearing expressions, LATERAL,
-	// stddev, …) — the materializing executor.
+	// stddev, …) — the reference materializing executor (exec.go).
 	physMaterialize
 	// physVectorized: single-table analytical statements (filtered scans,
 	// hash aggregation, window functions) running over columnar batches with
@@ -439,25 +435,13 @@ const (
 	physVectorized
 )
 
-// physPlan is one compiled physical plan. It pins the table and index
-// pointers and the compiled closures; the recorded catalogue epoch gates
+// physPlan is one physical plan. It pins the table and index pointers and
+// the compiled closures of its executor; the recorded catalogue epoch gates
 // reuse (see cachedPlan.physFor).
 type physPlan struct {
 	epoch uint64
 	kind  physKind
 	sel   *SelectStmt
-
-	// physCompiled fields:
-	table    *Table
-	alias    string
-	access   accessPath
-	filter   compiledExpr // full WHERE; nil when absent
-	cols     []Column
-	projs    []compiledExpr
-	limitC   compiledExpr // nil when absent
-	offsetC  compiledExpr
-	parallel bool
-	workers  int
 
 	// physOps field: the streaming operator pipeline (operator.go).
 	ops *opPlan
@@ -471,148 +455,10 @@ func (db *DB) planSelect(s *SelectStmt) (*physPlan, error) {
 	if vp := db.planVectorized(s); vp != nil {
 		return &physPlan{kind: physVectorized, sel: s, vec: vp}, nil
 	}
-	if !streamableSelect(s) {
-		// The join/aggregate/sort class streams through the operator
-		// pipeline when it qualifies; otherwise it materializes.
-		if ops := db.planOperators(s); ops != nil {
-			return &physPlan{kind: physOps, sel: s, ops: ops}, nil
-		}
-		return &physPlan{kind: physMaterialize, sel: s}, nil
+	if ops := db.planOperators(s); ops != nil {
+		return &physPlan{kind: physOps, sel: s, ops: ops}, nil
 	}
-	if len(s.From) != 1 || s.From[0].Table == "" {
-		return &physPlan{kind: physStream, sel: s}, nil
-	}
-	item := s.From[0]
-	t, ok := db.tables.get(item.Table)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, item.Table)
-	}
-	info, err := fromItemInfo(item, t.Columns)
-	if err != nil {
-		// Shape errors surface identically through the legacy stream.
-		return &physPlan{kind: physStream, sel: s}, nil
-	}
-	fallback := &physPlan{kind: physStream, sel: s}
-	comp := &compiler{alias: info.alias, cols: info.columns}
-	plan := &physPlan{kind: physCompiled, sel: s, table: t, alias: info.alias}
-
-	if s.Where != nil {
-		f, ok := comp.compile(s.Where)
-		if !ok {
-			return fallback, nil
-		}
-		plan.filter = f
-	}
-	cols, exprs, err := expandItems(s.Items, []sourceInfo{info})
-	if err != nil {
-		return fallback, nil
-	}
-	plan.cols = cols
-	plan.projs = make([]compiledExpr, len(exprs))
-	for i, e := range exprs {
-		ce, ok := comp.compile(e)
-		if !ok {
-			return fallback, nil
-		}
-		plan.projs[i] = ce
-	}
-	constComp := &compiler{}
-	if s.Limit != nil {
-		ce, ok := constComp.compile(s.Limit)
-		if !ok {
-			return fallback, nil
-		}
-		plan.limitC = ce
-	}
-	if s.Offset != nil {
-		ce, ok := constComp.compile(s.Offset)
-		if !ok {
-			return fallback, nil
-		}
-		plan.offsetC = ce
-	}
-
-	// Access path: column aliases would rename WHERE references away from
-	// the physical column names the indexes know, so alias'd scans stay
-	// sequential.
-	if s.Where != nil && len(item.ColAliases) == 0 {
-		plan.access = chooseAccessPath(db, t, info.alias, s.Where)
-	} else {
-		plan.access = chooseAccessPath(db, t, info.alias, nil)
-	}
-
-	// Parallel partitioned scan: a large sequential scan with a filter and
-	// no LIMIT/OFFSET (the merge is order-insensitive, so early-exit
-	// accounting doesn't partition).
-	if plan.access.kind == accessSeq && plan.filter != nil &&
-		s.Limit == nil && s.Offset == nil {
-		if workers := db.planner.parallelScanWorkers(plan.access.tableRows); workers > 0 {
-			plan.parallel = true
-			plan.workers = workers
-		}
-	}
-	return plan, nil
-}
-
-// run executes a compiled plan: source resolution (snapshot or index probe)
-// happens now, under the caller-held database lock; the returned stream's
-// Next does only pure work over private data.
-func (p *physPlan) run(cx *evalCtx) (RowStream, error) {
-	env := &compEnv{params: cx.params, ctx: cx.ctx}
-	offset, limit := -1, -1
-	if p.offsetC != nil {
-		v, err := p.offsetC(env, nil)
-		if err != nil {
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return nil, fmt.Errorf("sql: OFFSET: %w", err)
-		}
-		if n > 0 {
-			offset = int(n)
-		}
-	}
-	if p.limitC != nil {
-		v, err := p.limitC(env, nil)
-		if err != nil {
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return nil, fmt.Errorf("sql: LIMIT: %w", err)
-		}
-		if n >= 0 {
-			limit = int(n)
-		}
-	}
-
-	var rows []Row
-	if r, ok := p.access.lookupRows(cx, p.table); ok {
-		rows = r
-	} else {
-		// Materialize the versions visible to this statement's snapshot; the
-		// slice is private, so the stream needs no locks and stays pinned to
-		// the snapshot while writers commit underneath it.
-		rows = visibleRows(cx, p.table)
-	}
-
-	// parallel is only planned for LIMIT/OFFSET-free statements, so the
-	// serial accounting below never applies to a partitioned scan.
-	if p.parallel {
-		ps := newParallelScanStream(env, rows, p.filter, p.projs, p.cols, p.workers)
-		ps.align = pageAlignRows(cx.db, p.table.Name, len(rows))
-		return ps, nil
-	}
-	return &compiledStream{
-		env:    env,
-		rows:   rows,
-		filter: p.filter,
-		projs:  p.projs,
-		cols:   p.cols,
-		offset: offset,
-		limit:  limit,
-	}, nil
+	return &physPlan{kind: physMaterialize, sel: s}, nil
 }
 
 // cachedPlan is one plan-cache entry: the parsed AST plus the compiled
@@ -638,80 +484,4 @@ func (cp *cachedPlan) physFor(db *DB, s *SelectStmt) (*physPlan, error) {
 	p.epoch = epoch
 	cp.phys.Store(p)
 	return p, nil
-}
-
-// --- Compiled serial stream ---
-
-// compiledStream is the pull-based tail of a compiled plan: per Next it
-// filters with the compiled predicate, skips OFFSET, projects with the
-// compiled expressions, and counts down LIMIT.
-type compiledStream struct {
-	env    *compEnv
-	rows   []Row
-	pos    int
-	filter compiledExpr
-	projs  []compiledExpr
-	cols   []Column
-	offset int // rows still to skip; <= 0 none
-	limit  int // rows still to emit; < 0 unlimited
-	n      int // rows pulled, for cancellation polling
-}
-
-func (cs *compiledStream) Columns() []Column { return cs.cols }
-
-func (cs *compiledStream) Next() (Row, error) {
-	if cs.limit == 0 {
-		return nil, io.EOF
-	}
-	for {
-		if cs.env.ctx != nil && cs.n&255 == 0 {
-			if err := cs.env.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		cs.n++
-		if cs.pos >= len(cs.rows) {
-			return nil, io.EOF
-		}
-		in := cs.rows[cs.pos]
-		cs.pos++
-		if cs.filter != nil {
-			v, err := cs.filter(cs.env, in)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			b, err := v.AsBool()
-			if err != nil {
-				return nil, err
-			}
-			if !b {
-				continue
-			}
-		}
-		if cs.offset > 0 {
-			cs.offset--
-			continue
-		}
-		out := make(Row, len(cs.projs))
-		for i, proj := range cs.projs {
-			v, err := proj(cs.env, in)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		if cs.limit > 0 {
-			cs.limit--
-		}
-		return out, nil
-	}
-}
-
-func (cs *compiledStream) Close() error {
-	cs.pos = len(cs.rows)
-	cs.limit = 0
-	return nil
 }

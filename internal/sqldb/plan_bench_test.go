@@ -31,7 +31,8 @@ func benchPlanDB(b *testing.B, rows int) *DB {
 	return db
 }
 
-// drainQuery runs the normal (planned, compiled) execution path.
+// drainQuery runs a query through the planned execution path and counts its
+// rows.
 func drainQuery(b *testing.B, db *DB, sql string, args ...any) int {
 	it, err := db.QueryRows(sql, args...)
 	if err != nil {
@@ -48,79 +49,31 @@ func drainQuery(b *testing.B, db *DB, sql string, args ...any) int {
 	return n
 }
 
-// drainInterpreted runs the same SELECT through the pre-planner streaming
-// executor: per-row scope binding and AST tree-walk for WHERE and the
-// projection — the interpreted baseline the compiled path replaces.
-func drainInterpreted(b *testing.B, db *DB, sql string, args ...any) int {
-	cp, err := db.parse(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params, err := bindArgs(args)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cx := &evalCtx{db: db, params: params}
-	db.mu.RLock()
-	st, err := db.buildSelectStream(cx, cp.stmt.(*SelectStmt))
-	db.mu.RUnlock()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs, err := drainStream(st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return len(rs.Rows)
-}
-
-// BenchmarkPlannedVsInterpreted compares compiled predicate/projection
-// execution against the old tree-walk evaluation, on the two shapes the
-// paper's workload leans on: an indexed point lookup returning ~100 rows,
-// and a large filtered scan.
-func BenchmarkPlannedVsInterpreted(b *testing.B) {
+// BenchmarkSingleSourceSelect times the two single-table shapes the paper's
+// workload leans on, serially: an indexed point lookup returning ~100 rows
+// (the operator pipeline with a compiled filter and projection) and a large
+// filtered scan (the vectorized scan).
+func BenchmarkSingleSourceSelect(b *testing.B) {
 	const rows = 100_000
-	pointQ := `SELECT name FROM bench WHERE id = $1`
-	filterQ := `SELECT id, val FROM bench WHERE val >= 25 AND val < 75`
-
-	b.Run("PointLookup/Compiled", func(b *testing.B) {
-		db := benchPlanDB(b, rows)
-		db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if n := drainQuery(b, db, pointQ, i%(rows/100)); n == 0 {
-				b.Fatal("no rows")
+	for _, bc := range []struct {
+		name, sql string
+		arg       func(i int) []any
+	}{
+		{"PointLookup", `SELECT name FROM bench WHERE id = $1`, func(i int) []any { return []any{i % (rows / 100)} }},
+		{"LargeFilter", `SELECT id, val FROM bench WHERE val >= 25 AND val < 75`, func(int) []any { return nil }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			db := benchPlanDB(b, rows)
+			db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n := drainQuery(b, db, bc.sql, bc.arg(i)...); n == 0 {
+					b.Fatal("no rows")
+				}
 			}
-		}
-	})
-	b.Run("PointLookup/Interpreted", func(b *testing.B) {
-		db := benchPlanDB(b, rows)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if n := drainInterpreted(b, db, pointQ, i%(rows/100)); n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("LargeFilter/Compiled", func(b *testing.B) {
-		db := benchPlanDB(b, rows)
-		db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if n := drainQuery(b, db, filterQ); n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("LargeFilter/Interpreted", func(b *testing.B) {
-		db := benchPlanDB(b, rows)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if n := drainInterpreted(b, db, filterQ); n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkParallelScan compares one worker against a pool on a ≥100k-row

@@ -1,8 +1,11 @@
 package sqldb
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/variant"
 )
 
 // These tests pin the plan-cache invalidation protocol: physical plans pin
@@ -195,12 +198,17 @@ func TestStmtPlanPhase(t *testing.T) {
 }
 
 // TestStmtExecutorKind: ExecutorKind names the physical executor a SELECT
-// resolves to, tracks planner-option changes, and reports "" for
-// non-SELECTs.
+// resolves to — one of vectorized, operators or materialize — tracks
+// planner-option changes, and reports "" for non-SELECTs.
 func TestStmtExecutorKind(t *testing.T) {
-	db := New()
+	db := newSuiteDB(t)
 	mustExec(t, db, `CREATE TABLE ek (x integer, g text)`)
 	mustExec(t, db, `INSERT INTO ek VALUES (1, 'a'), (2, 'b')`)
+	mustExec(t, db, `INSERT INTO ek SELECT gs, 'c' FROM generate_series(3, 200) AS gs`)
+	mustExec(t, db, `CREATE INDEX ek_x ON ek (x)`)
+	db.RegisterScalar("ek_udf", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+		return args[0], nil
+	}, true)
 
 	kinds := func(sql string) string {
 		t.Helper()
@@ -220,6 +228,19 @@ func TestStmtExecutorKind(t *testing.T) {
 	}
 	if k := kinds(`SELECT g, sum(x) FROM ek GROUP BY g ORDER BY g`); k == "vectorized" {
 		t.Errorf("ORDER BY should not plan vectorized, got %q", k)
+	}
+	for sql, want := range map[string]string{
+		`SELECT g FROM ek WHERE x = $1`:                 "operators",
+		`SELECT 1`:                                      "operators",
+		`SELECT * FROM generate_series(1, 3)`:           "operators",
+		`SELECT g FROM ek WHERE x > 0 ORDER BY g`:       "operators",
+		`SELECT ek_udf(x) FROM ek`:                      "materialize",
+		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek`:    "vectorized",
+		`SELECT * FROM ek e, LATERAL (SELECT e.x) AS l`: "materialize",
+	} {
+		if k := kinds(sql); k != want {
+			t.Errorf("%s: executor = %q, want %q", sql, k, want)
+		}
 	}
 	ins, err := db.Prepare(`INSERT INTO ek VALUES (3, 'c')`)
 	if err != nil {

@@ -82,13 +82,18 @@ func (f *opFilterStream) Next() (Row, error) {
 
 func (f *opFilterStream) Close() error { return f.src.Close() }
 
-// projectStream evaluates the SELECT list per input row.
+// projectStream evaluates the SELECT list per input row: through projs, the
+// list compiled against a single base-table source, when the planner
+// produced it (env is their environment, built once at open), interpreted
+// via the bound scope otherwise.
 type projectStream struct {
 	cx      *evalCtx
 	src     RowStream
 	sources []sourceInfo
 	cols    []Column
 	exprs   []Expr
+	projs   []compiledExpr
+	env     compEnv
 	n       int
 }
 
@@ -102,6 +107,15 @@ func (p *projectStream) Next() (Row, error) {
 	in, err := p.src.Next()
 	if err != nil {
 		return nil, err
+	}
+	if p.projs != nil {
+		out := make(Row, len(p.projs))
+		for i, proj := range p.projs {
+			if out[i], err = proj(&p.env, in); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
 	sc := bindScope(p.sources, in, nil)
 	rcx := p.cx.withScope(sc)

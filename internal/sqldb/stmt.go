@@ -101,10 +101,10 @@ func (s *Stmt) Plan() error {
 }
 
 // ExecutorKind resolves the statement's physical plan and names the
-// executor it will run on: "vectorized", "compiled", "stream", "operators",
-// or "materialize". Non-SELECT statements report "". The pgfmu shell
-// surfaces this next to \timing so a user can see whether an analytical
-// query took the vectorized path.
+// executor it will run on: "vectorized" (columnar batches), "operators" (the
+// streaming operator pipeline) or "materialize" (the reference executor).
+// Non-SELECT statements report "". The pgfmu shell surfaces this next to
+// \timing so a user can see which executor a query took.
 func (s *Stmt) ExecutorKind() (string, error) {
 	if s.closed.Load() {
 		return "", ErrClosed
@@ -125,10 +125,6 @@ func (s *Stmt) ExecutorKind() (string, error) {
 	switch plan.kind {
 	case physVectorized:
 		return "vectorized", nil
-	case physCompiled:
-		return "compiled", nil
-	case physStream:
-		return "stream", nil
 	case physOps:
 		return "operators", nil
 	default:

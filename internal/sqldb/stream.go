@@ -2,185 +2,14 @@ package sqldb
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/variant"
 )
 
-// Streaming SELECT execution. A "streamable" plan splits into two phases:
-//
-//   - Source resolution, under the database lock: the table's versions
-//     visible to the statement's snapshot are materialized into a private
-//     slice, secondary-index candidates are gathered, subqueries run to
-//     completion, and FROM-clause UDFs execute (including their side
-//     effects and WAL capture).
-//   - The lazy tail, after the lock is released: WHERE filtering,
-//     projection, and LIMIT/OFFSET accounting happen per Next call. Because
-//     streamableSelect admits only builtin functions outside the FROM item,
-//     the tail touches no shared state — so LIMIT early-exits without
-//     evaluating the rest, memory stays bounded, and the iterator can be
-//     handed across the API boundary without holding a lock.
-//
-// Everything else (aggregation, GROUP BY, ORDER BY, DISTINCT, joins,
-// UDF-bearing expressions) runs through the materializing executor in
-// exec.go and is wrapped as an already-drained stream.
-
-// streamableSelect reports whether s can run as a lazy stream.
-func streamableSelect(s *SelectStmt) bool {
-	if s.Distinct || len(s.GroupBy) > 0 || s.Having != nil || len(s.OrderBy) > 0 {
-		return false
-	}
-	if selectHasAggregates(s) || selectHasWindows(s) {
-		return false
-	}
-	if len(s.From) > 1 {
-		return false
-	}
-	if len(s.From) == 1 {
-		item := s.From[0]
-		if item.On != nil {
-			return false
-		}
-		// A lateral subquery re-evaluates per row; only plain subqueries
-		// (materialized once, under the lock) stream.
-		if item.Sub != nil && item.Lateral {
-			return false
-		}
-	}
-	// The lazy tail runs after the lock is released, so every function
-	// outside the FROM item must be an engine builtin.
-	pure := true
-	check := func(name string) {
-		if _, ok := builtinScalars[strings.ToLower(name)]; !ok {
-			pure = false
-		}
-	}
-	for _, it := range s.Items {
-		walkExprFuncs(it.Expr, check)
-	}
-	walkExprFuncs(s.Where, check)
-	walkExprFuncs(s.Limit, check)
-	walkExprFuncs(s.Offset, check)
-	return pure
-}
-
-// buildSelectStream assembles the two-phase pipeline for a streamable
-// SELECT. It must run under the database lock (either mode); the returned
-// stream's Next does only pure work.
-func (db *DB) buildSelectStream(cx *evalCtx, s *SelectStmt) (RowStream, error) {
-	var src RowStream
-	var sources []sourceInfo
-	if len(s.From) == 0 {
-		src = &sliceStream{rows: []Row{{}}}
-	} else if cand, info, ok := tryIndexScan(cx, s); ok {
-		src = &sliceStream{cols: info.columns, rows: cand}
-		sources = []sourceInfo{info}
-	} else {
-		item := s.From[0]
-		var cols []Column
-		switch {
-		case item.Table != "":
-			t, ok := db.tables.get(item.Table)
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, item.Table)
-			}
-			// Resolve the versions visible to this statement's snapshot into
-			// a private slice; the tail then streams it without locks while
-			// remaining pinned to the snapshot.
-			src = &sliceStream{cols: t.Columns, rows: visibleRows(cx, t)}
-			cols = t.Columns
-		case item.Func != nil:
-			args := make([]variant.Value, len(item.Func.Args))
-			for i, a := range item.Func.Args {
-				v, err := evalExpr(cx, a)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = v
-			}
-			st, err := db.callTableFunc(cx, item.Func.Name, args)
-			if err != nil {
-				return nil, err
-			}
-			src = st
-			cols = st.Columns()
-		case item.Sub != nil:
-			rs, err := execSelect(cx, item.Sub, nil)
-			if err != nil {
-				return nil, err
-			}
-			src = rs.Stream()
-			cols = rs.Columns
-		default:
-			return nil, fmt.Errorf("sql: empty FROM item")
-		}
-		info, err := fromItemInfo(item, cols)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		sources = []sourceInfo{info}
-	}
-
-	cols, exprs, err := expandItems(s.Items, sources)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	offset, limit := -1, -1
-	if s.Offset != nil {
-		v, err := evalExpr(cx, s.Offset)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			src.Close()
-			return nil, fmt.Errorf("sql: OFFSET: %w", err)
-		}
-		if n > 0 {
-			offset = int(n)
-		}
-	}
-	if s.Limit != nil {
-		v, err := evalExpr(cx, s.Limit)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			src.Close()
-			return nil, fmt.Errorf("sql: LIMIT: %w", err)
-		}
-		if n >= 0 {
-			limit = int(n)
-		}
-	}
-	// Detach the evaluation context: the tail must not inherit transaction
-	// bookkeeping (physLog) or a scope bound while the lock was held.
-	tailCx := &evalCtx{db: db, params: cx.params, ctx: cx.ctx}
-	// A FROM-clause source that exposes columnar batches (fmu_simulate's
-	// trajectory frames) feeds the vectorized tail directly when the filter
-	// and projections vec-compile, skipping per-cell boxing of dropped lanes.
-	if !db.planner.DisableVectorized && len(s.From) == 1 && s.From[0].Func != nil && s.Where != nil {
-		if vs := newVecFuncScanStream(tailCx, src, sources[0], s, cols, exprs, offset, limit); vs != nil {
-			return vs, nil
-		}
-	}
-	return &selectStream{
-		cx:      tailCx,
-		src:     src,
-		sources: sources,
-		where:   s.Where,
-		cols:    cols,
-		exprs:   exprs,
-		offset:  offset,
-		limit:   limit,
-	}, nil
-}
+// FROM-item resolution shared by every executor: a function call in FROM
+// becomes a row stream, and any FROM item's relation shape becomes the
+// sourceInfo its scope binds.
 
 // callTableFunc resolves a FROM-clause function into a row stream: builtin
 // SRFs, registered table UDFs (streaming or materialized), or — PostgreSQL
@@ -232,64 +61,3 @@ func fromItemInfo(item FromItem, cols []Column) (sourceInfo, error) {
 	}
 	return sourceInfo{alias: alias, columns: cols, width: len(cols)}, nil
 }
-
-// selectStream is the lazy tail of a streamable SELECT: it filters,
-// projects, and counts LIMIT/OFFSET row by row.
-type selectStream struct {
-	cx      *evalCtx
-	src     RowStream
-	sources []sourceInfo
-	where   Expr
-	cols    []Column
-	exprs   []Expr
-	offset  int // rows still to skip; <= 0 none
-	limit   int // rows still to emit; < 0 unlimited
-	n       int // rows pulled, for cancellation polling
-}
-
-func (ss *selectStream) Columns() []Column { return ss.cols }
-
-func (ss *selectStream) Next() (Row, error) {
-	if ss.limit == 0 {
-		return nil, io.EOF
-	}
-	for {
-		if err := ss.cx.checkCancel(ss.n); err != nil {
-			return nil, err
-		}
-		ss.n++
-		in, err := ss.src.Next()
-		if err != nil {
-			return nil, err // io.EOF included
-		}
-		sc := bindScope(ss.sources, in, nil)
-		rcx := ss.cx.withScope(sc)
-		if ss.where != nil {
-			ok, err := truthy(rcx, ss.where)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if ss.offset > 0 {
-			ss.offset--
-			continue
-		}
-		out := make(Row, len(ss.exprs))
-		for i, e := range ss.exprs {
-			v, err := evalExpr(rcx, e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		if ss.limit > 0 {
-			ss.limit--
-		}
-		return out, nil
-	}
-}
-
-func (ss *selectStream) Close() error { return ss.src.Close() }

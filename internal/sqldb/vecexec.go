@@ -26,9 +26,9 @@ import (
 //     executor.
 //
 // Eligibility is deliberately a subset of what the row paths accept: any
-// gate failure returns nil and the planner falls through to the compiled,
-// streaming, operator, or materializing strategies unchanged — which also
-// keeps those paths alive as the differential reference.
+// gate failure returns nil and the planner falls through to the operator
+// pipeline or the materializing executor unchanged — which also keeps those
+// paths alive as the differential reference.
 
 type vecMode int
 
@@ -127,7 +127,7 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 
 	// Indexable predicates stay on the probing paths — the vectorized scan
 	// only ever replaces a full sequential scan (column aliases rename WHERE
-	// references away from indexed names, same rule as the compiled path).
+	// references away from indexed names, same rule as the operator leaves).
 	var access accessPath
 	if s.Where != nil && len(item.ColAliases) == 0 {
 		access = chooseAccessPath(db, t, info.alias, s.Where)
@@ -150,9 +150,9 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 	default:
 		p.mode = vecScanMode
 		if s.Where == nil {
-			// A bare projection scan has no kernel to feed: the compiled
-			// path's copy loop emits each visible row once, and batches
-			// would only add gather and bookkeeping on top of it.
+			// A bare projection scan has no kernel to feed: the operator
+			// pipeline's compiled projection emits each visible row once,
+			// and batches would only add gather and bookkeeping on top.
 			return nil
 		}
 		// Large filtered scans without LIMIT/OFFSET belong to the parallel
@@ -623,7 +623,7 @@ func (st *vecScanStream) Close() error {
 // trajectory frames) in a batch-draining filter/projection stream, skipping
 // the per-cell boxing of the row iterator for lanes the filter drops. nil
 // when the expressions don't vec-compile — the caller falls back to the
-// row-at-a-time selectStream.
+// row-at-a-time filter and projection of the operator pipeline.
 func newVecFuncScanStream(cx *evalCtx, src RowStream, info sourceInfo, s *SelectStmt, cols []Column, exprs []Expr, offset, limit int) RowStream {
 	bs, ok := src.(BatchSource)
 	if !ok {
