@@ -9,14 +9,16 @@ import (
 	"repro/internal/variant"
 )
 
-// Expression compilation. The physical planner compiles WHERE predicates and
-// projections once, at plan time, into closures over (environment, row) —
-// replacing the per-row AST walk of eval.go. Compilation resolves everything
-// that does not depend on the row up front: column references become fixed
-// offsets into the source row (no scope allocation, no case-insensitive name
-// search per row), builtin functions are bound to their implementations (no
-// registry lookup per call), comparison operators are specialized, and
-// constant LIKE patterns pre-compile their regexps.
+// Expression compilation. The physical planner compiles WHERE predicates,
+// projections, join conditions, group keys and aggregate arguments once — at
+// plan time, or at open for sources whose shape only open learns — into
+// closures over (environment, row), replacing the per-row AST walk of
+// eval.go. Compilation resolves everything that does not depend on the row
+// up front: column references become fixed offsets into the (joined) row (no
+// scope allocation, no case-insensitive name search per row), builtin
+// functions are bound to their implementations (no registry lookup per
+// call), comparison operators are specialized, and constant LIKE patterns
+// pre-compile their regexps.
 //
 // Compiled evaluation must be observationally identical to evalExpr — same
 // values, same NULL semantics, same errors — because the planner freely
@@ -34,43 +36,62 @@ type compEnv struct {
 	ctx    context.Context
 }
 
-// compiledExpr evaluates one expression against an environment and a source
-// row. Expressions compiled without a source (constant folding for LIMIT /
-// probe bounds) ignore row.
+// compiledExpr evaluates one expression against an environment and a row of
+// the compiler's layout. Expressions compiled without a source (constant
+// folding for LIMIT / probe bounds) ignore row.
 type compiledExpr func(env *compEnv, row Row) (variant.Value, error)
 
-// compiler compiles expressions against a single source relation: alias and
-// columns fix every column reference to an offset. A compiler with no
-// columns compiles only row-independent (constant) expressions. An optional
-// extra source (the synthetic window-value columns) resolves qualified
-// references only, at offsets past the primary columns — rows presented to
-// such a compiler are the primary row with the extra values appended.
+// compiler compiles expressions against a row layout: its sources' columns
+// concatenated in order — one scan leaf, the joined row above a join chain,
+// or a table followed by the synthetic window-value columns. Column
+// references become fixed offsets into that row. A compiler with no sources
+// compiles only row-independent (constant) expressions.
 type compiler struct {
-	alias      string
-	cols       []Column
-	extraAlias string
-	extraCols  []Column
+	sources []sourceInfo
 }
 
-// resolve maps a column reference to its offset, or -1 when it cannot be
-// resolved against this source.
+// resolve maps a column reference to its offset with scope.lookup's rules,
+// or -1 unless exactly one column matches: an ambiguous or unknown reference
+// stays interpreted, so the interpreter raises its error.
 func (c *compiler) resolve(table, name string) int {
-	if table == "" || strings.EqualFold(table, c.alias) {
-		for i, col := range c.cols {
-			if strings.EqualFold(col.Name, name) {
-				return i
+	found, matches, base := -1, 0, 0
+	for _, src := range c.sources {
+		if table == "" || strings.EqualFold(table, src.alias) {
+			for i, col := range src.columns {
+				if strings.EqualFold(col.Name, name) {
+					found = base + i
+					matches++
+				}
 			}
 		}
+		base += src.width
+	}
+	if matches != 1 {
 		return -1
 	}
-	if c.extraAlias != "" && strings.EqualFold(table, c.extraAlias) {
-		for i, col := range c.extraCols {
-			if strings.EqualFold(col.Name, name) {
-				return len(c.cols) + i
-			}
+	return found
+}
+
+// compileOver compiles e against the row layout of sources; nil when e is
+// nil or does not compile (the caller interprets it).
+func compileOver(e Expr, sources []sourceInfo) compiledExpr {
+	if e == nil {
+		return nil
+	}
+	ce, _ := (&compiler{sources: sources}).compile(e)
+	return ce
+}
+
+// compileAll compiles every expression against sources; nil unless all of
+// them compile.
+func compileAll(es []Expr, sources []sourceInfo) []compiledExpr {
+	out := make([]compiledExpr, len(es))
+	for i, e := range es {
+		if out[i] = compileOver(e, sources); out[i] == nil {
+			return nil
 		}
 	}
-	return -1
+	return out
 }
 
 func paramUnboundErr(idx int) error {

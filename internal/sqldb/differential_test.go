@@ -3,7 +3,10 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/variant"
@@ -321,6 +324,187 @@ func TestStreamingOperatorEquivalenceSingleTable(t *testing.T) {
 			t.Errorf("%s:\nstream err = %v\nreference err = %v", c.sql, serr, rerr)
 		case serr == nil && !rowsEqual(streamed, ref):
 			t.Errorf("%s diverges:\nstream %v\nreference %v", c.sql, streamed.Rows, ref.Rows)
+		}
+	}
+}
+
+// callStream yields rows (i, i * 1.5, i % 3) for i in 1..n, failing at row
+// failRow when that is in range.
+type callStream struct {
+	call, n, failRow, i int
+}
+
+func (c *callStream) Columns() []Column {
+	return []Column{{Name: "i", Type: "integer"}, {Name: "x", Type: "float"}, {Name: "k", Type: "integer"}}
+}
+
+func (c *callStream) Next() (Row, error) {
+	if c.i >= c.n {
+		return nil, io.EOF
+	}
+	c.i++
+	if c.i == c.failRow {
+		return nil, fmt.Errorf("calls: call %d failed at row %d", c.call, c.i)
+	}
+	return Row{variant.NewInt(int64(c.i)), variant.NewFloat(float64(c.i) * 1.5), variant.NewInt(int64(c.i % 3))}, nil
+}
+
+func (c *callStream) Close() error { return nil }
+
+// TestStreamingOperatorEquivalenceLateral: lateral function scans on the
+// operator pipeline against the forced reference executor, on rows (in
+// order) and on error text — randomized over left inputs (a table, an
+// indexed join, a subquery, an empty subquery), lateral functions (a builtin
+// series, one whose argument divides by zero at a chosen left row, a table
+// UDF failing at call k or mid-stream at row j), WHERE (division by zero on
+// chosen joined rows, pushed and not), grouping with NULL keys and DISTINCT
+// aggregates, LIMIT, and an unqualified column two sources share. Every call
+// must have happened, in the executor's order, by the time QueryRows
+// returns.
+func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261015))
+	db := newSuiteDB(t)
+	mustExec(t, db, `CREATE TABLE fl (id integer, k integer, v float, tag text)`)
+	mustExec(t, db, `CREATE TABLE gd (k integer, w float)`)
+	for i := 0; i < 24; i++ {
+		var k, tag any
+		if rng.Intn(6) != 0 {
+			k = rng.Intn(7)
+		}
+		if rng.Intn(5) != 0 {
+			tag = fmt.Sprintf("t%d", rng.Intn(3))
+		}
+		mustExec(t, db, `INSERT INTO fl VALUES ($1, $2, $3, $4)`, i, k, float64(rng.Intn(40))/8, tag)
+	}
+	for i := 0; i < 9; i++ {
+		mustExec(t, db, `INSERT INTO gd VALUES ($1, $2)`, i%6, float64(i)/2)
+	}
+	mustExec(t, db, `CREATE INDEX gd_k ON gd (k)`)
+
+	// calls(n, failCall, failRow): the failCall-th call of a statement fails,
+	// and every call with at least failRow rows fails there.
+	var calls atomic.Int64
+	db.RegisterTable("calls", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+		call := int(calls.Add(1))
+		var n [3]int
+		for i := range n {
+			if !args[i].IsNull() {
+				v, err := args[i].AsInt()
+				if err != nil {
+					return nil, err
+				}
+				n[i] = int(v)
+			}
+		}
+		if call == n[1] {
+			return nil, fmt.Errorf("calls: call %d failed", call)
+		}
+		return &callStream{call: call, n: n[0], failRow: n[2]}, nil
+	}, true)
+
+	lefts := []string{
+		`fl f`,
+		`fl f JOIN gd d ON f.k = d.k`,
+		`(SELECT id, k, v, tag FROM fl WHERE id < 15) AS f`,
+		`(SELECT id, k, v, tag FROM fl WHERE id < 0) AS f`,
+	}
+	laterals := []string{
+		`generate_series(1, f.id % 4) AS u(i)`,
+		`LATERAL generate_series(1, 12 / (f.id + 3 - $1)) AS u(i)`,
+		`calls(f.id % 5, $1, $2) AS u`,
+		`calls(3, $1, 0) AS u`,
+	}
+	wheres := []string{
+		"", "WHERE u.i > 1", "WHERE f.tag = 't1'", "WHERE 10 / (u.i - 2) >= 0",
+		"WHERE 10 / (u.i - f.k) > 1", "WHERE f.v > 2 AND u.i % 2 = 1", "WHERE k > 1",
+	}
+	selects := []string{
+		`SELECT f.id, u.i FROM %s`,
+		`SELECT f.id, u.i * f.v FROM %s LIMIT 5`,
+		`SELECT f.tag, count(*), sum(u.i), count(DISTINCT u.i), avg(f.v) FROM %s GROUP BY f.tag`,
+		`SELECT u.i, count(DISTINCT f.k), max(f.v) FROM %s GROUP BY u.i ORDER BY 1`,
+		`SELECT DISTINCT f.tag, u.i FROM %s`,
+		// Ambiguous when two sources have a k column (f and calls or gd).
+		`SELECT k FROM %s`,
+		`SELECT k, count(*) FROM %s GROUP BY k`,
+	}
+	var queries []string
+	for iter := 0; iter < 160; iter++ {
+		lat := laterals[rng.Intn(len(laterals))]
+		if rng.Intn(3) == 0 {
+			lat = " CROSS JOIN " + lat
+		} else {
+			lat = ", " + lat
+		}
+		sel, where := selects[rng.Intn(len(selects))], wheres[rng.Intn(len(wheres))]
+		if strings.HasPrefix(sel, "SELECT k") && strings.Contains(where, "/") {
+			// The executor filters every row before it groups or projects
+			// any, the pipeline row by row: a WHERE and a SELECT list that
+			// fail on different rows report different first errors.
+			where = ""
+		}
+		from := lefts[rng.Intn(len(lefts))] + lat + " " + where
+		queries = append(queries, fmt.Sprintf(sel, from))
+	}
+
+	type answer struct {
+		rs    *ResultSet
+		err   error
+		calls int64
+	}
+	run := func(q string, args []any, reference bool) answer {
+		t.Helper()
+		if reference {
+			db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
+			defer db.SetPlannerOptions(PlannerOptions{})
+		}
+		calls.Store(0)
+		it, err := db.QueryRows(q, args...)
+		if err != nil {
+			return answer{err: err, calls: calls.Load()}
+		}
+		made := calls.Load() // before any row is read
+		rs, err := it.Materialize()
+		if after := calls.Load(); after != made {
+			t.Errorf("%s %v: %d calls at open, %d after iterating", q, args, made, after)
+		}
+		return answer{rs: rs, err: err, calls: made}
+	}
+	shapes := map[string]int{}
+	for _, q := range queries {
+		if k := planKind(t, db, q); k != physOps {
+			t.Fatalf("%s: plan kind %d, want physOps", q, k)
+		}
+		// $1 fails a call (or, at 3 and up, a series argument), $2 a row;
+		// half the time neither.
+		args := []any{0, 0}
+		if rng.Intn(2) == 0 {
+			args = []any{rng.Intn(7), rng.Intn(5)}
+		}
+		got, want := run(q, args, false), run(q, args, true)
+		switch {
+		case (got.err == nil) != (want.err == nil) || (got.err != nil && got.err.Error() != want.err.Error()):
+			t.Errorf("%s %v:\nstream err = %v\nreference err = %v", q, args, got.err, want.err)
+		case got.err == nil && !rowsEqual(got.rs, want.rs):
+			t.Errorf("%s %v diverges:\nstream %v\nreference %v", q, args, got.rs.Rows, want.rs.Rows)
+		case got.calls != want.calls:
+			t.Errorf("%s %v: %d calls, reference made %d", q, args, got.calls, want.calls)
+		}
+		switch {
+		case want.err != nil && strings.Contains(want.err.Error(), "ambiguous"):
+			shapes["ambiguous"]++
+		case want.err != nil:
+			shapes["error"]++
+		case len(want.rs.Rows) == 0:
+			shapes["empty"]++
+		default:
+			shapes["rows"]++
+		}
+	}
+	t.Logf("outcomes: %v", shapes)
+	for _, s := range []string{"ambiguous", "error", "empty", "rows"} {
+		if shapes[s] == 0 {
+			t.Errorf("no query ended %s: %v", s, shapes)
 		}
 	}
 }

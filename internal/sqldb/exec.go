@@ -183,15 +183,7 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 			rs := &ResultSet{Columns: t.Columns, Rows: visibleRows(cx, t)}
 			return rs, nil
 		case item.Func != nil:
-			args := make([]variant.Value, len(item.Func.Args))
-			for i, a := range item.Func.Args {
-				v, err := evalExpr(cx.withScope(sc), a)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = v
-			}
-			st, err := cx.db.callTableFunc(cx, item.Func.Name, args)
+			st, err := callFromItem(cx, item.Func, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -239,11 +231,7 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 					out = append(out, joined)
 				}
 				if !matched {
-					nulls := make(Row, info.width)
-					for i := range nulls {
-						nulls[i] = variant.NewNull()
-					}
-					out = append(out, append(append(Row{}, l...), nulls...))
+					out = append(out, append(append(Row{}, l...), nullRow(info.width)...))
 				}
 			}
 		default: // cross or inner
@@ -267,7 +255,8 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 		return out, info, nil
 	}
 
-	// Lateral: evaluate the relation once per left row.
+	// Lateral: evaluate the relation once per left row; LEFT JOIN LATERAL
+	// null-pads a left row no relation row matched.
 	var out []Row
 	var info sourceInfo
 	infoSet := false
@@ -284,6 +273,7 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 			}
 			infoSet = true
 		}
+		matched := false
 		for _, r := range rs.Rows {
 			joined := append(append(Row{}, l...), r...)
 			if item.On != nil {
@@ -296,7 +286,11 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 					continue
 				}
 			}
+			matched = true
 			out = append(out, joined)
+		}
+		if item.Join == JoinLeft && !matched {
+			out = append(out, append(append(Row{}, l...), nullRow(info.width)...))
 		}
 	}
 	if !infoSet {
@@ -311,6 +305,15 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 		}
 	}
 	return out, info, nil
+}
+
+// nullRow is n SQL NULLs: the padding of an unmatched LEFT JOIN row.
+func nullRow(n int) Row {
+	r := make(Row, n)
+	for i := range r {
+		r[i] = variant.NewNull()
+	}
+	return r
 }
 
 // execProjection computes the SELECT list for each row (no aggregation).

@@ -233,7 +233,11 @@ func (r *planRenderer) renderOpInput(p *opPlan, idx, depth int) error {
 		r.node(depth+1, "Hash")
 		return r.renderOpLeaf(p.leaves[idx], nil, depth+2)
 	}
-	r.node(depth, fmt.Sprintf("Nested Loop (%s join)", kind))
+	label := "Nested Loop (" + kind + " join"
+	if p.leaves[idx].lateral {
+		label += ", lateral"
+	}
+	r.node(depth, label+")")
 	if step.residual != nil {
 		r.detail(depth, "Join Cond: "+exprString(step.residual))
 	}

@@ -294,6 +294,12 @@ type hashAggStream struct {
 	specs   []*aggSpec
 	cols    []Column
 	exprs   []Expr
+	// keysC and argsC are the group keys and aggregate arguments compiled
+	// against the input layout (tailExprs; nil: interpreted), env their
+	// environment.
+	keysC []compiledExpr
+	argsC []compiledExpr
+	env   compEnv
 
 	built  bool
 	groups []*aggGroup
@@ -302,8 +308,9 @@ type hashAggStream struct {
 	closed bool
 }
 
-func newHashAggStream(cx *evalCtx, src RowStream, sources []sourceInfo, sel *SelectStmt, specs []*aggSpec, cols []Column, exprs []Expr) *hashAggStream {
-	return &hashAggStream{cx: cx, src: src, sources: sources, sel: sel, specs: specs, cols: cols, exprs: exprs}
+func newHashAggStream(cx *evalCtx, src RowStream, sources []sourceInfo, sel *SelectStmt, specs []*aggSpec, cols []Column, exprs []Expr, tail tailExprs) *hashAggStream {
+	return &hashAggStream{cx: cx, src: src, sources: sources, sel: sel, specs: specs, cols: cols, exprs: exprs,
+		keysC: tail.groupBy, argsC: tail.aggArgs, env: compEnv{params: cx.params, ctx: cx.ctx}}
 }
 
 func (h *hashAggStream) Columns() []Column { return h.cols }
@@ -335,14 +342,22 @@ func (h *hashAggStream) feed(g *aggGroup, row Row) error {
 	if g.first == nil {
 		g.first = row
 	}
-	sc := bindScope(h.sources, row, nil)
-	rcx := h.cx.withScope(sc)
+	var rcx *evalCtx
+	if h.argsC == nil {
+		rcx = h.cx.withScope(bindScope(h.sources, row, nil))
+	}
 	for i, sp := range h.specs {
 		if sp.fn.Star {
 			g.accums[i].(*countAccum).n++
 			continue
 		}
-		v, err := evalExpr(rcx, sp.fn.Args[0])
+		var v variant.Value
+		var err error
+		if rcx == nil {
+			v, err = h.argsC[i](&h.env, row)
+		} else {
+			v, err = evalExpr(rcx, sp.fn.Args[0])
+		}
 		if err != nil {
 			return err
 		}
@@ -389,11 +404,19 @@ func (h *hashAggStream) build() error {
 		}
 		g := implicit
 		if g == nil {
-			sc := bindScope(h.sources, row, nil)
-			rcx := h.cx.withScope(sc)
+			var rcx *evalCtx
+			if h.keysC == nil {
+				rcx = h.cx.withScope(bindScope(h.sources, row, nil))
+			}
 			keyVals := make([]variant.Value, len(groupBy))
 			for ki, ge := range groupBy {
-				v, err := evalExpr(rcx, ge)
+				var v variant.Value
+				var err error
+				if rcx == nil {
+					v, err = h.keysC[ki](&h.env, row)
+				} else {
+					v, err = evalExpr(rcx, ge)
+				}
 				if err != nil {
 					return err
 				}

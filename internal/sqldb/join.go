@@ -10,11 +10,13 @@ import (
 // Streaming join operators. All strategies share one stream type and differ
 // only in where a left row's candidates come from: the right (build) input is
 // drained once — into hash buckets keyed on the equi-join columns, or into a
-// plain slice for the nested loop — or, for the bottom join over an indexed
-// inner table, the candidates were read from that index when the plan opened
-// (lookupCands; there is no right input then). The left (probe) input streams
-// through row by row, so the join's output participates in LIMIT early-exit
-// and cancellation like every other operator.
+// plain slice for the nested loop — or the candidates were resolved per left
+// row when the plan opened (lookupCands; there is no right input then): read
+// from the inner table's index for the bottom join over an indexed table, or
+// returned by the function a lateral function scan calls once per left row
+// (openLateral). The left (probe) input streams through row by row, so the
+// join's output participates in LIMIT early-exit and cancellation like every
+// other operator.
 //
 // Output order is the nested-loop order the materializing executor produces:
 // left-major, right rows in stream order within each left row (hash buckets
@@ -47,12 +49,13 @@ type joinStream struct {
 	allSources  []sourceInfo
 	cols        []Column
 
-	// residual is the part of the ON condition the candidate source does
-	// not already guarantee (the whole ON for the nested loop), nil when none.
-	residual Expr
+	// residual tests the part of the ON condition the candidate source does
+	// not already guarantee (the whole ON for the nested loop) on a joined
+	// row, compiled when it compiled; nil when there is none.
+	residual *rowPred
 
 	built   bool
-	lk      *lookupCands // index lookup strategy; leftN counts outer rows pulled
+	lk      *lookupCands // candidates resolved at open (index lookup, lateral); leftN counts outer rows pulled
 	leftN   int
 	buckets map[string][]Row // hash strategy
 	rows    []Row            // all build rows (hash cross-family fallback + nested loop)
@@ -73,15 +76,14 @@ type joinStream struct {
 	closed bool
 }
 
-func newJoinStream(cx *evalCtx, step *opJoinStep, left, right RowStream, leftSources []sourceInfo, rightInfo sourceInfo, allSources []sourceInfo) *joinStream {
+func newJoinStream(cx *evalCtx, step *opJoinStep, left, right RowStream, leftSources []sourceInfo, rightInfo sourceInfo, allSources []sourceInfo, residual Expr, residualC compiledExpr) *joinStream {
 	var cols []Column
 	for _, src := range allSources {
 		cols = append(cols, src.columns...)
 	}
-	return &joinStream{
+	j := &joinStream{
 		cx:          cx,
 		step:        step,
-		residual:    step.residual,
 		left:        left,
 		right:       right,
 		leftSources: leftSources,
@@ -89,6 +91,10 @@ func newJoinStream(cx *evalCtx, step *opJoinStep, left, right RowStream, leftSou
 		allSources:  allSources,
 		cols:        cols,
 	}
+	if residual != nil {
+		j.residual = newRowPred(cx, allSources, residual, residualC, false)
+	}
+	return j
 }
 
 func (j *joinStream) Columns() []Column { return j.cols }
@@ -237,16 +243,11 @@ func (j *joinStream) residualOK(joined Row) (bool, error) {
 	if j.residual == nil {
 		return true, nil
 	}
-	sc := bindScope(j.allSources, joined, nil)
-	return truthy(j.cx.withScope(sc), j.residual)
+	return j.residual.keep(joined)
 }
 
 func (j *joinStream) nullPad() Row {
-	pad := make(Row, j.rightInfo.width)
-	for i := range pad {
-		pad[i] = variant.NewNull()
-	}
-	return concatRow(j.curLeft, pad)
+	return concatRow(j.curLeft, nullRow(j.rightInfo.width))
 }
 
 func concatRow(l, r Row) Row {
@@ -398,7 +399,8 @@ func (j *joinStream) Close() error {
 	return err
 }
 
-// lookupCands is the run-time half of an index lookup join (see joinLookup):
+// lookupCands are candidates resolved per outer row at open — by an index
+// lookup join (see joinLookup) or a lateral function scan (openLateral):
 // rows[off[i]:off[i+1]] are the candidates of the i-th outer row.
 type lookupCands struct {
 	rows []Row

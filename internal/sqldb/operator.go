@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -21,25 +22,34 @@ import (
 //     → build/probe hash joins for equi-join conjuncts (the bottom join
 //       probes the inner table's index instead when it has one on a key
 //       column and the outer input turns out small; see joinLookup),
+//       lateral function scans (comma or CROSS JOIN function items after
+//       the first: called once per left row at open, see openLateral),
 //       streaming nested-loop joins otherwise (chosen by cost from stats.go
 //       estimates)
 //       → residual WHERE filter
 //         → incremental hash aggregation (COUNT/SUM/AVG/MIN/MAX fed
-//           row-at-a-time) or streaming projection (compiled closures over a
-//           single base table, interpreted otherwise)
+//           row-at-a-time) or streaming projection
 //           → sort (skipped when a btree index already proves the order)
 //             → distinct → limit/offset
 //
+// Expressions evaluated above the scans — residual WHERE, join conditions,
+// group keys, aggregate arguments, projections — compile against the joined
+// row layout (compile.go): once per plan when every source's shape is known
+// at plan time, at open when a function scan or subquery fixes it there.
+// What does not compile (ambiguous or unknown columns among them) is
+// interpreted, so the interpreter's errors stand.
+//
 // Operator plans follow the PR-3 locking split: open() resolves every source
 // under the caller-held database lock (table snapshots, index probes,
-// FROM-clause UDF calls, subquery materialization); the returned stream's
-// Next does only pure work over private data, so LIMIT early-exits, context
-// cancellation applies between rows, and no lock is held while the caller
-// iterates. Eligibility therefore requires every expression outside the FROM
-// sources to use only builtin functions — statements referencing UDFs in
-// WHERE/projections, LATERAL items, or unsupported aggregates (stddev) keep
-// the materializing executor, whose semantics the operators must reproduce
-// observationally (the differential suite enforces this).
+// FROM-clause UDF calls — lateral ones included — and subquery
+// materialization); the returned stream's Next does only pure work over
+// private data, so LIMIT early-exits, context cancellation applies between
+// rows, and no lock is held while the caller iterates. Eligibility therefore
+// requires every expression outside the FROM sources to use only builtin
+// functions — statements referencing UDFs in WHERE/projections, LATERAL
+// subqueries, ON-bearing or LEFT lateral items, or unsupported aggregates
+// (stddev) keep the materializing executor, whose semantics the operators
+// must reproduce observationally (the differential suites enforce this).
 
 // opPlan is the compiled streaming pipeline for one SELECT.
 type opPlan struct {
@@ -55,10 +65,51 @@ type opPlan struct {
 	// ordered is set when ORDER BY is satisfied by walking a btree index in
 	// key order instead of sorting (single-table plans only).
 	ordered *orderedScanInfo
-	// projs is the SELECT list compiled against a single base-table source
-	// (cols its output columns); nil means projectStream interprets.
+	// known marks a plan whose every source shape was fixed at plan time:
+	// tail, the steps' residualC and projs were compiled then. Otherwise open
+	// compiles them against the shapes its sources report.
+	known bool
+	tail  tailExprs
+	// projs is the SELECT list of an ungrouped, unsorted plan compiled
+	// against the joined layout (cols its output columns); nil means
+	// projectStream interprets.
 	cols  []Column
 	projs []compiledExpr
+}
+
+// tailExprs are the compiled forms of the expressions the pipeline
+// evaluates above its scans, against the joined row layout; nil where an
+// expression does not compile, which leaves it interpreted.
+type tailExprs struct {
+	where   compiledExpr
+	groupBy []compiledExpr // nil unless every key compiles
+	aggArgs []compiledExpr // per spec, nil for count(*); nil unless every argument compiles
+}
+
+// compileTail compiles the residual WHERE, group keys and aggregate
+// arguments against the joined layout.
+func (p *opPlan) compileTail(sources []sourceInfo) tailExprs {
+	t := tailExprs{where: compileOver(p.where, sources), groupBy: compileAll(p.sel.GroupBy, sources)}
+	t.aggArgs = make([]compiledExpr, len(p.specs))
+	for i, sp := range p.specs {
+		if sp.fn.Star {
+			continue
+		}
+		if t.aggArgs[i] = compileOver(sp.fn.Args[0], sources); t.aggArgs[i] == nil {
+			t.aggArgs = nil
+			break
+		}
+	}
+	return t
+}
+
+// compiled returns e's compiled form over sources: the one made at plan time
+// when the plan knew every shape, compiled now otherwise.
+func (p *opPlan) compiled(planned compiledExpr, e Expr, sources []sourceInfo) compiledExpr {
+	if p.known {
+		return planned
+	}
+	return compileOver(e, sources)
 }
 
 // opSource is one FROM item leaf.
@@ -88,6 +139,9 @@ type opSource struct {
 	// drain the source's columnar batches (newVecFuncScanStream): open then
 	// leaves a BatchSource unfiltered for the tail to take over.
 	batchTail bool
+	// lateral marks a function item after the first: it is called once per
+	// left row, with that row in scope (openLateral).
+	lateral bool
 	// est is the planner's output-cardinality estimate after the pushed
 	// filter, feeding the join-strategy cost model.
 	est float64
@@ -103,6 +157,7 @@ type opJoinStep struct {
 	hash         bool
 	keysL, keysR []Expr
 	residual     Expr
+	residualC    compiledExpr // over the step's joined layout, when opPlan.known
 	// lookup is set on a hash step whose inner table can also be reached
 	// through an index; open picks between the two (see joinLookup).
 	lookup *joinLookup
@@ -133,7 +188,8 @@ type joinLookup struct {
 	pair     int // which keysL/keysR pair the index serves
 	// residual is the ON condition without the served conjunct, in its
 	// original order: the other key pairs, then the hash plan's residual.
-	residual Expr
+	residual  Expr
+	residualC compiledExpr // when opPlan.known
 }
 
 // orderedScanInfo records an ORDER BY satisfied by index order.
@@ -172,6 +228,11 @@ type sourceMeta struct {
 	known bool
 }
 
+// info is the shape a known source binds at open (fromItemInfo's result).
+func (m sourceMeta) info() sourceInfo {
+	return sourceInfo{alias: m.alias, columns: m.cols, width: len(m.cols)}
+}
+
 // planOperators decides whether s runs on the streaming operator pipeline
 // and builds its plan; nil falls back to the materializing executor. Caller
 // holds the database lock (either mode).
@@ -183,11 +244,14 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	}
 	for i, item := range s.From {
 		// LATERAL re-evaluates per outer row; function scans beyond the
-		// first item are implicitly lateral. Both stay on the executor.
+		// first item are implicitly lateral. Comma or CROSS JOIN function
+		// items run here (openLateral); LATERAL subqueries and tables, and
+		// lateral functions under ON or LEFT JOIN, stay on the executor.
 		if i == 0 && item.On != nil {
 			return nil
 		}
-		if i > 0 && (item.Lateral || item.Func != nil) {
+		if i > 0 && (item.Lateral || item.Func != nil) &&
+			(item.Func == nil || item.Join != JoinCross || item.On != nil) {
 			return nil
 		}
 		if i == 0 && item.Sub != nil && item.Lateral {
@@ -236,6 +300,7 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	plan := &opPlan{sel: s, grouped: grouped, specs: specs}
 	if len(s.From) == 0 {
 		plan.where = s.Where // FROM-less: one empty row, filtered above
+		plan.known, plan.tail = true, plan.compileTail(nil)
 		return plan
 	}
 
@@ -248,7 +313,15 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	// evaluates WHERE on source rows the join eliminates, so a pushed
 	// conjunct must not surface an error — or drop a row — the residual
 	// evaluation wouldn't. Conjuncts never push below the nullable side of
-	// a LEFT join.
+	// a LEFT join, nor onto an item left of a lateral function: the executor
+	// calls the function for every left row before WHERE, and a prefilter
+	// would skip calls — and their errors.
+	lastLateral := 0
+	for i, item := range s.From {
+		if i > 0 && item.Func != nil {
+			lastLateral = i
+		}
+	}
 	pushed := make([][]Expr, len(s.From))
 	if s.Where != nil {
 		if len(s.From) == 1 {
@@ -257,7 +330,7 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 			plan.where = s.Where
 			for _, conj := range splitConjuncts(s.Where, nil) {
 				si := exprSource(conj, metas)
-				if si >= 0 && !(si > 0 && s.From[si].Join == JoinLeft) {
+				if si >= lastLateral && !(si > 0 && s.From[si].Join == JoinLeft) {
 					pushed[si] = append(pushed[si], conj)
 				}
 			}
@@ -267,9 +340,12 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	// Leaves: access paths from the shared cost model over the pushed
 	// predicate, compiled filters for base tables.
 	plan.leaves = make([]*opSource, len(s.From))
+	plan.known = true
 	for i, item := range s.From {
-		leaf := &opSource{item: item, alias: metas[i].alias, est: defaultRelationRows, lenient: len(s.From) > 1}
+		leaf := &opSource{item: item, alias: metas[i].alias, est: defaultRelationRows, lenient: len(s.From) > 1,
+			lateral: i > 0 && item.Func != nil}
 		leaf.pushed = conjAnd(pushed[i])
+		plan.known = plan.known && metas[i].known
 		if item.Table != "" {
 			t, ok := db.tables.get(item.Table)
 			if !ok {
@@ -284,12 +360,7 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 				leaf.access = chooseAccessPath(db, t, metas[i].alias, nil)
 			}
 			leaf.est = leaf.access.estRows
-			if leaf.pushed != nil {
-				comp := &compiler{alias: metas[i].alias, cols: metas[i].cols}
-				if ce, ok := comp.compile(leaf.pushed); ok {
-					leaf.pushedC = ce
-				}
-			}
+			leaf.pushedC = compileOver(leaf.pushed, []sourceInfo{metas[i].info()})
 		}
 		plan.leaves[i] = leaf
 	}
@@ -323,8 +394,8 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	// partition, and grouped, DISTINCT, or sorted pipelines have
 	// order-sensitive engine semantics (group first-row resolution and
 	// emission order, first-occurrence dedup, stable-sort ties) that must
-	// stay deterministic.
-	if (len(plan.steps) == 0 || plan.steps[0].hash) &&
+	// stay deterministic — as must the order of lateral calls.
+	if (len(plan.steps) == 0 || plan.steps[0].hash) && lastLateral == 0 &&
 		!grouped && !s.Distinct && len(s.OrderBy) == 0 &&
 		s.Limit == nil && s.Offset == nil {
 		probe := plan.leaves[0]
@@ -347,34 +418,45 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 		plan.ordered = db.chooseOrderedScan(s, plan.leaves[0], metas[0])
 	}
 
-	if len(plan.leaves) == 1 && !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) {
+	// Every shape known: compile what runs above the scans once, here.
+	var layout []sourceInfo
+	if plan.known {
+		layout = make([]sourceInfo, len(metas))
+		for i, m := range metas {
+			layout[i] = m.info()
+		}
+		plan.tail = plan.compileTail(layout)
+		for i, step := range plan.steps {
+			step.residualC = compileOver(step.residual, layout[:i+2])
+			if lk := step.lookup; lk != nil {
+				lk.residualC = compileOver(lk.residual, layout[:2])
+			}
+		}
+	}
+
+	if !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) {
 		switch leaf := plan.leaves[0]; {
-		case leaf.table != nil && metas[0].known:
-			plan.cols, plan.projs = compileProjection(s.Items, metas[0])
-		case leaf.item.Func != nil && s.Where != nil && !s.Distinct:
+		case plan.known:
+			plan.cols, plan.projs = compileProjection(s.Items, layout)
+		case len(plan.leaves) == 1 && leaf.item.Func != nil && s.Where != nil && !s.Distinct:
 			leaf.batchTail = !db.planner.DisableVectorized
 		}
 	}
 	return plan
 }
 
-// compileProjection compiles a single-source SELECT list against the source's
-// plan-time shape; nil projs when any item does not compile (or does not
-// expand), leaving projectStream to interpret it — and to surface expansion
-// errors at open, as the executor does.
-func compileProjection(items []SelectItem, m sourceMeta) ([]Column, []compiledExpr) {
-	cols, exprs, err := expandItems(items, []sourceInfo{{alias: m.alias, columns: m.cols, width: len(m.cols)}})
+// compileProjection compiles a SELECT list against the plan-time joined
+// layout; nil projs when any item does not compile (or does not expand),
+// leaving projectStream to interpret it — and to surface expansion errors at
+// open, as the executor does.
+func compileProjection(items []SelectItem, layout []sourceInfo) ([]Column, []compiledExpr) {
+	cols, exprs, err := expandItems(items, layout)
 	if err != nil {
 		return nil, nil
 	}
-	comp := &compiler{alias: m.alias, cols: m.cols}
-	projs := make([]compiledExpr, len(exprs))
-	for i, e := range exprs {
-		ce, ok := comp.compile(e)
-		if !ok {
-			return nil, nil
-		}
-		projs[i] = ce
+	projs := compileAll(exprs, layout)
+	if projs == nil {
+		return nil, nil
 	}
 	return cols, projs
 }
@@ -684,7 +766,7 @@ func (db *DB) chooseOrderedScan(s *SelectStmt, leaf *opSource, meta sourceMeta) 
 	if t == nil || len(leaf.item.ColAliases) > 0 {
 		return nil
 	}
-	cols, exprs, err := expandItems(s.Items, []sourceInfo{{alias: meta.alias, columns: meta.cols, width: len(meta.cols)}})
+	cols, exprs, err := expandItems(s.Items, []sourceInfo{meta.info()})
 	if err != nil {
 		return nil
 	}
@@ -772,18 +854,30 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 		return nil, err
 	}
 	for i := next; i < len(p.leaves); i++ {
+		step := p.steps[i-1]
+		if p.leaves[i].lateral {
+			if cur, curSources, err = p.leaves[i].openLateral(cx, tailCx, step, cur, curSources); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		right, rightInfo, err := p.leaves[i].open(cx, tailCx, nil)
 		if err != nil {
 			cur.Close()
 			return nil, err
 		}
 		all := append(curSources[:len(curSources):len(curSources)], rightInfo)
-		cur = newJoinStream(tailCx, p.steps[i-1], cur, right, curSources, rightInfo, all)
+		cur = newJoinStream(tailCx, step, cur, right, curSources, rightInfo, all,
+			step.residual, p.compiled(step.residualC, step.residual, all))
 		curSources = all
 	}
 
+	tail := p.tail
+	if !p.known {
+		tail = p.compileTail(curSources)
+	}
 	if p.where != nil {
-		cur = &opFilterStream{rowPred: newRowPred(tailCx, curSources, p.where, nil, false), src: cur}
+		cur = &opFilterStream{rowPred: newRowPred(tailCx, curSources, p.where, tail.where, false), src: cur}
 	}
 
 	cols, exprs := p.cols, []Expr(nil)
@@ -808,15 +902,19 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 		cur = &opFilterStream{rowPred: p.leaves[0].filter(tailCx, curSources[0]), src: cur}
 	}
 	if p.grouped {
-		cur = newHashAggStream(tailCx, cur, curSources, s, p.specs, cols, exprs)
+		cur = newHashAggStream(tailCx, cur, curSources, s, p.specs, cols, exprs, tail)
 		if len(s.OrderBy) > 0 {
 			cur = &sortStream{cx: tailCx, src: cur, sel: s, cols: cols, aggregated: true}
 		}
 	} else if len(s.OrderBy) > 0 && p.ordered == nil {
 		cur = &projectSortStream{cx: tailCx, src: cur, sources: curSources, sel: s, cols: cols, exprs: exprs}
 	} else {
+		projs := p.projs
+		if !p.known {
+			projs = compileAll(exprs, curSources)
+		}
 		cur = &projectStream{cx: tailCx, src: cur, sources: curSources, cols: cols, exprs: exprs,
-			projs: p.projs, env: compEnv{params: cx.params, ctx: cx.ctx}}
+			projs: projs, env: compEnv{params: cx.params, ctx: cx.ctx}}
 	}
 
 	if s.Distinct {
@@ -861,11 +959,9 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 		}
 		base = &sliceStream{cols: info.columns, rows: rows}
 	case item.Func != nil:
-		vals, err := evalFuncArgs(cx, item.Func)
-		if err != nil {
-			return nil, sourceInfo{}, err
-		}
-		st, err := cx.db.callTableFunc(cx, item.Func.Name, vals)
+		// The first FROM item sees no sibling columns: an empty scope, as in
+		// the executor.
+		st, err := callFromItem(cx, item.Func, &scope{})
 		if err != nil {
 			return nil, sourceInfo{}, err
 		}
@@ -908,16 +1004,84 @@ func (src *opSource) tableRows(cx *evalCtx) []Row {
 // filter builds the leaf's pushed predicate (src.pushed != nil) over rows of
 // shape info.
 func (src *opSource) filter(tailCx *evalCtx, info sourceInfo) *rowPred {
+	sources := []sourceInfo{info}
 	pc := src.pushedC
 	if pc == nil {
 		// Non-table sources resolve their shape only now; compile the
 		// pushed predicate against it, best effort.
-		comp := &compiler{alias: info.alias, cols: info.columns}
-		if ce, ok := comp.compile(src.pushed); ok {
-			pc = ce
+		pc = compileOver(src.pushed, sources)
+	}
+	return newRowPred(tailCx, sources, src.pushed, pc, src.lenient)
+}
+
+// openLateral joins a lateral function leaf onto the pipeline opened so far
+// (left, of shape leftSources). Under the held lock it drains left and, for
+// each left row in order, evaluates the call's arguments in that row's scope
+// and drains the call — exactly the executor's calls (joinItem), so UDF side
+// effects and errors come in the same order and all have happened before
+// open returns. The rows each call yields that pass the leaf's lenient
+// prefilter become that left row's candidates, which the join stream pairs
+// as it does an index lookup's: no function is called from a stream's Next.
+// With no left rows, the one call the executor makes to learn the shape —
+// against an empty scope — is made too, errors included.
+func (src *opSource) openLateral(cx, tailCx *evalCtx, step *opJoinStep, left RowStream, leftSources []sourceInfo) (RowStream, []sourceInfo, error) {
+	outer, err := drainStreamCtx(cx, left)
+	if err != nil {
+		return nil, nil, err
+	}
+	var info sourceInfo
+	var pred *rowPred
+	cands := &lookupCands{off: make([]int, 1, len(outer.Rows)+1)}
+	call := func(sc *scope, first bool) error {
+		st, err := callFromItem(cx, src.item.Func, sc)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		// The first call fixes the shape. Rows are prefiltered as they are
+		// drained, so the dropped ones are never collected; like the
+		// executor, a column-alias error is reported only once the call
+		// drained cleanly.
+		var infoErr error
+		if first {
+			if info, infoErr = fromItemInfo(src.item, st.Columns()); infoErr == nil && src.pushed != nil {
+				pred = src.filter(tailCx, info)
+			}
+		}
+		for i := 0; ; i++ {
+			if err := cx.checkCancel(i); err != nil {
+				return err
+			}
+			row, err := st.Next()
+			if err == io.EOF {
+				return infoErr
+			}
+			if err != nil {
+				return err
+			}
+			if pred != nil {
+				if keep, _ := pred.keep(row); !keep { // lenient: never errors
+					continue
+				}
+			}
+			cands.rows = append(cands.rows, row)
 		}
 	}
-	return newRowPred(tailCx, []sourceInfo{info}, src.pushed, pc, src.lenient)
+	for i, l := range outer.Rows {
+		if err := call(bindScope(leftSources, l, nil), i == 0); err != nil {
+			return nil, nil, err
+		}
+		cands.off = append(cands.off, len(cands.rows))
+	}
+	if len(outer.Rows) == 0 {
+		if err := call(&scope{}, true); err != nil {
+			return nil, nil, err
+		}
+	}
+	all := append(leftSources[:len(leftSources):len(leftSources)], info)
+	js := newJoinStream(tailCx, step, &sliceStream{rows: outer.Rows}, nil, leftSources, info, all, nil, nil)
+	js.lk, js.built = cands, true
+	return js, all, nil
 }
 
 // openIndexedJoin opens join step 0 when its inner table is reachable through
@@ -989,10 +1153,13 @@ func (p *opPlan) openIndexedJoin(cx *evalCtx, tailCx *evalCtx) (RowStream, []sou
 		if err != nil {
 			return nil, nil, err
 		}
-		return newJoinStream(tailCx, step, left, right, sources[:1], innerInfo, sources), sources, nil
+		return newJoinStream(tailCx, step, left, right, sources[:1], innerInfo, sources,
+			step.residual, p.compiled(step.residualC, step.residual, sources)), sources, nil
 	}
-	js := newJoinStream(tailCx, step, left, nil, sources[:1], innerInfo, sources)
-	js.lk, js.built, js.residual = cands, true, step.lookup.residual
+	lk := step.lookup
+	js := newJoinStream(tailCx, step, left, nil, sources[:1], innerInfo, sources,
+		lk.residual, p.compiled(lk.residualC, lk.residual, sources))
+	js.lk, js.built = cands, true
 	return js, sources, nil
 }
 
@@ -1053,18 +1220,19 @@ func orderedSnapshot(cx *evalCtx, t *Table, o *orderedScanInfo) []Row {
 	return out
 }
 
-// evalFuncArgs evaluates a FROM-clause function's arguments (no row scope:
-// first-item function calls cannot reference sibling sources).
-func evalFuncArgs(cx *evalCtx, f *FuncExpr) ([]variant.Value, error) {
+// callFromItem evaluates a FROM-clause function's arguments in sc and calls
+// it — under the held lock, in every executor.
+func callFromItem(cx *evalCtx, f *FuncExpr, sc *scope) (RowStream, error) {
+	rcx := cx.withScope(sc)
 	vals := make([]variant.Value, len(f.Args))
 	for i, a := range f.Args {
-		v, err := evalExpr(cx, a)
+		v, err := evalExpr(rcx, a)
 		if err != nil {
 			return nil, err
 		}
 		vals[i] = v
 	}
-	return vals, nil
+	return cx.db.callTableFunc(cx, f.Name, vals)
 }
 
 // evalLimits evaluates LIMIT/OFFSET at open time with the executor's

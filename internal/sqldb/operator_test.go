@@ -598,8 +598,12 @@ func TestOperatorsKeepUDFStatementsOnExecutor(t *testing.T) {
 	if k := planKind(t, db, `SELECT gs, count(*) FROM generate_series(1, 3) AS gs GROUP BY gs`); k != physOps {
 		t.Fatalf("FROM-builtin plan kind = %v, want physOps", k)
 	}
-	// LATERAL re-evaluation stays on the executor.
-	if k := planKind(t, db, `SELECT o.id, g FROM orders o, generate_series(1, o.id) AS g`); k != physMaterialize {
-		t.Fatalf("lateral plan kind = %v, want physMaterialize", k)
+	// A lateral function scan calls its function at open, under the lock.
+	if k := planKind(t, db, `SELECT o.id, g FROM orders o, generate_series(1, o.id) AS g`); k != physOps {
+		t.Fatalf("lateral plan kind = %v, want physOps", k)
+	}
+	// A UDF above it still keeps the executor.
+	if k := planKind(t, db, `SELECT myfn(g) FROM orders o, generate_series(1, o.id) AS g`); k != physMaterialize {
+		t.Fatalf("lateral UDF projection plan kind = %v, want physMaterialize", k)
 	}
 }

@@ -1,8 +1,11 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/variant"
 )
 
 // benchPlanDB loads `rows` rows with an indexed id column (≈100 duplicates
@@ -73,6 +76,43 @@ func BenchmarkSingleSourceSelect(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLateralFunctionScan times the paper's multi-instance shape —
+// `generate_series(…) AS id, LATERAL fmu_simulate(…)` — with a 4-row outer
+// and a table function returning a fixed 700-row trajectory per instance
+// (175 steps × 4 variables, the cached-simulation case): a WHERE on the
+// inner rows and GROUP BY on the outer key.
+func BenchmarkLateralFunctionScan(b *testing.B) {
+	vars := []string{"x", "u", "y", "z"}
+	cols := []Column{{Name: "simulationtime", Type: "float"}, {Name: "instanceid", Type: "text"},
+		{Name: "varname", Type: "text"}, {Name: "value", Type: "float"}}
+	traj := make(map[int64][]Row)
+	for id := int64(1); id <= 4; id++ {
+		inst := variant.NewText(fmt.Sprintf("hp_%d", id))
+		for step := 0; step < 175; step++ {
+			for vi, v := range vars {
+				traj[id] = append(traj[id], Row{variant.NewFloat(float64(step) * 3600), inst,
+					variant.NewText(v), variant.NewFloat(float64(id*int64(step+vi)) / 7)})
+			}
+		}
+	}
+	db := New()
+	db.RegisterTable("trajectory", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+		id, err := args[0].AsInt()
+		if err != nil {
+			return nil, err
+		}
+		return NewSliceStream(cols, traj[id]), nil
+	}, true)
+	const query = `SELECT id, avg(f.value) FROM generate_series($1, $2) AS id, LATERAL trajectory(id) AS f WHERE f.varname = 'x' GROUP BY id`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := drainQuery(b, db, query, 1, 4); n != 4 {
+			b.Fatalf("%d groups, want 4", n)
+		}
 	}
 }
 

@@ -230,13 +230,17 @@ func TestStmtExecutorKind(t *testing.T) {
 		t.Errorf("ORDER BY should not plan vectorized, got %q", k)
 	}
 	for sql, want := range map[string]string{
-		`SELECT g FROM ek WHERE x = $1`:                 "operators",
-		`SELECT 1`:                                      "operators",
-		`SELECT * FROM generate_series(1, 3)`:           "operators",
-		`SELECT g FROM ek WHERE x > 0 ORDER BY g`:       "operators",
-		`SELECT ek_udf(x) FROM ek`:                      "materialize",
-		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek`:    "vectorized",
-		`SELECT * FROM ek e, LATERAL (SELECT e.x) AS l`: "materialize",
+		`SELECT g FROM ek WHERE x = $1`:                                                  "operators",
+		`SELECT 1`:                                                                       "operators",
+		`SELECT * FROM generate_series(1, 3)`:                                            "operators",
+		`SELECT g FROM ek WHERE x > 0 ORDER BY g`:                                        "operators",
+		`SELECT ek_udf(x) FROM ek`:                                                       "materialize",
+		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek`:                                     "vectorized",
+		`SELECT * FROM ek e, LATERAL (SELECT e.x) AS l`:                                  "materialize",
+		`SELECT e.x, g FROM ek e, LATERAL generate_series(1, e.x) AS g`:                  "operators",
+		`SELECT e.x, g FROM ek e CROSS JOIN generate_series(1, e.x) AS g`:                "operators",
+		`SELECT e.x, g FROM ek e LEFT JOIN LATERAL generate_series(1, e.x) AS g ON true`: "materialize",
+		`SELECT e.x, g FROM ek e JOIN LATERAL generate_series(1, e.x) AS g ON g > 1`:     "materialize",
 	} {
 		if k := kinds(sql); k != want {
 			t.Errorf("%s: executor = %q, want %q", sql, k, want)

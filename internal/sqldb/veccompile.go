@@ -38,64 +38,33 @@ type vecEnv struct {
 	f64b    []float64
 }
 
-// vecSource is one relation the compiler resolves column references against;
-// sources concatenate left to right into the global column offset space,
-// mirroring the joined-row layout.
-type vecSource struct {
-	alias string
-	cols  []Column
-}
-
-// vecCompiler lowers expressions to vecExprs over a fixed source layout.
+// vecCompiler lowers expressions to vecExprs over a fixed source layout: the
+// scanned relation, then (window plans) the synthetic window-value columns,
+// concatenated into one column offset space as in a joined row.
 type vecCompiler struct {
-	srcs    []vecSource
 	rowComp *compiler
 	width   int
 	nodes   int    // buffers a vecEnv must allocate
 	wanted  []bool // column offsets read by kernels (the gathered set)
 }
 
-// newVecCompiler builds a compiler over the given sources. The row-compiler
-// fallback sees the first source as its primary relation and the second (the
-// synthetic window columns, when present) as its extra relation.
-func newVecCompiler(srcs []vecSource) *vecCompiler {
+// newVecCompiler builds a compiler over the given sources; column references
+// resolve with the row compiler's rules, which its fallback shares.
+func newVecCompiler(srcs []sourceInfo) *vecCompiler {
 	width := 0
 	for _, s := range srcs {
-		width += len(s.cols)
+		width += s.width
 	}
-	rc := &compiler{alias: srcs[0].alias, cols: srcs[0].cols}
-	if len(srcs) > 1 {
-		rc.extraAlias = srcs[1].alias
-		rc.extraCols = srcs[1].cols
-	}
-	return &vecCompiler{srcs: srcs, rowComp: rc, width: width, wanted: make([]bool, width)}
+	return &vecCompiler{rowComp: &compiler{sources: srcs}, width: width, wanted: make([]bool, width)}
 }
 
 func (vc *vecCompiler) newEnv(env *compEnv) *vecEnv {
 	return &vecEnv{env: env, bufs: make([]colVec, vc.nodes), scratch: make(Row, vc.width)}
 }
 
-// resolve maps a column reference to its global offset, with the row
-// compiler's scoping rules: unqualified names search the primary source
-// first, qualified names only their own source.
+// resolve maps a column reference to its offset in the layout, or -1.
 func (vc *vecCompiler) resolve(table, name string) int {
-	base := 0
-	for si, s := range vc.srcs {
-		if table == "" || strings.EqualFold(table, s.alias) {
-			for i, col := range s.cols {
-				if strings.EqualFold(col.Name, name) {
-					return base + i
-				}
-			}
-		}
-		// Unqualified references resolve against the primary source only
-		// (the synthetic extra source is reachable by alias alone).
-		if table == "" && si == 0 {
-			return -1
-		}
-		base += len(s.cols)
-	}
-	return -1
+	return vc.rowComp.resolve(table, name)
 }
 
 func (vc *vecCompiler) newBuf() int {

@@ -163,7 +163,6 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 		}
 	}
 
-	srcs := []vecSource{{alias: info.alias, cols: info.columns}}
 	items := s.Items
 	if p.mode == vecWindowMode {
 		if windowsOutsideItems(s) {
@@ -186,11 +185,10 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 		p.sources = append(p.sources, sourceInfo{
 			alias: windowSourceAlias, columns: winCols, width: len(winCols), hidden: true,
 		})
-		srcs = append(srcs, vecSource{alias: windowSourceAlias, cols: winCols})
 		p.rawCalls = calls
 	}
 
-	vc := newVecCompiler(srcs)
+	vc := newVecCompiler(p.sources)
 	p.vc = vc
 	if s.Where != nil {
 		f, ok := vc.compile(s.Where)
@@ -629,7 +627,7 @@ func newVecFuncScanStream(cx *evalCtx, src RowStream, info sourceInfo, s *Select
 	if !ok {
 		return nil
 	}
-	vc := newVecCompiler([]vecSource{{alias: info.alias, cols: info.columns}})
+	vc := newVecCompiler([]sourceInfo{info})
 	filter, ok := vc.compile(s.Where)
 	if !ok {
 		return nil
