@@ -149,11 +149,12 @@ func TestFig6SweepShape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Warm start must be cheaper than the full run at every point.
+	// Warm start must be cheaper than the full run at every point: counted
+	// in objective evaluations, which wall time on a shared host is not.
 	for _, r := range rows {
-		if r.TimeWarm >= r.TimeFull {
-			t.Errorf("dissim %.0f%%: LO (%v) should be faster than G+LaG (%v)",
-				r.Dissimilarity*100, r.TimeWarm, r.TimeFull)
+		if r.EvalsWarm >= r.EvalsFull {
+			t.Errorf("dissim %.0f%%: LO (%d evaluations) should need fewer than G+LaG (%d)",
+				r.Dissimilarity*100, r.EvalsWarm, r.EvalsFull)
 		}
 	}
 	// At zero dissimilarity the RMSEs must agree closely.
@@ -172,9 +173,11 @@ func TestFig7SweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	// pgFMU+ must beat pgFMU- and Python on multi-instance workloads.
-	if r.PgFMUPlus >= r.PgFMUMin {
-		t.Errorf("pgFMU+ (%v) should be faster than pgFMU- (%v)", r.PgFMUPlus, r.PgFMUMin)
+	// pgFMU+ must beat pgFMU- and Python on multi-instance workloads: its
+	// warm starts are counted in objective evaluations, the Python stack's
+	// full fits plus CSV interchange in wall time.
+	if r.EvalsPlus >= r.EvalsMin {
+		t.Errorf("pgFMU+ (%d evaluations) should need fewer than pgFMU- (%d)", r.EvalsPlus, r.EvalsMin)
 	}
 	if r.PgFMUPlus >= r.Python {
 		t.Errorf("pgFMU+ (%v) should be faster than Python (%v)", r.PgFMUPlus, r.Python)

@@ -430,6 +430,10 @@ type Fig6Row struct {
 	RMSEWarm      float64 // LO from the reference optimum
 	TimeFull      time.Duration
 	TimeWarm      time.Duration
+	// EvalsFull and EvalsWarm count each fit's objective evaluations
+	// (CostEvals): the cost the times measure, without the host's noise.
+	EvalsFull int
+	EvalsWarm int
 }
 
 // Fig6Sweep runs the threshold experiment and returns raw rows (used by the
@@ -484,6 +488,8 @@ func Fig6Sweep(scale Scale, deltas []float64) ([]Fig6Row, error) {
 			RMSEWarm:      warm.RMSE,
 			TimeFull:      fullDur,
 			TimeWarm:      warmDur,
+			EvalsFull:     full.CostEvals,
+			EvalsWarm:     warm.CostEvals,
 		})
 	}
 	_ = refDur
@@ -552,6 +558,10 @@ type Fig7Row struct {
 	Python    time.Duration
 	PgFMUMin  time.Duration // pgFMU-
 	PgFMUPlus time.Duration // pgFMU+
+	// EvalsMin and EvalsPlus count the objective evaluations of every
+	// calibration in the pgFMU- and pgFMU+ runs.
+	EvalsMin  int
+	EvalsPlus int
 }
 
 // Fig7Sweep measures the multi-instance workflow at increasing instance
@@ -615,8 +625,13 @@ func Fig7Sweep(model string, scale Scale, counts []int) ([]Fig7Row, error) {
 					return nil, err
 				}
 			}
-			if _, err := s.Parest(ids, sqls, pars); err != nil {
+			fits, err := s.Parest(ids, sqls, pars)
+			if err != nil {
 				return nil, err
+			}
+			evals := 0
+			for _, f := range fits {
+				evals += f.CostEvals
 			}
 			// Simulate + validate every instance, as the workflow requires.
 			for i := 0; i < n; i++ {
@@ -626,9 +641,9 @@ func Fig7Sweep(model string, scale Scale, counts []int) ([]Fig7Row, error) {
 			}
 			dur := time.Since(start)
 			if mi {
-				row.PgFMUPlus = dur
+				row.PgFMUPlus, row.EvalsPlus = dur, evals
 			} else {
-				row.PgFMUMin = dur
+				row.PgFMUMin, row.EvalsMin = dur, evals
 			}
 		}
 		rows = append(rows, row)

@@ -7,107 +7,13 @@ import (
 	"repro/internal/variant"
 )
 
-// execAggregate handles grouped and implicitly aggregated SELECTs.
-func execAggregate(cx *evalCtx, s *SelectStmt, sources []sourceInfo, rows []Row, outer *scope) (*ResultSet, error) {
-	// Partition rows into groups by the GROUP BY key values.
-	type group struct {
-		keyVals []variant.Value
-		rows    []Row
-	}
-	var groups []*group
-	if len(s.GroupBy) == 0 {
-		// One implicit group over all rows (possibly empty).
-		groups = []*group{{rows: rows}}
-	} else {
-		index := make(map[string]*group)
-		for ri, joined := range rows {
-			if err := cx.checkCancel(ri); err != nil {
-				return nil, err
-			}
-			sc := bindScope(sources, joined, outer)
-			keyVals := make([]variant.Value, len(s.GroupBy))
-			for i, ge := range s.GroupBy {
-				v, err := evalExpr(cx.withScope(sc), ge)
-				if err != nil {
-					return nil, err
-				}
-				keyVals[i] = v
-			}
-			key := rowKey(keyVals)
-			g, ok := index[key]
-			if !ok {
-				g = &group{keyVals: keyVals}
-				index[key] = g
-				groups = append(groups, g)
-			}
-			g.rows = append(g.rows, joined)
-		}
-	}
-
-	cols, exprs, err := expandItems(s.Items, sources)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &ResultSet{Columns: cols}
-	for _, g := range groups {
-		gcx := &groupCtx{cx: cx, sources: sources, rows: g.rows, outer: outer, groupBy: s.GroupBy, keyVals: g.keyVals}
-		if s.Having != nil {
-			v, err := gcx.eval(s.Having)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			ok, err := v.AsBool()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		row := make(Row, len(exprs))
-		for i, e := range exprs {
-			v, err := gcx.eval(e)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// groupCtx evaluates expressions in a grouped context: aggregate calls fold
-// over the group's rows; other column references resolve against the group
-// key or (as a pragmatic extension) the group's first row.
-type groupCtx struct {
-	cx      *evalCtx
-	sources []sourceInfo
-	rows    []Row
-	outer   *scope
-	groupBy []Expr
-	keyVals []variant.Value
-}
-
-func (g *groupCtx) eval(e Expr) (variant.Value, error) {
-	var first Row
-	if len(g.rows) > 0 {
-		first = g.rows[0]
-	}
-	return evalGrouped(g.cx, g.sources, g.groupBy, g.keyVals, first, g.outer, g.evalAggregate, e)
-}
-
 // evalGrouped evaluates one expression in a grouped context: GROUP BY keys
 // resolve to their key values, aggregate calls go through aggFn, and other
 // column references bind the group's representative row (NULL for an empty
-// group). It is the single grouped-expression evaluator — the materializing
-// executor (groupCtx, folding over the group's rows) and the streaming hash
-// aggregation (aggEval, reading incremental accumulator results) both
-// delegate here, so the two paths cannot diverge on grouped semantics.
+// group). It is the single grouped-expression evaluator — the reference
+// executor (folding each group's argument values) and the hash aggregations
+// (aggEval, reading incremental accumulator results) both delegate here, so
+// the paths cannot diverge on grouped semantics.
 func evalGrouped(cx *evalCtx, sources []sourceInfo, groupBy []Expr, keyVals []variant.Value, first Row, outer *scope, aggFn func(*FuncExpr) (variant.Value, error), e Expr) (variant.Value, error) {
 	self := func(sub Expr) (variant.Value, error) {
 		return evalGrouped(cx, sources, groupBy, keyVals, first, outer, aggFn, sub)
@@ -215,58 +121,6 @@ func evalGrouped(cx *evalCtx, sources []sourceInfo, groupBy []Expr, keyVals []va
 	default:
 		return variant.Value{}, fmt.Errorf("sql: unsupported expression %T in aggregate context", e)
 	}
-}
-
-func (g *groupCtx) evalAggregate(x *FuncExpr) (variant.Value, error) {
-	name := strings.ToLower(x.Name)
-	// count(*)
-	if x.Star {
-		if name != "count" {
-			return variant.Value{}, fmt.Errorf("sql: %s(*) is not valid", name)
-		}
-		return variant.NewInt(int64(len(g.rows))), nil
-	}
-	if len(x.Args) != 1 {
-		return variant.Value{}, fmt.Errorf("sql: %s() expects 1 argument", name)
-	}
-	// Collect non-NULL argument values across the group.
-	var vals []variant.Value
-	seen := make(map[string]bool)
-	for ri, joined := range g.rows {
-		if err := g.cx.checkCancel(ri); err != nil {
-			return variant.Value{}, err
-		}
-		sc := bindScope(g.sources, joined, g.outer)
-		v, err := evalExpr(g.cx.withScope(sc), x.Args[0])
-		if err != nil {
-			return variant.Value{}, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if x.Distinct {
-			key := v.Kind().String() + ":" + v.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		vals = append(vals, v)
-	}
-	// Fold through the shared incremental accumulators (hashagg.go) so the
-	// materializing and streaming aggregation paths cannot diverge on the
-	// arithmetic: values feed in input order, which keeps float folds
-	// bit-identical.
-	acc, ok := newAggAccum(name)
-	if !ok {
-		return variant.Value{}, fmt.Errorf("sql: unknown aggregate %s()", name)
-	}
-	for _, v := range vals {
-		if err := acc.add(v); err != nil {
-			return variant.Value{}, err
-		}
-	}
-	return acc.result()
 }
 
 // exprEqual reports structural equality of two expressions (used to match

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// These tests target the grouped-expression evaluator (groupCtx.eval), which
+// These tests target the grouped-expression evaluator (evalGrouped), which
 // handles scalar functions of aggregates, CASE in grouped context, casts,
 // and HAVING over composite expressions.
 

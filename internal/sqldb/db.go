@@ -597,10 +597,10 @@ func (db *DB) execTxStmt(ctx context.Context, text string, cp *cachedPlan, param
 }
 
 // openSelect executes a SELECT under the held lock and returns its rows as a
-// stream, routed through the physical planner: vectorized and operator plans
-// resolve their sources now and return a lazy tail that is safe to iterate
-// after the lock is released; the reference executor materializes before
-// returning. cp carries the physical plan: cached (and epoch-revalidated)
+// stream, routed through the physical planner: both executors resolve their
+// sources now and return a tail that is safe to iterate after the lock is
+// released (a statement calling a UDF outside FROM is evaluated completely
+// here). cp carries the physical plan: cached (and epoch-revalidated)
 // when the statement came through the plan cache, or a throwaway entry for
 // script/ad-hoc execution.
 func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream, error) {
@@ -608,18 +608,10 @@ func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream,
 	if err != nil {
 		return nil, err
 	}
-	switch plan.kind {
-	case physOps:
-		return plan.ops.open(cx)
-	case physVectorized:
+	if plan.kind == physVectorized {
 		return plan.vec.open(cx)
-	default:
-		rs, err := execSelect(cx, s, nil)
-		if err != nil {
-			return nil, err
-		}
-		return rs.Stream(), nil
 	}
+	return plan.ops.open(cx, nil)
 }
 
 // execTop runs one top-level statement under the exclusive lock: it handles
@@ -1209,14 +1201,13 @@ func (db *DB) lockBounded() error {
 	return nil
 }
 
-// execLocked dispatches one parsed statement to its materializing executor.
+// execLocked executes one parsed statement other than SELECT (execStream
+// routes those to openSelect) and materializes its result.
 // cx.physLog asks DML executors to emit physical WAL records for each row
 // change (used when the statement text itself cannot be replayed because it
 // references UDFs, and always on the concurrent path).
 func (db *DB) execLocked(cx *evalCtx, stmt Statement) (*ResultSet, error) {
 	switch s := stmt.(type) {
-	case *SelectStmt:
-		return execSelect(cx, s, nil)
 	case *ExplainStmt:
 		return db.explainLocked(s)
 	case *AnalyzeStmt:
@@ -1423,9 +1414,14 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 
 	count := 0
 	if s.Query != nil {
-		// Materializing the source first makes INSERT ... SELECT over the
-		// target table read a fixed snapshot (no Halloween re-reads).
-		rs, err := execSelect(cx, s.Query, nil)
+		// Draining the source before the first write makes INSERT ... SELECT
+		// over the target table read a fixed snapshot (no Halloween
+		// re-reads); a serial plan appends the rows in the order replay will.
+		st, err := db.openSelect(cx, s.Query, &cachedPlan{stmt: s.Query, serial: true})
+		if err != nil {
+			return nil, err
+		}
+		rs, err := drainStreamCtx(cx, st)
 		if err != nil {
 			return nil, err
 		}

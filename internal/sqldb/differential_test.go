@@ -15,10 +15,8 @@ import (
 // TestStreamingOperatorEquivalence is the streaming pipeline's safety net:
 // randomized equi- and non-equi joins (inner/left/cross, ON and WHERE
 // spellings) and aggregations (COUNT/SUM/AVG/MIN/MAX, DISTINCT, HAVING,
-// NULL group keys) must return exactly the row multiset the forced
-// materializing executor returns — the DisableStreamingExec planner
-// override, mirroring the DisableIndexScan pattern the access-path property
-// test uses. Runs under -race in CI, so it also exercises hash builds,
+// NULL group keys) must return exactly the row multiset the reference
+// executor (refQuery) returns. Runs under -race in CI, so it also exercises hash builds,
 // group state, and parallel probe scans for data races.
 //
 // Every table carries an ordered index on its join key, over rows that were
@@ -127,6 +125,10 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 		`SELECT f.id, d.k FROM fact f JOIN dim d ON f.k = d.k ORDER BY f.id, d.w LIMIT 40`,
 		`SELECT d.grp, count(*) AS n FROM fact f LEFT JOIN dim d ON f.k = d.k GROUP BY d.grp ORDER BY n DESC, 1`,
 		`SELECT k, count(*) FROM fact GROUP BY k ORDER BY 1`,
+		// Windows the batch path declines: over a join, under ORDER BY.
+		`SELECT f.id, d.k, sum(f.f) OVER (PARTITION BY d.grp ORDER BY f.id) FROM fact f JOIN dim d ON f.k = d.k WHERE f.id < 300 ORDER BY f.id, d.k`,
+		`SELECT f.id, row_number() OVER (ORDER BY f.f DESC, f.id) FROM fact f LEFT JOIN aux a ON f.k = a.k WHERE f.id < 120`,
+		`SELECT d.grp, stddev(f.f), stddev(DISTINCT f.k) FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.grp ORDER BY 1`,
 	}
 
 	multiset := func(rs *ResultSet) map[string]int {
@@ -136,8 +138,8 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 		}
 		return m
 	}
-	// check runs q under the current options and compares with the forced
-	// materializing executor (whose answer does not depend on the mode, so it
+	// check runs q under the current options and compares with the
+	// reference executor (whose answer does not depend on the mode, so it
 	// runs once per query); inOrder additionally compares the row order.
 	type answer struct {
 		rs  *ResultSet
@@ -149,10 +151,7 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 		streamed, serr := db.Query(q)
 		ref, ok := reference[q]
 		if !ok {
-			old := db.planner
-			db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-			ref.rs, ref.err = db.Query(q)
-			db.SetPlannerOptions(old)
+			ref.rs, ref.err = refQuery(t, db, q)
 			reference[q] = ref
 		}
 		materialized, merr := ref.rs, ref.err
@@ -249,12 +248,18 @@ func TestStreamingOperatorEquivalenceSingleTable(t *testing.T) {
 		`SELECT a, b FROM s ORDER BY a DESC LIMIT 25`,
 		`SELECT c, b FROM s WHERE a BETWEEN 3 AND 9 ORDER BY b DESC, c`,
 		`SELECT a % 4, count(DISTINCT c) FROM s GROUP BY a % 4 ORDER BY 2 DESC, 1`,
+		// Windows over an index probe, under ORDER BY and DISTINCT, and
+		// stddev: the pipeline's window stage and aggregation.
+		`SELECT a, b, avg(b) OVER (ORDER BY b ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) FROM s WHERE a = 7`,
+		`SELECT a, c, sum(b) OVER (PARTITION BY c ORDER BY a) FROM s WHERE a BETWEEN 3 AND 9`,
+		`SELECT a, b, row_number() OVER (PARTITION BY a ORDER BY b DESC) FROM s WHERE a < 5 ORDER BY a, b`,
+		`SELECT DISTINCT c, count(*) OVER (PARTITION BY c) FROM s`,
+		`SELECT c, stddev(b), stddev(a) FROM s GROUP BY c`,
+		`SELECT stddev(b) FROM s WHERE a = 3`,
 	}
 	for _, q := range queries {
 		streamed := mustQuery(t, db, q)
-		db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-		materialized := mustQuery(t, db, q)
-		db.SetPlannerOptions(PlannerOptions{})
+		materialized := mustRefQuery(t, db, q)
 		if !rowsEqual(streamed, materialized) {
 			t.Errorf("%s diverges:\nstream %d rows, materialized %d rows", q, len(streamed.Rows), len(materialized.Rows))
 		}
@@ -318,7 +323,7 @@ func TestStreamingOperatorEquivalenceSingleTable(t *testing.T) {
 			t.Errorf("%s: plan kind %d, want physOps", c.sql, k)
 		}
 		streamed, serr := run(PlannerOptions{DisableVectorized: true}, c.sql, c.args)
-		ref, rerr := run(PlannerOptions{DisableStreamingExec: true, DisableVectorized: true}, c.sql, c.args)
+		ref, rerr := refQuery(t, db, c.sql, c.args...)
 		switch {
 		case (serr == nil) != (rerr == nil) || (serr != nil && serr.Error() != rerr.Error()):
 			t.Errorf("%s:\nstream err = %v\nreference err = %v", c.sql, serr, rerr)
@@ -351,15 +356,19 @@ func (c *callStream) Next() (Row, error) {
 
 func (c *callStream) Close() error { return nil }
 
-// TestStreamingOperatorEquivalenceLateral: lateral function scans on the
-// operator pipeline against the forced reference executor, on rows (in
-// order) and on error text — randomized over left inputs (a table, an
-// indexed join, a subquery, an empty subquery), lateral functions (a builtin
-// series, one whose argument divides by zero at a chosen left row, a table
-// UDF failing at call k or mid-stream at row j), WHERE (division by zero on
-// chosen joined rows, pushed and not), grouping with NULL keys and DISTINCT
-// aggregates, LIMIT, and an unqualified column two sources share. Every call
-// must have happened, in the executor's order, by the time QueryRows
+// TestStreamingOperatorEquivalenceLateral: every LATERAL shape on the
+// operator pipeline against the reference executor, on rows (in order), on
+// error text and on the UDF calls made — randomized over left inputs (a
+// table, an indexed join, a subquery, an empty subquery), lateral items (a
+// builtin series, one whose argument divides by zero at a chosen left row, a
+// table UDF failing at call k or mid-stream at row j, LATERAL subqueries
+// over a table and over a series, JOIN LATERAL … ON and LEFT JOIN LATERAL …
+// ON), WHERE (division by zero on chosen joined rows, pushed and not, and a
+// scalar UDF), a scalar UDF in the SELECT list, HAVING and an aggregate
+// argument, grouping with NULL keys and DISTINCT aggregates, LIMIT, and an
+// unqualified column two sources share. The scalar UDF fails on a chosen
+// argument value ($3), so the first error does not depend on the order
+// aggregates are fed. Every call must have happened by the time QueryRows
 // returns.
 func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261015))
@@ -383,7 +392,7 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 
 	// calls(n, failCall, failRow): the failCall-th call of a statement fails,
 	// and every call with at least failRow rows fails there.
-	var calls atomic.Int64
+	var calls, scalars atomic.Int64
 	db.RegisterTable("calls", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
 		call := int(calls.Add(1))
 		var n [3]int
@@ -401,6 +410,14 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 		}
 		return &callStream{call: call, n: n[0], failRow: n[2]}, nil
 	}, true)
+	// sq(x, fail) returns x, failing when x equals fail.
+	db.RegisterScalar("sq", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+		scalars.Add(1)
+		if c, err := variant.Compare(args[0], args[1]); err == nil && c == 0 && !args[0].IsNull() {
+			return variant.Value{}, fmt.Errorf("sq: failed at %v", args[0])
+		}
+		return args[0], nil
+	}, true)
 
 	lefts := []string{
 		`fl f`,
@@ -409,14 +426,20 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 		`(SELECT id, k, v, tag FROM fl WHERE id < 0) AS f`,
 	}
 	laterals := []string{
-		`generate_series(1, f.id % 4) AS u(i)`,
-		`LATERAL generate_series(1, 12 / (f.id + 3 - $1)) AS u(i)`,
-		`calls(f.id % 5, $1, $2) AS u`,
-		`calls(3, $1, 0) AS u`,
+		`, generate_series(1, f.id % 4) AS u(i)`,
+		` CROSS JOIN LATERAL generate_series(1, 12 / (f.id + 3 - $1)) AS u(i)`,
+		`, calls(f.id % 5, $1, $2) AS u`,
+		` CROSS JOIN calls(3, $1, 0) AS u`,
+		`, LATERAL (SELECT g.k AS i, g.w FROM gd g WHERE g.k <= f.id % 6) AS u`,
+		` CROSS JOIN LATERAL (SELECT s.i FROM generate_series(1, f.id % 3) AS s(i)) AS u`,
+		` JOIN LATERAL generate_series(1, f.id % 4) AS u(i) ON u.i <= f.id % 3`,
+		` LEFT JOIN LATERAL generate_series(1, f.id % 4) AS u(i) ON sq(u.i, $3) > 1`,
+		` LEFT JOIN LATERAL calls(f.id % 3, $1, $2) AS u ON u.k = 1`,
 	}
 	wheres := []string{
 		"", "WHERE u.i > 1", "WHERE f.tag = 't1'", "WHERE 10 / (u.i - 2) >= 0",
 		"WHERE 10 / (u.i - f.k) > 1", "WHERE f.v > 2 AND u.i % 2 = 1", "WHERE k > 1",
+		"WHERE sq(u.i, $3) >= 1 AND f.v > 1",
 	}
 	selects := []string{
 		`SELECT f.id, u.i FROM %s`,
@@ -424,62 +447,53 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 		`SELECT f.tag, count(*), sum(u.i), count(DISTINCT u.i), avg(f.v) FROM %s GROUP BY f.tag`,
 		`SELECT u.i, count(DISTINCT f.k), max(f.v) FROM %s GROUP BY u.i ORDER BY 1`,
 		`SELECT DISTINCT f.tag, u.i FROM %s`,
+		`SELECT f.id, sq(u.i, $3) FROM %s`,
+		`SELECT f.tag, sum(sq(u.i, $3)), count(*) FROM %s GROUP BY f.tag`,
+		`SELECT f.tag, count(*) FROM %s GROUP BY f.tag HAVING sq(count(*), $3) > 1`,
 		// Ambiguous when two sources have a k column (f and calls or gd).
 		`SELECT k FROM %s`,
 		`SELECT k, count(*) FROM %s GROUP BY k`,
 	}
 	var queries []string
-	for iter := 0; iter < 160; iter++ {
-		lat := laterals[rng.Intn(len(laterals))]
-		if rng.Intn(3) == 0 {
-			lat = " CROSS JOIN " + lat
-		} else {
-			lat = ", " + lat
-		}
-		sel, where := selects[rng.Intn(len(selects))], wheres[rng.Intn(len(wheres))]
-		if strings.HasPrefix(sel, "SELECT k") && strings.Contains(where, "/") {
-			// The executor filters every row before it groups or projects
-			// any, the pipeline row by row: a WHERE and a SELECT list that
-			// fail on different rows report different first errors.
-			where = ""
-		}
-		from := lefts[rng.Intn(len(lefts))] + lat + " " + where
-		queries = append(queries, fmt.Sprintf(sel, from))
+	for iter := 0; iter < 200; iter++ {
+		from := lefts[rng.Intn(len(lefts))] + laterals[rng.Intn(len(laterals))] + " " + wheres[rng.Intn(len(wheres))]
+		queries = append(queries, fmt.Sprintf(selects[rng.Intn(len(selects))], from))
 	}
 
 	type answer struct {
-		rs    *ResultSet
-		err   error
-		calls int64
+		rs             *ResultSet
+		err            error
+		calls, scalars int64
 	}
 	run := func(q string, args []any, reference bool) answer {
 		t.Helper()
-		if reference {
-			db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-			defer db.SetPlannerOptions(PlannerOptions{})
-		}
 		calls.Store(0)
+		scalars.Store(0)
+		if reference {
+			rs, err := refQuery(t, db, q, args...)
+			return answer{rs: rs, err: err, calls: calls.Load(), scalars: scalars.Load()}
+		}
 		it, err := db.QueryRows(q, args...)
 		if err != nil {
-			return answer{err: err, calls: calls.Load()}
+			return answer{err: err, calls: calls.Load(), scalars: scalars.Load()}
 		}
-		made := calls.Load() // before any row is read
+		made, madeScalars := calls.Load(), scalars.Load() // before any row is read
 		rs, err := it.Materialize()
-		if after := calls.Load(); after != made {
-			t.Errorf("%s %v: %d calls at open, %d after iterating", q, args, made, after)
+		if after, afterScalars := calls.Load(), scalars.Load(); after != made || afterScalars != madeScalars {
+			t.Errorf("%s %v: %d/%d calls at open, %d/%d after iterating", q, args, made, madeScalars, after, afterScalars)
 		}
-		return answer{rs: rs, err: err, calls: made}
+		return answer{rs: rs, err: err, calls: made, scalars: madeScalars}
 	}
 	shapes := map[string]int{}
 	for _, q := range queries {
 		if k := planKind(t, db, q); k != physOps {
 			t.Fatalf("%s: plan kind %d, want physOps", q, k)
 		}
-		// $1 fails a call (or, at 3 and up, a series argument), $2 a row;
-		// half the time neither.
-		args := []any{0, 0}
+		// $1 fails a call (or, at 3 and up, a series argument), $2 a row, $3
+		// the scalar UDF; half the time none of them.
+		args := []any{0, 0, -1}
 		if rng.Intn(2) == 0 {
-			args = []any{rng.Intn(7), rng.Intn(5)}
+			args = []any{rng.Intn(7), rng.Intn(5), rng.Intn(4)}
 		}
 		got, want := run(q, args, false), run(q, args, true)
 		switch {
@@ -487,8 +501,9 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 			t.Errorf("%s %v:\nstream err = %v\nreference err = %v", q, args, got.err, want.err)
 		case got.err == nil && !rowsEqual(got.rs, want.rs):
 			t.Errorf("%s %v diverges:\nstream %v\nreference %v", q, args, got.rs.Rows, want.rs.Rows)
-		case got.calls != want.calls:
-			t.Errorf("%s %v: %d calls, reference made %d", q, args, got.calls, want.calls)
+		case got.calls != want.calls || got.scalars != want.scalars:
+			t.Errorf("%s %v: %d table and %d scalar calls, reference made %d and %d",
+				q, args, got.calls, got.scalars, want.calls, want.scalars)
 		}
 		switch {
 		case want.err != nil && strings.Contains(want.err.Error(), "ambiguous"):

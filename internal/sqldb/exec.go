@@ -8,116 +8,9 @@ import (
 	"repro/internal/variant"
 )
 
-// execSelect runs a SELECT under an optional outer scope (for LATERAL
-// subqueries / nested UDF-issued queries).
-func execSelect(cx *evalCtx, s *SelectStmt, outer *scope) (*ResultSet, error) {
-	// 1. FROM: build the joined row stream. A single-table SELECT whose
-	// WHERE clause carries an indexable predicate resolves its candidate
-	// rows through a secondary index instead of a full scan; the WHERE
-	// step below still verifies every candidate, so the index only prunes.
-	var rows []Row
-	var sources []sourceInfo
-	var err error
-	if cand, info, ok := tryIndexScan(cx, s); ok {
-		rows, sources = cand, []sourceInfo{info}
-	} else {
-		rows, sources, err = execFrom(cx, s.From, outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// LIMIT/OFFSET resolve once the sources are open, before any row is
-	// read. A plain SELECT — no grouping, window, ORDER BY or DISTINCT —
-	// stops filtering and projecting once OFFSET+LIMIT rows qualify, as the
-	// streaming operators do, so an error in a row past the LIMIT never
-	// surfaces.
-	offset, limit, err := evalLimits(cx, s.Limit, s.Offset)
-	if err != nil {
-		return nil, err
-	}
-	hasAggregates := selectHasAggregates(s)
-	need := -1
-	if limit >= 0 && len(s.GroupBy) == 0 && !hasAggregates && !selectHasWindows(s) &&
-		len(s.OrderBy) == 0 && !s.Distinct {
-		need = max(offset, 0) + limit
-	}
-
-	// 2. WHERE.
-	if s.Where != nil {
-		var filtered []Row
-		for ri, joined := range rows {
-			if len(filtered) == need {
-				break
-			}
-			if err := cx.checkCancel(ri); err != nil {
-				return nil, err
-			}
-			sc := bindScope(sources, joined, outer)
-			ok, err := truthy(cx.withScope(sc), s.Where)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				filtered = append(filtered, joined)
-			}
-		}
-		rows = filtered
-	}
-	if need >= 0 && len(rows) > need {
-		rows = rows[:need]
-	}
-
-	// 2b. Window functions: compute each distinct windowed call over the
-	// filtered rows as a synthetic column, then project a rewritten select
-	// list that references those columns.
-	if selectHasWindows(s) {
-		if hasAggregates || len(s.GroupBy) > 0 {
-			return nil, fmt.Errorf("sql: window functions cannot be combined with GROUP BY or aggregates")
-		}
-		s, sources, rows, err = applyWindowStage(cx, s, sources, rows, outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var result *ResultSet
-	if len(s.GroupBy) > 0 || hasAggregates {
-		result, err = execAggregate(cx, s, sources, rows, outer)
-	} else {
-		result, err = execProjection(cx, s, sources, rows, outer)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// ORDER BY over the projected result; keys may reference output aliases
-	// or input columns — we resolve aliases first, then fall back to
-	// re-evaluating in the input scope (only possible pre-aggregation; for
-	// grouped queries keys must be output columns or ordinals).
-	if len(s.OrderBy) > 0 {
-		if err := applyOrderBy(cx, s, sources, rows, result, hasAggregates); err != nil {
-			return nil, err
-		}
-	}
-
-	if s.Distinct {
-		result.Rows = distinctRows(result.Rows)
-	}
-
-	// LIMIT / OFFSET.
-	if s.Offset != nil {
-		if offset = max(offset, 0); offset >= len(result.Rows) {
-			result.Rows = nil
-		} else {
-			result.Rows = result.Rows[offset:]
-		}
-	}
-	if limit >= 0 && limit < len(result.Rows) {
-		result.Rows = result.Rows[:limit]
-	}
-	return result, nil
-}
+// Row-level helpers shared by the operator pipeline and the vectorized
+// executor: the joined-row layout and its scope binding, SELECT-list
+// expansion, aggregate detection, ORDER BY resolution and the DISTINCT key.
 
 // sourceInfo describes one FROM item's shape for scope binding. The joined
 // row layout is the concatenation of all sources' columns in order.
@@ -145,166 +38,11 @@ func bindScope(sources []sourceInfo, joined Row, outer *scope) *scope {
 	return sc
 }
 
-// execFrom evaluates the FROM clause into joined rows. An empty FROM yields
-// a single empty row (SELECT 1).
-func execFrom(cx *evalCtx, from []FromItem, outer *scope) ([]Row, []sourceInfo, error) {
-	if len(from) == 0 {
-		return []Row{{}}, nil, nil
-	}
-	var rows []Row
-	var sources []sourceInfo
-	rows = []Row{{}}
-	for _, item := range from {
-		next, info, err := joinItem(cx, rows, sources, item, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = next
-		sources = append(sources, info)
-	}
-	return rows, sources, nil
-}
-
-// joinItem joins one FROM item onto the accumulated rows.
-func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, outer *scope) ([]Row, sourceInfo, error) {
-	// Lateral items (explicit LATERAL or function calls, as in PostgreSQL)
-	// re-evaluate the relation per left row with the left columns in scope.
-	lateral := item.Lateral || item.Func != nil
-
-	materialize := func(sc *scope) (*ResultSet, error) {
-		switch {
-		case item.Table != "":
-			t, ok := cx.db.tables.get(item.Table)
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, item.Table)
-			}
-			// Resolve the versions visible to this statement's snapshot; the
-			// result is private, so later mutations never interfere.
-			rs := &ResultSet{Columns: t.Columns, Rows: visibleRows(cx, t)}
-			return rs, nil
-		case item.Func != nil:
-			st, err := callFromItem(cx, item.Func, sc)
-			if err != nil {
-				return nil, err
-			}
-			return drainStreamCtx(cx, st)
-		case item.Sub != nil:
-			return execSelect(cx, item.Sub, sc)
-		default:
-			return nil, fmt.Errorf("sql: empty FROM item")
-		}
-	}
-
-	makeInfo := func(rs *ResultSet) (sourceInfo, error) {
-		return fromItemInfo(item, rs.Columns)
-	}
-
-	if !lateral {
-		// Non-lateral items cannot see left columns; only the outer scope.
-		sc := &scope{outer: outer}
-		rs, err := materialize(sc)
-		if err != nil {
-			return nil, sourceInfo{}, err
-		}
-		info, err := makeInfo(rs)
-		if err != nil {
-			return nil, sourceInfo{}, err
-		}
-		var out []Row
-		switch item.Join {
-		case JoinLeft:
-			for _, l := range left {
-				matched := false
-				for _, r := range rs.Rows {
-					joined := append(append(Row{}, l...), r...)
-					if item.On != nil {
-						scJ := bindScope(append(sources, info), joined, outer)
-						ok, err := truthy(cx.withScope(scJ), item.On)
-						if err != nil {
-							return nil, sourceInfo{}, err
-						}
-						if !ok {
-							continue
-						}
-					}
-					matched = true
-					out = append(out, joined)
-				}
-				if !matched {
-					out = append(out, append(append(Row{}, l...), nullRow(info.width)...))
-				}
-			}
-		default: // cross or inner
-			for _, l := range left {
-				for _, r := range rs.Rows {
-					joined := append(append(Row{}, l...), r...)
-					if item.On != nil {
-						scJ := bindScope(append(sources, info), joined, outer)
-						ok, err := truthy(cx.withScope(scJ), item.On)
-						if err != nil {
-							return nil, sourceInfo{}, err
-						}
-						if !ok {
-							continue
-						}
-					}
-					out = append(out, joined)
-				}
-			}
-		}
-		return out, info, nil
-	}
-
-	// Lateral: evaluate the relation once per left row; LEFT JOIN LATERAL
-	// null-pads a left row no relation row matched.
-	var out []Row
-	var info sourceInfo
-	infoSet := false
-	for _, l := range left {
-		sc := bindScope(sources, l, outer)
-		rs, err := materialize(sc)
-		if err != nil {
-			return nil, sourceInfo{}, err
-		}
-		if !infoSet {
-			info, err = makeInfo(rs)
-			if err != nil {
-				return nil, sourceInfo{}, err
-			}
-			infoSet = true
-		}
-		matched := false
-		for _, r := range rs.Rows {
-			joined := append(append(Row{}, l...), r...)
-			if item.On != nil {
-				scJ := bindScope(append(sources, info), joined, outer)
-				ok, err := truthy(cx.withScope(scJ), item.On)
-				if err != nil {
-					return nil, sourceInfo{}, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = true
-			out = append(out, joined)
-		}
-		if item.Join == JoinLeft && !matched {
-			out = append(out, append(append(Row{}, l...), nullRow(info.width)...))
-		}
-	}
-	if !infoSet {
-		// No left rows: still need the shape; evaluate against outer scope.
-		rs, err := materialize(&scope{outer: outer})
-		if err != nil {
-			return nil, sourceInfo{}, err
-		}
-		info, err = makeInfo(rs)
-		if err != nil {
-			return nil, sourceInfo{}, err
-		}
-	}
-	return out, info, nil
+// bindRow binds one row of sources for interpreted evaluation, chained to
+// cx's own scope: the enclosing query's row when cx evaluates a LATERAL
+// subquery, nil at top level.
+func (cx *evalCtx) bindRow(sources []sourceInfo, row Row) *evalCtx {
+	return cx.withScope(bindScope(sources, row, cx.scope))
 }
 
 // nullRow is n SQL NULLs: the padding of an unmatched LEFT JOIN row.
@@ -314,31 +52,6 @@ func nullRow(n int) Row {
 		r[i] = variant.NewNull()
 	}
 	return r
-}
-
-// execProjection computes the SELECT list for each row (no aggregation).
-func execProjection(cx *evalCtx, s *SelectStmt, sources []sourceInfo, rows []Row, outer *scope) (*ResultSet, error) {
-	cols, exprs, err := expandItems(s.Items, sources)
-	if err != nil {
-		return nil, err
-	}
-	out := &ResultSet{Columns: cols}
-	for ri, joined := range rows {
-		if err := cx.checkCancel(ri); err != nil {
-			return nil, err
-		}
-		sc := bindScope(sources, joined, outer)
-		row := make(Row, len(exprs))
-		for i, e := range exprs {
-			v, err := evalExpr(cx.withScope(sc), e)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
 }
 
 // expandItems resolves *, t.*, and explicit items into projection columns
@@ -493,8 +206,7 @@ func applyOrderBy(cx *evalCtx, s *SelectStmt, sources []sourceInfo, inputRows []
 			return fmt.Errorf("sql: ORDER BY key %d must reference an output column", ki+1)
 		}
 		for i := range inputRows {
-			sc := bindScope(sources, inputRows[i], nil)
-			v, err := evalExpr(cx.withScope(sc), item.Expr)
+			v, err := evalExpr(cx.bindRow(sources, inputRows[i]), item.Expr)
 			if err != nil {
 				return err
 			}
@@ -532,8 +244,8 @@ func applyOrderBy(cx *evalCtx, s *SelectStmt, sources []sourceInfo, inputRows []
 }
 
 // rowKey renders a row as a kind-tagged deduplication key — the encoding
-// DISTINCT uses in both the materializing executor and the streaming
-// pipeline (sortop.go), so the two paths keep identical duplicate sets.
+// DISTINCT (sortop.go), GROUP BY and window partitions share, so every path
+// keeps identical duplicate sets.
 func rowKey(r Row) string {
 	var sb strings.Builder
 	for _, v := range r {
@@ -543,17 +255,4 @@ func rowKey(r Row) string {
 		sb.WriteByte('\x00')
 	}
 	return sb.String()
-}
-
-func distinctRows(rows []Row) []Row {
-	seen := make(map[string]bool, len(rows))
-	var out []Row
-	for _, r := range rows {
-		key := rowKey(r)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -9,11 +9,9 @@ import (
 
 // EXPLAIN rendering. EXPLAIN <stmt> plans the target without executing it
 // and returns one plan line per row (column "QUERY PLAN"), so access-path
-// choices are observable and testable. SELECT targets render their physical
-// plan — the vectorized or operator pipeline when that is what would run,
-// otherwise the logical operator tree with the same access-path annotation
-// the materializing executor would use. DML targets render their write node
-// over the scan that feeds it.
+// choices are observable and testable. SELECT targets render the physical
+// plan that would run — the vectorized or the operator pipeline. DML targets
+// render their write node over the scan that feeds it.
 
 // explainLocked renders s.Target under the held database lock.
 func (db *DB) explainLocked(s *ExplainStmt) (*ResultSet, error) {
@@ -32,13 +30,13 @@ func (db *DB) explainStatement(st Statement) ([]string, error) {
 	r := &planRenderer{db: db}
 	switch s := st.(type) {
 	case *SelectStmt:
-		if err := r.renderSelect(s, 0); err != nil {
+		if err := r.renderSelect(s, 0, false); err != nil {
 			return nil, err
 		}
 	case *InsertStmt:
 		r.node(0, fmt.Sprintf("Insert on %s", strings.ToLower(s.Table)))
 		if s.Query != nil {
-			if err := r.renderSelect(s.Query, 1); err != nil {
+			if err := r.renderSelect(s.Query, 1, true); err != nil {
 				return nil, err
 			}
 		} else {
@@ -80,20 +78,18 @@ func (r *planRenderer) detail(depth int, text string) {
 	r.lines = append(r.lines, pad+"  "+text)
 }
 
-// renderSelect renders a SELECT's physical plan at the given depth.
-func (r *planRenderer) renderSelect(s *SelectStmt, depth int) error {
-	plan, err := r.db.planSelect(s)
+// renderSelect renders a SELECT's physical plan at the given depth; serial
+// is planSelect's.
+func (r *planRenderer) renderSelect(s *SelectStmt, depth int, serial bool) error {
+	plan, err := r.db.planSelect(s, serial)
 	if err != nil {
 		return err
 	}
-	switch plan.kind {
-	case physOps:
-		return r.renderOps(plan.ops, depth)
-	case physVectorized:
+	if plan.kind == physVectorized {
 		r.renderVectorized(plan.vec, depth)
 		return nil
 	}
-	return r.renderLogical(buildLogical(s), s, depth)
+	return r.renderOps(plan.ops, depth)
 }
 
 // renderVectorized renders the columnar batch pipeline (vecexec.go).
@@ -185,6 +181,13 @@ func (r *planRenderer) renderOps(p *opPlan, depth int) error {
 		r.node(depth, label)
 		if s.Having != nil {
 			r.detail(depth, "Having: "+exprString(s.Having))
+		}
+		depth++
+	}
+	if w := p.window; w != nil {
+		r.node(depth, "WindowAgg")
+		for _, f := range w.calls {
+			r.detail(depth, "Window: "+exprString(f))
 		}
 		depth++
 	}
@@ -296,7 +299,7 @@ func (r *planRenderer) renderOpLeaf(leaf *opSource, ordered *orderedScanInfo, de
 		if leaf.pushed != nil {
 			r.detail(depth, leafFilterLabel(leaf)+": "+exprString(leaf.pushed))
 		}
-		return r.renderSelect(leaf.item.Sub, depth+1)
+		return r.renderOps(leaf.sub, depth+1)
 	}
 }
 
@@ -334,120 +337,6 @@ func (r *planRenderer) renderAccess(ap accessPath, table, alias string, where Ex
 	if where != nil {
 		r.detail(depth, filterLabel+": "+exprString(where))
 	}
-}
-
-// renderLogical renders the operator tree for plans that execute through the
-// materializing executor. The scan leaf of a
-// single-table filtered query is annotated with the access path the
-// executor's shared chooser would pick.
-func (r *planRenderer) renderLogical(n logicalNode, s *SelectStmt, depth int) error {
-	switch x := n.(type) {
-	case *lLimit:
-		var parts []string
-		if x.limit != nil {
-			parts = append(parts, exprString(x.limit))
-		}
-		if x.offset != nil {
-			parts = append(parts, "offset "+exprString(x.offset))
-		}
-		r.node(depth, fmt.Sprintf("Limit (%s)", strings.Join(parts, ", ")))
-		return r.renderLogical(x.child, s, depth+1)
-	case *lDistinct:
-		r.node(depth, "Distinct")
-		return r.renderLogical(x.child, s, depth+1)
-	case *lSort:
-		keys := make([]string, len(x.keys))
-		for i, k := range x.keys {
-			keys[i] = exprString(k.Expr)
-			if k.Desc {
-				keys[i] += " DESC"
-			}
-		}
-		r.node(depth, "Sort (key: "+strings.Join(keys, ", ")+")")
-		return r.renderLogical(x.child, s, depth+1)
-	case *lProject:
-		// Projection is implicit in every plan; rendering it adds noise.
-		return r.renderLogical(x.child, s, depth)
-	case *lAggregate:
-		label := "Aggregate"
-		if len(x.groupBy) > 0 {
-			keys := make([]string, len(x.groupBy))
-			for i, g := range x.groupBy {
-				keys[i] = exprString(g)
-			}
-			label += " (group by: " + strings.Join(keys, ", ") + ")"
-		}
-		r.node(depth, label)
-		if x.having != nil {
-			r.detail(depth, "Having: "+exprString(x.having))
-		}
-		return r.renderLogical(x.child, s, depth+1)
-	case *lFilter:
-		// The filter annotates its scan leaf (single-table case) or renders
-		// the WHERE on the join node's input.
-		return r.renderFiltered(x, s, depth)
-	case *lJoin:
-		return r.renderJoin(x, s, depth)
-	case *lScan:
-		t, ok := r.db.tables.get(x.item.Table)
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoSuchTable, x.item.Table)
-		}
-		ap := chooseAccessPath(r.db, t, "", nil)
-		r.renderAccess(ap, t.Name, strings.ToLower(x.alias), nil, "Filter", false, 0, depth)
-		return nil
-	case *lFuncScan:
-		r.node(depth, fmt.Sprintf("Function Scan on %s", strings.ToLower(x.alias)))
-		return nil
-	case *lSubquery:
-		r.node(depth, fmt.Sprintf("Subquery Scan on %s", strings.ToLower(x.alias)))
-		return r.renderLogical(x.plan, x.item.Sub, depth+1)
-	case *lValues:
-		r.node(depth, "Result (one row)")
-		return nil
-	}
-	return fmt.Errorf("sql: cannot render plan node %T", n)
-}
-
-// renderFiltered renders filter-over-source, folding the predicate into a
-// single-table scan leaf with its chosen access path.
-func (r *planRenderer) renderFiltered(f *lFilter, s *SelectStmt, depth int) error {
-	if scan, ok := f.child.(*lScan); ok {
-		t, found := r.db.tables.get(scan.item.Table)
-		if !found {
-			return fmt.Errorf("%w: %q", ErrNoSuchTable, scan.item.Table)
-		}
-		alias := strings.ToLower(scan.alias)
-		ap := chooseAccessPath(r.db, t, alias, f.pred)
-		r.renderAccess(ap, t.Name, alias, f.pred, "Filter", false, 0, depth)
-		return nil
-	}
-	// Joined input: the filter applies to the joined rows.
-	r.node(depth, "Filter: "+exprString(f.pred))
-	return r.renderLogical(f.child, s, depth+1)
-}
-
-func (r *planRenderer) renderJoin(j *lJoin, s *SelectStmt, depth int) error {
-	kind := "cross"
-	switch j.kind {
-	case JoinInner:
-		kind = "inner"
-	case JoinLeft:
-		kind = "left"
-	}
-	label := fmt.Sprintf("Nested Loop (%s join", kind)
-	if j.lateral {
-		label += ", lateral"
-	}
-	label += ")"
-	r.node(depth, label)
-	if j.on != nil {
-		r.detail(depth, "Join Cond: "+exprString(j.on))
-	}
-	if err := r.renderLogical(j.left, s, depth+1); err != nil {
-		return err
-	}
-	return r.renderLogical(j.right, s, depth+1)
 }
 
 // renderWriteScan renders the leaf that locates an UPDATE/DELETE's target

@@ -79,6 +79,7 @@ func TestExplainGolden(t *testing.T) {
 		{name: "function_scan", query: `EXPLAIN SELECT gs * 2 FROM generate_series(1, 100) AS gs WHERE gs > 5`},
 		{name: "subquery_scan", query: `EXPLAIN SELECT s.id FROM (SELECT id FROM sensors WHERE id = 3) AS s`},
 		{name: "lateral_function_scan", query: `EXPLAIN SELECT id, avg(f.v) FROM generate_series($1, $2) AS id, LATERAL generate_series(id, id + $3) AS f(v) WHERE f.v % 2 = 0 GROUP BY id`},
+		{name: "window_over_index", query: `EXPLAIN SELECT id, avg(temp) OVER (ORDER BY id ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) FROM sensors WHERE temp BETWEEN 5 AND 6`},
 		{name: "insert_values", query: `EXPLAIN INSERT INTO sensors VALUES (1, 2.0, 'x', 1), (2, 3.0, 'y', 1)`},
 		{name: "insert_select", query: `EXPLAIN INSERT INTO sensors SELECT * FROM sensors WHERE id = 9`},
 		{name: "update", query: `EXPLAIN UPDATE sensors SET temp = 0 WHERE id = 7`},

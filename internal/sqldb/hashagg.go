@@ -10,15 +10,18 @@ import (
 )
 
 // Streaming hash aggregation. Input rows are consumed once; each group holds
-// incremental aggregate state (aggAccum) fed row-at-a-time instead of the
-// executor's partition-then-evaluate, so memory is bounded by the number of
-// groups, not the number of input rows. The accumulators are shared with the
-// materializing executor (aggregate.go folds through the same aggAccum), so
-// the two paths cannot diverge on the fold arithmetic; grouping keys use the
-// executor's exact key encoding, groups emit in first-seen order, and a
-// query with no GROUP BY always has one implicit group — present even on
-// empty input, so `SELECT count(*) FROM empty` yields its single zero row
-// through this path too.
+// incremental aggregate state (aggAccum) fed row-at-a-time instead of a
+// partition-then-evaluate, so memory is bounded by the number of groups, not
+// the number of input rows. The accumulators are shared with the vectorized
+// aggregate and the window kernel, so no path diverges on the fold
+// arithmetic; grouping keys use rowKey's exact encoding, groups emit in
+// first-seen order, and a query with no GROUP BY always has one implicit
+// group — present even on empty input, so `SELECT count(*) FROM empty`
+// yields its single zero row through this path too.
+//
+// Aggregate arguments are evaluated row by row as the input is fed, UDF calls
+// included; an aggregate's errors surface when HAVING or the SELECT list reads
+// it: errors met while feeding wait in the group until then (aggGroup.errs).
 
 // --- Incremental aggregate state ---
 
@@ -57,7 +60,7 @@ func (a *countAccum) result() (variant.Value, error) {
 }
 
 // sumAccum keeps both the float fold (accumulated in input order, so the
-// result is bit-identical to the executor's) and the integer fold used when
+// result is bit-identical whatever the executor) and the integer fold used when
 // every input was an integer.
 type sumAccum struct {
 	n      int
@@ -126,7 +129,7 @@ func (a *avgAccum) result() (variant.Value, error) {
 }
 
 // minMaxAccum keeps the first value that strictly beats every predecessor,
-// so ties keep the earliest value — the executor's fold order.
+// so ties keep the earliest value in input order.
 type minMaxAccum struct {
 	min  bool
 	any  bool
@@ -156,9 +159,8 @@ func (a *minMaxAccum) result() (variant.Value, error) {
 }
 
 // stddevAccum materializes its inputs: the sample standard deviation is
-// computed with the executor's two-pass mean so results stay bit-identical.
-// The streaming planner rejects stddev (collectAggSpecs), so this
-// accumulator only ever runs inside the materializing executor.
+// computed with a two-pass mean over the values in input order, so results
+// are bit-identical on every path.
 type stddevAccum struct{ fs []float64 }
 
 func (a *stddevAccum) add(v variant.Value) error {
@@ -193,45 +195,35 @@ func (a *stddevAccum) result() (variant.Value, error) {
 type aggSpec struct {
 	fn   *FuncExpr
 	name string // lowercase
+	// err is an invalid call's error (a non-count star, wrong arity), raised
+	// when the call is read.
+	err error
 }
 
-// collectAggSpecs gathers the distinct aggregate calls of s and validates
-// them for incremental evaluation. ok=false (stddev, wrong arity, a
-// non-count star) sends the statement to the materializing executor, whose
-// runtime errors then apply unchanged.
-func collectAggSpecs(s *SelectStmt) ([]*aggSpec, bool) {
+// collectAggSpecs gathers the distinct aggregate calls of s.
+func collectAggSpecs(s *SelectStmt) []*aggSpec {
 	var specs []*aggSpec
-	seen := func(f *FuncExpr) bool {
-		for _, sp := range specs {
-			if exprEqual(sp.fn, f) {
-				return true
-			}
-		}
-		return false
-	}
-	valid := true
 	walk := func(e Expr) {
 		walkExpr(e, func(x Expr) bool {
 			f, ok := x.(*FuncExpr)
 			if !ok || !isAggregateName(f.Name) || f.Over != nil {
-				return valid
+				return true
 			}
-			name := strings.ToLower(f.Name)
-			switch {
-			case f.Star:
-				if name != "count" {
-					valid = false
+			for _, sp := range specs {
+				if exprEqual(sp.fn, f) {
+					return false
 				}
-			case name == "stddev":
-				valid = false
-			case len(f.Args) != 1:
-				valid = false
 			}
-			if valid && !seen(f) {
-				specs = append(specs, &aggSpec{fn: f, name: name})
+			sp := &aggSpec{fn: f, name: strings.ToLower(f.Name)}
+			switch {
+			case f.Star && sp.name != "count":
+				sp.err = fmt.Errorf("sql: %s(*) is not valid", sp.name)
+			case !f.Star && len(f.Args) != 1:
+				sp.err = fmt.Errorf("sql: %s() expects 1 argument", sp.name)
 			}
-			// Nested aggregates inside the argument error at runtime in
-			// both paths; no need to descend into them.
+			specs = append(specs, sp)
+			// Nested aggregates inside the argument error when it is
+			// evaluated; no need to descend into them.
 			return false
 		})
 	}
@@ -239,38 +231,65 @@ func collectAggSpecs(s *SelectStmt) ([]*aggSpec, bool) {
 		walk(it.Expr)
 	}
 	walk(s.Having)
-	return specs, valid
+	return specs
 }
 
 // --- Grouped expression evaluation ---
 
 // aggEval evaluates projection and HAVING expressions for one finished
 // group through the shared grouped-expression evaluator (evalGrouped,
-// aggregate.go): aggregate calls resolve to the group's accumulated
-// results, GROUP BY keys to their key values, and other column references
-// to the group's first row.
+// aggregate.go): aggregate calls resolve to the group's results, GROUP BY
+// keys to their key values, and other column references to the group's
+// first row.
 type aggEval struct {
 	cx      *evalCtx
 	sources []sourceInfo
 	groupBy []Expr
-	keyVals []variant.Value
 	specs   []*aggSpec
-	vals    []variant.Value // accumulated results, aligned with specs
-	first   Row             // nil for an empty implicit group
+	g       *aggGroup
 }
 
-// resolveAgg maps an aggregate call to its accumulated result.
-func (g *aggEval) resolveAgg(x *FuncExpr) (variant.Value, error) {
-	for i, sp := range g.specs {
-		if exprEqual(sp.fn, x) {
-			return g.vals[i], nil
+// resolveAgg maps an aggregate call to its result, or to the error it met.
+func (e *aggEval) resolveAgg(x *FuncExpr) (variant.Value, error) {
+	for i, sp := range e.specs {
+		if !exprEqual(sp.fn, x) {
+			continue
 		}
+		if sp.err != nil {
+			return variant.Value{}, sp.err
+		}
+		return e.g.result(i)
 	}
 	return variant.Value{}, fmt.Errorf("sql: unknown aggregate %s()", x.Name)
 }
 
-func (g *aggEval) eval(e Expr) (variant.Value, error) {
-	return evalGrouped(g.cx, g.sources, g.groupBy, g.keyVals, g.first, nil, g.resolveAgg, e)
+func (e *aggEval) eval(x Expr) (variant.Value, error) {
+	return evalGrouped(e.cx, e.sources, e.groupBy, e.g.keyVals, e.g.first, e.cx.scope, e.resolveAgg, x)
+}
+
+// having reports whether a finished group passes HAVING (nil: every group).
+func (e *aggEval) having(h Expr) (bool, error) {
+	if h == nil {
+		return true, nil
+	}
+	v, err := e.eval(h)
+	if err != nil || v.IsNull() {
+		return false, err
+	}
+	return v.AsBool()
+}
+
+// project evaluates the SELECT list for a finished group.
+func (e *aggEval) project(exprs []Expr) (Row, error) {
+	row := make(Row, len(exprs))
+	for i, x := range exprs {
+		v, err := e.eval(x)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
 }
 
 // --- The streaming operator ---
@@ -280,7 +299,60 @@ type aggGroup struct {
 	keyVals []variant.Value
 	accums  []aggAccum
 	seen    []map[string]bool // per-spec DISTINCT sets; nil when not DISTINCT
-	first   Row
+	// errs holds, per spec, the first error evaluating its argument and the
+	// first error folding a value (nil until one occurs). Feeding a spec stops
+	// at its argument error and folding at its add error; resolveAgg reports
+	// the argument error first, as the reference evaluates every argument of
+	// a call before folding any.
+	errs  []aggErrs
+	first Row
+}
+
+type aggErrs struct{ arg, add error }
+
+// feed folds one argument value of spec i, or records its evaluation error.
+func (g *aggGroup) feed(i int, sp *aggSpec, v variant.Value, err error) {
+	if err != nil {
+		g.fail(i).arg = err
+		return
+	}
+	if v.IsNull() || (g.errs != nil && g.errs[i].add != nil) {
+		return
+	}
+	if sp.fn.Distinct {
+		key := v.Kind().String() + ":" + v.String()
+		if g.seen[i][key] {
+			return
+		}
+		g.seen[i][key] = true
+	}
+	if err := g.accums[i].add(v); err != nil {
+		g.fail(i).add = err
+	}
+}
+
+// fail returns spec i's error slot, allocating the slots on first use.
+func (g *aggGroup) fail(i int) *aggErrs {
+	if g.errs == nil {
+		g.errs = make([]aggErrs, len(g.accums))
+	}
+	return &g.errs[i]
+}
+
+// stopped reports whether spec i met an argument error: nothing more of it
+// is evaluated.
+func (g *aggGroup) stopped(i int) bool { return g.errs != nil && g.errs[i].arg != nil }
+
+// result is spec i's value once the group is complete.
+func (g *aggGroup) result(i int) (variant.Value, error) {
+	if g.errs != nil {
+		if e := g.errs[i]; e.arg != nil {
+			return variant.Value{}, e.arg
+		} else if e.add != nil {
+			return variant.Value{}, e.add
+		}
+	}
+	return g.accums[i].result()
 }
 
 // hashAggStream consumes its input once, feeding per-group accumulators, and
@@ -338,44 +410,31 @@ func newAggGroup(specs []*aggSpec, keyVals []variant.Value) *aggGroup {
 }
 
 // feed folds one input row into its group's accumulators.
-func (h *hashAggStream) feed(g *aggGroup, row Row) error {
+func (h *hashAggStream) feed(g *aggGroup, row Row) {
 	if g.first == nil {
 		g.first = row
 	}
 	var rcx *evalCtx
-	if h.argsC == nil {
-		rcx = h.cx.withScope(bindScope(h.sources, row, nil))
-	}
 	for i, sp := range h.specs {
-		if sp.fn.Star {
+		switch {
+		case sp.err != nil || g.stopped(i):
+			continue
+		case sp.fn.Star:
 			g.accums[i].(*countAccum).n++
 			continue
 		}
 		var v variant.Value
 		var err error
-		if rcx == nil {
+		if h.argsC != nil && h.argsC[i] != nil {
 			v, err = h.argsC[i](&h.env, row)
 		} else {
+			if rcx == nil {
+				rcx = h.cx.bindRow(h.sources, row)
+			}
 			v, err = evalExpr(rcx, sp.fn.Args[0])
 		}
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if sp.fn.Distinct {
-			key := v.Kind().String() + ":" + v.String()
-			if g.seen[i][key] {
-				continue
-			}
-			g.seen[i][key] = true
-		}
-		if err := g.accums[i].add(v); err != nil {
-			return err
-		}
+		g.feed(i, sp, v, err)
 	}
-	return nil
 }
 
 // build consumes the entire input, grouping with the executor's key
@@ -406,7 +465,7 @@ func (h *hashAggStream) build() error {
 		if g == nil {
 			var rcx *evalCtx
 			if h.keysC == nil {
-				rcx = h.cx.withScope(bindScope(h.sources, row, nil))
+				rcx = h.cx.bindRow(h.sources, row)
 			}
 			keyVals := make([]variant.Value, len(groupBy))
 			for ki, ge := range groupBy {
@@ -430,9 +489,7 @@ func (h *hashAggStream) build() error {
 				h.groups = append(h.groups, g)
 			}
 		}
-		if err := h.feed(g, row); err != nil {
-			return err
-		}
+		h.feed(g, row)
 	}
 }
 
@@ -454,48 +511,16 @@ func (h *hashAggStream) Next() (Row, error) {
 		}
 	}
 	for h.pos < len(h.groups) {
-		g := h.groups[h.pos]
+		ge := &aggEval{cx: h.cx, sources: h.sources, groupBy: h.sel.GroupBy, specs: h.specs, g: h.groups[h.pos]}
 		h.pos++
-		vals := make([]variant.Value, len(h.specs))
-		for i, acc := range g.accums {
-			v, err := acc.result()
-			if err != nil {
-				return fail(err)
-			}
-			vals[i] = v
+		if ok, err := ge.having(h.sel.Having); err != nil {
+			return fail(err)
+		} else if !ok {
+			continue
 		}
-		ge := &aggEval{
-			cx:      h.cx,
-			sources: h.sources,
-			groupBy: h.sel.GroupBy,
-			keyVals: g.keyVals,
-			specs:   h.specs,
-			vals:    vals,
-			first:   g.first,
-		}
-		if h.sel.Having != nil {
-			v, err := ge.eval(h.sel.Having)
-			if err != nil {
-				return fail(err)
-			}
-			if v.IsNull() {
-				continue
-			}
-			ok, err := v.AsBool()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				continue
-			}
-		}
-		row := make(Row, len(h.exprs))
-		for i, e := range h.exprs {
-			v, err := ge.eval(e)
-			if err != nil {
-				return fail(err)
-			}
-			row[i] = v
+		row, err := ge.project(h.exprs)
+		if err != nil {
+			return fail(err)
 		}
 		return row, nil
 	}

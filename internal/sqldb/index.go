@@ -400,42 +400,6 @@ func matchProbe(e Expr, alias string) *indexProbe {
 	return nil
 }
 
-// tryIndexScan resolves a single-table SELECT's FROM through a secondary
-// index when the cost-based access-path chooser (plan.go) decides a probe
-// beats a full scan. It returns a candidate superset of the matching rows
-// (in table order) — the caller still applies the full WHERE — or ok=false
-// to fall back to a scan. Any difficulty (type mismatch, no usable index)
-// falls back rather than erroring, so behaviour is identical to the scan
-// path. It serves the materializing executor (exec.go); the operator
-// pipeline's scan leaves, the vectorized planner, and UPDATE and DELETE (see
-// DB.applyToTargets) ask the same chooser themselves, so every execution
-// strategy obeys the same planner decision.
-func tryIndexScan(cx *evalCtx, s *SelectStmt) ([]Row, sourceInfo, bool) {
-	if len(s.From) != 1 || s.Where == nil {
-		return nil, sourceInfo{}, false
-	}
-	item := s.From[0]
-	if item.Table == "" || item.Func != nil || item.Sub != nil || len(item.ColAliases) > 0 {
-		return nil, sourceInfo{}, false
-	}
-	t, ok := cx.db.tables.get(item.Table)
-	if !ok || len(t.indexes) == 0 {
-		return nil, sourceInfo{}, false
-	}
-	alias := item.Alias
-	if alias == "" {
-		alias = strings.ToLower(item.Table)
-	}
-
-	ap := chooseAccessPath(cx.db, t, alias, s.Where)
-	rows, ok := ap.lookupRows(cx, t)
-	if !ok {
-		return nil, sourceInfo{}, false
-	}
-	info := sourceInfo{alias: alias, columns: t.Columns, width: len(t.Columns)}
-	return rows, info, true
-}
-
 // probeIndex evaluates a probe's constant expressions, coerces them to the
 // indexed column's type (mirroring the insert path so hash keys line up),
 // and performs the lookup. An equality probe appends into buf (see

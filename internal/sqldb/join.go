@@ -12,13 +12,13 @@ import (
 // drained once — into hash buckets keyed on the equi-join columns, or into a
 // plain slice for the nested loop — or the candidates were resolved per left
 // row when the plan opened (lookupCands; there is no right input then): read
-// from the inner table's index for the bottom join over an indexed table, or
-// returned by the function a lateral function scan calls once per left row
-// (openLateral). The left (probe) input streams through row by row, so the
+// from the inner table's index for the bottom join over an indexed table.
+// (Lateral items join at open instead; see openLateral.) The left (probe)
+// input streams through row by row, so the
 // join's output participates in LIMIT early-exit and cancellation like every
 // other operator.
 //
-// Output order is the nested-loop order the materializing executor produces:
+// Output order is the nested-loop order the reference executor produces:
 // left-major, right rows in stream order within each left row (hash buckets
 // append in right-stream order, so probing preserves it). The build is
 // deferred until the first left row arrives, which keeps the executor's
@@ -55,7 +55,7 @@ type joinStream struct {
 	residual *rowPred
 
 	built   bool
-	lk      *lookupCands // candidates resolved at open (index lookup, lateral); leftN counts outer rows pulled
+	lk      *lookupCands // candidates resolved at open (index lookup); leftN counts outer rows pulled
 	leftN   int
 	buckets map[string][]Row // hash strategy
 	rows    []Row            // all build rows (hash cross-family fallback + nested loop)
@@ -181,8 +181,7 @@ func (j *joinStream) build() error {
 // AND chain keeps evaluating after a NULL operand and its errors must
 // surface here too.
 func (j *joinStream) keyVals(keys []Expr, sources []sourceInfo, row Row) ([]variant.Value, int, error) {
-	sc := bindScope(sources, row, nil)
-	rcx := j.cx.withScope(sc)
+	rcx := j.cx.bindRow(sources, row)
 	vals := make([]variant.Value, len(keys))
 	nullAt := -1
 	for i, k := range keys {
@@ -213,8 +212,7 @@ func joinHashKey(vals []variant.Value) string {
 // keeps evaluating later components (their errors must still surface), and
 // a cross-kind comparison error fails the query just as it would there.
 func (j *joinStream) verifyKeys(r Row) (bool, error) {
-	sc := bindScope([]sourceInfo{j.rightInfo}, r, nil)
-	rcx := j.cx.withScope(sc)
+	rcx := j.cx.bindRow([]sourceInfo{j.rightInfo}, r)
 	matched := true
 	for i, k := range j.step.keysR {
 		rv, err := evalExpr(rcx, k)
@@ -399,9 +397,9 @@ func (j *joinStream) Close() error {
 	return err
 }
 
-// lookupCands are candidates resolved per outer row at open — by an index
-// lookup join (see joinLookup) or a lateral function scan (openLateral):
-// rows[off[i]:off[i+1]] are the candidates of the i-th outer row.
+// lookupCands are candidates an index lookup join (see joinLookup) resolved
+// per outer row at open: rows[off[i]:off[i+1]] are the candidates of the
+// i-th outer row.
 type lookupCands struct {
 	rows []Row
 	off  []int

@@ -112,8 +112,4 @@ func BenchmarkStreamingAggregate(b *testing.B) {
 		db.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
 		run(b)
 	})
-	b.Run(fmt.Sprintf("Materializing%dk", n/1000), func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-		run(b)
-	})
 }

@@ -24,7 +24,7 @@ func joinStrategy(t *testing.T, db *DB, sql string, args ...any) string {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	plan, err := db.planSelect(stmt.(*SelectStmt))
+	plan, err := db.planSelect(stmt.(*SelectStmt), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func joinStrategy(t *testing.T, db *DB, sql string, args ...any) string {
 		t.Fatalf("%s: not an operator plan", sql)
 	}
 	cx := &evalCtx{db: db, params: params, ctx: context.Background(), snap: db.readSnap()}
-	st, err := plan.ops.open(cx)
+	st, err := plan.ops.open(cx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func mustLookup(t *testing.T, db *DB, want, sql string, args ...any) {
 	}
 }
 
-// sameAsExecutor runs sql on the streaming pipeline and on the materializing
-// executor and requires the same rows in the same order.
+// sameAsExecutor runs sql on the pipeline and on the reference executor and
+// requires the same rows in the same order.
 func sameAsExecutor(t *testing.T, db *DB, sql string, args ...any) *ResultSet {
 	t.Helper()
 	streamed, mat := runBoth(t, db, sql, args...)
@@ -305,9 +305,7 @@ func TestLookupJoinSurvivesVacuum(t *testing.T) {
 	db := lookupTestDB(t)
 	mustExec(t, db, `DELETE FROM i WHERE k2 = 1`) // dead versions for Vacuum to drop
 	const q = `SELECT o.id, i.w, i.tag FROM o LEFT JOIN i ON o.k = i.k`
-	db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-	want := mustQuery(t, db, q)
-	db.SetPlannerOptions(PlannerOptions{})
+	want := mustRefQuery(t, db, q)
 	mustLookup(t, db, "lookup", q)
 
 	it, err := db.QueryRows(q)

@@ -10,46 +10,44 @@ import (
 	"repro/internal/variant"
 )
 
-// Streaming operator plans. Every SELECT the vectorized executor does not take
-// and whose expressions outside FROM are pure builtins — single-source reads
-// (base table, function scan, subquery, or the FROM-less single row) as well
-// as joins, aggregation, ORDER BY and DISTINCT — lowers here to a pipeline of
-// pull-based operators behind the RowStream contract:
+// Operator plans. Every SELECT the vectorized executor does not take lowers
+// here to a pipeline of pull-based operators behind the RowStream contract:
 //
 //   scan leaves (with WHERE conjuncts pushed below joins, access paths from
 //   the shared cost model, and optionally a parallel partitioned scan feeding
-//   a single-source projection or the bottom hash join's probe side)
+//   a single-source projection or the bottom hash join's probe side;
+//   subqueries run their own plan)
 //     → build/probe hash joins for equi-join conjuncts (the bottom join
 //       probes the inner table's index instead when it has one on a key
 //       column and the outer input turns out small; see joinLookup),
-//       lateral function scans (comma or CROSS JOIN function items after
-//       the first: called once per left row at open, see openLateral),
+//       lateral items (function calls and LATERAL subqueries after the
+//       first item: run once per left row at open, see openLateral),
 //       streaming nested-loop joins otherwise (chosen by cost from stats.go
 //       estimates)
 //       → residual WHERE filter
-//         → incremental hash aggregation (COUNT/SUM/AVG/MIN/MAX fed
-//           row-at-a-time) or streaming projection
-//           → sort (skipped when a btree index already proves the order)
-//             → distinct → limit/offset
+//         → window stage (windowStream) when the SELECT list has windows
+//           → incremental hash aggregation (COUNT/SUM/AVG/MIN/MAX/STDDEV
+//             fed row-at-a-time) or streaming projection
+//             → sort (skipped when a btree index already proves the order)
+//               → distinct → limit/offset
 //
 // Expressions evaluated above the scans — residual WHERE, join conditions,
-// group keys, aggregate arguments, projections — compile against the joined
-// row layout (compile.go): once per plan when every source's shape is known
-// at plan time, at open when a function scan or subquery fixes it there.
-// What does not compile (ambiguous or unknown columns among them) is
-// interpreted, so the interpreter's errors stand.
+// group keys, aggregate arguments, window inputs, projections — compile
+// against the joined row layout (compile.go): once per plan when every
+// source's shape is known at plan time, at open when a function scan or
+// subquery fixes it there. What does not compile (ambiguous or unknown
+// columns, UDF calls) is interpreted, so the interpreter's errors stand.
 //
-// Operator plans follow the PR-3 locking split: open() resolves every source
-// under the caller-held database lock (table snapshots, index probes,
-// FROM-clause UDF calls — lateral ones included — and subquery
-// materialization); the returned stream's Next does only pure work over
-// private data, so LIMIT early-exits, context cancellation applies between
-// rows, and no lock is held while the caller iterates. Eligibility therefore
-// requires every expression outside the FROM sources to use only builtin
-// functions — statements referencing UDFs in WHERE/projections, LATERAL
-// subqueries, ON-bearing or LEFT lateral items, or unsupported aggregates
-// (stddev) keep the materializing executor, whose semantics the operators
-// must reproduce observationally (the differential suites enforce this).
+// Locking: open() resolves every source under the caller-held database lock
+// (table snapshots, index probes, FROM-clause UDF calls — lateral ones
+// included — and subqueries); the returned stream's Next does only pure work
+// over private data, so LIMIT early-exits, context cancellation applies
+// between rows, and no lock is held while the caller iterates. A plan whose
+// expressions outside FROM call a UDF (opPlan.udf) is drained by open
+// instead, so no UDF is ever called from Next. Evaluation follows the order
+// docs/sql-reference.md states, which the reference executor
+// (reference_test.go) implements and the differential suites hold the
+// pipeline to.
 
 // opPlan is the compiled streaming pipeline for one SELECT.
 type opPlan struct {
@@ -62,6 +60,16 @@ type opPlan struct {
 	// calls its incremental state feeds.
 	grouped bool
 	specs   []*aggSpec
+	// window is the window stage, for a SELECT with window calls.
+	window *windowStage
+	// udf marks a statement whose expressions outside FROM call a UDF: open
+	// drains it, and nothing may change how often or in which order those
+	// calls happen — no parallel or ordered scan, no prefilter past a UDF
+	// conjunct, no UDF-bearing join key.
+	udf bool
+	// interp marks a plan over duplicate source aliases: nothing is pushed
+	// down, hashed or compiled, every expression is interpreted.
+	interp bool
 	// ordered is set when ORDER BY is satisfied by walking a btree index in
 	// key order instead of sorting (single-table plans only).
 	ordered *orderedScanInfo
@@ -83,21 +91,34 @@ type opPlan struct {
 type tailExprs struct {
 	where   compiledExpr
 	groupBy []compiledExpr // nil unless every key compiles
-	aggArgs []compiledExpr // per spec, nil for count(*); nil unless every argument compiles
+	aggArgs []compiledExpr // per spec; nil entries are interpreted (or not fed)
+}
+
+// compile compiles e over sources, or returns nil for a plan that
+// interprets everything.
+func (p *opPlan) compile(e Expr, sources []sourceInfo) compiledExpr {
+	if p.interp {
+		return nil
+	}
+	return compileOver(e, sources)
+}
+
+// compileAll is compileAll under the plan's interp rule.
+func (p *opPlan) compileAll(es []Expr, sources []sourceInfo) []compiledExpr {
+	if p.interp {
+		return nil
+	}
+	return compileAll(es, sources)
 }
 
 // compileTail compiles the residual WHERE, group keys and aggregate
 // arguments against the joined layout.
 func (p *opPlan) compileTail(sources []sourceInfo) tailExprs {
-	t := tailExprs{where: compileOver(p.where, sources), groupBy: compileAll(p.sel.GroupBy, sources)}
+	t := tailExprs{where: p.compile(p.where, sources), groupBy: p.compileAll(p.sel.GroupBy, sources)}
 	t.aggArgs = make([]compiledExpr, len(p.specs))
 	for i, sp := range p.specs {
-		if sp.fn.Star {
-			continue
-		}
-		if t.aggArgs[i] = compileOver(sp.fn.Args[0], sources); t.aggArgs[i] == nil {
-			t.aggArgs = nil
-			break
+		if sp.err == nil && !sp.fn.Star {
+			t.aggArgs[i] = p.compile(sp.fn.Args[0], sources)
 		}
 	}
 	return t
@@ -109,7 +130,7 @@ func (p *opPlan) compiled(planned compiledExpr, e Expr, sources []sourceInfo) co
 	if p.known {
 		return planned
 	}
-	return compileOver(e, sources)
+	return p.compile(e, sources)
 }
 
 // opSource is one FROM item leaf.
@@ -117,8 +138,10 @@ type opSource struct {
 	item  FromItem
 	alias string
 	// table is resolved at plan time for base tables; nil for function
-	// scans and subqueries, whose shape is only known at open time.
+	// scans and subqueries, whose shape is only known at open time. sub is a
+	// subquery's own plan, held here so the epoch check covers it.
 	table  *Table
+	sub    *opPlan
 	access accessPath
 	// pushed is the AND of WHERE conjuncts that reference only this source
 	// and sit on a non-nullable side of every LEFT join; pushedC is its
@@ -139,8 +162,8 @@ type opSource struct {
 	// drain the source's columnar batches (newVecFuncScanStream): open then
 	// leaves a BatchSource unfiltered for the tail to take over.
 	batchTail bool
-	// lateral marks a function item after the first: it is called once per
-	// left row, with that row in scope (openLateral).
+	// lateral marks a function item after the first, or a LATERAL subquery
+	// there: it runs once per left row, with that row in scope (openLateral).
 	lateral bool
 	// est is the planner's output-cardinality estimate after the pushed
 	// filter, feeding the join-strategy cost model.
@@ -219,13 +242,14 @@ const (
 )
 
 // sourceMeta is the plan-time shape of one FROM item: the alias it binds
-// and, for base tables, its column list (post column-alias renames).
-// known=false (function scans, subqueries) limits what the planner may
-// attribute to the source, never what executes.
+// and, for base tables, the table and its column list (post column-alias
+// renames). known=false (function scans, subqueries) limits what the planner
+// may attribute to the source, never what executes.
 type sourceMeta struct {
 	alias string
 	cols  []Column
 	known bool
+	table *Table
 }
 
 // info is the shape a known source binds at open (fromItemInfo's result).
@@ -233,75 +257,46 @@ func (m sourceMeta) info() sourceInfo {
 	return sourceInfo{alias: m.alias, columns: m.cols, width: len(m.cols)}
 }
 
-// planOperators decides whether s runs on the streaming operator pipeline
-// and builds its plan; nil falls back to the materializing executor. Caller
-// holds the database lock (either mode).
-func (db *DB) planOperators(s *SelectStmt) *opPlan {
-	// Window functions run on the materializing executor (the reference
-	// path) or the vectorized pipeline, never the row operators.
-	if db.planner.DisableStreamingExec || selectHasWindows(s) {
-		return nil
-	}
-	for i, item := range s.From {
-		// LATERAL re-evaluates per outer row; function scans beyond the
-		// first item are implicitly lateral. Comma or CROSS JOIN function
-		// items run here (openLateral); LATERAL subqueries and tables, and
-		// lateral functions under ON or LEFT JOIN, stay on the executor.
-		if i == 0 && item.On != nil {
-			return nil
-		}
-		if i > 0 && (item.Lateral || item.Func != nil) &&
-			(item.Func == nil || item.Join != JoinCross || item.On != nil) {
-			return nil
-		}
-		if i == 0 && item.Sub != nil && item.Lateral {
-			return nil
-		}
-		if item.Table == "" && item.Func == nil && item.Sub == nil {
-			return nil
-		}
-	}
+// isLateral reports whether FROM item i runs once per left row: a function
+// after the first item, or a LATERAL subquery there. A LATERAL table reads
+// the same rows for every left row, so it joins like any table.
+func isLateral(i int, item FromItem) bool {
+	return i > 0 && (item.Func != nil || (item.Sub != nil && item.Lateral))
+}
+
+// planOperators builds the operator pipeline for s; serial is planSelect's.
+// Caller holds the database lock (either mode).
+func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 	metas := make([]sourceMeta, len(s.From))
 	for i, item := range s.From {
-		m, ok := db.sourceMetaFor(item)
-		if !ok {
-			return nil
+		m, err := db.sourceMetaFor(item)
+		if err != nil {
+			return nil, err
 		}
 		metas[i] = m
 	}
+	grouped := len(s.GroupBy) > 0 || selectHasAggregates(s)
+	plan := &opPlan{sel: s, grouped: grouped, udf: !selectPureBuiltin(s)}
+	if grouped {
+		plan.specs = collectAggSpecs(s)
+	}
+	if selectHasWindows(s) {
+		plan.window = newWindowStage(s, grouped)
+	}
 	// Duplicate aliases make qualified references ambiguous at runtime;
-	// side attribution cannot be trusted, so the executor keeps them.
+	// side attribution cannot be trusted, so the plan interprets.
 	if len(metas) > 1 {
 		seen := make(map[string]bool, len(metas))
 		for _, m := range metas {
 			key := strings.ToLower(m.alias)
-			if m.alias == "" || seen[key] {
-				return nil
-			}
+			plan.interp = plan.interp || m.alias == "" || seen[key]
 			seen[key] = true
 		}
 	}
-	// The lazy tail runs with no lock held: every function outside the FROM
-	// sources must be an engine builtin (aggregates are handled by the
-	// aggregation stage).
-	if !selectPureBuiltin(s) {
-		return nil
-	}
-	grouped := len(s.GroupBy) > 0 || selectHasAggregates(s)
-	var specs []*aggSpec
-	if grouped {
-		var ok bool
-		specs, ok = collectAggSpecs(s)
-		if !ok {
-			return nil // stddev, bad arity, non-count(*): executor's errors apply
-		}
-	}
-
-	plan := &opPlan{sel: s, grouped: grouped, specs: specs}
 	if len(s.From) == 0 {
 		plan.where = s.Where // FROM-less: one empty row, filtered above
 		plan.known, plan.tail = true, plan.compileTail(nil)
-		return plan
+		return plan, nil
 	}
 
 	// WHERE handling. A single-source plan evaluates the full WHERE at the
@@ -313,14 +308,18 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	// evaluates WHERE on source rows the join eliminates, so a pushed
 	// conjunct must not surface an error — or drop a row — the residual
 	// evaluation wouldn't. Conjuncts never push below the nullable side of
-	// a LEFT join, nor onto an item left of a lateral function: the executor
-	// calls the function for every left row before WHERE, and a prefilter
-	// would skip calls — and their errors.
+	// a LEFT join, nor onto an item left of a lateral one: the executor runs
+	// the lateral item for every left row before WHERE, and a prefilter
+	// would skip those calls — and their errors. For the same reason no
+	// conjunct after one that calls a UDF is pushed, and none at all when an
+	// ON calls one: a dropped row would skip calls the executor makes.
 	lastLateral := 0
+	onUDF := false
 	for i, item := range s.From {
-		if i > 0 && item.Func != nil {
+		if isLateral(i, item) {
 			lastLateral = i
 		}
+		onUDF = onUDF || exprCallsUDF(item.On)
 	}
 	pushed := make([][]Expr, len(s.From))
 	if s.Where != nil {
@@ -329,6 +328,9 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 		} else {
 			plan.where = s.Where
 			for _, conj := range splitConjuncts(s.Where, nil) {
+				if plan.interp || onUDF || exprCallsUDF(conj) {
+					break
+				}
 				si := exprSource(conj, metas)
 				if si >= lastLateral && !(si > 0 && s.From[si].Join == JoinLeft) {
 					pushed[si] = append(pushed[si], conj)
@@ -338,19 +340,17 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	}
 
 	// Leaves: access paths from the shared cost model over the pushed
-	// predicate, compiled filters for base tables.
+	// predicate, compiled filters for base tables, subquery plans.
 	plan.leaves = make([]*opSource, len(s.From))
-	plan.known = true
+	plan.known = !plan.interp
 	for i, item := range s.From {
 		leaf := &opSource{item: item, alias: metas[i].alias, est: defaultRelationRows, lenient: len(s.From) > 1,
-			lateral: i > 0 && item.Func != nil}
+			lateral: isLateral(i, item)}
 		leaf.pushed = conjAnd(pushed[i])
 		plan.known = plan.known && metas[i].known
-		if item.Table != "" {
-			t, ok := db.tables.get(item.Table)
-			if !ok {
-				return nil // executor surfaces ErrNoSuchTable
-			}
+		switch {
+		case item.Table != "":
+			t := metas[i].table
 			leaf.table = t
 			// Column aliases rename WHERE references away from the names
 			// the indexes know (same rule as the vectorized planner).
@@ -361,19 +361,28 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 			}
 			leaf.est = leaf.access.estRows
 			leaf.pushedC = compileOver(leaf.pushed, []sourceInfo{metas[i].info()})
+		case item.Sub != nil:
+			// The subquery's row order feeds this plan's order-sensitive
+			// stages, so it is read serially.
+			sub, err := db.planOperators(item.Sub, true)
+			if err != nil {
+				return nil, err
+			}
+			leaf.sub = sub
 		}
 		plan.leaves[i] = leaf
 	}
 
-	// Join strategy per step, costed left-deep.
+	// Join strategy per step, costed left-deep. A lateral item's candidates
+	// come from its own runs, never from a hash build.
 	leftEst := plan.leaves[0].est
 	plan.steps = make([]*opJoinStep, 0, len(s.From)-1)
 	for i := 1; i < len(s.From); i++ {
 		item := s.From[i]
 		step := &opJoinStep{kind: item.Join, residual: item.On}
 		rightEst := plan.leaves[i].est
-		keysL, keysR, rest := extractEquiKeys(item.On, metas, i)
-		if len(keysL) > 0 && !db.planner.DisableHashJoin {
+		if keysL, keysR, rest := extractEquiKeys(item.On, metas, i); len(keysL) > 0 &&
+			!plan.interp && !plan.leaves[i].lateral && !db.planner.DisableHashJoin {
 			nlCost := leftEst * rightEst
 			hashCost := leftEst + rightEst + hashJoinBuildCost
 			if hashCost < nlCost {
@@ -389,14 +398,16 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 
 	// Parallel partitioned scan of a large sequential scan whose filter
 	// compiled, feeding a single-source projection or the probe side of the
-	// bottom hash join, with no LIMIT/OFFSET, grouping, DISTINCT or ORDER BY:
-	// the merge is order-insensitive, LIMIT's early-exit accounting does not
-	// partition, and grouped, DISTINCT, or sorted pipelines have
-	// order-sensitive engine semantics (group first-row resolution and
-	// emission order, first-occurrence dedup, stable-sort ties) that must
-	// stay deterministic — as must the order of lateral calls.
-	if (len(plan.steps) == 0 || plan.steps[0].hash) && lastLateral == 0 &&
-		!grouped && !s.Distinct && len(s.OrderBy) == 0 &&
+	// bottom hash join, with no LIMIT/OFFSET, grouping, window, DISTINCT or
+	// ORDER BY: the merge is order-insensitive, LIMIT's early-exit
+	// accounting does not partition, and grouped, windowed, DISTINCT, or
+	// sorted pipelines have order-sensitive engine semantics (group
+	// first-row resolution and emission order, window fold order,
+	// first-occurrence dedup, stable-sort ties) that must stay
+	// deterministic — as must the order of lateral and UDF calls, and of the
+	// rows a serial plan feeds.
+	if !serial && (len(plan.steps) == 0 || plan.steps[0].hash) && lastLateral == 0 && !plan.udf &&
+		!grouped && plan.window == nil && !s.Distinct && len(s.OrderBy) == 0 &&
 		s.Limit == nil && s.Offset == nil {
 		probe := plan.leaves[0]
 		if probe.table != nil && probe.pushedC != nil && probe.access.kind == accessSeq {
@@ -412,9 +423,10 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 		plan.steps[0].lookup = planJoinLookup(plan, metas)
 	}
 
-	// ORDER BY satisfied from a btree index: single-table, non-aggregated
-	// plans whose single sort key is provably the scan column's value.
-	if len(plan.leaves) == 1 && !grouped && len(s.OrderBy) == 1 {
+	// ORDER BY satisfied from a btree index: single-table, non-aggregated,
+	// window- and UDF-free plans whose single sort key is provably the scan
+	// column's value.
+	if len(plan.leaves) == 1 && !grouped && plan.window == nil && !plan.udf && len(s.OrderBy) == 1 {
 		plan.ordered = db.chooseOrderedScan(s, plan.leaves[0], metas[0])
 	}
 
@@ -437,12 +449,17 @@ func (db *DB) planOperators(s *SelectStmt) *opPlan {
 	if !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) {
 		switch leaf := plan.leaves[0]; {
 		case plan.known:
-			plan.cols, plan.projs = compileProjection(s.Items, layout)
-		case len(plan.leaves) == 1 && leaf.item.Func != nil && s.Where != nil && !s.Distinct:
+			items := s.Items
+			if w := plan.window; w != nil && len(w.calls) > 0 {
+				items, layout = w.items, append(layout, w.source())
+			}
+			plan.cols, plan.projs = compileProjection(items, layout)
+		case len(plan.leaves) == 1 && leaf.item.Func != nil && s.Where != nil && !s.Distinct &&
+			plan.window == nil && !plan.udf:
 			leaf.batchTail = !db.planner.DisableVectorized
 		}
 	}
-	return plan
+	return plan, nil
 }
 
 // compileProjection compiles a SELECT list against the plan-time joined
@@ -461,8 +478,9 @@ func compileProjection(items []SelectItem, layout []sourceInfo) ([]Column, []com
 	return cols, projs
 }
 
-// sourceMetaFor computes the plan-time shape of one FROM item.
-func (db *DB) sourceMetaFor(item FromItem) (sourceMeta, bool) {
+// sourceMetaFor computes the plan-time shape of one FROM item; a missing
+// table is a planning error.
+func (db *DB) sourceMetaFor(item FromItem) (sourceMeta, error) {
 	alias := item.Alias
 	switch {
 	case item.Table != "":
@@ -471,61 +489,66 @@ func (db *DB) sourceMetaFor(item FromItem) (sourceMeta, bool) {
 		}
 		t, ok := db.tables.get(item.Table)
 		if !ok {
-			return sourceMeta{}, false
+			return sourceMeta{}, fmt.Errorf("%w: %q", ErrNoSuchTable, item.Table)
 		}
 		cols := t.Columns
 		if len(item.ColAliases) > 0 {
 			if len(item.ColAliases) > len(cols) {
-				return sourceMeta{alias: alias}, true // open surfaces the alias error
+				return sourceMeta{alias: alias, table: t}, nil // open surfaces the alias error
 			}
 			cols = append([]Column(nil), cols...)
 			for i, a := range item.ColAliases {
 				cols[i].Name = a
 			}
 		}
-		return sourceMeta{alias: alias, cols: cols, known: true}, true
+		return sourceMeta{alias: alias, cols: cols, known: true, table: t}, nil
 	case item.Func != nil:
 		if alias == "" {
 			alias = strings.ToLower(item.Func.Name)
 		}
-		return sourceMeta{alias: alias}, true
+		return sourceMeta{alias: alias}, nil
 	default:
-		return sourceMeta{alias: alias}, true
+		return sourceMeta{alias: alias}, nil
 	}
 }
 
-// selectPureBuiltin reports whether every function referenced outside the
-// FROM sources is an engine builtin or aggregate, so the lazy tail touches
-// no registry-backed UDF after the lock is released. FROM-clause UDFs and
-// subquery internals run under the lock at open time and are exempt.
+// selectPureBuiltin reports whether no expression of s outside the FROM
+// sources calls a UDF (exprCallsUDF). FROM-clause UDFs and subquery
+// internals are exempt: every plan runs them under the lock at open.
 func selectPureBuiltin(s *SelectStmt) bool {
-	pure := true
-	check := func(name string) {
-		lower := strings.ToLower(name)
-		if isAggregateName(lower) {
-			return
-		}
-		if _, ok := builtinScalars[lower]; !ok {
-			pure = false
-		}
-	}
+	exprs := []Expr{s.Where, s.Having, s.Limit, s.Offset}
 	for _, it := range s.Items {
-		walkExprFuncs(it.Expr, check)
+		exprs = append(exprs, it.Expr)
 	}
 	for _, f := range s.From {
-		walkExprFuncs(f.On, check)
+		exprs = append(exprs, f.On)
 	}
-	walkExprFuncs(s.Where, check)
-	for _, e := range s.GroupBy {
-		walkExprFuncs(e, check)
-	}
-	walkExprFuncs(s.Having, check)
+	exprs = append(exprs, s.GroupBy...)
 	for _, o := range s.OrderBy {
-		walkExprFuncs(o.Expr, check)
+		exprs = append(exprs, o.Expr)
 	}
-	walkExprFuncs(s.Limit, check)
-	walkExprFuncs(s.Offset, check)
-	return pure
+	for _, e := range exprs {
+		if exprCallsUDF(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// exprCallsUDF reports whether e calls a function that is neither a builtin
+// scalar, an aggregate, nor a window function under OVER: a registered UDF
+// (or an unknown name, which fails when called).
+func exprCallsUDF(e Expr) bool {
+	calls := false
+	walkExpr(e, func(x Expr) bool {
+		if f, ok := x.(*FuncExpr); ok && !calls {
+			name := strings.ToLower(f.Name)
+			_, builtin := builtinScalars[name]
+			calls = !builtin && !isAggregateName(name) && !(f.Over != nil && isWindowOnlyName(name))
+		}
+		return !calls
+	})
+	return calls
 }
 
 // walkColumnRefs visits every column reference in e.
@@ -637,14 +660,15 @@ func refTypeGroup(e Expr, metas []sourceMeta) string {
 // FROM position of the join's right input; the left input is everything
 // before it. Only the LEADING run of hashable equi-conjuncts becomes keys —
 // extraction stops at the first conjunct that is non-equi, unattributable,
-// or has provably incompatible declared types. That prefix rule is what
-// makes hashing observationally identical to the nested loop: the executor
-// evaluates the ON with AND short-circuiting, so for a pair whose leading
-// keys don't all match it never reaches the later conjuncts — and neither
-// does the hash join, which evaluates the residual only on key-matched
-// candidates. A residual conjunct placed BEFORE an equality (including an
-// integer = text comparison that must error on every pair) therefore keeps
-// nested-loop evaluation.
+// calls a UDF, or has provably incompatible declared types. That prefix rule
+// is what makes hashing observationally identical to the nested loop: the
+// executor evaluates the ON with AND short-circuiting, so for a pair whose
+// leading keys don't all match it never reaches the later conjuncts — and
+// neither does the hash join, which evaluates the residual only on
+// key-matched candidates. A residual conjunct placed BEFORE an equality
+// (including an integer = text comparison that must error on every pair)
+// therefore keeps nested-loop evaluation, and a UDF in a key would be called
+// once per input row instead of once per pair.
 func extractEquiKeys(on Expr, metas []sourceMeta, rightIdx int) (keysL, keysR []Expr, residual Expr) {
 	if on == nil {
 		return nil, nil, nil
@@ -653,7 +677,7 @@ func extractEquiKeys(on Expr, metas []sourceMeta, rightIdx int) (keysL, keysR []
 	split := 0
 	for _, conj := range conjs {
 		b, isEq := conj.(*BinaryExpr)
-		if !isEq || b.Op != "=" {
+		if !isEq || b.Op != "=" || exprCallsUDF(conj) {
 			break
 		}
 		ls, rs := exprSource(b.L, metas), exprSource(b.R, metas)
@@ -826,11 +850,26 @@ func (db *DB) chooseOrderedScan(s *SelectStmt, leaf *opSource, meta sourceMeta) 
 
 // --- Opening: plan → streams, under the caller-held lock ---
 
-// open resolves every source and assembles the operator pipeline. It must
-// run under the database lock; the returned stream's Next is pure.
-func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
-	// The tail must not inherit transaction bookkeeping or a held scope.
-	tailCx := &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx}
+// open resolves every source and assembles the operator pipeline; outer is
+// the scope a LATERAL subquery runs in (its left row), nil at top level. It
+// must run under the database lock; the returned stream's Next is pure.
+func (p *opPlan) open(cx *evalCtx, outer *scope) (RowStream, error) {
+	// The tail must not inherit transaction bookkeeping; its row scopes
+	// chain to outer.
+	tailCx := &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx, scope: outer}
+	st, err := p.openPipeline(cx, tailCx)
+	if err != nil || !p.udf {
+		return st, err
+	}
+	// Every UDF call outside FROM happens now, under the held lock.
+	rs, err := drainStreamCtx(cx, st)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Stream(), nil
+}
+
+func (p *opPlan) openPipeline(cx, tailCx *evalCtx) (RowStream, error) {
 	s := p.sel
 
 	// Leaves open in FROM order, each joined onto the chain as it opens;
@@ -856,7 +895,7 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 	for i := next; i < len(p.leaves); i++ {
 		step := p.steps[i-1]
 		if p.leaves[i].lateral {
-			if cur, curSources, err = p.leaves[i].openLateral(cx, tailCx, step, cur, curSources); err != nil {
+			if cur, curSources, err = p.leaves[i].openLateral(cx, tailCx, p, step, cur, curSources); err != nil {
 				return nil, err
 			}
 			continue
@@ -879,18 +918,27 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 	if p.where != nil {
 		cur = &opFilterStream{rowPred: newRowPred(tailCx, curSources, p.where, tail.where, false), src: cur}
 	}
-
-	cols, exprs := p.cols, []Expr(nil)
-	if p.projs == nil {
-		if cols, exprs, err = expandItems(s.Items, curSources); err != nil {
-			cur.Close()
-			return nil, err
-		}
-	}
+	// LIMIT/OFFSET, then the SELECT list's expansion, before any row is
+	// evaluated.
 	offset, limit, err := evalLimits(cx, s.Limit, s.Offset)
 	if err != nil {
 		cur.Close()
 		return nil, err
+	}
+	items := s.Items
+	if w := p.window; w != nil {
+		cur = &windowStream{cx: tailCx, src: cur, sources: curSources, stage: w, interp: p.interp}
+		if len(w.calls) > 0 {
+			curSources = append(curSources[:len(curSources):len(curSources)], w.source())
+			items = w.items
+		}
+	}
+	cols, exprs := p.cols, []Expr(nil)
+	if p.projs == nil {
+		if cols, exprs, err = expandItems(items, curSources); err != nil {
+			cur.Close()
+			return nil, err
+		}
 	}
 	if _, ok := cur.(BatchSource); ok && len(p.leaves) == 1 && p.leaves[0].batchTail {
 		// The function scan's batches feed the vectorized tail when its
@@ -900,6 +948,12 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 			return vs, nil
 		}
 		cur = &opFilterStream{rowPred: p.leaves[0].filter(tailCx, curSources[0]), src: cur}
+	}
+	// The rows OFFSET skips never reach the result: a plain SELECT drops
+	// them before projecting, as the vectorized scan does.
+	if offset > 0 && !p.grouped && !s.Distinct && (len(s.OrderBy) == 0 || p.ordered != nil) {
+		cur = &limitStream{src: cur, offset: offset, limit: -1}
+		offset = 0
 	}
 	if p.grouped {
 		cur = newHashAggStream(tailCx, cur, curSources, s, p.specs, cols, exprs, tail)
@@ -911,7 +965,7 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 	} else {
 		projs := p.projs
 		if !p.known {
-			projs = compileAll(exprs, curSources)
+			projs = p.compileAll(exprs, curSources)
 		}
 		cur = &projectStream{cx: tailCx, src: cur, sources: curSources, cols: cols, exprs: exprs,
 			projs: projs, env: compEnv{params: cx.params, ctx: cx.ctx}}
@@ -928,8 +982,8 @@ func (p *opPlan) open(cx *evalCtx) (RowStream, error) {
 }
 
 // open resolves one leaf under the held lock: snapshot / index probe /
-// ordered index walk for tables, UDF call for function scans, materialized
-// subquery otherwise. The pushed filter wraps the source (or feeds the
+// ordered index walk for tables, UDF call for function scans, the drained
+// plan for subqueries. The pushed filter wraps the source (or feeds the
 // parallel partitioned scan).
 func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo) (RowStream, sourceInfo, error) {
 	item := src.item
@@ -959,9 +1013,9 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 		}
 		base = &sliceStream{cols: info.columns, rows: rows}
 	case item.Func != nil:
-		// The first FROM item sees no sibling columns: an empty scope, as in
-		// the executor.
-		st, err := callFromItem(cx, item.Func, &scope{})
+		// The first FROM item sees no sibling columns: only the outer scope,
+		// as in the executor.
+		st, err := src.openItem(cx, &scope{outer: tailCx.scope})
 		if err != nil {
 			return nil, sourceInfo{}, err
 		}
@@ -974,13 +1028,16 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 			return st, info, nil // opPlan.open decides how to filter it
 		}
 		base = st
-	default: // subquery, materialized once under the lock
-		rs, err := execSelect(cx, item.Sub, nil)
+	default: // subquery, drained once under the lock
+		st, err := src.openItem(cx, &scope{outer: tailCx.scope})
 		if err != nil {
 			return nil, sourceInfo{}, err
 		}
-		info, err = fromItemInfo(item, rs.Columns)
+		rs, err := drainStreamCtx(cx, st)
 		if err != nil {
+			return nil, sourceInfo{}, err
+		}
+		if info, err = fromItemInfo(item, rs.Columns); err != nil {
 			return nil, sourceInfo{}, err
 		}
 		base = rs.Stream()
@@ -989,6 +1046,16 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 		base = &opFilterStream{rowPred: src.filter(tailCx, info), src: base}
 	}
 	return base, info, nil
+}
+
+// openItem runs a function or subquery leaf in scope sc: the function called
+// with its arguments evaluated there, or the subquery's plan opened with sc
+// as its outer scope.
+func (src *opSource) openItem(cx *evalCtx, sc *scope) (RowStream, error) {
+	if src.sub != nil {
+		return src.sub.open(cx, sc)
+	}
+	return callFromItem(cx, src.item.Func, sc)
 }
 
 // tableRows resolves a base-table leaf's access path to a private slice.
@@ -1014,74 +1081,105 @@ func (src *opSource) filter(tailCx *evalCtx, info sourceInfo) *rowPred {
 	return newRowPred(tailCx, sources, src.pushed, pc, src.lenient)
 }
 
-// openLateral joins a lateral function leaf onto the pipeline opened so far
-// (left, of shape leftSources). Under the held lock it drains left and, for
-// each left row in order, evaluates the call's arguments in that row's scope
-// and drains the call — exactly the executor's calls (joinItem), so UDF side
-// effects and errors come in the same order and all have happened before
-// open returns. The rows each call yields that pass the leaf's lenient
-// prefilter become that left row's candidates, which the join stream pairs
-// as it does an index lookup's: no function is called from a stream's Next.
-// With no left rows, the one call the executor makes to learn the shape —
-// against an empty scope — is made too, errors included.
-func (src *opSource) openLateral(cx, tailCx *evalCtx, step *opJoinStep, left RowStream, leftSources []sourceInfo) (RowStream, []sourceInfo, error) {
+// openLateral joins a lateral leaf onto the pipeline opened so far (left, of
+// shape leftSources). Under the held lock it drains left and, for each left
+// row in order, runs the item in that row's scope (openItem) and drains it;
+// the rows that pass ON — evaluated once the item drained — join that left
+// row, a LEFT JOIN null-pads a left row none passed, and the leaf's lenient
+// prefilter drops the rest. These are the executor's calls and evaluations
+// in its order, so UDF side effects and errors come in the same order and
+// all have happened before open returns; the joined rows stream from a
+// slice. With no left rows, the one run the executor makes to learn the
+// shape — against the outer scope alone — is made too, errors included.
+func (src *opSource) openLateral(cx, tailCx *evalCtx, p *opPlan, step *opJoinStep, left RowStream, leftSources []sourceInfo) (RowStream, []sourceInfo, error) {
 	outer, err := drainStreamCtx(cx, left)
 	if err != nil {
 		return nil, nil, err
 	}
-	var info sourceInfo
-	var pred *rowPred
-	cands := &lookupCands{off: make([]int, 1, len(outer.Rows)+1)}
-	call := func(sc *scope, first bool) error {
-		st, err := callFromItem(cx, src.item.Func, sc)
+	var all []sourceInfo
+	var pred, on *rowPred
+	var out []Row
+	run := func(sc *scope, l Row, shapeOnly bool) error {
+		st, err := src.openItem(cx, sc)
 		if err != nil {
 			return err
 		}
 		defer st.Close()
-		// The first call fixes the shape. Rows are prefiltered as they are
-		// drained, so the dropped ones are never collected; like the
-		// executor, a column-alias error is reported only once the call
-		// drained cleanly.
+		// The first run fixes the shape. Like the executor, a column-alias
+		// error is reported only once the run drained cleanly.
 		var infoErr error
-		if first {
-			if info, infoErr = fromItemInfo(src.item, st.Columns()); infoErr == nil && src.pushed != nil {
-				pred = src.filter(tailCx, info)
+		if all == nil {
+			var info sourceInfo
+			if info, infoErr = fromItemInfo(src.item, st.Columns()); infoErr == nil {
+				all = append(leftSources[:len(leftSources):len(leftSources)], info)
+				if src.pushed != nil {
+					pred = src.filter(tailCx, info)
+				}
+				if step.residual != nil {
+					on = newRowPred(tailCx, all, step.residual, p.compile(step.residual, all), false)
+				}
 			}
 		}
+		var rows []Row // kept for ON only; otherwise rows join as they come
 		for i := 0; ; i++ {
 			if err := cx.checkCancel(i); err != nil {
 				return err
 			}
 			row, err := st.Next()
 			if err == io.EOF {
-				return infoErr
+				break
 			}
 			if err != nil {
 				return err
 			}
+			switch {
+			case shapeOnly:
+			case on != nil:
+				rows = append(rows, row)
+			default:
+				if pred != nil {
+					if keep, _ := pred.keep(row); !keep { // lenient: never errors
+						continue
+					}
+				}
+				out = append(out, concatRow(l, row))
+			}
+		}
+		if infoErr != nil || on == nil || shapeOnly {
+			return infoErr
+		}
+		matched := false
+		for _, r := range rows {
+			joined := concatRow(l, r)
+			if ok, err := on.keep(joined); err != nil {
+				return err
+			} else if !ok {
+				continue
+			}
+			matched = true
 			if pred != nil {
-				if keep, _ := pred.keep(row); !keep { // lenient: never errors
+				if keep, _ := pred.keep(r); !keep {
 					continue
 				}
 			}
-			cands.rows = append(cands.rows, row)
+			out = append(out, joined)
 		}
+		if step.kind == JoinLeft && !matched {
+			out = append(out, concatRow(l, nullRow(all[len(all)-1].width)))
+		}
+		return nil
 	}
-	for i, l := range outer.Rows {
-		if err := call(bindScope(leftSources, l, nil), i == 0); err != nil {
+	for _, l := range outer.Rows {
+		if err := run(bindScope(leftSources, l, tailCx.scope), l, false); err != nil {
 			return nil, nil, err
 		}
-		cands.off = append(cands.off, len(cands.rows))
 	}
 	if len(outer.Rows) == 0 {
-		if err := call(&scope{}, true); err != nil {
+		if err := run(&scope{outer: tailCx.scope}, nil, true); err != nil {
 			return nil, nil, err
 		}
 	}
-	all := append(leftSources[:len(leftSources):len(leftSources)], info)
-	js := newJoinStream(tailCx, step, &sliceStream{rows: outer.Rows}, nil, leftSources, info, all, nil, nil)
-	js.lk, js.built = cands, true
-	return js, all, nil
+	return &sliceStream{rows: out}, all, nil
 }
 
 // openIndexedJoin opens join step 0 when its inner table is reachable through
@@ -1221,7 +1319,7 @@ func orderedSnapshot(cx *evalCtx, t *Table, o *orderedScanInfo) []Row {
 }
 
 // callFromItem evaluates a FROM-clause function's arguments in sc and calls
-// it — under the held lock, in every executor.
+// it, under the held lock.
 func callFromItem(cx *evalCtx, f *FuncExpr, sc *scope) (RowStream, error) {
 	rcx := cx.withScope(sc)
 	vals := make([]variant.Value, len(f.Args))
@@ -1235,8 +1333,8 @@ func callFromItem(cx *evalCtx, f *FuncExpr, sc *scope) (RowStream, error) {
 	return cx.db.callTableFunc(cx, f.Name, vals)
 }
 
-// evalLimits evaluates LIMIT/OFFSET at open time with the executor's
-// semantics: offset ≤ 0 skips nothing, negative limit means unlimited.
+// evalLimits evaluates LIMIT/OFFSET at open time: offset ≤ 0 skips nothing,
+// negative limit means unlimited.
 func evalLimits(cx *evalCtx, limitE, offsetE Expr) (offset, limit int, err error) {
 	offset, limit = -1, -1
 	if offsetE != nil {

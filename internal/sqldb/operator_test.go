@@ -38,23 +38,18 @@ func planKind(t *testing.T, db *DB, sql string) physKind {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	plan, err := db.planSelect(stmt.(*SelectStmt))
+	plan, err := db.planSelect(stmt.(*SelectStmt), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return plan.kind
 }
 
-// runBoth executes sql through the streaming operators and through the
-// forced materializing executor, returning both results.
+// runBoth executes sql through the planner's executor and through the
+// reference executor, returning both results.
 func runBoth(t *testing.T, db *DB, sql string, args ...any) (stream, mat *ResultSet) {
 	t.Helper()
-	stream = mustQuery(t, db, sql, args...)
-	old := db.planner
-	db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true, DisableVectorized: true, MaxScanWorkers: old.MaxScanWorkers, ParallelMinRows: old.ParallelMinRows})
-	mat = mustQuery(t, db, sql, args...)
-	db.SetPlannerOptions(old)
-	return stream, mat
+	return mustQuery(t, db, sql, args...), mustRefQuery(t, db, sql, args...)
 }
 
 func rowsEqual(a, b *ResultSet) bool {
@@ -222,9 +217,7 @@ func TestHashJoinResidualPrefixRule(t *testing.T) {
 	// executor even though no ids ever match; the streaming plan must not
 	// hide that behind a bucket miss.
 	_, serr := db.Query(`SELECT a.id FROM a JOIN b ON a.v < b.v AND a.id = b.id`)
-	db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-	_, merr := db.Query(`SELECT a.id FROM a JOIN b ON a.v < b.v AND a.id = b.id`)
-	db.SetPlannerOptions(PlannerOptions{})
+	_, merr := refQuery(t, db, `SELECT a.id FROM a JOIN b ON a.v < b.v AND a.id = b.id`)
 	if serr == nil || merr == nil {
 		t.Fatalf("residual-before-key error must surface on both paths: stream=%v materialized=%v", serr, merr)
 	}
@@ -264,9 +257,7 @@ func TestJoinPushdownErrorDeferral(t *testing.T) {
 	// Once the zero row can survive the join, both paths must error.
 	mustExec(t, db, `INSERT INTO f VALUES (1000, 99)`)
 	_, serr := db.Query(ok)
-	db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-	_, merr := db.Query(ok)
-	db.SetPlannerOptions(PlannerOptions{})
+	_, merr := refQuery(t, db, ok)
 	if serr == nil || merr == nil {
 		t.Fatalf("surviving-row error must surface on both paths: stream=%v materialized=%v", serr, merr)
 	}
@@ -341,10 +332,9 @@ func TestScalarAggregateOnEmptyInput(t *testing.T) {
 	}
 	const q = `SELECT count(*), sum(x), min(y), avg(x) FROM empty`
 
-	// Regression pin: the materializing executor has always produced the
+	// Regression pin: the reference executor has always produced the
 	// single implicit group.
-	db.SetPlannerOptions(PlannerOptions{DisableStreamingExec: true})
-	check(mustQuery(t, db, q), "materializing")
+	check(mustRefQuery(t, db, q), "reference")
 
 	// The streaming hash aggregation must create the implicit group even
 	// when build() consumes zero rows.
@@ -394,6 +384,9 @@ func TestStreamingAggregateSemantics(t *testing.T) {
 		`SELECT v % 2, count(*) FROM m GROUP BY v % 2`,
 		// ORDER BY output alias and ordinal over grouped output.
 		`SELECT grp, count(*) AS n FROM m GROUP BY grp ORDER BY n DESC, 1`,
+		// stddev folds in the reference's two-pass order.
+		`SELECT grp, stddev(f), stddev(v) FROM m GROUP BY grp`,
+		`SELECT stddev(v) FROM m`,
 	}
 	for _, q := range queries {
 		if k := planKind(t, db, q); k != physOps {
@@ -403,10 +396,6 @@ func TestStreamingAggregateSemantics(t *testing.T) {
 		if !rowsEqual(stream, mat) {
 			t.Errorf("%s:\nstream=%v\nmat=%v", q, stream.Rows, mat.Rows)
 		}
-	}
-	// stddev stays on the materializing executor.
-	if k := planKind(t, db, `SELECT stddev(v) FROM m`); k != physMaterialize {
-		t.Fatalf("stddev plan kind = %v, want physMaterialize", k)
 	}
 }
 
@@ -484,8 +473,7 @@ func TestParallelScanFeedsHashJoinProbe(t *testing.T) {
 		}
 	}
 	got := mustQuery(t, db, q)
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1, DisableStreamingExec: true})
-	want := mustQuery(t, db, q)
+	want := mustRefQuery(t, db, q)
 	if len(got.Rows) != len(want.Rows) {
 		t.Fatalf("parallel probe join: %d rows, want %d", len(got.Rows), len(want.Rows))
 	}
@@ -580,30 +568,28 @@ func TestStreamingDistinctAndSubquerySources(t *testing.T) {
 	}
 }
 
-// TestOperatorsKeepUDFStatementsOnExecutor pins the purity gate: statements
-// whose tail would call registry UDFs after the lock is released must stay
-// on the materializing executor, while UDFs confined to FROM (resolved
-// under the lock at open time) keep the streaming pipeline.
+// TestOperatorsKeepUDFStatementsOnExecutor pins that statements calling a
+// UDF outside FROM stay on the operator pipeline — evaluated completely at
+// open, under the held lock — beside the FROM-only UDF shapes that stream
+// lazily, with the reference's rows.
 func TestOperatorsKeepUDFStatementsOnExecutor(t *testing.T) {
 	db := opTestDB(t)
 	db.RegisterScalar("myfn", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
 		return args[0], nil
 	}, true)
-	if k := planKind(t, db, `SELECT myfn(o.id) FROM orders o JOIN custs c ON o.cust = c.id`); k != physMaterialize {
-		t.Fatalf("UDF projection plan kind = %v, want physMaterialize", k)
-	}
-	if k := planKind(t, db, `SELECT count(*) FROM orders GROUP BY myfn(cust)`); k != physMaterialize {
-		t.Fatalf("UDF group key plan kind = %v, want physMaterialize", k)
-	}
-	if k := planKind(t, db, `SELECT gs, count(*) FROM generate_series(1, 3) AS gs GROUP BY gs`); k != physOps {
-		t.Fatalf("FROM-builtin plan kind = %v, want physOps", k)
-	}
-	// A lateral function scan calls its function at open, under the lock.
-	if k := planKind(t, db, `SELECT o.id, g FROM orders o, generate_series(1, o.id) AS g`); k != physOps {
-		t.Fatalf("lateral plan kind = %v, want physOps", k)
-	}
-	// A UDF above it still keeps the executor.
-	if k := planKind(t, db, `SELECT myfn(g) FROM orders o, generate_series(1, o.id) AS g`); k != physMaterialize {
-		t.Fatalf("lateral UDF projection plan kind = %v, want physMaterialize", k)
+	for _, q := range []string{
+		`SELECT myfn(o.id) FROM orders o JOIN custs c ON o.cust = c.id`,
+		`SELECT count(*) FROM orders GROUP BY myfn(cust)`,
+		`SELECT gs, count(*) FROM generate_series(1, 3) AS gs GROUP BY gs`,
+		// A lateral function scan calls its function at open, under the lock.
+		`SELECT o.id, g FROM orders o, generate_series(1, o.id) AS g`,
+		`SELECT myfn(g) FROM orders o, generate_series(1, o.id) AS g`,
+	} {
+		if k := planKind(t, db, q); k != physOps {
+			t.Fatalf("%s: plan kind = %v, want physOps", q, k)
+		}
+		if stream, ref := runBoth(t, db, q); !rowsEqual(stream, ref) {
+			t.Errorf("%s diverges", q)
+		}
 	}
 }

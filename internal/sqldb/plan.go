@@ -7,170 +7,23 @@ import (
 	"sync/atomic"
 )
 
-// Query planning. Statement execution is split into three layers:
+// Query planning. Statement execution is split into two layers:
 //
-//  1. A logical plan (buildLogical) describing WHAT a SELECT computes:
-//     scan / function-call / subquery / join / filter / aggregate / project /
-//     sort / distinct / limit nodes derived from the AST.
-//  2. A cost-based physical planner (planSelect + chooseAccessPath) deciding
+//  1. A cost-based physical planner (planSelect + chooseAccessPath) deciding
 //     HOW: full scan vs. hash or btree index probe vs. index range, driven
 //     by the catalogue's per-table row counts and per-column cardinalities
 //     (stats.go), plus whether the scan runs serially or partitioned across
 //     a worker pool (parallel.go).
-//  3. One of three physical executors: the vectorized batch executor for
-//     single-table analytical scans, aggregates and windows (vecexec.go);
-//     the streaming operator pipeline (operator.go) for every other SELECT
-//     whose expressions outside FROM are pure builtins, compiling scan
-//     filters and single-table projections once into closures (compile.go);
-//     and the reference materializing executor (exec.go) for the rest. All
-//     three share the same access-path chooser.
+//  2. One of two physical executors: the vectorized batch executor for
+//     single-table analytical scans, aggregates and windows (vecexec.go),
+//     and the operator pipeline (operator.go) for every other SELECT,
+//     compiling scan filters, projections and the expressions above joins
+//     once into closures (compile.go). Both share the access-path chooser.
 //
 // Physical plans are cached per statement (cachedPlan) and revalidated
 // against the catalogue epoch, so any DDL — CREATE/DROP TABLE or INDEX,
 // ANALYZE, planner-option changes, including those rolled back by a
 // transaction — forces a replan before the next execution.
-
-// --- Logical plan ---
-
-// logicalNode is one operator of the logical plan tree.
-type logicalNode interface{ logical() }
-
-// lScan reads a base table.
-type lScan struct {
-	item  FromItem
-	alias string
-}
-
-// lFuncScan evaluates a set-returning function (UDF call) in FROM.
-type lFuncScan struct {
-	item  FromItem
-	alias string
-}
-
-// lSubquery runs a derived table.
-type lSubquery struct {
-	item  FromItem
-	alias string
-	plan  logicalNode
-}
-
-// lValues is the FROM-less single empty row.
-type lValues struct{}
-
-// lJoin combines two inputs with the executor's nested-loop strategy.
-type lJoin struct {
-	kind    JoinKind
-	on      Expr
-	lateral bool
-	left    logicalNode
-	right   logicalNode
-}
-
-// lFilter applies a WHERE predicate.
-type lFilter struct {
-	pred  Expr
-	child logicalNode
-}
-
-// lAggregate groups and folds aggregate functions (HAVING included).
-type lAggregate struct {
-	groupBy []Expr
-	having  Expr
-	child   logicalNode
-}
-
-// lProject computes the SELECT list.
-type lProject struct {
-	items []SelectItem
-	child logicalNode
-}
-
-// lSort orders by the ORDER BY keys.
-type lSort struct {
-	keys  []OrderItem
-	child logicalNode
-}
-
-// lDistinct deduplicates result rows.
-type lDistinct struct{ child logicalNode }
-
-// lLimit applies LIMIT/OFFSET.
-type lLimit struct {
-	limit, offset Expr
-	child         logicalNode
-}
-
-func (*lScan) logical()      {}
-func (*lFuncScan) logical()  {}
-func (*lSubquery) logical()  {}
-func (*lValues) logical()    {}
-func (*lJoin) logical()      {}
-func (*lFilter) logical()    {}
-func (*lAggregate) logical() {}
-func (*lProject) logical()   {}
-func (*lSort) logical()      {}
-func (*lDistinct) logical()  {}
-func (*lLimit) logical()     {}
-
-// buildLogical lowers a SELECT AST to its logical plan. The operator order
-// mirrors the executor: scan/join → filter → aggregate-or-project → sort →
-// distinct → limit.
-func buildLogical(s *SelectStmt) logicalNode {
-	var root logicalNode
-	if len(s.From) == 0 {
-		root = &lValues{}
-	} else {
-		root = fromItemLogical(s.From[0])
-		for _, item := range s.From[1:] {
-			root = &lJoin{
-				kind:    item.Join,
-				on:      item.On,
-				lateral: item.Lateral || item.Func != nil,
-				left:    root,
-				right:   fromItemLogical(item),
-			}
-		}
-	}
-	if s.Where != nil {
-		root = &lFilter{pred: s.Where, child: root}
-	}
-	if len(s.GroupBy) > 0 || selectHasAggregates(s) {
-		root = &lAggregate{groupBy: s.GroupBy, having: s.Having, child: root}
-		root = &lProject{items: s.Items, child: root}
-	} else {
-		root = &lProject{items: s.Items, child: root}
-	}
-	if len(s.OrderBy) > 0 {
-		root = &lSort{keys: s.OrderBy, child: root}
-	}
-	if s.Distinct {
-		root = &lDistinct{child: root}
-	}
-	if s.Limit != nil || s.Offset != nil {
-		root = &lLimit{limit: s.Limit, offset: s.Offset, child: root}
-	}
-	return root
-}
-
-func fromItemLogical(item FromItem) logicalNode {
-	alias := item.Alias
-	switch {
-	case item.Table != "":
-		if alias == "" {
-			alias = item.Table
-		}
-		return &lScan{item: item, alias: alias}
-	case item.Func != nil:
-		if alias == "" {
-			alias = item.Func.Name
-		}
-		return &lFuncScan{item: item, alias: alias}
-	case item.Sub != nil:
-		return &lSubquery{item: item, alias: alias, plan: buildLogical(item.Sub)}
-	default:
-		return &lValues{}
-	}
-}
 
 // --- Planner configuration ---
 
@@ -179,11 +32,6 @@ type PlannerOptions struct {
 	// DisableIndexScan forces full scans — the debugging/testing knob the
 	// property suite uses to cross-check planner-chosen access paths.
 	DisableIndexScan bool
-	// DisableStreamingExec forces every SELECT the streaming operators
-	// (operator.go) would run — single-source reads, joins, aggregates,
-	// ORDER BY and DISTINCT — onto the reference materializing executor: the
-	// differential-testing knob that cross-checks the pipeline against it.
-	DisableStreamingExec bool
 	// DisableHashJoin keeps equi-joins on the streaming nested-loop
 	// strategy, for testing and for working around pathological key
 	// distributions.
@@ -194,9 +42,9 @@ type PlannerOptions struct {
 	// ParallelMinRows is the table size below which scans stay serial;
 	// 0 means the default (50000).
 	ParallelMinRows int
-	// DisableVectorized keeps the analytical class on the row-at-a-time
-	// executors — the differential-testing knob that cross-checks the
-	// vectorized batch executor (vecexec.go) against them.
+	// DisableVectorized keeps the analytical class on the operator pipeline
+	// — the differential-testing knob that cross-checks the vectorized batch
+	// executor (vecexec.go) against it.
 	DisableVectorized bool
 }
 
@@ -420,15 +268,10 @@ func (ap *accessPath) lookupRows(cx *evalCtx, t *Table) ([]Row, bool) {
 type physKind int
 
 const (
-	// physOps: every SELECT whose expressions outside FROM are pure
-	// builtins — single-source reads (base table, function scan, subquery,
-	// or FROM-less) as well as joins, aggregation, ORDER BY and DISTINCT —
-	// runs on the streaming operator pipeline (operator.go) behind the
-	// pull-based RowStream contract.
+	// physOps: every SELECT the vectorized executor does not take runs on
+	// the operator pipeline (operator.go) behind the pull-based RowStream
+	// contract.
 	physOps physKind = iota
-	// physMaterialize: everything else (UDF-bearing expressions, LATERAL,
-	// stddev, …) — the reference materializing executor (exec.go).
-	physMaterialize
 	// physVectorized: single-table analytical statements (filtered scans,
 	// hash aggregation, window functions) running over columnar batches with
 	// compiled per-type kernels (vecexec.go).
@@ -451,14 +294,18 @@ type physPlan struct {
 }
 
 // planSelect builds the physical plan for s under the held database lock.
-func (db *DB) planSelect(s *SelectStmt) (*physPlan, error) {
-	if vp := db.planVectorized(s); vp != nil {
+// A serial plan never takes the parallel partitioned scan, so its rows come
+// in heap order: a write's source must, because a statement-logged write is
+// re-executed on recovery and has to append its rows in the same order.
+func (db *DB) planSelect(s *SelectStmt, serial bool) (*physPlan, error) {
+	if vp := db.planVectorized(s, serial); vp != nil {
 		return &physPlan{kind: physVectorized, sel: s, vec: vp}, nil
 	}
-	if ops := db.planOperators(s); ops != nil {
-		return &physPlan{kind: physOps, sel: s, ops: ops}, nil
+	ops, err := db.planOperators(s, serial)
+	if err != nil {
+		return nil, err
 	}
-	return &physPlan{kind: physMaterialize, sel: s}, nil
+	return &physPlan{kind: physOps, sel: s, ops: ops}, nil
 }
 
 // cachedPlan is one plan-cache entry: the parsed AST plus the compiled
@@ -468,6 +315,8 @@ func (db *DB) planSelect(s *SelectStmt) (*physPlan, error) {
 type cachedPlan struct {
 	stmt Statement
 	phys atomic.Pointer[physPlan]
+	// serial plans a write's source (see planSelect).
+	serial bool
 }
 
 // physFor returns a physical plan for s valid at the current catalogue
@@ -477,7 +326,7 @@ func (cp *cachedPlan) physFor(db *DB, s *SelectStmt) (*physPlan, error) {
 	if p := cp.phys.Load(); p != nil && p.epoch == epoch {
 		return p, nil
 	}
-	p, err := db.planSelect(s)
+	p, err := db.planSelect(s, cp.serial)
 	if err != nil {
 		return nil, err
 	}

@@ -198,8 +198,8 @@ func TestStmtPlanPhase(t *testing.T) {
 }
 
 // TestStmtExecutorKind: ExecutorKind names the physical executor a SELECT
-// resolves to — one of vectorized, operators or materialize — tracks
-// planner-option changes, and reports "" for non-SELECTs.
+// resolves to — vectorized or operators — tracks planner-option changes, and
+// reports "" for non-SELECTs.
 func TestStmtExecutorKind(t *testing.T) {
 	db := newSuiteDB(t)
 	mustExec(t, db, `CREATE TABLE ek (x integer, g text)`)
@@ -234,13 +234,14 @@ func TestStmtExecutorKind(t *testing.T) {
 		`SELECT 1`:                                                                       "operators",
 		`SELECT * FROM generate_series(1, 3)`:                                            "operators",
 		`SELECT g FROM ek WHERE x > 0 ORDER BY g`:                                        "operators",
-		`SELECT ek_udf(x) FROM ek`:                                                       "materialize",
+		`SELECT ek_udf(x) FROM ek`:                                                       "operators",
+		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek WHERE x = 5`:                         "operators",
 		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek`:                                     "vectorized",
-		`SELECT * FROM ek e, LATERAL (SELECT e.x) AS l`:                                  "materialize",
+		`SELECT * FROM ek e, LATERAL (SELECT e.x) AS l`:                                  "operators",
 		`SELECT e.x, g FROM ek e, LATERAL generate_series(1, e.x) AS g`:                  "operators",
 		`SELECT e.x, g FROM ek e CROSS JOIN generate_series(1, e.x) AS g`:                "operators",
-		`SELECT e.x, g FROM ek e LEFT JOIN LATERAL generate_series(1, e.x) AS g ON true`: "materialize",
-		`SELECT e.x, g FROM ek e JOIN LATERAL generate_series(1, e.x) AS g ON g > 1`:     "materialize",
+		`SELECT e.x, g FROM ek e LEFT JOIN LATERAL generate_series(1, e.x) AS g ON true`: "operators",
+		`SELECT e.x, g FROM ek e JOIN LATERAL generate_series(1, e.x) AS g ON g > 1`:     "operators",
 	} {
 		if k := kinds(sql); k != want {
 			t.Errorf("%s: executor = %q, want %q", sql, k, want)

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -218,6 +219,47 @@ func TestRecoveryGroupCommitAndAutoCheckpoint(t *testing.T) {
 	}
 	if g := snapshotGeneration(string(snap)); g < 1 {
 		t.Fatalf("snapshot generation = %d", g)
+	}
+}
+
+// TestRecoveryInsertSelectKeepsHeapOrder: INSERT ... SELECT is logged as its
+// statement text and re-executed on recovery, so its source must be read in
+// heap order even where a plain SELECT of the same shape would take the
+// parallel partitioned scan. Otherwise the live heap order differs from the
+// replayed one, and a later order-dependent write (LIMIT without ORDER BY)
+// replays to different contents.
+func TestRecoveryInsertSelectKeepsHeapOrder(t *testing.T) {
+	dir := t.TempDir()
+	db := openDurable(t, dir, DurabilityOptions{})
+	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 1000})
+	mustExec(t, db, `CREATE TABLE src (id integer)`)
+	mustExec(t, db, `CREATE TABLE dst (id integer)`)
+	mustExec(t, db, `CREATE TABLE firsts (id integer)`)
+	mustExec(t, db, `INSERT INTO src SELECT i FROM generate_series(0, 19999) AS g(i)`)
+	const source = `SELECT id FROM src WHERE id % 7 <> 3`
+	if p := explainText(t, db, `EXPLAIN `+source); !strings.Contains(p, "Parallel Seq Scan") {
+		t.Fatalf("setup: the source query should scan in parallel:\n%s", p)
+	}
+	if p := explainText(t, db, `EXPLAIN INSERT INTO dst `+source); strings.Contains(p, "Parallel") {
+		t.Fatalf("a write's source must not scan in parallel:\n%s", p)
+	}
+	mustExec(t, db, `INSERT INTO dst `+source)
+	mustExec(t, db, `INSERT INTO firsts SELECT id FROM dst LIMIT 50`)
+	live := queryInts(t, db, `SELECT id FROM dst`)
+	liveFirsts := queryInts(t, db, `SELECT id FROM firsts`)
+	for i := 1; i < len(live); i++ {
+		if live[i] <= live[i-1] {
+			t.Fatalf("dst row %d = %d after %d: not in the source's heap order", i, live[i], live[i-1])
+		}
+	}
+	db.SimulateCrash()
+
+	re := openDurable(t, dir, DurabilityOptions{})
+	if got := queryInts(t, re, `SELECT id FROM dst`); fmt.Sprint(got) != fmt.Sprint(live) {
+		t.Fatalf("recovered dst differs from the live heap (%d vs %d rows)", len(got), len(live))
+	}
+	if got := queryInts(t, re, `SELECT id FROM firsts`); fmt.Sprint(got) != fmt.Sprint(liveFirsts) {
+		t.Fatalf("recovered firsts = %v, live %v", got, liveFirsts)
 	}
 }
 

@@ -43,7 +43,7 @@ func (p *rowPred) keep(row Row) (bool, error) {
 			keep, err = v.AsBool()
 		}
 	} else {
-		keep, err = truthy(p.cx.withScope(bindScope(p.sources, row, nil)), p.pred)
+		keep, err = truthy(p.cx.bindRow(p.sources, row), p.pred)
 	}
 	if err != nil && p.lenient {
 		return true, nil
@@ -117,8 +117,7 @@ func (p *projectStream) Next() (Row, error) {
 		}
 		return out, nil
 	}
-	sc := bindScope(p.sources, in, nil)
-	rcx := p.cx.withScope(sc)
+	rcx := p.cx.bindRow(p.sources, in)
 	out := make(Row, len(p.exprs))
 	for i, e := range p.exprs {
 		v, err := evalExpr(rcx, e)
@@ -167,8 +166,7 @@ func (p *projectSortStream) build() error {
 		if err != nil {
 			return err
 		}
-		sc := bindScope(p.sources, in, nil)
-		rcx := p.cx.withScope(sc)
+		rcx := p.cx.bindRow(p.sources, in)
 		out := make(Row, len(p.exprs))
 		for oi, e := range p.exprs {
 			v, err := evalExpr(rcx, e)

@@ -101,8 +101,8 @@ func (s *Stmt) Plan() error {
 }
 
 // ExecutorKind resolves the statement's physical plan and names the
-// executor it will run on: "vectorized" (columnar batches), "operators" (the
-// streaming operator pipeline) or "materialize" (the reference executor).
+// executor it will run on: "vectorized" (columnar batches) or "operators"
+// (the operator pipeline).
 // Non-SELECT statements report "". The pgfmu shell surfaces this next to
 // \timing so a user can see which executor a query took.
 func (s *Stmt) ExecutorKind() (string, error) {
@@ -122,14 +122,10 @@ func (s *Stmt) ExecutorKind() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	switch plan.kind {
-	case physVectorized:
+	if plan.kind == physVectorized {
 		return "vectorized", nil
-	case physOps:
-		return "operators", nil
-	default:
-		return "materialize", nil
 	}
+	return "operators", nil
 }
 
 // Exec executes the prepared statement for its side effects, returning the

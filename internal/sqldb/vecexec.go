@@ -27,8 +27,8 @@ import (
 //
 // Eligibility is deliberately a subset of what the row paths accept: any
 // gate failure returns nil and the planner falls through to the operator
-// pipeline or the materializing executor unchanged — which also keeps those
-// paths alive as the differential reference.
+// pipeline unchanged — which also keeps it alive as the differential
+// reference.
 
 type vecMode int
 
@@ -90,8 +90,8 @@ type vecPlan struct {
 
 // planVectorized decides whether s runs on the vectorized executor and
 // compiles its plan; nil falls through to the other strategies. Caller holds
-// the database lock (either mode).
-func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
+// the database lock (either mode). serial is planSelect's.
+func (db *DB) planVectorized(s *SelectStmt, serial bool) *vecPlan {
 	if db.planner.DisableVectorized {
 		return nil
 	}
@@ -105,7 +105,7 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 	if s.Distinct || len(s.OrderBy) > 0 {
 		return nil
 	}
-	if !vecPureBuiltin(s) {
+	if !selectPureBuiltin(s) {
 		return nil
 	}
 	hasWin := selectHasWindows(s)
@@ -156,8 +156,8 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 			return nil
 		}
 		// Large filtered scans without LIMIT/OFFSET belong to the parallel
-		// partitioned scan.
-		if s.Limit == nil && s.Offset == nil &&
+		// partitioned scan, unless the plan must stay serial.
+		if !serial && s.Limit == nil && s.Offset == nil &&
 			db.planner.parallelScanWorkers(access.tableRows) > 0 {
 			return nil
 		}
@@ -168,24 +168,18 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 		if windowsOutsideItems(s) {
 			return nil // the executor raises the placement error
 		}
-		calls, byPtr := collectWindowCalls(s.Items)
-		if len(calls) == 0 {
+		ws := newWindowStage(s, false)
+		if len(ws.calls) == 0 {
 			return nil
 		}
-		for _, f := range calls {
+		for _, f := range ws.calls {
 			if err := validateWindowCall(f); err != nil {
-				return nil // identical error surfaces on the reference path
+				return nil // the pipeline's window stage raises it
 			}
 		}
-		winCols := make([]Column, len(calls))
-		for i := range calls {
-			winCols[i] = Column{Name: fmt.Sprintf("__w%d", i), Type: "variant"}
-		}
-		items = rewriteWindowItems(s.Items, byPtr, winCols)
-		p.sources = append(p.sources, sourceInfo{
-			alias: windowSourceAlias, columns: winCols, width: len(winCols), hidden: true,
-		})
-		p.rawCalls = calls
+		items = ws.items
+		p.sources = append(p.sources, ws.source())
+		p.rawCalls = ws.calls
 	}
 
 	vc := newVecCompiler(p.sources)
@@ -200,9 +194,11 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 
 	switch p.mode {
 	case vecAggMode:
-		specs, ok := collectAggSpecs(s)
-		if !ok {
-			return nil
+		specs := collectAggSpecs(s)
+		for _, sp := range specs {
+			if sp.err != nil {
+				return nil // the pipeline raises it when the call is read
+			}
 		}
 		p.specs = specs
 		p.keyExprs = make([]vecExpr, len(s.GroupBy))
@@ -305,49 +301,6 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 		p.offsetC = ce
 	}
 	return p
-}
-
-// vecPureBuiltin is selectPureBuiltin extended to accept the window-only
-// functions (row_number, lag, lead) when they carry an OVER clause — those
-// never reach scalar evaluation on the vectorized path.
-func vecPureBuiltin(s *SelectStmt) bool {
-	if selectPureBuiltin(s) {
-		return true
-	}
-	pure := true
-	check := func(e Expr) {
-		walkExpr(e, func(x Expr) bool {
-			f, ok := x.(*FuncExpr)
-			if !ok {
-				return true
-			}
-			lower := strings.ToLower(f.Name)
-			if isAggregateName(lower) || (f.Over != nil && isWindowOnlyName(lower)) {
-				return true
-			}
-			if _, ok := builtinScalars[lower]; !ok {
-				pure = false
-			}
-			return pure
-		})
-	}
-	for _, it := range s.Items {
-		check(it.Expr)
-	}
-	for _, f := range s.From {
-		check(f.On)
-	}
-	check(s.Where)
-	for _, e := range s.GroupBy {
-		check(e)
-	}
-	check(s.Having)
-	for _, o := range s.OrderBy {
-		check(o.Expr)
-	}
-	check(s.Limit)
-	check(s.Offset)
-	return pure
 }
 
 // windowsOutsideItems reports window calls anywhere but the select list
@@ -821,48 +774,16 @@ func (st *vecAggStream) Next() (Row, error) {
 	}
 	p := st.plan
 	for st.pos < len(st.groups) {
-		g := st.groups[st.pos]
+		ge := &aggEval{cx: st.cx, sources: p.sources, groupBy: p.sel.GroupBy, specs: p.specs, g: st.groups[st.pos]}
 		st.pos++
-		vals := make([]variant.Value, len(p.specs))
-		for i, acc := range g.accums {
-			v, err := acc.result()
-			if err != nil {
-				return fail(err)
-			}
-			vals[i] = v
+		if ok, err := ge.having(p.sel.Having); err != nil {
+			return fail(err)
+		} else if !ok {
+			continue
 		}
-		ge := &aggEval{
-			cx:      st.cx,
-			sources: p.sources,
-			groupBy: p.sel.GroupBy,
-			keyVals: g.keyVals,
-			specs:   p.specs,
-			vals:    vals,
-			first:   g.first,
-		}
-		if p.sel.Having != nil {
-			v, err := ge.eval(p.sel.Having)
-			if err != nil {
-				return fail(err)
-			}
-			if v.IsNull() {
-				continue
-			}
-			ok, err := v.AsBool()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				continue
-			}
-		}
-		row := make(Row, len(p.aggExprs))
-		for i, e := range p.aggExprs {
-			v, err := ge.eval(e)
-			if err != nil {
-				return fail(err)
-			}
-			row[i] = v
+		row, err := ge.project(p.aggExprs)
+		if err != nil {
+			return fail(err)
 		}
 		if st.offset > 0 {
 			st.offset--
@@ -962,27 +883,14 @@ func (st *vecAggStream) build() error {
 					g.first = batch.row(lane)
 				}
 				for si, sp := range p.specs {
-					if sp.fn.Star {
+					switch c := argCols[si]; {
+					case sp.fn.Star:
 						g.accums[si].(*countAccum).n++
-						continue
-					}
-					c := argCols[si]
-					if e := c.laneErr(lane); e != nil {
-						return e
-					}
-					v := c.value(lane)
-					if v.IsNull() {
-						continue
-					}
-					if sp.fn.Distinct {
-						key := v.Kind().String() + ":" + v.String()
-						if g.seen[si][key] {
-							continue
-						}
-						g.seen[si][key] = true
-					}
-					if err := g.accums[si].add(v); err != nil {
-						return err
+					case g.stopped(si):
+					case c.laneErr(lane) != nil:
+						g.feed(si, sp, variant.Value{}, c.laneErr(lane))
+					default:
+						g.feed(si, sp, c.value(lane), nil)
 					}
 				}
 			}
@@ -1130,7 +1038,7 @@ func (st *vecWindowStream) build() ([]Row, error) {
 	baseW := len(p.srcCols)
 
 	// WHERE over every input row; the first error is fatal before anything
-	// emits, exactly like the materializing executor's filter phase.
+	// emits, exactly like the pipeline's window stage.
 	var fb Batch
 	st.scan.fill(&fb, st.scan.vis)
 	if p.filter != nil {

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -10,16 +11,16 @@ import (
 
 // Window functions (sum/avg/count/min/max OVER, row_number, lag, lead).
 //
-// Both execution strategies share one evaluator: the materializing executor
-// (the reference path) and the vectorized pipeline each gather the call's
-// inputs — argument, PARTITION BY, and ORDER BY values, one column per
-// expression — and hand them to evalWindowCall, which partitions, orders,
-// frames, and folds through the same aggAccum accumulators the grouped
-// executors use. The two paths therefore cannot diverge on partition
-// identity (rowKey encoding), sort order (variant.Compare, stable), or fold
-// arithmetic.
+// Every execution strategy shares one evaluator: the operator pipeline's
+// WindowAgg stage (windowStream), the vectorized pipeline and the reference
+// executor each gather the call's inputs — argument, PARTITION BY, and
+// ORDER BY values, one column per expression — and hand them to
+// evalWindowCall, which partitions, orders, frames, and folds through the
+// same aggAccum accumulators the grouped executors use. The paths therefore
+// cannot diverge on partition identity (rowKey encoding), sort order
+// (variant.Compare, stable), or fold arithmetic.
 //
-// Restrictions (clean errors, both paths): window calls may appear only in
+// Restrictions (clean errors, every path): window calls may appear only in
 // the SELECT list, never mixed with GROUP BY or plain aggregates; DISTINCT
 // is rejected; frames are ROWS-only (the default frame without a ROWS
 // clause is range-to-current-row with peers under ORDER BY, else the whole
@@ -166,7 +167,7 @@ type windowInput struct {
 }
 
 // buildWindowInput evaluates a call's input expressions through the
-// caller-supplied evaluator (row-scope bound in the reference executor,
+// caller-supplied evaluator (compiled or row-scope bound on the row paths,
 // vector-kernel backed in the vectorized pipeline).
 func buildWindowInput(f *FuncExpr, n int, evalCol func(e Expr) ([]variant.Value, error)) (*windowInput, error) {
 	in := &windowInput{fn: f, name: strings.ToLower(f.Name)}
@@ -202,7 +203,7 @@ func buildWindowInput(f *FuncExpr, n int, evalCol func(e Expr) ([]variant.Value,
 func evalWindowCall(cx *evalCtx, in *windowInput, n int) ([]variant.Value, error) {
 	out := make([]variant.Value, n)
 
-	// Partition in first-seen order using the executor's key encoding, so
+	// Partition in first-seen order using rowKey's encoding, so
 	// NULL and cross-kind partition keys group exactly like GROUP BY keys.
 	var parts [][]int
 	if len(in.part) == 0 {
@@ -548,29 +549,137 @@ func rewriteWindowItems(items []SelectItem, byPtr map[*FuncExpr]int, winCols []C
 	return out
 }
 
-// applyWindowStage is the reference (materializing) window executor: it
-// computes every distinct window call of the select list over the filtered
-// rows, appends the results as a hidden synthetic source, and returns a
-// rewritten statement whose projection reads those columns.
-func applyWindowStage(cx *evalCtx, s *SelectStmt, sources []sourceInfo, rows []Row, outer *scope) (*SelectStmt, []sourceInfo, []Row, error) {
-	calls, byPtr := collectWindowCalls(s.Items)
-	if len(calls) == 0 {
-		return s, sources, rows, nil
+// windowStage computes the window calls of a SELECT list as hidden columns
+// appended to every input row, and rewrites the list to read them. The
+// pipeline's WindowAgg node (windowStream), the vectorized planner and the
+// reference executor share it.
+type windowStage struct {
+	calls []*FuncExpr
+	cols  []Column
+	items []SelectItem
+	// mixed is the error of a statement that also groups or aggregates,
+	// raised once the input rows are filtered.
+	mixed error
+}
+
+func newWindowStage(s *SelectStmt, grouped bool) *windowStage {
+	if grouped {
+		return &windowStage{items: s.Items,
+			mixed: fmt.Errorf("sql: window functions cannot be combined with GROUP BY or aggregates")}
 	}
-	for _, f := range calls {
+	calls, byPtr := collectWindowCalls(s.Items)
+	w := &windowStage{calls: calls, cols: make([]Column, len(calls))}
+	for i := range calls {
+		w.cols[i] = Column{Name: fmt.Sprintf("__w%d", i), Type: "variant"}
+	}
+	w.items = rewriteWindowItems(s.Items, byPtr, w.cols)
+	return w
+}
+
+// source is the hidden source the computed columns bind as.
+func (w *windowStage) source() sourceInfo {
+	return sourceInfo{alias: windowSourceAlias, columns: w.cols, width: len(w.cols), hidden: true}
+}
+
+// apply validates every call, computes each over rows — evalCol evaluates
+// one input expression over all of them — and returns the rows with the
+// results appended.
+func (w *windowStage) apply(cx *evalCtx, rows []Row, evalCol func(Expr) ([]variant.Value, error)) ([]Row, error) {
+	if w.mixed != nil {
+		return nil, w.mixed
+	}
+	if len(w.calls) == 0 {
+		return rows, nil
+	}
+	for _, f := range w.calls {
 		if err := validateWindowCall(f); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	n := len(rows)
+	outCols := make([][]variant.Value, len(w.calls))
+	for ci, f := range w.calls {
+		in, err := buildWindowInput(f, n, evalCol)
+		if err != nil {
+			return nil, err
+		}
+		if outCols[ci], err = evalWindowCall(cx, in, n); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]Row, n)
+	for i, r := range rows {
+		nr := make(Row, 0, len(r)+len(w.calls))
+		nr = append(nr, r...)
+		for ci := range w.calls {
+			nr = append(nr, outCols[ci][i])
+		}
+		out[i] = nr
+	}
+	return out, nil
+}
+
+// windowStream is the pipeline's WindowAgg node: it drains its input (rows
+// of shape sources) on the first Next and emits the rows with the window
+// columns appended. Window inputs compile against the input layout where
+// they compile and are interpreted otherwise.
+type windowStream struct {
+	cx      *evalCtx
+	src     RowStream
+	sources []sourceInfo
+	stage   *windowStage
+	interp  bool
+
+	built bool
+	rows  []Row
+	pos   int
+	err   error
+}
+
+func (w *windowStream) Columns() []Column {
+	return append(append([]Column(nil), w.src.Columns()...), w.stage.cols...)
+}
+
+func (w *windowStream) Next() (Row, error) {
+	if !w.built {
+		w.built = true
+		w.rows, w.err = w.build()
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	if w.pos >= len(w.rows) {
+		return nil, io.EOF
+	}
+	r := w.rows[w.pos]
+	w.pos++
+	return r, nil
+}
+
+func (w *windowStream) build() ([]Row, error) {
+	rs, err := drainStreamCtx(w.cx, w.src)
+	if err != nil {
+		return nil, err
+	}
+	rows := rs.Rows
+	env := compEnv{params: w.cx.params, ctx: w.cx.ctx}
 	evalCol := func(e Expr) ([]variant.Value, error) {
-		col := make([]variant.Value, n)
-		for i := 0; i < n; i++ {
-			if err := cx.checkCancel(i); err != nil {
+		var ce compiledExpr
+		if !w.interp {
+			ce = compileOver(e, w.sources)
+		}
+		col := make([]variant.Value, len(rows))
+		for i, r := range rows {
+			if err := w.cx.checkCancel(i); err != nil {
 				return nil, err
 			}
-			sc := bindScope(sources, rows[i], outer)
-			v, err := evalExpr(cx.withScope(sc), e)
+			var v variant.Value
+			var err error
+			if ce != nil {
+				v, err = ce(&env, r)
+			} else {
+				v, err = evalExpr(w.cx.bindRow(w.sources, r), e)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -578,39 +687,10 @@ func applyWindowStage(cx *evalCtx, s *SelectStmt, sources []sourceInfo, rows []R
 		}
 		return col, nil
 	}
-	outCols := make([][]variant.Value, len(calls))
-	for ci, f := range calls {
-		in, err := buildWindowInput(f, n, evalCol)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		col, err := evalWindowCall(cx, in, n)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		outCols[ci] = col
-	}
+	return w.stage.apply(w.cx, rows, evalCol)
+}
 
-	winCols := make([]Column, len(calls))
-	for i := range calls {
-		winCols[i] = Column{Name: fmt.Sprintf("__w%d", i), Type: "variant"}
-	}
-	newRows := make([]Row, n)
-	for i := range rows {
-		r := make(Row, 0, len(rows[i])+len(calls))
-		r = append(r, rows[i]...)
-		for ci := range calls {
-			r = append(r, outCols[ci][i])
-		}
-		newRows[i] = r
-	}
-	newSources := append(append([]sourceInfo(nil), sources...), sourceInfo{
-		alias:   windowSourceAlias,
-		columns: winCols,
-		width:   len(winCols),
-		hidden:  true,
-	})
-	s2 := *s
-	s2.Items = rewriteWindowItems(s.Items, byPtr, winCols)
-	return &s2, newSources, newRows, nil
+func (w *windowStream) Close() error {
+	w.rows = nil
+	return w.src.Close()
 }
