@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -499,8 +500,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// BenchmarkAblationParallelMI compares sequential MI estimation against the
-// multi-core scheduling extension (§9 future work, implemented).
+// BenchmarkAblationParallelMI compares MI estimation on one core against four
+// (the §9 multi-core future work: objective evaluations and follower jobs
+// run on every core).
 func BenchmarkAblationParallelMI(b *testing.B) {
 	jobs := func() []*estimate.MIJob {
 		out := make([]*estimate.MIJob, 4)
@@ -530,19 +532,14 @@ func BenchmarkAblationParallelMI(b *testing.B) {
 		}
 		return out
 	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := estimate.EstimateMI(context.Background(), jobs(), 0.2, estimate.Options{GA: benchScale.GA}); err != nil {
-				b.Fatal(err)
+	for _, procs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("gomaxprocs_%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i := 0; i < b.N; i++ {
+				if _, err := estimate.EstimateMI(context.Background(), jobs(), 0.2, estimate.Options{GA: benchScale.GA}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("parallel_4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := estimate.Options{GA: benchScale.GA, Parallelism: 4}
-			if _, err := estimate.EstimateMI(context.Background(), jobs(), 0.2, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

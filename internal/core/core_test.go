@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -569,6 +570,47 @@ func TestParestMIOffNeverWarmStarts(t *testing.T) {
 	for _, r := range results {
 		if r.UsedWarmStart {
 			t.Error("pgFMU- must not warm-start")
+		}
+	}
+}
+
+// TestParestSameBitsAtAnyGOMAXPROCS: pgFMU+ and pgFMU- both fan the
+// instances out over every core; each fits the same bits as on one core.
+func TestParestSameBitsAtAnyGOMAXPROCS(t *testing.T) {
+	for _, mi := range []bool{true, false} {
+		var fits []string
+		for _, procs := range []int{1, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				s := newTestSession(t, WithMIOptimization(mi))
+				loadMeasurements(t, s, "m1", 1)
+				loadMeasurements(t, s, "m2", 1.05)
+				loadMeasurements(t, s, "m3", 1.1)
+				ids := []string{"a", "b", "c"}
+				for _, id := range ids {
+					if _, err := s.Create(hpSource, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				results, err := s.Parest(ids,
+					[]string{"SELECT * FROM m1", "SELECT * FROM m2", "SELECT * FROM m3"},
+					[]string{"A", "B", "E"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fit := ""
+				for _, r := range results {
+					fit += fmt.Sprintf("%s warm=%v evals=%d rmse=%x", r.InstanceID, r.UsedWarmStart, r.CostEvals, math.Float64bits(r.RMSE))
+					for _, name := range []string{"A", "B", "E"} {
+						fit += fmt.Sprintf(" %s=%x", name, math.Float64bits(r.Params[name]))
+					}
+					fit += "\n"
+				}
+				fits = append(fits, fit)
+			}()
+		}
+		if fits[0] != fits[1] {
+			t.Errorf("MI %v:\n1 proc:\n%s4 procs:\n%s", mi, fits[0], fits[1])
 		}
 	}
 }

@@ -34,8 +34,9 @@ func (s *Session) Parest(instanceIDs, inputSQLs, pars []string) ([]ParestResult,
 }
 
 // ParestContext is Parest honouring ctx: cancelling it aborts the GA /
-// local-search iterations within one objective evaluation, the enclosing
-// transaction rolls back, and the instances keep their pre-call parameters.
+// local-search iterations within one objective evaluation per worker, the
+// enclosing transaction rolls back, and the instances keep their pre-call
+// parameters.
 // The estimation runs as a concurrent MVCC transaction: it holds no
 // database-wide lock and latches only the catalogue table it updates, at the
 // end, so a long calibration stalls neither writers of unrelated tables nor
@@ -84,14 +85,13 @@ func (s *Session) parest(ctx context.Context, instanceIDs, inputSQLs, pars []str
 	if s.miOptimization {
 		results, err = estimate.EstimateMI(ctx, jobs, threshold, s.estOpts)
 	} else {
-		// pgFMU-: full SI per instance, no warm starts.
+		// pgFMU-: full SI per instance, no warm starts, on the same fan-out
+		// as pgFMU+'s followers, so the two differ only in the warm start.
 		results = make([]*estimate.Result, len(jobs))
-		for i, job := range jobs {
-			results[i], err = estimate.EstimateSI(ctx, job.Problem, s.estOpts)
-			if err != nil {
-				break
-			}
-		}
+		err = estimate.ForEach(len(jobs), func(i int) (err error) {
+			results[i], err = estimate.EstimateSI(ctx, jobs[i].Problem, s.estOpts)
+			return err
+		})
 	}
 	if err != nil {
 		return nil, err

@@ -142,7 +142,7 @@ func (s *Session) registerUDFs() {
 	// fmu_parest(instanceIds, input_sqls [, pars [, threshold]])
 	//   -> '{rmse1, rmse2, ...}' (the paper's estimationErrors list)
 	// A cancelled statement context aborts the GA / local-search iterations
-	// within one objective evaluation.
+	// within one objective evaluation per worker.
 	db.RegisterScalar("fmu_parest", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
 		results, err := s.parestFromArgs(ctx, args)
 		if err != nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/timeseries"
 )
@@ -15,17 +17,12 @@ type Options struct {
 	Local LocalOptions
 	// Trace enables iteration traces in both phases.
 	Trace bool
-	// Parallelism bounds concurrent per-instance estimations inside
-	// EstimateMI (the paper's §9 future work: scheduling FMU execution on
-	// multi-core environments). 0 or 1 runs sequentially, as the paper's
-	// implementation does.
-	Parallelism int
 }
 
 // EstimateSI runs the paper's Algorithm 2 (single-instance): Global Search
 // to locate the basin, then gradient-based Local-after-Global to refine, and
 // returns the fitted parameters with the training RMSE. Cancelling ctx
-// stops the run within one objective evaluation.
+// stops the run within one objective evaluation per worker.
 func EstimateSI(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -127,8 +124,9 @@ func Dissimilarity(ref, other *Problem) (float64, error) {
 // whose measurements are within threshold of the first job's reuse its
 // optimum as a warm start and run LO only. Dissimilar jobs (or jobs of a
 // different model) fall back to the full SI path. threshold <= 0 picks
-// DefaultSimilarityThreshold. Cancelling ctx stops the whole fan-out within
-// one objective evaluation per in-flight job.
+// DefaultSimilarityThreshold. The jobs after the first run concurrently
+// (ForEach), and a failure reports the lowest-index failing job. Cancelling
+// ctx stops the whole fan-out within one objective evaluation per worker.
 func EstimateMI(ctx context.Context, jobs []*MIJob, threshold float64, opts Options) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("estimate: no jobs")
@@ -144,11 +142,10 @@ func EstimateMI(ctx context.Context, jobs []*MIJob, threshold float64, opts Opti
 	}
 	results[0] = first
 
-	// The remaining jobs are independent given the reference optimum; they
-	// run sequentially by default, or across a bounded worker pool when
-	// opts.Parallelism > 1 (the §9 multi-core future work, implemented).
-	runJob := func(i int) error {
-		job := jobs[i]
+	// The remaining jobs are independent given the reference optimum (the
+	// paper's §9 future work: FMU runs scheduled on every core).
+	err = ForEach(len(jobs)-1, func(k int) error {
+		i, job := k+1, jobs[k+1]
 		useWarm := false
 		if job.ModelID == jobs[0].ModelID {
 			d, err := Dissimilarity(jobs[0].Problem, job.Problem)
@@ -171,34 +168,8 @@ func EstimateMI(ctx context.Context, jobs []*MIJob, threshold float64, opts Opti
 		}
 		results[i] = res
 		return nil
-	}
-
-	if opts.Parallelism <= 1 {
-		for i := 1; i < len(jobs); i++ {
-			if err := runJob(i); err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-
-	sem := make(chan struct{}, opts.Parallelism)
-	errs := make(chan error, len(jobs)-1)
-	var wg sync.WaitGroup
-	for i := 1; i < len(jobs); i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := runJob(i); err != nil {
-				errs <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -234,4 +205,85 @@ func Validate(p *Problem, t0, t1 float64) (float64, error) {
 		current[i] = v
 	}
 	return hold.Cost(current)
+}
+
+// ForEach runs fn(i) for every i in [0, n) on up to runtime.GOMAXPROCS(0)
+// goroutines, the caller's included, and returns the error of the lowest
+// failing index: the error a serial loop over i would have stopped at.
+// Indices are claimed in increasing order and none is claimed after a
+// failure, so every index below a failing one has run to completion.
+func ForEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// search is one optimizer run's access to the objective: it polls ctx
+// before every evaluation and counts the evaluations. cost is Problem.Cost.
+type search struct {
+	ctx    context.Context
+	params []ParamSpec
+	cost   func([]float64) (float64, error)
+	evals  int
+}
+
+func newSearch(ctx context.Context, p *Problem) *search {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return &search{ctx: ctx, params: p.Params, cost: p.Cost}
+}
+
+// project clips x into the bounds in place and returns it.
+func (s *search) project(x []float64) []float64 {
+	for i, ps := range s.params {
+		x[i] = clip(x[i], ps.Lo, ps.Hi)
+	}
+	return x
+}
+
+// score evaluates one candidate.
+func (s *search) score(x []float64) (float64, error) {
+	costs, err := s.scoreAll([][]float64{x})
+	return costs[0], err
+}
+
+// scoreAll evaluates a batch of candidates, all fixed before any is scored,
+// on ForEach and returns their costs in candidate order: each cost depends on
+// its candidate alone, so costs and error are those of a serial loop. The
+// whole batch counts as evaluated, even when it fails.
+func (s *search) scoreAll(xs [][]float64) ([]float64, error) {
+	costs := make([]float64, len(xs))
+	err := ForEach(len(xs), func(i int) (err error) {
+		if err = s.ctx.Err(); err == nil {
+			costs[i], err = s.cost(xs[i])
+		}
+		return err
+	})
+	s.evals += len(xs)
+	return costs, err
 }

@@ -3,6 +3,7 @@ package estimate
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/fmu"
@@ -427,9 +428,9 @@ func TestGACheaperThanLaGClaim(t *testing.T) {
 	}
 }
 
+// TestEstimateMIParallelMatchesSequential: the follower jobs run
+// concurrently, and each fits to the same bits as on one core.
 func TestEstimateMIParallelMatchesSequential(t *testing.T) {
-	// §9 future work (multi-core scheduling): the parallel MI path must
-	// produce the same results as the sequential one.
 	build := func() []*MIJob {
 		return []*MIJob{
 			{Problem: synthProblem(t, 1.0), ModelID: "hp"},
@@ -439,25 +440,25 @@ func TestEstimateMIParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	opts := Options{GA: GAOptions{Population: 12, Generations: 6, Seed: 5}}
-	seq, err := EstimateMI(context.Background(), build(), 0.2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Parallelism = 4
-	par, err := EstimateMI(context.Background(), build(), 0.2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i].UsedWarmStart != par[i].UsedWarmStart {
-			t.Errorf("job %d warm-start mismatch", i)
+	run := func(procs int) []*Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := EstimateMI(context.Background(), build(), 0.2, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(seq[i].RMSE-par[i].RMSE) > 1e-9 {
-			t.Errorf("job %d RMSE: seq %v vs par %v", i, seq[i].RMSE, par[i].RMSE)
+		return res
+	}
+	seq, par := run(1), run(4)
+	for i := range seq {
+		if seq[i].UsedWarmStart != par[i].UsedWarmStart || seq[i].CostEvals != par[i].CostEvals {
+			t.Errorf("job %d: warm %v/%v, evals %d/%d", i, seq[i].UsedWarmStart, par[i].UsedWarmStart, seq[i].CostEvals, par[i].CostEvals)
+		}
+		if math.Float64bits(seq[i].RMSE) != math.Float64bits(par[i].RMSE) {
+			t.Errorf("job %d RMSE: 1 proc %v vs 4 procs %v", i, seq[i].RMSE, par[i].RMSE)
 		}
 		for k, v := range seq[i].Params {
-			if math.Abs(par[i].Params[k]-v) > 1e-9 {
-				t.Errorf("job %d param %s: seq %v vs par %v", i, k, v, par[i].Params[k])
+			if math.Float64bits(par[i].Params[k]) != math.Float64bits(v) {
+				t.Errorf("job %d param %s: 1 proc %v vs 4 procs %v", i, k, v, par[i].Params[k])
 			}
 		}
 	}
@@ -472,9 +473,31 @@ func TestEstimateMIParallelPropagatesErrors(t *testing.T) {
 		{Problem: bad, ModelID: "hp"},
 		{Problem: synthProblem(t, 1.05), ModelID: "hp"},
 	}
-	opts := Options{GA: GAOptions{Population: 8, Generations: 3, Seed: 5}, Parallelism: 3}
+	opts := Options{GA: GAOptions{Population: 8, Generations: 3, Seed: 5}}
 	if _, err := EstimateMI(context.Background(), jobs, 0.2, opts); err == nil {
 		t.Error("parallel MI must propagate job errors")
+	}
+}
+
+// TestEstimateMIReportsFirstFailingJob: two followers fail with different
+// messages; the error is job 1's however the two finish.
+func TestEstimateMIReportsFirstFailingJob(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const want = "estimate: MI job 1 (LO): estimate: no parameters to estimate"
+	for round := 0; round < 5; round++ {
+		lo := synthProblem(t, 1.05) // similar: the LO path...
+		lo.Params = nil             // ...fails validation
+		si := synthProblem(t, 1.0)  // another model: the SI path...
+		si.Instance = nil           // ...fails validation
+		jobs := []*MIJob{
+			{Problem: synthProblem(t, 1.0), ModelID: "hp"},
+			{Problem: lo, ModelID: "hp"},
+			{Problem: si, ModelID: "other"},
+		}
+		_, err := EstimateMI(context.Background(), jobs, 0.2, Options{GA: GAOptions{Population: 4, Generations: 1, Seed: 5}})
+		if err == nil || err.Error() != want {
+			t.Fatalf("round %d: err = %v, want %q", round, err, want)
+		}
 	}
 }
 

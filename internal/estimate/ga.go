@@ -69,32 +69,32 @@ type individual struct {
 // candidate, its cost, the number of objective evaluations, and an optional
 // trace of per-generation bests. The context is polled before every
 // objective evaluation — each one is a full model simulation — so
-// cancellation takes effect within a single evaluation.
+// cancellation takes effect within one evaluation per worker.
 func GlobalSearch(ctx context.Context, p *Problem, opts GAOptions) ([]float64, float64, int, []TracePoint, error) {
+	s := newSearch(ctx, p)
+	best, cost, trace, err := s.global(opts)
+	return best, cost, s.evals, trace, err
+}
+
+// global is GlobalSearch over s. A generation's children are all bred, on
+// the calling goroutine, before any is scored: tournament selection reads the
+// previous generation alone, so the candidates are those of a serial run.
+func (s *search) global(opts GAOptions) ([]float64, float64, []TracePoint, error) {
 	opts = opts.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	dim := len(p.Params)
+	dim := len(s.params)
 
-	evals := 0
-	eval := func(genes []float64) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		evals++
-		return p.Cost(genes)
+	genes := make([][]float64, opts.Population)
+	for i := range genes {
+		genes[i] = randomCandidate(s.params, rng)
 	}
-
+	costs, err := s.scoreAll(genes)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("estimate: GA init: %w", err)
+	}
 	pop := make([]individual, opts.Population)
 	for i := range pop {
-		genes := p.randomCandidate(rng)
-		cost, err := eval(genes)
-		if err != nil {
-			return nil, 0, evals, nil, fmt.Errorf("estimate: GA init: %w", err)
-		}
-		pop[i] = individual{genes: genes, cost: cost}
+		pop[i] = individual{genes: genes[i], cost: costs[i]}
 	}
 
 	best := bestOf(pop)
@@ -122,7 +122,8 @@ func GlobalSearch(ctx context.Context, p *Problem, opts GAOptions) ([]float64, f
 		for e := 0; e < opts.Elites && e < len(sorted); e++ {
 			next = append(next, sorted[e])
 		}
-		for len(next) < opts.Population {
+		children := make([][]float64, 0, opts.Population-len(next))
+		for len(next)+len(children) < opts.Population {
 			p1, p2 := tournament(), tournament()
 			child := make([]float64, dim)
 			if rng.Float64() < opts.CrossoverRate {
@@ -134,22 +135,25 @@ func GlobalSearch(ctx context.Context, p *Problem, opts GAOptions) ([]float64, f
 					span := hi - lo
 					a := lo - alpha*span
 					b := hi + alpha*span
-					child[i] = clip(a+rng.Float64()*(b-a), p.Params[i].Lo, p.Params[i].Hi)
+					child[i] = clip(a+rng.Float64()*(b-a), s.params[i].Lo, s.params[i].Hi)
 				}
 			} else {
 				copy(child, p1.genes)
 			}
 			for i := 0; i < dim; i++ {
 				if rng.Float64() < opts.MutationRate {
-					sigma := opts.MutationSigma * (p.Params[i].Hi - p.Params[i].Lo)
-					child[i] = clip(child[i]+rng.NormFloat64()*sigma, p.Params[i].Lo, p.Params[i].Hi)
+					sigma := opts.MutationSigma * (s.params[i].Hi - s.params[i].Lo)
+					child[i] = clip(child[i]+rng.NormFloat64()*sigma, s.params[i].Lo, s.params[i].Hi)
 				}
 			}
-			cost, err := eval(child)
-			if err != nil {
-				return nil, 0, evals, nil, fmt.Errorf("estimate: GA generation %d: %w", gen, err)
-			}
-			next = append(next, individual{genes: child, cost: cost})
+			children = append(children, child)
+		}
+		costs, err := s.scoreAll(children)
+		if err != nil {
+			return nil, 0, nil, fmt.Errorf("estimate: GA generation %d: %w", gen, err)
+		}
+		for i, child := range children {
+			next = append(next, individual{genes: child, cost: costs[i]})
 		}
 		pop = next
 		if b := bestOf(pop); b.cost < best.cost {
@@ -159,7 +163,7 @@ func GlobalSearch(ctx context.Context, p *Problem, opts GAOptions) ([]float64, f
 			trace = append(trace, TracePoint{Phase: "G", Iter: gen, Params: append([]float64(nil), best.genes...), Cost: best.cost})
 		}
 	}
-	return append([]float64(nil), best.genes...), best.cost, evals, trace, nil
+	return append([]float64(nil), best.genes...), best.cost, trace, nil
 }
 
 func bestOf(pop []individual) individual {

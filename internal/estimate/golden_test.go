@@ -117,7 +117,8 @@ func goldenFits(t *testing.T) map[string]goldenFit {
 
 // TestGoldenFits holds the calibration path to the parent commit's answers
 // bit for bit: same candidates, same objective values, same CostEvals, same
-// fitted parameters. Regenerate with
+// fitted parameters, at the test's GOMAXPROCS and again at 1 and 4, since
+// the searches score their batches on every core. Regenerate with
 // `go test ./internal/estimate -run TestGoldenFits -update` only for a change
 // that is meant to alter the numerics or the search.
 func TestGoldenFits(t *testing.T) {
@@ -154,11 +155,20 @@ func TestGoldenFits(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("%d fits, golden file has %d", len(got), len(want))
 	}
-	for _, name := range names {
-		g, w := got[name], want[name]
-		if fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Errorf("%s:\n got  %+v\n want %+v", name, g, w)
+	check := func(procs int, got map[string]goldenFit) {
+		for _, name := range names {
+			g, w := got[name], want[name]
+			if fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Errorf("GOMAXPROCS %d, %s:\n got  %+v\n want %+v", procs, name, g, w)
+			}
 		}
+	}
+	check(runtime.GOMAXPROCS(0), got)
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			check(procs, goldenFits(t))
+		}()
 	}
 }
 
@@ -185,5 +195,40 @@ func BenchmarkCost(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEstimateSI times one benchmark-sized SI calibration (hp1, 24 h,
+// GA 8×4, Cp and R): GA generations and gradient probes are scored on every
+// core, the line search one candidate at a time. Compare -cpu 1,2,4.
+func BenchmarkEstimateSI(b *testing.B) {
+	opts := Options{GA: GAOptions{Population: 8, Generations: 4, Seed: 1}}
+	p := hp1Problem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EstimateSI(context.Background(), p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimateMI times one MI calibration of a classroom fleet of four
+// (12 h each, the MI deltas): the reference's G+LaG, then the three warm
+// followers concurrently.
+func BenchmarkEstimateMI(b *testing.B) {
+	opts := Options{GA: GAOptions{Population: 8, Generations: 4, Seed: 1}}
+	var fleet []*MIJob
+	for _, d := range dataset.MIDeltas(4) {
+		p := datasetProblem(b, "classroom", dataset.ClassroomSource,
+			dataset.Config{Hours: 12, Seed: 1003, Delta: d}, "t", []string{"shgc", "tmass", "RExt", "occheff"})
+		fleet = append(fleet, &MIJob{Problem: p, ModelID: "classroom"})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EstimateMI(context.Background(), fleet, 0, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -43,70 +43,59 @@ func (o LocalOptions) withDefaults() LocalOptions {
 // LocalSearch refines start within the problem bounds and returns the
 // optimum, its cost, the number of objective evaluations, and an optional
 // iteration trace. The context is polled before every objective evaluation,
-// so cancellation takes effect within one evaluation.
+// so cancellation takes effect within one evaluation per worker.
 func LocalSearch(ctx context.Context, p *Problem, start []float64, opts LocalOptions) ([]float64, float64, int, []TracePoint, error) {
 	opts = opts.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(start) != len(p.Params) {
 		return nil, 0, 0, nil, fmt.Errorf("estimate: start point has %d values, want %d", len(start), len(p.Params))
 	}
+	s := newSearch(ctx, p)
+	run := s.quasiNewton
 	if opts.UseNelderMead {
-		return nelderMead(ctx, p, start, opts)
+		run = s.nelderMead
 	}
-	return quasiNewton(ctx, p, start, opts)
+	best, cost, trace, err := run(start, opts)
+	return best, cost, s.evals, trace, err
 }
 
 // quasiNewton is a projected BFGS with backtracking line search and
-// finite-difference gradients.
-func quasiNewton(ctx context.Context, p *Problem, start []float64, opts LocalOptions) ([]float64, float64, int, []TracePoint, error) {
+// finite-difference gradients. A gradient's probes are scored as one batch;
+// the line search stays serial, since each of its steps depends on the last.
+func (s *search) quasiNewton(start []float64, opts LocalOptions) ([]float64, float64, []TracePoint, error) {
 	dim := len(start)
-	evals := 0
-	eval := func(x []float64) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		evals++
-		return p.Cost(x)
-	}
-	project := func(x []float64) {
-		for i, ps := range p.Params {
-			x[i] = clip(x[i], ps.Lo, ps.Hi)
-		}
-	}
-
-	x := append([]float64(nil), start...)
-	project(x)
-	fx, err := eval(x)
+	x := s.project(append([]float64(nil), start...))
+	fx, err := s.score(x)
 	if err != nil {
-		return nil, 0, evals, nil, fmt.Errorf("estimate: local search start: %w", err)
+		return nil, 0, nil, fmt.Errorf("estimate: local search start: %w", err)
 	}
 
 	grad := func(x []float64, fx float64) ([]float64, error) {
-		g := make([]float64, dim)
-		for i, ps := range p.Params {
+		// One-sided differences away from the nearer bound so probes stay
+		// feasible: steps[i] is negative for a backward difference.
+		steps := make([]float64, dim)
+		probes := make([][]float64, dim)
+		for i, ps := range s.params {
 			h := opts.GradStep * math.Max(math.Abs(x[i]), 1e-3*(ps.Hi-ps.Lo))
 			if h == 0 {
 				h = opts.GradStep
 			}
-			xp := append([]float64(nil), x...)
-			// One-sided difference away from the nearer bound so probes stay
-			// feasible.
-			if x[i]+h <= ps.Hi {
-				xp[i] = x[i] + h
-				fp, err := eval(xp)
-				if err != nil {
-					return nil, err
-				}
-				g[i] = (fp - fx) / h
+			if !(x[i]+h <= ps.Hi) {
+				h = -h
+			}
+			steps[i] = h
+			probes[i] = append([]float64(nil), x...)
+			probes[i][i] = x[i] + h
+		}
+		costs, err := s.scoreAll(probes)
+		if err != nil {
+			return nil, err
+		}
+		g := make([]float64, dim)
+		for i, h := range steps {
+			if h > 0 {
+				g[i] = (costs[i] - fx) / h
 			} else {
-				xp[i] = x[i] - h
-				fm, err := eval(xp)
-				if err != nil {
-					return nil, err
-				}
-				g[i] = (fx - fm) / h
+				g[i] = (fx - costs[i]) / -h
 			}
 		}
 		return g, nil
@@ -117,13 +106,13 @@ func quasiNewton(ctx context.Context, p *Problem, start []float64, opts LocalOpt
 	H := make([][]float64, dim)
 	for i := range H {
 		H[i] = make([]float64, dim)
-		span := p.Params[i].Hi - p.Params[i].Lo
+		span := s.params[i].Hi - s.params[i].Lo
 		H[i][i] = span * span * 0.01
 	}
 
 	g, err := grad(x, fx)
 	if err != nil {
-		return nil, 0, evals, nil, err
+		return nil, 0, nil, err
 	}
 
 	var trace []TracePoint
@@ -149,7 +138,7 @@ func quasiNewton(ctx context.Context, p *Problem, start []float64, opts LocalOpt
 		}
 		if dg >= 0 {
 			for i := range d {
-				span := p.Params[i].Hi - p.Params[i].Lo
+				span := s.params[i].Hi - s.params[i].Lo
 				d[i] = -g[i] * span * span * 0.01
 			}
 		}
@@ -164,10 +153,10 @@ func quasiNewton(ctx context.Context, p *Problem, start []float64, opts LocalOpt
 			for i := range xNew {
 				xNew[i] = x[i] + alpha*d[i]
 			}
-			project(xNew)
-			fNew, err = eval(xNew)
+			s.project(xNew)
+			fNew, err = s.score(xNew)
 			if err != nil {
-				return nil, 0, evals, nil, err
+				return nil, 0, nil, err
 			}
 			if fNew < fx {
 				improved = true
@@ -181,7 +170,7 @@ func quasiNewton(ctx context.Context, p *Problem, start []float64, opts LocalOpt
 
 		gNew, err := grad(xNew, fNew)
 		if err != nil {
-			return nil, 0, evals, nil, err
+			return nil, 0, nil, err
 		}
 
 		// BFGS update on the inverse Hessian.
@@ -221,44 +210,39 @@ func quasiNewton(ctx context.Context, p *Problem, start []float64, opts LocalOpt
 			break
 		}
 	}
-	return x, fx, evals, trace, nil
+	return x, fx, trace, nil
 }
 
-// nelderMead is a bounded simplex search.
-func nelderMead(ctx context.Context, p *Problem, start []float64, opts LocalOptions) ([]float64, float64, int, []TracePoint, error) {
+// nelderMead is a bounded simplex search. The initial simplex and a shrink
+// step are scored as batches; every other step scores one point.
+func (s *search) nelderMead(start []float64, opts LocalOptions) ([]float64, float64, []TracePoint, error) {
 	dim := len(start)
-	evals := 0
-	eval := func(x []float64) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+	// The start, and so the initial and shrunk vertices, may lie outside the
+	// box; the objective is scored at their projection. mix clips its points.
+	evalAll := func(xs [][]float64) ([]float64, error) {
+		clipped := make([][]float64, len(xs))
+		for k, x := range xs {
+			clipped[k] = s.project(append([]float64(nil), x...))
 		}
-		evals++
-		xc := append([]float64(nil), x...)
-		for i, ps := range p.Params {
-			xc[i] = clip(xc[i], ps.Lo, ps.Hi)
-		}
-		return p.Cost(xc)
+		return s.scoreAll(clipped)
 	}
 
 	// Initial simplex: start plus a perturbed vertex per dimension.
 	simplex := make([][]float64, dim+1)
-	costs := make([]float64, dim+1)
 	simplex[0] = append([]float64(nil), start...)
-	var err error
-	if costs[0], err = eval(simplex[0]); err != nil {
-		return nil, 0, evals, nil, fmt.Errorf("estimate: simplex init: %w", err)
-	}
 	for i := 0; i < dim; i++ {
 		v := append([]float64(nil), start...)
-		step := 0.05 * (p.Params[i].Hi - p.Params[i].Lo)
-		v[i] = clip(v[i]+step, p.Params[i].Lo, p.Params[i].Hi)
+		ps := s.params[i]
+		step := 0.05 * (ps.Hi - ps.Lo)
+		v[i] = clip(v[i]+step, ps.Lo, ps.Hi)
 		if v[i] == start[i] { // was at the upper bound
-			v[i] = clip(start[i]-step, p.Params[i].Lo, p.Params[i].Hi)
+			v[i] = clip(start[i]-step, ps.Lo, ps.Hi)
 		}
 		simplex[i+1] = v
-		if costs[i+1], err = eval(v); err != nil {
-			return nil, 0, evals, nil, err
-		}
+	}
+	costs, err := evalAll(simplex)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("estimate: simplex init: %w", err)
 	}
 
 	order := func() {
@@ -306,23 +290,20 @@ func nelderMead(ctx context.Context, p *Problem, start []float64, opts LocalOpti
 			for i := range out {
 				out[i] = centroid[i] + coef*(centroid[i]-worst[i])
 			}
-			for i, ps := range p.Params {
-				out[i] = clip(out[i], ps.Lo, ps.Hi)
-			}
-			return out
+			return s.project(out)
 		}
 
 		xr := mix(reflect)
-		fr, err := eval(xr)
+		fr, err := s.score(xr)
 		if err != nil {
-			return nil, 0, evals, nil, err
+			return nil, 0, nil, err
 		}
 		switch {
 		case fr < costs[0]:
 			xe := mix(expand)
-			fe, err := eval(xe)
+			fe, err := s.score(xe)
 			if err != nil {
-				return nil, 0, evals, nil, err
+				return nil, 0, nil, err
 			}
 			if fe < fr {
 				simplex[len(simplex)-1], costs[len(costs)-1] = xe, fe
@@ -333,9 +314,9 @@ func nelderMead(ctx context.Context, p *Problem, start []float64, opts LocalOpti
 			simplex[len(simplex)-1], costs[len(costs)-1] = xr, fr
 		default:
 			xc := mix(-contract)
-			fc, err := eval(xc)
+			fc, err := s.score(xc)
 			if err != nil {
-				return nil, 0, evals, nil, err
+				return nil, 0, nil, err
 			}
 			if fc < costs[len(costs)-1] {
 				simplex[len(simplex)-1], costs[len(costs)-1] = xc, fc
@@ -345,18 +326,16 @@ func nelderMead(ctx context.Context, p *Problem, start []float64, opts LocalOpti
 					for j := range simplex[i] {
 						simplex[i][j] = simplex[0][j] + shrink*(simplex[i][j]-simplex[0][j])
 					}
-					if costs[i], err = eval(simplex[i]); err != nil {
-						return nil, 0, evals, nil, err
-					}
 				}
+				shrunk, err := evalAll(simplex[1:])
+				if err != nil {
+					return nil, 0, nil, err
+				}
+				copy(costs[1:], shrunk)
 			}
 		}
 		order()
 		record(iter)
 	}
-	best := append([]float64(nil), simplex[0]...)
-	for i, ps := range p.Params {
-		best[i] = clip(best[i], ps.Lo, ps.Hi)
-	}
-	return best, costs[0], evals, trace, nil
+	return s.project(append([]float64(nil), simplex[0]...)), costs[0], trace, nil
 }

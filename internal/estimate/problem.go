@@ -209,9 +209,9 @@ func clip(v, lo, hi float64) float64 {
 }
 
 // randomCandidate draws a uniform random point inside the bounds.
-func (p *Problem) randomCandidate(rng *rand.Rand) []float64 {
-	vals := make([]float64, len(p.Params))
-	for i, ps := range p.Params {
+func randomCandidate(params []ParamSpec, rng *rand.Rand) []float64 {
+	vals := make([]float64, len(params))
+	for i, ps := range params {
 		vals[i] = ps.Lo + rng.Float64()*(ps.Hi-ps.Lo)
 	}
 	return vals

@@ -45,6 +45,13 @@ func newSuiteDB(t testing.TB) *DB {
 		t.Fatalf("EnableDurability: %v", err)
 	}
 	t.Cleanup(func() {
+		// A test that closed the database itself leaves no store to check.
+		db.mu.RLock()
+		closed := db.closed
+		db.mu.RUnlock()
+		if closed {
+			return
+		}
 		if errs := db.CheckStored(); len(errs) != 0 {
 			t.Errorf("storage invariants violated:\n%s", errs)
 		}

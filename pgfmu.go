@@ -421,8 +421,8 @@ func (db *DB) Calibrate(instanceIDs, inputSQLs, pars []string) ([]CalibrationRes
 }
 
 // CalibrateContext is Calibrate honouring ctx: cancellation aborts the
-// search within one objective evaluation, the transaction rolls back, and
-// the instances keep their pre-call parameters.
+// search within one objective evaluation per worker, the transaction rolls
+// back, and the instances keep their pre-call parameters.
 func (db *DB) CalibrateContext(ctx context.Context, instanceIDs, inputSQLs, pars []string) ([]CalibrationResult, error) {
 	return db.session.ParestContext(ctx, instanceIDs, inputSQLs, pars)
 }
