@@ -33,13 +33,6 @@ func closeRaceDBs(t *testing.T) map[string]func() *DB {
 			}
 			return db
 		},
-		"paged": func() *DB {
-			db, err := Open(t.TempDir(), WithPagedStorage(512, 16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return db
-		},
 	}
 }
 

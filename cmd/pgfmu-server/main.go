@@ -14,7 +14,6 @@
 //	-idle-timeout duration  idle-session reap horizon (default 5m)
 //	-request-timeout duration  per-statement execution bound (default 30s)
 //	-max-sessions int       concurrent session cap (default 1000)
-//	-paged                  use the on-disk paged storage engine (with -data)
 //	-wal-sync-every int     group-commit: fsync every n commits (default 1)
 //	-shutdown-grace duration  drain budget on SIGINT/SIGTERM (default 30s)
 //	-version                print the version stamp and exit
@@ -44,7 +43,6 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "idle-session reap horizon")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-statement execution bound")
 		maxSessions  = flag.Int("max-sessions", 1000, "concurrent session cap")
-		paged        = flag.Bool("paged", false, "use the on-disk paged storage engine (requires -data)")
 		walSyncEvery = flag.Int("wal-sync-every", 1, "group commit: fsync the WAL every n commits")
 		grace        = flag.Duration("shutdown-grace", 30*time.Second, "drain budget for graceful shutdown")
 		version      = flag.Bool("version", false, "print version and exit")
@@ -60,13 +58,6 @@ func main() {
 	var opts []pgfmu.Option
 	if *walSyncEvery > 1 {
 		opts = append(opts, pgfmu.WithWALSyncEvery(*walSyncEvery))
-	}
-	if *paged {
-		if *data == "" {
-			log.Error("-paged requires -data")
-			os.Exit(2)
-		}
-		opts = append(opts, pgfmu.WithPagedStorage(0, 0))
 	}
 	db, err := pgfmu.Open(*data, opts...)
 	if err != nil {

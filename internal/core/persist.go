@@ -77,8 +77,7 @@ func RestoreSession(dump io.Reader, opts ...Option) (*Session, error) {
 // on top (truncating any torn tail a crash left behind), and the FMU
 // catalogue is rehydrated — so models, calibrated instances, and user
 // tables all survive a process kill. Durability knobs: WithWALSyncEvery
-// (group commit), WithAutoCheckpointEvery, and WithPagedStorage (on-disk
-// page/B+tree images instead of whole snapshots).
+// (group commit) and WithAutoCheckpointEvery.
 func OpenDurable(dir string, opts ...Option) (*Session, error) {
 	// Job workers stay parked until recovery finishes: the snapshot restore
 	// below replaces the whole catalogue, and running a queued job against a
@@ -90,9 +89,6 @@ func OpenDurable(dir string, opts ...Option) (*Session, error) {
 	if err := s.db.EnableDurability(dir, sqldb.DurabilityOptions{
 		SyncEvery:       s.walSyncEvery,
 		CheckpointEvery: s.autoCheckpointEvery,
-		Paged:           s.paged,
-		PageSize:        s.pageSize,
-		PoolPages:       s.poolPages,
 	}); err != nil {
 		return nil, fmt.Errorf("core: opening durable session: %w", err)
 	}

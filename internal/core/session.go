@@ -55,12 +55,6 @@ type Session struct {
 	// autoCheckpointEvery triggers a snapshot checkpoint after N WAL
 	// records on durable sessions (0 = manual only).
 	autoCheckpointEvery int
-	// paged selects the on-disk page/B+tree storage engine for durable
-	// sessions (instead of the default whole-image snapshot); pageSize and
-	// poolPages tune its page size and buffer-pool capacity (0 = defaults).
-	paged     bool
-	pageSize  int
-	poolPages int
 	// lockWait overrides the bounded row/table lock wait (0 = keep the
 	// engine default of one second).
 	lockWait time.Duration
@@ -107,20 +101,6 @@ func WithWALSyncEvery(n int) Option {
 // after every n WAL records (0 disables automatic checkpoints).
 func WithAutoCheckpointEvery(n int) Option {
 	return func(s *Session) { s.autoCheckpointEvery = n }
-}
-
-// WithPagedStorage makes durable sessions store tables in an on-disk
-// paged B+tree image (checkpoints flush only dirty pages; tables larger
-// than the buffer pool are read back page-at-a-time) instead of rewriting
-// a whole snapshot per checkpoint. pageSize is the page size in bytes
-// (0 = 4096), poolPages the buffer-pool capacity in pages (0 = 256).
-// Ignored by purely in-memory sessions.
-func WithPagedStorage(pageSize, poolPages int) Option {
-	return func(s *Session) {
-		s.paged = true
-		s.pageSize = pageSize
-		s.poolPages = poolPages
-	}
 }
 
 // WithLockWaitTimeout bounds how long a statement waits for a row or table

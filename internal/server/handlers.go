@@ -58,7 +58,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			WALGeneration: es.WALGeneration,
 			ActiveTxns:    es.ActiveTxns,
 			Durable:       es.Durable,
-			Paged:         es.Paged,
 		},
 		Jobs: wire.JobStats{
 			Workers:   js.Workers,

@@ -147,7 +147,6 @@ type EngineStats struct {
 	WALGeneration int    `json:"wal_generation"`
 	ActiveTxns    int    `json:"active_txns"`
 	Durable       bool   `json:"durable"`
-	Paged         bool   `json:"paged"`
 }
 
 // TablesResponse answers GET /v1/tables.

@@ -10,8 +10,8 @@ import (
 )
 
 // Column mirror tests. The unit tests drive mirrorColumns directly; the
-// rest run on newSuiteDB, so SQLDB_TEST_PAGED=1 repeats them on the paged
-// store, and compare the vectorized path (which reads the mirror) against
+// rest run on newSuiteDB, so SQLDB_TEST_DURABLE=1 repeats them on a durable
+// database, and compare the vectorized path (which reads the mirror) against
 // DisableVectorized (which never does).
 
 // mirrorTable is a bare one-column table for driving mirrorColumns directly.

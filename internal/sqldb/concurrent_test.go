@@ -244,3 +244,18 @@ func TestConcurrentLookupAfterUpdate(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestSetLockWaitTimeout(t *testing.T) {
+	db := New()
+	if got := db.lockWaitTimeout(); got != defaultLockWaitTimeout {
+		t.Fatalf("default lock wait = %v", got)
+	}
+	db.SetLockWaitTimeout(5 * defaultLockWaitTimeout)
+	if got := db.lockWaitTimeout(); got != 5*defaultLockWaitTimeout {
+		t.Fatalf("configured lock wait = %v", got)
+	}
+	db.SetLockWaitTimeout(0)
+	if got := db.lockWaitTimeout(); got != defaultLockWaitTimeout {
+		t.Fatalf("reset lock wait = %v", got)
+	}
+}

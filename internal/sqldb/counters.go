@@ -23,8 +23,6 @@ type EngineStats struct {
 	ActiveTxns int
 	// Durable reports whether a write-ahead log is attached.
 	Durable bool
-	// Paged reports whether the on-disk paged storage engine is attached.
-	Paged bool
 }
 
 // EngineStats returns the engine's operational counters. Safe for
@@ -43,7 +41,6 @@ func (db *DB) EngineStats() EngineStats {
 		s.Durable = true
 		s.WALGeneration = db.wal.gen
 	}
-	s.Paged = db.store != nil
 	db.mu.RUnlock()
 	return s
 }

@@ -80,16 +80,6 @@ type DB struct {
 	// oldest-active-snapshot watermark.
 	snaps *snapTracker
 
-	// store is the on-disk storage engine (pager + B+trees + buffer pool);
-	// nil for in-memory and snapshot-file databases. Attached by
-	// EnableDurability when DurabilityOptions.Paged is set.
-	store *pagedStore
-	// rowidSeq allocates the stable per-row identities the paged store keys
-	// its heaps by. Only advanced when a store is (or is being) attached.
-	rowidSeq atomic.Uint64
-	// replayOps buffers the current WAL transaction's row changes during
-	// paged recovery, applied to the store at each replayed commit.
-	replayOps []pagedOp
 	// commitCount / checkpointCount / walRecordCount are monitoring
 	// counters surfaced by EngineStats (see counters.go); they never affect
 	// execution.
@@ -689,14 +679,6 @@ func (db *DB) commitTxn(t *txnState) (ckptDue bool, err error) {
 		return false, err
 	}
 	ts := db.clock.Load() + 1
-	if db.store != nil && len(t.pagedOps)+boolToInt(t.ddl) > 0 {
-		// Apply to the on-disk trees between WAL durability and visibility:
-		// the WAL already has the transaction, so a failure here poisons the
-		// store (rebuilt at the next checkpoint) without failing the commit.
-		db.store.muLock()
-		db.store.commitApply(db, t.ddl, t.pagedOps, ts)
-		db.store.muUnlock()
-	}
 	for _, m := range t.created {
 		m.begin.Store(ts)
 	}
@@ -707,13 +689,6 @@ func (db *DB) commitTxn(t *txnState) (ckptDue bool, err error) {
 	db.snaps.drop(t)
 	db.commitCount.Add(1)
 	return db.walCheckpointDue(), nil
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // commitLocked commits the ambient transaction t if it is still open: WAL
@@ -1315,21 +1290,12 @@ func (db *DB) execDrop(cx *evalCtx, s *DropTableStmt) (*ResultSet, error) {
 // probe can never surface a position beyond its own view header.
 func (db *DB) insertVersion(cx *evalCtx, t *Table, row Row) error {
 	m := &rowMeta{}
-	if db.store != nil {
-		m.rowid = db.rowidSeq.Add(1)
-	}
 	if tx := cx.txn; tx != nil {
 		m.begin.Store(tx.stamp())
 		tx.created = append(tx.created, m)
-		if db.store != nil {
-			tx.pagedOps = append(tx.pagedOps, pagedOp{table: t.Name, rowid: m.rowid, row: row})
-		}
 	} else {
 		// Recovery replay rebuilds committed state directly.
 		m.begin.Store(1)
-		if db.store != nil {
-			db.replayOps = append(db.replayOps, pagedOp{table: t.Name, rowid: m.rowid, row: row})
-		}
 	}
 	pos := t.appendVersion(row, m)
 	return t.insertIntoIndexes(pos, row)
@@ -1345,9 +1311,6 @@ func (db *DB) endVersion(cx *evalCtx, t *Table, m *rowMeta) error {
 	tx := cx.txn
 	if tx == nil {
 		m.end.Store(1)
-		if db.store != nil {
-			db.replayOps = append(db.replayOps, pagedOp{table: t.Name, del: true, rowid: m.rowid})
-		}
 		return nil
 	}
 	self := tx.stamp()
@@ -1356,9 +1319,6 @@ func (db *DB) endVersion(cx *evalCtx, t *Table, m *rowMeta) error {
 	}
 	m.end.Store(self)
 	tx.ended = append(tx.ended, m)
-	if db.store != nil {
-		tx.pagedOps = append(tx.pagedOps, pagedOp{table: t.Name, del: true, rowid: m.rowid})
-	}
 	return nil
 }
 

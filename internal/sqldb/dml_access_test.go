@@ -4,27 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// openSuiteDurable opens a durable database on dir in the storage mode the
-// behavioural suites run in (see newSuiteDB): snapshot + WAL by default, the
-// paged engine with tiny pages under SQLDB_TEST_PAGED=1. The planner options
-// are installed before recovery, so logical statement replay runs under them.
+// openSuiteDurable opens a durable database on dir. The planner options are
+// installed before recovery, so logical statement replay runs under them.
 func openSuiteDurable(t *testing.T, dir string, po PlannerOptions) *DB {
 	t.Helper()
 	db := New()
 	db.SetPlannerOptions(po)
 	// The tests compare states, not kill points: one fsync at Close is enough.
-	opts := DurabilityOptions{SyncEvery: 1 << 20}
-	if os.Getenv("SQLDB_TEST_PAGED") != "" {
-		opts.Paged, opts.PageSize, opts.PoolPages = true, 512, 8
-	}
-	if err := db.EnableDurability(dir, opts); err != nil {
+	if err := db.EnableDurability(dir, DurabilityOptions{SyncEvery: 1 << 20}); err != nil {
 		t.Fatalf("EnableDurability: %v", err)
 	}
 	return db

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -230,72 +229,6 @@ func (ix *index) lookupRange(lo, hi *variant.Value, loInc, hiInc bool) ([]int, e
 		out = append(out, ix.entries[i].rows...)
 	}
 	return out, nil
-}
-
-// --- On-disk index key encoding (paged storage engine) ---
-
-// encodeIndexKey renders (value, rowid) as a byte string whose memcmp order
-// matches (variant order within the column's type, rowid) — the key format
-// of persisted btree-index trees (pagedstore.go). Indexed columns have a
-// homogeneous declared type (variant columns are not indexable), so the
-// encoding only needs to order values of one kind:
-//
-//	null   0x00
-//	bool   0x01 0x00|0x01
-//	int    0x01 + (v + 2^63) big-endian
-//	float  0x01 + sign-flipped IEEE bits big-endian
-//	text   0x01 + bytes with 0x00 escaped as 0x00 0xFF + 0x00 0x00
-//	time   0x01 + (unix nanos + 2^63) big-endian
-//
-// The 8-byte big-endian rowid suffix makes every key unique. ok=false means
-// the value kind is not encodable (variant mixing slipped through): the
-// caller skips persistence and the in-memory index stays authoritative.
-func encodeIndexKey(v variant.Value, rowid uint64) ([]byte, bool) {
-	var buf []byte
-	switch v.Kind() {
-	case variant.Null:
-		buf = append(buf, 0x00)
-	case variant.Bool:
-		b := byte(0)
-		if v.Bool() {
-			b = 1
-		}
-		buf = append(buf, 0x01, b)
-	case variant.Int:
-		buf = append(buf, 0x01)
-		buf = appendUint64BE(buf, uint64(v.Int())+1<<63)
-	case variant.Float:
-		bits := math.Float64bits(v.Float())
-		if bits&1<<63 != 0 {
-			bits = ^bits // negative: flip everything
-		} else {
-			bits |= 1 << 63 // non-negative: set the sign bit
-		}
-		buf = append(buf, 0x01)
-		buf = appendUint64BE(buf, bits)
-	case variant.Text:
-		buf = append(buf, 0x01)
-		for i := 0; i < len(v.Text()); i++ {
-			c := v.Text()[i]
-			if c == 0x00 {
-				buf = append(buf, 0x00, 0xFF)
-			} else {
-				buf = append(buf, c)
-			}
-		}
-		buf = append(buf, 0x00, 0x00)
-	case variant.Time:
-		buf = append(buf, 0x01)
-		buf = appendUint64BE(buf, uint64(v.Time().UnixNano())+1<<63)
-	default:
-		return nil, false
-	}
-	return appendUint64BE(buf, rowid), true
-}
-
-func appendUint64BE(buf []byte, v uint64) []byte {
-	return append(buf, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // --- Predicate pushdown planner ---

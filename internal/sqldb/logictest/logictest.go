@@ -3,11 +3,11 @@
 // the runner executes every file through several passes — against a fresh
 // in-memory database; against a durable database that is closed and
 // reopened through WAL recovery after the script completes, with every
-// query replayed against the recovered state; and against a paged on-disk
-// database with a deliberately tiny page size and buffer pool, checkpointed
-// into its page image and then reopened, with the queries replayed against
-// the recovered image. A divergence in any pass fails with the offending
-// file, line, and diff.
+// query replayed against the recovered state; and against a durable
+// database that is checkpointed at the end of the script, closed, and
+// reopened from its snapshot (Dump's format) over an empty WAL, with the
+// queries replayed against the restored image. A divergence in any pass
+// fails with the offending file, line, and diff.
 //
 // # File format
 //
@@ -34,11 +34,12 @@
 //
 // # Recovery replay convention
 //
-// The recovery pass re-runs every query after the whole script has executed
-// and the database has been reopened from its WAL. Corpus files must
-// therefore issue queries only against state that is final at end-of-script
-// (the idiomatic layout: DDL and DML first, then queries). A file that
-// mutates a table after querying it will fail the recovery pass by design.
+// The recovery passes re-run every query after the whole script has
+// executed and the database has been reopened from its WAL or snapshot.
+// Corpus files must therefore issue queries only against state that is
+// final at end-of-script (the idiomatic layout: DDL and DML first, then
+// queries). A file that mutates a table after querying it will fail the
+// recovery passes by design.
 package logictest
 
 import (
@@ -151,7 +152,7 @@ type Runner struct {
 	Fatalf func(format string, args ...any)
 }
 
-// RunFile executes one script through both passes.
+// RunFile executes one script through every pass.
 func (r *Runner) RunFile(path string, tmpDir string) {
 	recs, err := ParseFile(path)
 	if err != nil {
@@ -167,59 +168,76 @@ func (r *Runner) RunFile(path string, tmpDir string) {
 	// Pass 2: durable database — run the script, then close, reopen
 	// through WAL recovery, and replay every query against the recovered
 	// state.
-	dir := filepath.Join(tmpDir, strings.TrimSuffix(name, ".slt"))
-	dur := sqldb.New()
-	if err := dur.EnableDurability(dir, sqldb.DurabilityOptions{}); err != nil {
-		r.Fatalf("%s: enabling durability: %v", name, err)
+	base := filepath.Join(tmpDir, strings.TrimSuffix(name, ".slt"))
+	r.durablePass(name, base, recs, false)
+
+	// Pass 3: the same, but the script's final state is checkpointed first,
+	// so the reopen restores snapshot.sql (Dump's format) over an empty WAL.
+	r.durablePass(name, base+"-checkpointed", recs, true)
+}
+
+// durablePass runs recs against a durable database in dir, optionally
+// checkpoints it, closes it, reopens the directory, and replays every
+// query against the recovered state. The recovered database must also
+// Dump exactly what the original dumped before closing and list the same
+// indexes, so state no query result shows is checked too.
+func (r *Runner) durablePass(name, dir string, recs []Record, checkpoint bool) {
+	label, recLabel := name+" (durable)", name+" (recovered)"
+	if checkpoint {
+		label, recLabel = name+" (checkpointed)", name+" (checkpoint recovered)"
+	}
+	db := sqldb.New()
+	if err := db.EnableDurability(dir, sqldb.DurabilityOptions{}); err != nil {
+		r.Fatalf("%s: enabling durability: %v", label, err)
 		return
 	}
-	r.runRecords(name+" (durable)", dur, recs, false)
-	if err := dur.Close(); err != nil {
-		r.Fatalf("%s: closing durable db: %v", name, err)
+	r.runRecords(label, db, recs, false)
+	if checkpoint {
+		if err := db.Checkpoint(); err != nil {
+			r.Fatalf("%s: checkpoint: %v", label, err)
+			return
+		}
+	}
+	var before, after strings.Builder
+	if err := db.Dump(&before); err != nil {
+		r.Fatalf("%s: dump: %v", label, err)
 		return
+	}
+	indexes := fmt.Sprint(db.Indexes())
+	if err := db.Close(); err != nil {
+		r.Fatalf("%s: closing durable db: %v", label, err)
+		return
+	}
+	if checkpoint {
+		wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if len(wals) != 1 {
+			r.Fatalf("%s: want one wal after the checkpoint, found %v", label, wals)
+			return
+		}
+		if fi, err := os.Stat(wals[0]); err != nil || fi.Size() != 0 {
+			r.Fatalf("%s: wal after the checkpoint is not empty (%v, %v)", label, fi, err)
+			return
+		}
 	}
 	rec := sqldb.New()
 	if err := rec.EnableDurability(dir, sqldb.DurabilityOptions{}); err != nil {
-		r.Fatalf("%s: reopening through recovery: %v", name, err)
+		r.Fatalf("%s: reopening through recovery: %v", recLabel, err)
 		return
 	}
-	func() {
-		defer rec.Close()
-		r.runRecords(name+" (recovered)", rec, recs, true)
-	}()
-
-	// Pass 3: paged on-disk store. A 512-byte page and an 8-page buffer pool
-	// force eviction, overflow chains, and disk read-back even on small
-	// scripts. The script's final state is checkpointed into the page image,
-	// the database reopened, and every query replayed against the recovered
-	// image (plus whatever WAL tail followed the checkpoint).
-	pdir := filepath.Join(tmpDir, strings.TrimSuffix(name, ".slt")+"-paged")
-	popts := sqldb.DurabilityOptions{Paged: true, PageSize: 512, PoolPages: 8}
-	pg := sqldb.New()
-	if err := pg.EnableDurability(pdir, popts); err != nil {
-		r.Fatalf("%s: enabling paged durability: %v", name, err)
+	defer rec.Close()
+	if err := rec.Dump(&after); err != nil {
+		r.Fatalf("%s: dump: %v", recLabel, err)
 		return
 	}
-	r.runRecords(name+" (paged)", pg, recs, false)
-	if err := pg.Checkpoint(); err != nil {
-		r.Fatalf("%s: checkpointing paged db: %v", name, err)
+	if diff := diffRows(strings.Split(before.String(), "\n"), strings.Split(after.String(), "\n")); diff != "" {
+		r.Fatalf("%s: dump differs from the one taken before closing\n%s", recLabel, diff)
 		return
 	}
-	if errs := pg.CheckStored(); len(errs) > 0 {
-		r.Fatalf("%s: paged store invariants violated: %v", name, errs)
+	if got := fmt.Sprint(rec.Indexes()); got != indexes {
+		r.Fatalf("%s: indexes %s, want %s", recLabel, got, indexes)
 		return
 	}
-	if err := pg.Close(); err != nil {
-		r.Fatalf("%s: closing paged db: %v", name, err)
-		return
-	}
-	prec := sqldb.New()
-	if err := prec.EnableDurability(pdir, popts); err != nil {
-		r.Fatalf("%s: reopening paged image: %v", name, err)
-		return
-	}
-	defer prec.Close()
-	r.runRecords(name+" (paged recovered)", prec, recs, true)
+	r.runRecords(recLabel, rec, recs, true)
 }
 
 // runRecords executes a script's records; queriesOnly replays only the query

@@ -11,8 +11,9 @@ func writeFile(path, body string) error {
 }
 
 // TestLogicCorpus runs every .slt script in the corpus: once on a fresh
-// in-memory database, once durably, and once more replaying all queries
-// after a close/reopen through WAL recovery (see package doc). CI runs this
+// in-memory database, once durably with all queries replayed after a
+// close/reopen through WAL recovery, and once checkpointed with all queries
+// replayed after a reopen from the snapshot (see package doc). CI runs this
 // with -count=2 so the recovery replay itself is exercised twice against
 // freshly written logs.
 func TestLogicCorpus(t *testing.T) {

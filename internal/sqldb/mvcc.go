@@ -52,12 +52,6 @@ const (
 type rowMeta struct {
 	begin atomic.Uint64
 	end   atomic.Uint64
-
-	// rowid is the version's stable on-disk identity in a paged database
-	// (heap B+tree key; see pagedstore.go). Assigned before the version is
-	// published and immutable afterwards, so no atomic access is needed.
-	// Zero in in-memory databases.
-	rowid uint64
 }
 
 // tableView is one published generation of a table's version arrays. The

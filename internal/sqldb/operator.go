@@ -1007,9 +1007,7 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 			// Under a join the pushed filter is a lenient prefilter:
 			// evaluation errors keep the row for the residual WHERE instead
 			// of failing the pool.
-			ps := newParallelScanStream(src.filter(tailCx, info), rows, info.columns, src.workers)
-			ps.align = pageAlignRows(cx.db, t.Name, len(rows))
-			return ps, info, nil
+			return newParallelScanStream(src.filter(tailCx, info), rows, info.columns, src.workers), info, nil
 		}
 		base = &sliceStream{cols: info.columns, rows: rows}
 	case item.Func != nil:

@@ -45,33 +45,10 @@ type parallelScanStream struct {
 	curIdx int
 	err    error
 	closed bool
-
-	// align rounds partition sizes up to a multiple of this many rows (the
-	// estimated rows-per-heap-page of a paged table; 1 = no alignment).
-	align int
 }
 
 func newParallelScanStream(pred *rowPred, rows []Row, cols []Column, workers int) *parallelScanStream {
-	return &parallelScanStream{pred: pred, rows: rows, cols: cols, workers: workers, align: 1}
-}
-
-// pageAlignRows estimates how many rows share one heap page of a paged
-// table — the partition-boundary rounding unit that keeps two workers from
-// splitting the rows of a single disk page between them. 1 (no alignment)
-// for in-memory tables.
-func pageAlignRows(db *DB, table string, nrows int) int {
-	if db == nil || nrows == 0 {
-		return 1
-	}
-	pages := db.storedTablePages(table)
-	if pages <= 0 {
-		return 1
-	}
-	rpp := (nrows + pages - 1) / pages
-	if rpp < 1 {
-		rpp = 1
-	}
-	return rpp
+	return &parallelScanStream{pred: pred, rows: rows, cols: cols, workers: workers}
 }
 
 func (ps *parallelScanStream) Columns() []Column { return ps.cols }
@@ -85,9 +62,6 @@ func (ps *parallelScanStream) start() {
 	chunk := (len(ps.rows) + ps.workers - 1) / ps.workers
 	if chunk < 1 {
 		chunk = 1
-	}
-	if ps.align > 1 {
-		chunk = (chunk + ps.align - 1) / ps.align * ps.align
 	}
 	for lo := 0; lo < len(ps.rows); lo += chunk {
 		hi := lo + chunk

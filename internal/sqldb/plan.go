@@ -59,13 +59,6 @@ const (
 	// multiplies two bounds.
 	defaultEqSelectivity    = 0.01
 	defaultBoundSelectivity = 1.0 / 3.0
-	// seqPageCost and randPageCost weight the disk I/O of a paged table
-	// (zero pages for in-memory tables, leaving the row-count model intact):
-	// a sequential scan reads every heap page in order, an index probe
-	// read-backs scattered pages — priced at the conventional 4× of
-	// readahead-friendly sequential I/O.
-	seqPageCost  = 1.0
-	randPageCost = 4.0
 )
 
 // SetPlannerOptions installs planner tuning and invalidates cached plans.
@@ -166,11 +159,9 @@ func chooseAccessPath(db *DB, t *Table, alias string, where Expr) accessPath {
 		return seq
 	}
 
-	pages := float64(db.storedTablePages(t.Name))
 	best := seq
-	// A sequential scan visits every row, plus — when the table is paged —
-	// every heap page in sequential order.
-	bestCost := float64(n) + seqPageCost*pages
+	// A sequential scan visits every row.
+	bestCost := float64(n)
 	for _, conj := range splitConjuncts(where, nil) {
 		p := matchProbe(conj, alias)
 		if p == nil {
@@ -180,7 +171,7 @@ func chooseAccessPath(db *DB, t *Table, alias string, where Expr) accessPath {
 		if ix == nil {
 			continue
 		}
-		var est, cost float64
+		var est float64
 		probeCost := math.Log2(float64(n) + 2) // btree descent
 		if ix.kind == IndexHash {
 			probeCost = 1
@@ -204,9 +195,7 @@ func chooseAccessPath(db *DB, t *Table, alias string, where Expr) accessPath {
 		if est < 1 && n > 0 {
 			est = 1
 		}
-		// An index path touches at most one heap page per produced row
-		// (clamped to the table's page count), but in random order.
-		cost = probeCost + est + randPageCost*math.Min(est, pages)
+		cost := probeCost + est
 		if cost < bestCost {
 			kind := accessIndexRange
 			if p.eq != nil {

@@ -38,10 +38,6 @@ type txnState struct {
 	ended      []*rowMeta
 	pending    []walRecord
 	latches    []*Table
-	// pagedOps buffers the transaction's row changes for the on-disk store
-	// (nil unless the database is paged); commit applies them to the heap
-	// and index B+trees after the WAL write (see pagedStore.commitApply).
-	pagedOps []pagedOp
 	// ddl records that a DDL undo closure was journalled; rollback then
 	// rebuilds the indexes of touched tables (pure DML rollback needs no
 	// rebuild — aborted versions are filtered by visibility).
@@ -81,16 +77,15 @@ func (t *txnState) logWAL(db *DB, rec walRecord) {
 // txnMarks is a point in a transaction's journals, for statement-level
 // atomicity: a failed statement unwinds to the marks taken before it ran.
 type txnMarks struct {
-	undo, pending, created, ended, pagedOps int
+	undo, pending, created, ended int
 }
 
 func (t *txnState) marks() txnMarks {
 	return txnMarks{
-		undo:     len(t.undo),
-		pending:  len(t.pending),
-		created:  len(t.created),
-		ended:    len(t.ended),
-		pagedOps: len(t.pagedOps),
+		undo:    len(t.undo),
+		pending: len(t.pending),
+		created: len(t.created),
+		ended:   len(t.ended),
 	}
 }
 
@@ -98,8 +93,7 @@ func (t *txnState) marks() txnMarks {
 // i.e. whether a failed statement left state to unwind.
 func (t *txnState) dirtySince(m txnMarks) bool {
 	return len(t.undo) > m.undo || len(t.pending) > m.pending ||
-		len(t.created) > m.created || len(t.ended) > m.ended ||
-		len(t.pagedOps) > m.pagedOps
+		len(t.created) > m.created || len(t.ended) > m.ended
 }
 
 // unwind rolls the transaction back to a prior point: versions created past
@@ -123,7 +117,6 @@ func (t *txnState) unwind(db *DB, m txnMarks) error {
 	}
 	t.undo = t.undo[:m.undo]
 	t.pending = t.pending[:m.pending]
-	t.pagedOps = t.pagedOps[:m.pagedOps]
 	var firstErr error
 	for tb := range t.touched {
 		if t.ddl {

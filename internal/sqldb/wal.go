@@ -48,6 +48,9 @@ const (
 	snapshotTmp    = "snapshot.sql.tmp"
 	snapshotHeader = "-- pgfmu snapshot generation="
 	walFilePattern = "wal-*.log"
+	// pagedImageFile is the page file of the retired paged storage format.
+	// A directory holding one is refused, never silently reinterpreted.
+	pagedImageFile = "pages.db"
 	// maxWALFrame bounds a frame's declared payload size; anything larger is
 	// treated as a torn/corrupt tail.
 	maxWALFrame = 1 << 30
@@ -62,19 +65,6 @@ type DurabilityOptions struct {
 	// CheckpointEvery triggers an automatic checkpoint after N logged
 	// records (0 = manual checkpoints only).
 	CheckpointEvery int
-	// Paged attaches the on-disk storage engine (pager + B+trees + buffer
-	// pool, see pagedstore.go): tables persist in <dir>/pages.db and
-	// checkpoints become incremental dirty-page flushes instead of full
-	// snapshot rewrites. A directory created in snapshot mode migrates on
-	// the first paged checkpoint.
-	Paged bool
-	// PageSize is the page size in bytes for a newly created page file
-	// (default 4096, minimum 256); an existing file keeps its own.
-	PageSize int
-	// PoolPages caps the buffer pool (default 256 pages, minimum 4). The
-	// cap is soft: dirty and pinned pages are never evicted, and a
-	// checkpoint shrinks the pool back under it.
-	PoolPages int
 }
 
 // walRecord is one logged unit. Op selects the shape:
@@ -203,11 +193,8 @@ func appendFrame(buf *bytes.Buffer, rec walRecord) error {
 	return nil
 }
 
-// readWALTxns reads a WAL file and returns its committed transactions in
-// order, plus the byte offset just past the last commit marker. Torn or
-// corrupt tails (short frame, CRC mismatch, bad JSON) and trailing
-// uncommitted records end the scan cleanly — they are exactly what
-// recovery truncates. A missing file is an empty log.
+// readWALTxns reads a WAL file and decodes it with decodeWALTxns. A missing
+// file is an empty log.
 func readWALTxns(path string) (txns [][]walRecord, keep int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -216,6 +203,15 @@ func readWALTxns(path string) (txns [][]walRecord, keep int64, err error) {
 		}
 		return nil, 0, err
 	}
+	txns, keep = decodeWALTxns(data)
+	return txns, keep, nil
+}
+
+// decodeWALTxns returns a log's committed transactions in order, plus the
+// byte offset just past the last commit marker. Torn or corrupt tails
+// (short frame, CRC mismatch, bad JSON) and trailing uncommitted records
+// end the scan cleanly — they are exactly what recovery truncates.
+func decodeWALTxns(data []byte) (txns [][]walRecord, keep int64) {
 	off := 0
 	var cur []walRecord
 	for {
@@ -244,7 +240,7 @@ func readWALTxns(path string) (txns [][]walRecord, keep int64, err error) {
 			cur = append(cur, rec)
 		}
 	}
-	return txns, keep, nil
+	return txns, keep
 }
 
 // wal is the open write-ahead log of a durable database. Appends (commit
@@ -360,6 +356,13 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	if db.txn != nil {
 		return fmt.Errorf("sql: cannot enable durability with a transaction in progress")
 	}
+	// Checked before anything in dir is created, locked or truncated.
+	if _, err := os.Stat(filepath.Join(dir, pagedImageFile)); err == nil {
+		return fmt.Errorf("sql: %s is a paged-format database file, which this build no longer reads; "+
+			"to migrate, open %s with an older build that reads it, Dump, and Restore the dump into a new directory",
+			filepath.Join(dir, pagedImageFile), dir)
+	}
+
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("sql: creating database directory: %w", err)
 	}
@@ -367,42 +370,15 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	if err != nil {
 		return err
 	}
-	var store *pagedStore
 	ok := false
 	defer func() {
 		if !ok {
 			lock.Close()
-			if store != nil {
-				store.close()
-				db.store = nil
-			}
 		}
 	}()
 
-	if o.Paged {
-		store, err = openPagedStore(dir, o.PageSize, o.PoolPages)
-		if err != nil {
-			return err
-		}
-	} else if _, err := os.Stat(filepath.Join(dir, pageFileName)); err == nil {
-		return fmt.Errorf("sql: %s holds a paged database (%s exists); set DurabilityOptions.Paged", dir, pageFileName)
-	}
-
 	gen := 0
-	if store != nil && store.hasImage {
-		// The page file is the authoritative image: load it and replay the
-		// WAL generation its meta names. Any snapshot.sql is pre-migration
-		// residue and is ignored.
-		db.tables = newCatalog()
-		store.muLock()
-		err := store.loadTables(db)
-		store.muUnlock()
-		if err != nil {
-			return err
-		}
-		gen = store.walGen
-		db.store = store // arm per-transaction replay buffering
-	} else if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
+	if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
 		gen = snapshotGeneration(string(data))
 		stmts, err := ParseScript(string(data))
 		if err != nil {
@@ -426,39 +402,15 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 		return fmt.Errorf("sql: reading wal: %w", err)
 	}
 	for _, txn := range txns {
-		epoch := db.tables.epoch.Load()
 		for _, rec := range txn {
 			if err := db.applyWALRecord(rec); err != nil {
 				return fmt.Errorf("sql: replaying wal: %w", err)
-			}
-		}
-		if db.store != nil {
-			ddl := db.tables.epoch.Load() != epoch
-			db.store.muLock()
-			err := db.store.replayCommit(db, ddl)
-			db.store.muUnlock()
-			if err != nil {
-				return fmt.Errorf("sql: replaying wal into page store: %w", err)
 			}
 		}
 	}
 	// Replay of updates and deletes leaves dead versions behind; compact
 	// them away before serving queries.
 	db.vacuumLocked()
-
-	if store != nil && db.store == nil {
-		// Fresh page file (possibly under a snapshot-mode directory being
-		// migrated): capture the recovered state wholesale. It becomes
-		// durable at the first checkpoint; until then recovery re-derives it
-		// from the (snapshot, WAL) pair exactly as before.
-		db.store = store
-		store.muLock()
-		err := store.importFromMemory(db)
-		store.muUnlock()
-		if err != nil {
-			return err
-		}
-	}
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -687,37 +639,6 @@ func (db *DB) checkpointLocked() error {
 		return err
 	}
 
-	if db.store != nil {
-		// Paged checkpoint: incremental dirty-page flush. The WAL residue
-		// was synced above (WAL-before-data), and the store's meta write is
-		// the atomic flip to the new generation — on error the previous
-		// (meta, WAL) pair is still the consistent image, so failures are
-		// retryable.
-		db.store.muLock()
-		err := db.store.checkpoint(db, newGen, db.rowidSeq.Load())
-		db.store.muUnlock()
-		if err != nil {
-			nf.Close()
-			os.Remove(walGenPath(w.dir, newGen))
-			return fmt.Errorf("sql: paged checkpoint: %w", err)
-		}
-		// Migration from snapshot mode completes at the first paged flip;
-		// the stale snapshot would otherwise shadow an older generation.
-		os.Remove(filepath.Join(w.dir, snapshotFile))
-		syncDir(w.dir)
-		old := w.f
-		w.f = nf
-		w.gen = newGen
-		w.off = 0
-		w.commitsSinceSync = 0
-		w.recordsSinceCheckpoint = 0
-		w.failed = false
-		old.Close()
-		os.Remove(walGenPath(w.dir, newGen-1))
-		db.checkpointCount.Add(1)
-		return nil
-	}
-
 	tmp := filepath.Join(w.dir, snapshotTmp)
 	tf, err := os.Create(tmp)
 	if err != nil {
@@ -783,15 +704,6 @@ func (db *DB) SimulateCrash() {
 	if db.wal == nil {
 		return
 	}
-	if db.store != nil {
-		// Roll unsynced page writes back to their pre-images (when tracking
-		// is on) and drop the descriptor — the page file is left exactly as
-		// a kill would leave it. The store stays attached but closed, so
-		// later applies no-op.
-		db.store.muLock()
-		db.store.simulateCrash()
-		db.store.muUnlock()
-	}
 	db.wal.f.Close()
 	db.wal.lock.Close()
 	db.wal = nil
@@ -818,18 +730,9 @@ func (db *DB) Close() error {
 	if db.wal == nil {
 		return nil
 	}
-	var storeErr error
-	if db.store != nil {
-		// The WAL sync below makes every commit durable; the page image
-		// needs no flush (recovery replays the WAL over the last
-		// checkpointed image), so closing discards dirty frames safely.
-		db.store.muLock()
-		storeErr = db.store.close()
-		db.store.muUnlock()
-	}
 	syncErr := db.wal.f.Sync()
 	closeErr := db.wal.f.Close()
 	lockErr := db.wal.lock.Close()
 	db.wal = nil
-	return errors.Join(storeErr, syncErr, closeErr, lockErr)
+	return errors.Join(syncErr, closeErr, lockErr)
 }

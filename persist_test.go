@@ -4,9 +4,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/sqldb"
 )
 
 func TestSaveAndOpenFileRoundTrip(t *testing.T) {
@@ -267,14 +269,13 @@ func TestRecoveryOpenPathCheckpoint(t *testing.T) {
 }
 
 // TestPagedSessionSurvivesKill runs the full pgFMU stack — catalogue,
-// calibration, user tables — on the paged on-disk storage engine with a
-// deliberately tiny page size and buffer pool, checkpoints into the page
-// image, kills the process, and proves a paged reopen recovers everything.
+// calibration, user tables — on a durable directory, checkpoints it into
+// its snapshot, commits a WAL tail, kills the process, and proves a reopen
+// recovers everything from the snapshot plus the tail.
 func TestPagedSessionSurvivesKill(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	open := func() *DB {
 		db, err := Open(dir,
-			WithPagedStorage(512, 8),
 			WithEstimatorOptions(EstimatorOptions{
 				GA: GAOptions{Population: 14, Generations: 8, Seed: 5},
 			}))
@@ -309,10 +310,10 @@ func TestPagedSessionSurvivesKill(t *testing.T) {
 	re := open()
 	defer re.Close()
 	if rs, err := re.Query(`SELECT count(*) FROM measurements`); err != nil || rs.Rows[0][0].Int() == 0 {
-		t.Fatalf("measurements after paged recovery = %v, %v", rs, err)
+		t.Fatalf("measurements after recovery = %v, %v", rs, err)
 	}
 	if rs, err := re.Query(`SELECT a FROM extra`); err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 7 {
-		t.Fatalf("WAL-tail table after paged recovery = %v, %v", rs, err)
+		t.Fatalf("WAL-tail table after recovery = %v, %v", rs, err)
 	}
 	initial, _, _, err := re.Get("hp", "Cp")
 	if err != nil {
@@ -322,8 +323,55 @@ func TestPagedSessionSurvivesKill(t *testing.T) {
 		t.Errorf("recovered Cp = %v, want %v", cp, fittedCp)
 	}
 	if rs, err := re.Query(`SELECT count(*) FROM fmu_simulate('hp', 'SELECT * FROM measurements')`); err != nil || rs.Rows[0][0].Int() == 0 {
-		t.Fatalf("simulate on paged recovery = %v, %v", rs, err)
+		t.Fatalf("simulate on recovery = %v, %v", rs, err)
 	}
+}
+
+// TestOpenRefusesPagedDirectory: a directory written in the retired paged
+// format (a pages.db beside its WALs) is refused by both the engine and
+// Open, with a message naming the file and the migration path, and nothing
+// in it is touched — no lock file, no WAL truncation, no stale-WAL cleanup.
+func TestOpenRefusesPagedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"pages.db":       "paged image \x00\x01\x02 header and pages",
+		"wal-000002.log": "\x0f\x00\x00\x00 a log with a torn tail",
+		"wal-000001.log": "a stale generation",
+	}
+	for name, content := range files {
+		if err := writeTestFile(filepath.Join(dir, name), content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(err error, who string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s opened a paged directory", who)
+		}
+		for _, want := range []string{"pages.db", "no longer reads", "Dump", "Restore"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s error %q does not mention %q", who, err, want)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != len(files) {
+			t.Fatalf("%s: directory holds %d files after the refusal, want %d", who, len(ents), len(files))
+		}
+		for name, content := range files {
+			if got := readTestFile(t, filepath.Join(dir, name)); got != content {
+				t.Fatalf("%s changed %s: %q, want %q", who, name, got, content)
+			}
+		}
+	}
+	check(sqldb.New().EnableDurability(dir, sqldb.DurabilityOptions{}), "EnableDurability")
+	db, err := Open(dir)
+	if err == nil {
+		db.Close()
+	}
+	check(err, "Open")
 }
 
 func writeTestFile(path, content string) error {

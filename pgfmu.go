@@ -166,16 +166,6 @@ func WithWALSyncEvery(n int) Option { return core.WithWALSyncEvery(n) }
 // checkpoints; the default bounds recovery time).
 func WithAutoCheckpointEvery(n int) Option { return core.WithAutoCheckpointEvery(n) }
 
-// WithPagedStorage stores a durable database's tables in an on-disk paged
-// B+tree image with a bounded buffer pool — checkpoints flush only dirty
-// pages, and tables larger than memory are scanned page-at-a-time — instead
-// of rewriting a whole snapshot per checkpoint. pageSize is in bytes
-// (0 = 4096); poolPages caps the buffer pool (0 = 256 pages). Ignored when
-// Open's path is empty (in-memory).
-func WithPagedStorage(pageSize, poolPages int) Option {
-	return core.WithPagedStorage(pageSize, poolPages)
-}
-
 // WithLockWaitTimeout bounds how long a statement waits for a row or table
 // lock held by a concurrent transaction before failing (0 keeps the default
 // of one second). The PGFMU_LOCK_WAIT_TIMEOUT environment variable (a Go
