@@ -6,9 +6,47 @@ import (
 	"testing"
 )
 
-// These tests target the grouped-expression evaluator (evalGrouped), which
-// handles scalar functions of aggregates, CASE in grouped context, casts,
-// and HAVING over composite expressions.
+// These tests target the compiled group projection (compileGroupProj): HAVING
+// and the SELECT list of a grouped query compiled over finished groups —
+// scalar functions of aggregates, arithmetic over group keys and aggregates,
+// CASE and casts in a grouped context, HAVING over composite expressions.
+// groupQuery runs each query on both aggregate executors that evaluate it,
+// the vectorized aggregate and the operator pipeline's hash aggregation, and
+// holds both to the reference executor's interpreter (evalGrouped).
+
+// groupQuery runs a grouped SELECT on the vectorized executor, on the
+// operator pipeline and on the reference executor, and fails unless the
+// three return the same rows in the same order.
+func groupQuery(t *testing.T, db *DB, sql string) *ResultSet {
+	t.Helper()
+	want := mustRefQuery(t, db, sql)
+	defer db.SetPlannerOptions(PlannerOptions{})
+	for _, opts := range []PlannerOptions{{}, {DisableVectorized: true}} {
+		db.SetPlannerOptions(opts)
+		if got := mustQuery(t, db, sql); !rowsEqual(got, want) {
+			t.Fatalf("%s (%+v):\ngot       %v\nreference %v", sql, opts, got.Rows, want.Rows)
+		}
+	}
+	return want
+}
+
+// groupQueryErr is groupQuery for a query that must fail: every executor
+// with the reference executor's error text, which it returns.
+func groupQueryErr(t *testing.T, db *DB, sql string) string {
+	t.Helper()
+	_, werr := refQuery(t, db, sql)
+	if werr == nil {
+		t.Fatalf("%s: the reference succeeds", sql)
+	}
+	defer db.SetPlannerOptions(PlannerOptions{})
+	for _, opts := range []PlannerOptions{{}, {DisableVectorized: true}} {
+		db.SetPlannerOptions(opts)
+		if _, err := db.Query(sql); err == nil || err.Error() != werr.Error() {
+			t.Fatalf("%s (%+v): err = %v, want %v", sql, opts, err, werr)
+		}
+	}
+	return werr.Error()
+}
 
 func seedSales(t *testing.T) *DB {
 	t.Helper()
@@ -21,7 +59,7 @@ func seedSales(t *testing.T) *DB {
 
 func TestScalarFunctionOfAggregate(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `SELECT region, round(avg(amount), 1) FROM sales GROUP BY region ORDER BY region`)
+	rs := groupQuery(t, db, `SELECT region, round(avg(amount), 1) FROM sales GROUP BY region ORDER BY region`)
 	if rs.Rows[0][1].Float() != 15 { // n: (10+20)/2
 		t.Errorf("round(avg) = %v", rs.Rows[0][1])
 	}
@@ -29,12 +67,12 @@ func TestScalarFunctionOfAggregate(t *testing.T) {
 
 func TestArithmeticOverAggregates(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `SELECT region, sum(amount) / count(*) FROM sales GROUP BY region ORDER BY region`)
+	rs := groupQuery(t, db, `SELECT region, sum(amount) / count(*) FROM sales GROUP BY region ORDER BY region`)
 	if got, _ := rs.Rows[0][1].AsFloat(); got != 15 {
 		t.Errorf("sum/count = %v", got)
 	}
 	// Unary over aggregate.
-	rs = mustQuery(t, db, `SELECT -sum(amount) FROM sales`)
+	rs = groupQuery(t, db, `SELECT -sum(amount) FROM sales`)
 	if got, _ := rs.Rows[0][0].AsFloat(); got != -142 {
 		t.Errorf("-sum = %v", got)
 	}
@@ -42,7 +80,7 @@ func TestArithmeticOverAggregates(t *testing.T) {
 
 func TestCastOfAggregate(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `SELECT sum(units)::text || ' units' FROM sales`)
+	rs := groupQuery(t, db, `SELECT sum(units)::text || ' units' FROM sales`)
 	if rs.Rows[0][0].Text() != "17 units" {
 		t.Errorf("cast aggregate = %v", rs.Rows[0][0])
 	}
@@ -50,7 +88,7 @@ func TestCastOfAggregate(t *testing.T) {
 
 func TestCaseOverAggregates(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `
+	rs := groupQuery(t, db, `
 		SELECT region,
 		       CASE WHEN sum(amount) > 50 THEN 'big' ELSE 'small' END
 		FROM sales GROUP BY region ORDER BY region`)
@@ -61,7 +99,7 @@ func TestCaseOverAggregates(t *testing.T) {
 		}
 	}
 	// Operand-style CASE in grouped context.
-	rs = mustQuery(t, db, `
+	rs = groupQuery(t, db, `
 		SELECT region, CASE count(*) WHEN 1 THEN 'one' ELSE 'many' END
 		FROM sales GROUP BY region ORDER BY region`)
 	if rs.Rows[2][1].Text() != "one" { // w has a single row
@@ -71,13 +109,13 @@ func TestCaseOverAggregates(t *testing.T) {
 
 func TestHavingCompositeLogic(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `
+	rs := groupQuery(t, db, `
 		SELECT region FROM sales GROUP BY region
 		HAVING sum(amount) > 10 AND count(*) > 1 ORDER BY region`)
 	if len(rs.Rows) != 2 || rs.Rows[0][0].Text() != "n" || rs.Rows[1][0].Text() != "s" {
 		t.Errorf("composite HAVING = %v", rs.Rows)
 	}
-	rs = mustQuery(t, db, `
+	rs = groupQuery(t, db, `
 		SELECT region FROM sales GROUP BY region
 		HAVING sum(amount) > 90 OR count(*) > 1 ORDER BY region`)
 	if len(rs.Rows) != 3 {
@@ -85,10 +123,56 @@ func TestHavingCompositeLogic(t *testing.T) {
 	}
 }
 
+// TestGroupedLogicShortCircuits: AND and OR over a group evaluate their right
+// operand only when the left one does not decide, exactly as they do per row
+// — in HAVING and in the SELECT list alike.
+func TestGroupedLogicShortCircuits(t *testing.T) {
+	db := seedSales(t)
+	if rs := groupQuery(t, db, `SELECT region FROM sales GROUP BY region HAVING count(*) > 100 AND 1/0 = 1`); len(rs.Rows) != 0 {
+		t.Errorf("AND short-circuit = %v", rs.Rows)
+	}
+	if rs := groupQuery(t, db, `SELECT region FROM sales GROUP BY region HAVING count(*) < 100 OR 1/0 = 1 ORDER BY region`); len(rs.Rows) != 3 {
+		t.Errorf("OR short-circuit = %v", rs.Rows)
+	}
+	rs := groupQuery(t, db, `
+		SELECT region, sum(units) > 100 AND sum(units) / 0 > 1, sum(units) > 0 OR sum(units) / 0 > 1
+		FROM sales GROUP BY region ORDER BY region`)
+	if got := rs.Rows[0][1].String() + " " + rs.Rows[0][2].String(); got != "false true" {
+		t.Errorf("grouped SELECT list short-circuit = %v", rs.Rows)
+	}
+	// A left operand that does not decide evaluates the right one.
+	if got := groupQueryErr(t, db, `SELECT region FROM sales GROUP BY region HAVING count(*) > 0 AND 1/0 = 1`); got != "sql: division by zero" {
+		t.Errorf("undecided AND: %s", got)
+	}
+}
+
+// TestGroupedResolutionErrors: the grouped context's errors are the
+// interpreter's — deferred to the group that reads them — on every executor.
+func TestGroupedResolutionErrors(t *testing.T) {
+	db := seedSales(t)
+	for sql, want := range map[string]string{
+		`SELECT region, nosuch FROM sales GROUP BY region`:                     `sql: unknown column "nosuch"`,
+		`SELECT region FROM sales GROUP BY region HAVING nofunc(region)`:       `sql: unknown function nofunc()`,
+		`SELECT region, max(nosuch) FROM sales GROUP BY region`:                `sql: unknown column "nosuch"`,
+		`SELECT region, sum(sum(units)) FROM sales GROUP BY region`:            `sql: aggregate sum() not allowed here`,
+		`SELECT region, row_number() FROM sales GROUP BY region`:               `sql: unknown function row_number()`,
+		`SELECT region, units IS NULL FROM sales GROUP BY region`:              `sql: unsupported expression *sqldb.IsNullExpr in aggregate context`,
+		`SELECT region, sum(*) FROM sales GROUP BY region HAVING count(*) > 1`: `sql: sum(*) is not valid`,
+	} {
+		if got := groupQueryErr(t, db, sql); got != want {
+			t.Errorf("%s: %s, want %s", sql, got, want)
+		}
+	}
+	// Nothing reads a column of an empty group's first row.
+	if rs := groupQuery(t, db, `SELECT count(*), nosuch FROM sales WHERE units > 100`); rs.Rows[0][1].String() != "NULL" {
+		t.Errorf("empty implicit group = %v", rs.Rows)
+	}
+}
+
 func TestGroupByExpression(t *testing.T) {
 	db := seedSales(t)
 	// Group by a computed key; the projection repeats the key expression.
-	rs := mustQuery(t, db, `
+	rs := groupQuery(t, db, `
 		SELECT units % 2, count(*) FROM sales GROUP BY units % 2 ORDER BY 1`)
 	if len(rs.Rows) != 2 {
 		t.Fatalf("groups = %d", len(rs.Rows))
@@ -101,7 +185,7 @@ func TestGroupByExpression(t *testing.T) {
 
 func TestAggregateOfExpression(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `SELECT sum(amount * units) FROM sales`)
+	rs := groupQuery(t, db, `SELECT sum(amount * units) FROM sales`)
 	want := 10.0*1 + 20*2 + 5*1 + 7*3 + 100*10
 	if got, _ := rs.Rows[0][0].AsFloat(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("sum(expr) = %v, want %v", got, want)
@@ -110,7 +194,7 @@ func TestAggregateOfExpression(t *testing.T) {
 
 func TestSumIntStaysInt(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `SELECT sum(units) FROM sales`)
+	rs := groupQuery(t, db, `SELECT sum(units) FROM sales`)
 	if rs.Rows[0][0].Kind().String() != "integer" {
 		t.Errorf("sum(int) kind = %v", rs.Rows[0][0].Kind())
 	}
@@ -137,7 +221,7 @@ func TestAggregateErrors(t *testing.T) {
 
 func TestMinMaxOverText(t *testing.T) {
 	db := seedSales(t)
-	rs := mustQuery(t, db, `SELECT min(region), max(region) FROM sales`)
+	rs := groupQuery(t, db, `SELECT min(region), max(region) FROM sales`)
 	if rs.Rows[0][0].Text() != "n" || rs.Rows[0][1].Text() != "w" {
 		t.Errorf("min/max text = %v", rs.Rows[0])
 	}
@@ -147,7 +231,7 @@ func TestGroupColumnFirstRowSemantics(t *testing.T) {
 	// A non-key, non-aggregate column resolves to the group's first row
 	// (documented engine extension).
 	db := seedSales(t)
-	rs := mustQuery(t, db, `SELECT region, amount FROM sales GROUP BY region ORDER BY region`)
+	rs := groupQuery(t, db, `SELECT region, amount FROM sales GROUP BY region ORDER BY region`)
 	if rs.Rows[0][1].Float() != 10 { // first n row
 		t.Errorf("first-row semantics = %v", rs.Rows[0])
 	}

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"context"
 	"fmt"
 	"regexp"
 	"strings"
@@ -9,129 +8,291 @@ import (
 	"repro/internal/variant"
 )
 
-// Expression compilation. The physical planner compiles WHERE predicates,
-// projections, join conditions, group keys and aggregate arguments once — at
-// plan time, or at open for sources whose shape only open learns — into
-// closures over (environment, row), replacing the per-row AST walk of
-// eval.go. Compilation resolves everything that does not depend on the row
-// up front: column references become fixed offsets into the (joined) row (no
-// scope allocation, no case-insensitive name search per row), builtin
-// functions are bound to their implementations (no registry lookup per
-// call), comparison operators are specialized, and constant LIKE patterns
-// pre-compile their regexps.
+// Expression compilation. Every expression the engine evaluates compiles
+// once — at plan time, at open for sources whose shape only open learns, and
+// once per execution for DML — into a closure over (evalCtx, row):
+// WHERE predicates, join conditions and keys, group keys, aggregate
+// arguments, window inputs, projections, ORDER BY keys, HAVING and grouped
+// SELECT lists, LIMIT/OFFSET, index probe bounds, FROM-clause function
+// arguments, and DML's VALUES, SET and WHERE. Compilation resolves what does
+// not depend on the row up front: column references become fixed offsets
+// into the (joined) row or an enclosing level's row, builtin functions are
+// bound to their implementations, comparison operators are specialized, and
+// constant LIKE patterns pre-compile their regexps.
 //
-// Compiled evaluation must be observationally identical to evalExpr — same
-// values, same NULL semantics, same errors — because the planner freely
-// falls back to the interpreted path (and the property suite asserts
-// equivalence). Only pure expressions compile: builtin scalar functions are
-// bound at plan time, and anything referencing a registered UDF, an
-// aggregate, or an unresolvable column reports "not compilable" so the
-// planner can fall back.
+// Compilation is total. What can only fail at run time — an unknown or
+// ambiguous column, an unknown function, an aggregate or window call where
+// none is allowed — compiles to a closure that raises the error when it is
+// first evaluated, so an input that evaluates nothing stays error-free, in
+// the evaluation order docs/sql-reference.md states. Registered UDFs are
+// looked up per call. The reference executor (reference_test.go) keeps an
+// AST interpreter of its own as the oracle the differential suites compare
+// this compiler against.
 
-// compEnv is the per-execution environment a compiled expression closes
-// over: bound parameters and the statement context. It carries no row state,
-// so one compiled plan serves concurrent executions.
-type compEnv struct {
-	params []variant.Value
-	ctx    context.Context
-}
-
-// compiledExpr evaluates one expression against an environment and a row of
-// the compiler's layout. Expressions compiled without a source (constant
-// folding for LIMIT / probe bounds) ignore row.
-type compiledExpr func(env *compEnv, row Row) (variant.Value, error)
+// compiledExpr evaluates one expression for a statement's execution (cx: its
+// parameters, context and database, the rows enclosing a lateral run, the
+// group of a grouped projection) against a row of the compiler's layout: the
+// joined row, or a grouped projection's group's first row (nil for an empty
+// group). Expressions compiled without a row context (compileConst) ignore
+// row. A compiled plan holds no execution state, so one serves concurrent
+// executions.
+type compiledExpr func(cx *evalCtx, row Row) (variant.Value, error)
 
 // compiler compiles expressions against a row layout: its sources' columns
 // concatenated in order — one scan leaf, the joined row above a join chain,
 // or a table followed by the synthetic window-value columns. Column
-// references become fixed offsets into that row. A compiler with no sources
-// compiles only row-independent (constant) expressions.
+// references become fixed offsets into that row, or into the row of an
+// enclosing level.
 type compiler struct {
 	sources []sourceInfo
+	// outer are the layouts of the levels enclosing the row, nearest first:
+	// a lateral item's left row, then whatever encloses that. A reference
+	// resolves level by level with the rules of the reference executor's
+	// scope lookup; evalCtx.outer carries the rows.
+	outer [][]sourceInfo
+	// noRow compiles for a context with no row at all (LIMIT/OFFSET, probe
+	// bounds, INSERT ... VALUES): every column reference is an error.
+	noRow bool
+	// group, when set, compiles over finished groups (see grouped).
+	group *groupLayout
+	// opaque records that a closure compiled here raises a deferred error,
+	// calls a UDF, or ignores a call modifier (a scalar f(*) or
+	// f(DISTINCT x)). The batch compiler declines such expressions.
+	opaque bool
 }
 
-// resolve maps a column reference to its offset with scope.lookup's rules,
-// or -1 unless exactly one column matches: an ambiguous or unknown reference
-// stays interpreted, so the interpreter raises its error.
-func (c *compiler) resolve(table, name string) int {
-	found, matches, base := -1, 0, 0
-	for _, src := range c.sources {
-		if table == "" || strings.EqualFold(table, src.alias) {
-			for i, col := range src.columns {
-				if strings.EqualFold(col.Name, name) {
-					found = base + i
-					matches++
-				}
-			}
-		}
-		base += src.width
-	}
-	if matches != 1 {
-		return -1
-	}
-	return found
+// groupLayout is what a grouped expression reads besides the first row: the
+// GROUP BY key expressions, whose values the group holds, and the aggregate
+// calls, whose results it folds.
+type groupLayout struct {
+	keys  []Expr
+	specs []*aggSpec
 }
 
-// compileOver compiles e against the row layout of sources; nil when e is
-// nil or does not compile (the caller interprets it).
-func compileOver(e Expr, sources []sourceInfo) compiledExpr {
+// compileOver compiles e against sources within the enclosing levels; nil
+// for a nil e.
+func compileOver(e Expr, sources []sourceInfo, levels [][]sourceInfo) compiledExpr {
 	if e == nil {
 		return nil
 	}
-	ce, _ := (&compiler{sources: sources}).compile(e)
-	return ce
+	return (&compiler{sources: sources, outer: levels}).compile(e)
 }
 
-// compileAll compiles every expression against sources; nil unless all of
-// them compile.
-func compileAll(es []Expr, sources []sourceInfo) []compiledExpr {
+// compileList compiles every expression of es against sources.
+func compileList(es []Expr, sources []sourceInfo, levels [][]sourceInfo) []compiledExpr {
+	c := &compiler{sources: sources, outer: levels}
 	out := make([]compiledExpr, len(es))
 	for i, e := range es {
-		if out[i] = compileOver(e, sources); out[i] == nil {
-			return nil
-		}
+		out[i] = c.compile(e)
 	}
 	return out
+}
+
+// compileConst compiles e for a context with no row; nil for a nil e.
+func compileConst(e Expr) compiledExpr {
+	if e == nil {
+		return nil
+	}
+	return (&compiler{noRow: true}).compile(e)
+}
+
+// evalList evaluates compiled expressions into a fresh row.
+func evalList(cx *evalCtx, row Row, es []compiledExpr) (Row, error) {
+	out := make(Row, len(es))
+	for i, e := range es {
+		v, err := e(cx, row)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// truth reads a predicate's value as WHERE, HAVING and ON do: NULL is false.
+func truth(v variant.Value, err error) (bool, error) {
+	if err != nil || v.IsNull() {
+		return false, err
+	}
+	return v.AsBool()
 }
 
 func paramUnboundErr(idx int) error {
 	return fmt.Errorf("sql: no value bound for parameter $%d", idx)
 }
 
-// compile lowers e to a closure; ok is false when e is not compilable
-// (unknown column, UDF or aggregate call, unsupported node) and the caller
-// must fall back to interpreted evaluation.
-func (c *compiler) compile(e Expr) (compiledExpr, bool) {
+// fail compiles to err, raised when the expression is first evaluated.
+func (c *compiler) fail(err error) compiledExpr {
+	c.opaque = true
+	return func(*evalCtx, Row) (variant.Value, error) { return variant.Value{}, err }
+}
+
+// resolveIn counts the columns of one level's sources that a (table, name)
+// reference matches, with the offset of the last one; aliased reports that
+// a qualifier names one of the level's sources.
+func resolveIn(sources []sourceInfo, table, name string) (off, matches int, aliased bool) {
+	base := 0
+	for _, src := range sources {
+		if table == "" || strings.EqualFold(table, src.alias) {
+			aliased = aliased || table != ""
+			for i, col := range src.columns {
+				if strings.EqualFold(col.Name, name) {
+					off = base + i
+					matches++
+				}
+			}
+		}
+		base += src.width
+	}
+	return off, matches, aliased
+}
+
+// resolve maps a column reference to its offset in the row when exactly one
+// column of the row's own sources matches, else -1.
+func (c *compiler) resolve(table, name string) int {
+	off, matches, _ := resolveIn(c.sources, table, name)
+	if matches != 1 {
+		return -1
+	}
+	return off
+}
+
+// column compiles a column reference: the first level with a match decides,
+// more than one match there is ambiguous, and a qualifier naming a source of
+// a level without the column stops the search.
+func (c *compiler) column(x *ColumnRef) compiledExpr {
+	if c.noRow {
+		return c.fail(fmt.Errorf("sql: column %q referenced outside a row context", x.Name))
+	}
+	for lvl := 0; lvl <= len(c.outer); lvl++ {
+		sources := c.sources
+		if lvl > 0 {
+			sources = c.outer[lvl-1]
+		}
+		off, matches, aliased := resolveIn(sources, x.Table, x.Name)
+		switch {
+		case matches > 1:
+			return c.fail(fmt.Errorf("sql: ambiguous column reference %q", x.Name))
+		case matches == 1 && lvl == 0:
+			return func(_ *evalCtx, row Row) (variant.Value, error) { return row[off], nil }
+		case matches == 1:
+			up := lvl - 1
+			return func(cx *evalCtx, _ Row) (variant.Value, error) { return cx.outer[up][off], nil }
+		case aliased:
+			return c.fail(fmt.Errorf("sql: column %q not found in %q", x.Name, x.Table))
+		}
+	}
+	if x.Table != "" {
+		return c.fail(fmt.Errorf("sql: unknown table or alias %q", x.Table))
+	}
+	return c.fail(fmt.Errorf("sql: unknown column %q", x.Name))
+}
+
+// call compiles a scalar function call: a builtin bound now, anything else
+// looked up among the registered UDFs per call, after its arguments, so an
+// unknown name fails only when called.
+func (c *compiler) call(x *FuncExpr) compiledExpr {
+	args := make([]compiledExpr, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = c.compile(a)
+	}
+	name := strings.ToLower(x.Name)
+	if fn, ok := builtinScalars[name]; ok {
+		c.opaque = c.opaque || x.Star || x.Distinct
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			vals, err := evalList(cx, row, args)
+			if err != nil {
+				return variant.Value{}, err
+			}
+			return fn(vals)
+		}
+	}
+	c.opaque = true
+	return func(cx *evalCtx, row Row) (variant.Value, error) {
+		vals, err := evalList(cx, row, args)
+		if err != nil {
+			return variant.Value{}, err
+		}
+		fn, ok := cx.db.funcs.scalar(name)
+		if !ok {
+			return variant.Value{}, fmt.Errorf("sql: unknown function %s()", x.Name)
+		}
+		return callScalarUDF(cx, name, fn, vals)
+	}
+}
+
+// grouped compiles the nodes a grouped context reads differently from a
+// row: a GROUP BY key expression reads the group's key value, an aggregate
+// call its result (or the error it met), a scalar call skips the row's
+// window checks, and any other column reads the group's first row (NULL for
+// an empty group). It returns nil for the nodes that compile as in a row —
+// operators, casts, CASE, literals and parameters — whose operands compile
+// grouped in turn.
+func (c *compiler) grouped(e Expr) compiledExpr {
+	for i, k := range c.group.keys {
+		if exprEqual(e, k) {
+			return func(cx *evalCtx, _ Row) (variant.Value, error) { return cx.group.keyVals[i], nil }
+		}
+	}
+	switch x := e.(type) {
+	case *FuncExpr:
+		if !isAggregateName(x.Name) {
+			return c.call(x)
+		}
+		for i, sp := range c.group.specs {
+			if !exprEqual(sp.fn, x) {
+				continue
+			}
+			if sp.err != nil {
+				return c.fail(sp.err)
+			}
+			return func(cx *evalCtx, _ Row) (variant.Value, error) { return cx.group.result(i) }
+		}
+		return c.fail(fmt.Errorf("sql: unknown aggregate %s()", x.Name))
+	case *ColumnRef:
+		col := c.column(x)
+		return func(cx *evalCtx, first Row) (variant.Value, error) {
+			if first == nil {
+				return variant.NewNull(), nil
+			}
+			return col(cx, first)
+		}
+	case *BinaryExpr, *UnaryExpr, *CastExpr, *CaseExpr, *Literal, *Param:
+		return nil
+	}
+	return c.fail(fmt.Errorf("sql: unsupported expression %T in aggregate context", e))
+}
+
+// compile lowers e to a closure.
+func (c *compiler) compile(e Expr) compiledExpr {
+	if c.group != nil {
+		if ce := c.grouped(e); ce != nil {
+			return ce
+		}
+	}
 	switch x := e.(type) {
 	case *Literal:
 		v := x.Value
-		return func(*compEnv, Row) (variant.Value, error) { return v, nil }, true
+		return func(*evalCtx, Row) (variant.Value, error) { return v, nil }
 
 	case *Param:
 		idx := x.Index
-		return func(env *compEnv, _ Row) (variant.Value, error) {
-			if idx > len(env.params) {
+		return func(cx *evalCtx, _ Row) (variant.Value, error) {
+			if idx > len(cx.params) {
 				return variant.Value{}, paramUnboundErr(idx)
 			}
-			return env.params[idx-1], nil
-		}, true
+			return cx.params[idx-1], nil
+		}
 
 	case *ColumnRef:
-		off := c.resolve(x.Table, x.Name)
-		if off < 0 {
-			return nil, false
-		}
-		return func(_ *compEnv, row Row) (variant.Value, error) { return row[off], nil }, true
+		return c.column(x)
 
 	case *UnaryExpr:
-		sub, ok := c.compile(x.X)
-		if !ok {
-			return nil, false
-		}
+		sub := c.compile(x.X)
 		switch x.Op {
 		case "-":
-			return func(env *compEnv, row Row) (variant.Value, error) {
-				v, err := sub(env, row)
+			return func(cx *evalCtx, row Row) (variant.Value, error) {
+				v, err := sub(cx, row)
 				if err != nil || v.IsNull() {
 					return v, err
 				}
@@ -147,10 +308,10 @@ func (c *compiler) compile(e Expr) (compiledExpr, bool) {
 					return variant.Value{}, err
 				}
 				return variant.NewFloat(-f), nil
-			}, true
+			}
 		case "not":
-			return func(env *compEnv, row Row) (variant.Value, error) {
-				v, err := sub(env, row)
+			return func(cx *evalCtx, row Row) (variant.Value, error) {
+				v, err := sub(cx, row)
 				if err != nil || v.IsNull() {
 					return v, err
 				}
@@ -159,78 +320,56 @@ func (c *compiler) compile(e Expr) (compiledExpr, bool) {
 					return variant.Value{}, err
 				}
 				return variant.NewBool(!b), nil
-			}, true
+			}
 		}
-		return nil, false
+		c.opaque = true
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			if _, err := sub(cx, row); err != nil {
+				return variant.Value{}, err
+			}
+			return variant.Value{}, fmt.Errorf("sql: unknown unary operator %q", x.Op)
+		}
 
 	case *BinaryExpr:
 		return c.compileBinary(x)
 
 	case *CastExpr:
-		sub, ok := c.compile(x.X)
-		if !ok {
-			return nil, false
-		}
+		sub := c.compile(x.X)
 		typ := x.Type
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			v, err := sub(env, row)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			v, err := sub(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
 			return castValue(v, typ)
-		}, true
+		}
 
 	case *FuncExpr:
-		name := strings.ToLower(x.Name)
-		if isAggregateName(name) || x.Star || x.Distinct || x.Over != nil {
-			return nil, false
+		switch {
+		case x.Over != nil:
+			return c.fail(fmt.Errorf("sql: window function %s() is not allowed here", x.Name))
+		case isWindowOnlyName(x.Name):
+			return c.fail(fmt.Errorf("sql: window function %s() requires an OVER clause", x.Name))
+		case isAggregateName(x.Name):
+			return c.fail(fmt.Errorf("sql: aggregate %s() not allowed here", x.Name))
 		}
-		fn, builtin := builtinScalars[name]
-		if !builtin {
-			return nil, false
-		}
-		args := make([]compiledExpr, len(x.Args))
-		for i, a := range x.Args {
-			ca, ok := c.compile(a)
-			if !ok {
-				return nil, false
-			}
-			args[i] = ca
-		}
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			vals := make([]variant.Value, len(args))
-			for i, a := range args {
-				v, err := a(env, row)
-				if err != nil {
-					return variant.Value{}, err
-				}
-				vals[i] = v
-			}
-			return fn(vals)
-		}, true
+		return c.call(x)
 
 	case *InExpr:
-		sub, ok := c.compile(x.X)
-		if !ok {
-			return nil, false
-		}
+		sub := c.compile(x.X)
 		list := make([]compiledExpr, len(x.List))
 		for i, item := range x.List {
-			ci, ok := c.compile(item)
-			if !ok {
-				return nil, false
-			}
-			list[i] = ci
+			list[i] = c.compile(item)
 		}
 		not := x.Not
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			v, err := sub(env, row)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			v, err := sub(cx, row)
 			if err != nil || v.IsNull() {
 				return variant.NewNull(), err
 			}
 			anyNull := false
 			for _, item := range list {
-				iv, err := item(env, row)
+				iv, err := item(cx, row)
 				if err != nil {
 					return variant.Value{}, err
 				}
@@ -246,93 +385,63 @@ func (c *compiler) compile(e Expr) (compiledExpr, bool) {
 				return variant.NewNull(), nil
 			}
 			return variant.NewBool(not), nil
-		}, true
+		}
 
 	case *IsNullExpr:
-		sub, ok := c.compile(x.X)
-		if !ok {
-			return nil, false
-		}
+		sub := c.compile(x.X)
 		not := x.Not
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			v, err := sub(env, row)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			v, err := sub(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
 			return variant.NewBool(v.IsNull() != not), nil
-		}, true
+		}
 
 	case *LikeExpr:
-		sub, ok := c.compile(x.X)
-		if !ok {
-			return nil, false
-		}
+		sub := c.compile(x.X)
 		not := x.Not
 		// A constant pattern pre-compiles its regexp once; dynamic patterns
-		// compile per evaluation, as the interpreter does.
+		// compile per evaluation.
 		if lit, isLit := x.Pattern.(*Literal); isLit && lit.Value.Kind() == variant.Text {
 			re, err := compileLikePattern(lit.Value.Text())
 			if err != nil {
-				// Surface the interpreter's error lazily, at first evaluation.
-				return func(*compEnv, Row) (variant.Value, error) {
-					return variant.Value{}, err
-				}, true
+				return c.fail(err)
 			}
-			return func(env *compEnv, row Row) (variant.Value, error) {
-				v, err := sub(env, row)
+			return func(cx *evalCtx, row Row) (variant.Value, error) {
+				v, err := sub(cx, row)
 				if err != nil || v.IsNull() {
 					return variant.NewNull(), err
 				}
 				return variant.NewBool(re.MatchString(v.AsText()) != not), nil
-			}, true
+			}
 		}
-		pat, ok := c.compile(x.Pattern)
-		if !ok {
-			return nil, false
+		pat := c.compile(x.Pattern)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			v, p, err := evalPair(cx, row, sub, pat)
+			if err != nil || v.IsNull() || p.IsNull() {
+				return variant.NewNull(), err
+			}
+			re, err := compileLikePattern(p.AsText())
+			if err != nil {
+				return variant.Value{}, err
+			}
+			return variant.NewBool(re.MatchString(v.AsText()) != not), nil
 		}
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			v, err := sub(env, row)
-			if err != nil {
-				return variant.Value{}, err
-			}
-			p, err := pat(env, row)
-			if err != nil {
-				return variant.Value{}, err
-			}
-			if v.IsNull() || p.IsNull() {
-				return variant.NewNull(), nil
-			}
-			matched, err := likeMatch(v.AsText(), p.AsText())
-			if err != nil {
-				return variant.Value{}, err
-			}
-			return variant.NewBool(matched != not), nil
-		}, true
 
 	case *BetweenExpr:
-		sub, ok := c.compile(x.X)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := c.compile(x.Lo)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := c.compile(x.Hi)
-		if !ok {
-			return nil, false
-		}
+		sub, lo, hi := c.compile(x.X), c.compile(x.Lo), c.compile(x.Hi)
 		not := x.Not
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			v, err := sub(env, row)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			v, err := sub(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
-			lv, err := lo(env, row)
+			lv, err := lo(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
-			hv, err := hi(env, row)
+			hv, err := hi(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
@@ -348,30 +457,22 @@ func (c *compiler) compile(e Expr) (compiledExpr, bool) {
 				return variant.Value{}, err
 			}
 			return variant.NewBool((cLo >= 0 && cHi <= 0) != not), nil
-		}, true
+		}
 
 	case *CaseExpr:
 		return c.compileCase(x)
 	}
-	return nil, false
+	return c.fail(fmt.Errorf("sql: unsupported expression %T", e))
 }
 
 // compileBinary lowers logic, comparison, arithmetic, and concatenation.
-func (c *compiler) compileBinary(x *BinaryExpr) (compiledExpr, bool) {
-	l, ok := c.compile(x.L)
-	if !ok {
-		return nil, false
-	}
-	r, ok := c.compile(x.R)
-	if !ok {
-		return nil, false
-	}
-
+func (c *compiler) compileBinary(x *BinaryExpr) compiledExpr {
+	l, r := c.compile(x.L), c.compile(x.R)
 	switch x.Op {
 	case "and", "or":
 		isAnd := x.Op == "and"
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			lv, err := l(env, row)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			lv, err := l(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
@@ -388,7 +489,7 @@ func (c *compiler) compileBinary(x *BinaryExpr) (compiledExpr, bool) {
 			if !isAnd && !lNull && lb {
 				return variant.NewBool(true), nil
 			}
-			rv, err := r(env, row)
+			rv, err := r(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
@@ -415,32 +516,32 @@ func (c *compiler) compileBinary(x *BinaryExpr) (compiledExpr, bool) {
 				return variant.NewNull(), nil
 			}
 			return variant.NewBool(false), nil
-		}, true
+		}
 
 	case "||":
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			lv, rv, err := evalPair(env, row, l, r)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			lv, rv, err := evalPair(cx, row, l, r)
 			if err != nil || lv.IsNull() || rv.IsNull() {
 				return variant.NewNull(), err
 			}
 			return variant.NewText(lv.AsText() + rv.AsText()), nil
-		}, true
+		}
 
 	case "+", "-", "*", "/", "%":
 		op := x.Op
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			lv, rv, err := evalPair(env, row, l, r)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			lv, rv, err := evalPair(cx, row, l, r)
 			if err != nil || lv.IsNull() || rv.IsNull() {
 				return variant.NewNull(), err
 			}
 			return evalArith(op, lv, rv)
-		}, true
+		}
 
 	case "=", "<>", "<", "<=", ">", ">=":
 		// Specialize the comparison-result test once, at compile time.
 		test := cmpTest(x.Op)
-		return func(env *compEnv, row Row) (variant.Value, error) {
-			lv, rv, err := evalPair(env, row, l, r)
+		return func(cx *evalCtx, row Row) (variant.Value, error) {
+			lv, rv, err := evalPair(cx, row, l, r)
 			if err != nil || lv.IsNull() || rv.IsNull() {
 				return variant.NewNull(), err
 			}
@@ -449,18 +550,25 @@ func (c *compiler) compileBinary(x *BinaryExpr) (compiledExpr, bool) {
 				return variant.Value{}, err
 			}
 			return variant.NewBool(test.pass(cmp)), nil
-		}, true
+		}
 	}
-	return nil, false
+	c.opaque = true
+	return func(cx *evalCtx, row Row) (variant.Value, error) {
+		lv, rv, err := evalPair(cx, row, l, r)
+		if err != nil || lv.IsNull() || rv.IsNull() {
+			return variant.NewNull(), err
+		}
+		return variant.Value{}, fmt.Errorf("sql: unknown operator %q", x.Op)
+	}
 }
 
 // evalPair evaluates two compiled operands.
-func evalPair(env *compEnv, row Row, l, r compiledExpr) (variant.Value, variant.Value, error) {
-	lv, err := l(env, row)
+func evalPair(cx *evalCtx, row Row, l, r compiledExpr) (variant.Value, variant.Value, error) {
+	lv, err := l(cx, row)
 	if err != nil {
 		return variant.Value{}, variant.Value{}, err
 	}
-	rv, err := r(env, row)
+	rv, err := r(cx, row)
 	if err != nil {
 		return variant.Value{}, variant.Value{}, err
 	}
@@ -468,54 +576,37 @@ func evalPair(env *compEnv, row Row, l, r compiledExpr) (variant.Value, variant.
 }
 
 // compileCase lowers both CASE forms.
-func (c *compiler) compileCase(x *CaseExpr) (compiledExpr, bool) {
-	var operand compiledExpr
+func (c *compiler) compileCase(x *CaseExpr) compiledExpr {
+	var operand, elseFn compiledExpr
 	if x.Operand != nil {
-		op, ok := c.compile(x.Operand)
-		if !ok {
-			return nil, false
-		}
-		operand = op
+		operand = c.compile(x.Operand)
 	}
 	whens := make([]compiledExpr, len(x.Whens))
 	thens := make([]compiledExpr, len(x.Whens))
 	for i, arm := range x.Whens {
-		w, ok := c.compile(arm.When)
-		if !ok {
-			return nil, false
-		}
-		t, ok := c.compile(arm.Then)
-		if !ok {
-			return nil, false
-		}
-		whens[i], thens[i] = w, t
+		whens[i], thens[i] = c.compile(arm.When), c.compile(arm.Then)
 	}
-	var elseFn compiledExpr
 	if x.Else != nil {
-		e, ok := c.compile(x.Else)
-		if !ok {
-			return nil, false
-		}
-		elseFn = e
+		elseFn = c.compile(x.Else)
 	}
-	return func(env *compEnv, row Row) (variant.Value, error) {
+	return func(cx *evalCtx, row Row) (variant.Value, error) {
 		if operand != nil {
-			op, err := operand(env, row)
+			op, err := operand(cx, row)
 			if err != nil {
 				return variant.Value{}, err
 			}
 			for i := range whens {
-				w, err := whens[i](env, row)
+				w, err := whens[i](cx, row)
 				if err != nil {
 					return variant.Value{}, err
 				}
 				if cmp, err := variant.Compare(op, w); err == nil && cmp == 0 && !op.IsNull() {
-					return thens[i](env, row)
+					return thens[i](cx, row)
 				}
 			}
 		} else {
 			for i := range whens {
-				w, err := whens[i](env, row)
+				w, err := whens[i](cx, row)
 				if err != nil {
 					return variant.Value{}, err
 				}
@@ -525,16 +616,16 @@ func (c *compiler) compileCase(x *CaseExpr) (compiledExpr, bool) {
 						return variant.Value{}, err
 					}
 					if b {
-						return thens[i](env, row)
+						return thens[i](cx, row)
 					}
 				}
 			}
 		}
 		if elseFn != nil {
-			return elseFn(env, row)
+			return elseFn(cx, row)
 		}
 		return variant.NewNull(), nil
-	}, true
+	}
 }
 
 // compileLikePattern translates a SQL LIKE pattern to a compiled regexp —

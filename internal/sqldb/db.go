@@ -1396,13 +1396,15 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 			if err := cx.checkCancel(ri); err != nil {
 				return nil, err
 			}
-			vals := make([]variant.Value, len(exprRow))
+			// VALUES see no row: each expression compiles for a context
+			// without one, once, as its row is reached.
+			exprs := make([]compiledExpr, len(exprRow))
 			for i, e := range exprRow {
-				v, err := evalExpr(cx, e)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
+				exprs[i] = compileConst(e)
+			}
+			vals, err := evalList(cx, nil, exprs)
+			if err != nil {
+				return nil, err
 			}
 			if err := appendRow(vals); err != nil {
 				return nil, err
@@ -1415,7 +1417,8 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 }
 
 // applyToTargets calls apply for every version of t that cx's snapshot sees
-// and where accepts, and returns how many there were. The candidates come
+// and where accepts, and returns how many there were; where compiles
+// against t's rows once per execution (compileDML). The candidates come
 // from the planner's access path (chooseAccessPath): an index probe when one
 // is cheaper, else every position of the view header. Either way they are
 // fixed, in ascending version order, before the first apply runs, so
@@ -1424,9 +1427,9 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 // row replay matching and first-updater-wins are those of the table walk: a
 // stale index entry — deleted, superseded, aborted — is dropped by the
 // visibility check or, when a newer commit ended it, fails in endVersion.
-func (db *DB) applyToTargets(cx *evalCtx, t *Table, where Expr, apply func(rcx *evalCtx, row Row, m *rowMeta) error) (int, error) {
-	src := sourceInfo{alias: strings.ToLower(t.Name), columns: t.Columns, width: len(t.Columns)}
-	ap := chooseAccessPath(db, t, src.alias, where)
+func (db *DB) applyToTargets(cx *evalCtx, t *Table, where Expr, apply func(row Row, m *rowMeta) error) (int, error) {
+	pred := compileDML(t, where)
+	ap := chooseAccessPath(db, t, strings.ToLower(t.Name), where)
 	var buf [16]int
 	v, positions, probed := ap.lookupPositions(cx, t, buf[:0])
 	n := len(v.rows)
@@ -1446,10 +1449,9 @@ func (db *DB) applyToTargets(cx *evalCtx, t *Table, where Expr, apply func(rcx *
 			continue
 		}
 		row := v.rows[pos]
-		rcx := cx.withScope(bindScope([]sourceInfo{src}, row, nil))
-		if where != nil {
+		if pred != nil {
 			// The probe yields a candidate superset: the full WHERE decides.
-			ok, err := truthy(rcx, where)
+			ok, err := truth(pred(cx, row))
 			if err != nil {
 				return 0, err
 			}
@@ -1457,13 +1459,20 @@ func (db *DB) applyToTargets(cx *evalCtx, t *Table, where Expr, apply func(rcx *
 				continue
 			}
 		}
-		if err := apply(rcx, row, v.meta[pos]); err != nil {
+		if err := apply(row, v.meta[pos]); err != nil {
 			return 0, err
 		}
 		count++
 	}
 	t.noteMutations(count)
 	return count, nil
+}
+
+// compileDML compiles an UPDATE or DELETE expression against the target
+// table's rows; nil for a nil e.
+func compileDML(t *Table, e Expr) compiledExpr {
+	src := sourceInfo{alias: strings.ToLower(t.Name), columns: t.Columns, width: len(t.Columns)}
+	return compileOver(e, []sourceInfo{src}, nil)
 }
 
 // affectedRows reports a DML count as one marker row per affected row.
@@ -1491,11 +1500,15 @@ func (db *DB) execUpdate(cx *evalCtx, s *UpdateStmt) (*ResultSet, error) {
 		}
 		setIdx[i] = idx
 	}
+	sets := make([]compiledExpr, len(s.Set))
+	for i, sc := range s.Set {
+		sets[i] = compileDML(t, sc.Value)
+	}
 	cx.touch(t)
-	count, err := db.applyToTargets(cx, t, s.Where, func(rcx *evalCtx, row Row, m *rowMeta) error {
+	count, err := db.applyToTargets(cx, t, s.Where, func(row Row, m *rowMeta) error {
 		newRow := append(Row(nil), row...)
 		for i, clause := range s.Set {
-			val, err := evalExpr(rcx, clause.Value)
+			val, err := sets[i](cx, row)
 			if err != nil {
 				return err
 			}
@@ -1532,7 +1545,7 @@ func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
 		return nil, err
 	}
 	cx.touch(t)
-	count, err := db.applyToTargets(cx, t, s.Where, func(_ *evalCtx, row Row, m *rowMeta) error {
+	count, err := db.applyToTargets(cx, t, s.Where, func(row Row, m *rowMeta) error {
 		// DELETE is an end stamp: versions stay in place (vacuum reclaims
 		// them) and indexes need no maintenance — probes filter visibility.
 		if err := db.endVersion(cx, t, m); err != nil {

@@ -523,3 +523,28 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 		}
 	}
 }
+
+// TestLateralEnclosingLevels: expressions inside a LATERAL subquery nested
+// in another read columns of both enclosing rows — the nearer level and the
+// one beyond it — in a lateral item's arguments, WHERE, ON, group keys,
+// HAVING and the SELECT list, and return the reference's rows in order.
+func TestLateralEnclosingLevels(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE p (k integer, w integer)`)
+	mustExec(t, db, `INSERT INTO p VALUES (1, 10), (2, 20), (3, 30)`)
+	for _, q := range []string{
+		`SELECT a.k, bc.k, bc.z FROM p a, LATERAL (SELECT b.k, c.z FROM p b,
+			LATERAL (SELECT a.w * 100 + b.k AS z WHERE b.k <= a.k) AS c) AS bc ORDER BY 1, 2`,
+		`SELECT a.k, s.n, s.t FROM p a, LATERAL (SELECT b.k AS n, sum(g + a.w) AS t, max(a.w - b.w) AS d
+			FROM p b, generate_series(1, a.k + b.k) AS g WHERE b.w > a.k GROUP BY b.k HAVING max(g) > a.k) AS s ORDER BY 1, 2`,
+		`SELECT a.k, s.v FROM p a LEFT JOIN LATERAL (SELECT x.k AS v FROM p x JOIN p y ON x.k = y.k AND y.w > a.w
+			WHERE y.w - a.w > 5) AS s ON true ORDER BY 1, 2`,
+		`SELECT a.k, s.v FROM p a, LATERAL (SELECT v FROM p b, LATERAL (SELECT a.k * b.k AS v) AS c
+			WHERE v > a.k ORDER BY a.k - v LIMIT 1) AS s ORDER BY 1`,
+	} {
+		want := mustRefQuery(t, db, q)
+		if got := mustQuery(t, db, q); !rowsEqual(got, want) {
+			t.Errorf("%s:\ngot       %v\nreference %v", q, got.Rows, want.Rows)
+		}
+	}
+}

@@ -32,4 +32,10 @@ var (
 	// cannot wait for without risking deadlock. The losing transaction's
 	// statement fails; retry it (or the whole transaction) to proceed.
 	ErrWriteConflict = errors.New("sql: write conflict with a concurrent transaction")
+
+	// ErrInternal is returned when a user-defined function panics: the
+	// statement that called it fails with this error, naming the function
+	// and the panic value, and the database keeps serving. A panic inside
+	// the Next of a stream a table function returned is not contained.
+	ErrInternal = errors.New("sql: internal error")
 )

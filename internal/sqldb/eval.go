@@ -4,75 +4,28 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/variant"
 )
 
-// scope resolves column references during evaluation. Scopes chain to outer
-// scopes for LATERAL and correlated evaluation.
-type scope struct {
-	// sources are the FROM items visible at this level, in order.
-	sources []*boundSource
-	outer   *scope
-}
-
-// boundSource is one FROM item with its current row during iteration.
-type boundSource struct {
-	alias   string
-	columns []Column
-	row     Row
-}
-
-// lookup resolves a (table, column) reference. Unqualified names search all
-// sources at this level, then outer scopes; ambiguity is an error.
-func (s *scope) lookup(table, name string) (variant.Value, error) {
-	for sc := s; sc != nil; sc = sc.outer {
-		var found *variant.Value
-		matches := 0
-		for _, src := range sc.sources {
-			if table != "" && !strings.EqualFold(src.alias, table) {
-				continue
-			}
-			for i, c := range src.columns {
-				if strings.EqualFold(c.Name, name) {
-					v := src.row[i]
-					found = &v
-					matches++
-				}
-			}
-		}
-		if matches > 1 {
-			return variant.Value{}, fmt.Errorf("sql: ambiguous column reference %q", name)
-		}
-		if matches == 1 {
-			return *found, nil
-		}
-		if table != "" {
-			// Check the qualifier exists at this level before ascending.
-			for _, src := range sc.sources {
-				if strings.EqualFold(src.alias, table) {
-					return variant.Value{}, fmt.Errorf("sql: column %q not found in %q", name, table)
-				}
-			}
-		}
-	}
-	if table != "" {
-		return variant.Value{}, fmt.Errorf("sql: unknown table or alias %q", table)
-	}
-	return variant.Value{}, fmt.Errorf("sql: unknown column %q", name)
-}
-
-// evalCtx carries evaluation state: the DB (for function registries), bound
-// prepared-statement parameters, the calling statement's context, and the
-// lexical scope.
+// evalCtx carries evaluation state: the DB (for function registries and
+// the UDFs it is handed to), bound prepared-statement parameters, the
+// calling statement's context, and what a compiled expression reads besides
+// its row.
 type evalCtx struct {
 	db     *DB
 	params []variant.Value
-	scope  *scope
 	// ctx is the statement's context; nil means background. Long row loops
-	// poll it via checkCancel, and context-aware UDFs receive it.
+	// poll it via checkCancel, and UDFs receive it.
 	ctx context.Context
+	// outer holds the rows of the levels enclosing a lateral item's run (or
+	// a subquery inside one), nearest first; levels are their layouts
+	// (compiler.outer).
+	outer  []Row
+	levels [][]sourceInfo
+	// group is the finished group a grouped projection reads
+	// (compiler.group); streams evaluating one set it on a private copy.
+	group *aggGroup
 	// txn is the transaction this statement executes in (nil on the plain
 	// read path and during recovery replay); snap is the MVCC snapshot every
 	// table scan filters through (see mvcc.go).
@@ -82,11 +35,6 @@ type evalCtx struct {
 	// change (set when the statement text is not replayable, and always on
 	// the concurrent write path; see txn.go).
 	physLog bool
-}
-
-func (cx *evalCtx) withScope(s *scope) *evalCtx {
-	return &evalCtx{db: cx.db, params: cx.params, scope: s, ctx: cx.ctx,
-		txn: cx.txn, snap: cx.snap, physLog: cx.physLog}
 }
 
 // recordUndo, touch, logWAL, and markDDL forward to the statement's
@@ -134,298 +82,10 @@ func (cx *evalCtx) checkCancel(i int) error {
 	return cx.ctx.Err()
 }
 
-// evalExpr evaluates a non-aggregate expression.
-func evalExpr(cx *evalCtx, e Expr) (variant.Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Value, nil
-
-	case *Param:
-		if x.Index > len(cx.params) {
-			return variant.Value{}, fmt.Errorf("sql: no value bound for parameter $%d", x.Index)
-		}
-		return cx.params[x.Index-1], nil
-
-	case *ColumnRef:
-		if cx.scope == nil {
-			return variant.Value{}, fmt.Errorf("sql: column %q referenced outside a row context", x.Name)
-		}
-		return cx.scope.lookup(x.Table, x.Name)
-
-	case *UnaryExpr:
-		v, err := evalExpr(cx, x.X)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		switch x.Op {
-		case "-":
-			if v.IsNull() {
-				return v, nil
-			}
-			if v.Kind() == variant.Int {
-				n, err := negInt64(v.Int())
-				if err != nil {
-					return variant.Value{}, err
-				}
-				return variant.NewInt(n), nil
-			}
-			f, err := v.AsFloat()
-			if err != nil {
-				return variant.Value{}, err
-			}
-			return variant.NewFloat(-f), nil
-		case "not":
-			if v.IsNull() {
-				return v, nil
-			}
-			b, err := v.AsBool()
-			if err != nil {
-				return variant.Value{}, err
-			}
-			return variant.NewBool(!b), nil
-		default:
-			return variant.Value{}, fmt.Errorf("sql: unknown unary operator %q", x.Op)
-		}
-
-	case *BinaryExpr:
-		return evalBinary(cx, x)
-
-	case *CastExpr:
-		v, err := evalExpr(cx, x.X)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		return castValue(v, x.Type)
-
-	case *FuncExpr:
-		if x.Over != nil {
-			return variant.Value{}, fmt.Errorf("sql: window function %s() is not allowed here", x.Name)
-		}
-		if isWindowOnlyName(x.Name) {
-			return variant.Value{}, fmt.Errorf("sql: window function %s() requires an OVER clause", x.Name)
-		}
-		if isAggregateName(x.Name) {
-			return variant.Value{}, fmt.Errorf("sql: aggregate %s() not allowed here", x.Name)
-		}
-		return evalScalarFunc(cx, x)
-
-	case *InExpr:
-		v, err := evalExpr(cx, x.X)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		if v.IsNull() {
-			return variant.NewNull(), nil
-		}
-		anyNull := false
-		for _, item := range x.List {
-			iv, err := evalExpr(cx, item)
-			if err != nil {
-				return variant.Value{}, err
-			}
-			if iv.IsNull() {
-				anyNull = true
-				continue
-			}
-			if c, err := variant.Compare(v, iv); err == nil && c == 0 {
-				return variant.NewBool(!x.Not), nil
-			}
-		}
-		if anyNull {
-			return variant.NewNull(), nil
-		}
-		return variant.NewBool(x.Not), nil
-
-	case *IsNullExpr:
-		v, err := evalExpr(cx, x.X)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		return variant.NewBool(v.IsNull() != x.Not), nil
-
-	case *LikeExpr:
-		v, err := evalExpr(cx, x.X)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		pat, err := evalExpr(cx, x.Pattern)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		if v.IsNull() || pat.IsNull() {
-			return variant.NewNull(), nil
-		}
-		matched, err := likeMatch(v.AsText(), pat.AsText())
-		if err != nil {
-			return variant.Value{}, err
-		}
-		return variant.NewBool(matched != x.Not), nil
-
-	case *BetweenExpr:
-		v, err := evalExpr(cx, x.X)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		lo, err := evalExpr(cx, x.Lo)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		hi, err := evalExpr(cx, x.Hi)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return variant.NewNull(), nil
-		}
-		cLo, err := variant.Compare(v, lo)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		cHi, err := variant.Compare(v, hi)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		return variant.NewBool((cLo >= 0 && cHi <= 0) != x.Not), nil
-
-	case *CaseExpr:
-		if x.Operand != nil {
-			op, err := evalExpr(cx, x.Operand)
-			if err != nil {
-				return variant.Value{}, err
-			}
-			for _, arm := range x.Whens {
-				w, err := evalExpr(cx, arm.When)
-				if err != nil {
-					return variant.Value{}, err
-				}
-				if c, err := variant.Compare(op, w); err == nil && c == 0 && !op.IsNull() {
-					return evalExpr(cx, arm.Then)
-				}
-			}
-		} else {
-			for _, arm := range x.Whens {
-				w, err := evalExpr(cx, arm.When)
-				if err != nil {
-					return variant.Value{}, err
-				}
-				if !w.IsNull() {
-					b, err := w.AsBool()
-					if err != nil {
-						return variant.Value{}, err
-					}
-					if b {
-						return evalExpr(cx, arm.Then)
-					}
-				}
-			}
-		}
-		if x.Else != nil {
-			return evalExpr(cx, x.Else)
-		}
-		return variant.NewNull(), nil
-
-	default:
-		return variant.Value{}, fmt.Errorf("sql: unsupported expression %T", e)
-	}
-}
-
-func evalBinary(cx *evalCtx, x *BinaryExpr) (variant.Value, error) {
-	// Short-circuit logic operators with SQL three-valued semantics.
-	if x.Op == "and" || x.Op == "or" {
-		l, err := evalExpr(cx, x.L)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		var lb bool
-		lNull := l.IsNull()
-		if !lNull {
-			if lb, err = l.AsBool(); err != nil {
-				return variant.Value{}, err
-			}
-		}
-		if x.Op == "and" && !lNull && !lb {
-			return variant.NewBool(false), nil
-		}
-		if x.Op == "or" && !lNull && lb {
-			return variant.NewBool(true), nil
-		}
-		r, err := evalExpr(cx, x.R)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		rNull := r.IsNull()
-		var rb bool
-		if !rNull {
-			if rb, err = r.AsBool(); err != nil {
-				return variant.Value{}, err
-			}
-		}
-		switch x.Op {
-		case "and":
-			if !rNull && !rb {
-				return variant.NewBool(false), nil
-			}
-			if lNull || rNull {
-				return variant.NewNull(), nil
-			}
-			return variant.NewBool(true), nil
-		default: // or
-			if !rNull && rb {
-				return variant.NewBool(true), nil
-			}
-			if lNull || rNull {
-				return variant.NewNull(), nil
-			}
-			return variant.NewBool(false), nil
-		}
-	}
-
-	l, err := evalExpr(cx, x.L)
-	if err != nil {
-		return variant.Value{}, err
-	}
-	r, err := evalExpr(cx, x.R)
-	if err != nil {
-		return variant.Value{}, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return variant.NewNull(), nil
-	}
-
-	switch x.Op {
-	case "||":
-		return variant.NewText(l.AsText() + r.AsText()), nil
-	case "+", "-", "*", "/", "%":
-		return evalArith(x.Op, l, r)
-	case "=", "<>", "<", "<=", ">", ">=":
-		c, err := variant.Compare(l, r)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		var b bool
-		switch x.Op {
-		case "=":
-			b = c == 0
-		case "<>":
-			b = c != 0
-		case "<":
-			b = c < 0
-		case "<=":
-			b = c <= 0
-		case ">":
-			b = c > 0
-		case ">=":
-			b = c >= 0
-		}
-		return variant.NewBool(b), nil
-	default:
-		return variant.Value{}, fmt.Errorf("sql: unknown operator %q", x.Op)
-	}
-}
-
 // errIntRange is the execution error raised when 64-bit integer arithmetic
-// would wrap. Every executor strategy — interpreted rows, compiled closures,
-// vectorized fallback lanes, and the sum() accumulators — funnels through
+// would wrap. Every executor strategy — compiled closures, vectorized
+// kernels and fallback lanes, the sum() accumulators, and the reference
+// executor's interpreter — funnels through
 // the checked helpers below, so the error text is identical everywhere and
 // the differential suites can assert exact parity.
 var errIntRange = fmt.Errorf("sql: integer out of range")
@@ -576,27 +236,4 @@ func castValue(v variant.Value, typ string) (variant.Value, error) {
 	default:
 		return variant.Value{}, fmt.Errorf("sql: cannot cast to %q", typ)
 	}
-}
-
-// likeMatch evaluates a SQL LIKE pattern (% and _) against s, sharing the
-// pattern translation with the compiled path (compile.go) so interpreted
-// and compiled LIKE can never diverge.
-func likeMatch(s, pattern string) (bool, error) {
-	re, err := compileLikePattern(pattern)
-	if err != nil {
-		return false, err
-	}
-	return re.MatchString(s), nil
-}
-
-// truthy evaluates a predicate for WHERE/HAVING/ON: NULL counts as false.
-func truthy(cx *evalCtx, e Expr) (bool, error) {
-	v, err := evalExpr(cx, e)
-	if err != nil {
-		return false, err
-	}
-	if v.IsNull() {
-		return false, nil
-	}
-	return v.AsBool()
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // Row-level helpers shared by the operator pipeline and the vectorized
-// executor: the joined-row layout and its scope binding, SELECT-list
-// expansion, aggregate detection, ORDER BY resolution and the DISTINCT key.
+// executor: the joined-row layout, SELECT-list expansion, aggregate
+// detection, ORDER BY resolution and the DISTINCT key.
 
-// sourceInfo describes one FROM item's shape for scope binding. The joined
+// sourceInfo describes one FROM item's shape for name resolution. The joined
 // row layout is the concatenation of all sources' columns in order.
 type sourceInfo struct {
 	alias   string
@@ -21,28 +21,6 @@ type sourceInfo struct {
 	// hidden sources (the synthetic window-value columns) resolve for
 	// qualified references but are excluded from * expansion.
 	hidden bool
-}
-
-// bindScope slices a joined row into per-source bound rows.
-func bindScope(sources []sourceInfo, joined Row, outer *scope) *scope {
-	sc := &scope{outer: outer}
-	off := 0
-	for _, src := range sources {
-		sc.sources = append(sc.sources, &boundSource{
-			alias:   src.alias,
-			columns: src.columns,
-			row:     joined[off : off+src.width],
-		})
-		off += src.width
-	}
-	return sc
-}
-
-// bindRow binds one row of sources for interpreted evaluation, chained to
-// cx's own scope: the enclosing query's row when cx evaluates a LATERAL
-// subquery, nil at top level.
-func (cx *evalCtx) bindRow(sources []sourceInfo, row Row) *evalCtx {
-	return cx.withScope(bindScope(sources, row, cx.scope))
 }
 
 // nullRow is n SQL NULLs: the padding of an unmatched LEFT JOIN row.
@@ -170,8 +148,9 @@ func exprHasAggregate(e Expr) bool {
 
 // applyOrderBy sorts result rows. Sort keys resolve against output columns
 // (by alias/name or ordinal); for non-aggregate queries they can also be
-// arbitrary expressions over the input rows.
-func applyOrderBy(cx *evalCtx, s *SelectStmt, sources []sourceInfo, inputRows []Row, result *ResultSet, aggregated bool) error {
+// arbitrary expressions over the input rows, which inputKey evaluates: the
+// ki'th ORDER BY item over one input row.
+func applyOrderBy(s *SelectStmt, inputRows []Row, result *ResultSet, aggregated bool, inputKey func(ki int, in Row) (variant.Value, error)) error {
 	type keyed struct {
 		row  Row
 		keys []variant.Value
@@ -206,7 +185,7 @@ func applyOrderBy(cx *evalCtx, s *SelectStmt, sources []sourceInfo, inputRows []
 			return fmt.Errorf("sql: ORDER BY key %d must reference an output column", ki+1)
 		}
 		for i := range inputRows {
-			v, err := evalExpr(cx.bindRow(sources, inputRows[i]), item.Expr)
+			v, err := inputKey(ki, inputRows[i])
 			if err != nil {
 				return err
 			}

@@ -93,25 +93,19 @@ func isAggregateName(name string) bool {
 	return false
 }
 
-// evalScalarFunc dispatches a scalar call: builtin math/string functions
-// first, then registered UDFs.
-func evalScalarFunc(cx *evalCtx, x *FuncExpr) (variant.Value, error) {
-	args := make([]variant.Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := evalExpr(cx, a)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		args[i] = v
+// callScalarUDF calls a registered scalar function, turning a panic into
+// ErrInternal so that it fails only the calling statement.
+func callScalarUDF(cx *evalCtx, name string, fn ScalarFunc, args []variant.Value) (v variant.Value, err error) {
+	defer recoverUDF(name, &err)
+	return fn(cx.ctxOrBackground(), cx.db, args)
+}
+
+// recoverUDF is deferred around a UDF call: it recovers a panic of the
+// function into *err.
+func recoverUDF(name string, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%w: function %s() panicked: %v", ErrInternal, name, r)
 	}
-	name := strings.ToLower(x.Name)
-	if fn, ok := builtinScalars[name]; ok {
-		return fn(args)
-	}
-	if fn, ok := cx.db.funcs.scalar(name); ok {
-		return fn(cx.ctxOrBackground(), cx.db, args)
-	}
-	return variant.Value{}, fmt.Errorf("sql: unknown function %s()", x.Name)
 }
 
 func need(args []variant.Value, n int, name string) error {

@@ -234,62 +234,36 @@ func collectAggSpecs(s *SelectStmt) []*aggSpec {
 	return specs
 }
 
-// --- Grouped expression evaluation ---
+// --- The group projection ---
 
-// aggEval evaluates projection and HAVING expressions for one finished
-// group through the shared grouped-expression evaluator (evalGrouped,
-// aggregate.go): aggregate calls resolve to the group's results, GROUP BY
-// keys to their key values, and other column references to the group's
-// first row.
-type aggEval struct {
-	cx      *evalCtx
-	sources []sourceInfo
-	groupBy []Expr
-	specs   []*aggSpec
-	g       *aggGroup
+// compileGroupProj compiles a grouped statement's HAVING (nil when absent)
+// and SELECT list exprs over finished groups of rows of layout sources:
+// aggregate calls read the group's results, GROUP BY key expressions its key
+// values, and other column references its first row (compiler.grouped).
+func compileGroupProj(s *SelectStmt, specs []*aggSpec, exprs []Expr, sources []sourceInfo, levels [][]sourceInfo) (having compiledExpr, projs []compiledExpr) {
+	c := &compiler{sources: sources, outer: levels, group: &groupLayout{keys: s.GroupBy, specs: specs}}
+	if s.Having != nil {
+		having = c.compile(s.Having)
+	}
+	projs = make([]compiledExpr, len(exprs))
+	for i, e := range exprs {
+		projs[i] = c.compile(e)
+	}
+	return having, projs
 }
 
-// resolveAgg maps an aggregate call to its result, or to the error it met.
-func (e *aggEval) resolveAgg(x *FuncExpr) (variant.Value, error) {
-	for i, sp := range e.specs {
-		if !exprEqual(sp.fn, x) {
-			continue
+// emitGroup evaluates a finished group's HAVING (nil: every group passes)
+// and, when the group passes, its SELECT list; cx is private to the calling
+// stream, which it points at g.
+func emitGroup(cx *evalCtx, g *aggGroup, having compiledExpr, projs []compiledExpr) (Row, bool, error) {
+	cx.group = g
+	if having != nil {
+		if ok, err := truth(having(cx, g.first)); !ok || err != nil {
+			return nil, false, err
 		}
-		if sp.err != nil {
-			return variant.Value{}, sp.err
-		}
-		return e.g.result(i)
 	}
-	return variant.Value{}, fmt.Errorf("sql: unknown aggregate %s()", x.Name)
-}
-
-func (e *aggEval) eval(x Expr) (variant.Value, error) {
-	return evalGrouped(e.cx, e.sources, e.groupBy, e.g.keyVals, e.g.first, e.cx.scope, e.resolveAgg, x)
-}
-
-// having reports whether a finished group passes HAVING (nil: every group).
-func (e *aggEval) having(h Expr) (bool, error) {
-	if h == nil {
-		return true, nil
-	}
-	v, err := e.eval(h)
-	if err != nil || v.IsNull() {
-		return false, err
-	}
-	return v.AsBool()
-}
-
-// project evaluates the SELECT list for a finished group.
-func (e *aggEval) project(exprs []Expr) (Row, error) {
-	row := make(Row, len(exprs))
-	for i, x := range exprs {
-		v, err := e.eval(x)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
+	row, err := evalList(cx, g.first, projs)
+	return row, err == nil, err
 }
 
 // --- The streaming operator ---
@@ -359,19 +333,13 @@ func (g *aggGroup) result(i int) (variant.Value, error) {
 // then emits one projected row per group (HAVING applied) in first-seen
 // order.
 type hashAggStream struct {
-	cx      *evalCtx
-	src     RowStream
-	sources []sourceInfo
-	sel     *SelectStmt
-	specs   []*aggSpec
-	cols    []Column
-	exprs   []Expr
-	// keysC and argsC are the group keys and aggregate arguments compiled
-	// against the input layout (tailExprs; nil: interpreted), env their
-	// environment.
-	keysC []compiledExpr
-	argsC []compiledExpr
-	env   compEnv
+	// cx is a private copy of the tail's context: emitGroup sets its group.
+	cx    evalCtx
+	src   RowStream
+	specs []*aggSpec
+	// tail holds the group keys and aggregate arguments compiled against
+	// the input layout, and HAVING and the SELECT list over finished groups.
+	tail tailExprs
 
 	built  bool
 	groups []*aggGroup
@@ -380,12 +348,11 @@ type hashAggStream struct {
 	closed bool
 }
 
-func newHashAggStream(cx *evalCtx, src RowStream, sources []sourceInfo, sel *SelectStmt, specs []*aggSpec, cols []Column, exprs []Expr, tail tailExprs) *hashAggStream {
-	return &hashAggStream{cx: cx, src: src, sources: sources, sel: sel, specs: specs, cols: cols, exprs: exprs,
-		keysC: tail.groupBy, argsC: tail.aggArgs, env: compEnv{params: cx.params, ctx: cx.ctx}}
+func newHashAggStream(cx *evalCtx, src RowStream, specs []*aggSpec, tail tailExprs) *hashAggStream {
+	return &hashAggStream{cx: *cx, src: src, specs: specs, tail: tail}
 }
 
-func (h *hashAggStream) Columns() []Column { return h.cols }
+func (h *hashAggStream) Columns() []Column { return h.tail.cols }
 
 func (h *hashAggStream) newGroup(keyVals []variant.Value) *aggGroup {
 	return newAggGroup(h.specs, keyVals)
@@ -414,7 +381,6 @@ func (h *hashAggStream) feed(g *aggGroup, row Row) {
 	if g.first == nil {
 		g.first = row
 	}
-	var rcx *evalCtx
 	for i, sp := range h.specs {
 		switch {
 		case sp.err != nil || g.stopped(i):
@@ -423,16 +389,7 @@ func (h *hashAggStream) feed(g *aggGroup, row Row) {
 			g.accums[i].(*countAccum).n++
 			continue
 		}
-		var v variant.Value
-		var err error
-		if h.argsC != nil && h.argsC[i] != nil {
-			v, err = h.argsC[i](&h.env, row)
-		} else {
-			if rcx == nil {
-				rcx = h.cx.bindRow(h.sources, row)
-			}
-			v, err = evalExpr(rcx, sp.fn.Args[0])
-		}
+		v, err := h.tail.aggArgs[i](&h.cx, row)
 		g.feed(i, sp, v, err)
 	}
 }
@@ -441,10 +398,9 @@ func (h *hashAggStream) feed(g *aggGroup, row Row) {
 // encoding so NULL keys and cross-kind keys group identically.
 func (h *hashAggStream) build() error {
 	defer h.src.Close()
-	groupBy := h.sel.GroupBy
 	index := make(map[string]*aggGroup)
 	var implicit *aggGroup
-	if len(groupBy) == 0 {
+	if len(h.tail.groupBy) == 0 {
 		// One implicit group over all rows — present even on empty input,
 		// so pure aggregates always yield their single row.
 		implicit = h.newGroup(nil)
@@ -463,23 +419,9 @@ func (h *hashAggStream) build() error {
 		}
 		g := implicit
 		if g == nil {
-			var rcx *evalCtx
-			if h.keysC == nil {
-				rcx = h.cx.bindRow(h.sources, row)
-			}
-			keyVals := make([]variant.Value, len(groupBy))
-			for ki, ge := range groupBy {
-				var v variant.Value
-				var err error
-				if rcx == nil {
-					v, err = h.keysC[ki](&h.env, row)
-				} else {
-					v, err = evalExpr(rcx, ge)
-				}
-				if err != nil {
-					return err
-				}
-				keyVals[ki] = v
+			keyVals, err := evalList(&h.cx, row, h.tail.groupBy)
+			if err != nil {
+				return err
 			}
 			key := rowKey(keyVals)
 			var ok bool
@@ -511,18 +453,14 @@ func (h *hashAggStream) Next() (Row, error) {
 		}
 	}
 	for h.pos < len(h.groups) {
-		ge := &aggEval{cx: h.cx, sources: h.sources, groupBy: h.sel.GroupBy, specs: h.specs, g: h.groups[h.pos]}
+		g := h.groups[h.pos]
 		h.pos++
-		if ok, err := ge.having(h.sel.Having); err != nil {
-			return fail(err)
-		} else if !ok {
-			continue
-		}
-		row, err := ge.project(h.exprs)
+		row, ok, err := emitGroup(&h.cx, g, h.tail.having, h.tail.projs)
 		if err != nil {
 			return fail(err)
+		} else if ok {
+			return row, nil
 		}
-		return row, nil
 	}
 	return nil, io.EOF
 }

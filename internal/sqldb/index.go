@@ -250,7 +250,7 @@ func splitConjuncts(e Expr, out []Expr) []Expr {
 	return append(out, e)
 }
 
-// isConstExpr reports whether e is evaluable without a row scope: literals,
+// isConstExpr reports whether e is evaluable without a row: literals,
 // parameters, and operators over those. Function calls are excluded (they
 // may be volatile or shadowed by UDFs).
 func isConstExpr(e Expr) bool {
@@ -343,7 +343,7 @@ func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe, buf []int) ([]i
 		if e == nil {
 			return nil, true
 		}
-		v, err := evalExpr(cx.withScope(nil), e)
+		v, err := compileConst(e)(cx, nil)
 		if err != nil {
 			return nil, false
 		}

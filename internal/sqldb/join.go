@@ -44,14 +44,15 @@ type joinStream struct {
 	step *opJoinStep
 
 	left, right RowStream
-	leftSources []sourceInfo
 	rightInfo   sourceInfo
-	allSources  []sourceInfo
 	cols        []Column
+	// keysL and keysR are the hash strategy's key expressions, compiled
+	// against the left layout and the right source.
+	keysL, keysR []compiledExpr
 
 	// residual tests the part of the ON condition the candidate source does
 	// not already guarantee (the whole ON for the nested loop) on a joined
-	// row, compiled when it compiled; nil when there is none.
+	// row; nil when there is none.
 	residual *rowPred
 
 	built   bool
@@ -76,23 +77,21 @@ type joinStream struct {
 	closed bool
 }
 
-func newJoinStream(cx *evalCtx, step *opJoinStep, left, right RowStream, leftSources []sourceInfo, rightInfo sourceInfo, allSources []sourceInfo, residual Expr, residualC compiledExpr) *joinStream {
+// newJoinStream joins left (rows of leftSources) with right (rows of
+// rightInfo; nil for an index lookup, whose candidates the caller sets);
+// residual is the compiled remainder of ON over allSources, nil when none.
+func newJoinStream(cx *evalCtx, step *opJoinStep, left, right RowStream, leftSources []sourceInfo, rightInfo sourceInfo, allSources []sourceInfo, residual compiledExpr) *joinStream {
 	var cols []Column
 	for _, src := range allSources {
 		cols = append(cols, src.columns...)
 	}
-	j := &joinStream{
-		cx:          cx,
-		step:        step,
-		left:        left,
-		right:       right,
-		leftSources: leftSources,
-		rightInfo:   rightInfo,
-		allSources:  allSources,
-		cols:        cols,
+	j := &joinStream{cx: cx, step: step, left: left, right: right, rightInfo: rightInfo, cols: cols}
+	if step.hash && right != nil {
+		j.keysL = compileList(step.keysL, leftSources, cx.levels)
+		j.keysR = compileList(step.keysR, []sourceInfo{rightInfo}, cx.levels)
 	}
 	if residual != nil {
-		j.residual = newRowPred(cx, allSources, residual, residualC, false)
+		j.residual = newRowPred(cx, residual, false)
 	}
 	return j
 }
@@ -160,7 +159,7 @@ func (j *joinStream) build() error {
 		if !j.step.hash {
 			continue
 		}
-		vals, nullAt, err := j.keyVals(j.step.keysR, []sourceInfo{j.rightInfo}, r)
+		vals, nullAt, err := j.keyVals(j.keysR, r)
 		if err != nil {
 			return err
 		}
@@ -175,26 +174,21 @@ func (j *joinStream) build() error {
 	}
 }
 
-// keyVals evaluates every key expression against a row bound to the given
-// sources; nullAt is the index of the first NULL component (-1 when none).
-// All components are evaluated even past a NULL, because the nested loop's
-// AND chain keeps evaluating after a NULL operand and its errors must
-// surface here too.
-func (j *joinStream) keyVals(keys []Expr, sources []sourceInfo, row Row) ([]variant.Value, int, error) {
-	rcx := j.cx.bindRow(sources, row)
-	vals := make([]variant.Value, len(keys))
-	nullAt := -1
-	for i, k := range keys {
-		v, err := evalExpr(rcx, k)
-		if err != nil {
-			return nil, 0, err
-		}
-		if v.IsNull() && nullAt < 0 {
-			nullAt = i
-		}
-		vals[i] = v
+// keyVals evaluates every key expression against a row of its side; nullAt
+// is the index of the first NULL component (-1 when none). All components
+// are evaluated even past a NULL, because the nested loop's AND chain keeps
+// evaluating after a NULL operand and its errors must surface here too.
+func (j *joinStream) keyVals(keys []compiledExpr, row Row) ([]variant.Value, int, error) {
+	vals, err := evalList(j.cx, row, keys)
+	if err != nil {
+		return nil, 0, err
 	}
-	return vals, nullAt, nil
+	for i, v := range vals {
+		if v.IsNull() {
+			return vals, i, nil
+		}
+	}
+	return vals, -1, nil
 }
 
 func joinHashKey(vals []variant.Value) string {
@@ -212,10 +206,9 @@ func joinHashKey(vals []variant.Value) string {
 // keeps evaluating later components (their errors must still surface), and
 // a cross-kind comparison error fails the query just as it would there.
 func (j *joinStream) verifyKeys(r Row) (bool, error) {
-	rcx := j.cx.bindRow([]sourceInfo{j.rightInfo}, r)
 	matched := true
-	for i, k := range j.step.keysR {
-		rv, err := evalExpr(rcx, k)
+	for i, k := range j.keysR {
+		rv, err := k(j.cx, r)
 		if err != nil {
 			return false, err
 		}
@@ -332,7 +325,7 @@ func (j *joinStream) Next() (Row, error) {
 				j.cand = nil
 				continue
 			}
-			vals, nullAt, err := j.keyVals(j.step.keysL, j.leftSources, l)
+			vals, nullAt, err := j.keyVals(j.keysL, l)
 			if err != nil {
 				return fail(err)
 			}

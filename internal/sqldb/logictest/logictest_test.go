@@ -1,10 +1,17 @@
 package logictest
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/sqldb"
 )
+
+var updateKinds = flag.Bool("update", false, "rewrite testdata/executor_kinds.golden")
 
 func writeFile(path, body string) error {
 	return os.WriteFile(path, []byte(body), 0o644)
@@ -32,6 +39,61 @@ func TestLogicCorpus(t *testing.T) {
 			r.RunFile(path, t.TempDir())
 		})
 	}
+}
+
+// TestLogicCorpusExecutorKinds pins which executor every corpus query plans
+// onto: it replays each script on a fresh in-memory database and records
+// Stmt.ExecutorKind for every query record, before the record runs, in
+// testdata/executor_kinds.golden. A change to the engine that moves a query
+// between the vectorized executor and the operator pipeline shows up here as
+// a diff; regenerate with -update only for a change meant to move one.
+func TestLogicCorpusExecutorKinds(t *testing.T) {
+	files, err := Files(filepath.Join("testdata", "logictest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, path := range files {
+		recs, err := ParseFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := sqldb.New()
+		for _, rec := range recs {
+			if rec.Kind == "query" {
+				kind, err := planKind(db, rec.SQL)
+				if err != nil {
+					kind = "error: " + err.Error()
+				}
+				fmt.Fprintf(&sb, "%s:%d %s\n", filepath.Base(path), rec.Line, kind)
+			}
+			db.Query(rec.SQL) // results are TestLogicCorpus's concern
+		}
+		db.Close()
+	}
+	golden := filepath.Join("testdata", "executor_kinds.golden")
+	if *updateKinds {
+		if err := writeFile(golden, sb.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to create): %v", err)
+	}
+	if diff := diffRows(strings.Split(string(want), "\n"), strings.Split(sb.String(), "\n")); diff != "" {
+		t.Fatalf("executor kinds differ from %s\n%s", golden, diff)
+	}
+}
+
+// planKind prepares sql and names the executor its plan runs on.
+func planKind(db *sqldb.DB, sql string) (string, error) {
+	stmt, err := db.Prepare(sql)
+	if err != nil {
+		return "", err
+	}
+	defer stmt.Close()
+	return stmt.ExecutorKind()
 }
 
 // TestParseErrors locks the harness's own rejection surface.

@@ -31,12 +31,14 @@ import (
 //             → sort (skipped when a btree index already proves the order)
 //               → distinct → limit/offset
 //
-// Expressions evaluated above the scans — residual WHERE, join conditions,
-// group keys, aggregate arguments, window inputs, projections — compile
-// against the joined row layout (compile.go): once per plan when every
-// source's shape is known at plan time, at open when a function scan or
-// subquery fixes it there. What does not compile (ambiguous or unknown
-// columns, UDF calls) is interpreted, so the interpreter's errors stand.
+// Expressions evaluated above the scans — residual WHERE, join conditions
+// and keys, group keys, aggregate arguments, window inputs, projections,
+// ORDER BY keys, HAVING and grouped SELECT lists — compile against the joined
+// row layout (compile.go): once per plan when every source's shape is known
+// at plan time, at open when a function scan or subquery fixes it there, or
+// when the plan runs inside a lateral item's enclosing row. Lateral function
+// arguments compile against the left layout; a LATERAL subquery's
+// expressions see it as an enclosing level.
 //
 // Locking: open() resolves every source under the caller-held database lock
 // (table snapshots, index probes, FROM-clause UDF calls — lateral ones
@@ -67,70 +69,83 @@ type opPlan struct {
 	// calls happen — no parallel or ordered scan, no prefilter past a UDF
 	// conjunct, no UDF-bearing join key.
 	udf bool
-	// interp marks a plan over duplicate source aliases: nothing is pushed
-	// down, hashed or compiled, every expression is interpreted.
+	// interp marks a plan over duplicate source aliases: side attribution
+	// cannot be trusted, so nothing is pushed down or hashed.
 	interp bool
 	// ordered is set when ORDER BY is satisfied by walking a btree index in
 	// key order instead of sorting (single-table plans only).
 	ordered *orderedScanInfo
 	// known marks a plan whose every source shape was fixed at plan time:
-	// tail, the steps' residualC and projs were compiled then. Otherwise open
-	// compiles them against the shapes its sources report.
+	// tail, the leaves' pushedC and the steps' residualC were compiled then.
+	// Otherwise — or when the plan runs inside an enclosing row — open
+	// compiles them against the shapes its sources report (reuses).
 	known bool
 	tail  tailExprs
-	// projs is the SELECT list of an ungrouped, unsorted plan compiled
-	// against the joined layout (cols its output columns); nil means
-	// projectStream interprets.
-	cols  []Column
-	projs []compiledExpr
+	// limitC and offsetC are LIMIT and OFFSET, which see no row.
+	limitC, offsetC compiledExpr
 }
 
-// tailExprs are the compiled forms of the expressions the pipeline
-// evaluates above its scans, against the joined row layout; nil where an
-// expression does not compile, which leaves it interpreted.
+// tailExprs are the expressions the pipeline evaluates above its scans,
+// compiled against the joined row layout.
 type tailExprs struct {
 	where   compiledExpr
-	groupBy []compiledExpr // nil unless every key compiles
-	aggArgs []compiledExpr // per spec; nil entries are interpreted (or not fed)
+	groupBy []compiledExpr
+	aggArgs []compiledExpr // per spec; nil for the calls never fed
+	// cols and projs are the SELECT list after the window stage; a grouped
+	// plan's evaluate over finished groups (compiler.group), as does having.
+	// sortKeys are an ungrouped plan's ORDER BY items as expressions over
+	// the input row (see applyOrderBy). projs is nil when the list does not
+	// expand, which open reports.
+	cols     []Column
+	projs    []compiledExpr
+	having   compiledExpr
+	sortKeys []compiledExpr
 }
 
-// compile compiles e over sources, or returns nil for a plan that
-// interprets everything.
-func (p *opPlan) compile(e Expr, sources []sourceInfo) compiledExpr {
-	if p.interp {
-		return nil
-	}
-	return compileOver(e, sources)
-}
-
-// compileAll is compileAll under the plan's interp rule.
-func (p *opPlan) compileAll(es []Expr, sources []sourceInfo) []compiledExpr {
-	if p.interp {
-		return nil
-	}
-	return compileAll(es, sources)
-}
-
-// compileTail compiles the residual WHERE, group keys and aggregate
-// arguments against the joined layout.
-func (p *opPlan) compileTail(sources []sourceInfo) tailExprs {
-	t := tailExprs{where: p.compile(p.where, sources), groupBy: p.compileAll(p.sel.GroupBy, sources)}
-	t.aggArgs = make([]compiledExpr, len(p.specs))
+// compileTail compiles the plan's tail against the joined layout sources
+// within the enclosing levels.
+func (p *opPlan) compileTail(sources []sourceInfo, levels [][]sourceInfo) tailExprs {
+	s := p.sel
+	t := tailExprs{where: compileOver(p.where, sources, levels), groupBy: compileList(s.GroupBy, sources, levels),
+		aggArgs: make([]compiledExpr, len(p.specs))}
 	for i, sp := range p.specs {
 		if sp.err == nil && !sp.fn.Star {
-			t.aggArgs[i] = p.compile(sp.fn.Args[0], sources)
+			t.aggArgs[i] = compileOver(sp.fn.Args[0], sources, levels)
 		}
+	}
+	items, layout := s.Items, sources
+	if w := p.window; w != nil && len(w.calls) > 0 {
+		items, layout = w.items, append(sources[:len(sources):len(sources)], w.source())
+	}
+	cols, exprs, err := expandItems(items, layout)
+	if err != nil {
+		return t
+	}
+	t.cols = cols
+	if p.grouped {
+		t.having, t.projs = compileGroupProj(s, p.specs, exprs, sources, levels)
+		return t
+	}
+	t.projs = compileList(exprs, layout, levels)
+	for _, o := range s.OrderBy {
+		t.sortKeys = append(t.sortKeys, compileOver(o.Expr, layout, levels))
 	}
 	return t
 }
 
+// reuses reports whether open may use what planOperators compiled: every
+// shape was known then and no row encloses this run.
+func (p *opPlan) reuses(tailCx *evalCtx) bool {
+	return p.known && len(tailCx.levels) == 0
+}
+
 // compiled returns e's compiled form over sources: the one made at plan time
-// when the plan knew every shape, compiled now otherwise.
-func (p *opPlan) compiled(planned compiledExpr, e Expr, sources []sourceInfo) compiledExpr {
-	if p.known {
+// when the plan reuses it, compiled now otherwise.
+func (p *opPlan) compiled(tailCx *evalCtx, planned compiledExpr, e Expr, sources []sourceInfo) compiledExpr {
+	if p.reuses(tailCx) {
 		return planned
 	}
-	return p.compile(e, sources)
+	return compileOver(e, sources, tailCx.levels)
 }
 
 // opSource is one FROM item leaf.
@@ -145,8 +160,7 @@ type opSource struct {
 	access accessPath
 	// pushed is the AND of WHERE conjuncts that reference only this source
 	// and sit on a non-nullable side of every LEFT join; pushedC is its
-	// compiled form when the source is a base table and the predicate
-	// compiles (best effort — interpreted evaluation otherwise). lenient
+	// compiled form when the source is a base table. lenient
 	// marks it as a prefilter under a join: rows are dropped only when the
 	// predicate cleanly evaluates to not-true, and evaluation errors keep
 	// the row — the full WHERE above the join surfaces the error if and
@@ -276,15 +290,16 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 		metas[i] = m
 	}
 	grouped := len(s.GroupBy) > 0 || selectHasAggregates(s)
-	plan := &opPlan{sel: s, grouped: grouped, udf: !selectPureBuiltin(s)}
+	plan := &opPlan{sel: s, grouped: grouped, udf: !selectPureBuiltin(s),
+		limitC: compileConst(s.Limit), offsetC: compileConst(s.Offset)}
 	if grouped {
 		plan.specs = collectAggSpecs(s)
 	}
 	if selectHasWindows(s) {
 		plan.window = newWindowStage(s, grouped)
 	}
-	// Duplicate aliases make qualified references ambiguous at runtime;
-	// side attribution cannot be trusted, so the plan interprets.
+	// Duplicate aliases make qualified references ambiguous at runtime, so
+	// side attribution cannot be trusted.
 	if len(metas) > 1 {
 		seen := make(map[string]bool, len(metas))
 		for _, m := range metas {
@@ -295,7 +310,7 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 	}
 	if len(s.From) == 0 {
 		plan.where = s.Where // FROM-less: one empty row, filtered above
-		plan.known, plan.tail = true, plan.compileTail(nil)
+		plan.known, plan.tail = true, plan.compileTail(nil, nil)
 		return plan, nil
 	}
 
@@ -342,7 +357,7 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 	// Leaves: access paths from the shared cost model over the pushed
 	// predicate, compiled filters for base tables, subquery plans.
 	plan.leaves = make([]*opSource, len(s.From))
-	plan.known = !plan.interp
+	plan.known = true
 	for i, item := range s.From {
 		leaf := &opSource{item: item, alias: metas[i].alias, est: defaultRelationRows, lenient: len(s.From) > 1,
 			lateral: isLateral(i, item)}
@@ -360,7 +375,7 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 				leaf.access = chooseAccessPath(db, t, metas[i].alias, nil)
 			}
 			leaf.est = leaf.access.estRows
-			leaf.pushedC = compileOver(leaf.pushed, []sourceInfo{metas[i].info()})
+			leaf.pushedC = compileOver(leaf.pushed, []sourceInfo{metas[i].info()}, nil)
 		case item.Sub != nil:
 			// The subquery's row order feeds this plan's order-sensitive
 			// stages, so it is read serially.
@@ -410,7 +425,7 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 		!grouped && plan.window == nil && !s.Distinct && len(s.OrderBy) == 0 &&
 		s.Limit == nil && s.Offset == nil {
 		probe := plan.leaves[0]
-		if probe.table != nil && probe.pushedC != nil && probe.access.kind == accessSeq {
+		if probe.table != nil && probe.pushed != nil && probe.access.kind == accessSeq {
 			if workers := db.planner.parallelScanWorkers(probe.access.tableRows); workers > 0 {
 				probe.parallel = true
 				probe.workers = workers
@@ -431,51 +446,24 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 	}
 
 	// Every shape known: compile what runs above the scans once, here.
-	var layout []sourceInfo
 	if plan.known {
-		layout = make([]sourceInfo, len(metas))
+		layout := make([]sourceInfo, len(metas))
 		for i, m := range metas {
 			layout[i] = m.info()
 		}
-		plan.tail = plan.compileTail(layout)
+		plan.tail = plan.compileTail(layout, nil)
 		for i, step := range plan.steps {
-			step.residualC = compileOver(step.residual, layout[:i+2])
+			step.residualC = compileOver(step.residual, layout[:i+2], nil)
 			if lk := step.lookup; lk != nil {
-				lk.residualC = compileOver(lk.residual, layout[:2])
+				lk.residualC = compileOver(lk.residual, layout[:2], nil)
 			}
 		}
-	}
-
-	if !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) {
-		switch leaf := plan.leaves[0]; {
-		case plan.known:
-			items := s.Items
-			if w := plan.window; w != nil && len(w.calls) > 0 {
-				items, layout = w.items, append(layout, w.source())
-			}
-			plan.cols, plan.projs = compileProjection(items, layout)
-		case len(plan.leaves) == 1 && leaf.item.Func != nil && s.Where != nil && !s.Distinct &&
-			plan.window == nil && !plan.udf:
-			leaf.batchTail = !db.planner.DisableVectorized
-		}
+	} else if leaf := plan.leaves[0]; !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) &&
+		len(plan.leaves) == 1 && leaf.item.Func != nil && s.Where != nil && !s.Distinct &&
+		plan.window == nil && !plan.udf {
+		leaf.batchTail = !db.planner.DisableVectorized
 	}
 	return plan, nil
-}
-
-// compileProjection compiles a SELECT list against the plan-time joined
-// layout; nil projs when any item does not compile (or does not expand),
-// leaving projectStream to interpret it — and to surface expansion errors at
-// open, as the executor does.
-func compileProjection(items []SelectItem, layout []sourceInfo) ([]Column, []compiledExpr) {
-	cols, exprs, err := expandItems(items, layout)
-	if err != nil {
-		return nil, nil
-	}
-	projs := compileAll(exprs, layout)
-	if projs == nil {
-		return nil, nil
-	}
-	return cols, projs
 }
 
 // sourceMetaFor computes the plan-time shape of one FROM item; a missing
@@ -565,7 +553,8 @@ func walkColumnRefs(e Expr, fn func(*ColumnRef)) {
 // resolve to: -1 when it references no columns, spans items, or cannot be
 // attributed safely (unknown-shape sources make unqualified names
 // unresolvable; unattributed conjuncts simply stay above the join, where
-// full-scope evaluation reproduces lookup errors and ambiguity).
+// evaluation against the joined row reproduces resolution errors and
+// ambiguity).
 func exprSource(e Expr, metas []sourceMeta) int {
 	allKnown := true
 	for _, m := range metas {
@@ -850,13 +839,15 @@ func (db *DB) chooseOrderedScan(s *SelectStmt, leaf *opSource, meta sourceMeta) 
 
 // --- Opening: plan → streams, under the caller-held lock ---
 
-// open resolves every source and assembles the operator pipeline; outer is
-// the scope a LATERAL subquery runs in (its left row), nil at top level. It
-// must run under the database lock; the returned stream's Next is pure.
-func (p *opPlan) open(cx *evalCtx, outer *scope) (RowStream, error) {
-	// The tail must not inherit transaction bookkeeping; its row scopes
-	// chain to outer.
-	tailCx := &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx, scope: outer}
+// open resolves every source and assembles the operator pipeline, whose
+// tail evaluates in tailCx: the context of a subquery's run, which carries
+// the rows enclosing it (opSource.openItem), or nil at top level. It must
+// run under the database lock; the returned stream's Next is pure.
+func (p *opPlan) open(cx, tailCx *evalCtx) (RowStream, error) {
+	if tailCx == nil {
+		// The tail must not inherit transaction bookkeeping.
+		tailCx = &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx}
+	}
 	st, err := p.openPipeline(cx, tailCx)
 	if err != nil || !p.udf {
 		return st, err
@@ -895,7 +886,7 @@ func (p *opPlan) openPipeline(cx, tailCx *evalCtx) (RowStream, error) {
 	for i := next; i < len(p.leaves); i++ {
 		step := p.steps[i-1]
 		if p.leaves[i].lateral {
-			if cur, curSources, err = p.leaves[i].openLateral(cx, tailCx, p, step, cur, curSources); err != nil {
+			if cur, curSources, err = p.leaves[i].openLateral(cx, tailCx, step, cur, curSources); err != nil {
 				return nil, err
 			}
 			continue
@@ -907,44 +898,43 @@ func (p *opPlan) openPipeline(cx, tailCx *evalCtx) (RowStream, error) {
 		}
 		all := append(curSources[:len(curSources):len(curSources)], rightInfo)
 		cur = newJoinStream(tailCx, step, cur, right, curSources, rightInfo, all,
-			step.residual, p.compiled(step.residualC, step.residual, all))
+			p.compiled(tailCx, step.residualC, step.residual, all))
 		curSources = all
 	}
 
 	tail := p.tail
-	if !p.known {
-		tail = p.compileTail(curSources)
+	if !p.reuses(tailCx) {
+		tail = p.compileTail(curSources, tailCx.levels)
 	}
 	if p.where != nil {
-		cur = &opFilterStream{rowPred: newRowPred(tailCx, curSources, p.where, tail.where, false), src: cur}
+		cur = &opFilterStream{rowPred: newRowPred(tailCx, tail.where, false), src: cur}
 	}
 	// LIMIT/OFFSET, then the SELECT list's expansion, before any row is
 	// evaluated.
-	offset, limit, err := evalLimits(cx, s.Limit, s.Offset)
+	offset, limit, err := evalLimits(cx, p.offsetC, p.limitC)
 	if err != nil {
 		cur.Close()
 		return nil, err
 	}
 	items := s.Items
 	if w := p.window; w != nil {
-		cur = &windowStream{cx: tailCx, src: cur, sources: curSources, stage: w, interp: p.interp}
+		cur = &windowStream{cx: tailCx, src: cur, sources: curSources, stage: w}
 		if len(w.calls) > 0 {
 			curSources = append(curSources[:len(curSources):len(curSources)], w.source())
 			items = w.items
 		}
 	}
-	cols, exprs := p.cols, []Expr(nil)
-	if p.projs == nil {
-		if cols, exprs, err = expandItems(items, curSources); err != nil {
-			cur.Close()
-			return nil, err
-		}
+	if tail.projs == nil {
+		_, _, err := expandItems(items, curSources)
+		cur.Close()
+		return nil, err
 	}
 	if _, ok := cur.(BatchSource); ok && len(p.leaves) == 1 && p.leaves[0].batchTail {
 		// The function scan's batches feed the vectorized tail when its
 		// filter and projections vec-compile, skipping per-cell boxing of
 		// dropped lanes; otherwise the leaf's filter goes on now.
-		if vs := newVecFuncScanStream(tailCx, cur, curSources[0], s, cols, exprs, offset, limit); vs != nil {
+		_, exprs, _ := expandItems(items, curSources)
+		if vs := newVecFuncScanStream(tailCx, cur, curSources[0], s, tail.cols, exprs, offset, limit); vs != nil {
 			return vs, nil
 		}
 		cur = &opFilterStream{rowPred: p.leaves[0].filter(tailCx, curSources[0]), src: cur}
@@ -956,19 +946,14 @@ func (p *opPlan) openPipeline(cx, tailCx *evalCtx) (RowStream, error) {
 		offset = 0
 	}
 	if p.grouped {
-		cur = newHashAggStream(tailCx, cur, curSources, s, p.specs, cols, exprs, tail)
+		cur = newHashAggStream(tailCx, cur, p.specs, tail)
 		if len(s.OrderBy) > 0 {
-			cur = &sortStream{cx: tailCx, src: cur, sel: s, cols: cols, aggregated: true}
+			cur = &sortStream{cx: tailCx, src: cur, sel: s, cols: tail.cols}
 		}
 	} else if len(s.OrderBy) > 0 && p.ordered == nil {
-		cur = &projectSortStream{cx: tailCx, src: cur, sources: curSources, sel: s, cols: cols, exprs: exprs}
+		cur = &projectSortStream{cx: tailCx, src: cur, sel: s, cols: tail.cols, projs: tail.projs, keys: tail.sortKeys}
 	} else {
-		projs := p.projs
-		if !p.known {
-			projs = p.compileAll(exprs, curSources)
-		}
-		cur = &projectStream{cx: tailCx, src: cur, sources: curSources, cols: cols, exprs: exprs,
-			projs: projs, env: compEnv{params: cx.params, ctx: cx.ctx}}
+		cur = &projectStream{cx: tailCx, src: cur, cols: tail.cols, projs: tail.projs}
 	}
 
 	if s.Distinct {
@@ -1011,9 +996,9 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 		}
 		base = &sliceStream{cols: info.columns, rows: rows}
 	case item.Func != nil:
-		// The first FROM item sees no sibling columns: only the outer scope,
-		// as in the executor.
-		st, err := src.openItem(cx, &scope{outer: tailCx.scope})
+		// The first FROM item sees no sibling columns: only the enclosing
+		// levels, as in the executor.
+		st, err := src.openItem(cx, tailCx, nil, nil, nil)
 		if err != nil {
 			return nil, sourceInfo{}, err
 		}
@@ -1027,7 +1012,7 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 		}
 		base = st
 	default: // subquery, drained once under the lock
-		st, err := src.openItem(cx, &scope{outer: tailCx.scope})
+		st, err := src.openItem(cx, tailCx, nil, nil, nil)
 		if err != nil {
 			return nil, sourceInfo{}, err
 		}
@@ -1046,14 +1031,27 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 	return base, info, nil
 }
 
-// openItem runs a function or subquery leaf in scope sc: the function called
-// with its arguments evaluated there, or the subquery's plan opened with sc
-// as its outer scope.
-func (src *opSource) openItem(cx *evalCtx, sc *scope) (RowStream, error) {
+// openItem runs a function or subquery leaf for one left row l of layout
+// left (both nil for a first or non-lateral item) within tailCx's enclosing
+// levels: the function called with its arguments (args, compiled against
+// left; compiled now when nil) evaluated on l, or the subquery's plan opened
+// with l as its nearest enclosing row.
+func (src *opSource) openItem(cx, tailCx *evalCtx, left []sourceInfo, l Row, args []compiledExpr) (RowStream, error) {
 	if src.sub != nil {
-		return src.sub.open(cx, sc)
+		if left != nil {
+			tailCx = &evalCtx{db: tailCx.db, params: tailCx.params, ctx: tailCx.ctx,
+				outer: append([]Row{l}, tailCx.outer...), levels: append([][]sourceInfo{left}, tailCx.levels...)}
+		}
+		return src.sub.open(cx, tailCx)
 	}
-	return callFromItem(cx, src.item.Func, sc)
+	if args == nil {
+		args = compileList(src.item.Func.Args, left, tailCx.levels)
+	}
+	vals, err := evalList(tailCx, l, args)
+	if err != nil {
+		return nil, err
+	}
+	return cx.db.callTableFunc(cx, src.item.Func.Name, vals)
 }
 
 // tableRows resolves a base-table leaf's access path to a private slice.
@@ -1067,29 +1065,28 @@ func (src *opSource) tableRows(cx *evalCtx) []Row {
 }
 
 // filter builds the leaf's pushed predicate (src.pushed != nil) over rows of
-// shape info.
+// shape info: compiled at plan time for a base table at top level, now
+// otherwise.
 func (src *opSource) filter(tailCx *evalCtx, info sourceInfo) *rowPred {
-	sources := []sourceInfo{info}
 	pc := src.pushedC
-	if pc == nil {
-		// Non-table sources resolve their shape only now; compile the
-		// pushed predicate against it, best effort.
-		pc = compileOver(src.pushed, sources)
+	if pc == nil || len(tailCx.levels) > 0 {
+		pc = compileOver(src.pushed, []sourceInfo{info}, tailCx.levels)
 	}
-	return newRowPred(tailCx, sources, src.pushed, pc, src.lenient)
+	return newRowPred(tailCx, pc, src.lenient)
 }
 
 // openLateral joins a lateral leaf onto the pipeline opened so far (left, of
 // shape leftSources). Under the held lock it drains left and, for each left
-// row in order, runs the item in that row's scope (openItem) and drains it;
+// row in order, runs the item on that row (openItem) and drains it;
 // the rows that pass ON — evaluated once the item drained — join that left
 // row, a LEFT JOIN null-pads a left row none passed, and the leaf's lenient
 // prefilter drops the rest. These are the executor's calls and evaluations
 // in its order, so UDF side effects and errors come in the same order and
 // all have happened before open returns; the joined rows stream from a
 // slice. With no left rows, the one run the executor makes to learn the
-// shape — against the outer scope alone — is made too, errors included.
-func (src *opSource) openLateral(cx, tailCx *evalCtx, p *opPlan, step *opJoinStep, left RowStream, leftSources []sourceInfo) (RowStream, []sourceInfo, error) {
+// shape — against the enclosing levels alone — is made too, errors
+// included. A function's arguments compile once against the left layout.
+func (src *opSource) openLateral(cx, tailCx *evalCtx, step *opJoinStep, left RowStream, leftSources []sourceInfo) (RowStream, []sourceInfo, error) {
 	outer, err := drainStreamCtx(cx, left)
 	if err != nil {
 		return nil, nil, err
@@ -1097,8 +1094,18 @@ func (src *opSource) openLateral(cx, tailCx *evalCtx, p *opPlan, step *opJoinSte
 	var all []sourceInfo
 	var pred, on *rowPred
 	var out []Row
-	run := func(sc *scope, l Row, shapeOnly bool) error {
-		st, err := src.openItem(cx, sc)
+	var args []compiledExpr
+	if src.item.Func != nil {
+		args = compileList(src.item.Func.Args, leftSources, tailCx.levels)
+	}
+	run := func(l Row, shapeOnly bool) error {
+		var st RowStream
+		var err error
+		if shapeOnly {
+			st, err = src.openItem(cx, tailCx, nil, nil, nil)
+		} else {
+			st, err = src.openItem(cx, tailCx, leftSources, l, args)
+		}
 		if err != nil {
 			return err
 		}
@@ -1114,7 +1121,7 @@ func (src *opSource) openLateral(cx, tailCx *evalCtx, p *opPlan, step *opJoinSte
 					pred = src.filter(tailCx, info)
 				}
 				if step.residual != nil {
-					on = newRowPred(tailCx, all, step.residual, p.compile(step.residual, all), false)
+					on = newRowPred(tailCx, compileOver(step.residual, all, tailCx.levels), false)
 				}
 			}
 		}
@@ -1168,12 +1175,12 @@ func (src *opSource) openLateral(cx, tailCx *evalCtx, p *opPlan, step *opJoinSte
 		return nil
 	}
 	for _, l := range outer.Rows {
-		if err := run(bindScope(leftSources, l, tailCx.scope), l, false); err != nil {
+		if err := run(l, false); err != nil {
 			return nil, nil, err
 		}
 	}
 	if len(outer.Rows) == 0 {
-		if err := run(&scope{outer: tailCx.scope}, nil, true); err != nil {
+		if err := run(nil, true); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -1250,11 +1257,11 @@ func (p *opPlan) openIndexedJoin(cx *evalCtx, tailCx *evalCtx) (RowStream, []sou
 			return nil, nil, err
 		}
 		return newJoinStream(tailCx, step, left, right, sources[:1], innerInfo, sources,
-			step.residual, p.compiled(step.residualC, step.residual, sources)), sources, nil
+			p.compiled(tailCx, step.residualC, step.residual, sources)), sources, nil
 	}
 	lk := step.lookup
 	js := newJoinStream(tailCx, step, left, nil, sources[:1], innerInfo, sources,
-		lk.residual, p.compiled(lk.residualC, lk.residual, sources))
+		p.compiled(tailCx, lk.residualC, lk.residual, sources))
 	js.lk, js.built = cands, true
 	return js, sources, nil
 }
@@ -1316,27 +1323,12 @@ func orderedSnapshot(cx *evalCtx, t *Table, o *orderedScanInfo) []Row {
 	return out
 }
 
-// callFromItem evaluates a FROM-clause function's arguments in sc and calls
-// it, under the held lock.
-func callFromItem(cx *evalCtx, f *FuncExpr, sc *scope) (RowStream, error) {
-	rcx := cx.withScope(sc)
-	vals := make([]variant.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := evalExpr(rcx, a)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return cx.db.callTableFunc(cx, f.Name, vals)
-}
-
-// evalLimits evaluates LIMIT/OFFSET at open time: offset ≤ 0 skips nothing,
-// negative limit means unlimited.
-func evalLimits(cx *evalCtx, limitE, offsetE Expr) (offset, limit int, err error) {
+// evalLimits evaluates compiled LIMIT/OFFSET at open time: offset ≤ 0
+// skips nothing (-1), a negative limit means unlimited.
+func evalLimits(cx *evalCtx, offsetC, limitC compiledExpr) (offset, limit int, err error) {
 	offset, limit = -1, -1
-	if offsetE != nil {
-		v, err := evalExpr(cx, offsetE)
+	if offsetC != nil {
+		v, err := offsetC(cx, nil)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1348,8 +1340,8 @@ func evalLimits(cx *evalCtx, limitE, offsetE Expr) (offset, limit int, err error
 			offset = int(n)
 		}
 	}
-	if limitE != nil {
-		v, err := evalExpr(cx, limitE)
+	if limitC != nil {
+		v, err := limitC(cx, nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -1,15 +1,20 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/variant"
 )
 
 // FuzzExecutorParity is the coverage-guided form of the differential suites:
 // the fuzzer mutates SQL text, and every SELECT with at most one FROM item —
-// a base table of a small fixture database with NULLs in every column — runs
-// on the shipped planner (vectorized or operator pipeline, serial scans) and
-// on the reference executor (reference_test.go). The contract:
+// a base table of a small fixture database with NULLs in every column, which
+// registers one deterministic scalar UDF, twice(x) — runs on the shipped
+// planner (vectorized or operator pipeline, serial scans), whose expressions
+// are compiled, and on the reference executor (reference_test.go), whose
+// expressions are interpreted. The contract:
 //
 //   - the pipeline never fails where the reference succeeds;
 //   - the rows are equal as a multiset, and in order under ORDER BY;
@@ -38,10 +43,32 @@ func FuzzExecutorParity(f *testing.F) {
 		`SELECT count(DISTINCT g), sum(id) FROM a WHERE s LIKE 's1%'`,
 		`SELECT count(*) FROM a OFFSET 1`,
 		`SELECT g, count(*) FROM a GROUP BY g LIMIT 2 OFFSET 1`,
+		`SELECT id, s FROM a WHERE twice(x) > 7 AND g IS NOT NULL`,
+		`SELECT g, sum(twice(x)), count(twice(id)) FROM a GROUP BY g ORDER BY g`,
+		`SELECT g, twice(sum(x)) + twice(g) FROM a GROUP BY g HAVING twice(count(*)) > 14 ORDER BY 1`,
+		`SELECT id, s FROM a WHERE id < 20 ORDER BY x * -1, twice(id) LIMIT 6`,
+		`SELECT g * 10 + count(*), sum(x) / count(x) - g FROM a GROUP BY g ORDER BY 1`,
+		`SELECT id FROM a WHERE nosuch > 1`,
+		`SELECT nofunc(id) FROM a`,
+		`SELECT g, nofunc(sum(x)) FROM a GROUP BY g`,
 	} {
 		f.Add(seed)
 	}
 	db := New()
+	db.RegisterScalar("twice", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+		if len(args) != 1 {
+			return variant.Value{}, fmt.Errorf("twice() expects 1 argument")
+		}
+		switch v := args[0]; v.Kind() {
+		case variant.Null:
+			return v, nil
+		case variant.Int:
+			return variant.NewInt(2 * v.Int()), nil
+		default:
+			f, err := v.AsFloat()
+			return variant.NewFloat(2 * f), err
+		}
+	}, true)
 	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 	db.EnablePlanCache(false)
 	for _, q := range []string{

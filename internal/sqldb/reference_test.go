@@ -15,8 +15,9 @@ import (
 // docs/sql-reference.md states — row-major through WHERE and the projection,
 // or the group keys and aggregate arguments; an aggregate's result or error
 // when HAVING or the SELECT list reads it; windows over the filtered rows —
-// and shares with the engine only the evaluator (evalExpr, evalGrouped), the
-// accumulators and the window kernel.
+// with an expression interpreter of its own (interp_test.go), and shares with
+// the engine only the accumulators, the window kernel and the ORDER BY
+// comparator.
 
 // refQuery runs one SELECT on the reference executor the way execTop runs a
 // statement: under the exclusive lock, in an implicit transaction (or the
@@ -80,7 +81,7 @@ func execSelect(cx *evalCtx, s *SelectStmt, outer *scope) (*ResultSet, error) {
 
 	// 2. LIMIT/OFFSET resolve once the sources are open, and the SELECT list
 	// expands, before any row is evaluated.
-	offset, limit, err := evalLimits(cx, s.Limit, s.Offset)
+	offset, limit, err := refLimits(cx, s.Limit, s.Offset)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func execSelect(cx *evalCtx, s *SelectStmt, outer *scope) (*ResultSet, error) {
 				if err := cx.checkCancel(i); err != nil {
 					return nil, err
 				}
-				v, err := evalExpr(cx.withScope(bindScope(sources, r, outer)), e)
+				v, err := evalExpr(cx, bindScope(sources, r, outer), e)
 				if err != nil {
 					return nil, err
 				}
@@ -146,7 +147,10 @@ func execSelect(cx *evalCtx, s *SelectStmt, outer *scope) (*ResultSet, error) {
 	// 4. ORDER BY over the projected result; keys may reference output
 	// aliases or, before aggregation, input columns.
 	if len(s.OrderBy) > 0 {
-		if err := applyOrderBy(cx, s, sources, kept, result, grouped); err != nil {
+		inputKey := func(ki int, in Row) (variant.Value, error) {
+			return evalExpr(cx, bindScope(sources, in, outer), s.OrderBy[ki].Expr)
+		}
+		if err := applyOrderBy(s, kept, result, grouped, inputKey); err != nil {
 			return nil, err
 		}
 	}
@@ -176,7 +180,7 @@ func filterRows(cx *evalCtx, where Expr, sources []sourceInfo, rows []Row, outer
 		if err := cx.checkCancel(ri); err != nil {
 			return nil, err
 		}
-		ok, err := truthy(cx.withScope(bindScope(sources, joined, outer)), where)
+		ok, err := truthy(cx, bindScope(sources, joined, outer), where)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +222,7 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 			}
 			return &ResultSet{Columns: t.Columns, Rows: visibleRows(cx, t)}, nil
 		case item.Func != nil:
-			st, err := callFromItem(cx, item.Func, sc)
+			st, err := refCallFromItem(cx, item.Func, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -237,7 +241,7 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 		for _, r := range rs.Rows {
 			joined := append(append(Row{}, l...), r...)
 			if item.On != nil {
-				ok, err := truthy(cx.withScope(bindScope(append(sources, info), joined, outer)), item.On)
+				ok, err := truthy(cx, bindScope(append(sources, info), joined, outer), item.On)
 				if err != nil {
 					return err
 				}
@@ -318,9 +322,9 @@ func execProjection(cx *evalCtx, s *SelectStmt, where Expr, sources []sourceInfo
 		if err := cx.checkCancel(ri); err != nil {
 			return nil, nil, err
 		}
-		rcx := cx.withScope(bindScope(sources, joined, outer))
+		sc := bindScope(sources, joined, outer)
 		if where != nil {
-			ok, err := truthy(rcx, where)
+			ok, err := truthy(cx, sc, where)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -334,7 +338,7 @@ func execProjection(cx *evalCtx, s *SelectStmt, where Expr, sources []sourceInfo
 		}
 		row := make(Row, len(exprs))
 		for i, e := range exprs {
-			v, err := evalExpr(rcx, e)
+			v, err := evalExpr(cx, sc, e)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -366,9 +370,9 @@ func execAggregate(cx *evalCtx, s *SelectStmt, sources []sourceInfo, rows []Row,
 		if err := cx.checkCancel(ri); err != nil {
 			return nil, err
 		}
-		rcx := cx.withScope(bindScope(sources, joined, outer))
+		sc := bindScope(sources, joined, outer)
 		if s.Where != nil {
-			ok, err := truthy(rcx, s.Where)
+			ok, err := truthy(cx, sc, s.Where)
 			if err != nil {
 				return nil, err
 			}
@@ -382,7 +386,7 @@ func execAggregate(cx *evalCtx, s *SelectStmt, sources []sourceInfo, rows []Row,
 		} else {
 			keyVals := make([]variant.Value, len(s.GroupBy))
 			for i, ge := range s.GroupBy {
-				v, err := evalExpr(rcx, ge)
+				v, err := evalExpr(cx, sc, ge)
 				if err != nil {
 					return nil, err
 				}
@@ -402,7 +406,7 @@ func execAggregate(cx *evalCtx, s *SelectStmt, sources []sourceInfo, rows []Row,
 			if g.argErr[i] != nil {
 				continue
 			}
-			v, err := evalExpr(rcx, f.Args[0])
+			v, err := evalExpr(cx, sc, f.Args[0])
 			if err != nil {
 				g.argErr[i] = err
 				continue

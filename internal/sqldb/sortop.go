@@ -12,38 +12,27 @@ import (
 // diverge), DISTINCT with first-occurrence order, and LIMIT/OFFSET
 // accounting with early exit.
 
-// rowPred is one row predicate: interpreted via the bound scope, or through
-// a compiled closure when the planner produced one (pushed single-source
-// filters over base tables). In lenient mode — prefilters pushed below a
-// join — an evaluation error keeps the row instead of failing: the executor
-// never evaluates WHERE on source rows the join eliminates, so the error
-// must be left to the residual filter above the join, which only sees rows
-// that actually survive.
+// rowPred is one compiled row predicate. In lenient mode — prefilters
+// pushed below a join — an evaluation error keeps the row instead of
+// failing: the executor never evaluates WHERE on source rows the join
+// eliminates, so the error must be left to the residual filter above the
+// join, which only sees rows that actually survive.
 type rowPred struct {
 	cx      *evalCtx
-	env     compEnv // the compiled form's environment, built once per predicate
-	sources []sourceInfo
-	pred    Expr
-	predC   compiledExpr
+	pred    compiledExpr
 	lenient bool
 }
 
-func newRowPred(cx *evalCtx, sources []sourceInfo, pred Expr, predC compiledExpr, lenient bool) *rowPred {
-	return &rowPred{cx: cx, env: compEnv{params: cx.params, ctx: cx.ctx},
-		sources: sources, pred: pred, predC: predC, lenient: lenient}
+func newRowPred(cx *evalCtx, pred compiledExpr, lenient bool) *rowPred {
+	return &rowPred{cx: cx, pred: pred, lenient: lenient}
 }
 
 // keep evaluates the predicate on one row: NULL and FALSE drop it.
 func (p *rowPred) keep(row Row) (bool, error) {
-	var keep bool
-	var err error
-	if p.predC != nil {
-		var v variant.Value
-		if v, err = p.predC(&p.env, row); err == nil && !v.IsNull() {
-			keep, err = v.AsBool()
-		}
-	} else {
-		keep, err = truthy(p.cx.bindRow(p.sources, row), p.pred)
+	v, err := p.pred(p.cx, row)
+	keep := false
+	if err == nil && !v.IsNull() {
+		keep, err = v.AsBool()
 	}
 	if err != nil && p.lenient {
 		return true, nil
@@ -82,19 +71,13 @@ func (f *opFilterStream) Next() (Row, error) {
 
 func (f *opFilterStream) Close() error { return f.src.Close() }
 
-// projectStream evaluates the SELECT list per input row: through projs, the
-// list compiled against a single base-table source, when the planner
-// produced it (env is their environment, built once at open), interpreted
-// via the bound scope otherwise.
+// projectStream evaluates the compiled SELECT list per input row.
 type projectStream struct {
-	cx      *evalCtx
-	src     RowStream
-	sources []sourceInfo
-	cols    []Column
-	exprs   []Expr
-	projs   []compiledExpr
-	env     compEnv
-	n       int
+	cx    *evalCtx
+	src   RowStream
+	cols  []Column
+	projs []compiledExpr
+	n     int
 }
 
 func (p *projectStream) Columns() []Column { return p.cols }
@@ -108,40 +91,22 @@ func (p *projectStream) Next() (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.projs != nil {
-		out := make(Row, len(p.projs))
-		for i, proj := range p.projs {
-			if out[i], err = proj(&p.env, in); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	rcx := p.cx.bindRow(p.sources, in)
-	out := make(Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := evalExpr(rcx, e)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return evalList(p.cx, in, p.projs)
 }
 
 func (p *projectStream) Close() error { return p.src.Close() }
 
 // projectSortStream projects and orders a non-aggregated pipeline: it drains
 // the input (keeping the post-filter rows aligned with their projections so
-// ORDER BY expressions over input columns still resolve), sorts through
-// applyOrderBy, and then emits.
+// ORDER BY expressions over input columns — keys, one per ORDER BY item —
+// still evaluate), sorts through applyOrderBy, and then emits.
 type projectSortStream struct {
-	cx      *evalCtx
-	src     RowStream
-	sources []sourceInfo
-	sel     *SelectStmt
-	cols    []Column
-	exprs   []Expr
+	cx    *evalCtx
+	src   RowStream
+	sel   *SelectStmt
+	cols  []Column
+	projs []compiledExpr
+	keys  []compiledExpr
 
 	built  bool
 	rows   []Row
@@ -166,20 +131,16 @@ func (p *projectSortStream) build() error {
 		if err != nil {
 			return err
 		}
-		rcx := p.cx.bindRow(p.sources, in)
-		out := make(Row, len(p.exprs))
-		for oi, e := range p.exprs {
-			v, err := evalExpr(rcx, e)
-			if err != nil {
-				return err
-			}
-			out[oi] = v
+		out, err := evalList(p.cx, in, p.projs)
+		if err != nil {
+			return err
 		}
 		inRows = append(inRows, in)
 		outRows = append(outRows, out)
 	}
 	rs := &ResultSet{Columns: p.cols, Rows: outRows}
-	if err := applyOrderBy(p.cx, p.sel, p.sources, inRows, rs, false); err != nil {
+	inputKey := func(ki int, in Row) (variant.Value, error) { return p.keys[ki](p.cx, in) }
+	if err := applyOrderBy(p.sel, inRows, rs, false, inputKey); err != nil {
 		return err
 	}
 	p.rows = rs.Rows
@@ -221,11 +182,10 @@ func (p *projectSortStream) Close() error {
 // must be output columns or ordinals, which applyOrderBy enforces with the
 // executor's error.
 type sortStream struct {
-	cx         *evalCtx
-	src        RowStream
-	sel        *SelectStmt
-	cols       []Column
-	aggregated bool
+	cx   *evalCtx
+	src  RowStream
+	sel  *SelectStmt
+	cols []Column
 
 	built  bool
 	rows   []Row
@@ -253,7 +213,7 @@ func (s *sortStream) build() error {
 		rows = append(rows, r)
 	}
 	rs := &ResultSet{Columns: s.cols, Rows: rows}
-	if err := applyOrderBy(s.cx, s.sel, nil, nil, rs, s.aggregated); err != nil {
+	if err := applyOrderBy(s.sel, nil, rs, true, nil); err != nil {
 		return err
 	}
 	s.rows = rs.Rows

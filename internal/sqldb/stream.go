@@ -9,12 +9,15 @@ import (
 
 // FROM-item resolution shared by every executor: a function call in FROM
 // becomes a row stream, and any FROM item's relation shape becomes the
-// sourceInfo its scope binds.
+// sourceInfo expressions over its rows compile against.
 
 // callTableFunc resolves a FROM-clause function into a row stream: builtin
 // SRFs, registered table UDFs (streaming or materialized), or — PostgreSQL
-// style — a scalar function as a one-row relation.
-func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (RowStream, error) {
+// style — a scalar function as a one-row relation. A panic of the function
+// fails the statement with ErrInternal; one inside the Next of the stream it
+// returned is not contained.
+func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ RowStream, err error) {
+	defer recoverUDF(name, &err)
 	ctx := cx.ctxOrBackground()
 	if fn, ok := builtinTableFunc(name); ok {
 		return fn(ctx, db, args)

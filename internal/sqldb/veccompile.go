@@ -12,8 +12,9 @@ import (
 // NOT, IS NULL — lower to per-type kernel loops. Everything else falls back
 // to the row compiler's closure (compile.go) evaluated per lane against the
 // batch's backing row, which makes the fallback observationally identical to
-// the row executors by construction; a node that the row compiler rejects
-// makes the whole statement ineligible for vectorized execution.
+// the row executors by construction. A node the row compiler reports opaque
+// (a deferred error, a UDF call, a modifier on a scalar call) makes the
+// whole statement ineligible for vectorized execution.
 //
 // Error semantics mirror sequential evaluation exactly: kernels record
 // errors per lane (colVec.errs), AND/OR discard a right-hand error when the
@@ -31,7 +32,7 @@ type vecExpr func(ve *vecEnv, b *Batch) (*colVec, error)
 // and conversion scratch. Plans are shared across concurrent executions;
 // every execution allocates its own vecEnv.
 type vecEnv struct {
-	env     *compEnv
+	env     *evalCtx
 	bufs    []colVec
 	scratch Row // batch-source fallback: one rebuilt row
 	f64a    []float64
@@ -58,7 +59,7 @@ func newVecCompiler(srcs []sourceInfo) *vecCompiler {
 	return &vecCompiler{rowComp: &compiler{sources: srcs}, width: width, wanted: make([]bool, width)}
 }
 
-func (vc *vecCompiler) newEnv(env *compEnv) *vecEnv {
+func (vc *vecCompiler) newEnv(env *evalCtx) *vecEnv {
 	return &vecEnv{env: env, bufs: make([]colVec, vc.nodes), scratch: make(Row, vc.width)}
 }
 
@@ -87,11 +88,11 @@ func (vc *vecCompiler) compile(e Expr) (vecExpr, bool) {
 		}, true
 
 	case *Literal:
-		return vc.compileConst(func(*compEnv) (variant.Value, error) { return x.Value, nil }), true
+		return vc.compileConst(func(*evalCtx) (variant.Value, error) { return x.Value, nil }), true
 
 	case *Param:
 		idx := x.Index
-		return vc.compileConst(func(env *compEnv) (variant.Value, error) {
+		return vc.compileConst(func(env *evalCtx) (variant.Value, error) {
 			if idx > len(env.params) {
 				return variant.Value{}, paramUnboundErr(idx)
 			}
@@ -162,15 +163,21 @@ func (vc *vecCompiler) compile(e Expr) (vecExpr, bool) {
 	}
 }
 
-// compileConst materializes a row-independent value across the batch.
-func (vc *vecCompiler) compileConst(get func(*compEnv) (variant.Value, error)) vecExpr {
+// compileConst materializes a row-independent value across the batch. Its
+// error (an unbound parameter) is every lane's, so it surfaces in row order
+// after the errors of operands evaluated before it, as per row.
+func (vc *vecCompiler) compileConst(get func(*evalCtx) (variant.Value, error)) vecExpr {
 	id := vc.newBuf()
 	return func(ve *vecEnv, b *Batch) (*colVec, error) {
 		v, err := get(ve.env)
-		if err != nil {
-			return nil, err
-		}
 		out := &ve.bufs[id]
+		if err != nil {
+			out.reset(vecAny, b.n)
+			for i := 0; i < b.n; i++ {
+				out.setErr(i, b.n, err)
+			}
+			return out, nil
+		}
 		switch v.Kind() {
 		case variant.Int:
 			out.reset(vecInt, b.n)
@@ -216,8 +223,9 @@ func (vc *vecCompiler) compileConst(get func(*compEnv) (variant.Value, error)) v
 // against the batch's backing row (or a scratch row rebuilt from the
 // columns), recording the value or the error.
 func (vc *vecCompiler) compileFallback(e Expr) (vecExpr, bool) {
-	ce, ok := vc.rowComp.compile(e)
-	if !ok {
+	vc.rowComp.opaque = false
+	ce := vc.rowComp.compile(e)
+	if vc.rowComp.opaque {
 		return nil, false
 	}
 	id := vc.newBuf()

@@ -18,8 +18,8 @@ import (
 //   - aggregate: the filter/key/argument expressions run as kernels and feed
 //     the SAME incremental accumulators (aggAccum) and group-key encoding
 //     (rowKey bytes) the row paths use, so the fold arithmetic and group
-//     identity cannot diverge; group output goes through the shared
-//     grouped-expression evaluator (aggEval);
+//     identity cannot diverge; group output goes through the compiled
+//     group projection the row path uses too (emitGroup);
 //   - window: the input is materialized as one wide batch, window-call
 //     inputs evaluate as kernels, and the shared window evaluator
 //     (evalWindowCall) partitions/sorts/frames exactly as the reference
@@ -81,7 +81,8 @@ type vecPlan struct {
 	specs    []*aggSpec
 	keyExprs []vecExpr
 	argExprs []vecExpr // aligned with specs; nil for count(*)
-	aggExprs []Expr    // projection ASTs for the shared grouped evaluator
+	having   compiledExpr
+	aggProjs []compiledExpr // the SELECT list over finished groups
 
 	// vecWindowMode:
 	rawCalls []*FuncExpr
@@ -225,7 +226,7 @@ func (db *DB) planVectorized(s *SelectStmt, serial bool) *vecPlan {
 			return nil
 		}
 		p.cols = cols
-		p.aggExprs = exprs
+		p.having, p.aggProjs = compileGroupProj(s, specs, exprs, p.sources, nil)
 	default:
 		cols, exprs, err := expandItems(items, p.sources)
 		if err != nil {
@@ -285,20 +286,15 @@ func (db *DB) planVectorized(s *SelectStmt, serial bool) *vecPlan {
 		}
 	}
 
-	constComp := &compiler{}
+	constComp := &compiler{noRow: true}
 	if s.Limit != nil {
-		ce, ok := constComp.compile(s.Limit)
-		if !ok {
-			return nil
-		}
-		p.limitC = ce
+		p.limitC = constComp.compile(s.Limit)
 	}
 	if s.Offset != nil {
-		ce, ok := constComp.compile(s.Offset)
-		if !ok {
-			return nil
-		}
-		p.offsetC = ce
+		p.offsetC = constComp.compile(s.Offset)
+	}
+	if constComp.opaque {
+		return nil
 	}
 	return p
 }
@@ -331,13 +327,13 @@ func windowsOutsideItems(s *SelectStmt) bool {
 // and returns the stream; its lazy tail reads only what open pinned.
 func (p *vecPlan) open(cx *evalCtx) (RowStream, error) {
 	scan := openMirrorScan(cx, p.table, p.vc.wanted[:len(p.srcCols)])
-	env := p.vc.newEnv(&compEnv{params: cx.params, ctx: cx.ctx})
-	// Detach grouped/window evaluation from transaction bookkeeping, like
-	// the streaming tails do.
+	// Detach the tail from transaction bookkeeping, like the streaming
+	// tails do.
 	tailCx := &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx}
+	env := p.vc.newEnv(tailCx)
 	switch p.mode {
 	case vecScanMode, vecAggMode:
-		offset, limit, err := evalLimitsCompiled(env.env, p.offsetC, p.limitC)
+		offset, limit, err := evalLimits(tailCx, p.offsetC, p.limitC)
 		if err != nil {
 			return nil, err
 		}
@@ -348,39 +344,6 @@ func (p *vecPlan) open(cx *evalCtx) (RowStream, error) {
 	default:
 		return &vecWindowStream{cx: tailCx, env: env, plan: p, scan: scan}, nil
 	}
-}
-
-// evalLimitsCompiled resolves compiled LIMIT/OFFSET with the engine's
-// conventions: offset ≤ 0 skips nothing (-1), negative limit is unlimited.
-func evalLimitsCompiled(env *compEnv, offsetC, limitC compiledExpr) (int, int, error) {
-	offset, limit := -1, -1
-	if offsetC != nil {
-		v, err := offsetC(env, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return 0, 0, fmt.Errorf("sql: OFFSET: %w", err)
-		}
-		if n > 0 {
-			offset = int(n)
-		}
-	}
-	if limitC != nil {
-		v, err := limitC(env, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return 0, 0, fmt.Errorf("sql: LIMIT: %w", err)
-		}
-		if n >= 0 {
-			limit = int(n)
-		}
-	}
-	return offset, limit, nil
 }
 
 // filterLane classifies one filter-result lane: keep, skip (false/NULL), or
@@ -594,7 +557,7 @@ func newVecFuncScanStream(cx *evalCtx, src RowStream, info sourceInfo, s *Select
 		projs[i] = pe
 	}
 	return &vecFuncScanStream{
-		env:    vc.newEnv(&compEnv{params: cx.params, ctx: cx.ctx}),
+		env:    vc.newEnv(cx),
 		src:    src,
 		bs:     bs,
 		filter: filter,
@@ -736,7 +699,7 @@ func (st *vecFuncScanStream) Close() error {
 // vecAggStream is the batch-fed twin of hashAggStream: kernels produce the
 // filter/key/argument columns, lanes feed the shared accumulators through
 // the executor's exact group-key byte encoding, and finished groups emit in
-// first-seen order through the shared grouped evaluator with HAVING and
+// first-seen order through the compiled group projection with HAVING and
 // OFFSET/LIMIT applied to the output rows.
 type vecAggStream struct {
 	cx     *evalCtx
@@ -774,16 +737,13 @@ func (st *vecAggStream) Next() (Row, error) {
 	}
 	p := st.plan
 	for st.pos < len(st.groups) {
-		ge := &aggEval{cx: st.cx, sources: p.sources, groupBy: p.sel.GroupBy, specs: p.specs, g: st.groups[st.pos]}
+		g := st.groups[st.pos]
 		st.pos++
-		if ok, err := ge.having(p.sel.Having); err != nil {
+		row, ok, err := emitGroup(st.env.env, g, p.having, p.aggProjs)
+		if err != nil {
 			return fail(err)
 		} else if !ok {
 			continue
-		}
-		row, err := ge.project(p.aggExprs)
-		if err != nil {
-			return fail(err)
 		}
 		if st.offset > 0 {
 			st.offset--

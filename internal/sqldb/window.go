@@ -167,8 +167,8 @@ type windowInput struct {
 }
 
 // buildWindowInput evaluates a call's input expressions through the
-// caller-supplied evaluator (compiled or row-scope bound on the row paths,
-// vector-kernel backed in the vectorized pipeline).
+// caller-supplied evaluator (compiled on the row path, vector-kernel backed
+// in the vectorized pipeline, interpreted by the reference executor).
 func buildWindowInput(f *FuncExpr, n int, evalCol func(e Expr) ([]variant.Value, error)) (*windowInput, error) {
 	in := &windowInput{fn: f, name: strings.ToLower(f.Name)}
 	if !f.Star {
@@ -621,14 +621,12 @@ func (w *windowStage) apply(cx *evalCtx, rows []Row, evalCol func(Expr) ([]varia
 
 // windowStream is the pipeline's WindowAgg node: it drains its input (rows
 // of shape sources) on the first Next and emits the rows with the window
-// columns appended. Window inputs compile against the input layout where
-// they compile and are interpreted otherwise.
+// columns appended. Window inputs compile against the input layout.
 type windowStream struct {
 	cx      *evalCtx
 	src     RowStream
 	sources []sourceInfo
 	stage   *windowStage
-	interp  bool
 
 	built bool
 	rows  []Row
@@ -662,24 +660,14 @@ func (w *windowStream) build() ([]Row, error) {
 		return nil, err
 	}
 	rows := rs.Rows
-	env := compEnv{params: w.cx.params, ctx: w.cx.ctx}
 	evalCol := func(e Expr) ([]variant.Value, error) {
-		var ce compiledExpr
-		if !w.interp {
-			ce = compileOver(e, w.sources)
-		}
+		ce := compileOver(e, w.sources, w.cx.levels)
 		col := make([]variant.Value, len(rows))
 		for i, r := range rows {
 			if err := w.cx.checkCancel(i); err != nil {
 				return nil, err
 			}
-			var v variant.Value
-			var err error
-			if ce != nil {
-				v, err = ce(&env, r)
-			} else {
-				v, err = evalExpr(w.cx.bindRow(w.sources, r), e)
-			}
+			v, err := ce(w.cx, r)
 			if err != nil {
 				return nil, err
 			}

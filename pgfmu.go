@@ -124,6 +124,9 @@ var (
 	ErrWriteConflict = sqldb.ErrWriteConflict
 	// ErrClosed reports use of a closed DB or Stmt.
 	ErrClosed = sqldb.ErrClosed
+	// ErrInternal reports a statement failed by a panic in a SQL function
+	// it called; the database keeps serving.
+	ErrInternal = sqldb.ErrInternal
 )
 
 // Value is a dynamically typed SQL datum.
