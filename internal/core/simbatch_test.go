@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fmu"
-	"repro/internal/sqldb"
 	"repro/internal/timeseries"
 )
 
@@ -106,7 +105,8 @@ func TestSimResultStreamMixedConsumption(t *testing.T) {
 
 // TestSimulateVectorizedScan runs fmu_simulate through SQL with a WHERE
 // clause — the shape the vectorized function-scan tail takes — and checks
-// it agrees with the row-at-a-time executor.
+// it agrees with the row-at-a-time path: the same query over a subquery
+// source, which drains the stream through Next and filters row by row.
 func TestSimulateVectorizedScan(t *testing.T) {
 	s := newTestSession(t)
 	if _, err := s.Create(hpSource, "i"); err != nil {
@@ -125,8 +125,8 @@ func TestSimulateVectorizedScan(t *testing.T) {
 	if len(rs.Rows) == 0 {
 		t.Fatal("no rows from filtered fmu_simulate")
 	}
-	s.DB().SetPlannerOptions(sqldb.PlannerOptions{DisableVectorized: true})
-	rs2, err := s.DB().Query(q)
+	rs2, err := s.DB().Query(`SELECT simulationTime, varName, value
+		FROM (SELECT * FROM fmu_simulate('i', NULL, 0, 10)) AS r WHERE varName = 'x' AND value > 0`)
 	if err != nil {
 		t.Fatal(err)
 	}

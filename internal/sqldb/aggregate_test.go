@@ -20,9 +20,9 @@ import (
 func groupQuery(t *testing.T, db *DB, sql string) *ResultSet {
 	t.Helper()
 	want := mustRefQuery(t, db, sql)
-	defer db.SetPlannerOptions(PlannerOptions{})
-	for _, opts := range []PlannerOptions{{}, {DisableVectorized: true}} {
-		db.SetPlannerOptions(opts)
+	defer db.setPlanner(plannerOptions{})
+	for _, opts := range []plannerOptions{{}, {disableVectorized: true}} {
+		db.setPlanner(opts)
 		if got := mustQuery(t, db, sql); !rowsEqual(got, want) {
 			t.Fatalf("%s (%+v):\ngot       %v\nreference %v", sql, opts, got.Rows, want.Rows)
 		}
@@ -38,9 +38,9 @@ func groupQueryErr(t *testing.T, db *DB, sql string) string {
 	if werr == nil {
 		t.Fatalf("%s: the reference succeeds", sql)
 	}
-	defer db.SetPlannerOptions(PlannerOptions{})
-	for _, opts := range []PlannerOptions{{}, {DisableVectorized: true}} {
-		db.SetPlannerOptions(opts)
+	defer db.setPlanner(plannerOptions{})
+	for _, opts := range []plannerOptions{{}, {disableVectorized: true}} {
+		db.setPlanner(opts)
 		if _, err := db.Query(sql); err == nil || err.Error() != werr.Error() {
 			t.Fatalf("%s (%+v): err = %v, want %v", sql, opts, err, werr)
 		}

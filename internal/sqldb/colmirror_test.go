@@ -12,7 +12,7 @@ import (
 // Column mirror tests. The unit tests drive mirrorColumns directly; the
 // rest run on newSuiteDB, so SQLDB_TEST_DURABLE=1 repeats them on a durable
 // database, and compare the vectorized path (which reads the mirror) against
-// DisableVectorized (which never does).
+// disableVectorized (which never does).
 
 // mirrorTable is a bare one-column table for driving mirrorColumns directly.
 func mirrorTable(colType string, cells ...variant.Value) *Table {
@@ -105,12 +105,10 @@ func TestVectorizedMirrorTyped(t *testing.T) {
 	}
 }
 
-// mirrorSuiteDB is newSuiteDB with the scan pinned to one worker, so every
-// filtered scan below is eligible for the vectorized executor.
+// mirrorSuiteDB is newSuiteDB with the table mt created.
 func mirrorSuiteDB(t *testing.T) *DB {
 	t.Helper()
 	db := newSuiteDB(t)
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 	mustExecB(t, db, `CREATE TABLE mt (g integer, v float, s text)`)
 	return db
 }
@@ -303,7 +301,6 @@ func TestVectorizedMirrorOwnUncommitted(t *testing.T) {
 // same groups, same first-seen order.
 func TestVectorizedGroupKeyTyped(t *testing.T) {
 	db := New()
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 	mustExecB(t, db, `CREATE TABLE gk (i integer, s text, b boolean, f float, x integer)`)
 	// Includes the NULL key's and an integer key's rowKey bytes as text.
 	texts := []string{"a:b", "a", "b\x00", "a:b\x00c", "", ":", "\x00", "null:NULL\x00", "integer:1\x00"}

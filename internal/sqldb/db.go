@@ -42,13 +42,9 @@ type DB struct {
 	cachePlans  bool
 	planCacheMu sync.Mutex
 
-	// planner tunes physical planning (access-path choice, parallel scans);
-	// written only under the exclusive lock via SetPlannerOptions.
-	planner PlannerOptions
-	// forceLookupJoin makes every eligible join take the index lookup
-	// whatever its sizes. Not an option: only this package's differential
-	// tests set it, before they query.
-	forceLookupJoin bool
+	// planner holds the tests' planner overrides (plannerOptions), zero in
+	// production; written only under the exclusive lock.
+	planner plannerOptions
 
 	// txn is the ambient transaction: the explicit database-wide one between
 	// SQL BEGIN and COMMIT/ROLLBACK, or the implicit transaction wrapped
@@ -1376,8 +1372,9 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 	if s.Query != nil {
 		// Draining the source before the first write makes INSERT ... SELECT
 		// over the target table read a fixed snapshot (no Halloween
-		// re-reads); a serial plan appends the rows in the order replay will.
-		st, err := db.openSelect(cx, s.Query, &cachedPlan{stmt: s.Query, serial: true})
+		// re-reads). Every plan yields a deterministic row order, so replay
+		// of the logged statement appends the rows in the same order.
+		st, err := db.openSelect(cx, s.Query, &cachedPlan{stmt: s.Query})
 		if err != nil {
 			return nil, err
 		}

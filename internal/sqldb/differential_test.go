@@ -16,18 +16,16 @@ import (
 // randomized equi- and non-equi joins (inner/left/cross, ON and WHERE
 // spellings) and aggregations (COUNT/SUM/AVG/MIN/MAX, DISTINCT, HAVING,
 // NULL group keys) must return exactly the row multiset the reference
-// executor (refQuery) returns. Runs under -race in CI, so it also exercises hash builds,
-// group state, and parallel probe scans for data races.
+// executor (refQuery) returns. Runs under -race in CI, so it also exercises hash builds
+// and group state for data races.
 //
 // Every table carries an ordered index on its join key, over rows that were
 // updated, deleted and re-inserted (stale index entries), and the query set
 // runs three times: under the shipped rule for the index lookup join, with
-// the lookup forced for every eligible join, and with DisableIndexScan.
+// the lookup forced for every eligible join, and with disableIndexScan.
 func TestStreamingOperatorEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	db := newSuiteDB(t)
-	// Low parallel threshold so probe-side partitioned scans participate.
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 400})
 	mustExec(t, db, `CREATE TABLE fact (id integer, k integer, f float, tag text)`)
 	mustExec(t, db, `CREATE TABLE dim (k integer, grp text, w float)`)
 	mustExec(t, db, `CREATE TABLE aux (k integer, n integer)`)
@@ -177,17 +175,14 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 
 	for _, mode := range []struct {
 		name        string
-		opts        PlannerOptions
-		force       bool
+		opts        plannerOptions
 		wantLookups bool
 	}{
-		{"shipped", PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 400}, false, true},
-		// Serial scans: a parallel outer keeps the hash join.
-		{"lookup forced", PlannerOptions{MaxScanWorkers: 1}, true, true},
-		{"DisableIndexScan", PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 400, DisableIndexScan: true}, false, false},
+		{"shipped", plannerOptions{}, true},
+		{"lookup forced", plannerOptions{forceLookupJoin: true}, true},
+		{"disableIndexScan", plannerOptions{disableIndexScan: true}, false},
 	} {
-		db.SetPlannerOptions(mode.opts)
-		db.forceLookupJoin = mode.force
+		db.setPlanner(mode.opts)
 		lookups := 0
 		for _, q := range queries {
 			if planKind(t, db, q) == physOps && joinStrategy(t, db, q) == "lookup" {
@@ -199,7 +194,7 @@ func TestStreamingOperatorEquivalence(t *testing.T) {
 			check(q, true)
 		}
 		t.Logf("%s: %d of %d joins looked their candidates up", mode.name, lookups, len(queries))
-		if (lookups > 0) != mode.wantLookups || (mode.force && lookups < len(queries)/3) {
+		if (lookups > 0) != mode.wantLookups || (mode.opts.forceLookupJoin && lookups < len(queries)/3) {
 			t.Errorf("%s: %d of %d joins looked their candidates up", mode.name, lookups, len(queries))
 		}
 	}
@@ -312,17 +307,17 @@ func TestStreamingOperatorEquivalenceSingleTable(t *testing.T) {
 		{`SELECT * FROM jobs() AS j(a, b, c)`, nil},
 		{`SELECT p FROM s AS x(p) WHERE p = 3`, nil},
 	}
-	run := func(opts PlannerOptions, q string, args []any) (*ResultSet, error) {
-		db.SetPlannerOptions(opts)
+	run := func(opts plannerOptions, q string, args []any) (*ResultSet, error) {
+		db.setPlanner(opts)
 		return db.Query(q, args...)
 	}
 	for _, c := range plain {
 		// The vectorized scan would take the filtered sequential scans.
-		db.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
+		db.setPlanner(plannerOptions{disableVectorized: true})
 		if k := planKind(t, db, c.sql); k != physOps {
 			t.Errorf("%s: plan kind %d, want physOps", c.sql, k)
 		}
-		streamed, serr := run(PlannerOptions{DisableVectorized: true}, c.sql, c.args)
+		streamed, serr := run(plannerOptions{disableVectorized: true}, c.sql, c.args)
 		ref, rerr := refQuery(t, db, c.sql, c.args...)
 		switch {
 		case (serr == nil) != (rerr == nil) || (serr != nil && serr.Error() != rerr.Error()):

@@ -12,10 +12,10 @@ import (
 
 // openSuiteDurable opens a durable database on dir. The planner options are
 // installed before recovery, so logical statement replay runs under them.
-func openSuiteDurable(t *testing.T, dir string, po PlannerOptions) *DB {
+func openSuiteDurable(t *testing.T, dir string, po plannerOptions) *DB {
 	t.Helper()
 	db := New()
-	db.SetPlannerOptions(po)
+	db.setPlanner(po)
 	// The tests compare states, not kill points: one fsync at Close is enough.
 	if err := db.EnableDurability(dir, DurabilityOptions{SyncEvery: 1 << 20}); err != nil {
 		t.Fatalf("EnableDurability: %v", err)
@@ -85,13 +85,13 @@ func (g dmlGroup) run(db *DB) []string {
 // DELETEs (=, BETWEEN, ranges, AND with non-indexed residuals, NULL keys,
 // parameters, SET of the indexed column itself; auto-commit, Tx handles and
 // the ambient transaction; ANALYZE, churn and vacuum interleaved), one with
-// the planner choosing DML targets and one under DisableIndexScan. Every
+// the planner choosing DML targets and one under disableIndexScan. Every
 // affected count and error, the table multiset, the WAL record sequence and
 // the state each directory recovers to must be equal.
 func TestPlannerAccessPathEquivalenceDML(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
 	dirs := [2]string{t.TempDir(), t.TempDir()}
-	planners := [2]PlannerOptions{{}, {DisableIndexScan: true}}
+	planners := [2]plannerOptions{{}, {disableIndexScan: true}}
 	var dbs [2]*DB
 	for i := range dbs {
 		dbs[i] = openSuiteDurable(t, dirs[i], planners[i])

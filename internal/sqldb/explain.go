@@ -30,13 +30,13 @@ func (db *DB) explainStatement(st Statement) ([]string, error) {
 	r := &planRenderer{db: db}
 	switch s := st.(type) {
 	case *SelectStmt:
-		if err := r.renderSelect(s, 0, false); err != nil {
+		if err := r.renderSelect(s, 0); err != nil {
 			return nil, err
 		}
 	case *InsertStmt:
 		r.node(0, fmt.Sprintf("Insert on %s", strings.ToLower(s.Table)))
 		if s.Query != nil {
-			if err := r.renderSelect(s.Query, 1, true); err != nil {
+			if err := r.renderSelect(s.Query, 1); err != nil {
 				return nil, err
 			}
 		} else {
@@ -78,10 +78,9 @@ func (r *planRenderer) detail(depth int, text string) {
 	r.lines = append(r.lines, pad+"  "+text)
 }
 
-// renderSelect renders a SELECT's physical plan at the given depth; serial
-// is planSelect's.
-func (r *planRenderer) renderSelect(s *SelectStmt, depth int, serial bool) error {
-	plan, err := r.db.planSelect(s, serial)
+// renderSelect renders a SELECT's physical plan at the given depth.
+func (r *planRenderer) renderSelect(s *SelectStmt, depth int) error {
+	plan, err := r.db.planSelect(s)
 	if err != nil {
 		return err
 	}
@@ -286,7 +285,7 @@ func (r *planRenderer) renderOpLeaf(leaf *opSource, ordered *orderedScanInfo, de
 			}
 			return nil
 		}
-		r.renderAccess(leaf.access, t.Name, leaf.alias, leaf.pushed, leafFilterLabel(leaf), leaf.parallel, leaf.workers, depth)
+		r.renderAccess(leaf.access, t.Name, leaf.alias, leaf.pushed, leafFilterLabel(leaf), depth)
 		return nil
 	case leaf.item.Func != nil:
 		r.node(depth, fmt.Sprintf("Function Scan on %s", strings.ToLower(leaf.alias)))
@@ -306,7 +305,7 @@ func (r *planRenderer) renderOpLeaf(leaf *opSource, ordered *orderedScanInfo, de
 // renderAccess renders the scan leaf with its access-path annotation.
 // filterLabel names the predicate detail: "Filter" for a real filter,
 // "Prefilter" for a lenient pushed predicate under a join.
-func (r *planRenderer) renderAccess(ap accessPath, table, alias string, where Expr, filterLabel string, parallel bool, workers, depth int) {
+func (r *planRenderer) renderAccess(ap accessPath, table, alias string, where Expr, filterLabel string, depth int) {
 	// "rows=" reports a live count; "rows≈" an ANALYZE-snapshot estimate.
 	rowsEq := "rows="
 	if ap.analyzed {
@@ -326,13 +325,7 @@ func (r *planRenderer) renderAccess(ap accessPath, table, alias string, where Ex
 			ap.ix.name, name, ap.ix.kind, mode, int(ap.estRows+0.5), ap.tableRows))
 		r.detail(depth, "Index Cond: "+probeString(ap.probe))
 	default:
-		scan := "Seq Scan"
-		extra := ""
-		if parallel {
-			scan = "Parallel Seq Scan"
-			extra = fmt.Sprintf("workers=%d, ", workers)
-		}
-		r.node(depth, fmt.Sprintf("%s on %s  (%s%s%d)", scan, name, extra, rowsEq, ap.tableRows))
+		r.node(depth, fmt.Sprintf("Seq Scan on %s  (%s%d)", name, rowsEq, ap.tableRows))
 	}
 	if where != nil {
 		r.detail(depth, filterLabel+": "+exprString(where))
@@ -349,7 +342,7 @@ func (r *planRenderer) renderWriteScan(table string, where Expr) {
 	}
 	alias := strings.ToLower(t.Name)
 	ap := chooseAccessPath(r.db, t, alias, where)
-	r.renderAccess(ap, t.Name, alias, where, "Filter", false, 0, 1)
+	r.renderAccess(ap, t.Name, alias, where, "Filter", 1)
 }
 
 // windowSpecString renders the inside of an OVER (...) clause.

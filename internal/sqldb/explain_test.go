@@ -13,12 +13,10 @@ var updateGolden = flag.Bool("update", false, "rewrite EXPLAIN golden files")
 
 // explainDB builds a deterministic catalogue for the golden suite: an
 // indexed table with analyzed statistics, a low-cardinality column whose
-// index the cost model should reject, and pinned planner options so worker
-// counts don't depend on the host.
+// index the cost model should reject.
 func explainDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 1000})
 	mustExec(t, db, `CREATE TABLE sensors (id integer, temp float, room text, flag integer)`)
 	for i := 0; i < 2000; i++ {
 		mustExec(t, db, `INSERT INTO sensors VALUES ($1, $2, $3, $4)`,
@@ -63,7 +61,7 @@ func TestExplainGolden(t *testing.T) {
 		{name: "btree_range_open", query: `EXPLAIN SELECT id FROM sensors WHERE temp >= 49 AND room = 'room3'`},
 		{name: "low_cardinality_seq", query: `EXPLAIN SELECT id FROM sensors WHERE flag = 1`},
 		{name: "limit_over_probe", query: `EXPLAIN SELECT id FROM sensors WHERE temp < 1 LIMIT 5 OFFSET 2`},
-		{name: "parallel_scan", query: `EXPLAIN SELECT id FROM sensors WHERE room = 'room7'`},
+		{name: "filtered_seq_scan", query: `EXPLAIN SELECT id FROM sensors WHERE room = 'room7'`},
 		{name: "aggregate_sort_limit", query: `EXPLAIN SELECT room, count(*) AS n FROM sensors WHERE id > 10 GROUP BY room ORDER BY n DESC LIMIT 3`},
 		{name: "distinct", query: `EXPLAIN SELECT DISTINCT room FROM sensors`},
 		{name: "join_nested_loop", query: `EXPLAIN SELECT a.id FROM sensors a JOIN sensors b ON a.id = b.id WHERE a.temp > 40`},

@@ -108,13 +108,13 @@ func TestFuncScanBatchSource(t *testing.T) {
 		}
 
 		db2, nextCalls2, batchCalls2 := newBatchSrcDB(t, rows)
-		db2.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
+		db2.setPlanner(plannerOptions{disableVectorized: true})
 		rs2, err := db2.Query(q)
 		if err != nil {
 			t.Fatalf("%s (row path): %v", q, err)
 		}
 		if *batchCalls2 != 0 || *nextCalls2 == 0 {
-			t.Errorf("%s: DisableVectorized still used batch path (batch=%d next=%d)", q, *batchCalls2, *nextCalls2)
+			t.Errorf("%s: disableVectorized still used batch path (batch=%d next=%d)", q, *batchCalls2, *nextCalls2)
 		}
 		if !reflect.DeepEqual(fmt.Sprint(rs.Rows), fmt.Sprint(rs2.Rows)) {
 			t.Errorf("%s: vectorized/row mismatch:\n  vec: %v\n  row: %v", q, rs.Rows, rs2.Rows)

@@ -59,21 +59,21 @@ func BenchmarkHashJoinVsNestedLoop(b *testing.B) {
 	}
 	const q = `SELECT count(*) FROM fact f JOIN dim d ON f.k = d.k`
 	b.Run("HashJoin10kx10k", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{})
+		db.setPlanner(plannerOptions{})
 		run(b, q, n)
 	})
 	b.Run("NestedLoop10kx10k", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("10⁸-pair nested loop; run without -short")
 		}
-		db.SetPlannerOptions(PlannerOptions{DisableHashJoin: true})
+		db.setPlanner(plannerOptions{disableHashJoin: true})
 		run(b, q, n)
 	})
 	if _, err := db.Query(`CREATE INDEX dim_k ON dim (k)`); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("LookupJoin100x10k", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{})
+		db.setPlanner(plannerOptions{})
 		run(b, q+` WHERE f.id < 100`, 100)
 	})
 }
@@ -109,7 +109,7 @@ func BenchmarkStreamingAggregate(b *testing.B) {
 	b.Run(fmt.Sprintf("Streaming%dk", n/1000), func(b *testing.B) {
 		// Pin the row-at-a-time streaming executor; the vectorized strategy
 		// (which would otherwise claim this shape) has its own benchmark.
-		db.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
+		db.setPlanner(plannerOptions{disableVectorized: true})
 		run(b)
 	})
 }

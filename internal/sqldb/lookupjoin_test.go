@@ -24,7 +24,7 @@ func joinStrategy(t *testing.T, db *DB, sql string, args ...any) string {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	plan, err := db.planSelect(stmt.(*SelectStmt), false)
+	plan, err := db.planSelect(stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestLookupJoinMatchesExecutor(t *testing.T) {
 	if !strings.Contains(out, "Hash Join (inner)") || !strings.Contains(out, "Index Lookup: i_k for (o.k = i.k)") {
 		t.Fatalf("EXPLAIN does not name the lookup index:\n%s", out)
 	}
-	db.SetPlannerOptions(PlannerOptions{DisableIndexScan: true})
+	db.setPlanner(plannerOptions{disableIndexScan: true})
 	if out := explainText(t, db, `EXPLAIN SELECT o.id FROM o JOIN i ON o.k = i.k`); strings.Contains(out, "Index Lookup") {
-		t.Fatalf("DisableIndexScan must turn the lookup off:\n%s", out)
+		t.Fatalf("disableIndexScan must turn the lookup off:\n%s", out)
 	}
 	mustLookup(t, db, "hash", queries[0])
-	db.SetPlannerOptions(PlannerOptions{DisableHashJoin: true})
+	db.setPlanner(plannerOptions{disableHashJoin: true})
 	mustLookup(t, db, "nested", queries[0])
 }
 
@@ -229,12 +229,12 @@ func TestLookupJoinFallsBackToHash(t *testing.T) {
 	const big = `SELECT x.tag, i.tag FROM i x JOIN i ON x.k = i.k WHERE x.w >= 0`
 	mustLookup(t, db, "hash", big)
 	want := sameAsExecutor(t, db, big)
-	db.forceLookupJoin = true
+	db.setPlanner(plannerOptions{forceLookupJoin: true})
 	mustLookup(t, db, "lookup", big)
 	if got := sameAsExecutor(t, db, big); !rowsEqual(got, want) {
 		t.Fatalf("forced lookup differs from the hash fallback")
 	}
-	db.forceLookupJoin = false
+	db.setPlanner(plannerOptions{})
 
 	// Under the ratio but over the candidate budget: every outer row matches
 	// every inner row.

@@ -13,10 +13,8 @@ import (
 // Operator plans. Every SELECT the vectorized executor does not take lowers
 // here to a pipeline of pull-based operators behind the RowStream contract:
 //
-//   scan leaves (with WHERE conjuncts pushed below joins, access paths from
-//   the shared cost model, and optionally a parallel partitioned scan feeding
-//   a single-source projection or the bottom hash join's probe side;
-//   subqueries run their own plan)
+//   scan leaves (with WHERE conjuncts pushed below joins and access paths
+//   from the shared cost model; subqueries run their own plan)
 //     → build/probe hash joins for equi-join conjuncts (the bottom join
 //       probes the inner table's index instead when it has one on a key
 //       column and the outer input turns out small; see joinLookup),
@@ -66,7 +64,7 @@ type opPlan struct {
 	window *windowStage
 	// udf marks a statement whose expressions outside FROM call a UDF: open
 	// drains it, and nothing may change how often or in which order those
-	// calls happen — no parallel or ordered scan, no prefilter past a UDF
+	// calls happen — no ordered scan, no prefilter past a UDF
 	// conjunct, no UDF-bearing join key.
 	udf bool
 	// interp marks a plan over duplicate source aliases: side attribution
@@ -168,10 +166,6 @@ type opSource struct {
 	pushed  Expr
 	pushedC compiledExpr
 	lenient bool
-	// parallel partitions the scan across workers (a single-source scan or
-	// the probe side of a hash join; see planOperators).
-	parallel bool
-	workers  int
 	// batchTail marks a single function-scan leaf whose statement tail may
 	// drain the source's columnar batches (newVecFuncScanStream): open then
 	// leaves a BatchSource unfiltered for the tail to take over.
@@ -208,8 +202,7 @@ type opJoinStep struct {
 // the whole inner table on every execution. It only accompanies a hash plan
 // (which stays the fallback, see openIndexedJoin) and needs:
 //
-//   - both leaves plain base tables without column aliases, the outer one
-//     not scanned in parallel;
+//   - both leaves plain base tables without column aliases;
 //   - every key pair two plain column references whose declared types share
 //     a non-variant hashTypeGroup: no key evaluation or comparison can error,
 //     so none of the hash join's cross-kind machinery is needed;
@@ -278,9 +271,9 @@ func isLateral(i int, item FromItem) bool {
 	return i > 0 && (item.Func != nil || (item.Sub != nil && item.Lateral))
 }
 
-// planOperators builds the operator pipeline for s; serial is planSelect's.
-// Caller holds the database lock (either mode).
-func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
+// planOperators builds the operator pipeline for s. Caller holds the
+// database lock (either mode).
+func (db *DB) planOperators(s *SelectStmt) (*opPlan, error) {
 	metas := make([]sourceMeta, len(s.From))
 	for i, item := range s.From {
 		m, err := db.sourceMetaFor(item)
@@ -377,9 +370,7 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 			leaf.est = leaf.access.estRows
 			leaf.pushedC = compileOver(leaf.pushed, []sourceInfo{metas[i].info()}, nil)
 		case item.Sub != nil:
-			// The subquery's row order feeds this plan's order-sensitive
-			// stages, so it is read serially.
-			sub, err := db.planOperators(item.Sub, true)
+			sub, err := db.planOperators(item.Sub)
 			if err != nil {
 				return nil, err
 			}
@@ -397,7 +388,7 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 		step := &opJoinStep{kind: item.Join, residual: item.On}
 		rightEst := plan.leaves[i].est
 		if keysL, keysR, rest := extractEquiKeys(item.On, metas, i); len(keysL) > 0 &&
-			!plan.interp && !plan.leaves[i].lateral && !db.planner.DisableHashJoin {
+			!plan.interp && !plan.leaves[i].lateral && !db.planner.disableHashJoin {
 			nlCost := leftEst * rightEst
 			hashCost := leftEst + rightEst + hashJoinBuildCost
 			if hashCost < nlCost {
@@ -411,30 +402,8 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 		leftEst = step.est
 	}
 
-	// Parallel partitioned scan of a large sequential scan whose filter
-	// compiled, feeding a single-source projection or the probe side of the
-	// bottom hash join, with no LIMIT/OFFSET, grouping, window, DISTINCT or
-	// ORDER BY: the merge is order-insensitive, LIMIT's early-exit
-	// accounting does not partition, and grouped, windowed, DISTINCT, or
-	// sorted pipelines have order-sensitive engine semantics (group
-	// first-row resolution and emission order, window fold order,
-	// first-occurrence dedup, stable-sort ties) that must stay
-	// deterministic — as must the order of lateral and UDF calls, and of the
-	// rows a serial plan feeds.
-	if !serial && (len(plan.steps) == 0 || plan.steps[0].hash) && lastLateral == 0 && !plan.udf &&
-		!grouped && plan.window == nil && !s.Distinct && len(s.OrderBy) == 0 &&
-		s.Limit == nil && s.Offset == nil {
-		probe := plan.leaves[0]
-		if probe.table != nil && probe.pushed != nil && probe.access.kind == accessSeq {
-			if workers := db.planner.parallelScanWorkers(probe.access.tableRows); workers > 0 {
-				probe.parallel = true
-				probe.workers = workers
-			}
-		}
-	}
-
-	// DisableIndexScan turns the lookup off like any other index access.
-	if len(plan.steps) > 0 && plan.steps[0].hash && !db.planner.DisableIndexScan {
+	// disableIndexScan turns the lookup off like any other index access.
+	if len(plan.steps) > 0 && plan.steps[0].hash && !db.planner.disableIndexScan {
 		plan.steps[0].lookup = planJoinLookup(plan, metas)
 	}
 
@@ -461,7 +430,7 @@ func (db *DB) planOperators(s *SelectStmt, serial bool) (*opPlan, error) {
 	} else if leaf := plan.leaves[0]; !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) &&
 		len(plan.leaves) == 1 && leaf.item.Func != nil && s.Where != nil && !s.Distinct &&
 		plan.window == nil && !plan.udf {
-		leaf.batchTail = !db.planner.DisableVectorized
+		leaf.batchTail = !db.planner.disableVectorized
 	}
 	return plan, nil
 }
@@ -700,7 +669,7 @@ func extractEquiKeys(on Expr, metas []sourceMeta, rightIdx int) (keysL, keysR []
 // and picks the first key pair the inner table has an ordered index for.
 func planJoinLookup(plan *opPlan, metas []sourceMeta) *joinLookup {
 	step, outer, inner := plan.steps[0], plan.leaves[0], plan.leaves[1]
-	if outer.table == nil || outer.parallel || len(outer.item.ColAliases) > 0 ||
+	if outer.table == nil || len(outer.item.ColAliases) > 0 ||
 		inner.table == nil || len(inner.item.ColAliases) > 0 {
 		return nil
 	}
@@ -968,8 +937,7 @@ func (p *opPlan) openPipeline(cx, tailCx *evalCtx) (RowStream, error) {
 
 // open resolves one leaf under the held lock: snapshot / index probe /
 // ordered index walk for tables, UDF call for function scans, the drained
-// plan for subqueries. The pushed filter wraps the source (or feeds the
-// parallel partitioned scan).
+// plan for subqueries. The pushed filter wraps the source.
 func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo) (RowStream, sourceInfo, error) {
 	item := src.item
 	var base RowStream
@@ -987,12 +955,6 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 			rows = orderedSnapshot(cx, t, ordered)
 		} else {
 			rows = src.tableRows(cx)
-		}
-		if src.parallel {
-			// Under a join the pushed filter is a lenient prefilter:
-			// evaluation errors keep the row for the residual WHERE instead
-			// of failing the pool.
-			return newParallelScanStream(src.filter(tailCx, info), rows, info.columns, src.workers), info, nil
 		}
 		base = &sliceStream{cols: info.columns, rows: rows}
 	case item.Func != nil:
@@ -1237,7 +1199,7 @@ func (p *opPlan) openIndexedJoin(cx *evalCtx, tailCx *evalCtx) (RowStream, []sou
 	// it replaces copies.
 	v := innerLeaf.table.loadView()
 	limit := len(v.rows)
-	if cx.db.forceLookupJoin {
+	if cx.db.planner.forceLookupJoin {
 		limit = math.MaxInt
 	}
 	var cands *lookupCands

@@ -38,7 +38,7 @@ func planKind(t *testing.T, db *DB, sql string) physKind {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	plan, err := db.planSelect(stmt.(*SelectStmt), false)
+	plan, err := db.planSelect(stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestJoinPlansHashAndFallback(t *testing.T) {
 	if !strings.Contains(out, "Nested Loop (inner join)") {
 		t.Fatalf("want nested loop for non-equi, got:\n%s", out)
 	}
-	// DisableHashJoin forces the streaming nested loop but answers match.
-	db.SetPlannerOptions(PlannerOptions{DisableHashJoin: true})
+	// disableHashJoin forces the streaming nested loop but answers match.
+	db.setPlanner(plannerOptions{disableHashJoin: true})
 	out = explainText(t, db, `EXPLAIN SELECT o.id FROM orders o JOIN custs c ON o.cust = c.id`)
 	if strings.Contains(out, "Hash Join") {
-		t.Fatalf("DisableHashJoin ignored:\n%s", out)
+		t.Fatalf("disableHashJoin ignored:\n%s", out)
 	}
 	nl := mustQuery(t, db, `SELECT o.id, c.name FROM orders o LEFT JOIN custs c ON o.cust = c.id`)
-	db.SetPlannerOptions(PlannerOptions{})
+	db.setPlanner(plannerOptions{})
 	hj := mustQuery(t, db, `SELECT o.id, c.name FROM orders o LEFT JOIN custs c ON o.cust = c.id`)
 	if !rowsEqual(nl, hj) {
 		t.Fatalf("nested loop %d rows != hash join %d rows", len(nl.Rows), len(hj.Rows))
@@ -338,14 +338,14 @@ func TestScalarAggregateOnEmptyInput(t *testing.T) {
 
 	// The streaming hash aggregation must create the implicit group even
 	// when build() consumes zero rows.
-	db.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
+	db.setPlanner(plannerOptions{disableVectorized: true})
 	if k := planKind(t, db, q); k != physOps {
 		t.Fatalf("plan kind = %v, want physOps", k)
 	}
 	check(mustQuery(t, db, q), "streaming")
 
 	// As must the vectorized aggregate.
-	db.SetPlannerOptions(PlannerOptions{})
+	db.setPlanner(plannerOptions{})
 	if k := planKind(t, db, q); k != physVectorized {
 		t.Fatalf("plan kind = %v, want physVectorized", k)
 	}
@@ -360,7 +360,7 @@ func TestStreamingAggregateSemantics(t *testing.T) {
 	db := New()
 	// Pin the streaming operator pipeline: this suite exercises physOps, not
 	// the vectorized aggregate that would otherwise claim these statements.
-	db.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
+	db.setPlanner(plannerOptions{disableVectorized: true})
 	mustExec(t, db, `CREATE TABLE m (grp text, v integer, f float)`)
 	rows := []struct {
 		grp any
@@ -441,54 +441,6 @@ func TestOrderedIndexScanSatisfiesOrderBy(t *testing.T) {
 	stream, mat := runBoth(t, db, `SELECT -k AS k FROM t ORDER BY k`)
 	if !rowsEqual(stream, mat) {
 		t.Error("aliased computed key diverges")
-	}
-}
-
-func TestParallelScanFeedsHashJoinProbe(t *testing.T) {
-	db := New()
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 500})
-	mustExec(t, db, `CREATE TABLE big (id integer, k integer)`)
-	mustExec(t, db, `CREATE TABLE dim (k integer, label text)`)
-	for i := 0; i < 2000; i++ {
-		mustExec(t, db, `INSERT INTO big VALUES ($1, $2)`, i, i%50)
-	}
-	for i := 0; i < 50; i++ {
-		mustExec(t, db, `INSERT INTO dim VALUES ($1, $2)`, i, "d")
-	}
-	const q = `SELECT big.id, dim.label FROM big JOIN dim ON big.k = dim.k WHERE big.id % 2 = 0`
-	out := explainText(t, db, "EXPLAIN "+q)
-	if !strings.Contains(out, "Parallel Seq Scan on big") || !strings.Contains(out, "Hash Join") {
-		t.Fatalf("want parallel probe feed, got:\n%s", out)
-	}
-	// Order-sensitive consumers (group first-row/emission order, DISTINCT
-	// first-occurrence, sort ties) must stay deterministic: no parallel
-	// probe under them.
-	for _, sensitive := range []string{
-		`EXPLAIN SELECT dim.label, count(*) FROM big JOIN dim ON big.k = dim.k WHERE big.id % 2 = 0 GROUP BY dim.label`,
-		`EXPLAIN SELECT DISTINCT dim.label FROM big JOIN dim ON big.k = dim.k WHERE big.id % 2 = 0`,
-		`EXPLAIN SELECT big.id FROM big JOIN dim ON big.k = dim.k WHERE big.id % 2 = 0 ORDER BY dim.label`,
-	} {
-		if p := explainText(t, db, sensitive); strings.Contains(p, "Parallel") {
-			t.Fatalf("order-sensitive pipeline must not use a parallel probe:\n%s", p)
-		}
-	}
-	got := mustQuery(t, db, q)
-	want := mustRefQuery(t, db, q)
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("parallel probe join: %d rows, want %d", len(got.Rows), len(want.Rows))
-	}
-	// Parallel merge order is unspecified: compare as multisets.
-	seen := make(map[string]int)
-	for _, r := range got.Rows {
-		seen[rowKey(r)]++
-	}
-	for _, r := range want.Rows {
-		seen[rowKey(r)]--
-	}
-	for k, n := range seen {
-		if n != 0 {
-			t.Fatalf("multiset mismatch at %q (%+d)", k, n)
-		}
 	}
 }
 

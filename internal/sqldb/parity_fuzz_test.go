@@ -12,7 +12,7 @@ import (
 // the fuzzer mutates SQL text, and every SELECT with at most one FROM item —
 // a base table of a small fixture database with NULLs in every column, which
 // registers one deterministic scalar UDF, twice(x) — runs on the shipped
-// planner (vectorized or operator pipeline, serial scans), whose expressions
+// planner (vectorized or operator pipeline), whose expressions
 // are compiled, and on the reference executor (reference_test.go), whose
 // expressions are interpreted. The contract:
 //
@@ -69,7 +69,6 @@ func FuzzExecutorParity(f *testing.F) {
 			return variant.NewFloat(2 * f), err
 		}
 	}, true)
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 	db.EnablePlanCache(false)
 	for _, q := range []string{
 		`CREATE TABLE a (id integer, x float, s text, g integer)`,

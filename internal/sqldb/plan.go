@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sync/atomic"
 )
@@ -12,8 +11,7 @@ import (
 //  1. A cost-based physical planner (planSelect + chooseAccessPath) deciding
 //     HOW: full scan vs. hash or btree index probe vs. index range, driven
 //     by the catalogue's per-table row counts and per-column cardinalities
-//     (stats.go), plus whether the scan runs serially or partitioned across
-//     a worker pool (parallel.go).
+//     (stats.go).
 //  2. One of two physical executors: the vectorized batch executor for
 //     single-table analytical scans, aggregates and windows (vecexec.go),
 //     and the operator pipeline (operator.go) for every other SELECT,
@@ -22,103 +20,34 @@ import (
 //
 // Physical plans are cached per statement (cachedPlan) and revalidated
 // against the catalogue epoch, so any DDL — CREATE/DROP TABLE or INDEX,
-// ANALYZE, planner-option changes, including those rolled back by a
-// transaction — forces a replan before the next execution.
+// ANALYZE, including those rolled back by a transaction — forces a replan
+// before the next execution.
 
 // --- Planner configuration ---
 
-// PlannerOptions tune physical planning. The zero value means defaults.
-type PlannerOptions struct {
-	// DisableIndexScan forces full scans — the debugging/testing knob the
-	// property suite uses to cross-check planner-chosen access paths.
-	DisableIndexScan bool
-	// DisableHashJoin keeps equi-joins on the streaming nested-loop
-	// strategy, for testing and for working around pathological key
-	// distributions.
-	DisableHashJoin bool
-	// MaxScanWorkers caps parallel partitioned scans: 1 disables them,
-	// 0 means min(GOMAXPROCS, 8).
-	MaxScanWorkers int
-	// ParallelMinRows is the table size below which scans stay serial;
-	// 0 means the default (50000).
-	ParallelMinRows int
-	// DisableVectorized keeps the analytical class on the operator pipeline
-	// — the differential-testing knob that cross-checks the vectorized batch
-	// executor (vecexec.go) against it.
-	DisableVectorized bool
+// plannerOptions override planner choices so that the differential suites
+// can compare the shipped plans against their alternatives. Only the
+// package's tests set them; the zero value is the shipped planner.
+type plannerOptions struct {
+	// disableIndexScan forces full scans (and no index lookup join).
+	disableIndexScan bool
+	// disableHashJoin keeps equi-joins on the streaming nested loop.
+	disableHashJoin bool
+	// disableVectorized keeps the analytical class on the operator pipeline.
+	disableVectorized bool
+	// forceLookupJoin makes every eligible join take the index lookup
+	// whatever the outer input's size (see openIndexedJoin); it is read at
+	// open, not at plan time.
+	forceLookupJoin bool
 }
 
 const (
-	defaultParallelMinRows = 50000
-	maxDefaultScanWorkers  = 8
-	// parallelMinChunk bounds the per-worker slice so tiny partitions don't
-	// pay more in coordination than they save.
-	parallelMinChunk = 8192
 	// defaultEqSelectivity estimates an equality probe on a never-analyzed
 	// column; defaultBoundSelectivity one inequality bound; a closed range
 	// multiplies two bounds.
 	defaultEqSelectivity    = 0.01
 	defaultBoundSelectivity = 1.0 / 3.0
 )
-
-// SetPlannerOptions installs planner tuning and invalidates cached plans.
-func (db *DB) SetPlannerOptions(o PlannerOptions) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.planner = o
-	db.tables.bumpEpoch()
-}
-
-// scanWorkers resolves the effective worker-pool size.
-func (o PlannerOptions) scanWorkers() int {
-	w := o.MaxScanWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > maxDefaultScanWorkers {
-			w = maxDefaultScanWorkers
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func (o PlannerOptions) parallelMinRows() int {
-	if o.ParallelMinRows > 0 {
-		return o.ParallelMinRows
-	}
-	return defaultParallelMinRows
-}
-
-// parallelScanWorkers resolves the worker count for a parallel partitioned
-// scan over tableRows rows, or 0 when the scan should stay serial: below the
-// row threshold, with a single-worker pool, or when the partitions would
-// drop under the per-worker chunk floor (a lowered ParallelMinRows — tests,
-// benchmarks — lowers the floor with it). Shared by the vectorized planner,
-// which leaves such scans to the operator pipeline, and that pipeline's
-// single-source and join probe-side leaves.
-func (o PlannerOptions) parallelScanWorkers(tableRows int) int {
-	workers := o.scanWorkers()
-	minRows := o.parallelMinRows()
-	if tableRows < minRows || workers < 2 {
-		return 0
-	}
-	chunkFloor := parallelMinChunk
-	if minRows < chunkFloor {
-		chunkFloor = minRows
-	}
-	if chunkFloor < 1 {
-		chunkFloor = 1
-	}
-	if byChunk := tableRows / chunkFloor; byChunk < workers {
-		workers = byChunk
-	}
-	if workers < 2 {
-		return 0
-	}
-	return workers
-}
 
 // --- Access-path choice ---
 
@@ -155,7 +84,7 @@ func chooseAccessPath(db *DB, t *Table, alias string, where Expr) accessPath {
 		n = st.rowCount
 	}
 	seq := accessPath{kind: accessSeq, estRows: float64(n), tableRows: n, analyzed: analyzed}
-	if where == nil || db.planner.DisableIndexScan || len(t.indexes) == 0 {
+	if where == nil || db.planner.disableIndexScan || len(t.indexes) == 0 {
 		return seq
 	}
 
@@ -283,14 +212,11 @@ type physPlan struct {
 }
 
 // planSelect builds the physical plan for s under the held database lock.
-// A serial plan never takes the parallel partitioned scan, so its rows come
-// in heap order: a write's source must, because a statement-logged write is
-// re-executed on recovery and has to append its rows in the same order.
-func (db *DB) planSelect(s *SelectStmt, serial bool) (*physPlan, error) {
-	if vp := db.planVectorized(s, serial); vp != nil {
+func (db *DB) planSelect(s *SelectStmt) (*physPlan, error) {
+	if vp := db.planVectorized(s); vp != nil {
 		return &physPlan{kind: physVectorized, sel: s, vec: vp}, nil
 	}
-	ops, err := db.planOperators(s, serial)
+	ops, err := db.planOperators(s)
 	if err != nil {
 		return nil, err
 	}
@@ -304,8 +230,6 @@ func (db *DB) planSelect(s *SelectStmt, serial bool) (*physPlan, error) {
 type cachedPlan struct {
 	stmt Statement
 	phys atomic.Pointer[physPlan]
-	// serial plans a write's source (see planSelect).
-	serial bool
 }
 
 // physFor returns a physical plan for s valid at the current catalogue
@@ -315,7 +239,7 @@ func (cp *cachedPlan) physFor(db *DB, s *SelectStmt) (*physPlan, error) {
 	if p := cp.phys.Load(); p != nil && p.epoch == epoch {
 		return p, nil
 	}
-	p, err := db.planSelect(s, cp.serial)
+	p, err := db.planSelect(s)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,6 @@ func BenchmarkSingleSourceSelect(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			db := benchPlanDB(b, rows)
-			db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -116,48 +115,25 @@ func BenchmarkLateralFunctionScan(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScan compares one worker against a pool on a ≥100k-row
-// filtered scan — the parallel partitioned scan's payoff case.
-func BenchmarkParallelScan(b *testing.B) {
-	const rows = 150_000
-	query := `SELECT id, name FROM bench WHERE val >= 10 AND val < 60 AND id >= 0`
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("Workers%d", workers), func(b *testing.B) {
-			db := benchPlanDB(b, rows)
-			db.SetPlannerOptions(PlannerOptions{
-				MaxScanWorkers:   workers,
-				ParallelMinRows:  1000,
-				DisableIndexScan: true, // isolate the scan itself
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if n := drainQuery(b, db, query); n == 0 {
-					b.Fatal("no rows")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkUpdateByKey times a write by indexed key — served_mix's
 // `UPDATE kv SET val = $1 WHERE k = $2`, and the matching DELETE — with the
 // planner choosing the target rows (an index probe: flat in table size) and
-// under DisableIndexScan (the walk over every version: linear in it). Every
+// under disableIndexScan (the walk over every version: linear in it). Every
 // rows/4 operations, off the clock, deleted keys are re-inserted and dead
 // versions vacuumed, so neither arm's cost depends on b.N.
 func BenchmarkUpdateByKey(b *testing.B) {
 	for _, rows := range []int{20000, 50000} {
 		for _, arm := range []struct {
 			name string
-			po   PlannerOptions
-		}{{"indexed", PlannerOptions{}}, {"seqscan", PlannerOptions{DisableIndexScan: true}}} {
+			po   plannerOptions
+		}{{"indexed", plannerOptions{}}, {"seqscan", plannerOptions{disableIndexScan: true}}} {
 			for _, op := range []struct{ name, sql string }{
 				{"update", `UPDATE kv SET val = 0.5 WHERE k = $1`},
 				{"delete", `DELETE FROM kv WHERE k = $1`},
 			} {
 				b.Run(fmt.Sprintf("%s/%s/rows=%d", op.name, arm.name, rows), func(b *testing.B) {
 					db := New()
-					db.SetPlannerOptions(arm.po)
+					db.setPlanner(arm.po)
 					if _, err := db.Exec(`CREATE TABLE kv (client integer, k integer, val float, tag text)`); err != nil {
 						b.Fatal(err)
 					}

@@ -8,6 +8,15 @@ import (
 	"repro/internal/variant"
 )
 
+// setPlanner installs planner switches (plannerOptions) and invalidates
+// cached plans, under the exclusive lock.
+func (db *DB) setPlanner(o plannerOptions) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.planner = o
+	db.tables.bumpEpoch()
+}
+
 // These tests pin the plan-cache invalidation protocol: physical plans pin
 // table/index pointers and column offsets, so without epoch revalidation a
 // DROP/CREATE of a referenced table or index mid-session would execute a
@@ -247,6 +256,12 @@ func TestStmtExecutorKind(t *testing.T) {
 			t.Errorf("%s: executor = %q, want %q", sql, k, want)
 		}
 	}
+	// A filtered scan runs on batches whatever the table's size.
+	mustExec(t, db, `CREATE TABLE ekbig (x integer)`)
+	mustExec(t, db, `INSERT INTO ekbig SELECT gs FROM generate_series(1, 50000) AS gs`)
+	if k := kinds(`SELECT x FROM ekbig WHERE x % 3 = 0`); k != "vectorized" {
+		t.Errorf("filtered scan of 50 000 rows: executor = %q, want vectorized", k)
+	}
 	ins, err := db.Prepare(`INSERT INTO ek VALUES (3, 'c')`)
 	if err != nil {
 		t.Fatal(err)
@@ -255,9 +270,9 @@ func TestStmtExecutorKind(t *testing.T) {
 	if k, err := ins.ExecutorKind(); err != nil || k != "" {
 		t.Errorf("non-SELECT executor = %q, %v; want \"\"", k, err)
 	}
-	db.SetPlannerOptions(PlannerOptions{DisableVectorized: true})
+	db.setPlanner(plannerOptions{disableVectorized: true})
 	if k := kinds(`SELECT g, sum(x) FROM ek GROUP BY g`); k == "vectorized" {
-		t.Errorf("DisableVectorized still reports vectorized")
+		t.Errorf("disableVectorized still reports vectorized")
 	}
 }
 

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -13,13 +14,10 @@ import (
 // ANALYZE / churn interleaved so the cost model flips between paths — the
 // planner-chosen access path must return exactly the multiset a forced full
 // scan returns. Runs under -race in CI, so it also exercises compiled
-// predicates and parallel partitioned scans for data races.
+// predicates for data races.
 func TestPlannerAccessPathEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	db := New()
-	// Low parallel threshold so the property also crosses the partitioned
-	// path; 4 workers keeps the race detector honest without thrashing CI.
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 4, ParallelMinRows: 500})
 	mustExec(t, db, `CREATE TABLE prop (ih integer, fb float, ts text, raw integer)`)
 
 	insert := func(n int) {
@@ -122,13 +120,28 @@ func TestPlannerAccessPathEquivalence(t *testing.T) {
 	}
 }
 
-// forceFullScan runs fn with index scans disabled and parallelism off, then
-// restores the planner options.
+// forceFullScan runs fn with index scans disabled, then restores the planner
+// options.
 func forceFullScan(db *DB, fn func() (*ResultSet, error)) (*ResultSet, error) {
 	db.mu.Lock()
 	saved := db.planner
 	db.mu.Unlock()
-	db.SetPlannerOptions(PlannerOptions{DisableIndexScan: true, MaxScanWorkers: 1})
-	defer db.SetPlannerOptions(saved)
+	db.setPlanner(plannerOptions{disableIndexScan: true})
+	defer db.setPlanner(saved)
 	return fn()
+}
+
+// sortedKeys renders a result as an order-insensitive multiset fingerprint.
+func sortedKeys(rs *ResultSet) []string {
+	keys := make([]string, len(rs.Rows))
+	for i, r := range rs.Rows {
+		var sb strings.Builder
+		for _, v := range r {
+			sb.WriteString(v.String())
+			sb.WriteByte('|')
+		}
+		keys[i] = sb.String()
+	}
+	sort.Strings(keys)
+	return keys
 }

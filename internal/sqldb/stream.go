@@ -13,9 +13,9 @@ import (
 
 // callTableFunc resolves a FROM-clause function into a row stream: builtin
 // SRFs, registered table UDFs (streaming or materialized), or — PostgreSQL
-// style — a scalar function as a one-row relation. A panic of the function
-// fails the statement with ErrInternal; one inside the Next of the stream it
-// returned is not contained.
+// style — a scalar function as a one-row relation. A panic of a UDF, or of
+// the stream a table UDF returned (udfStream), fails the statement with
+// ErrInternal naming the function.
 func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ RowStream, err error) {
 	defer recoverUDF(name, &err)
 	ctx := cx.ctxOrBackground()
@@ -23,7 +23,15 @@ func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ R
 		return fn(ctx, db, args)
 	}
 	if fn, ok := db.funcs.table(name); ok {
-		return fn(ctx, db, args)
+		st, err := fn(ctx, db, args)
+		if err != nil {
+			return nil, err
+		}
+		g := udfStream{RowStream: st, name: name}
+		if _, ok := st.(BatchSource); ok {
+			return &udfBatchStream{g}, nil
+		}
+		return &g, nil
 	}
 	if fn, ok := db.funcs.scalar(strings.ToLower(name)); ok {
 		v, err := fn(ctx, db, args)
@@ -33,6 +41,35 @@ func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ R
 		return NewSliceStream([]Column{{Name: name, Type: "variant"}}, []Row{{v}}), nil
 	}
 	return nil, fmt.Errorf("sql: unknown function %s() in FROM", name)
+}
+
+// udfStream recovers a panic in the Next or Close of a table UDF's stream
+// into ErrInternal, as recoverUDF does for the call. Every Next runs on the
+// statement's goroutine, some under the database lock (a lateral item is
+// drained at open), so this one wrapper keeps a panicking stream from
+// unwinding past the lock or the caller.
+type udfStream struct {
+	RowStream
+	name string
+}
+
+func (s *udfStream) Next() (_ Row, err error) {
+	defer recoverUDF(s.name, &err)
+	return s.RowStream.Next()
+}
+
+func (s *udfStream) Close() (err error) {
+	defer recoverUDF(s.name, &err)
+	return s.RowStream.Close()
+}
+
+// udfBatchStream is udfStream over a BatchSource, so that the batch paths
+// (newVecFuncScanStream, opSource.batchTail) still take it.
+type udfBatchStream struct{ udfStream }
+
+func (s *udfBatchStream) NextBatch(max int) (_ *Batch, err error) {
+	defer recoverUDF(s.name, &err)
+	return s.RowStream.(BatchSource).NextBatch(max)
 }
 
 // fromItemInfo computes the sourceInfo for one FROM item given the raw

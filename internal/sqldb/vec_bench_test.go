@@ -28,8 +28,6 @@ func vecBenchDB(b *testing.B, n, groups int) *DB {
 // against the row-at-a-time executor on a 200k-row filtered scan with a
 // selective range predicate (101 surviving rows), so the numbers compare
 // scan/filter throughput rather than the shared result materialization.
-// Both sides are pinned to one worker so the comparison is executor
-// strategy, not parallelism.
 func BenchmarkVectorizedScan(b *testing.B) {
 	const n = 200000
 	db := vecBenchDB(b, n, 100)
@@ -49,11 +47,11 @@ func BenchmarkVectorizedScan(b *testing.B) {
 		}
 	}
 	b.Run("Vectorized200k", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
+		db.setPlanner(plannerOptions{})
 		run(b)
 	})
 	b.Run("RowStream200k", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{DisableVectorized: true, MaxScanWorkers: 1})
+		db.setPlanner(plannerOptions{disableVectorized: true})
 		run(b)
 	})
 }
@@ -79,11 +77,11 @@ func BenchmarkVectorizedAggregate(b *testing.B) {
 		}
 	}
 	b.Run("Vectorized200kx100", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
+		db.setPlanner(plannerOptions{})
 		run(b)
 	})
 	b.Run("RowStream200kx100", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{DisableVectorized: true, MaxScanWorkers: 1})
+		db.setPlanner(plannerOptions{disableVectorized: true})
 		run(b)
 	})
 }
@@ -110,11 +108,11 @@ func BenchmarkVectorizedWindow(b *testing.B) {
 		}
 	}
 	b.Run("Vectorized100k", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
+		db.setPlanner(plannerOptions{})
 		run(b)
 	})
 	b.Run("Materializing100k", func(b *testing.B) {
-		db.SetPlannerOptions(PlannerOptions{DisableVectorized: true, MaxScanWorkers: 1})
+		db.setPlanner(plannerOptions{disableVectorized: true})
 		run(b)
 	})
 }

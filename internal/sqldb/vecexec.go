@@ -91,9 +91,9 @@ type vecPlan struct {
 
 // planVectorized decides whether s runs on the vectorized executor and
 // compiles its plan; nil falls through to the other strategies. Caller holds
-// the database lock (either mode). serial is planSelect's.
-func (db *DB) planVectorized(s *SelectStmt, serial bool) *vecPlan {
-	if db.planner.DisableVectorized {
+// the database lock (either mode).
+func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
+	if db.planner.disableVectorized {
 		return nil
 	}
 	if len(s.From) != 1 {
@@ -154,12 +154,6 @@ func (db *DB) planVectorized(s *SelectStmt, serial bool) *vecPlan {
 			// A bare projection scan has no kernel to feed: the operator
 			// pipeline's compiled projection emits each visible row once,
 			// and batches would only add gather and bookkeeping on top.
-			return nil
-		}
-		// Large filtered scans without LIMIT/OFFSET belong to the parallel
-		// partitioned scan, unless the plan must stay serial.
-		if !serial && s.Limit == nil && s.Offset == nil &&
-			db.planner.parallelScanWorkers(access.tableRows) > 0 {
 			return nil
 		}
 	}

@@ -13,7 +13,6 @@ import (
 func ovfTestDB(t testing.TB) *DB {
 	t.Helper()
 	db := New()
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 	mustExecB(t, db, `CREATE TABLE ov (id integer, big integer, small integer, f float)`)
 	rng := rand.New(rand.NewSource(23))
 	edges := []int64{math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1, 0, 1, -1, 2, -2, 1 << 40}

@@ -8,7 +8,7 @@ import (
 )
 
 // Differential suite for the vectorized batch executor: every statement runs
-// once on the vectorized path and once with DisableVectorized on the
+// once on the vectorized path and once with disableVectorized on the
 // row-at-a-time executors, and the results must agree as multisets (ordered
 // where the statement class guarantees order). The CI race step runs this
 // file via -run 'Vectorized'.
@@ -18,7 +18,6 @@ import (
 func vecTestDB(t testing.TB, rows int) *DB {
 	t.Helper()
 	db := New()
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 	mustExecB(t, db, `CREATE TABLE vt (i integer, f float, s text, b boolean, v integer)`)
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < rows; n++ {
@@ -63,7 +62,7 @@ func runVecBoth(t *testing.T, db *DB, sql string, wantVec bool) (vec, row *Resul
 			t.Fatalf("%s: %v", sql, err)
 		}
 		db.mu.RLock()
-		plan, err := db.planSelect(st.(*SelectStmt), false)
+		plan, err := db.planSelect(st.(*SelectStmt))
 		db.mu.RUnlock()
 		if err != nil {
 			t.Fatalf("%s: plan: %v", sql, err)
@@ -74,10 +73,10 @@ func runVecBoth(t *testing.T, db *DB, sql string, wantVec bool) (vec, row *Resul
 	}
 	vec, vecErr = db.Query(sql)
 	opts := old
-	opts.DisableVectorized = true
-	db.SetPlannerOptions(opts)
+	opts.disableVectorized = true
+	db.setPlanner(opts)
 	row, rowErr = db.Query(sql)
-	db.SetPlannerOptions(old)
+	db.setPlanner(old)
 	return vec, row, vecErr, rowErr
 }
 
@@ -335,7 +334,6 @@ func TestVectorizedBatchBoundaries(t *testing.T) {
 // TestVectorizedAllNullColumn pins the all-null and NULL-group-key paths.
 func TestVectorizedAllNullColumn(t *testing.T) {
 	db := New()
-	db.SetPlannerOptions(PlannerOptions{MaxScanWorkers: 1})
 	mustExecB(t, db, `CREATE TABLE an (k text, x integer, y float)`)
 	for n := 0; n < 1500; n++ {
 		var k any

@@ -270,10 +270,11 @@ func (db *DB) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
 	return db.session.DB().PrepareContext(ctx, sql)
 }
 
-// Begin opens an explicit transaction and returns its handle — the typed
-// equivalent of BEGIN ... COMMIT/ROLLBACK, layered on the engine's
-// undo-journal machinery. Transactions are database-wide: a second Begin
-// before Commit/Rollback returns ErrTxInProgress.
+// Begin opens a transaction and returns its handle — the typed equivalent of
+// BEGIN ... COMMIT/ROLLBACK, but private to the handle. Any number of handles
+// may be open at once, each reading its own Begin-time snapshot; see
+// sqldb.Tx. Begin returns ErrTxInProgress only while a SQL-text BEGIN is
+// open.
 func (db *DB) Begin() (*Tx, error) {
 	return db.session.DB().Begin()
 }
@@ -310,15 +311,6 @@ func (db *DB) DropIndex(name string) error {
 // Indexes lists the database's secondary indexes, ordered by (table, name).
 func (db *DB) Indexes() []IndexInfo {
 	return db.session.DB().Indexes()
-}
-
-// PlannerOptions tune the engine's cost-based physical planner (access-path
-// choice, parallel partitioned scans). See sqldb.PlannerOptions.
-type PlannerOptions = sqldb.PlannerOptions
-
-// SetPlannerOptions installs planner tuning and invalidates cached plans.
-func (db *DB) SetPlannerOptions(o PlannerOptions) {
-	db.session.DB().SetPlannerOptions(o)
 }
 
 // Analyze refreshes the planner statistics (row counts and per-column
