@@ -34,19 +34,13 @@ type ControlRequest struct {
 
 // Control optimizes a control trajectory over the horizon and returns one
 // row per segment: (time, control, value) plus the predicted target
-// trajectory rows (time, 'predicted:<target>', value). It only reads, so it
-// runs under the shared database lock.
+// trajectory rows (time, 'predicted:<target>', value). It only reads: each
+// of its queries shares the database lock.
 func (s *Session) Control(req ControlRequest) (*sqldb.ResultSet, error) {
-	var rs *sqldb.ResultSet
-	err := s.db.RunShared(func() error {
-		var cerr error
-		rs, cerr = s.control(context.Background(), req)
-		return cerr
-	})
-	return rs, err
+	return s.control(context.Background(), s.db, req)
 }
 
-func (s *Session) control(ctx context.Context, req ControlRequest) (*sqldb.ResultSet, error) {
+func (s *Session) control(ctx context.Context, q querier, req ControlRequest) (*sqldb.ResultSet, error) {
 	inst, modelID, err := s.snapshot(req.InstanceID)
 	if err != nil {
 		return nil, err
@@ -70,7 +64,7 @@ func (s *Session) control(ctx context.Context, req ControlRequest) (*sqldb.Resul
 
 	// Control bounds from the catalogue (fmu_set_minimum/maximum or the
 	// Modelica declaration).
-	lo, hi, err := s.parameterBounds(ctx, modelID, control)
+	lo, hi, err := s.parameterBounds(ctx, q, modelID, control)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +73,7 @@ func (s *Session) control(ctx context.Context, req ControlRequest) (*sqldb.Resul
 	}
 
 	// The exogenous inputs: every bound series except the control's own.
-	in, err := s.loadInput(ctx, unit, req.InputSQL)
+	in, err := s.loadInput(ctx, q, unit, req.InputSQL)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +119,7 @@ func (s *Session) control(ctx context.Context, req ControlRequest) (*sqldb.Resul
 // registerControlUDF wires fmu_control into the SQL engine; called from
 // registerUDFs.
 func (s *Session) registerControlUDF() {
-	s.db.RegisterTable("fmu_control", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
+	s.db.RegisterTable("fmu_control", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) < 6 || len(args) > 8 {
 			return nil, fmt.Errorf("fmu_control(instanceId, targetVar, setpoint, time_from, time_to, steps [, input_sql [, effort]]) expects 6–8 arguments")
 		}
@@ -153,6 +147,6 @@ func (s *Session) registerControlUDF() {
 				return nil, fmt.Errorf("effort: %w", err)
 			}
 		}
-		return asStream(s.control(ctx, req))
+		return asStream(s.control(ctx, tx, req))
 	}, true)
 }

@@ -37,10 +37,10 @@ type modelInput struct {
 // fmu_simulate, fmu_validate, fmu_control, fmu_parest and sweeps alike. The
 // query must be one the engine classifies read-only: the functions that take
 // it promise to write nothing (or, for fmu_parest, only the catalogue), and
-// DML smuggled in here would run outside any transaction on the shared
-// statement path. It executes inside the caller's database lock and
-// transaction, which ctx carries.
-func (s *Session) loadInput(ctx context.Context, unit *fmu.Unit, inputSQL string) (*modelInput, error) {
+// DML smuggled in here would run on a typed read path outside any
+// transaction. It runs through q: the calling statement's transaction, or
+// the DB on a typed read path.
+func (s *Session) loadInput(ctx context.Context, q querier, unit *fmu.Unit, inputSQL string) (*modelInput, error) {
 	in := &modelInput{series: make(map[string]*timeseries.Series)}
 	if inputSQL == "" {
 		return in, nil
@@ -52,7 +52,7 @@ func (s *Session) loadInput(ctx context.Context, unit *fmu.Unit, inputSQL string
 	if !readOnly {
 		return nil, fmt.Errorf("core: input_sql must be a read-only query (a SELECT that calls no side-effecting function), got %q", inputSQL)
 	}
-	rs, err := s.db.QueryNestedContext(ctx, inputSQL)
+	rs, err := q.QueryContext(ctx, inputSQL)
 	if err != nil {
 		return nil, fmt.Errorf("core: input_sql: %w", err)
 	}

@@ -26,9 +26,9 @@ import (
 // the next open, jobs that died mid-run surface as 'interrupted'.
 //
 // Lock ordering: jm.mu is a leaf — it is never held across a database call.
-// Workers take database locks (RunExclusive, RunShared, RunConcurrent) with
-// jm.mu released; fmu_jobs/fmu_cancel run under the statement's database lock
-// and take jm.mu only for map reads/ctx cancellation.
+// Workers run their transactions with jm.mu released; fmu_jobs/fmu_cancel
+// run under the statement's database lock and take jm.mu only for map
+// reads/ctx cancellation.
 
 const fmujobsDDL = `CREATE TABLE IF NOT EXISTS fmujobs (
 	jobid int, kind text, args text, state text, progress float,
@@ -208,10 +208,10 @@ func jobNow() string { return time.Now().UTC().Format(time.RFC3339Nano) }
 var errJobSkipped = errors.New("core: job no longer queued")
 
 // runJob claims one queued job and drives it to a terminal state. All
-// fmujobs writes go through RunExclusive + nested statements: a top-level
-// Exec would take the table latch as a concurrent writer and then collide
-// with UDF statements (which hold the exclusive lock the latch holder needs),
-// surfacing spurious write conflicts to fmu_submit callers.
+// fmujobs writes run in Exclusive transactions: a Concurrent one would hold
+// the table latch while it waits for db.mu, and collide with UDF statements
+// (which hold the exclusive lock the latch holder needs), surfacing spurious
+// write conflicts to fmu_submit callers.
 func (jm *jobManager) runJob(id int64) {
 	defer func() {
 		jm.mu.Lock()
@@ -219,9 +219,12 @@ func (jm *jobManager) runJob(id int64) {
 		jm.mu.Unlock()
 	}()
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lj := &liveJob{id: id, cancel: cancel}
 	var kind, rawArgs string
-	claimErr := jm.s.db.RunExclusive(func() error {
-		rs, err := jm.s.db.QueryNested(
+	claimErr := jm.s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) error {
+		rs, err := tx.Query(
 			`SELECT state, kind, args FROM fmujobs WHERE jobid = $1`, id)
 		if err != nil {
 			return err
@@ -230,37 +233,32 @@ func (jm *jobManager) runJob(id int64) {
 			return errJobSkipped
 		}
 		kind, rawArgs = rs.Rows[0][1].AsText(), rs.Rows[0][2].AsText()
-		_, err = jm.s.db.QueryNested(
+		if _, err = tx.Exec(
 			`UPDATE fmujobs SET state = $1, started = $2 WHERE jobid = $3`,
-			JobRunning, jobNow(), id)
-		return err
+			JobRunning, jobNow(), id); err != nil {
+			return err
+		}
+		// Live before the claim commits: fmu_cancel needs db.mu, so it
+		// finds the job running only once it can cancel it.
+		jm.mu.Lock()
+		defer jm.mu.Unlock()
+		if jm.stopped {
+			return errJobSkipped
+		}
+		jm.live[id] = lj
+		tx.OnRollback(func() { jm.forget(id) })
+		return nil
 	})
 	if claimErr != nil {
 		return // skipped, or transient conflict: the dispatcher re-polls
 	}
+	defer jm.forget(id)
 	var args []string
 	if err := json.Unmarshal([]byte(rawArgs), &args); err != nil {
 		jm.failed.Add(1)
 		jm.finish(id, JobError, "", fmt.Sprintf("malformed job args: %v", err))
 		return
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	lj := &liveJob{id: id, cancel: cancel}
-	jm.mu.Lock()
-	if jm.stopped {
-		jm.mu.Unlock()
-		cancel()
-		return
-	}
-	jm.live[id] = lj
-	jm.mu.Unlock()
-	defer func() {
-		jm.mu.Lock()
-		delete(jm.live, id)
-		jm.mu.Unlock()
-		cancel()
-	}()
 
 	// A write conflict (bounded lock wait lost against a burst of exclusive
 	// statements, or a first-updater-wins loss) rolls the body's transaction
@@ -292,12 +290,19 @@ func (jm *jobManager) runJob(id int64) {
 	}
 }
 
+// forget drops a job from the live set.
+func (jm *jobManager) forget(id int64) {
+	jm.mu.Lock()
+	delete(jm.live, id)
+	jm.mu.Unlock()
+}
+
 // finish writes the terminal state (exclusive, like every fmujobs write),
 // retrying briefly around conflicts with concurrent calibration latches.
 func (jm *jobManager) finish(id int64, state, result, errText string) {
 	for attempt := 0; attempt < 20; attempt++ {
-		err := jm.s.db.RunExclusive(func() error {
-			_, e := jm.s.db.QueryNested(
+		err := jm.s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) error {
+			_, e := tx.Exec(
 				`UPDATE fmujobs SET state = $1, progress = $2, result = $3, error = $4, finished = $5
 				 WHERE jobid = $6 AND state = $7`,
 				state, 1.0, result, errText, jobNow(), id, JobRunning)
@@ -341,10 +346,9 @@ func (jm *jobManager) execParest(ctx context.Context, args []string) (string, er
 		}
 	}
 	var results []ParestResult
-	err := jm.s.db.RunConcurrent(ctx, func(ctx context.Context) error {
-		var perr error
-		results, perr = jm.s.parest(ctx, ids, sqls, pars, threshold)
-		return perr
+	err := jm.s.inTx(ctx, sqldb.Concurrent, func(tx *sqldb.Tx) (err error) {
+		results, err = jm.s.parest(ctx, tx, ids, sqls, pars, threshold)
+		return err
 	})
 	if err != nil {
 		return "", err
@@ -386,12 +390,7 @@ func (jm *jobManager) execSimulate(ctx context.Context, args []string) (string, 
 	if req.TimeFrom, req.TimeTo, err = jobWindow(args, 2); err != nil {
 		return "", err
 	}
-	var res *fmu.SimResult
-	err = jm.s.db.RunShared(func() error {
-		var serr error
-		res, _, serr = jm.s.simulateFrame(ctx, req)
-		return serr
-	})
+	res, _, err := jm.s.simulateFrame(ctx, jm.s.db, req)
 	if err != nil {
 		return "", err
 	}
@@ -499,12 +498,8 @@ func (jm *jobManager) execSweep(ctx context.Context, lj *liveJob, args []string)
 	if err != nil {
 		return "", err
 	}
-	var in *modelInput
-	if err := s.db.RunShared(func() error {
-		var lerr error
-		in, lerr = s.loadInput(ctx, unit, inputSQL)
-		return lerr
-	}); err != nil {
+	in, err := s.loadInput(ctx, s.db, unit, inputSQL)
+	if err != nil {
 		return "", err
 	}
 	t0, t1, step, err := in.grid(unit, from, to, 0)
@@ -639,9 +634,9 @@ func (jm *jobManager) wake() {
 	}
 }
 
-// submit validates and encodes a job, inserts its row through the invoking
+// submit validates and encodes a job, inserts its row in tx, the invoking
 // statement's transaction (so a rollback un-submits it), and returns the id.
-func (jm *jobManager) submit(ctx context.Context, kind string, args []string) (int64, error) {
+func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, args []string) (int64, error) {
 	switch kind {
 	case "parest":
 		if len(args) < 2 || len(args) > 4 {
@@ -669,7 +664,7 @@ func (jm *jobManager) submit(ctx context.Context, kind string, args []string) (i
 		return 0, err
 	}
 	id := jm.nextID.Add(1)
-	if _, err := jm.s.db.QueryNestedContext(ctx,
+	if _, err := tx.QueryContext(ctx,
 		`INSERT INTO fmujobs VALUES ($1, $2, $3, $4, $5, $6, $7, $8, $9, $10)`,
 		id, kind, string(encoded), JobQueued, 0.0, "", "", jobNow(), "", ""); err != nil {
 		return 0, err
@@ -681,8 +676,8 @@ func (jm *jobManager) submit(ctx context.Context, kind string, args []string) (i
 
 // cancel aborts a job: a running job's context is cancelled (the worker
 // records the terminal state), a queued job's row flips to cancelled inside
-// the invoking statement's transaction. Returns the resulting state.
-func (jm *jobManager) cancel(ctx context.Context, id int64) (string, error) {
+// the invoking statement's transaction, tx. Returns the resulting state.
+func (jm *jobManager) cancel(ctx context.Context, tx *sqldb.Tx, id int64) (string, error) {
 	jm.mu.Lock()
 	lj, isLive := jm.live[id]
 	jm.mu.Unlock()
@@ -690,7 +685,7 @@ func (jm *jobManager) cancel(ctx context.Context, id int64) (string, error) {
 		lj.cancel()
 		return JobCancelled, nil
 	}
-	rs, err := jm.s.db.QueryNestedContext(ctx, `SELECT state FROM fmujobs WHERE jobid = $1`, id)
+	rs, err := tx.QueryContext(ctx, `SELECT state FROM fmujobs WHERE jobid = $1`, id)
 	if err != nil {
 		return "", err
 	}
@@ -701,7 +696,7 @@ func (jm *jobManager) cancel(ctx context.Context, id int64) (string, error) {
 	if state != JobQueued {
 		return state, nil // already terminal (or running on another node)
 	}
-	if _, err := jm.s.db.QueryNestedContext(ctx,
+	if _, err := tx.QueryContext(ctx,
 		`UPDATE fmujobs SET state = $1, finished = $2, error = $3 WHERE jobid = $4 AND state = $5`,
 		JobCancelled, jobNow(), "cancelled before start", id, JobQueued); err != nil {
 		return "", err
@@ -712,8 +707,8 @@ func (jm *jobManager) cancel(ctx context.Context, id int64) (string, error) {
 
 // jobsTable renders fmujobs with live in-memory progress merged over the
 // committed rows.
-func (jm *jobManager) jobsTable(ctx context.Context) (*sqldb.ResultSet, error) {
-	rs, err := jm.s.db.QueryNestedContext(ctx,
+func (jm *jobManager) jobsTable(ctx context.Context, q querier) (*sqldb.ResultSet, error) {
+	rs, err := q.QueryContext(ctx,
 		`SELECT jobid, kind, state, progress, error, result, submitted, started, finished
 		 FROM fmujobs ORDER BY jobid`)
 	if err != nil {
@@ -740,7 +735,7 @@ func (jm *jobManager) jobsTable(ctx context.Context) (*sqldb.ResultSet, error) {
 // partial transaction already rolled back at WAL replay), queued jobs stay
 // queued and re-dispatch once the pool starts.
 func (s *Session) recoverJobs() error {
-	if _, err := s.db.QueryNested(fmujobsDDL); err != nil {
+	if _, err := s.db.Exec(fmujobsDDL); err != nil {
 		return fmt.Errorf("core: ensuring fmujobs table: %w", err)
 	}
 	if _, err := s.db.Exec(
@@ -758,7 +753,7 @@ func (s *Session) registerJobUDFs() {
 
 	// fmu_submit(kind, ...) -> job id. The row is inserted through the
 	// invoking statement's transaction: it becomes runnable at commit.
-	db.RegisterScalar("fmu_submit", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_submit", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) < 2 {
 			return variant.Value{}, fmt.Errorf("fmu_submit(kind, ...) expects at least 2 arguments")
 		}
@@ -769,7 +764,7 @@ func (s *Session) registerJobUDFs() {
 				rest[i] = a.AsText()
 			}
 		}
-		id, err := s.jobs.submit(ctx, kind, rest)
+		id, err := s.jobs.submit(ctx, tx, kind, rest)
 		if err != nil {
 			return variant.Value{}, err
 		}
@@ -778,7 +773,7 @@ func (s *Session) registerJobUDFs() {
 
 	// fmu_sweep(instanceId, grid [, input_sql [, time_from, time_to]])
 	//   -> job id for a parameter-grid scenario sweep.
-	db.RegisterScalar("fmu_sweep", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_sweep", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) < 2 || len(args) > 5 {
 			return variant.Value{}, fmt.Errorf("fmu_sweep(instanceId, grid [, input_sql [, time_from, time_to]]) expects 2–5 arguments")
 		}
@@ -797,7 +792,7 @@ func (s *Session) registerJobUDFs() {
 			}
 			rest[i] = a.AsText()
 		}
-		id, err := s.jobs.submit(ctx, "sweep", rest)
+		id, err := s.jobs.submit(ctx, tx, "sweep", rest)
 		if err != nil {
 			return variant.Value{}, err
 		}
@@ -805,7 +800,7 @@ func (s *Session) registerJobUDFs() {
 	}, false)
 
 	// fmu_cancel(jobId) -> resulting state.
-	db.RegisterScalar("fmu_cancel", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_cancel", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_cancel(jobId) expects 1 argument")
 		}
@@ -813,7 +808,7 @@ func (s *Session) registerJobUDFs() {
 		if err != nil {
 			return variant.Value{}, fmt.Errorf("jobId: %w", err)
 		}
-		state, err := s.jobs.cancel(ctx, id)
+		state, err := s.jobs.cancel(ctx, tx, id)
 		if err != nil {
 			return variant.Value{}, err
 		}
@@ -821,21 +816,21 @@ func (s *Session) registerJobUDFs() {
 	}, false)
 
 	// fmu_jobs() -> system table of job state/progress.
-	db.RegisterTable("fmu_jobs", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
+	db.RegisterTable("fmu_jobs", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("fmu_jobs() expects no arguments")
 		}
-		return asStream(s.jobs.jobsTable(ctx))
+		return asStream(s.jobs.jobsTable(ctx, tx))
 	}, true)
 }
 
 // SubmitJob is the typed-API fmu_submit.
 func (s *Session) SubmitJob(kind string, args ...string) (int64, error) {
 	var id int64
-	err := s.db.RunExclusive(func() error {
-		var serr error
-		id, serr = s.jobs.submit(context.Background(), kind, args)
-		return serr
+	ctx := context.Background()
+	err := s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+		id, err = s.jobs.submit(ctx, tx, kind, args)
+		return err
 	})
 	return id, err
 }
@@ -843,10 +838,10 @@ func (s *Session) SubmitJob(kind string, args ...string) (int64, error) {
 // CancelJob is the typed-API fmu_cancel.
 func (s *Session) CancelJob(id int64) (string, error) {
 	var state string
-	err := s.db.RunExclusive(func() error {
-		var cerr error
-		state, cerr = s.jobs.cancel(context.Background(), id)
-		return cerr
+	ctx := context.Background()
+	err := s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+		state, err = s.jobs.cancel(ctx, tx, id)
+		return err
 	})
 	return state, err
 }

@@ -34,10 +34,8 @@ func BenchmarkSimCache(b *testing.B) {
 	req := SimulateRequest{InstanceID: "hp", TimeFrom: &from, TimeTo: &to,
 		OutputStep: 0.005} // 4800 communication points over the day
 	frame := func(s *Session) error {
-		return s.db.RunShared(func() error {
-			_, _, err := s.simulateFrame(context.Background(), req)
-			return err
-		})
+		_, _, err := s.simulateFrame(context.Background(), s.db, req)
+		return err
 	}
 	b.Run("Cold", func(b *testing.B) {
 		s := benchSession(b, WithSimCacheEntries(0))

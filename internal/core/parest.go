@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/estimate"
 	"repro/internal/fmu"
+	"repro/internal/sqldb"
 	"repro/internal/timeseries"
 )
 
@@ -37,24 +38,23 @@ func (s *Session) Parest(instanceIDs, inputSQLs, pars []string) ([]ParestResult,
 // local-search iterations within one objective evaluation per worker, the
 // enclosing transaction rolls back, and the instances keep their pre-call
 // parameters.
-// The estimation runs as a concurrent MVCC transaction: it holds no
+// The estimation runs as a Concurrent transaction: it holds no
 // database-wide lock and latches only the catalogue table it updates, at the
 // end, so a long calibration stalls neither writers of unrelated tables nor
 // calibrations of other instances.
 func (s *Session) ParestContext(ctx context.Context, instanceIDs, inputSQLs, pars []string) ([]ParestResult, error) {
 	var results []ParestResult
-	err := s.db.RunConcurrent(ctx, func(ctx context.Context) error {
-		var perr error
-		results, perr = s.parest(ctx, instanceIDs, inputSQLs, pars, s.threshold)
-		return perr
+	err := s.inTx(ctx, sqldb.Concurrent, func(tx *sqldb.Tx) (err error) {
+		results, err = s.parest(ctx, tx, instanceIDs, inputSQLs, pars, s.threshold)
+		return err
 	})
 	return results, err
 }
 
 // parest estimates on snapshots of the instances, then writes the fitted
-// values to the catalogue and publishes them to the live instances.
+// values to the catalogue in tx and publishes them to the live instances.
 // threshold is the MI similarity gate for this call.
-func (s *Session) parest(ctx context.Context, instanceIDs, inputSQLs, pars []string, threshold float64) ([]ParestResult, error) {
+func (s *Session) parest(ctx context.Context, tx *sqldb.Tx, instanceIDs, inputSQLs, pars []string, threshold float64) ([]ParestResult, error) {
 	if len(instanceIDs) == 0 {
 		return nil, fmt.Errorf("core: fmu_parest requires at least one instance")
 	}
@@ -73,7 +73,7 @@ func (s *Session) parest(ctx context.Context, instanceIDs, inputSQLs, pars []str
 	// Build one estimation job per instance.
 	jobs := make([]*estimate.MIJob, len(instanceIDs))
 	for i, id := range instanceIDs {
-		problem, modelID, err := s.buildProblem(ctx, id, inputSQLs[i], pars)
+		problem, modelID, err := s.buildProblem(ctx, tx, id, inputSQLs[i], pars)
 		if err != nil {
 			return nil, fmt.Errorf("core: fmu_parest instance %q: %w", id, err)
 		}
@@ -103,14 +103,14 @@ func (s *Session) parest(ctx context.Context, instanceIDs, inputSQLs, pars []str
 		// Algorithm 2 line 8: write fitted values back to the catalogue,
 		// then to the live instance.
 		for name, v := range r.Params {
-			if _, err := s.db.QueryNestedContext(ctx,
+			if _, err := tx.QueryContext(ctx,
 				`UPDATE modelinstancevalues SET value = $1
 				 WHERE instanceid = $2 AND varname = $3`,
 				v, id, name); err != nil {
 				return nil, err
 			}
 		}
-		if err := s.publish(ctx, id, func(live *fmu.Instance) error {
+		if err := s.publish(tx, id, func(live *fmu.Instance) error {
 			return live.SetParameters(r.Params)
 		}); err != nil {
 			return nil, err
@@ -133,13 +133,13 @@ func (s *Session) parest(ctx context.Context, instanceIDs, inputSQLs, pars []str
 // buildProblem assembles the estimation problem for a snapshot of one
 // instance: bind the input query's columns to inputs and measured outputs
 // by name (Challenge 2), and read parameter bounds from the catalogue.
-func (s *Session) buildProblem(ctx context.Context, instanceID, inputSQL string, pars []string) (*estimate.Problem, string, error) {
+func (s *Session) buildProblem(ctx context.Context, q querier, instanceID, inputSQL string, pars []string) (*estimate.Problem, string, error) {
 	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return nil, "", err
 	}
 	unit := inst.Unit()
-	in, err := s.loadInput(ctx, unit, inputSQL)
+	in, err := s.loadInput(ctx, q, unit, inputSQL)
 	if err != nil {
 		return nil, "", err
 	}
@@ -176,7 +176,7 @@ func (s *Session) buildProblem(ctx context.Context, instanceID, inputSQL string,
 		if inst.KindOf(name) != fmu.VarParameter {
 			return nil, "", fmt.Errorf("%q is not a parameter", name)
 		}
-		lo, hi, err := s.parameterBounds(ctx, modelID, name)
+		lo, hi, err := s.parameterBounds(ctx, q, modelID, name)
 		if err != nil {
 			return nil, "", err
 		}
@@ -201,19 +201,13 @@ func (s *Session) ValidateInstance(instanceID, inputSQL string, pars []string) (
 }
 
 // ValidateInstanceContext is ValidateInstance honouring ctx. Like simulation
-// it only reads, so it runs under the shared database lock.
+// it only reads: each of its queries shares the database lock.
 func (s *Session) ValidateInstanceContext(ctx context.Context, instanceID, inputSQL string, pars []string) (float64, error) {
-	var rmse float64
-	err := s.db.RunShared(func() error {
-		var verr error
-		rmse, verr = s.validate(ctx, instanceID, inputSQL, pars)
-		return verr
-	})
-	return rmse, err
+	return s.validate(ctx, s.db, instanceID, inputSQL, pars)
 }
 
-func (s *Session) validate(ctx context.Context, instanceID, inputSQL string, pars []string) (float64, error) {
-	problem, _, err := s.buildProblem(ctx, instanceID, inputSQL, pars)
+func (s *Session) validate(ctx context.Context, q querier, instanceID, inputSQL string, pars []string) (float64, error) {
+	problem, _, err := s.buildProblem(ctx, q, instanceID, inputSQL, pars)
 	if err != nil {
 		return 0, err
 	}

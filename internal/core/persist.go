@@ -21,7 +21,7 @@ const defaultAutoCheckpointEvery = 4096
 // memory)".
 
 func (s *Session) installStorage() error {
-	_, err := s.db.QueryNested(
+	_, err := s.db.Exec(
 		`CREATE TABLE IF NOT EXISTS fmustorage (modelid text, content text)`)
 	if err != nil {
 		return fmt.Errorf("core: installing FMU storage: %w", err)
@@ -30,9 +30,9 @@ func (s *Session) installStorage() error {
 }
 
 // storeFMU persists the archive bytes for a model.
-func (s *Session) storeFMU(ctx context.Context, modelID string, data []byte) error {
+func (s *Session) storeFMU(ctx context.Context, tx *sqldb.Tx, modelID string, data []byte) error {
 	encoded := base64.StdEncoding.EncodeToString(data)
-	_, err := s.db.QueryNestedContext(ctx, `INSERT INTO fmustorage VALUES ($1, $2)`, modelID, encoded)
+	_, err := tx.QueryContext(ctx, `INSERT INTO fmustorage VALUES ($1, $2)`, modelID, encoded)
 	return err
 }
 
@@ -136,7 +136,7 @@ func (s *Session) rehydrate() error {
 	}
 
 	units := make(map[string]*fmu.Unit)
-	stored, err := s.db.QueryNested(`SELECT modelid, content FROM fmustorage`)
+	stored, err := s.db.Query(`SELECT modelid, content FROM fmustorage`)
 	if err != nil {
 		return err
 	}
@@ -158,7 +158,7 @@ func (s *Session) rehydrate() error {
 
 	instances := make(map[string]*fmu.Instance)
 	instanceModel := make(map[string]string)
-	rows, err := s.db.QueryNested(`SELECT instanceid, modelid FROM modelinstance`)
+	rows, err := s.db.Query(`SELECT instanceid, modelid FROM modelinstance`)
 	if err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func (s *Session) rehydrate() error {
 			return fmt.Errorf("core: instance %q references unknown model %q", instanceID, modelID)
 		}
 		inst := unit.Instantiate(instanceID)
-		values, err := s.db.QueryNested(
+		values, err := s.db.Query(
 			`SELECT varname, value FROM modelinstancevalues WHERE instanceid = $1`, instanceID)
 		if err != nil {
 			return err

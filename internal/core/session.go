@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -208,7 +209,7 @@ func (s *Session) snapshot(instanceID string) (*fmu.Instance, string, error) {
 // the enclosing transaction rolls back — SQL's undo journal cannot see the
 // instance map. Compensators run in reverse order, so several publications
 // in one transaction unwind to the state before the first.
-func (s *Session) publish(ctx context.Context, instanceID string, fn func(live *fmu.Instance) error) error {
+func (s *Session) publish(tx *sqldb.Tx, instanceID string, fn func(live *fmu.Instance) error) error {
 	s.mu.Lock()
 	live, ok := s.instances[instanceID]
 	if !ok {
@@ -218,18 +219,16 @@ func (s *Session) publish(ctx context.Context, instanceID string, fn func(live *
 	prev := live.Clone(instanceID)
 	err := fn(live)
 	s.mu.Unlock()
-	s.onRollback(ctx, func() { s.instances[instanceID] = prev })
+	s.onRollback(tx, func() { s.instances[instanceID] = prev })
 	return err
 }
 
 // onRollback registers a compensator that re-synchronizes the session's
 // in-memory FMU state (units, instances, live values) with the catalogue if
-// the enclosing transaction rolls back: the concurrent transaction ctx
-// carries (a Tx handle's statement, fmu_parest under RunConcurrent), else
-// the ambient one. The closure takes s.mu itself: rollback runs with no
+// tx rolls back. The closure takes s.mu itself: rollback runs with no
 // session lock held.
-func (s *Session) onRollback(ctx context.Context, fn func()) {
-	s.db.OnRollbackContext(ctx, func() {
+func (s *Session) onRollback(tx *sqldb.Tx, fn func()) {
+	tx.OnRollback(func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		fn()
@@ -251,7 +250,7 @@ func (s *Session) installCatalog() error {
 		fmujobsDDL,
 	}
 	for _, q := range ddl {
-		if _, err := s.db.QueryNested(q); err != nil {
+		if _, err := s.db.Exec(q); err != nil {
 			return fmt.Errorf("core: installing catalogue: %w", err)
 		}
 	}
@@ -285,18 +284,37 @@ func (s *Session) Create(modelRef, instanceID string) (string, error) {
 		return "", err
 	}
 	var id string
-	err = s.db.RunExclusive(func() error {
-		var cerr error
-		id, cerr = s.create(context.Background(), unit, instanceID)
-		return cerr
+	err = s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+		id, err = s.create(context.Background(), tx, unit, instanceID)
+		return err
 	})
 	return id, err
 }
 
-// create and the other catalogue writers below run inside the invoking
-// statement's (or RunExclusive's) exclusive database lock; ctx routes their
-// nested statements and compensators into that statement's transaction.
-func (s *Session) create(ctx context.Context, unit *fmu.Unit, instanceID string) (string, error) {
+// inTx runs fn as one transaction begun in mode: committed when fn returns
+// nil, rolled back when it fails. The typed catalogue writers run
+// Exclusive, as their UDFs' statements do; calibration runs Concurrent.
+func (s *Session) inTx(ctx context.Context, mode sqldb.TxMode, fn func(tx *sqldb.Tx) error) error {
+	tx, err := s.db.BeginTx(ctx, mode)
+	if err != nil {
+		return err
+	}
+	if err := fn(tx); err != nil {
+		return errors.Join(err, tx.Rollback())
+	}
+	return tx.Commit()
+}
+
+// querier runs SQL for a reader: a statement's or typed writer's *sqldb.Tx,
+// or the *sqldb.DB on a typed read path.
+type querier interface {
+	QueryContext(ctx context.Context, sql string, args ...any) (*sqldb.ResultSet, error)
+}
+
+// create and the other catalogue writers below run their statements, and
+// register their compensators, in tx: the invoking statement's transaction
+// or a typed writer's.
+func (s *Session) create(ctx context.Context, tx *sqldb.Tx, unit *fmu.Unit, instanceID string) (string, error) {
 	modelID := unit.GUID
 	instanceID, err := s.newInstanceID(instanceID, unit.Model.Name+"_instance")
 	if err != nil {
@@ -314,19 +332,19 @@ func (s *Session) create(ctx context.Context, unit *fmu.Unit, instanceID string)
 		if err != nil {
 			return "", err
 		}
-		if _, err := s.db.QueryNestedContext(ctx,
+		if _, err := tx.QueryContext(ctx,
 			`INSERT INTO model VALUES ($1, $2, $3)`,
 			modelID, unit.Model.Name, len(data)); err != nil {
 			return "", err
 		}
-		if err := s.storeFMU(ctx, modelID, data); err != nil {
+		if err := s.storeFMU(ctx, tx, modelID, data); err != nil {
 			return "", err
 		}
 		// ModelVariable rows: one per scalar variable with initial/min/max.
 		probe := unit.Instantiate("probe")
 		for _, sv := range unit.Description.ModelVariables.Variables {
 			initial, minV, maxV := variantAttr(sv)
-			if _, err := s.db.QueryNestedContext(ctx,
+			if _, err := tx.QueryContext(ctx,
 				`INSERT INTO modelvariable VALUES ($1, $2, $3, $4, $5, $6)`,
 				modelID, sv.Name, varTypeOf(probe, sv.Name), initial, minV, maxV); err != nil {
 				return "", err
@@ -335,9 +353,9 @@ func (s *Session) create(ctx context.Context, unit *fmu.Unit, instanceID string)
 		s.mu.Lock()
 		s.units[modelID] = unit
 		s.mu.Unlock()
-		s.onRollback(ctx, func() { delete(s.units, modelID) })
+		s.onRollback(tx, func() { delete(s.units, modelID) })
 	}
-	return instanceID, s.addInstance(ctx, unit.Instantiate(instanceID), modelID)
+	return instanceID, s.addInstance(ctx, tx, unit.Instantiate(instanceID), modelID)
 }
 
 // newInstanceID returns id — or, when id is empty, a generated one — after
@@ -357,13 +375,13 @@ func (s *Session) newInstanceID(id, prefix string) (string, error) {
 
 // addInstance catalogues a new instance (ModelInstance plus one
 // ModelInstanceValues row per variable) and then makes it live.
-func (s *Session) addInstance(ctx context.Context, inst *fmu.Instance, modelID string) error {
+func (s *Session) addInstance(ctx context.Context, tx *sqldb.Tx, inst *fmu.Instance, modelID string) error {
 	id := inst.Name()
-	if _, err := s.db.QueryNestedContext(ctx, `INSERT INTO modelinstance VALUES ($1, $2)`, id, modelID); err != nil {
+	if _, err := tx.QueryContext(ctx, `INSERT INTO modelinstance VALUES ($1, $2)`, id, modelID); err != nil {
 		return err
 	}
 	for _, sv := range inst.Unit().Description.ModelVariables.Variables {
-		if _, err := s.db.QueryNestedContext(ctx,
+		if _, err := tx.QueryContext(ctx,
 			`INSERT INTO modelinstancevalues VALUES ($1, $2, $3, $4)`,
 			modelID, id, sv.Name, valueOf(inst, sv.Name)); err != nil {
 			return err
@@ -373,7 +391,7 @@ func (s *Session) addInstance(ctx context.Context, inst *fmu.Instance, modelID s
 	s.instances[id] = inst
 	s.instanceModel[id] = modelID
 	s.mu.Unlock()
-	s.onRollback(ctx, func() {
+	s.onRollback(tx, func() {
 		delete(s.instances, id)
 		delete(s.instanceModel, id)
 	})
@@ -431,15 +449,14 @@ func resolveModelRef(modelRef string) (*fmu.Unit, error) {
 // new identifier, reusing the stored FMU.
 func (s *Session) Copy(instanceID, newInstanceID string) (string, error) {
 	var id string
-	err := s.db.RunExclusive(func() error {
-		var cerr error
-		id, cerr = s.copy(context.Background(), instanceID, newInstanceID)
-		return cerr
+	err := s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+		id, err = s.copy(context.Background(), tx, instanceID, newInstanceID)
+		return err
 	})
 	return id, err
 }
 
-func (s *Session) copy(ctx context.Context, instanceID, newInstanceID string) (string, error) {
+func (s *Session) copy(ctx context.Context, tx *sqldb.Tx, instanceID, newInstanceID string) (string, error) {
 	src, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return "", err
@@ -448,12 +465,12 @@ func (s *Session) copy(ctx context.Context, instanceID, newInstanceID string) (s
 	if err != nil {
 		return "", err
 	}
-	return newInstanceID, s.addInstance(ctx, src.Clone(newInstanceID), modelID)
+	return newInstanceID, s.addInstance(ctx, tx, src.Clone(newInstanceID), modelID)
 }
 
 // setValue updates one variable on an instance and mirrors it to the
 // catalogue; which of initial/min/max is written depends on attr.
-func (s *Session) setValue(ctx context.Context, instanceID, varName, attr string, value float64) error {
+func (s *Session) setValue(ctx context.Context, tx *sqldb.Tx, instanceID, varName, attr string, value float64) error {
 	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return err
@@ -465,13 +482,13 @@ func (s *Session) setValue(ctx context.Context, instanceID, varName, attr string
 		if err := inst.SetReal(varName, value); err != nil {
 			return err
 		}
-		if _, err := s.db.QueryNestedContext(ctx,
+		if _, err := tx.QueryContext(ctx,
 			`UPDATE modelinstancevalues SET value = $1
 			 WHERE instanceid = $2 AND varname = $3`,
 			value, instanceID, varName); err != nil {
 			return err
 		}
-		return s.publish(ctx, instanceID, func(live *fmu.Instance) error {
+		return s.publish(tx, instanceID, func(live *fmu.Instance) error {
 			return live.SetReal(varName, value)
 		})
 	case "min", "max":
@@ -482,7 +499,7 @@ func (s *Session) setValue(ctx context.Context, instanceID, varName, attr string
 		if attr == "max" {
 			col = "maxvalue"
 		}
-		_, err := s.db.QueryNestedContext(ctx,
+		_, err := tx.QueryContext(ctx,
 			`UPDATE modelvariable SET `+col+` = $1
 			 WHERE modelid = $2 AND varname = $3`,
 			value, modelID, varName)
@@ -494,37 +511,33 @@ func (s *Session) setValue(ctx context.Context, instanceID, varName, attr string
 
 // SetInitial implements fmu_set_initial.
 func (s *Session) SetInitial(instanceID, varName string, value float64) error {
-	return s.db.RunExclusive(func() error {
-		return s.setValue(context.Background(), instanceID, varName, "initial", value)
-	})
+	return s.setTyped(instanceID, varName, "initial", value)
 }
 
 // SetMinimum implements fmu_set_minimum.
 func (s *Session) SetMinimum(instanceID, varName string, value float64) error {
-	return s.db.RunExclusive(func() error {
-		return s.setValue(context.Background(), instanceID, varName, "min", value)
-	})
+	return s.setTyped(instanceID, varName, "min", value)
 }
 
 // SetMaximum implements fmu_set_maximum.
 func (s *Session) SetMaximum(instanceID, varName string, value float64) error {
-	return s.db.RunExclusive(func() error {
-		return s.setValue(context.Background(), instanceID, varName, "max", value)
+	return s.setTyped(instanceID, varName, "max", value)
+}
+
+func (s *Session) setTyped(instanceID, varName, attr string, value float64) error {
+	ctx := context.Background()
+	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error {
+		return s.setValue(ctx, tx, instanceID, varName, attr, value)
 	})
 }
 
 // Get implements fmu_get: the current value plus catalogue min/max for one
 // variable.
 func (s *Session) Get(instanceID, varName string) (initial, minV, maxV variant.Value, err error) {
-	err = s.db.RunShared(func() error {
-		var gerr error
-		initial, minV, maxV, gerr = s.get(context.Background(), instanceID, varName)
-		return gerr
-	})
-	return initial, minV, maxV, err
+	return s.get(context.Background(), s.db, instanceID, varName)
 }
 
-func (s *Session) get(ctx context.Context, instanceID, varName string) (initial, minV, maxV variant.Value, err error) {
+func (s *Session) get(ctx context.Context, q querier, instanceID, varName string) (initial, minV, maxV variant.Value, err error) {
 	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return variant.Value{}, variant.Value{}, variant.Value{}, err
@@ -532,7 +545,7 @@ func (s *Session) get(ctx context.Context, instanceID, varName string) (initial,
 	if inst.KindOf(varName) == fmu.VarUnknown {
 		return variant.Value{}, variant.Value{}, variant.Value{}, fmt.Errorf("%w: %q", ErrNoSuchVariable, varName)
 	}
-	rs, err := s.db.QueryNestedContext(ctx,
+	rs, err := q.QueryContext(ctx,
 		`SELECT minvalue, maxvalue FROM modelvariable WHERE modelid = $1 AND varname = $2`,
 		modelID, varName)
 	if err != nil {
@@ -548,24 +561,25 @@ func (s *Session) get(ctx context.Context, instanceID, varName string) (initial,
 // Reset implements fmu_reset: restore the instance to model defaults and
 // refresh the catalogue values.
 func (s *Session) Reset(instanceID string) error {
-	return s.db.RunExclusive(func() error { return s.reset(context.Background(), instanceID) })
+	ctx := context.Background()
+	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error { return s.reset(ctx, tx, instanceID) })
 }
 
-func (s *Session) reset(ctx context.Context, instanceID string) error {
+func (s *Session) reset(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
 	inst, _, err := s.snapshot(instanceID)
 	if err != nil {
 		return err
 	}
 	inst.Reset()
 	for _, sv := range inst.Unit().Description.ModelVariables.Variables {
-		if _, err := s.db.QueryNestedContext(ctx,
+		if _, err := tx.QueryContext(ctx,
 			`UPDATE modelinstancevalues SET value = $1
 			 WHERE instanceid = $2 AND varname = $3`,
 			valueOf(inst, sv.Name), instanceID, sv.Name); err != nil {
 			return err
 		}
 	}
-	return s.publish(ctx, instanceID, func(live *fmu.Instance) error {
+	return s.publish(tx, instanceID, func(live *fmu.Instance) error {
 		live.Reset()
 		return nil
 	})
@@ -573,10 +587,11 @@ func (s *Session) reset(ctx context.Context, instanceID string) error {
 
 // DeleteInstance implements fmu_delete_instance.
 func (s *Session) DeleteInstance(instanceID string) error {
-	return s.db.RunExclusive(func() error { return s.deleteInstance(context.Background(), instanceID) })
+	ctx := context.Background()
+	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error { return s.deleteInstance(ctx, tx, instanceID) })
 }
 
-func (s *Session) deleteInstance(ctx context.Context, instanceID string) error {
+func (s *Session) deleteInstance(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
 	s.mu.Lock()
 	inst, ok := s.instances[instanceID]
 	modelID := s.instanceModel[instanceID]
@@ -584,17 +599,17 @@ func (s *Session) deleteInstance(ctx context.Context, instanceID string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
 	}
-	if _, err := s.db.QueryNestedContext(ctx, `DELETE FROM modelinstance WHERE instanceid = $1`, instanceID); err != nil {
+	if _, err := tx.QueryContext(ctx, `DELETE FROM modelinstance WHERE instanceid = $1`, instanceID); err != nil {
 		return err
 	}
-	if _, err := s.db.QueryNestedContext(ctx, `DELETE FROM modelinstancevalues WHERE instanceid = $1`, instanceID); err != nil {
+	if _, err := tx.QueryContext(ctx, `DELETE FROM modelinstancevalues WHERE instanceid = $1`, instanceID); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	delete(s.instances, instanceID)
 	delete(s.instanceModel, instanceID)
 	s.mu.Unlock()
-	s.onRollback(ctx, func() {
+	s.onRollback(tx, func() {
 		s.instances[instanceID] = inst
 		s.instanceModel[instanceID] = modelID
 	})
@@ -604,10 +619,11 @@ func (s *Session) deleteInstance(ctx context.Context, instanceID string) error {
 // DeleteModel implements fmu_delete_model: remove the FMU and cascade to all
 // its instances.
 func (s *Session) DeleteModel(modelID string) error {
-	return s.db.RunExclusive(func() error { return s.deleteModel(context.Background(), modelID) })
+	ctx := context.Background()
+	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error { return s.deleteModel(ctx, tx, modelID) })
 }
 
-func (s *Session) deleteModel(ctx context.Context, modelID string) error {
+func (s *Session) deleteModel(ctx context.Context, tx *sqldb.Tx, modelID string) error {
 	s.mu.Lock()
 	_, ok := s.units[modelID]
 	s.mu.Unlock()
@@ -621,7 +637,7 @@ func (s *Session) deleteModel(ctx context.Context, modelID string) error {
 		`DELETE FROM modelinstancevalues WHERE modelid = $1`,
 		`DELETE FROM fmustorage WHERE modelid = $1`,
 	} {
-		if _, err := s.db.QueryNestedContext(ctx, q, modelID); err != nil {
+		if _, err := tx.QueryContext(ctx, q, modelID); err != nil {
 			return err
 		}
 	}
@@ -637,7 +653,7 @@ func (s *Session) deleteModel(ctx context.Context, modelID string) error {
 		}
 	}
 	s.mu.Unlock()
-	s.onRollback(ctx, func() {
+	s.onRollback(tx, func() {
 		s.units[modelID] = unit
 		for id, inst := range removed {
 			s.instances[id] = inst
@@ -671,21 +687,15 @@ func (s *Session) InstanceIDs() []string {
 // Variables implements fmu_variables: the catalogue view of all variables of
 // an instance with current initial values.
 func (s *Session) Variables(instanceID string) (*sqldb.ResultSet, error) {
-	var rs *sqldb.ResultSet
-	err := s.db.RunShared(func() error {
-		var verr error
-		rs, verr = s.variables(context.Background(), instanceID)
-		return verr
-	})
-	return rs, err
+	return s.variables(context.Background(), s.db, instanceID)
 }
 
-func (s *Session) variables(ctx context.Context, instanceID string) (*sqldb.ResultSet, error) {
+func (s *Session) variables(ctx context.Context, q querier, instanceID string) (*sqldb.ResultSet, error) {
 	inst, modelID, err := s.snapshot(instanceID)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := s.db.QueryNestedContext(ctx,
+	rs, err := q.QueryContext(ctx,
 		`SELECT varname, vartype, minvalue, maxvalue FROM modelvariable WHERE modelid = $1`,
 		modelID)
 	if err != nil {
@@ -710,8 +720,8 @@ func (s *Session) variables(ctx context.Context, instanceID string) (*sqldb.Resu
 // parameterBounds reads the min/max bounds of a catalogued variable (the
 // estimation bounds of a parameter, the range of a control input); a missing
 // bound is NaN.
-func (s *Session) parameterBounds(ctx context.Context, modelID, varName string) (lo, hi float64, err error) {
-	rs, err := s.db.QueryNestedContext(ctx,
+func (s *Session) parameterBounds(ctx context.Context, q querier, modelID, varName string) (lo, hi float64, err error) {
+	rs, err := q.QueryContext(ctx,
 		`SELECT minvalue, maxvalue FROM modelvariable WHERE modelid = $1 AND varname = $2`,
 		modelID, varName)
 	if err != nil {

@@ -38,19 +38,14 @@ func (s *Session) Simulate(req SimulateRequest) (*sqldb.ResultSet, error) {
 // SimulateContext is Simulate honouring ctx: cancellation is observed
 // during integration stepping, so a long simulation aborts mid-run.
 // Simulation is a read — a pure function of the instance's current values
-// and the input query — so it runs under the shared database lock, with no
-// transaction.
+// and the input query — so it takes no transaction: its input query shares
+// the database lock for the query alone.
 func (s *Session) SimulateContext(ctx context.Context, req SimulateRequest) (*sqldb.ResultSet, error) {
-	var rs *sqldb.ResultSet
-	err := s.db.RunShared(func() error {
-		res, timestamps, serr := s.simulateFrame(ctx, req)
-		if serr != nil {
-			return serr
-		}
-		rs = simResultToTable(req.InstanceID, res, timestamps)
-		return nil
-	})
-	return rs, err
+	res, timestamps, err := s.simulateFrame(ctx, s.db, req)
+	if err != nil {
+		return nil, err
+	}
+	return simResultToTable(req.InstanceID, res, timestamps), nil
 }
 
 // simulateFrame runs Algorithm 4 up to — but not including — the
@@ -58,15 +53,15 @@ func (s *Session) SimulateContext(ctx context.Context, req SimulateRequest) (*sq
 // whether times should render as timestamps. The SQL fmu_simulate UDF
 // streams rows from this frame lazily (see newSimResultStream), so a LIMIT
 // over a large simulation never materializes the full n_times × n_vars
-// relation. The caller holds a database lock in either mode.
-func (s *Session) simulateFrame(ctx context.Context, req SimulateRequest) (*fmu.SimResult, bool, error) {
+// relation. The input query runs through q.
+func (s *Session) simulateFrame(ctx context.Context, q querier, req SimulateRequest) (*fmu.SimResult, bool, error) {
 	inst, modelID, err := s.snapshot(req.InstanceID)
 	if err != nil {
 		return nil, false, err
 	}
 	unit := inst.Unit()
 	// Build the input object from the query result (Challenge 2).
-	in, err := s.loadInput(ctx, unit, req.InputSQL)
+	in, err := s.loadInput(ctx, q, unit, req.InputSQL)
 	if err != nil {
 		return nil, false, err
 	}

@@ -11,16 +11,17 @@ import (
 )
 
 // registerUDFs wires the pgFMU UDF suite into the SQL engine. A UDF body runs
-// inside its statement's database lock and transaction, both carried by ctx.
-// Functions that only read — including fmu_simulate, fmu_validate and
-// fmu_control, which compute from a snapshot of the instance and a read-only
-// input query — are registered read-only, so statements calling them take
-// the shared path: no transaction, no latch, no WAL record.
+// its SQL through tx, its statement's transaction, under the lock the
+// statement holds. Functions that only read — including fmu_simulate,
+// fmu_validate and fmu_control, which compute from a snapshot of the
+// instance and a read-only input query — are registered read-only, so
+// statements calling them take the shared path: no latch, no WAL record,
+// and a tx that refuses to write.
 func (s *Session) registerUDFs() {
 	db := s.db
 
 	// fmu_create(modelRef [, instanceId]) -> instanceId
-	db.RegisterScalar("fmu_create", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_create", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 && len(args) != 2 {
 			return variant.Value{}, fmt.Errorf("fmu_create(modelRef [, instanceId]) expects 1 or 2 arguments")
 		}
@@ -38,7 +39,7 @@ func (s *Session) registerUDFs() {
 		if err != nil {
 			return variant.Value{}, err
 		}
-		id, err := s.create(ctx, unit, instanceID)
+		id, err := s.create(ctx, tx, unit, instanceID)
 		if err != nil {
 			return variant.Value{}, err
 		}
@@ -46,7 +47,7 @@ func (s *Session) registerUDFs() {
 	}, false)
 
 	// fmu_copy(instanceId [, instanceId2]) -> instanceId2
-	db.RegisterScalar("fmu_copy", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_copy", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 && len(args) != 2 {
 			return variant.Value{}, fmt.Errorf("fmu_copy(instanceId [, instanceId2]) expects 1 or 2 arguments")
 		}
@@ -54,7 +55,7 @@ func (s *Session) registerUDFs() {
 		if len(args) == 2 {
 			newID = args[1].AsText()
 		}
-		id, err := s.copy(ctx, args[0].AsText(), newID)
+		id, err := s.copy(ctx, tx, args[0].AsText(), newID)
 		if err != nil {
 			return variant.Value{}, err
 		}
@@ -62,19 +63,19 @@ func (s *Session) registerUDFs() {
 	}, false)
 
 	// fmu_variables(instanceId) -> table
-	db.RegisterTable("fmu_variables", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
+	db.RegisterTable("fmu_variables", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("fmu_variables(instanceId) expects 1 argument")
 		}
-		return asStream(s.variables(ctx, args[0].AsText()))
+		return asStream(s.variables(ctx, tx, args[0].AsText()))
 	}, true)
 
 	// fmu_get(instanceId, varName) -> table(initialValue, minValue, maxValue)
-	db.RegisterTable("fmu_get", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
+	db.RegisterTable("fmu_get", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("fmu_get(instanceId, varName) expects 2 arguments")
 		}
-		initial, minV, maxV, err := s.get(ctx, args[0].AsText(), args[1].AsText())
+		initial, minV, maxV, err := s.get(ctx, tx, args[0].AsText(), args[1].AsText())
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +89,7 @@ func (s *Session) registerUDFs() {
 	}, true)
 
 	setter := func(name, attr string) {
-		db.RegisterScalar(name, func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+		db.RegisterScalar(name, func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 			if len(args) != 3 {
 				return variant.Value{}, fmt.Errorf("%s(instanceId, varName, value) expects 3 arguments", name)
 			}
@@ -96,7 +97,7 @@ func (s *Session) registerUDFs() {
 			if err != nil {
 				return variant.Value{}, fmt.Errorf("%s: %w", name, err)
 			}
-			if err := s.setValue(ctx, args[0].AsText(), args[1].AsText(), attr, v); err != nil {
+			if err := s.setValue(ctx, tx, args[0].AsText(), args[1].AsText(), attr, v); err != nil {
 				return variant.Value{}, err
 			}
 			return args[0], nil
@@ -107,33 +108,33 @@ func (s *Session) registerUDFs() {
 	setter("fmu_set_maximum", "max")
 
 	// fmu_reset(instanceId) -> instanceId
-	db.RegisterScalar("fmu_reset", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_reset", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_reset(instanceId) expects 1 argument")
 		}
-		if err := s.reset(ctx, args[0].AsText()); err != nil {
+		if err := s.reset(ctx, tx, args[0].AsText()); err != nil {
 			return variant.Value{}, err
 		}
 		return args[0], nil
 	}, false)
 
 	// fmu_delete_instance(instanceId)
-	db.RegisterScalar("fmu_delete_instance", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_delete_instance", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_delete_instance(instanceId) expects 1 argument")
 		}
-		if err := s.deleteInstance(ctx, args[0].AsText()); err != nil {
+		if err := s.deleteInstance(ctx, tx, args[0].AsText()); err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewBool(true), nil
 	}, false)
 
 	// fmu_delete_model(modelId)
-	db.RegisterScalar("fmu_delete_model", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_delete_model", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("fmu_delete_model(modelId) expects 1 argument")
 		}
-		if err := s.deleteModel(ctx, args[0].AsText()); err != nil {
+		if err := s.deleteModel(ctx, tx, args[0].AsText()); err != nil {
 			return variant.Value{}, err
 		}
 		return variant.NewBool(true), nil
@@ -143,8 +144,8 @@ func (s *Session) registerUDFs() {
 	//   -> '{rmse1, rmse2, ...}' (the paper's estimationErrors list)
 	// A cancelled statement context aborts the GA / local-search iterations
 	// within one objective evaluation per worker.
-	db.RegisterScalar("fmu_parest", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
-		results, err := s.parestFromArgs(ctx, args)
+	db.RegisterScalar("fmu_parest", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
+		results, err := s.parestFromArgs(ctx, tx, args)
 		if err != nil {
 			return variant.Value{}, err
 		}
@@ -157,8 +158,8 @@ func (s *Session) registerUDFs() {
 
 	// fmu_parest_report(...) -> table(instanceId, rmse, warm_start) for
 	// analytical use of estimation outcomes.
-	db.RegisterTable("fmu_parest_report", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
-		results, err := s.parestFromArgs(ctx, args)
+	db.RegisterTable("fmu_parest_report", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
+		results, err := s.parestFromArgs(ctx, tx, args)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +179,7 @@ func (s *Session) registerUDFs() {
 	}, false)
 
 	// fmu_validate(instanceId, input_sql [, pars]) -> rmse
-	db.RegisterScalar("fmu_validate", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("fmu_validate", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 2 && len(args) != 3 {
 			return variant.Value{}, fmt.Errorf("fmu_validate(instanceId, input_sql [, pars]) expects 2 or 3 arguments")
 		}
@@ -186,7 +187,7 @@ func (s *Session) registerUDFs() {
 		if len(args) == 3 {
 			pars = splitBraceList(args[2].AsText())
 		}
-		rmse, err := s.validate(ctx, args[0].AsText(), args[1].AsText(), pars)
+		rmse, err := s.validate(ctx, tx, args[0].AsText(), args[1].AsText(), pars)
 		if err != nil {
 			return variant.Value{}, err
 		}
@@ -200,7 +201,7 @@ func (s *Session) registerUDFs() {
 	// frame — so `SELECT ... FROM fmu_simulate(...) LIMIT k` does bounded
 	// materialization work, and large trajectories stream to the client with
 	// bounded memory.
-	db.RegisterTable("fmu_simulate", func(ctx context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
+	db.RegisterTable("fmu_simulate", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) < 1 || len(args) > 4 {
 			return nil, fmt.Errorf("fmu_simulate(instanceId [, input_sql [, time_from, time_to]]) expects 1–4 arguments")
 		}
@@ -222,7 +223,7 @@ func (s *Session) registerUDFs() {
 			}
 			req.TimeFrom, req.TimeTo = &from, &to
 		}
-		res, timestamps, err := s.simulateFrame(ctx, req)
+		res, timestamps, err := s.simulateFrame(ctx, tx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -233,13 +234,13 @@ func (s *Session) registerUDFs() {
 	s.registerJobUDFs()
 
 	// fmu_models() -> catalogue summary for interactive inspection.
-	db.RegisterTable("fmu_models", func(ctx context.Context, d *sqldb.DB, _ []variant.Value) (sqldb.RowStream, error) {
-		return asStream(d.QueryNestedContext(ctx, `SELECT modelid, modelname, fmusize FROM model`))
+	db.RegisterTable("fmu_models", func(ctx context.Context, tx *sqldb.Tx, _ []variant.Value) (sqldb.RowStream, error) {
+		return asStream(tx.QueryContext(ctx, `SELECT modelid, modelname, fmusize FROM model`))
 	}, true)
 
 	// fmu_instances() -> live instance listing.
-	db.RegisterTable("fmu_instances", func(ctx context.Context, d *sqldb.DB, _ []variant.Value) (sqldb.RowStream, error) {
-		return asStream(d.QueryNestedContext(ctx, `SELECT instanceid, modelid FROM modelinstance`))
+	db.RegisterTable("fmu_instances", func(ctx context.Context, tx *sqldb.Tx, _ []variant.Value) (sqldb.RowStream, error) {
+		return asStream(tx.QueryContext(ctx, `SELECT instanceid, modelid FROM modelinstance`))
 	}, true)
 }
 
@@ -252,7 +253,7 @@ func asStream(rs *sqldb.ResultSet, err error) (sqldb.RowStream, error) {
 }
 
 // parestFromArgs decodes the paper's brace-list UDF argument convention.
-func (s *Session) parestFromArgs(ctx context.Context, args []variant.Value) ([]ParestResult, error) {
+func (s *Session) parestFromArgs(ctx context.Context, tx *sqldb.Tx, args []variant.Value) ([]ParestResult, error) {
 	if len(args) < 2 || len(args) > 4 {
 		return nil, fmt.Errorf("fmu_parest(instanceIds, input_sqls [, pars [, threshold]]) expects 2–4 arguments")
 	}
@@ -269,7 +270,7 @@ func (s *Session) parestFromArgs(ctx context.Context, args []variant.Value) ([]P
 			return nil, fmt.Errorf("threshold: %w", err)
 		}
 	}
-	return s.parest(ctx, instanceIDs, inputSQLs, pars, threshold)
+	return s.parest(ctx, tx, instanceIDs, inputSQLs, pars, threshold)
 }
 
 // timeArg converts a SQL time_from/time_to argument (number or timestamp)

@@ -35,7 +35,7 @@ func RegisterUDFs(db *sqldb.DB) {
 		linear:   make(map[string]*LinearModel),
 	}
 
-	db.RegisterScalar("arima_train", func(ctx context.Context, d *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("arima_train", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 4 && len(args) != 7 {
 			return variant.Value{}, fmt.Errorf("arima_train(source, output, time_col, value_col [, p, d, q]) expects 4 or 7 arguments")
 		}
@@ -54,7 +54,7 @@ func RegisterUDFs(db *sqldb.DB) {
 				return variant.Value{}, err
 			}
 		}
-		rs, err := d.QueryNestedContext(ctx, fmt.Sprintf(
+		rs, err := tx.QueryContext(ctx, fmt.Sprintf(
 			`SELECT %s FROM %s ORDER BY %s`, quoteIdent(valueCol), quoteIdent(source), quoteIdent(timeCol)))
 		if err != nil {
 			return variant.Value{}, fmt.Errorf("arima_train: %w", err)
@@ -78,15 +78,15 @@ func RegisterUDFs(db *sqldb.DB) {
 		store.arima[strings.ToLower(output)] = model
 		store.mu.Unlock()
 		// Summary table in the MADlib style.
-		if _, err := d.QueryNestedContext(ctx, fmt.Sprintf(`DROP TABLE IF EXISTS %s`, quoteIdent(output))); err != nil {
+		if _, err := tx.QueryContext(ctx, fmt.Sprintf(`DROP TABLE IF EXISTS %s`, quoteIdent(output))); err != nil {
 			return variant.Value{}, err
 		}
-		if _, err := d.QueryNestedContext(ctx, fmt.Sprintf(
+		if _, err := tx.QueryContext(ctx, fmt.Sprintf(
 			`CREATE TABLE %s (param text, value float)`, quoteIdent(output))); err != nil {
 			return variant.Value{}, err
 		}
 		insert := func(name string, v float64) error {
-			_, err := d.QueryNestedContext(ctx, fmt.Sprintf(
+			_, err := tx.QueryContext(ctx, fmt.Sprintf(
 				`INSERT INTO %s VALUES ($1, $2)`, quoteIdent(output)), name, v)
 			return err
 		}
@@ -109,7 +109,7 @@ func RegisterUDFs(db *sqldb.DB) {
 		return variant.NewText(output), nil
 	}, false)
 
-	db.RegisterTable("arima_forecast", func(_ context.Context, _ *sqldb.DB, args []variant.Value) (sqldb.RowStream, error) {
+	db.RegisterTable("arima_forecast", func(_ context.Context, _ *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("arima_forecast(output_table, steps) expects 2 arguments")
 		}
@@ -137,14 +137,14 @@ func RegisterUDFs(db *sqldb.DB) {
 		return out.Stream(), nil
 	}, true)
 
-	db.RegisterScalar("logregr_train", func(ctx context.Context, d *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("logregr_train", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 4 {
 			return variant.Value{}, fmt.Errorf("logregr_train(source, output, label_col, features) expects 4 arguments")
 		}
 		source, output := args[0].AsText(), args[1].AsText()
 		labelCol := args[2].AsText()
 		featureCols := splitCols(args[3].AsText())
-		features, labels, err := loadLabelled(ctx, d, source, labelCol, featureCols)
+		features, labels, err := loadLabelled(ctx, tx, source, labelCol, featureCols)
 		if err != nil {
 			return variant.Value{}, fmt.Errorf("logregr_train: %w", err)
 		}
@@ -158,7 +158,7 @@ func RegisterUDFs(db *sqldb.DB) {
 		return variant.NewText(output), nil
 	}, false)
 
-	db.RegisterScalar("logregr_predict", func(_ context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("logregr_predict", func(_ context.Context, _ *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) < 2 {
 			return variant.Value{}, fmt.Errorf("logregr_predict(output_table, features...) expects at least 2 arguments")
 		}
@@ -175,7 +175,7 @@ func RegisterUDFs(db *sqldb.DB) {
 		return variant.NewFloat(model.Prob(fv)), nil
 	}, true)
 
-	db.RegisterScalar("logregr_accuracy", func(ctx context.Context, d *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("logregr_accuracy", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 4 {
 			return variant.Value{}, fmt.Errorf("logregr_accuracy(output_table, source, label_col, features) expects 4 arguments")
 		}
@@ -185,21 +185,21 @@ func RegisterUDFs(db *sqldb.DB) {
 		if model == nil {
 			return variant.Value{}, fmt.Errorf("logregr_accuracy: no trained model %q", args[0].AsText())
 		}
-		features, labels, err := loadLabelled(ctx, d, args[1].AsText(), args[2].AsText(), splitCols(args[3].AsText()))
+		features, labels, err := loadLabelled(ctx, tx, args[1].AsText(), args[2].AsText(), splitCols(args[3].AsText()))
 		if err != nil {
 			return variant.Value{}, fmt.Errorf("logregr_accuracy: %w", err)
 		}
 		return variant.NewFloat(model.Accuracy(features, labels)), nil
 	}, true)
 
-	db.RegisterScalar("linregr_train", func(ctx context.Context, d *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("linregr_train", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 4 {
 			return variant.Value{}, fmt.Errorf("linregr_train(source, output, target_col, features) expects 4 arguments")
 		}
 		source, output := args[0].AsText(), args[1].AsText()
 		targetCol := args[2].AsText()
 		featureCols := splitCols(args[3].AsText())
-		features, target, err := loadNumeric(ctx, d, source, targetCol, featureCols)
+		features, target, err := loadNumeric(ctx, tx, source, targetCol, featureCols)
 		if err != nil {
 			return variant.Value{}, fmt.Errorf("linregr_train: %w", err)
 		}
@@ -213,7 +213,7 @@ func RegisterUDFs(db *sqldb.DB) {
 		return variant.NewText(output), nil
 	}, false)
 
-	db.RegisterScalar("linregr_predict", func(_ context.Context, _ *sqldb.DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("linregr_predict", func(_ context.Context, _ *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) < 2 {
 			return variant.Value{}, fmt.Errorf("linregr_predict(output_table, features...) expects at least 2 arguments")
 		}
@@ -268,13 +268,13 @@ func quoteIdent(s string) string {
 	return `"` + strings.ReplaceAll(strings.ToLower(s), `"`, `""`) + `"`
 }
 
-func loadLabelled(ctx context.Context, d *sqldb.DB, table, labelCol string, featureCols []string) ([][]float64, []bool, error) {
+func loadLabelled(ctx context.Context, tx *sqldb.Tx, table, labelCol string, featureCols []string) ([][]float64, []bool, error) {
 	cols := make([]string, 0, len(featureCols)+1)
 	cols = append(cols, quoteIdent(labelCol))
 	for _, c := range featureCols {
 		cols = append(cols, quoteIdent(c))
 	}
-	rs, err := d.QueryNestedContext(ctx, fmt.Sprintf(
+	rs, err := tx.QueryContext(ctx, fmt.Sprintf(
 		`SELECT %s FROM %s`, strings.Join(cols, ", "), quoteIdent(table)))
 	if err != nil {
 		return nil, nil, err
@@ -309,13 +309,13 @@ func loadLabelled(ctx context.Context, d *sqldb.DB, table, labelCol string, feat
 	return features, labels, nil
 }
 
-func loadNumeric(ctx context.Context, d *sqldb.DB, table, targetCol string, featureCols []string) ([][]float64, []float64, error) {
+func loadNumeric(ctx context.Context, tx *sqldb.Tx, table, targetCol string, featureCols []string) ([][]float64, []float64, error) {
 	cols := make([]string, 0, len(featureCols)+1)
 	cols = append(cols, quoteIdent(targetCol))
 	for _, c := range featureCols {
 		cols = append(cols, quoteIdent(c))
 	}
-	rs, err := d.QueryNestedContext(ctx, fmt.Sprintf(
+	rs, err := tx.QueryContext(ctx, fmt.Sprintf(
 		`SELECT %s FROM %s`, strings.Join(cols, ", "), quoteIdent(table)))
 	if err != nil {
 		return nil, nil, err

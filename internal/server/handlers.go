@@ -383,8 +383,8 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 // txKeyword classifies transaction-control statements ("" for anything
-// else), so sessions can map them onto Tx handles instead of the engine's
-// database-wide ambient transaction.
+// else), so each session maps them onto a Tx handle of its own instead of
+// the one transaction SQL BEGIN opens on the shared DB.
 func txKeyword(sql string) string {
 	t := strings.ToUpper(strings.TrimSpace(sql))
 	t = strings.TrimSuffix(t, ";")

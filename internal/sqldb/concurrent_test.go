@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 					}
 				case 3: // registration churn + plan-cache toggling
 					db.RegisterScalar(fmt.Sprintf("f_%d_%d", g, i),
-						func(context.Context, *DB, []variant.Value) (variant.Value, error) {
+						func(context.Context, *Tx, []variant.Value) (variant.Value, error) {
 							return variant.NewInt(1), nil
 						}, true)
 					db.EnablePlanCache(i%2 == 0)
@@ -116,16 +117,16 @@ func TestConcurrentIndexedReaders(t *testing.T) {
 func TestWriteUDFUnderSelect(t *testing.T) {
 	db := newSuiteDB(t)
 	mustExec(t, db, `CREATE TABLE log (n integer)`)
-	db.RegisterScalar("log_append", func(_ context.Context, d *DB, args []variant.Value) (variant.Value, error) {
-		if _, err := d.QueryNested(`INSERT INTO log VALUES ($1)`, args[0]); err != nil {
+	db.RegisterScalar("log_append", func(_ context.Context, tx *Tx, args []variant.Value) (variant.Value, error) {
+		if _, err := tx.Exec(`INSERT INTO log VALUES ($1)`, args[0]); err != nil {
 			return variant.Value{}, err
 		}
 		return args[0], nil
 	}, false)
-	if db.isReadOnly(mustParse(t, `SELECT log_append(1)`)) {
+	if ro, _ := db.IsReadOnly(`SELECT log_append(1)`); ro {
 		t.Fatal("write UDF classified read-only")
 	}
-	if !db.isReadOnly(mustParse(t, `SELECT count(*) FROM log WHERE n > 0`)) {
+	if ro, _ := db.IsReadOnly(`SELECT count(*) FROM log WHERE n > 0`); !ro {
 		t.Fatal("pure SELECT classified exclusive")
 	}
 
@@ -162,10 +163,10 @@ func mustParse(t *testing.T, sql string) Statement {
 // shapes the lock discipline depends on.
 func TestReadOnlyClassification(t *testing.T) {
 	db := newSuiteDB(t)
-	db.RegisterScalar("pure_fn", func(context.Context, *DB, []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("pure_fn", func(context.Context, *Tx, []variant.Value) (variant.Value, error) {
 		return variant.NewInt(1), nil
 	}, true)
-	db.RegisterTable("impure_src", func(context.Context, *DB, []variant.Value) (RowStream, error) {
+	db.RegisterTable("impure_src", func(context.Context, *Tx, []variant.Value) (RowStream, error) {
 		return (&ResultSet{}).Stream(), nil
 	}, false)
 	cases := []struct {
@@ -258,4 +259,94 @@ func TestSetLockWaitTimeout(t *testing.T) {
 	if got := db.lockWaitTimeout(); got != defaultLockWaitTimeout {
 		t.Fatalf("reset lock wait = %v", got)
 	}
+}
+
+// TestNestedWriteFromReadOnlyUDFFails: a UDF registered read-only runs its
+// statements through a handle that refuses to write, so the INSERT fails
+// its statement and leaves the table empty, live and after a crash.
+func TestNestedWriteFromReadOnlyUDFFails(t *testing.T) {
+	dir := t.TempDir()
+	db := openDurable(t, dir, DurabilityOptions{})
+	mustExec(t, db, `CREATE TABLE log (n integer)`)
+	db.RegisterScalar("sneaky", func(ctx context.Context, tx *Tx, args []variant.Value) (variant.Value, error) {
+		_, err := tx.ExecContext(ctx, `INSERT INTO log VALUES ($1)`, args[0])
+		return args[0], err
+	}, true)
+	_, err := db.Query(`SELECT sneaky(1)`)
+	if err == nil || !strings.Contains(err.Error(), "read-only statement") {
+		t.Fatalf("nested INSERT from a read-only UDF: err = %v, want a read-only statement error", err)
+	}
+	if n := countRows(t, db, "log"); n != 0 {
+		t.Fatalf("live rows = %d, want 0", n)
+	}
+	db.SimulateCrash()
+	if n := countRows(t, openDurable(t, dir, DurabilityOptions{}), "log"); n != 0 {
+		t.Fatalf("recovered rows = %d, want 0", n)
+	}
+}
+
+// TestTxConcurrentStatements: one Tx — a handle, or the one SQL BEGIN
+// opens on a shared DB — takes statements from many goroutines at once;
+// they serialize on the transaction, and all of them commit.
+func TestTxConcurrentStatements(t *testing.T) {
+	const goroutines, each = 4, 200
+	run := func(t *testing.T, db *DB, exec func(string, ...any) (int, error), commit func() error) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if _, err := exec(`INSERT INTO t VALUES ($1)`, g*each+i); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if err := commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n := countRows(t, db, "t"); n != goroutines*each {
+			t.Fatalf("rows = %d, want %d", n, goroutines*each)
+		}
+	}
+	t.Run("Handle", func(t *testing.T) {
+		db := newSuiteDB(t)
+		mustExec(t, db, `CREATE TABLE t (a integer)`)
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, db, tx.Exec, tx.Commit)
+	})
+	t.Run("SQLBegin", func(t *testing.T) {
+		db := newSuiteDB(t)
+		mustExec(t, db, `CREATE TABLE t (a integer)`)
+		mustExec(t, db, `BEGIN`)
+		run(t, db, db.Exec, func() error { _, err := db.Exec(`COMMIT`); return err })
+	})
+}
+
+// TestLockOrderViolationIsCaught: in a test binary, waiting for a lock
+// that ranks below one already held panics instead of risking a deadlock —
+// here a transaction holding db.mu that would wait for a table latch.
+func TestLockOrderViolationIsCaught(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE t (a integer)`)
+	tb, _ := db.tables.get("t")
+	tx, err := db.BeginTx(context.Background(), Exclusive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "lock order violated: waiting for a table latch while holding db.mu") {
+			t.Fatalf("recovered %v, want a lock order violation", r)
+		}
+	}()
+	_ = db.locks.acquire(context.Background(), tb, tx.state, 0)
+	t.Fatal("an unbounded latch wait under db.mu was not caught")
 }

@@ -21,8 +21,9 @@ import (
 // serialize per table through write latches, so transactions writing
 // disjoint tables execute and commit in parallel. The database-wide
 // reader/writer lock remains, but in a weaker role: plain DML shares it
-// (db.mu.RLock) and only DDL, UDF-bearing statements, and the ambient SQL
-// transaction take it exclusively.
+// (db.mu.RLock) and only DDL, UDF-bearing statements and Exclusive
+// transactions take it exclusively. DB.exec is the one place a statement
+// takes it.
 //
 // The execution API follows the standard Go contract: Exec/Query/QueryRows
 // with Context variants, Prepare for reusable statements (see stmt.go),
@@ -46,12 +47,9 @@ type DB struct {
 	// production; written only under the exclusive lock.
 	planner plannerOptions
 
-	// txn is the ambient transaction: the explicit database-wide one between
-	// SQL BEGIN and COMMIT/ROLLBACK, or the implicit transaction wrapped
-	// around each exclusive-path write. Written only under the exclusive
-	// lock; readable under either lock mode. Concurrent transactions (Tx
-	// handles, latched DML, RunConcurrent) never appear here.
-	txn *txnState
+	// sqlTx is the transaction SQL BEGIN sent to the DB opened; every
+	// statement sent to the DB joins it until COMMIT or ROLLBACK.
+	sqlTx atomic.Pointer[Tx]
 	// wal is the attached write-ahead log; nil for an in-memory database
 	// (see wal.go / EnableDurability).
 	wal *wal
@@ -148,10 +146,10 @@ func (db *DB) EnablePlanCache(on bool) {
 }
 
 // RegisterScalar registers a scalar UDF callable from any expression.
-// readOnly is the function's promise not to modify the database (directly or
-// through nested statements): SELECTs calling only read-only functions run
-// concurrently under the shared lock, with no transaction; any other
-// statement takes the database lock exclusively.
+// readOnly is the function's promise not to modify the database: SELECTs
+// calling only read-only functions run concurrently under the shared lock,
+// and the handle their functions receive refuses any statement that writes;
+// any other statement takes the database lock exclusively.
 func (db *DB) RegisterScalar(name string, fn ScalarFunc, readOnly bool) {
 	db.funcs.registerScalar(name, fn, readOnly)
 }
@@ -174,7 +172,8 @@ func (db *DB) IsReadOnly(sql string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return db.isReadOnly(cp.stmt), nil
+	_, writes := db.funcUse(cp.stmt)
+	return isReadOnlyStmt(cp.stmt, writes), nil
 }
 
 // TableNames lists the catalogued tables (lowercased).
@@ -268,105 +267,234 @@ func (db *DB) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 	if err != nil {
 		return nil, err
 	}
-	return db.queryStmt(ctx, sql, cp, params)
+	return db.exec(ctx, nil, sql, cp, params)
 }
 
-// txnCtxKey carries a concurrent transaction through a context (see
-// RunConcurrent); nestedCtxKey marks a context handed to a UDF while the
-// engine already holds a database lock, so nested statements know not to
-// re-acquire it.
-type txnCtxKey struct{}
-type nestedCtxKey struct{}
-
-func txnFromContext(ctx context.Context) *txnState {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(txnCtxKey{}).(*txnState)
-	return t
-}
-
-func nestedFromContext(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	b, _ := ctx.Value(nestedCtxKey{}).(bool)
-	return b
-}
-
-// readSnap is the snapshot for a statement outside any explicit
-// transaction: the latest committed timestamp, plus the ambient
-// transaction's own writes when one is open (preserving the historical
-// database-wide transaction semantics where every statement joins it).
-// Caller holds db.mu in either mode.
-func (db *DB) readSnap() snapshot {
-	if t := db.txn; t != nil {
-		return snapshot{ts: db.clock.Load(), self: t.stamp()}
-	}
-	return snapshot{ts: db.clock.Load()}
-}
-
-// queryStmt is the single executor entry point shared by QueryRowsContext
-// and prepared statements (stmt.go). Transaction handles and RunConcurrent
-// bodies route through execTxStmt instead. Statements dispatch three ways:
-// read-only SELECTs share the lock, builtin-only DML takes the concurrent
-// write path (per-table latch + shared lock), and everything else — DDL,
-// UDF-bearing statements, transaction control — takes the exclusive path.
-func (db *DB) queryStmt(ctx context.Context, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
+// exec runs one statement, and is the one place a statement takes db.mu.
+// tx is the transaction it runs in: nil for a statement sent to the DB,
+// which joins the transaction SQL BEGIN opened or else is a transaction of
+// its own; a Tx, whose statements take db.mu one at a time; an Exclusive
+// Tx, which holds db.mu already; or a function's handle, which runs under
+// its statement's lock.
+//
+// A read-only SELECT shares db.mu. DML calling only builtins waits for its
+// table's latch first, holding nothing, then shares db.mu; a statement of
+// its own pins its snapshot after the latch, so writers of one table queue
+// instead of conflicting. Everything else — DDL, ANALYZE, statements
+// calling a function that may write — takes db.mu exclusively. A statement
+// of its own waits as long as it must; a Tx's statement, whose transaction
+// may hold latches from earlier statements, waits at most the lock-wait
+// timeout and then fails with ErrWriteConflict.
+func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if tx := txnFromContext(ctx); tx != nil && !nestedFromContext(ctx) {
-		// Query/Exec called from inside a RunConcurrent body: the statement
-		// belongs to that transaction.
-		return db.execTxStmt(ctx, text, cp, params, tx)
+	if isTxnControlStmt(cp.stmt) {
+		if tx != nil {
+			return nil, fmt.Errorf("sql: transaction control is not valid inside a transaction handle")
+		}
+		return db.sqlTxnControl(ctx, cp.stmt)
 	}
-	cx := &evalCtx{db: db, params: params, ctx: ctx}
-	if db.isReadOnly(cp.stmt) {
-		db.mu.RLock()
-		if db.closed {
-			db.mu.RUnlock()
-			return nil, ErrClosed
-		}
-		cx.snap = db.readSnap()
-		var st RowStream
-		var err error
-		if ex, ok := cp.stmt.(*ExplainStmt); ok {
-			// EXPLAIN plans without executing; rendering needs only the
-			// shared lock.
-			var rs *ResultSet
-			if rs, err = db.explainLocked(ex); err == nil {
-				st = rs.Stream()
+	if tx == nil {
+		if t := db.sqlTx.Load(); t != nil {
+			it, err := t.queryRows(ctx, text, cp, params)
+			if errors.Is(err, ErrTxDone) && db.sqlTx.Load() != t {
+				// COMMIT or ROLLBACK got there first: run after it.
+				return db.exec(ctx, nil, text, cp, params)
 			}
-		} else {
-			st, err = db.openSelect(cx, cp.stmt.(*SelectStmt), cp)
+			return it, err
 		}
+	}
+	udf, writes := db.funcUse(cp.stmt)
+	readOnly := isReadOnlyStmt(cp.stmt, writes)
+	if tx != nil && tx.fn && tx.held == lockShared && !readOnly {
+		return nil, fmt.Errorf("sql: a function called by a read-only statement cannot run %q", text)
+	}
+	dml := !readOnly && !udf && isDMLStmt(cp.stmt)
+	mode := lockShared
+	if !readOnly && !dml {
+		mode = lockExclusive
+	}
+	take := tx == nil || tx.held == lockNone // else db.mu is held in tx.held
+	own := tx == nil && !readOnly            // the statement is its own transaction
+	var t *txnState
+	var held heldLocks // a read-only statement's own locks
+	locks := &held
+	switch {
+	case own:
+		t = db.newTxn()
+		locks = &t.locks
+	case tx != nil:
+		t = tx.state
+		if t != nil {
+			locks = &t.locks
+		}
+		if !take {
+			mode = tx.held
+		}
+	}
+	bounded := tx != nil
+	fail := func(err error) (*RowIter, error) {
+		if own {
+			db.releaseLatches(t)
+		}
+		return nil, err
+	}
+	for take {
+		var latched *Table
+		if dml {
+			name := dmlTable(cp.stmt)
+			tb, ok := db.tables.get(name)
+			if !ok {
+				return fail(fmt.Errorf("%w: %q", ErrNoSuchTable, name))
+			}
+			var wait time.Duration // 0: as long as it takes
+			if bounded {
+				wait = db.lockWaitTimeout()
+			}
+			if err := db.latchTable(ctx, tb, t, wait); err != nil {
+				return fail(err)
+			}
+			latched = tb
+		}
+		locks.acquire(rankDB, !bounded)
+		var err error
+		switch {
+		case mode == lockExclusive && bounded:
+			err = db.lockBounded()
+		case mode == lockExclusive:
+			db.mu.Lock()
+		case bounded:
+			err = db.rlockBounded()
+		default:
+			db.mu.RLock()
+		}
+		if err != nil {
+			locks.release(rankDB)
+			return fail(err)
+		}
+		if latched == nil {
+			break
+		}
+		if cur, ok := db.tables.get(latched.Name); ok && cur == latched {
+			break
+		}
+		// The table was dropped or replaced while we waited for the latch.
+		db.unlock(mode, locks)
+		if own {
+			db.releaseLatches(t)
+		}
+	}
+	if db.closed {
+		if take {
+			db.unlock(mode, locks)
+		}
+		return fail(ErrClosed)
+	}
+	var snap snapshot
+	switch {
+	case own:
+		t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
+		snap = t.snap
+	case tx == nil:
+		snap = snapshot{ts: db.clock.Load()}
+	default:
+		snap = tx.snap
+	}
+	exclusive := (own && mode == lockExclusive) || (tx != nil && tx.exclusive)
+	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap,
+		physLog: db.wal != nil && !exclusive && isDMLStmt(cp.stmt)}
+	if udf {
+		cx.tx = tx
+		if tx == nil || !tx.fn {
+			cx.tx = &Tx{db: db, state: t, snap: snap, held: mode, fn: true, exclusive: exclusive}
+		}
+	}
+	st, err := db.execStatement(cx, text, cp)
+	if cx.tx != nil && cx.tx != tx {
+		cx.tx.done.Store(true)
+	}
+	ckptDue := false
+	if own {
+		if err == nil {
+			if ckptDue, err = db.commitTxn(t); err == nil {
+				db.autoAnalyzeTouched(t)
+			}
+		}
+		if err != nil {
+			err = errors.Join(err, t.unwind(db, txnMarks{}))
+		}
+		// Before db.mu: the next exclusive statement probes these latches.
+		db.releaseLatches(t)
+	}
+	if take {
+		db.unlock(mode, locks)
+	}
+	if ckptDue {
+		// Best effort, with no lock held; the WAL stays valid if it fails.
+		_ = db.Checkpoint()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newRowIter(ctx, st), nil
+}
+
+// unlock releases db.mu taken in mode by exec.
+func (db *DB) unlock(mode lockMode, locks *heldLocks) {
+	if mode == lockExclusive {
+		db.mu.Unlock()
+	} else {
 		db.mu.RUnlock()
+	}
+	locks.release(rankDB)
+}
+
+// lockMode is a mode of db.mu.
+type lockMode uint8
+
+const (
+	lockNone lockMode = iota
+	lockShared
+	lockExclusive
+)
+
+// sqlTxnControl runs BEGIN, COMMIT and ROLLBACK sent to the DB: BEGIN opens
+// a Concurrent Tx that the DB holds and that every statement sent to the DB
+// joins, from any goroutine, until COMMIT or ROLLBACK ends it.
+func (db *DB) sqlTxnControl(ctx context.Context, stmt Statement) (*RowIter, error) {
+	if _, ok := stmt.(*BeginStmt); ok {
+		tx, err := db.BeginTx(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return newRowIter(ctx, st), nil
-	}
-	if isDMLStmt(cp.stmt) && stmtUsesOnlyBuiltins(cp.stmt) {
-		st, handled, err := db.runConcurrentWrite(ctx, dmlTable(cp.stmt), params, func(cx *evalCtx, _ *Table) (RowStream, error) {
-			return db.execStatement(cx, text, cp)
-		})
-		if handled {
-			if err != nil {
-				return nil, err
-			}
-			return newRowIter(ctx, st), nil
+		if !db.sqlTx.CompareAndSwap(nil, tx) {
+			return nil, errors.Join(ErrTxInProgress, tx.Rollback())
 		}
+		return newRowIter(ctx, NewSliceStream(nil, nil)), nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
+	_, commit := stmt.(*CommitStmt)
+	verb := "ROLLBACK"
+	if commit {
+		verb = "COMMIT"
 	}
-	return db.execTop(cx, text, cp)
+	tx := db.sqlTx.Swap(nil)
+	if tx == nil {
+		return nil, fmt.Errorf("sql: %s without a transaction in progress", verb)
+	}
+	var err error
+	if commit {
+		err = tx.Commit()
+	} else {
+		err = tx.Rollback()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newRowIter(ctx, NewSliceStream(nil, nil)), nil
 }
 
 // dmlTable names the table a DML statement writes.
@@ -378,208 +506,10 @@ func dmlTable(s Statement) string {
 		return t.Table
 	case *DeleteStmt:
 		return t.Table
+	case *rowInsert:
+		return t.Table
 	}
 	return ""
-}
-
-// runConcurrentWrite executes body as one implicit concurrent transaction
-// against table name: latch first (holding nothing, so waiting is
-// deadlock-free), then the shared lock, then a snapshot — pinned after the
-// latch, so the transaction can never lose a write-write race. handled is
-// false when the statement must fall back to the exclusive path: the table
-// is missing (let the canonical path produce the error) or the ambient
-// database-wide transaction is open (the write must join it).
-func (db *DB) runConcurrentWrite(ctx context.Context, name string, params []variant.Value, body func(cx *evalCtx, t *Table) (RowStream, error)) (RowStream, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for {
-		t, ok := db.tables.get(name)
-		if !ok {
-			return nil, false, nil
-		}
-		tx := db.newTxn(false, true)
-		if !db.locks.tryAcquire(t, tx) {
-			// The latch is busy. If the holder is the ambient database-wide
-			// transaction (statements joining it latch through it), waiting
-			// here would self-deadlock — fall back to the exclusive path,
-			// which joins the ambient transaction and finds the latch
-			// already held. Otherwise the holder is an independent
-			// concurrent transaction that finishes on its own; wait for it
-			// while holding nothing.
-			db.mu.RLock()
-			ambient := db.txn != nil
-			db.mu.RUnlock()
-			if ambient {
-				return nil, false, nil
-			}
-			if err := db.latchTable(ctx, t, tx, 0); err != nil {
-				return nil, true, err
-			}
-		} else {
-			tx.latches = append(tx.latches, t)
-		}
-		db.mu.RLock()
-		if db.closed {
-			db.mu.RUnlock()
-			db.releaseLatches(tx)
-			return nil, true, ErrClosed
-		}
-		if db.txn != nil {
-			db.mu.RUnlock()
-			db.releaseLatches(tx)
-			return nil, false, nil
-		}
-		if cur, ok2 := db.tables.get(name); !ok2 || cur != t {
-			// The table was dropped or replaced while we waited for the
-			// latch; resolve again.
-			db.mu.RUnlock()
-			db.releaseLatches(tx)
-			continue
-		}
-		// Snapshot after the latch: every earlier writer of this table has
-		// fully committed or aborted, so the write set is conflict-free by
-		// construction — waiting writers serialize, they don't fail.
-		tx.snap = snapshot{ts: db.clock.Load(), self: tx.stamp()}
-		cx := &evalCtx{db: db, params: params, ctx: ctx, txn: tx, snap: tx.snap}
-		if db.wal != nil {
-			// Concurrent transactions always log physical row records:
-			// logical statement replay cannot reproduce snapshot-dependent
-			// results under interleaved commits.
-			cx.physLog = true
-		}
-		st, err := body(cx, t)
-		var ckptDue bool
-		if err == nil {
-			ckptDue, err = db.commitTxn(tx)
-			if err == nil {
-				db.autoAnalyzeTouched(tx)
-				db.mu.RUnlock()
-				db.releaseLatches(tx)
-				if ckptDue {
-					// Best effort, outside the shared lock (Checkpoint takes
-					// the exclusive one); the WAL stays valid if it fails.
-					_ = db.Checkpoint()
-				}
-				return st, true, nil
-			}
-		}
-		if uerr := tx.unwind(db, txnMarks{}); uerr != nil {
-			err = errors.Join(err, uerr)
-		}
-		db.mu.RUnlock()
-		db.releaseLatches(tx)
-		return nil, true, err
-	}
-}
-
-// execTxStmt runs one statement inside a concurrent transaction (a Tx
-// handle or a RunConcurrent body). Reads share the lock against the
-// transaction's pinned snapshot (repeatable read); DML latches its table
-// with a bounded wait, then shares the lock; DDL and UDF-bearing statements
-// take the exclusive lock. The transaction stays open across statements —
-// nothing commits here.
-//
-// Every lock acquisition is bounded: the transaction may already hold table
-// latches (and its caller locks of its own), so a statement that waited
-// forever could close a deadlock cycle with a lock holder waiting on those.
-// Timing out surfaces ErrWriteConflict — the transaction rolls back and the
-// caller retries.
-func (db *DB) execTxStmt(ctx context.Context, text string, cp *cachedPlan, params []variant.Value, tx *txnState) (*RowIter, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if isTxnControlStmt(cp.stmt) {
-		return nil, fmt.Errorf("sql: transaction control is not valid inside a transaction handle")
-	}
-	// UDFs invoked by this statement receive a context that carries the
-	// transaction (a Tx handle's caller context does not, a RunConcurrent
-	// body's already does) and is marked nested, so their QueryNestedContext
-	// calls and OnRollbackContext compensators join it without re-taking the
-	// database lock.
-	// cx.physLog (whether writes must be physically WAL-logged) depends on
-	// db.wal, which Close nils under db.mu — so it is resolved below, after
-	// each branch acquires the lock, not here.
-	udfCtx := context.WithValue(context.WithValue(ctx, txnCtxKey{}, tx), nestedCtxKey{}, true)
-	cx := &evalCtx{db: db, params: params, ctx: udfCtx, txn: tx, snap: tx.snap}
-	if db.isReadOnly(cp.stmt) {
-		if err := db.rlockBounded(); err != nil {
-			return nil, err
-		}
-		if db.closed {
-			db.mu.RUnlock()
-			return nil, ErrClosed
-		}
-		var st RowStream
-		var err error
-		if ex, ok := cp.stmt.(*ExplainStmt); ok {
-			var rs *ResultSet
-			if rs, err = db.explainLocked(ex); err == nil {
-				st = rs.Stream()
-			}
-		} else {
-			st, err = db.openSelect(cx, cp.stmt.(*SelectStmt), cp)
-		}
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return newRowIter(ctx, st), nil
-	}
-	if isDMLStmt(cp.stmt) && stmtUsesOnlyBuiltins(cp.stmt) {
-		name := dmlTable(cp.stmt)
-		for {
-			t, ok := db.tables.get(name)
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-			}
-			// Bounded wait: this transaction may already hold other latches,
-			// and another transaction could be waiting on them — timing out
-			// with ErrWriteConflict breaks the cycle.
-			if err := db.latchTable(ctx, t, tx, db.lockWaitTimeout()); err != nil {
-				return nil, err
-			}
-			if err := db.rlockBounded(); err != nil {
-				return nil, err
-			}
-			if db.closed {
-				db.mu.RUnlock()
-				return nil, ErrClosed
-			}
-			if cur, ok2 := db.tables.get(name); !ok2 || cur != t {
-				db.mu.RUnlock()
-				continue
-			}
-			cx.physLog = db.wal != nil
-			st, err := db.execStatement(cx, text, cp)
-			db.mu.RUnlock()
-			if err != nil {
-				return nil, err
-			}
-			return newRowIter(ctx, st), nil
-		}
-	}
-	// DDL, ANALYZE, and UDF-bearing statements: exclusive lock. Table
-	// latches are probed, never waited for, under it (see tryLatchTable).
-	if err := db.lockBounded(); err != nil {
-		return nil, err
-	}
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	if db.txn != nil {
-		return nil, fmt.Errorf("%w (exclusive statement inside a concurrent transaction)", ErrTxInProgress)
-	}
-	cx.physLog = db.wal != nil
-	st, err := db.execStatement(cx, text, cp)
-	if err != nil {
-		return nil, err
-	}
-	return newRowIter(ctx, st), nil
 }
 
 // openSelect executes a SELECT under the held lock and returns its rows as a
@@ -600,66 +530,6 @@ func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream,
 	return plan.ops.open(cx, nil)
 }
 
-// execTop runs one top-level statement under the exclusive lock: it handles
-// transaction control, wraps standalone writes in an implicit transaction,
-// and commits to the WAL. The returned iterator's remaining work (if any)
-// is pure, so it is handed out after the transaction has committed.
-func (db *DB) execTop(cx *evalCtx, text string, cp *cachedPlan) (*RowIter, error) {
-	empty := func() *RowIter { return newRowIter(cx.ctx, NewSliceStream(nil, nil)) }
-	switch cp.stmt.(type) {
-	case *BeginStmt:
-		if _, err := db.beginLocked(); err != nil {
-			return nil, err
-		}
-		return empty(), nil
-	case *CommitStmt:
-		if db.txn == nil || !db.txn.explicit {
-			return nil, fmt.Errorf("sql: COMMIT without a transaction in progress")
-		}
-		if err := db.commitLocked(db.txn); err != nil {
-			return nil, err
-		}
-		return empty(), nil
-	case *RollbackStmt:
-		if db.txn == nil || !db.txn.explicit {
-			return nil, fmt.Errorf("sql: ROLLBACK without a transaction in progress")
-		}
-		if err := db.rollbackLocked(db.txn); err != nil {
-			return nil, err
-		}
-		return empty(), nil
-	}
-
-	var st RowStream
-	err := db.runInTxn(func() error {
-		t := db.txn
-		// Refresh the ambient snapshot per statement (read-committed style):
-		// commits by concurrent transactions between this transaction's
-		// statements become visible, as they always were on this path.
-		t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
-		cx.txn, cx.snap = t, t.snap
-		var serr error
-		st, serr = db.execStatement(cx, text, cp)
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newRowIter(cx.ctx, st), nil
-}
-
-// beginLocked opens the explicit ambient (database-wide) transaction;
-// ErrTxInProgress if one is already open. Caller holds the exclusive lock.
-func (db *DB) beginLocked() (*txnState, error) {
-	if db.txn != nil && db.txn.explicit {
-		return nil, ErrTxInProgress
-	}
-	t := db.newTxn(true, false)
-	t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
-	db.txn = t
-	return t, nil
-}
-
 // commitTxn makes a finished transaction durable and visible: its WAL
 // records are written (and fsynced per the group-commit policy), then its
 // version stamps flip to the next commit timestamp, and the clock publishes
@@ -667,8 +537,10 @@ func (db *DB) beginLocked() (*txnState, error) {
 // two committing sessions never interleave WAL frames. Safe under either
 // db.mu mode (an exclusive holder cannot contend with concurrent
 // committers, which hold the shared lock). Reports whether an automatic
-// checkpoint is due; shared-lock callers run it after unlocking.
+// checkpoint is due; callers run it after unlocking.
 func (db *DB) commitTxn(t *txnState) (ckptDue bool, err error) {
+	t.locks.acquire(rankCommit, true)
+	defer t.locks.release(rankCommit)
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 	if err := db.walCommit(t); err != nil {
@@ -687,111 +559,13 @@ func (db *DB) commitTxn(t *txnState) (ckptDue bool, err error) {
 	return db.walCheckpointDue(), nil
 }
 
-// commitLocked commits the ambient transaction t if it is still open: WAL
-// records are made durable (unwinding memory state if the log fails, so
-// memory never diverges from what recovery would rebuild) and an automatic
-// checkpoint runs when due. ErrTxDone if t was already finished (e.g. by a
-// SQL COMMIT racing another statement); ErrClosed if the database was shut
-// down. Caller holds the exclusive lock.
-func (db *DB) commitLocked(t *txnState) error {
-	if db.closed {
-		return ErrClosed
-	}
-	if db.txn != t {
-		return ErrTxDone
-	}
-	db.txn = nil
-	_, err := db.commitTxn(t)
-	if err != nil {
-		uerr := t.unwind(db, txnMarks{})
-		db.releaseLatches(t)
-		if uerr != nil {
-			return errors.Join(err, uerr)
-		}
-		return err
-	}
-	db.releaseLatches(t)
-	db.maybeAutoCheckpointLocked()
-	db.autoAnalyzeTouched(t)
-	return nil
-}
-
-// rollbackLocked rolls t back if it is still the open ambient transaction;
-// ErrTxDone otherwise, ErrClosed after shutdown. Caller holds the exclusive
-// lock.
-func (db *DB) rollbackLocked(t *txnState) error {
-	if db.closed {
-		return ErrClosed
-	}
-	if db.txn != t {
-		return ErrTxDone
-	}
-	db.txn = nil
-	err := t.unwind(db, txnMarks{})
-	db.releaseLatches(t)
-	db.snaps.drop(t)
-	return err
-}
-
-// txLive reports whether t is still the open ambient transaction — false
-// once it was finished by SQL COMMIT/ROLLBACK text.
-func (db *DB) txLive(t *txnState) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.txn == t
-}
-
-// runInTxn runs fn as one atomic unit of the ambient transaction — or of an
-// implicit single-shot transaction when none is open. On error, every
-// mutation fn journalled is unwound; on success of an implicit transaction,
-// its WAL records are committed (unwinding again if the log cannot be made
-// durable) and an automatic checkpoint runs when due. This is the
-// commit/rollback protocol of the exclusive path, shared by SQL statements
-// (execTop) and the typed mutating APIs (RunExclusive).
-func (db *DB) runInTxn(fn func() error) error {
-	if t := db.txn; t != nil {
-		m := t.marks()
-		err := fn()
-		if err != nil && t.dirtySince(m) {
-			if uerr := t.unwind(db, m); uerr != nil {
-				return errors.Join(err, uerr)
-			}
-		}
-		return err
-	}
-	t := db.newTxn(false, false)
-	t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
-	db.txn = t
-	err := fn()
-	db.txn = nil
-	if err == nil {
-		var werr error
-		_, werr = db.commitTxn(t)
-		if werr == nil {
-			db.releaseLatches(t)
-			db.maybeAutoCheckpointLocked()
-			db.autoAnalyzeTouched(t)
-			return nil
-		}
-		err = werr
-	}
-	if uerr := t.unwind(db, txnMarks{}); uerr != nil {
-		err = errors.Join(err, uerr)
-	}
-	db.releaseLatches(t)
-	return err
-}
-
 // execStatement runs one statement with statement-level atomicity inside
 // cx's transaction (unwind to the statement's marks on error) and captures
-// its WAL records: the statement text when every referenced function is a
-// builtin and the transaction runs exclusively, otherwise the physical row
-// changes (see txn.go).
+// its WAL records: the physical row changes when exec asked for them
+// (cx.physLog) or the statement calls a UDF, else the statement text (see
+// txn.go).
 func (db *DB) execStatement(cx *evalCtx, text string, cp *cachedPlan) (RowStream, error) {
 	stmt := cp.stmt
-	if isTxnControlStmt(stmt) {
-		return nil, fmt.Errorf("sql: transaction control is only valid as a top-level statement")
-	}
 	t := cx.txn
 	if t == nil {
 		// Read path or recovery replay: nothing to journal.
@@ -800,7 +574,7 @@ func (db *DB) execStatement(cx *evalCtx, text string, cp *cachedPlan) (RowStream
 	m := t.marks()
 	logStmt := false
 	if isMutatingStmt(stmt) && db.wal != nil && !cx.physLog {
-		if stmtUsesOnlyBuiltins(stmt) && !t.concurrent {
+		if cx.tx == nil {
 			logStmt = true
 		} else {
 			cx.physLog = true
@@ -833,40 +607,38 @@ func (db *DB) execStream(cx *evalCtx, cp *cachedPlan) (RowStream, error) {
 	return rs.Stream(), nil
 }
 
-// isReadOnly reports whether a statement can run under the shared lock: an
-// EXPLAIN (planning never executes), or a SELECT whose every function
-// reference is an aggregate, a builtin, or a UDF registered as read-only.
-// Anything else — DML, DDL, ANALYZE, or a SELECT invoking a UDF with
-// possible side effects — requires a write path.
-func (db *DB) isReadOnly(stmt Statement) bool {
-	if _, ok := stmt.(*ExplainStmt); ok {
-		return true
-	}
-	s, ok := stmt.(*SelectStmt)
-	if !ok {
-		return false
-	}
-	readOnly := true
-	walkSelectFuncs(s, func(name string) {
-		if readOnly && !db.funcIsReadOnly(name) {
-			readOnly = false
+// funcUse reports whether a statement calls a function that is not an
+// aggregate or engine builtin (udf), and one not registered read-only
+// (writes). A statement calling a UDF is WAL-logged as row records, never
+// as text: UDFs may be volatile (fmu_create loads files, trainers search
+// stochastically) and are not registered when the log replays on open.
+func (db *DB) funcUse(stmt Statement) (udf, writes bool) {
+	walkStmtFuncs(stmt, func(name string) {
+		name = strings.ToLower(name)
+		if _, ok := builtinScalars[name]; ok || isAggregateName(name) {
+			return
 		}
+		if _, ok := builtinTableFunc(name); ok {
+			return
+		}
+		udf = true
+		writes = writes || !db.funcs.isReadOnly(name)
 	})
-	return readOnly
+	return udf, writes
 }
 
-func (db *DB) funcIsReadOnly(name string) bool {
-	name = strings.ToLower(name)
-	if isAggregateName(name) {
+// isReadOnlyStmt reports whether a statement can run under the shared
+// lock: an EXPLAIN (planning never executes), or a SELECT calling no
+// function that writes. Anything else — DML, DDL, ANALYZE — needs a
+// write path.
+func isReadOnlyStmt(stmt Statement, writes bool) bool {
+	switch stmt.(type) {
+	case *ExplainStmt:
 		return true
+	case *SelectStmt:
+		return !writes
 	}
-	if _, ok := builtinScalars[name]; ok {
-		return true
-	}
-	if _, ok := builtinTableFunc(name); ok {
-		return true
-	}
-	return db.funcs.isReadOnly(name)
+	return false
 }
 
 // walkSelectFuncs visits every function name referenced anywhere in a
@@ -905,189 +677,6 @@ func walkExprFuncs(e Expr, fn func(string)) {
 	})
 }
 
-// QueryNested runs a query from inside a UDF that is already executing under
-// the database lock. pgFMU's fmu_parest uses this to evaluate input_sql.
-// Mutations performed here join the enclosing statement's transaction: they
-// are journalled for rollback and captured in its WAL commit.
-func (db *DB) QueryNested(sql string, args ...any) (*ResultSet, error) {
-	return db.QueryNestedContext(context.Background(), sql, args...)
-}
-
-// QueryNestedContext is QueryNested honouring ctx — context-aware UDFs pass
-// their statement context through so nested reads stop promptly on
-// cancellation. A context from a RunConcurrent body routes the statement
-// into that concurrent transaction (acquiring the locks it needs); a
-// context handed to a UDF mid-statement joins the enclosing execution
-// directly, since the engine already holds the lock.
-func (db *DB) QueryNestedContext(ctx context.Context, sql string, args ...any) (*ResultSet, error) {
-	cp, err := db.parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	params, err := bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	tx := txnFromContext(ctx)
-	if tx != nil && !nestedFromContext(ctx) {
-		it, err := db.execTxStmt(ctx, sql, cp, params, tx)
-		if err != nil {
-			return nil, err
-		}
-		return it.Materialize()
-	}
-	cx := &evalCtx{db: db, params: params, ctx: ctx}
-	switch {
-	case tx != nil:
-		// Nested inside a concurrent transaction's statement.
-		cx.txn, cx.snap = tx, tx.snap
-		if db.wal != nil {
-			cx.physLog = true
-		}
-	case db.txn != nil:
-		cx.txn = db.txn
-		cx.snap = snapshot{ts: db.clock.Load(), self: db.txn.stamp()}
-	default:
-		cx.snap = snapshot{ts: db.clock.Load()}
-	}
-	st, err := db.execStatement(cx, sql, cp)
-	if err != nil {
-		return nil, err
-	}
-	return drainStream(st)
-}
-
-// RunExclusive runs fn under the exclusive database lock as one atomic
-// transactional unit: every QueryNested mutation fn performs is journalled
-// and committed (WAL-logged on durable databases) when fn returns nil, and
-// rolled back when it returns an error — joining the ambient explicit
-// transaction if one is open, else in an implicit one. It is the entry
-// point for typed Go APIs that mutate the catalogue or need full isolation;
-// table-level work should prefer RunConcurrent. fn must use QueryNested,
-// never Query/Exec (which would self-deadlock).
-func (db *DB) RunExclusive(fn func() error) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return db.runInTxn(fn)
-}
-
-// RunShared runs fn under the shared database lock, for typed Go APIs
-// whose nested queries only read: fn's QueryNested calls may run
-// concurrently with other readers (and with concurrent writers, whose
-// uncommitted versions stay invisible).
-func (db *DB) RunShared(fn func() error) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return ErrClosed
-	}
-	return fn()
-}
-
-// RunConcurrent runs fn as one concurrent transaction. The context passed
-// to fn carries the transaction: statements issued through
-// QueryNestedContext (or Query/Exec with that context) join it, reading the
-// transaction's snapshot and writing under its table latches — so a long
-// calibration transaction only blocks writers of the tables it writes,
-// never the rest of the database. fn returning nil commits; an error (or a
-// write conflict inside fn) rolls back. While the ambient database-wide
-// transaction is open, fn joins it under the exclusive lock instead,
-// preserving the historical semantics.
-func (db *DB) RunConcurrent(ctx context.Context, fn func(ctx context.Context) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		return ErrClosed
-	}
-	ambient := db.txn != nil
-	var tx *txnState
-	if !ambient {
-		tx = db.newTxn(true, true)
-		tx.snap = snapshot{ts: db.clock.Load(), self: tx.stamp()}
-		db.snaps.register(tx, tx.snap.ts)
-	}
-	db.mu.RUnlock()
-	if ambient {
-		return db.RunExclusive(func() error { return fn(ctx) })
-	}
-	finish := func(err error) error {
-		uerr := db.unwindConcurrent(tx)
-		db.releaseLatches(tx)
-		db.snaps.drop(tx)
-		if uerr != nil {
-			return errors.Join(err, uerr)
-		}
-		return err
-	}
-	if err := fn(context.WithValue(ctx, txnCtxKey{}, tx)); err != nil {
-		return finish(err)
-	}
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		db.releaseLatches(tx)
-		db.snaps.drop(tx)
-		return ErrClosed
-	}
-	ckptDue, err := db.commitTxn(tx)
-	if err != nil {
-		db.mu.RUnlock()
-		return finish(err)
-	}
-	db.autoAnalyzeTouched(tx)
-	db.mu.RUnlock()
-	db.releaseLatches(tx)
-	db.snaps.drop(tx)
-	if ckptDue {
-		_ = db.Checkpoint()
-	}
-	return nil
-}
-
-// unwindConcurrent rolls back a concurrent transaction from outside the
-// database lock. Pure DML rollback is just atomic stamp flips and needs no
-// lock; a transaction that journalled DDL undos or compensators takes the
-// exclusive lock so catalogue mutations and index rebuilds cannot race
-// readers. Caller still holds the transaction's latches (released after).
-func (db *DB) unwindConcurrent(t *txnState) error {
-	if t.ddl || len(t.undo) > 0 {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-	}
-	return t.unwind(db, txnMarks{})
-}
-
-// OnRollback registers a compensating closure with the ambient open
-// transaction, run (in reverse registration order) if and only if the
-// enclosing work is rolled back — by ROLLBACK, by a failed statement's
-// unwind, or by a WAL commit failure. Side-effecting UDFs and RunExclusive
-// bodies use it to keep state the SQL journal cannot see (e.g. the pgFMU
-// session's live instances) consistent with the journalled tables. No-op
-// when no transaction is open (e.g. recovery replay). Inside a
-// RunConcurrent body, use OnRollbackContext instead.
-func (db *DB) OnRollback(fn func()) {
-	if db.txn != nil {
-		db.txn.recordUndo(fn)
-	}
-}
-
-// OnRollbackContext is OnRollback for code that may run inside a concurrent
-// transaction: if ctx carries one (see RunConcurrent), the compensator
-// registers there; otherwise it falls back to the ambient transaction.
-func (db *DB) OnRollbackContext(ctx context.Context, fn func()) {
-	if t := txnFromContext(ctx); t != nil {
-		t.recordUndo(fn)
-		return
-	}
-	db.OnRollback(fn)
-}
-
 // ExecScript runs a semicolon-separated statement sequence, returning the
 // result of the last statement. BEGIN/COMMIT/ROLLBACK inside the script
 // group statements into transactions exactly as they do through Query.
@@ -1096,18 +685,12 @@ func (db *DB) ExecScript(sql string) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
 	var last *ResultSet
 	for i, stmt := range stmts {
-		it, err := db.execTop(&evalCtx{db: db}, texts[i], &cachedPlan{stmt: stmt})
+		it, err := db.exec(context.Background(), nil, texts[i], &cachedPlan{stmt: stmt}, nil)
 		if err != nil {
 			return nil, err
 		}
-		// Draining under the held lock is safe: any lazy tail is pure.
 		last, err = it.Materialize()
 		if err != nil {
 			return nil, err
@@ -1146,10 +729,9 @@ func (db *DB) latchForWrite(cx *evalCtx, t *Table) error {
 }
 
 // rlockBounded acquires db.mu.RLock with a bounded wait; lockBounded does
-// the same for the exclusive mode. Concurrent transactions use them for
-// per-statement acquisitions (see execTxStmt) so a statement issued while
-// holding caller-side locks cannot wait forever on a lock holder that is
-// itself waiting on the caller.
+// the same for the exclusive mode. A Tx's statements use them (see exec)
+// so a statement issued while holding caller-side locks cannot wait forever
+// on a lock holder that is itself waiting on the caller.
 func (db *DB) rlockBounded() error {
 	deadline := time.Now().Add(db.lockWaitTimeout())
 	for !db.mu.TryRLock() {
@@ -1231,6 +813,8 @@ func (db *DB) execLocked(cx *evalCtx, stmt Statement) (*ResultSet, error) {
 		return db.execUpdate(cx, s)
 	case *DeleteStmt:
 		return db.execDelete(cx, s)
+	case *rowInsert:
+		return &ResultSet{}, db.execRowInsert(cx, s)
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 	}
@@ -1560,66 +1144,52 @@ func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
 }
 
 // InsertRow appends a row of Go values to a table directly (bulk-load path
-// used by dataset loaders; bypasses SQL parsing). It runs on the concurrent
-// write path — loaders on disjoint tables proceed in parallel — unless the
-// ambient transaction is open, in which case it joins it exclusively. Like
-// any write it is WAL-logged as a physical row record on a durable
-// database.
+// used by dataset loaders; bypasses SQL parsing). It is DML like INSERT:
+// it joins the transaction SQL BEGIN opened, or else commits on its own on
+// the latched write path, so loaders of different tables run in parallel.
+// A durable database WAL-logs it as a physical row record.
 func (db *DB) InsertRow(table string, values ...any) error {
-	buildRow := func(t *Table) (Row, error) {
-		if len(values) != len(t.Columns) {
-			return nil, fmt.Errorf("sql: table %q has %d columns, got %d values", table, len(t.Columns), len(values))
-		}
-		row := make(Row, len(values))
-		for i, v := range values {
-			vv, err := variant.FromAny(v)
-			if err != nil {
-				return nil, err
-			}
-			cv, err := coerceToColumn(vv, t.Columns[i].Type)
-			if err != nil {
-				return nil, fmt.Errorf("sql: column %q: %w", t.Columns[i].Name, err)
-			}
-			row[i] = cv
-		}
-		return row, nil
+	_, err := db.exec(context.Background(), nil, "", &cachedPlan{stmt: &rowInsert{Table: table, Values: values}}, nil)
+	return err
+}
+
+// rowInsert is InsertRow's statement: one row of Go values, with no SQL
+// text to parse or to replay.
+type rowInsert struct {
+	Table  string
+	Values []any
+}
+
+func (*rowInsert) stmt() {}
+
+func (db *DB) execRowInsert(cx *evalCtx, s *rowInsert) error {
+	t, ok := db.tables.get(s.Table)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoSuchTable, s.Table)
 	}
-	insert := func(cx *evalCtx, t *Table) error {
-		row, err := buildRow(t)
+	if err := db.latchForWrite(cx, t); err != nil {
+		return err
+	}
+	if len(s.Values) != len(t.Columns) {
+		return fmt.Errorf("sql: table %q has %d columns, got %d values", s.Table, len(t.Columns), len(s.Values))
+	}
+	row := make(Row, len(s.Values))
+	for i, v := range s.Values {
+		vv, err := variant.FromAny(v)
 		if err != nil {
 			return err
 		}
-		cx.touch(t)
-		if err := db.insertVersion(cx, t, row); err != nil {
-			return err
+		if row[i], err = coerceToColumn(vv, t.Columns[i].Type); err != nil {
+			return fmt.Errorf("sql: column %q: %w", t.Columns[i].Name, err)
 		}
-		t.noteMutations(1)
-		cx.logWAL(db, walRecord{Op: "ins", Table: t.Name, Row: encodeWALValues(row)})
-		return nil
 	}
-
-	_, handled, err := db.runConcurrentWrite(context.Background(), table, nil, func(cx *evalCtx, t *Table) (RowStream, error) {
-		return nil, insert(cx, t)
-	})
-	if handled {
+	cx.touch(t)
+	if err := db.insertVersion(cx, t, row); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	t, ok := db.tables.get(table)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, table)
-	}
-	return db.runInTxn(func() error {
-		cx := &evalCtx{db: db, ctx: context.Background(), txn: db.txn, snap: db.txn.snap}
-		if err := db.latchForWrite(cx, t); err != nil {
-			return err
-		}
-		return insert(cx, t)
-	})
+	t.noteMutations(1)
+	cx.logWAL(db, walRecord{Op: "ins", Table: t.Name, Row: encodeWALValues(row)})
+	return nil
 }
 
 // quoteIdent renders an identifier as a SQL quoted identifier, doubling

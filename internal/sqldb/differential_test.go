@@ -264,7 +264,7 @@ func TestStreamingOperatorEquivalenceSingleTable(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustExec(t, db, `INSERT INTO z VALUES ($1, $2)`, i, i-5) // d = 0 at i = 5
 	}
-	db.RegisterTable("jobs", func(_ context.Context, _ *DB, _ []variant.Value) (RowStream, error) {
+	db.RegisterTable("jobs", func(_ context.Context, _ *Tx, _ []variant.Value) (RowStream, error) {
 		var rows []Row
 		for i := 1; i <= 6; i++ {
 			rows = append(rows, Row{variant.NewInt(int64(i)), variant.NewText(fmt.Sprintf("state%d", i%3))})
@@ -388,7 +388,7 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 	// calls(n, failCall, failRow): the failCall-th call of a statement fails,
 	// and every call with at least failRow rows fails there.
 	var calls, scalars atomic.Int64
-	db.RegisterTable("calls", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+	db.RegisterTable("calls", func(_ context.Context, _ *Tx, args []variant.Value) (RowStream, error) {
 		call := int(calls.Add(1))
 		var n [3]int
 		for i := range n {
@@ -406,7 +406,7 @@ func TestStreamingOperatorEquivalenceLateral(t *testing.T) {
 		return &callStream{call: call, n: n[0], failRow: n[2]}, nil
 	}, true)
 	// sq(x, fail) returns x, failing when x equals fail.
-	db.RegisterScalar("sq", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("sq", func(_ context.Context, _ *Tx, args []variant.Value) (variant.Value, error) {
 		scalars.Add(1)
 		if c, err := variant.Compare(args[0], args[1]); err == nil && c == 0 && !args[0].IsNull() {
 			return variant.Value{}, fmt.Errorf("sq: failed at %v", args[0])

@@ -24,15 +24,15 @@ func openSuiteDurable(t *testing.T, dir string, po plannerOptions) *DB {
 }
 
 // dmlStmt is one generated statement; dmlGroup is the unit the twins run:
-// auto-commit statements, one Tx handle, or one ambient BEGIN … COMMIT (whose
-// builtin-only statements are WAL-logged as text and replayed logically).
+// auto-commit statements, one Tx handle, or one SQL BEGIN … COMMIT (the Tx
+// the DB holds).
 type dmlStmt struct {
 	sql  string
 	args []any
 }
 
 type dmlGroup struct {
-	mode   string // "auto", "tx", "ambient"
+	mode   string // "auto", "tx", "begin"
 	commit bool
 	stmts  []dmlStmt
 }
@@ -62,7 +62,7 @@ func (g dmlGroup) run(db *DB) []string {
 		} else {
 			note(0, tx.Rollback())
 		}
-	case "ambient":
+	case "begin":
 		note(db.Exec(`BEGIN`))
 		for _, s := range g.stmts {
 			note(db.Exec(s.sql, s.args...))
@@ -84,7 +84,7 @@ func (g dmlGroup) run(db *DB) []string {
 // writes: twin durable databases run one randomized sequence of UPDATEs and
 // DELETEs (=, BETWEEN, ranges, AND with non-indexed residuals, NULL keys,
 // parameters, SET of the indexed column itself; auto-commit, Tx handles and
-// the ambient transaction; ANALYZE, churn and vacuum interleaved), one with
+// SQL BEGIN; ANALYZE, churn and vacuum interleaved), one with
 // the planner choosing DML targets and one under disableIndexScan. Every
 // affected count and error, the table multiset, the WAL record sequence and
 // the state each directory recovers to must be equal.
@@ -250,7 +250,7 @@ func TestPlannerAccessPathEquivalenceDML(t *testing.T) {
 			g.mode, g.commit = "tx", rng.Intn(4) != 0
 			g.stmts = append(g.stmts, statement(), statement())
 		case 1:
-			g.mode, g.commit = "ambient", rng.Intn(4) != 0
+			g.mode, g.commit = "begin", rng.Intn(4) != 0
 			g.stmts = append(g.stmts, statement())
 		}
 		both(fmt.Sprintf("trial %d", trial), g)

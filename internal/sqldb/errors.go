@@ -14,13 +14,11 @@ var (
 	ErrNoSuchIndex = errors.New("sql: no such index")
 
 	// ErrTxDone is returned by operations on a Tx handle whose transaction
-	// has already been committed or rolled back (including by SQL-level
-	// COMMIT/ROLLBACK issued past the handle).
+	// has already been committed or rolled back.
 	ErrTxDone = errors.New("sql: transaction has already been committed or rolled back")
 
-	// ErrTxInProgress is returned by Begin/BeginTx (and SQL BEGIN) while an
-	// explicit transaction is already open: the engine's transactions are
-	// database-wide, so at most one can be open at a time.
+	// ErrTxInProgress is returned by SQL BEGIN sent to a DB while the
+	// transaction an earlier BEGIN opened there is still open.
 	ErrTxInProgress = errors.New("sql: a transaction is already in progress")
 
 	// ErrClosed is returned by any operation on a closed DB or Stmt.

@@ -35,6 +35,8 @@ type evalCtx struct {
 	// change (set when the statement text is not replayable, and always on
 	// the concurrent write path; see txn.go).
 	physLog bool
+	// tx is the handle the statement's UDFs receive; nil when it calls none.
+	tx *Tx
 }
 
 // recordUndo, touch, logWAL, and markDDL forward to the statement's

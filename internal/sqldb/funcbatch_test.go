@@ -80,7 +80,7 @@ func newBatchSrcDB(t *testing.T, n int) (*DB, *int, *int) {
 	t.Helper()
 	db := New()
 	nextCalls, batchCalls := new(int), new(int)
-	db.RegisterTable("batchsrc", func(ctx context.Context, d *DB, args []variant.Value) (RowStream, error) {
+	db.RegisterTable("batchsrc", func(context.Context, *Tx, []variant.Value) (RowStream, error) {
 		return &countingBatchStream{n: n, nextCalls: nextCalls, batchCalls: batchCalls}, nil
 	}, true)
 	return db, nextCalls, batchCalls

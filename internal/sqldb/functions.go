@@ -12,23 +12,25 @@ import (
 	"repro/internal/variant"
 )
 
-// ScalarFunc is a user-defined scalar function. The *DB handle lets UDFs (like
-// pgFMU's fmu_parest) run nested queries, mirroring how PostgreSQL UDFs can
-// use SPI; ctx is the calling statement's context, so long-running functions
-// can honour cancellation and nested queries join the statement's
-// transaction through QueryNestedContext.
-type ScalarFunc func(ctx context.Context, db *DB, args []variant.Value) (variant.Value, error)
+// ScalarFunc is a user-defined scalar function. tx is the calling
+// statement's transaction: its Query/Exec run under the lock the statement
+// holds (the way PostgreSQL UDFs use SPI — pgFMU's fmu_parest evaluates
+// input_sql through it), and a function registered read-only gets a handle
+// that refuses to write. The handle is valid for the call only, on the
+// calling goroutine. ctx is the statement's context, so long-running
+// functions can honour cancellation.
+type ScalarFunc func(ctx context.Context, tx *Tx, args []variant.Value) (variant.Value, error)
 
 // TableFunc is a set-returning function usable in FROM (like PostgreSQL's
-// SRFs). It produces its relation as a RowStream; a body that has a full
-// ResultSet returns rs.Stream(). The function itself runs while the database
-// lock is held (so nested queries and side effects are safe), but the
+// SRFs); tx and ctx as for ScalarFunc. It produces its relation as a
+// RowStream; a body that has a full ResultSet returns rs.Stream(). The
+// function itself runs while the database lock is held, but the
 // returned stream may be iterated after the lock is released: it must only
 // read data private to the stream — e.g. a result frame the function already
 // computed — never live catalogue state. This is the streaming seam that lets
 // large results (like fmu_simulate trajectories) flow to the client row by
 // row.
-type TableFunc func(ctx context.Context, db *DB, args []variant.Value) (RowStream, error)
+type TableFunc func(ctx context.Context, tx *Tx, args []variant.Value) (RowStream, error)
 
 // registry holds scalar and table functions, case-insensitively keyed.
 // readOnly records which UDFs declared themselves free of side effects — the
@@ -97,7 +99,7 @@ func isAggregateName(name string) bool {
 // ErrInternal so that it fails only the calling statement.
 func callScalarUDF(cx *evalCtx, name string, fn ScalarFunc, args []variant.Value) (v variant.Value, err error) {
 	defer recoverUDF(name, &err)
-	return fn(cx.ctxOrBackground(), cx.db, args)
+	return fn(cx.ctxOrBackground(), cx.tx, args)
 }
 
 // recoverUDF is deferred around a UDF call: it recovers a panic of the
@@ -322,7 +324,7 @@ func builtinTableFunc(name string) (TableFunc, bool) {
 // generateSeries mirrors PostgreSQL's integer generate_series(start, stop
 // [, step]). It produces rows lazily, so LIMIT over a huge series does
 // bounded work.
-func generateSeries(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+func generateSeries(_ context.Context, _ *Tx, args []variant.Value) (RowStream, error) {
 	if len(args) != 2 && len(args) != 3 {
 		return nil, fmt.Errorf("sql: generate_series() expects 2 or 3 arguments, got %d", len(args))
 	}

@@ -388,7 +388,7 @@ func evalScalarFunc(cx *evalCtx, sc *scope, x *FuncExpr) (variant.Value, error) 
 		return fn(args)
 	}
 	if fn, ok := cx.db.funcs.scalar(name); ok {
-		return fn(cx.ctxOrBackground(), cx.db, args)
+		return fn(cx.ctxOrBackground(), cx.tx, args)
 	}
 	return variant.Value{}, fmt.Errorf("sql: unknown function %s()", x.Name)
 }
@@ -449,7 +449,7 @@ func evalGrouped(cx *evalCtx, sources []sourceInfo, groupBy []Expr, keyVals []va
 			return fn(args)
 		}
 		if fn, ok := cx.db.funcs.scalar(name); ok {
-			return fn(cx.ctxOrBackground(), cx.db, args)
+			return fn(cx.ctxOrBackground(), cx.tx, args)
 		}
 		return variant.Value{}, fmt.Errorf("sql: unknown function %s()", x.Name)
 	case *BinaryExpr:

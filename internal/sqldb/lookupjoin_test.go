@@ -31,7 +31,7 @@ func joinStrategy(t *testing.T, db *DB, sql string, args ...any) string {
 	if plan.kind != physOps {
 		t.Fatalf("%s: not an operator plan", sql)
 	}
-	cx := &evalCtx{db: db, params: params, ctx: context.Background(), snap: db.readSnap()}
+	cx := &evalCtx{db: db, params: params, ctx: context.Background(), snap: snapshot{ts: db.clock.Load()}}
 	st, err := plan.ops.open(cx, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -198,6 +198,7 @@ func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 		return false
 	}
 	lm.owners[t] = tx
+	tx.locks.acquire(rankLatch, false)
 	return true
 }
 
@@ -208,6 +209,7 @@ func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 // other latch and no DB lock while waiting, so no cycle can pass through
 // them.
 func (lm *lockMgr) acquire(ctx context.Context, t *Table, tx *txnState, timeout time.Duration) error {
+	tx.locks.acquire(rankLatch, timeout == 0)
 	var deadline <-chan time.Time
 	if timeout > 0 {
 		tm := time.NewTimer(timeout)
@@ -271,9 +273,9 @@ func (db *DB) latchTable(ctx context.Context, t *Table, tx *txnState, timeout ti
 	return nil
 }
 
-// tryLatchTable is latchTable without waiting: the exclusive path holds
-// db.mu.Lock, and a latch owner may be blocked acquiring db.mu.RLock, so
-// waiting here would deadlock. Surfaces ErrWriteConflict instead.
+// tryLatchTable is latchTable without waiting: callers hold db.mu, and a
+// latch owner may be blocked acquiring it, so waiting here could deadlock.
+// Surfaces ErrWriteConflict instead.
 func (db *DB) tryLatchTable(t *Table, tx *txnState) error {
 	for _, held := range tx.latches {
 		if held == t {
@@ -293,6 +295,7 @@ func (db *DB) releaseLatches(tx *txnState) {
 		db.locks.release(tx.latches[i], tx)
 	}
 	tx.latches = nil
+	tx.locks.release(rankLatch)
 }
 
 // snapTracker records the snapshot timestamp of every open explicit
@@ -357,12 +360,8 @@ func (db *DB) Vacuum() error {
 }
 
 // vacuumLocked compacts under db.mu.Lock. Tables with a latch owner (an
-// in-flight concurrent writer) and the whole run while an ambient explicit
-// transaction is open are skipped: their in-flight stamps must survive.
+// in-flight writer) are skipped: their in-flight stamps must survive.
 func (db *DB) vacuumLocked() error {
-	if db.txn != nil {
-		return nil
-	}
 	watermark := db.snaps.oldest(db.clock.Load())
 	var firstErr error
 	for _, name := range db.tables.names() {

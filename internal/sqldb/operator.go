@@ -814,8 +814,9 @@ func (db *DB) chooseOrderedScan(s *SelectStmt, leaf *opSource, meta sourceMeta) 
 // run under the database lock; the returned stream's Next is pure.
 func (p *opPlan) open(cx, tailCx *evalCtx) (RowStream, error) {
 	if tailCx == nil {
-		// The tail must not inherit transaction bookkeeping.
-		tailCx = &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx}
+		// The tail must not inherit transaction bookkeeping; the UDF calls it
+		// makes run below, under the held lock.
+		tailCx = &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx, tx: cx.tx}
 	}
 	st, err := p.openPipeline(cx, tailCx)
 	if err != nil || !p.udf {
@@ -1001,7 +1002,7 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 func (src *opSource) openItem(cx, tailCx *evalCtx, left []sourceInfo, l Row, args []compiledExpr) (RowStream, error) {
 	if src.sub != nil {
 		if left != nil {
-			tailCx = &evalCtx{db: tailCx.db, params: tailCx.params, ctx: tailCx.ctx,
+			tailCx = &evalCtx{db: tailCx.db, params: tailCx.params, ctx: tailCx.ctx, tx: tailCx.tx,
 				outer: append([]Row{l}, tailCx.outer...), levels: append([][]sourceInfo{left}, tailCx.levels...)}
 		}
 		return src.sub.open(cx, tailCx)

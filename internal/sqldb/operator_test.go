@@ -526,7 +526,7 @@ func TestStreamingDistinctAndSubquerySources(t *testing.T) {
 // lazily, with the reference's rows.
 func TestOperatorsKeepUDFStatementsOnExecutor(t *testing.T) {
 	db := opTestDB(t)
-	db.RegisterScalar("myfn", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("myfn", func(_ context.Context, _ *Tx, args []variant.Value) (variant.Value, error) {
 		return args[0], nil
 	}, true)
 	for _, q := range []string{

@@ -55,7 +55,7 @@ func FuzzExecutorParity(f *testing.F) {
 		f.Add(seed)
 	}
 	db := New()
-	db.RegisterScalar("twice", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("twice", func(_ context.Context, _ *Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 1 {
 			return variant.Value{}, fmt.Errorf("twice() expects 1 argument")
 		}

@@ -98,7 +98,7 @@ func BenchmarkLateralFunctionScan(b *testing.B) {
 		}
 	}
 	db := New()
-	db.RegisterTable("trajectory", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+	db.RegisterTable("trajectory", func(_ context.Context, _ *Tx, args []variant.Value) (RowStream, error) {
 		id, err := args[0].AsInt()
 		if err != nil {
 			return nil, err

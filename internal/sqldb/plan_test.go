@@ -215,7 +215,7 @@ func TestStmtExecutorKind(t *testing.T) {
 	mustExec(t, db, `INSERT INTO ek VALUES (1, 'a'), (2, 'b')`)
 	mustExec(t, db, `INSERT INTO ek SELECT gs, 'c' FROM generate_series(3, 200) AS gs`)
 	mustExec(t, db, `CREATE INDEX ek_x ON ek (x)`)
-	db.RegisterScalar("ek_udf", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("ek_udf", func(_ context.Context, _ *Tx, args []variant.Value) (variant.Value, error) {
 		return args[0], nil
 	}, true)
 

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,9 +20,9 @@ import (
 // the engine only the accumulators, the window kernel and the ORDER BY
 // comparator.
 
-// refQuery runs one SELECT on the reference executor the way execTop runs a
-// statement: under the exclusive lock, in an implicit transaction (or the
-// open ambient one), against a fresh snapshot.
+// refQuery runs one SELECT on the reference executor the way exec runs a
+// statement calling a UDF that may write: in a transaction of its own that
+// holds the exclusive lock, its UDFs handed that transaction.
 func refQuery(t testing.TB, db *DB, sql string, args ...any) (*ResultSet, error) {
 	t.Helper()
 	stmt, err := Parse(sql)
@@ -36,22 +37,17 @@ func refQuery(t testing.TB, db *DB, sql string, args ...any) (*ResultSet, error)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
+	tx, err := db.BeginTx(context.Background(), Exclusive)
+	if err != nil {
+		return nil, err
 	}
-	cx := &evalCtx{db: db, params: params, ctx: context.Background()}
-	var rs *ResultSet
-	err = db.runInTxn(func() error {
-		tx := db.txn
-		tx.snap = snapshot{ts: db.clock.Load(), self: tx.stamp()}
-		cx.txn, cx.snap = tx, tx.snap
-		var serr error
-		rs, serr = execSelect(cx, sel, nil)
-		return serr
-	})
-	return rs, err
+	cx := &evalCtx{db: db, params: params, ctx: context.Background(), txn: tx.state, snap: tx.snap,
+		tx: &Tx{db: db, state: tx.state, snap: tx.snap, held: lockExclusive, fn: true, exclusive: true}}
+	rs, err := execSelect(cx, sel, nil)
+	if err != nil {
+		return nil, errors.Join(err, tx.Rollback())
+	}
+	return rs, tx.Commit()
 }
 
 // mustRefQuery is refQuery failing the test on error.

@@ -346,7 +346,7 @@ func TestGenerateSeries(t *testing.T) {
 func TestLateralJoinWithFunction(t *testing.T) {
 	db := New()
 	// A table function that fans out n copies of its argument.
-	db.RegisterTable("fanout", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+	db.RegisterTable("fanout", func(_ context.Context, _ *Tx, args []variant.Value) (RowStream, error) {
 		n, err := args[0].AsInt()
 		if err != nil {
 			return nil, err
@@ -384,7 +384,7 @@ func TestSubqueryInFrom(t *testing.T) {
 
 func TestScalarUDF(t *testing.T) {
 	db := New()
-	db.RegisterScalar("plus_one", func(_ context.Context, _ *DB, args []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("plus_one", func(_ context.Context, _ *Tx, args []variant.Value) (variant.Value, error) {
 		n, err := args[0].AsInt()
 		if err != nil {
 			return variant.Value{}, err
@@ -414,8 +414,8 @@ func TestNestedQueryFromUDF(t *testing.T) {
 	seedMeasurements(t, db)
 	// A UDF that runs the SQL passed to it — the fmu_parest(input_sql)
 	// pattern.
-	db.RegisterScalar("rowcount_of", func(_ context.Context, d *DB, args []variant.Value) (variant.Value, error) {
-		rs, err := d.QueryNested(args[0].AsText())
+	db.RegisterScalar("rowcount_of", func(_ context.Context, tx *Tx, args []variant.Value) (variant.Value, error) {
+		rs, err := tx.Query(args[0].AsText())
 		if err != nil {
 			return variant.Value{}, err
 		}

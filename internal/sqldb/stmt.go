@@ -76,7 +76,7 @@ func (s *Stmt) QueryRowsContext(ctx context.Context, args ...any) (*RowIter, err
 	if err != nil {
 		return nil, err
 	}
-	return s.db.queryStmt(ctx, s.text, s.cp, params)
+	return s.db.exec(ctx, nil, s.text, s.cp, params)
 }
 
 // Plan resolves (or revalidates) the statement's physical plan without

@@ -20,10 +20,10 @@ func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ R
 	defer recoverUDF(name, &err)
 	ctx := cx.ctxOrBackground()
 	if fn, ok := builtinTableFunc(name); ok {
-		return fn(ctx, db, args)
+		return fn(ctx, cx.tx, args)
 	}
 	if fn, ok := db.funcs.table(name); ok {
-		st, err := fn(ctx, db, args)
+		st, err := fn(ctx, cx.tx, args)
 		if err != nil {
 			return nil, err
 		}
@@ -34,7 +34,7 @@ func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ R
 		return &g, nil
 	}
 	if fn, ok := db.funcs.scalar(strings.ToLower(name)); ok {
-		v, err := fn(ctx, db, args)
+		v, err := fn(ctx, cx.tx, args)
 		if err != nil {
 			return nil, err
 		}

@@ -320,17 +320,17 @@ func TestTxHandleCommitAndRollback(t *testing.T) {
 }
 
 // TestTxHandleUDFJoinsTransaction: a UDF invoked by a statement of a Tx
-// handle receives the handle's transaction in its context, so its nested
-// writes and compensators commit and roll back with the handle.
+// handle receives the handle's transaction, so its nested writes and
+// compensators commit and roll back with the handle.
 func TestTxHandleUDFJoinsTransaction(t *testing.T) {
 	db := newSuiteDB(t)
 	if _, err := db.Query(`CREATE TABLE t (a int)`); err != nil {
 		t.Fatal(err)
 	}
 	undone := 0
-	db.RegisterScalar("put", func(ctx context.Context, d *DB, args []variant.Value) (variant.Value, error) {
-		d.OnRollbackContext(ctx, func() { undone++ })
-		_, err := d.QueryNestedContext(ctx, `INSERT INTO t VALUES ($1)`, args[0])
+	db.RegisterScalar("put", func(ctx context.Context, tx *Tx, args []variant.Value) (variant.Value, error) {
+		tx.OnRollback(func() { undone++ })
+		_, err := tx.QueryContext(ctx, `INSERT INTO t VALUES ($1)`, args[0])
 		return args[0], err
 	}, false)
 	count := func() int64 {
@@ -375,7 +375,7 @@ func TestTxHandleUDFJoinsTransaction(t *testing.T) {
 }
 
 // TestTxHandleInteropWithSQLText: Tx handles are independent of the
-// ambient SQL-text transaction — a SQL COMMIT with no ambient BEGIN is an
+// transaction SQL-text BEGIN opens — a SQL COMMIT with no BEGIN is an
 // error and never finishes a handle, and transaction control inside a
 // handle is rejected (handles commit through the API).
 func TestTxHandleInteropWithSQLText(t *testing.T) {
@@ -390,10 +390,10 @@ func TestTxHandleInteropWithSQLText(t *testing.T) {
 	if _, err := tx.Exec(`INSERT INTO t VALUES (1)`); err != nil {
 		t.Fatal(err)
 	}
-	// No ambient transaction is open, so SQL COMMIT fails and leaves the
-	// handle untouched.
+	// No SQL BEGIN is open, so SQL COMMIT fails and leaves the handle
+	// untouched.
 	if _, err := db.Query(`COMMIT`); err == nil {
-		t.Fatal("SQL COMMIT with no ambient transaction: want error, got nil")
+		t.Fatal("SQL COMMIT with no SQL BEGIN: want error, got nil")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("handle commit after unrelated SQL COMMIT attempt: %v", err)
@@ -514,7 +514,7 @@ func TestScanDestinations(t *testing.T) {
 func TestStreamingTableUDF(t *testing.T) {
 	db := newSuiteDB(t)
 	produced := 0
-	db.RegisterTable("nat", func(_ context.Context, _ *DB, args []variant.Value) (RowStream, error) {
+	db.RegisterTable("nat", func(_ context.Context, _ *Tx, args []variant.Value) (RowStream, error) {
 		n, err := args[0].AsInt()
 		if err != nil {
 			return nil, err

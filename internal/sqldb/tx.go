@@ -3,118 +3,191 @@ package sqldb
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
+
+	"repro/internal/variant"
 )
 
-// Tx is a concurrent transaction handle — the typed equivalent of
-// BEGIN ... COMMIT/ROLLBACK, but private to the handle rather than
-// database-wide. Any number of handles may be open at once: each pins a
-// snapshot at Begin (repeatable reads), acquires write latches on the
-// tables it writes (held until Commit/Rollback), and commits or rolls back
-// independently. Two handles writing disjoint tables proceed fully in
-// parallel; writes to the same table serialize on its latch, and a
-// statement that loses a write-write race (the latch is held too long, or
-// a row it wants to change was modified after its snapshot) fails with
+// Tx is a transaction handle, and the only kind of transaction there is:
+// Begin/BeginTx return one, SQL BEGIN sent to the DB opens one the DB
+// holds, a statement outside any transaction runs as a one-statement one,
+// and every UDF receives one for its statement (see ScalarFunc).
+//
+// A transaction pins a snapshot at begin (repeatable reads), latches the
+// tables it writes until Commit or Rollback, and commits or rolls back
+// independently of every other. Writes to one table serialize on its
+// latch; a statement that waits for a lock longer than the lock-wait
+// timeout, or wants to change a row modified after its snapshot, fails with
 // ErrWriteConflict — roll back and retry the transaction.
 //
-// A handle does not interact with the ambient SQL transaction: BeginTx
-// while SQL BEGIN is open returns ErrTxInProgress, and SQL COMMIT/ROLLBACK
-// text issued through a handle is rejected rather than finishing it.
-//
-// After Commit or Rollback, all methods return ErrTxDone.
+// A Tx is safe for concurrent use: its statements serialize on the handle,
+// and Commit and Rollback wait for the running one. SQL COMMIT/ROLLBACK text
+// sent through a Tx is rejected. After Commit or Rollback every method
+// returns ErrTxDone.
 type Tx struct {
 	db    *DB
-	state *txnState
-	done  atomic.Bool
+	state *txnState // nil in a read-only statement's function handle
+	snap  snapshot
+	// held is the db.mu mode the handle's statements run under without
+	// taking it: lockExclusive for an Exclusive transaction, the statement's
+	// mode for a function's handle, lockNone otherwise (each statement takes
+	// db.mu itself).
+	held lockMode
+	// fn marks the handle a statement passes to the functions it calls: it
+	// runs under that statement's lock, cannot end the transaction, and is
+	// retired when the statement's locked work is over.
+	fn bool
+	// exclusive reports that the transaction holds db.mu exclusively from
+	// begin to end, so a DML statement's text replays to the same rows and
+	// is WAL-logged as such; otherwise DML is logged as row records.
+	exclusive bool
+	// mu serializes the transaction's statements; it is first in the lock
+	// order (see lockorder.go).
+	mu   sync.Mutex
+	done atomic.Bool
 }
 
-// Begin opens a concurrent transaction and returns its handle.
+// TxMode names the lock a transaction takes when it begins.
+type TxMode int
+
+const (
+	// Concurrent, the default: each statement takes the database lock for
+	// itself (shared for reads and DML), so transactions writing different
+	// tables run in parallel.
+	Concurrent TxMode = iota
+	// Exclusive holds the database lock exclusively from BeginTx until
+	// Commit or Rollback: the transaction's statements run in isolation from
+	// every other statement, and nothing else runs until it ends. Catalogue
+	// writers use it.
+	Exclusive
+)
+
+// Begin opens a Concurrent transaction and returns its handle.
 func (db *DB) Begin() (*Tx, error) {
 	return db.BeginTx(context.Background())
 }
 
-// BeginTx is Begin honouring ctx. A cancelled context rejects the begin; it
-// does not auto-rollback later (call Rollback, e.g. via defer).
-func (db *DB) BeginTx(ctx context.Context) (*Tx, error) {
+// BeginTx is Begin honouring ctx, with an optional TxMode. A cancelled
+// context rejects the begin; it does not roll back later (call Rollback,
+// e.g. via defer). An Exclusive begin waits for the database lock.
+func (db *DB) BeginTx(ctx context.Context, mode ...TxMode) (*Tx, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	t := db.newTxn()
+	tx := &Tx{db: db, state: t}
+	if len(mode) > 0 && mode[0] == Exclusive {
+		tx.held, tx.exclusive = lockExclusive, true
+		t.locks.acquire(rankDB, true)
+		db.mu.Lock()
+	} else {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+	}
 	if db.closed {
+		if tx.exclusive {
+			db.mu.Unlock()
+		}
 		return nil, ErrClosed
 	}
-	if db.txn != nil && db.txn.explicit {
-		// The ambient database-wide transaction is open; a concurrent
-		// transaction starting now could not see a stable prefix of it.
-		return nil, ErrTxInProgress
-	}
-	t := db.newTxn(true, true)
 	t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
+	tx.snap = t.snap
 	db.snaps.register(t, t.snap.ts)
-	return &Tx{db: db, state: t}, nil
+	return tx, nil
 }
 
 // Commit makes the transaction's changes durable and visible: its WAL
 // records are written and fsynced (per the group-commit policy), then its
 // versions flip to a fresh commit timestamp — atomically with respect to
-// every snapshot reader. ErrTxDone if the transaction already finished.
-func (tx *Tx) Commit() error {
-	if !tx.done.CompareAndSwap(false, true) {
-		return ErrTxDone
-	}
-	db, t := tx.db, tx.state
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		db.releaseLatches(t)
-		db.snaps.drop(t)
-		return ErrClosed
-	}
-	ckptDue, err := db.commitTxn(t)
-	if err != nil {
-		db.mu.RUnlock()
-		uerr := db.unwindConcurrent(t)
-		db.releaseLatches(t)
-		db.snaps.drop(t)
-		if uerr != nil {
-			return errors.Join(err, uerr)
-		}
-		return err
-	}
-	db.autoAnalyzeTouched(t)
-	db.mu.RUnlock()
-	db.releaseLatches(t)
-	db.snaps.drop(t)
-	if ckptDue {
-		_ = db.Checkpoint()
-	}
-	return nil
-}
+// every snapshot reader. A failed commit rolls back. ErrTxDone if the
+// transaction already finished.
+func (tx *Tx) Commit() error { return tx.end(true) }
 
 // Rollback undoes every change made inside the transaction — its row
-// versions vanish atomically, DDL undoes replay, and registered OnRollback
+// versions vanish atomically, DDL undoes replay, and OnRollback
 // compensators run. ErrTxDone if the transaction already finished, so
 // `defer tx.Rollback()` after a successful Commit is harmless.
-func (tx *Tx) Rollback() error {
+func (tx *Tx) Rollback() error { return tx.end(false) }
+
+var errFnTxEnd = errors.New("sql: a function cannot commit or roll back its statement's transaction")
+
+func (tx *Tx) end(commit bool) error {
+	if tx.fn {
+		return errFnTxEnd
+	}
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
 	if !tx.done.CompareAndSwap(false, true) {
 		return ErrTxDone
 	}
 	db, t := tx.db, tx.state
-	err := db.unwindConcurrent(t)
-	db.releaseLatches(t)
-	db.snaps.drop(t)
-	return err
+	var err error
+	if commit {
+		if !tx.exclusive {
+			t.locks.acquire(rankDB, true)
+			db.mu.RLock()
+		}
+		ckptDue := false
+		if db.closed {
+			err = ErrClosed
+		} else if ckptDue, err = db.commitTxn(t); err == nil {
+			db.autoAnalyzeTouched(t)
+		}
+		if !tx.exclusive {
+			db.mu.RUnlock()
+			t.locks.release(rankDB)
+		}
+		if err == nil {
+			tx.release()
+			if ckptDue {
+				// Best effort, with no lock held; the WAL stays valid if it
+				// fails.
+				_ = db.Checkpoint()
+			}
+			return nil
+		}
+	}
+	// Pure DML rolls back by atomic stamp flips; undo closures and DDL
+	// undos rebuild catalogue state and need db.mu exclusively.
+	relock := !tx.exclusive && (t.ddl || len(t.undo) > 0)
+	if relock {
+		t.locks.acquire(rankDB, true)
+		db.mu.Lock()
+	}
+	uerr := t.unwind(db, txnMarks{})
+	if relock {
+		db.mu.Unlock()
+		t.locks.release(rankDB)
+	}
+	tx.release()
+	return errors.Join(err, uerr)
 }
 
-// live returns ErrTxDone once the handle has finished.
-func (tx *Tx) live() error {
-	if tx.done.Load() {
-		return ErrTxDone
+// release frees what the finished transaction holds: its latches, its
+// snapshot's claim on Vacuum, and db.mu for an Exclusive transaction.
+func (tx *Tx) release() {
+	db := tx.db
+	db.releaseLatches(tx.state)
+	db.snaps.drop(tx.state)
+	if tx.exclusive {
+		db.mu.Unlock()
+		tx.state.locks.release(rankDB)
 	}
-	return nil
+}
+
+// OnRollback registers a compensating closure, run (in reverse
+// registration order) if and only if the transaction's work is undone — by
+// Rollback, by a failed statement's unwind, or by a failed commit. UDFs use
+// it to keep state the SQL journal cannot see (e.g. the pgFMU session's live
+// instances) consistent with the tables. A read-only statement's handle
+// ignores it: nothing there rolls back.
+func (tx *Tx) OnRollback(fn func()) {
+	if tx.state != nil {
+		tx.state.recordUndo(fn)
+	}
 }
 
 // Exec runs a statement inside the transaction.
@@ -156,9 +229,6 @@ func (tx *Tx) QueryRows(sql string, args ...any) (*RowIter, error) {
 
 // QueryRowsContext is QueryRows honouring ctx.
 func (tx *Tx) QueryRowsContext(ctx context.Context, sql string, args ...any) (*RowIter, error) {
-	if err := tx.live(); err != nil {
-		return nil, err
-	}
 	cp, err := tx.db.parse(sql)
 	if err != nil {
 		return nil, err
@@ -167,7 +237,21 @@ func (tx *Tx) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 	if err != nil {
 		return nil, err
 	}
-	return tx.db.execTxStmt(ctx, sql, cp, params, tx.state)
+	return tx.queryRows(ctx, sql, cp, params)
+}
+
+// queryRows runs one parsed statement in the transaction, one at a time
+// unless the handle is a function's (which runs on its statement's
+// goroutine, under its statement's lock).
+func (tx *Tx) queryRows(ctx context.Context, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
+	if !tx.fn {
+		tx.mu.Lock()
+		defer tx.mu.Unlock()
+	}
+	if tx.done.Load() {
+		return nil, ErrTxDone
+	}
+	return tx.db.exec(ctx, tx, text, cp, params)
 }
 
 // Prepare returns a prepared statement usable inside (and after) the
@@ -180,8 +264,8 @@ func (tx *Tx) Prepare(sql string) (*Stmt, error) {
 
 // PrepareContext is Prepare honouring ctx.
 func (tx *Tx) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
-	if err := tx.live(); err != nil {
-		return nil, err
+	if tx.done.Load() {
+		return nil, ErrTxDone
 	}
 	return tx.db.PrepareContext(ctx, sql)
 }

@@ -1,54 +1,39 @@
 package sqldb
 
-import "strings"
-
-// Transaction support. Every write statement runs inside a transaction:
-// either an explicit one (SQL BEGIN, or a Tx handle from Begin/BeginTx), or
-// an implicit single-statement transaction. Writes are multi-versioned (see
-// mvcc.go): each mutation appends or end-stamps row versions under the
-// transaction's in-flight stamp, buffers a WAL record on a durable
-// database, and — for DDL and API compensators — pushes an undo closure.
-// COMMIT writes the pending WAL records plus a commit marker, then flips
-// the transaction's stamps to its commit timestamp; ROLLBACK flips the
-// stamps to aborted/live and replays the undo journal in reverse.
-//
-// Two transaction flavours coexist:
-//
-//   - The ambient transaction (SQL BEGIN ... COMMIT) is database-wide, as
-//     in earlier versions of this engine: while it is open every write
-//     statement from any goroutine joins it, and it executes under the
-//     DB's exclusive lock.
-//   - Concurrent transactions (Tx handles, implicit DML on latched tables,
-//     RunConcurrent bodies) are private to their handle, run under the
-//     shared lock plus per-table write latches, and read a pinned MVCC
-//     snapshot.
+// Transaction support. Every write statement runs inside a transaction —
+// a Tx handle (see tx.go), or a one-statement transaction of its own.
+// Writes are multi-versioned (see mvcc.go): each mutation appends or
+// end-stamps row versions under the transaction's in-flight stamp, buffers a
+// WAL record on a durable database, and — for DDL and API compensators —
+// pushes an undo closure. COMMIT writes the pending WAL records plus a
+// commit marker, then flips the transaction's stamps to its commit
+// timestamp; ROLLBACK flips the stamps to aborted/live and replays the undo
+// journal in reverse.
 
 // txnState is one open transaction: its identity and snapshot, the row
 // versions it created and ended (the write set whose stamps commit/abort
 // flips), the undo journal for DDL and compensators, the WAL records to
 // write at commit, and the table latches it holds.
 type txnState struct {
-	id         uint64
-	explicit   bool
-	concurrent bool
-	snap       snapshot
-	undo       []func()
-	touched    map[*Table]struct{}
-	created    []*rowMeta
-	ended      []*rowMeta
-	pending    []walRecord
-	latches    []*Table
+	id      uint64
+	snap    snapshot
+	undo    []func()
+	touched map[*Table]struct{}
+	created []*rowMeta
+	ended   []*rowMeta
+	pending []walRecord
+	latches []*Table
+	locks   heldLocks
 	// ddl records that a DDL undo closure was journalled; rollback then
 	// rebuilds the indexes of touched tables (pure DML rollback needs no
 	// rebuild — aborted versions are filtered by visibility).
 	ddl bool
 }
 
-// newTxn allocates a transaction with a fresh ID. The snapshot is filled in
-// by the caller (exclusive-path transactions read "latest committed";
-// concurrent ones pin the clock).
-func (db *DB) newTxn(explicit, concurrent bool) *txnState {
-	return &txnState{id: db.txnID.Add(1), explicit: explicit, concurrent: concurrent}
+// newTxn allocates a transaction with a fresh ID; the caller pins its
+// snapshot.
+func (db *DB) newTxn() *txnState {
+	return &txnState{id: db.txnID.Add(1)}
 }
 
 // stamp is the transaction's in-flight version stamp.
@@ -150,7 +135,7 @@ func isMutatingStmt(s Statement) bool {
 // class eligible for the concurrent (latched, shared-lock) write path.
 func isDMLStmt(s Statement) bool {
 	switch s.(type) {
-	case *InsertStmt, *UpdateStmt, *DeleteStmt:
+	case *InsertStmt, *UpdateStmt, *DeleteStmt, *rowInsert:
 		return true
 	}
 	return false
@@ -186,33 +171,4 @@ func walkStmtFuncs(stmt Statement, fn func(string)) {
 	case *DeleteStmt:
 		walkExprFuncs(s.Where, fn)
 	}
-}
-
-// stmtUsesOnlyBuiltins reports whether every function a statement references
-// is an aggregate or engine builtin. Only such statements are WAL-logged as
-// logical SQL text: UDFs may be volatile (fmu_create loads files, trainers
-// run stochastic searches) and are not yet registered — let alone rehydrated
-// — when the log replays on open, so statements referencing them are logged
-// as physical row records instead. The concurrent write path additionally
-// requires builtins-only (UDFs may issue nested statements that expect the
-// ambient-transaction machinery).
-func stmtUsesOnlyBuiltins(stmt Statement) bool {
-	ok := true
-	walkStmtFuncs(stmt, func(name string) {
-		name = strings.ToLower(name)
-		if !ok {
-			return
-		}
-		if isAggregateName(name) {
-			return
-		}
-		if _, b := builtinScalars[name]; b {
-			return
-		}
-		if _, b := builtinTableFunc(name); b {
-			return
-		}
-		ok = false
-	})
-	return ok
 }

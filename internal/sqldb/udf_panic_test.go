@@ -21,10 +21,10 @@ import (
 // answering.
 func TestUDFPanicIsContained(t *testing.T) {
 	db := New()
-	db.RegisterScalar("boom", func(context.Context, *DB, []variant.Value) (variant.Value, error) {
+	db.RegisterScalar("boom", func(context.Context, *Tx, []variant.Value) (variant.Value, error) {
 		panic("scalar kaboom")
 	}, true)
-	db.RegisterTable("boom_rows", func(context.Context, *DB, []variant.Value) (RowStream, error) {
+	db.RegisterTable("boom_rows", func(context.Context, *Tx, []variant.Value) (RowStream, error) {
 		panic("table kaboom")
 	}, true)
 	mustExec(t, db, `CREATE TABLE t (a integer)`)
@@ -57,7 +57,7 @@ func TestUDFPanicIsContained(t *testing.T) {
 	// tail reads; or in Close. No lock stays held: a read and an exclusive
 	// CREATE TABLE both finish afterwards.
 	register := func(name string, st RowStream) {
-		db.RegisterTable(name, func(context.Context, *DB, []variant.Value) (RowStream, error) {
+		db.RegisterTable(name, func(context.Context, *Tx, []variant.Value) (RowStream, error) {
 			return st, nil
 		}, true)
 	}

@@ -70,8 +70,8 @@ type DurabilityOptions struct {
 // walRecord is one logged unit. Op selects the shape:
 //
 //	"stmt"   logical record: re-executable SQL text plus bound parameters
-//	         (only statements whose functions are all engine builtins,
-//	         running on the exclusive path)
+//	         (DDL, and builtin-only DML of a transaction holding db.mu
+//	         exclusively from begin to end)
 //	"ins"    physical record: one row version inserted into Table
 //	"upd"    physical record: the visible row matching Old superseded by Row
 //	"del"    physical record: the visible row matching Old deleted
@@ -353,7 +353,7 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	if db.wal != nil {
 		return fmt.Errorf("sql: durability already enabled (dir %s)", db.wal.dir)
 	}
-	if db.txn != nil {
+	if db.snaps.count() > 0 {
 		return fmt.Errorf("sql: cannot enable durability with a transaction in progress")
 	}
 	// Checked before anything in dir is created, locked or truncated.
@@ -582,18 +582,6 @@ func (db *DB) walCheckpointDue() bool {
 	return w != nil && w.checkpointEvery > 0 && w.recordsSinceCheckpoint >= w.checkpointEvery
 }
 
-// maybeAutoCheckpointLocked runs a checkpoint when the record budget is
-// exhausted. Failures are swallowed: the old snapshot + WAL pair is still
-// consistent, and the next commit retries. Exclusive-path commits call this
-// under the exclusive lock; shared-lock commits run db.Checkpoint after
-// unlocking instead (see commitTxn).
-func (db *DB) maybeAutoCheckpointLocked() {
-	if !db.walCheckpointDue() {
-		return
-	}
-	_ = db.checkpointLocked()
-}
-
 // Checkpoint writes a fresh snapshot and resets the WAL, bounding recovery
 // time. It is automatic every DurabilityOptions.CheckpointEvery records;
 // call it manually for a durability point before e.g. handing the directory
@@ -609,7 +597,7 @@ func (db *DB) checkpointLocked() error {
 	if w == nil {
 		return fmt.Errorf("sql: database is not durable (no WAL attached)")
 	}
-	if db.txn != nil && db.txn.explicit {
+	if db.sqlTx.Load() != nil {
 		return fmt.Errorf("sql: cannot checkpoint with a transaction in progress")
 	}
 	// Reclaim dead versions while we hold the exclusive lock anyway: the
@@ -707,7 +695,7 @@ func (db *DB) SimulateCrash() {
 	db.wal.f.Close()
 	db.wal.lock.Close()
 	db.wal = nil
-	db.txn = nil
+	db.sqlTx.Store(nil)
 }
 
 // Durable reports whether a write-ahead log is attached.

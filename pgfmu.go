@@ -113,9 +113,8 @@ var (
 	ErrNoSuchVariable = core.ErrNoSuchVariable
 	// ErrTxDone reports use of a Tx that was already committed/rolled back.
 	ErrTxDone = sqldb.ErrTxDone
-	// ErrTxInProgress reports an operation that cannot run while the
-	// ambient SQL-text transaction (BEGIN ... COMMIT) is open, such as a
-	// concurrent Begin or an exclusive statement inside a Tx.
+	// ErrTxInProgress reports a SQL BEGIN sent to the DB while the
+	// transaction an earlier BEGIN opened is still open.
 	ErrTxInProgress = sqldb.ErrTxInProgress
 	// ErrWriteConflict reports a write-write conflict under snapshot
 	// isolation: another transaction committed a change to the same row
@@ -272,9 +271,8 @@ func (db *DB) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
 
 // Begin opens a transaction and returns its handle — the typed equivalent of
 // BEGIN ... COMMIT/ROLLBACK, but private to the handle. Any number of handles
-// may be open at once, each reading its own Begin-time snapshot; see
-// sqldb.Tx. Begin returns ErrTxInProgress only while a SQL-text BEGIN is
-// open.
+// may be open at once, beside a SQL-text BEGIN too, each reading its own
+// Begin-time snapshot; see sqldb.Tx.
 func (db *DB) Begin() (*Tx, error) {
 	return db.session.DB().Begin()
 }
