@@ -20,7 +20,6 @@ import (
 	"repro/internal/fmu"
 	"repro/internal/solver"
 	"repro/internal/timeseries"
-	"repro/internal/usability"
 )
 
 // benchScale keeps calibration-heavy benches tractable.
@@ -119,7 +118,7 @@ func BenchmarkFig7_MIScaling(b *testing.B) {
 // BenchmarkFig8_Usability regenerates the simulated usability study.
 func BenchmarkFig8_Usability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := usability.RunStudy(30, 1)
+		res := experiments.RunStudy(30, 1)
 		b.ReportMetric(res.Speedup, "dev_time_speedup")
 	}
 }

@@ -67,8 +67,8 @@ func TestCancelMidCalibrate(t *testing.T) {
 		t.Fatalf("CalibrateContext took %v after cancellation", elapsed)
 	}
 
-	// The aborted calibration rolled back: parameter values are unchanged
-	// in both the live instance and the catalogue.
+	// The aborted calibration rolled back: parameter values are unchanged,
+	// read through Get and from the catalogue table.
 	cpAfter, _, _, err := db.Get("HP1Instance1", "Cp")
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func (s *Session) Control(req ControlRequest) (*sqldb.ResultSet, error) {
 }
 
 func (s *Session) control(ctx context.Context, q querier, req ControlRequest) (*sqldb.ResultSet, error) {
-	inst, modelID, err := s.snapshot(req.InstanceID)
+	inst, modelID, err := s.snapshot(ctx, q, req.InstanceID)
 	if err != nil {
 		return nil, err
 	}

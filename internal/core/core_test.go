@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/estimate"
 	"repro/internal/fmu"
+	"repro/internal/sqldb"
 	"repro/internal/timeseries"
 	"repro/internal/variant"
 )
@@ -348,24 +351,32 @@ func TestDeleteInstanceAndModel(t *testing.T) {
 	if _, err := s.Create(hpSource, "i2"); err != nil {
 		t.Fatal(err)
 	}
-	modelID, err := s.ModelIDOf("i1")
-	if err != nil {
-		t.Fatal(err)
+	rs, err := s.DB().Query(`SELECT modelid FROM modelinstance WHERE instanceid = 'i1'`)
+	if err != nil || len(rs.Rows) != 1 {
+		t.Fatalf("modelinstance row of i1 = %v, %v", rs, err)
+	}
+	modelID := rs.Rows[0][0].AsText()
+	instances := func() []sqldb.Row {
+		rs, err := s.DB().Query(`SELECT instanceid FROM modelinstance`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Rows
 	}
 	if _, err := s.DB().Query(`SELECT fmu_delete_instance('i1')`); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.InstanceIDs()) != 1 {
-		t.Errorf("instances after delete = %v", s.InstanceIDs())
+	if got := instances(); len(got) != 1 {
+		t.Errorf("instances after delete = %v", got)
 	}
 	// Deleting the model cascades to remaining instances (paper §5).
 	if _, err := s.DB().Query(`SELECT fmu_delete_model($1)`, modelID); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.InstanceIDs()) != 0 {
-		t.Errorf("instances after model delete = %v", s.InstanceIDs())
+	if got := instances(); len(got) != 0 {
+		t.Errorf("instances after model delete = %v", got)
 	}
-	rs, _ := s.DB().Query(`SELECT count(*) FROM modelvariable`)
+	rs, _ = s.DB().Query(`SELECT count(*) FROM modelvariable`)
 	if rs.Rows[0][0].Int() != 0 {
 		t.Error("modelvariable rows should cascade away")
 	}
@@ -826,13 +837,13 @@ func osWriteFile(path, content string) error {
 }
 
 // TestRecoveryTxnRollbackRestoresSessionState verifies that ROLLBACK undoes
-// not just the catalogue rows but the session's in-memory FMU state (live
-// instances, loaded units, variable values) — the two must never diverge.
+// everything a reader sees of the session's FMU state (instances, variable
+// values), not just the catalogue rows.
 func TestRecoveryTxnRollbackRestoresSessionState(t *testing.T) {
 	s := newTestSession(t)
 	db := s.DB()
 
-	// Rolled-back fmu_create leaves no live instance behind...
+	// Rolled-back fmu_create leaves no instance behind...
 	if _, err := db.Query(`BEGIN`); err != nil {
 		t.Fatal(err)
 	}
@@ -846,7 +857,7 @@ func TestRecoveryTxnRollbackRestoresSessionState(t *testing.T) {
 	if err != nil || rs.Rows[0][0].Int() != 0 {
 		t.Fatalf("catalogue after rollback = %v, %v", rs, err)
 	}
-	// ...so re-creating the same id must succeed (maps rolled back too).
+	// ...so re-creating the same id must succeed.
 	if _, err := db.Query(`SELECT fmu_create($1, 'i1')`, hpSource); err != nil {
 		t.Fatalf("recreate after rolled-back create: %v", err)
 	}
@@ -885,8 +896,134 @@ func TestRecoveryTxnRollbackRestoresSessionState(t *testing.T) {
 	if _, err := db.Query(`ROLLBACK`); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.snapshot("i1"); err != nil {
+	if _, _, err := s.snapshot(context.Background(), db, "i1"); err != nil {
 		t.Fatalf("instance gone after rolled-back delete: %v", err)
+	}
+}
+
+// TestCommittedCatalogueDMLReachesModel: a committed UPDATE of
+// modelinstancevalues is the instance's new value for every reader, and
+// reopening the directory changes nothing a reader sees.
+func TestCommittedCatalogueDMLReachesModel(t *testing.T) {
+	dir := t.TempDir()
+	read := func(s *Session) (string, float64) {
+		t.Helper()
+		rs, err := s.DB().Query(`SELECT initialValue FROM fmu_get('a', 'A')`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := rs.Rows[0][0].AsText()
+		rs, err = s.DB().Query(`SELECT sum(value) FROM fmu_simulate('a') WHERE varName = 'x'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, _ := rs.Rows[0][0].AsFloat()
+		return a, sum
+	}
+	s, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create(hpSource, "a"); err != nil {
+		t.Fatal(err)
+	}
+	_, sum0 := read(s)
+	if _, err := s.DB().Exec(
+		`UPDATE modelinstancevalues SET value = -1.5 WHERE instanceid = 'a' AND varname = 'A'`); err != nil {
+		t.Fatal(err)
+	}
+	a1, sum1 := read(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a2, sum2 := read(s)
+	if a1 != "-1.5" || sum1 == sum0 {
+		t.Errorf("after the committed UPDATE: A = %s, sum(x) = %v (was %v); want A = -1.5 and a new trajectory", a1, sum1, sum0)
+	}
+	if a2 != a1 || sum2 != sum1 {
+		t.Errorf("after reopen: A = %s, sum(x) = %v; before reopen A = %s, sum(x) = %v", a2, sum2, a1, sum1)
+	}
+}
+
+// TestGeneratedInstanceIDAfterReopen: a generated instance id skips the ids
+// the catalogue already holds, also after the session is reopened.
+func TestGeneratedInstanceIDAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Create(hpSource, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	second, err := s.Create(hpSource, "")
+	if err != nil {
+		t.Fatalf("first generated id after reopen: %v", err)
+	}
+	if second == first {
+		t.Errorf("generated id %q twice", first)
+	}
+	rs, err := s.DB().Query(`SELECT count(*) FROM modelinstance`)
+	if err != nil || rs.Rows[0][0].Int() != 2 {
+		t.Errorf("modelinstance rows = %v, %v; want 2", rs, err)
+	}
+}
+
+// TestCreateSameIDInTwoTransactions: of two open transactions creating the
+// same instance id, the second is refused (it loses on the modelinstance
+// write latch); once the first commits, the id is taken.
+func TestCreateSameIDInTwoTransactions(t *testing.T) {
+	s := newTestSession(t)
+	defer s.Close()
+	if _, err := s.Create(hpSource, "base"); err != nil {
+		t.Fatal(err)
+	}
+	tx1, err := s.DB().Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx1.Exec(`SELECT fmu_create($1, 'x')`, hpSource); err != nil {
+		t.Fatal(err)
+	}
+	tx2, err := s.DB().Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(err error) bool {
+		return errors.Is(err, sqldb.ErrWriteConflict) || (err != nil && strings.Contains(err.Error(), "already exists"))
+	}
+	if _, err := tx2.Exec(`SELECT fmu_create($1, 'x')`, hpSource); !refused(err) {
+		t.Errorf("second open fmu_create of x: %v, want it refused", err)
+	}
+	if _, err := s.Create(hpSource, "x"); !refused(err) {
+		t.Errorf("typed Create of x beside the open transaction: %v, want it refused", err)
+	}
+	if err := tx2.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DB().Query(`SELECT fmu_create($1, 'x')`, hpSource); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Errorf("fmu_create of x after the commit: %v, want already exists", err)
+	}
+	rs, err := s.DB().Query(`SELECT count(*) FROM modelinstance WHERE instanceid = 'x'`)
+	if err != nil || rs.Rows[0][0].Int() != 1 {
+		t.Errorf("modelinstance rows of x = %v, %v; want 1", rs, err)
 	}
 }
 

@@ -485,7 +485,7 @@ func (jm *jobManager) execSweep(ctx context.Context, lj *liveJob, args []string)
 	// Resolve the base values, the shared inputs and the window once, from
 	// committed data; the points then need no lock at all.
 	s := jm.s
-	base, _, err := s.snapshot(instanceID)
+	base, _, err := s.snapshot(ctx, s.db, instanceID)
 	if err != nil {
 		return "", err
 	}

@@ -52,7 +52,7 @@ func (s *Session) ParestContext(ctx context.Context, instanceIDs, inputSQLs, par
 }
 
 // parest estimates on snapshots of the instances, then writes the fitted
-// values to the catalogue in tx and publishes them to the live instances.
+// values to the catalogue in tx.
 // threshold is the MI similarity gate for this call.
 func (s *Session) parest(ctx context.Context, tx *sqldb.Tx, instanceIDs, inputSQLs, pars []string, threshold float64) ([]ParestResult, error) {
 	if len(instanceIDs) == 0 {
@@ -100,8 +100,7 @@ func (s *Session) parest(ctx context.Context, tx *sqldb.Tx, instanceIDs, inputSQ
 	out := make([]ParestResult, len(results))
 	for i, r := range results {
 		id := instanceIDs[i]
-		// Algorithm 2 line 8: write fitted values back to the catalogue,
-		// then to the live instance.
+		// Algorithm 2 line 8: write fitted values back to the catalogue.
 		for name, v := range r.Params {
 			if _, err := tx.QueryContext(ctx,
 				`UPDATE modelinstancevalues SET value = $1
@@ -109,11 +108,6 @@ func (s *Session) parest(ctx context.Context, tx *sqldb.Tx, instanceIDs, inputSQ
 				v, id, name); err != nil {
 				return nil, err
 			}
-		}
-		if err := s.publish(tx, id, func(live *fmu.Instance) error {
-			return live.SetParameters(r.Params)
-		}); err != nil {
-			return nil, err
 		}
 		// Recalibration changes what the instance computes: drop its cached
 		// trajectories (content addressing already keys on the new values;
@@ -134,7 +128,7 @@ func (s *Session) parest(ctx context.Context, tx *sqldb.Tx, instanceIDs, inputSQ
 // instance: bind the input query's columns to inputs and measured outputs
 // by name (Challenge 2), and read parameter bounds from the catalogue.
 func (s *Session) buildProblem(ctx context.Context, q querier, instanceID, inputSQL string, pars []string) (*estimate.Problem, string, error) {
-	inst, modelID, err := s.snapshot(instanceID)
+	inst, modelID, err := s.snapshot(ctx, q, instanceID)
 	if err != nil {
 		return nil, "", err
 	}

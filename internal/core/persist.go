@@ -36,15 +36,52 @@ func (s *Session) storeFMU(ctx context.Context, tx *sqldb.Tx, modelID string, da
 	return err
 }
 
+// unit returns the loaded FMU of a model: the cached one, or the archive
+// read from fmustorage through q, which it then caches.
+func (s *Session) unit(ctx context.Context, q querier, modelID string) (*fmu.Unit, error) {
+	s.mu.Lock()
+	unit, ok := s.units[modelID]
+	s.mu.Unlock()
+	if ok {
+		return unit, nil
+	}
+	rs, err := q.QueryContext(ctx, `SELECT content FROM fmustorage WHERE modelid = $1`, modelID)
+	if err != nil {
+		return nil, err
+	}
+	if len(rs.Rows) == 0 {
+		return nil, fmt.Errorf("core: unknown model %q", modelID)
+	}
+	data, err := base64.StdEncoding.DecodeString(rs.Rows[0][0].AsText())
+	if err != nil {
+		return nil, fmt.Errorf("core: decoding stored FMU %s: %w", modelID, err)
+	}
+	if unit, err = fmu.Read(data); err != nil {
+		return nil, fmt.Errorf("core: reading stored FMU %s: %w", modelID, err)
+	}
+	if unit.GUID != modelID {
+		return nil, fmt.Errorf("core: stored FMU %s has mismatched GUID %s", modelID, unit.GUID)
+	}
+	s.cacheUnit(unit)
+	return unit, nil
+}
+
+// cacheUnit keeps a loaded FMU for reuse under its model UUID.
+func (s *Session) cacheUnit(unit *fmu.Unit) {
+	s.mu.Lock()
+	s.units[unit.GUID] = unit
+	s.mu.Unlock()
+}
+
 // Dump writes the whole environment (catalogue, FMU archives, user tables)
 // as a SQL script.
 func (s *Session) Dump(w io.Writer) error {
 	return s.db.Dump(w)
 }
 
-// RestoreSession rebuilds a live session from a database that carries a
-// dumped pgFMU catalogue: FMUs are re-read from fmustorage and every
-// catalogued instance is re-instantiated with its persisted variable values.
+// RestoreSession rebuilds a session from a database that carries a dumped
+// pgFMU catalogue. FMUs are read from fmustorage, and instances from the
+// catalogue, when first used.
 func RestoreSession(dump io.Reader, opts ...Option) (*Session, error) {
 	s, err := NewSession(append(append([]Option{}, opts...), deferJobs())...)
 	if err != nil {
@@ -59,7 +96,7 @@ func RestoreSession(dump io.Reader, opts ...Option) (*Session, error) {
 	if err := s.db.Restore(dump); err != nil {
 		return nil, err
 	}
-	if err := s.rehydrate(); err != nil {
+	if err := s.checkCatalog(); err != nil {
 		return nil, err
 	}
 	// Dumps predating the job subsystem carry no fmujobs table; jobs that
@@ -75,8 +112,8 @@ func RestoreSession(dump io.Reader, opts ...Option) (*Session, error) {
 // directory holds a snapshot (the Dump format) plus a write-ahead log; on
 // open, the snapshot is restored, committed WAL transactions are replayed
 // on top (truncating any torn tail a crash left behind), and the FMU
-// catalogue is rehydrated — so models, calibrated instances, and user
-// tables all survive a process kill. Durability knobs: WithWALSyncEvery
+// catalogue is checked — so models, calibrated instances, and user tables
+// all survive a process kill. Durability knobs: WithWALSyncEvery
 // (group commit) and WithAutoCheckpointEvery.
 func OpenDurable(dir string, opts ...Option) (*Session, error) {
 	// Job workers stay parked until recovery finishes: the snapshot restore
@@ -92,7 +129,7 @@ func OpenDurable(dir string, opts ...Option) (*Session, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("core: opening durable session: %w", err)
 	}
-	if err := s.rehydrate(); err != nil {
+	if err := s.checkCatalog(); err != nil {
 		// Release the WAL descriptor and the directory's single-opener
 		// lock, or a retry in this process would see the directory as
 		// still held.
@@ -124,78 +161,12 @@ func (s *Session) Close() error {
 	return s.db.Close()
 }
 
-// rehydrate loads units and instances from the catalogue tables. It runs
-// during open, before the session is shared, and publishes the rebuilt maps
-// at the end.
-func (s *Session) rehydrate() error {
-	// Required catalogue tables must exist after the restore.
+// checkCatalog refuses a restored database that lacks a catalogue table.
+func (s *Session) checkCatalog() error {
 	for _, t := range []string{"model", "modelvariable", "modelinstance", "modelinstancevalues", "fmustorage"} {
 		if !s.db.HasTable(t) {
 			return fmt.Errorf("core: restored database is missing catalogue table %q", t)
 		}
 	}
-
-	units := make(map[string]*fmu.Unit)
-	stored, err := s.db.Query(`SELECT modelid, content FROM fmustorage`)
-	if err != nil {
-		return err
-	}
-	for _, row := range stored.Rows {
-		modelID := row[0].AsText()
-		data, err := base64.StdEncoding.DecodeString(row[1].AsText())
-		if err != nil {
-			return fmt.Errorf("core: decoding stored FMU %s: %w", modelID, err)
-		}
-		unit, err := fmu.Read(data)
-		if err != nil {
-			return fmt.Errorf("core: reading stored FMU %s: %w", modelID, err)
-		}
-		if unit.GUID != modelID {
-			return fmt.Errorf("core: stored FMU %s has mismatched GUID %s", modelID, unit.GUID)
-		}
-		units[modelID] = unit
-	}
-
-	instances := make(map[string]*fmu.Instance)
-	instanceModel := make(map[string]string)
-	rows, err := s.db.Query(`SELECT instanceid, modelid FROM modelinstance`)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows.Rows {
-		instanceID, modelID := row[0].AsText(), row[1].AsText()
-		unit, ok := units[modelID]
-		if !ok {
-			return fmt.Errorf("core: instance %q references unknown model %q", instanceID, modelID)
-		}
-		inst := unit.Instantiate(instanceID)
-		values, err := s.db.Query(
-			`SELECT varname, value FROM modelinstancevalues WHERE instanceid = $1`, instanceID)
-		if err != nil {
-			return err
-		}
-		for _, vr := range values.Rows {
-			if vr[1].IsNull() {
-				continue
-			}
-			f, err := vr[1].AsFloat()
-			if err != nil {
-				continue // non-numeric catalogue value: leave the default
-			}
-			// Outputs are not settable; skip silently.
-			if inst.KindOf(vr[0].AsText()) == fmu.VarOutput {
-				continue
-			}
-			if err := inst.SetReal(vr[0].AsText(), f); err != nil {
-				return fmt.Errorf("core: restoring %s.%s: %w", instanceID, vr[0].AsText(), err)
-			}
-		}
-		instances[instanceID] = inst
-		instanceModel[instanceID] = modelID
-	}
-
-	s.mu.Lock()
-	s.units, s.instances, s.instanceModel = units, instances, instanceModel
-	s.mu.Unlock()
 	return nil
 }

@@ -139,8 +139,9 @@ func TestSimulateWritesNothing(t *testing.T) {
 // TestSimulateBesideOpenWriter: an open transaction holding the
 // modelinstancevalues latch — an uncommitted fmu_set_initial, or plain DML —
 // does not get in the way of simulating another instance, and the
-// uncommitted fmu_set_initial is a real part of its transaction: invisible
-// outside it, and undone by its rollback.
+// uncommitted write is a real part of its transaction: invisible outside it
+// (to the catalogue, fmu_get and fmu_variables alike), and undone by its
+// rollback.
 func TestSimulateBesideOpenWriter(t *testing.T) {
 	for _, write := range []string{
 		`SELECT fmu_set_initial('a', 'A', -1.5)`,
@@ -163,10 +164,17 @@ func TestSimulateBesideOpenWriter(t *testing.T) {
 		if dump := instanceValuesDump(t, s); dump != dump0 {
 			t.Errorf("%s: uncommitted write visible outside its transaction:\n%s", write, dump)
 		}
+		if v, _, _, err := s.Get("a", "A"); err != nil || v.AsText() != "0" {
+			t.Errorf("%s: Get(a, A) outside the open transaction = %v, %v; want 0", write, v, err)
+		}
+		rs, err := s.DB().Query(`SELECT initialValue FROM fmu_variables('a') WHERE varName = 'A'`)
+		if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].AsText() != "0" {
+			t.Errorf("%s: fmu_variables('a') outside the open transaction = %v, %v; want A = 0", write, rs, err)
+		}
 
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		t0 := time.Now()
-		rs, err := s.DB().QueryContext(ctx, `SELECT count(*) FROM fmu_simulate('b')`)
+		rs, err = s.DB().QueryContext(ctx, `SELECT count(*) FROM fmu_simulate('b')`)
 		cancel()
 		if err != nil || rs.Rows[0][0].Int() == 0 {
 			t.Errorf("%s: fmu_simulate beside the open writer: %v, %v", write, rs, err)

@@ -26,21 +26,18 @@ import (
 )
 
 // Session is one pgFMU environment: a database with the model catalogue
-// installed, the in-memory FMU storage, and live model instances.
+// and the FMU storage installed. Model instances live in the catalogue
+// only.
 type Session struct {
 	db *sqldb.DB
 
-	// mu guards the three maps and seq. It is a leaf lock: see "Locking"
-	// below.
+	// mu guards units and seq. It is a leaf lock: see "Locking" below.
 	mu sync.Mutex
-	// units is the FMU storage: one loaded Unit per model UUID. Loading an
-	// FMU once and sharing it across instances is one of the paper's
-	// Challenge-3 optimizations.
+	// units caches the loaded FMU of each model UUID, read from fmustorage
+	// on first use (see unit). Loading an FMU once and sharing it across
+	// instances is one of the paper's Challenge-3 optimizations. An archive
+	// never changes under its UUID, so an entry may be dropped at any time.
 	units map[string]*fmu.Unit
-	// instances maps instanceId to its live runtime instance.
-	instances map[string]*fmu.Instance
-	// instanceModel maps instanceId to its parent model UUID.
-	instanceModel map[string]string
 	// seq feeds generated instance identifiers.
 	seq int
 
@@ -141,8 +138,6 @@ func NewSession(opts ...Option) (*Session, error) {
 	s := &Session{
 		db:             sqldb.New(),
 		units:          make(map[string]*fmu.Unit),
-		instances:      make(map[string]*fmu.Instance),
-		instanceModel:  make(map[string]string),
 		miOptimization: true,
 		threshold:      estimate.DefaultSimilarityThreshold,
 		estOpts: estimate.Options{
@@ -183,56 +178,50 @@ func (s *Session) JobStats() JobStats { return s.jobs.statsSnapshot() }
 // DB exposes the underlying database for direct SQL.
 func (s *Session) DB() *sqldb.DB { return s.db }
 
-// Locking. s.mu is a leaf: it guards the three maps and seq, is held for map
-// reads/writes and Instance.Clone/SetReal/SetParameters/Reset only, and is
-// never held across a call into s.db, a simulation, an estimation or an MPC
-// solve. Readers take a snapshot (a clone: two small slice copies) and work
-// lock-free. Writers run their catalogue statements first — competing
-// writers serialise on the modelinstancevalues latch there, and the loser
-// rolls back with ErrWriteConflict — then publish to the live instance under
-// s.mu and register a compensator that undoes the publication on rollback.
-// See docs/architecture.md "Lock hierarchy".
+// Locking. s.mu is a leaf: it guards the unit cache and seq, is held for
+// map reads/writes only, and is never held across a call into s.db, a
+// simulation, an estimation or an MPC solve. An instance's values live in
+// the catalogue alone: a reader builds a private fmu.Instance from
+// modelinstancevalues through the querier it has (snapshot), so it sees what
+// that querier's snapshot sees — committed data plus its own transaction's
+// writes — and works lock-free. A writer's catalogue statement is its only
+// publication: competing writers serialise on the table latches, the loser
+// rolls back with ErrWriteConflict, and a rollback leaves nothing to undo
+// outside the tables. See docs/architecture.md "Lock hierarchy".
 
-// snapshot returns a private clone of a live instance plus its model UUID.
-func (s *Session) snapshot(instanceID string) (*fmu.Instance, string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inst, ok := s.instances[instanceID]
-	if !ok {
+// snapshot builds a private instance from the catalogue, read through q:
+// the instance's modelinstancevalues rows (which carry its model UUID) on
+// its model's unit. NULL values and outputs keep the model default. It
+// returns the instance and its model UUID.
+func (s *Session) snapshot(ctx context.Context, q querier, instanceID string) (*fmu.Instance, string, error) {
+	rs, err := q.QueryContext(ctx,
+		`SELECT modelid, varname, value FROM modelinstancevalues WHERE instanceid = $1`, instanceID)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(rs.Rows) == 0 {
 		return nil, "", fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
 	}
-	return inst.Clone(instanceID), s.instanceModel[instanceID], nil
-}
-
-// publish applies fn to the live instance under s.mu and registers a
-// compensator that swaps the instance back to its pre-publication values if
-// the enclosing transaction rolls back — SQL's undo journal cannot see the
-// instance map. Compensators run in reverse order, so several publications
-// in one transaction unwind to the state before the first.
-func (s *Session) publish(tx *sqldb.Tx, instanceID string, fn func(live *fmu.Instance) error) error {
-	s.mu.Lock()
-	live, ok := s.instances[instanceID]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
+	modelID := rs.Rows[0][0].AsText()
+	unit, err := s.unit(ctx, q, modelID)
+	if err != nil {
+		return nil, "", err
 	}
-	prev := live.Clone(instanceID)
-	err := fn(live)
-	s.mu.Unlock()
-	s.onRollback(tx, func() { s.instances[instanceID] = prev })
-	return err
-}
-
-// onRollback registers a compensator that re-synchronizes the session's
-// in-memory FMU state (units, instances, live values) with the catalogue if
-// tx rolls back. The closure takes s.mu itself: rollback runs with no
-// session lock held.
-func (s *Session) onRollback(tx *sqldb.Tx, fn func()) {
-	tx.OnRollback(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		fn()
-	})
+	inst := unit.Instantiate(instanceID)
+	for _, r := range rs.Rows {
+		name := r[1].AsText()
+		if r[2].IsNull() || inst.KindOf(name) == fmu.VarOutput {
+			continue
+		}
+		f, err := r[2].AsFloat()
+		if err != nil {
+			continue // non-numeric catalogue value: leave the default
+		}
+		if err := inst.SetReal(name, f); err != nil {
+			return nil, "", fmt.Errorf("core: reading %s.%s: %w", instanceID, name, err)
+		}
+	}
+	return inst, modelID, nil
 }
 
 // installCatalog creates the Figure-4 model catalogue tables.
@@ -311,23 +300,22 @@ type querier interface {
 	QueryContext(ctx context.Context, sql string, args ...any) (*sqldb.ResultSet, error)
 }
 
-// create and the other catalogue writers below run their statements, and
-// register their compensators, in tx: the invoking statement's transaction
-// or a typed writer's.
+// create and the other catalogue writers below run their statements in tx:
+// the invoking statement's transaction or a typed writer's.
 func (s *Session) create(ctx context.Context, tx *sqldb.Tx, unit *fmu.Unit, instanceID string) (string, error) {
 	modelID := unit.GUID
-	instanceID, err := s.newInstanceID(instanceID, unit.Model.Name+"_instance")
+	instanceID, err := s.newInstanceID(ctx, tx, instanceID, unit.Model.Name+"_instance")
 	if err != nil {
 		return "", err
 	}
 
-	// Reuse the stored FMU if this model is already loaded (Challenge 3).
-	s.mu.Lock()
-	stored, known := s.units[modelID]
-	s.mu.Unlock()
-	if known {
-		unit = stored
-	} else {
+	// Store the FMU once per model (Challenge 3); the UUID is the archive's
+	// content identity, so a stored model's archive is this one.
+	known, err := exists(ctx, tx, `SELECT count(*) FROM model WHERE modelid = $1`, modelID)
+	if err != nil {
+		return "", err
+	}
+	if !known {
 		data, err := unit.Bytes()
 		if err != nil {
 			return "", err
@@ -350,31 +338,45 @@ func (s *Session) create(ctx context.Context, tx *sqldb.Tx, unit *fmu.Unit, inst
 				return "", err
 			}
 		}
-		s.mu.Lock()
-		s.units[modelID] = unit
-		s.mu.Unlock()
-		s.onRollback(tx, func() { delete(s.units, modelID) })
+		s.cacheUnit(unit)
 	}
 	return instanceID, s.addInstance(ctx, tx, unit.Instantiate(instanceID), modelID)
 }
 
 // newInstanceID returns id — or, when id is empty, a generated one — after
-// checking that no live instance carries it.
-func (s *Session) newInstanceID(id, prefix string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id == "" {
-		s.seq++
-		id = fmt.Sprintf("%s_%d", prefix, s.seq)
+// checking through tx that modelinstance does not hold it. A generated id
+// skips the ids already taken. An id a concurrent open transaction has
+// written is refused later, by the modelinstance write latch.
+func (s *Session) newInstanceID(ctx context.Context, tx *sqldb.Tx, id, prefix string) (string, error) {
+	generated := id == ""
+	for {
+		if generated {
+			s.mu.Lock()
+			s.seq++
+			id = fmt.Sprintf("%s_%d", prefix, s.seq)
+			s.mu.Unlock()
+		}
+		taken, err := exists(ctx, tx, `SELECT count(*) FROM modelinstance WHERE instanceid = $1`, id)
+		if err != nil || !taken {
+			return id, err
+		}
+		if !generated {
+			return "", fmt.Errorf("core: instance %q already exists", id)
+		}
 	}
-	if _, exists := s.instances[id]; exists {
-		return "", fmt.Errorf("core: instance %q already exists", id)
-	}
-	return id, nil
 }
 
-// addInstance catalogues a new instance (ModelInstance plus one
-// ModelInstanceValues row per variable) and then makes it live.
+// exists reports whether a count(*) query finds any row.
+func exists(ctx context.Context, q querier, sql string, args ...any) (bool, error) {
+	rs, err := q.QueryContext(ctx, sql, args...)
+	if err != nil {
+		return false, err
+	}
+	return rs.Rows[0][0].Int() > 0, nil
+}
+
+// addInstance catalogues a new instance: its ModelInstance row plus one
+// ModelInstanceValues row per variable.
 func (s *Session) addInstance(ctx context.Context, tx *sqldb.Tx, inst *fmu.Instance, modelID string) error {
 	id := inst.Name()
 	if _, err := tx.QueryContext(ctx, `INSERT INTO modelinstance VALUES ($1, $2)`, id, modelID); err != nil {
@@ -387,14 +389,6 @@ func (s *Session) addInstance(ctx context.Context, tx *sqldb.Tx, inst *fmu.Insta
 			return err
 		}
 	}
-	s.mu.Lock()
-	s.instances[id] = inst
-	s.instanceModel[id] = modelID
-	s.mu.Unlock()
-	s.onRollback(tx, func() {
-		delete(s.instances, id)
-		delete(s.instanceModel, id)
-	})
 	return nil
 }
 
@@ -457,21 +451,21 @@ func (s *Session) Copy(instanceID, newInstanceID string) (string, error) {
 }
 
 func (s *Session) copy(ctx context.Context, tx *sqldb.Tx, instanceID, newInstanceID string) (string, error) {
-	src, modelID, err := s.snapshot(instanceID)
+	src, modelID, err := s.snapshot(ctx, tx, instanceID)
 	if err != nil {
 		return "", err
 	}
-	newInstanceID, err = s.newInstanceID(newInstanceID, instanceID+"_copy")
+	newInstanceID, err = s.newInstanceID(ctx, tx, newInstanceID, instanceID+"_copy")
 	if err != nil {
 		return "", err
 	}
 	return newInstanceID, s.addInstance(ctx, tx, src.Clone(newInstanceID), modelID)
 }
 
-// setValue updates one variable on an instance and mirrors it to the
-// catalogue; which of initial/min/max is written depends on attr.
+// setValue updates one variable of an instance in the catalogue; which of
+// initial/min/max is written depends on attr.
 func (s *Session) setValue(ctx context.Context, tx *sqldb.Tx, instanceID, varName, attr string, value float64) error {
-	inst, modelID, err := s.snapshot(instanceID)
+	inst, modelID, err := s.snapshot(ctx, tx, instanceID)
 	if err != nil {
 		return err
 	}
@@ -482,15 +476,11 @@ func (s *Session) setValue(ctx context.Context, tx *sqldb.Tx, instanceID, varNam
 		if err := inst.SetReal(varName, value); err != nil {
 			return err
 		}
-		if _, err := tx.QueryContext(ctx,
+		_, err := tx.QueryContext(ctx,
 			`UPDATE modelinstancevalues SET value = $1
 			 WHERE instanceid = $2 AND varname = $3`,
-			value, instanceID, varName); err != nil {
-			return err
-		}
-		return s.publish(tx, instanceID, func(live *fmu.Instance) error {
-			return live.SetReal(varName, value)
-		})
+			value, instanceID, varName)
+		return err
 	case "min", "max":
 		if inst.KindOf(varName) == fmu.VarUnknown {
 			return fmt.Errorf("%w: %q", ErrNoSuchVariable, varName)
@@ -538,7 +528,7 @@ func (s *Session) Get(instanceID, varName string) (initial, minV, maxV variant.V
 }
 
 func (s *Session) get(ctx context.Context, q querier, instanceID, varName string) (initial, minV, maxV variant.Value, err error) {
-	inst, modelID, err := s.snapshot(instanceID)
+	inst, modelID, err := s.snapshot(ctx, q, instanceID)
 	if err != nil {
 		return variant.Value{}, variant.Value{}, variant.Value{}, err
 	}
@@ -566,7 +556,7 @@ func (s *Session) Reset(instanceID string) error {
 }
 
 func (s *Session) reset(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
-	inst, _, err := s.snapshot(instanceID)
+	inst, _, err := s.snapshot(ctx, tx, instanceID)
 	if err != nil {
 		return err
 	}
@@ -579,10 +569,7 @@ func (s *Session) reset(ctx context.Context, tx *sqldb.Tx, instanceID string) er
 			return err
 		}
 	}
-	return s.publish(tx, instanceID, func(live *fmu.Instance) error {
-		live.Reset()
-		return nil
-	})
+	return nil
 }
 
 // DeleteInstance implements fmu_delete_instance.
@@ -592,28 +579,15 @@ func (s *Session) DeleteInstance(instanceID string) error {
 }
 
 func (s *Session) deleteInstance(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
-	s.mu.Lock()
-	inst, ok := s.instances[instanceID]
-	modelID := s.instanceModel[instanceID]
-	s.mu.Unlock()
-	if !ok {
+	n, err := tx.ExecContext(ctx, `DELETE FROM modelinstance WHERE instanceid = $1`, instanceID)
+	if err != nil {
+		return err
+	}
+	if n == 0 {
 		return fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
 	}
-	if _, err := tx.QueryContext(ctx, `DELETE FROM modelinstance WHERE instanceid = $1`, instanceID); err != nil {
-		return err
-	}
-	if _, err := tx.QueryContext(ctx, `DELETE FROM modelinstancevalues WHERE instanceid = $1`, instanceID); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	delete(s.instances, instanceID)
-	delete(s.instanceModel, instanceID)
-	s.mu.Unlock()
-	s.onRollback(tx, func() {
-		s.instances[instanceID] = inst
-		s.instanceModel[instanceID] = modelID
-	})
-	return nil
+	_, err = tx.ExecContext(ctx, `DELETE FROM modelinstancevalues WHERE instanceid = $1`, instanceID)
+	return err
 }
 
 // DeleteModel implements fmu_delete_model: remove the FMU and cascade to all
@@ -624,64 +598,29 @@ func (s *Session) DeleteModel(modelID string) error {
 }
 
 func (s *Session) deleteModel(ctx context.Context, tx *sqldb.Tx, modelID string) error {
-	s.mu.Lock()
-	_, ok := s.units[modelID]
-	s.mu.Unlock()
-	if !ok {
+	n, err := tx.ExecContext(ctx, `DELETE FROM model WHERE modelid = $1`, modelID)
+	if err != nil {
+		return err
+	}
+	if n == 0 {
 		return fmt.Errorf("core: unknown model %q", modelID)
 	}
 	for _, q := range []string{
-		`DELETE FROM model WHERE modelid = $1`,
 		`DELETE FROM modelvariable WHERE modelid = $1`,
 		`DELETE FROM modelinstance WHERE modelid = $1`,
 		`DELETE FROM modelinstancevalues WHERE modelid = $1`,
 		`DELETE FROM fmustorage WHERE modelid = $1`,
 	} {
-		if _, err := tx.QueryContext(ctx, q, modelID); err != nil {
+		if _, err := tx.ExecContext(ctx, q, modelID); err != nil {
 			return err
 		}
 	}
+	// Eviction is always safe: if tx rolls back, the next use reloads the
+	// unit from fmustorage.
 	s.mu.Lock()
-	unit := s.units[modelID]
-	removed := make(map[string]*fmu.Instance)
 	delete(s.units, modelID)
-	for id, mid := range s.instanceModel {
-		if mid == modelID {
-			removed[id] = s.instances[id]
-			delete(s.instances, id)
-			delete(s.instanceModel, id)
-		}
-	}
 	s.mu.Unlock()
-	s.onRollback(tx, func() {
-		s.units[modelID] = unit
-		for id, inst := range removed {
-			s.instances[id] = inst
-			s.instanceModel[id] = modelID
-		}
-	})
 	return nil
-}
-
-// ModelIDOf reports the parent model UUID of an instance.
-func (s *Session) ModelIDOf(instanceID string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.instances[instanceID]; !ok {
-		return "", fmt.Errorf("%w: %q", ErrNoSuchInstance, instanceID)
-	}
-	return s.instanceModel[instanceID], nil
-}
-
-// InstanceIDs lists live instances (sorted by creation is not guaranteed).
-func (s *Session) InstanceIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.instances))
-	for id := range s.instances {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Variables implements fmu_variables: the catalogue view of all variables of
@@ -691,7 +630,7 @@ func (s *Session) Variables(instanceID string) (*sqldb.ResultSet, error) {
 }
 
 func (s *Session) variables(ctx context.Context, q querier, instanceID string) (*sqldb.ResultSet, error) {
-	inst, modelID, err := s.snapshot(instanceID)
+	inst, modelID, err := s.snapshot(ctx, q, instanceID)
 	if err != nil {
 		return nil, err
 	}

@@ -53,9 +53,9 @@ func (s *Session) SimulateContext(ctx context.Context, req SimulateRequest) (*sq
 // whether times should render as timestamps. The SQL fmu_simulate UDF
 // streams rows from this frame lazily (see newSimResultStream), so a LIMIT
 // over a large simulation never materializes the full n_times × n_vars
-// relation. The input query runs through q.
+// relation. The instance and the input query are read through q.
 func (s *Session) simulateFrame(ctx context.Context, q querier, req SimulateRequest) (*fmu.SimResult, bool, error) {
-	inst, modelID, err := s.snapshot(req.InstanceID)
+	inst, modelID, err := s.snapshot(ctx, q, req.InstanceID)
 	if err != nil {
 		return nil, false, err
 	}

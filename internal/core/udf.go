@@ -238,7 +238,7 @@ func (s *Session) registerUDFs() {
 		return asStream(tx.QueryContext(ctx, `SELECT modelid, modelname, fmusize FROM model`))
 	}, true)
 
-	// fmu_instances() -> live instance listing.
+	// fmu_instances() -> catalogued instance listing.
 	db.RegisterTable("fmu_instances", func(ctx context.Context, tx *sqldb.Tx, _ []variant.Value) (sqldb.RowStream, error) {
 		return asStream(tx.QueryContext(ctx, `SELECT instanceid, modelid FROM modelinstance`))
 	}, true)

@@ -6,15 +6,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ml"
-	"repro/internal/usability"
 )
 
 // Fig8 reproduces the usability study via the keystroke-level cost model
-// (see internal/usability for the substitution rationale).
+// (see usability.go for the substitution rationale).
 // Expected shape: order-of-magnitude development-time gap (paper: 11.74x),
 // pgFMU completion under ~20 minutes per user.
 func Fig8() *Table {
-	study := usability.RunStudy(30, 1)
+	study := RunStudy(30, 1)
 	t := &Table{
 		ID:     "Figure 8",
 		Title:  "Users' learning and development time (simulated cost model)",

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/estimate"
-	"repro/internal/usability"
 )
 
 // Table is one rendered experiment result.
@@ -144,7 +143,7 @@ func Table1() *Table {
 		Title:  "Workflow operations: packages and code lines",
 		Header: []string{"Operation", "Package", "Python LoC", "pgFMU LoC"},
 	}
-	for _, s := range usability.Table1 {
+	for _, s := range workflowSteps {
 		pg := fmt.Sprintf("%d", s.PgFMULines)
 		if s.PgFMULines == 0 {
 			pg = "-"
@@ -156,11 +155,11 @@ func Table1() *Table {
 			pg,
 		})
 	}
-	python, pgfmu := usability.TotalLines()
+	python, pgfmu := TotalLines()
 	t.Rows = append(t.Rows, []string{"Total", "", fmt.Sprintf("%d", python), fmt.Sprintf("%d", pgfmu)})
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"code-line reduction: %.0fx (paper: 22x); distinct Python packages: %d",
-		float64(python)/float64(pgfmu), usability.DistinctPythonPackages()))
+		float64(python)/float64(pgfmu), DistinctPythonPackages()))
 	return t
 }
 

@@ -180,9 +180,9 @@ func (tx *Tx) release() {
 
 // OnRollback registers a compensating closure, run (in reverse
 // registration order) if and only if the transaction's work is undone — by
-// Rollback, by a failed statement's unwind, or by a failed commit. UDFs use
-// it to keep state the SQL journal cannot see (e.g. the pgFMU session's live
-// instances) consistent with the tables. A read-only statement's handle
+// Rollback, by a failed statement's unwind, or by a failed commit. Callers
+// use it to keep state the SQL journal cannot see (e.g. the pgFMU job
+// scheduler's set of running jobs) consistent with the tables. A read-only statement's handle
 // ignores it: nothing there rolls back.
 func (tx *Tx) OnRollback(fn func()) {
 	if tx.state != nil {

@@ -143,11 +143,11 @@ func TestGoAPIWorkflow(t *testing.T) {
 	if err := db.DeleteInstance("hp2"); err != nil {
 		t.Fatal(err)
 	}
-	modelID, err := db.Session().ModelIDOf(id)
-	if err != nil {
-		t.Fatal(err)
+	rs, err := db.Query(`SELECT modelid FROM modelinstance WHERE instanceid = $1`, id)
+	if err != nil || len(rs.Rows) != 1 {
+		t.Fatalf("modelinstance row of %s = %v, %v", id, rs, err)
 	}
-	if err := db.DeleteModel(modelID); err != nil {
+	if err := db.DeleteModel(rs.Rows[0][0].AsText()); err != nil {
 		t.Fatal(err)
 	}
 }
