@@ -1,8 +1,7 @@
 package pgfmu
 
-// Benchmarks quantifying the standard-shaped execution API: prepared
-// statements vs parse-per-call, and streaming LIMIT vs full
-// materialization.
+// Benchmark quantifying the standard-shaped execution API: streaming LIMIT
+// vs full materialization.
 
 import (
 	"fmt"
@@ -23,58 +22,7 @@ func apiBenchDB(b *testing.B, rows int) *DB {
 			b.Fatal(err)
 		}
 	}
-	// Point lookups resolve through the index, so per-call overhead (parse,
-	// cache lookup, plan reuse) dominates the measurements instead of scan
-	// cost.
-	if err := db.CreateIndex("kv_id", "kv", "id", IndexHash); err != nil {
-		b.Fatal(err)
-	}
 	return db
-}
-
-// BenchmarkPreparedVsUnprepared compares the three execution regimes for a
-// repeated parameterized query: a prepared Stmt (plan held by the handle),
-// plan-cache hits (parse skipped, map lookup paid), and true parse-per-call
-// (cache disabled — the paper's unprepared baseline). Prepared must beat
-// parse-per-call; the gap is the redesign's Challenge-1 win.
-func BenchmarkPreparedVsUnprepared(b *testing.B) {
-	const q = `SELECT val FROM kv WHERE id = $1`
-
-	b.Run("Prepared", func(b *testing.B) {
-		db := apiBenchDB(b, 1000)
-		stmt, err := db.Prepare(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer stmt.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Query(i % 1000); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("PlanCache", func(b *testing.B) {
-		db := apiBenchDB(b, 1000)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(q, i%1000); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("ParsePerCall", func(b *testing.B) {
-		db := apiBenchDB(b, 1000)
-		db.SQL().EnablePlanCache(false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(q, i%1000); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkStreamingLimit compares answering "first k rows" through the

@@ -323,121 +323,6 @@ func BenchmarkFMUSimulateDay(b *testing.B) {
 	}
 }
 
-// BenchmarkSQLSelectWhere measures a filtered scan over the measurement
-// table.
-func BenchmarkSQLSelectWhere(b *testing.B) {
-	db, err := Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame, err := dataset.GenerateHP1(dataset.Config{Hours: 672, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := dataset.LoadFrame(db.SQL(), "m", frame); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(`SELECT time, x FROM m WHERE x > 5 AND u < 0.9`); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSQLIndexedLookup compares equality and range lookups through the
-// secondary-index subsystem against the seed's full-scan execution on the
-// BenchmarkSQLSelectWhere-style workload. The indexed variants should be
-// orders of magnitude faster than full_scan.
-func BenchmarkSQLIndexedLookup(b *testing.B) {
-	setup := func(b *testing.B) *DB {
-		b.Helper()
-		db, err := Open("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.Exec(`CREATE TABLE pts (id integer, val float)`); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 20000; i++ {
-			if err := db.SQL().InsertRow("pts", i, float64(i)*0.5); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return db
-	}
-	const eq = `SELECT val FROM pts WHERE id = $1`
-	run := func(b *testing.B, db *DB, q string, args ...any) {
-		b.Helper()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rs, err := db.Query(q, args...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rs.Rows) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	}
-	b.Run("full_scan", func(b *testing.B) {
-		db := setup(b)
-		run(b, db, eq, 12345)
-	})
-	b.Run("hash_index", func(b *testing.B) {
-		db := setup(b)
-		if err := db.CreateIndex("pts_id", "pts", "id", IndexHash); err != nil {
-			b.Fatal(err)
-		}
-		run(b, db, eq, 12345)
-	})
-	b.Run("btree_index", func(b *testing.B) {
-		db := setup(b)
-		if err := db.CreateIndex("pts_id", "pts", "id", IndexOrdered); err != nil {
-			b.Fatal(err)
-		}
-		run(b, db, eq, 12345)
-	})
-	b.Run("btree_range", func(b *testing.B) {
-		db := setup(b)
-		if err := db.CreateIndex("pts_id", "pts", "id", IndexOrdered); err != nil {
-			b.Fatal(err)
-		}
-		run(b, db, `SELECT val FROM pts WHERE id BETWEEN $1 AND $2`, 12000, 12099)
-	})
-}
-
-// BenchmarkSQLConcurrentSelect measures parallel shared-lock SELECT
-// throughput over an indexed table — the query-serving side of the paper's
-// Fig. 7 multi-instance fan-out.
-func BenchmarkSQLConcurrentSelect(b *testing.B) {
-	db, err := Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Exec(`CREATE TABLE pts (id integer, val float)`); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 20000; i++ {
-		if err := db.SQL().InsertRow("pts", i, float64(i)*0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := db.CreateIndex("pts_id", "pts", "id", IndexHash); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := db.Query(`SELECT val FROM pts WHERE id = $1`, i%20000); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-	})
-}
-
 // BenchmarkLateralSimulation measures the paper's LATERAL multi-instance
 // simulation query.
 func BenchmarkLateralSimulation(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,9 +157,6 @@ func (jm *jobManager) dispatch() {
 			return
 		case <-jm.nudge:
 		case <-tick.C:
-		}
-		if !jm.s.db.HasTable("fmujobs") {
-			continue // restore in progress; retry next tick
 		}
 		rs, err := jm.s.db.Query(`SELECT jobid FROM fmujobs WHERE state = $1 ORDER BY jobid`, JobQueued)
 		if err != nil {
@@ -867,14 +863,4 @@ func (s *Session) WaitJob(ctx context.Context, id int64) (string, error) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-}
-
-// sortedJobStates is a debugging helper used by tests.
-func sortedJobStates(rs *sqldb.ResultSet) []string {
-	out := make([]string, 0, len(rs.Rows))
-	for _, r := range rs.Rows {
-		out = append(out, r[2].AsText())
-	}
-	sort.Strings(out)
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
-	"io"
 
 	"repro/internal/fmu"
 	"repro/internal/sqldb"
@@ -73,48 +72,15 @@ func (s *Session) cacheUnit(unit *fmu.Unit) {
 	s.mu.Unlock()
 }
 
-// Dump writes the whole environment (catalogue, FMU archives, user tables)
-// as a SQL script.
-func (s *Session) Dump(w io.Writer) error {
-	return s.db.Dump(w)
-}
-
-// RestoreSession rebuilds a session from a database that carries a dumped
-// pgFMU catalogue. FMUs are read from fmustorage, and instances from the
-// catalogue, when first used.
-func RestoreSession(dump io.Reader, opts ...Option) (*Session, error) {
-	s, err := NewSession(append(append([]Option{}, opts...), deferJobs())...)
-	if err != nil {
-		return nil, err
-	}
-	// Drop the freshly installed empty catalogue; the dump recreates it.
-	for _, t := range []string{"model", "modelvariable", "modelinstance", "modelinstancevalues", "fmustorage", "fmujobs"} {
-		if _, err := s.db.Exec("DROP TABLE IF EXISTS " + t); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.db.Restore(dump); err != nil {
-		return nil, err
-	}
-	if err := s.checkCatalog(); err != nil {
-		return nil, err
-	}
-	// Dumps predating the job subsystem carry no fmujobs table; jobs that
-	// were running when the dump was taken cannot resume from it.
-	if err := s.recoverJobs(); err != nil {
-		return nil, err
-	}
-	s.jobs.start()
-	return s, nil
-}
-
 // OpenDurable opens (or creates) a crash-safe session rooted at dir. The
 // directory holds a snapshot (the Dump format) plus a write-ahead log; on
 // open, the snapshot is restored, committed WAL transactions are replayed
 // on top (truncating any torn tail a crash left behind), and the FMU
 // catalogue is checked — so models, calibrated instances, and user tables
-// all survive a process kill. Durability knobs: WithWALSyncEvery
-// (group commit) and WithAutoCheckpointEvery.
+// all survive a process kill. WithWALSyncEvery is the group-commit knob;
+// the WAL is folded into a fresh snapshot every defaultAutoCheckpointEvery
+// records. A Dump placed as <dir>/snapshot.sql opens the same way: that is
+// how a database is copied or migrated.
 func OpenDurable(dir string, opts ...Option) (*Session, error) {
 	// Job workers stay parked until recovery finishes: the snapshot restore
 	// below replaces the whole catalogue, and running a queued job against a
@@ -125,7 +91,7 @@ func OpenDurable(dir string, opts ...Option) (*Session, error) {
 	}
 	if err := s.db.EnableDurability(dir, sqldb.DurabilityOptions{
 		SyncEvery:       s.walSyncEvery,
-		CheckpointEvery: s.autoCheckpointEvery,
+		CheckpointEvery: defaultAutoCheckpointEvery,
 	}); err != nil {
 		return nil, fmt.Errorf("core: opening durable session: %w", err)
 	}

@@ -50,9 +50,6 @@ type Session struct {
 	// walSyncEvery is the group-commit knob for durable sessions (fsync
 	// once per N commits; 1 = every commit).
 	walSyncEvery int
-	// autoCheckpointEvery triggers a snapshot checkpoint after N WAL
-	// records on durable sessions (0 = manual only).
-	autoCheckpointEvery int
 	// lockWait overrides the bounded row/table lock wait (0 = keep the
 	// engine default of one second).
 	lockWait time.Duration
@@ -95,12 +92,6 @@ func WithWALSyncEvery(n int) Option {
 	return func(s *Session) { s.walSyncEvery = n }
 }
 
-// WithAutoCheckpointEvery makes durable sessions write a snapshot checkpoint
-// after every n WAL records (0 disables automatic checkpoints).
-func WithAutoCheckpointEvery(n int) Option {
-	return func(s *Session) { s.autoCheckpointEvery = n }
-}
-
 // WithLockWaitTimeout bounds how long a statement waits for a row or table
 // lock held by a concurrent transaction before giving up (0 keeps the
 // engine default of one second).
@@ -125,8 +116,8 @@ func WithSimCacheEntries(n int) Option {
 	return func(s *Session) { s.simCacheEntries = n }
 }
 
-// deferJobs keeps the job dispatcher parked; OpenDurable/RestoreSession use
-// it so recovery settles the fmujobs table before any worker runs.
+// deferJobs keeps the job dispatcher parked; OpenDurable uses it so
+// recovery settles the fmujobs table before any worker runs.
 func deferJobs() Option {
 	return func(s *Session) { s.deferJobStart = true }
 }
@@ -143,10 +134,9 @@ func NewSession(opts ...Option) (*Session, error) {
 		estOpts: estimate.Options{
 			GA: estimate.GAOptions{Population: 24, Generations: 16, Seed: 1},
 		},
-		walSyncEvery:        1,
-		autoCheckpointEvery: defaultAutoCheckpointEvery,
-		simCacheEntries:     defaultSimCacheEntries,
-		jobWorkers:          defaultJobWorkers,
+		walSyncEvery:    1,
+		simCacheEntries: defaultSimCacheEntries,
+		jobWorkers:      defaultJobWorkers,
 	}
 	for _, o := range opts {
 		o(s)

@@ -140,7 +140,7 @@ func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if kw := txKeyword(req.SQL); kw != "" {
+	if kw := s.db.SQL().TxnControl(req.SQL); kw != "" {
 		writeError(w, http.StatusBadRequest, wire.CodeTxState,
 			kw+" requires a session (POST /v1/sessions)")
 		return
@@ -158,15 +158,17 @@ func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
 }
 
 // runStatement executes one statement in a session, mapping transaction
-// keywords onto the session's *pgfmu.Tx handle and streaming everything
-// else. Caller holds the session lock.
+// control onto the session's *pgfmu.Tx handle and streaming everything
+// else. The engine's grammar classifies the statement, so no spelling of
+// BEGIN/COMMIT/ROLLBACK it accepts reaches the transaction SQL BEGIN opens
+// on the shared DB. Caller holds the session lock.
 func (s *Server) runStatement(w http.ResponseWriter, r *http.Request, sess *session, sql string, args []any) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	s.statements.Add(1)
 	t0 := time.Now()
 
-	switch txKeyword(sql) {
+	switch s.db.SQL().TxnControl(sql) {
 	case "BEGIN":
 		if sess.tx != nil {
 			writeError(w, http.StatusConflict, wire.CodeTxState, "transaction already in progress")
@@ -229,7 +231,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if kw := txKeyword(req.SQL); kw != "" {
+	if kw := s.db.SQL().TxnControl(req.SQL); kw != "" {
 		writeError(w, http.StatusBadRequest, wire.CodeTxState, "cannot prepare "+kw)
 		return
 	}
@@ -380,24 +382,6 @@ func writeCommandOK(w http.ResponseWriter, t0 time.Time) {
 // all poll this context.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-}
-
-// txKeyword classifies transaction-control statements ("" for anything
-// else), so each session maps them onto a Tx handle of its own instead of
-// the one transaction SQL BEGIN opens on the shared DB.
-func txKeyword(sql string) string {
-	t := strings.ToUpper(strings.TrimSpace(sql))
-	t = strings.TrimSuffix(t, ";")
-	t = strings.TrimSpace(t)
-	switch t {
-	case "BEGIN", "BEGIN TRANSACTION", "BEGIN WORK":
-		return "BEGIN"
-	case "COMMIT", "COMMIT TRANSACTION", "COMMIT WORK", "END":
-		return "COMMIT"
-	case "ROLLBACK", "ROLLBACK TRANSACTION", "ROLLBACK WORK", "ABORT":
-		return "ROLLBACK"
-	}
-	return ""
 }
 
 // toBindArgs converts JSON-decoded args to engine bind args. JSON numbers

@@ -383,6 +383,90 @@ func TestTxIsolationAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestTxControlSpellingsStayInSession: every spelling of BEGIN, COMMIT and
+// ROLLBACK the engine parses — tabs, doubled spaces, comments, END, ABORT —
+// maps onto the sending session's own transaction. None may reach the one
+// transaction SQL BEGIN opens on the shared DB, which every other session
+// would then join (and lose its writes with).
+func TestTxControlSpellingsStayInSession(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	// A and B write different tables: an open transaction holds its
+	// tables' write latches until it ends, and B must not wait on A's.
+	for _, ddl := range []string{`CREATE TABLE mine (id integer)`, `CREATE TABLE spell (id integer)`} {
+		if _, err := c.Query(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := c.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(table string, id int) int64 {
+		t.Helper()
+		rows, err := c.Query(ctx, `SELECT count(*) FROM `+table+` WHERE id = $1`, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		if !rows.Next() {
+			t.Fatalf("count(%d): no row: %v", id, rows.Err())
+		}
+		return int64(rows.Row()[0].(float64))
+	}
+	exec := func(s *client.Session, sql string, args ...any) {
+		t.Helper()
+		if _, err := s.Exec(ctx, sql, args...); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+	}
+
+	id := 0
+	for _, begin := range []string{"BEGIN\tTRANSACTION", "BEGIN -- open", "/* x */ BEGIN", "BEGIN  WORK"} {
+		id++
+		exec(a, begin)
+		exec(a, `INSERT INTO mine VALUES ($1)`, id)
+		exec(b, `INSERT INTO spell VALUES ($1)`, id)
+		exec(a, "ROLLBACK -- undo")
+		if got := count("spell", id); got != 1 {
+			t.Errorf("after %q … ROLLBACK in session A, B's row reads %d times, want 1", begin, got)
+		}
+		if got := count("mine", id); got != 0 {
+			t.Errorf("after %q … ROLLBACK, A's row reads %d times, want 0", begin, got)
+		}
+	}
+	for _, end := range []struct {
+		sql  string
+		kept int64
+	}{{"END", 1}, {"ABORT", 0}, {"end transaction;", 1}, {"abort work", 0}} {
+		id++
+		exec(a, "begin")
+		exec(a, `INSERT INTO mine VALUES ($1)`, id)
+		exec(b, `INSERT INTO spell VALUES ($1)`, id)
+		exec(a, end.sql)
+		if got := count("spell", id); got != 1 {
+			t.Errorf("after %q in session A, B's row reads %d times, want 1", end.sql, got)
+		}
+		if got := count("mine", id); got != end.kept {
+			t.Errorf("after %q, A's row reads %d times, want %d", end.sql, got, end.kept)
+		}
+	}
+
+	// The one-shot endpoint refuses every spelling: it has no session to
+	// hold the transaction.
+	for _, sql := range []string{"BEGIN\tTRANSACTION", "BEGIN -- open", "/* x */ BEGIN", "BEGIN  WORK",
+		"END", "ABORT", "ROLLBACK -- undo", "commit work"} {
+		_, err := c.Query(ctx, sql)
+		if err == nil || wireCode(t, err) != wire.CodeTxState {
+			t.Errorf("one-shot %q: %v, want %s", sql, err, wire.CodeTxState)
+		}
+	}
+}
+
 func TestRequestTimeoutCancelsQuery(t *testing.T) {
 	_, c := newTestServer(t, Config{RequestTimeout: 150 * time.Millisecond})
 	ctx := context.Background()

@@ -309,10 +309,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	if err := db.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := New()
-	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	restored := mustOpenSnapshot(t, buf.String())
 	orig := mustQuery(t, db, `SELECT * FROM t ORDER BY a`)
 	got := mustQuery(t, restored, `SELECT * FROM t ORDER BY a`)
 	if len(got.Rows) != len(orig.Rows) {
@@ -338,8 +335,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreBadScript(t *testing.T) {
-	db := New()
-	if err := db.Restore(bytes.NewReader([]byte("NOT SQL"))); err == nil {
+	if _, err := openSnapshot(t, "NOT SQL"); err == nil {
 		t.Error("bad dump should fail")
 	}
 }

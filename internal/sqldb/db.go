@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,9 +89,7 @@ type DB struct {
 }
 
 // defaultLockWaitTimeout is the default latch-wait bound (see
-// DB.lockWaitNanos); override per database with SetLockWaitTimeout or
-// process-wide with the PGFMU_LOCK_WAIT_TIMEOUT environment variable (a Go
-// duration, e.g. "5s").
+// DB.lockWaitNanos); override it per database with SetLockWaitTimeout.
 const defaultLockWaitTimeout = time.Second
 
 // New creates an empty database with the plan cache enabled.
@@ -108,13 +105,7 @@ func New() *DB {
 	// Recovery replay stamps rows with timestamp 1; starting the clock there
 	// makes them visible to the first snapshot.
 	db.clock.Store(1)
-	wait := defaultLockWaitTimeout
-	if env := os.Getenv("PGFMU_LOCK_WAIT_TIMEOUT"); env != "" {
-		if d, err := time.ParseDuration(env); err == nil && d > 0 {
-			wait = d
-		}
-	}
-	db.lockWaitNanos.Store(int64(wait))
+	db.lockWaitNanos.Store(int64(defaultLockWaitTimeout))
 	return db
 }
 
@@ -174,6 +165,27 @@ func (db *DB) IsReadOnly(sql string) (bool, error) {
 	}
 	_, writes := db.funcUse(cp.stmt)
 	return isReadOnlyStmt(cp.stmt, writes), nil
+}
+
+// TxnControl classifies sql by the engine's grammar: "BEGIN", "COMMIT" or
+// "ROLLBACK" for a transaction-control statement in any spelling the parser
+// accepts, "" for any other statement and for text that does not parse.
+// Like IsReadOnly it goes through the plan cache, so a repeated statement
+// costs a lookup, not a parse.
+func (db *DB) TxnControl(sql string) string {
+	cp, err := db.parse(sql)
+	if err != nil {
+		return ""
+	}
+	switch cp.stmt.(type) {
+	case *BeginStmt:
+		return "BEGIN"
+	case *CommitStmt:
+		return "COMMIT"
+	case *RollbackStmt:
+		return "ROLLBACK"
+	}
+	return ""
 }
 
 // TableNames lists the catalogued tables (lowercased).

@@ -10,10 +10,11 @@ import (
 )
 
 // Dump writes the database as a SQL script (CREATE TABLE + INSERT + CREATE
-// INDEX statements) that Restore re-executes — the durability mechanism
-// standing in for PostgreSQL's persistent storage. Tables are emitted in
-// name order; values are rendered as re-parseable literals; each table's
-// secondary indexes follow its rows so Restore rebuilds them in one pass.
+// INDEX statements): the snapshot format of a durable directory, and the
+// export — a dump placed as <dir>/snapshot.sql opens as a database. Tables
+// are emitted in name order; values are rendered as re-parseable literals;
+// each table's secondary indexes follow its rows so a reload rebuilds them
+// in one pass.
 func (db *DB) Dump(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -71,18 +72,6 @@ func (db *DB) dumpLocked(w io.Writer) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// Restore executes a script produced by Dump into this (empty) database.
-func (db *DB) Restore(r io.Reader) error {
-	script, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("sql: reading dump: %w", err)
-	}
-	if _, err := db.ExecScript(string(script)); err != nil {
-		return fmt.Errorf("sql: restoring dump: %w", err)
 	}
 	return nil
 }

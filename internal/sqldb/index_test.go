@@ -295,10 +295,7 @@ func TestIndexDumpRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("dump missing index DDL:\n%s", script)
 	}
 
-	restored := New()
-	if err := restored.Restore(strings.NewReader(script)); err != nil {
-		t.Fatal(err)
-	}
+	restored := mustOpenSnapshot(t, script)
 	infos := restored.Indexes()
 	if len(infos) != 2 || infos[0].Name != "ib" || infos[1].Name != "ih" {
 		t.Fatalf("restored indexes = %+v", infos)

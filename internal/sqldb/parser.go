@@ -128,6 +128,13 @@ func (p *sqlParser) ident() (string, error) {
 
 func (p *sqlParser) parseStatement() (Statement, error) {
 	t := p.cur()
+	// ABORT is PostgreSQL's spelling of ROLLBACK; it is not reserved, so it
+	// stays an identifier everywhere else.
+	if t.kind == tIdent && t.text == "abort" {
+		p.next()
+		p.acceptTxnNoiseWord()
+		return &RollbackStmt{}, nil
+	}
 	if t.kind != tKeyword {
 		return nil, parseErr(t.pos, "expected statement keyword, found %s", t)
 	}
@@ -167,7 +174,7 @@ func (p *sqlParser) parseStatement() (Statement, error) {
 		p.next()
 		p.acceptTxnNoiseWord()
 		return &BeginStmt{}, nil
-	case "commit":
+	case "commit", "end": // END is PostgreSQL's spelling of COMMIT
 		p.next()
 		p.acceptTxnNoiseWord()
 		return &CommitStmt{}, nil

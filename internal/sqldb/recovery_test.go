@@ -21,6 +21,32 @@ func openDurable(t *testing.T, dir string, o DurabilityOptions) *DB {
 	return db
 }
 
+// openSnapshot loads a Dump script the way a dump is reopened: as the
+// snapshot.sql of a fresh directory. The database closes when the test ends.
+func openSnapshot(t *testing.T, script string) (*DB, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(script), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := New()
+	if err := db.EnableDurability(dir, DurabilityOptions{}); err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { db.Close() })
+	return db, nil
+}
+
+// mustOpenSnapshot is openSnapshot for a script that must load.
+func mustOpenSnapshot(t *testing.T, script string) *DB {
+	t.Helper()
+	db, err := openSnapshot(t, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func TestRecoveryDirectoryLock(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir, DurabilityOptions{})
@@ -259,8 +285,9 @@ func TestRecoveryInsertSelectKeepsHeapOrder(t *testing.T) {
 }
 
 // TestRecoveryEquivalentToDumpRestore drives the same workload through (a)
-// crash recovery and (b) the Dump/Restore path, and requires bit-identical
-// dumps — the WAL and the snapshot mechanisms must agree on final state.
+// crash recovery and (b) a Dump reopened as a directory's snapshot, and
+// requires bit-identical dumps — the WAL and the snapshot mechanisms must
+// agree on final state.
 func TestRecoveryEquivalentToDumpRestore(t *testing.T) {
 	workload := func(t *testing.T, db *DB) {
 		t.Helper()
@@ -282,14 +309,11 @@ func TestRecoveryEquivalentToDumpRestore(t *testing.T) {
 
 	mem := New()
 	workload(t, mem)
-	restored := New()
 	var memDump strings.Builder
 	if err := mem.Dump(&memDump); err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Restore(strings.NewReader(memDump.String())); err != nil {
-		t.Fatal(err)
-	}
+	restored := mustOpenSnapshot(t, memDump.String())
 
 	var a, b strings.Builder
 	if err := recovered.Dump(&a); err != nil {

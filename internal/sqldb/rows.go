@@ -61,25 +61,9 @@ func (rs *ResultSet) Stream() RowStream {
 	return &sliceStream{cols: rs.Columns, rows: rs.Rows}
 }
 
-// drainStream materializes a stream into a ResultSet, closing it.
-func drainStream(st RowStream) (*ResultSet, error) {
-	defer st.Close()
-	out := &ResultSet{Columns: st.Columns()}
-	for {
-		row, err := st.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, row)
-	}
-}
-
-// drainStreamCtx is drainStream polling the statement context, so a
-// cancelled query stops materializing an unbounded source (a huge
-// generate_series, a long fmu_simulate) promptly.
+// drainStreamCtx materializes a stream into a ResultSet, closing it. It
+// polls the statement context, so a cancelled query stops materializing an
+// unbounded source (a huge generate_series, a long fmu_simulate) promptly.
 func drainStreamCtx(cx *evalCtx, st RowStream) (*ResultSet, error) {
 	defer st.Close()
 	out := &ResultSet{Columns: st.Columns()}

@@ -108,6 +108,47 @@ func TestTxnControlErrors(t *testing.T) {
 	mustExec(t, db, `ROLLBACK`)
 }
 
+// TestTxnControlClassification: TxnControl names transaction control by the
+// grammar, so every spelling the parser accepts is classified — PostgreSQL's
+// END and ABORT, noise words, comments, odd whitespace — and nothing else
+// is; ABORT stays usable as an identifier.
+func TestTxnControlClassification(t *testing.T) {
+	db := New()
+	for sql, want := range map[string]string{
+		"BEGIN":                     "BEGIN",
+		"begin\ttransaction;":       "BEGIN",
+		"/* x */ BEGIN  WORK":       "BEGIN",
+		"BEGIN -- open":             "BEGIN",
+		"COMMIT WORK":               "COMMIT",
+		"END":                       "COMMIT",
+		"end transaction":           "COMMIT",
+		"ROLLBACK -- undo":          "ROLLBACK",
+		"ABORT":                     "ROLLBACK",
+		"abort work;":               "ROLLBACK",
+		"SELECT 1":                  "",
+		"SELECT abort FROM t":       "",
+		"BEGINNING":                 "",
+		"not sql at all":            "",
+		"INSERT INTO t VALUES (1)":  "",
+		"SELECT 'BEGIN' AS keyword": "",
+	} {
+		if got := db.TxnControl(sql); got != want {
+			t.Errorf("TxnControl(%q) = %q, want %q", sql, got, want)
+		}
+	}
+	mustExec(t, db, `CREATE TABLE t (abort integer)`)
+	mustExec(t, db, `BEGIN`)
+	mustExec(t, db, `INSERT INTO t VALUES (1)`)
+	mustExec(t, db, `ABORT`)
+	mustExec(t, db, `BEGIN`)
+	mustExec(t, db, `INSERT INTO t VALUES (2)`)
+	mustExec(t, db, `END`)
+	rs := mustQuery(t, db, `SELECT abort FROM t`)
+	if len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 2 {
+		t.Fatalf("rows after ABORT then END = %v, want [[2]]", rs.Rows)
+	}
+}
+
 func TestTxnStatementAtomicity(t *testing.T) {
 	// A failing multi-row INSERT leaves no partial rows behind, inside and
 	// outside explicit transactions.

@@ -359,8 +359,8 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	// Checked before anything in dir is created, locked or truncated.
 	if _, err := os.Stat(filepath.Join(dir, pagedImageFile)); err == nil {
 		return fmt.Errorf("sql: %s is a paged-format database file, which this build no longer reads; "+
-			"to migrate, open %s with an older build that reads it, Dump, and Restore the dump into a new directory",
-			filepath.Join(dir, pagedImageFile), dir)
+			"to migrate, open %s with an older build that reads it, Dump it, and place the dump as %s in a new directory",
+			filepath.Join(dir, pagedImageFile), dir, snapshotFile)
 	}
 
 	if err := os.MkdirAll(dir, 0o755); err != nil {

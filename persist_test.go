@@ -11,14 +11,43 @@ import (
 	"repro/internal/sqldb"
 )
 
-func TestSaveAndOpenFileRoundTrip(t *testing.T) {
+// dumpAsDirectory writes db's Dump as the snapshot.sql of a fresh directory
+// and returns that directory: the export and migration path, which Open
+// loads like any durable database.
+func dumpAsDirectory(t *testing.T, db *DB) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := writeTestFile(filepath.Join(dir, "snapshot.sql"), dumpString(t, db)); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func dumpString(t *testing.T, db *DB) string {
+	t.Helper()
+	var b strings.Builder
+	if err := db.SQL().Dump(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// openDumped opens a directory made by dumpAsDirectory and closes it when
+// the test ends.
+func openDumped(t *testing.T, dir string) *DB {
+	t.Helper()
+	db := openDurableFast(t, dir)
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+func TestDumpSnapshotRoundTrip(t *testing.T) {
 	db := openFast(t)
 	loadHP1(t, db, "measurements", 1)
 	if _, err := db.CreateModel(dataset.HP1Source, "hp"); err != nil {
 		t.Fatal(err)
 	}
-	// Calibrate so the persisted instance carries fitted (non-default)
-	// values.
+	// Calibrate so the dumped instance carries fitted (non-default) values.
 	results, err := db.Calibrate([]string{"hp"},
 		[]string{"SELECT time, x, u FROM measurements"}, []string{"Cp", "R"})
 	if err != nil {
@@ -26,19 +55,11 @@ func TestSaveAndOpenFileRoundTrip(t *testing.T) {
 	}
 	fittedCp := results[0].Params["Cp"]
 
-	path := filepath.Join(t.TempDir(), "env.sql")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := openDumped(t, dumpAsDirectory(t, db))
 	// User tables survive.
 	rs, err := restored.Query(`SELECT count(*) FROM measurements`)
 	if err != nil || rs.Rows[0][0].Int() == 0 {
-		t.Fatalf("measurements after restore = %v, %v", rs, err)
+		t.Fatalf("measurements after reopen = %v, %v", rs, err)
 	}
 	// The instance is alive with its fitted parameters.
 	initial, _, _, err := restored.Get("hp", "Cp")
@@ -47,22 +68,22 @@ func TestSaveAndOpenFileRoundTrip(t *testing.T) {
 	}
 	cp, _ := initial.AsFloat()
 	if math.Abs(cp-fittedCp) > 1e-9 {
-		t.Errorf("restored Cp = %v, want %v", cp, fittedCp)
+		t.Errorf("reopened Cp = %v, want %v", cp, fittedCp)
 	}
 	// And fully operational: simulate through SQL.
 	rs, err = restored.Query(
 		`SELECT count(*) FROM fmu_simulate('hp', 'SELECT * FROM measurements')`)
 	if err != nil || rs.Rows[0][0].Int() == 0 {
-		t.Fatalf("simulate after restore = %v, %v", rs, err)
+		t.Fatalf("simulate after reopen = %v, %v", rs, err)
 	}
-	// Even further calibration works on the restored session.
+	// Even further calibration works on the reopened database.
 	if _, err := restored.Calibrate([]string{"hp"},
 		[]string{"SELECT time, x, u FROM measurements"}, []string{"Cp", "R"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSaveRestoresIndexes(t *testing.T) {
+func TestDumpSnapshotRestoresIndexes(t *testing.T) {
 	db := openFast(t)
 	loadHP1(t, db, "measurements", 1)
 	if err := db.CreateIndex("m_time", "measurements", "time", IndexOrdered); err != nil {
@@ -72,14 +93,7 @@ func TestSaveRestoresIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "env.sql")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := openDumped(t, dumpAsDirectory(t, db))
 	var found int
 	for _, info := range restored.Indexes() {
 		switch info.Name {
@@ -96,35 +110,51 @@ func TestSaveRestoresIndexes(t *testing.T) {
 		}
 	}
 	if found != 2 {
-		t.Fatalf("restored indexes = %+v", restored.Indexes())
+		t.Fatalf("reopened indexes = %+v", restored.Indexes())
 	}
-	// The restored index serves range queries.
+	// The reloaded index serves range queries.
 	rs, err := restored.Query(`SELECT count(*) FROM measurements WHERE time BETWEEN 1 AND 5`)
 	if err != nil || rs.Rows[0][0].Int() == 0 {
-		t.Fatalf("indexed range after restore = %v, %v", rs, err)
+		t.Fatalf("indexed range after reopen = %v, %v", rs, err)
 	}
 }
 
-func TestOpenFileErrors(t *testing.T) {
-	if _, err := OpenFile(filepath.Join(t.TempDir(), "missing.sql")); err == nil {
-		t.Error("missing file should fail")
-	}
-	// A dump without the catalogue is rejected.
-	bad := filepath.Join(t.TempDir(), "bad.sql")
-	db := openFast(t)
-	if _, err := db.Exec(`CREATE TABLE only_this (a int)`); err != nil {
+func TestOpenSnapshotErrors(t *testing.T) {
+	// A path that is a regular file cannot hold a database.
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := writeTestFile(file, "x"); err != nil {
 		t.Fatal(err)
 	}
-	// Build a dump by hand that lacks catalogue tables.
-	if err := writeTestFile(bad, `CREATE TABLE "only_this" ("a" integer);`); err != nil {
-		t.Fatal(err)
+	if db, err := Open(file); err == nil {
+		db.Close()
+		t.Error("a regular file opened as a database directory")
 	}
-	if _, err := OpenFile(bad); err == nil {
-		t.Error("dump without catalogue should fail")
+	refused := func(snapshot, what, want string) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := writeTestFile(filepath.Join(dir, "snapshot.sql"), snapshot); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir)
+		if err == nil {
+			db.Close()
+			t.Fatalf("%s opened", what)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusing %s: %v, want it to mention %q", what, err, want)
+		}
+		// The refusal released the directory: without the snapshot it opens.
+		if err := os.Remove(filepath.Join(dir, "snapshot.sql")); err != nil {
+			t.Fatal(err)
+		}
+		openDumped(t, dir)
 	}
+	refused("NOT SQL", "a snapshot that is not SQL", "parsing snapshot")
+	// A dump without the catalogue is refused.
+	refused(`CREATE TABLE "only_this" ("a" integer);`, "a snapshot without the catalogue", "missing catalogue table")
 }
 
-func TestSaveDumpIsDeterministicSQL(t *testing.T) {
+func TestDumpIsDeterministicSQL(t *testing.T) {
 	db := openFast(t)
 	if _, err := db.Exec(`CREATE TABLE t (a int, b text, c variant)`); err != nil {
 		t.Fatal(err)
@@ -132,29 +162,17 @@ func TestSaveDumpIsDeterministicSQL(t *testing.T) {
 	if _, err := db.Exec(`INSERT INTO t VALUES (1, 'it''s', '2015-02-01 00:00:00'::timestamp)`); err != nil {
 		t.Fatal(err)
 	}
-	p1 := filepath.Join(t.TempDir(), "a.sql")
-	p2 := filepath.Join(t.TempDir(), "b.sql")
-	if err := db.Save(p1); err != nil {
-		t.Fatal(err)
+	if dumpString(t, db) != dumpString(t, db) {
+		t.Error("Dump must be deterministic")
 	}
-	if err := db.Save(p2); err != nil {
-		t.Fatal(err)
-	}
-	b1, b2 := readTestFile(t, p1), readTestFile(t, p2)
-	if b1 != b2 {
-		t.Error("Save must be deterministic")
-	}
-	// Restore keeps the timestamp kind inside the variant column.
-	restored, err := OpenFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reloading keeps the timestamp kind inside the variant column.
+	restored := openDumped(t, dumpAsDirectory(t, db))
 	rs, err := restored.Query(`SELECT c FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Rows[0][0].Kind().String() != "timestamp" {
-		t.Errorf("variant timestamp kind after restore = %v", rs.Rows[0][0].Kind())
+		t.Errorf("variant timestamp kind after reopen = %v", rs.Rows[0][0].Kind())
 	}
 }
 
@@ -348,7 +366,7 @@ func TestOpenRefusesPagedDirectory(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s opened a paged directory", who)
 		}
-		for _, want := range []string{"pages.db", "no longer reads", "Dump", "Restore"} {
+		for _, want := range []string{"pages.db", "no longer reads", "Dump", "snapshot.sql"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s error %q does not mention %q", who, err, want)
 			}

@@ -52,8 +52,9 @@
 //     builds a hash (equality) or ordered (equality + range) index, and
 //     WHERE predicates of the form col = $1, col BETWEEN lo AND hi, and
 //     col </<=/>/>= bound resolve through it instead of scanning. Indexes
-//     are maintained across INSERT/UPDATE/DELETE, survive Save/OpenFile,
-//     and are also reachable as typed helpers (CreateIndex, DropIndex).
+//     are maintained across INSERT/UPDATE/DELETE, survive checkpoints and
+//     crash recovery, and are also reachable as typed helpers (CreateIndex,
+//     DropIndex).
 //
 // The engine runs statements under a reader/writer lock: read-only SELECTs
 // execute concurrently, so multi-instance fan-out workloads (paper Fig. 7)
@@ -66,13 +67,14 @@
 // write-ahead log under dir, periodically folded into a snapshot, and
 // recovered on the next Open(dir) — including after a process kill. SQL
 // transactions (BEGIN/COMMIT/ROLLBACK) group statements atomically, and
-// Checkpoint/Close expose the durability points. See docs/architecture.md
-// for the full model.
+// Checkpoint/Close expose the durability points. The directory is the only
+// on-disk image: db.SQL().Dump writes a SQL export, and a dump placed as
+// <dir>/snapshot.sql opens with Open(dir). See docs/architecture.md for the
+// full model.
 package pgfmu
 
 import (
 	"context"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -163,25 +165,10 @@ func WithEstimatorOptions(o EstimatorOptions) Option { return core.WithEstimateO
 // throughput).
 func WithWALSyncEvery(n int) Option { return core.WithWALSyncEvery(n) }
 
-// WithAutoCheckpointEvery makes a durable database fold its WAL into a
-// fresh snapshot after every n logged records (0 disables automatic
-// checkpoints; the default bounds recovery time).
-func WithAutoCheckpointEvery(n int) Option { return core.WithAutoCheckpointEvery(n) }
-
 // WithLockWaitTimeout bounds how long a statement waits for a row or table
 // lock held by a concurrent transaction before failing (0 keeps the default
-// of one second). The PGFMU_LOCK_WAIT_TIMEOUT environment variable (a Go
-// duration, e.g. "250ms") overrides the default the same way.
+// of one second).
 func WithLockWaitTimeout(d time.Duration) Option { return core.WithLockWaitTimeout(d) }
-
-// WithJobWorkers sets the width of the async job worker pool that drains
-// fmu_submit/fmu_sweep work (default 4).
-func WithJobWorkers(n int) Option { return core.WithJobWorkers(n) }
-
-// WithSimCacheEntries bounds the content-addressed simulation result cache
-// (entries are whole trajectory frames, LRU-evicted; 0 disables the cache,
-// default 128).
-func WithSimCacheEntries(n int) Option { return core.WithSimCacheEntries(n) }
 
 // Open creates a pgFMU database with the model catalogue, the fmu_* UDF
 // suite, and the ML UDFs installed.
@@ -192,6 +179,8 @@ func WithSimCacheEntries(n int) Option { return core.WithSimCacheEntries(n) }
 // there, and reopening the same path recovers everything a previous process
 // committed — models, calibrated instances, indexes, and user tables —
 // even after a kill, dropping uncommitted transactions and torn log tails.
+// A directory holding only a snapshot.sql written by db.SQL().Dump opens as
+// the dumped database; that is how a database is copied or migrated.
 func Open(path string, opts ...Option) (*DB, error) {
 	var session *core.Session
 	var err error
@@ -433,38 +422,6 @@ func (db *DB) Simulate(req SimulateOptions) (*Rows, error) {
 // during integration stepping, aborting a long simulation mid-run.
 func (db *DB) SimulateContext(ctx context.Context, req SimulateOptions) (*Rows, error) {
 	return db.session.SimulateContext(ctx, req)
-}
-
-// Save writes the entire environment — catalogue, FMU archives, and user
-// tables — as a SQL script to path (the durability mechanism standing in for
-// PostgreSQL's persistent storage).
-func (db *DB) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := db.session.Dump(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// OpenFile restores an environment saved with Save: user tables reappear,
-// FMUs are re-read from the in-catalogue FMU storage, and every model
-// instance is re-instantiated with its persisted values.
-func OpenFile(path string, opts ...Option) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	session, err := core.RestoreSession(f, opts...)
-	if err != nil {
-		return nil, err
-	}
-	ml.RegisterUDFs(session.DB())
-	return &DB{session: session}, nil
 }
 
 // ControlOptions mirrors fmu_control's arguments (§9 future work: in-DBMS
