@@ -466,3 +466,82 @@ func TestConformanceTxWriteConflict(t *testing.T) {
 		t.Fatalf("bal = %d, want 110 (only the winner's update applied)", bal)
 	}
 }
+
+// TestConformanceTextBeginStaysOnConn: SQL-text BEGIN and ROLLBACK sent
+// through one sql.Conn open and end that connection's transaction only; a
+// row another connection autocommits meanwhile survives the rollback.
+func TestConformanceTextBeginStaysOnConn(t *testing.T) {
+	db, err := sql.Open("pgfmu", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	for _, ddl := range []string{`CREATE TABLE mine (a int)`, `CREATE TABLE theirs (a int)`} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := db.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.ExecContext(ctx, `BEGIN`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExecContext(ctx, `INSERT INTO mine VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	// c is held, so the pool runs this on another connection.
+	if _, err := db.Exec(`INSERT INTO theirs VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExecContext(ctx, `ROLLBACK`); err != nil {
+		t.Fatal(err)
+	}
+	var mine, theirs int
+	if err := db.QueryRow(`SELECT count(*) FROM mine`).Scan(&mine); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.QueryRow(`SELECT count(*) FROM theirs`).Scan(&theirs); err != nil {
+		t.Fatal(err)
+	}
+	if mine != 0 || theirs != 1 {
+		t.Fatalf("after ROLLBACK on one connection: mine=%d theirs=%d, want 0 and 1", mine, theirs)
+	}
+}
+
+// TestConformanceTxPrepare: siren's mustExecInTx idiom — tx.Prepare, then
+// stmt.Exec — writes inside the transaction, so Rollback leaves no row.
+func TestConformanceTxPrepare(t *testing.T) {
+	db, err := sql.Open("pgfmu", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE t (a int)`); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tx.Prepare(`INSERT INTO t VALUES ($1)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	if err := db.QueryRow(`SELECT count(*) FROM t`).Scan(&n); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("rows after tx.Prepare, Exec, Rollback = %d, want 0", n)
+	}
+}

@@ -23,9 +23,9 @@
 // database/sql pools connections, but a pgFMU engine is an embedded,
 // process-local object. The driver therefore implements
 // driver.DriverContext: each sql.DB gets one Connector owning one shared
-// engine, and every pooled connection is a light facade over it. Statement
-// concurrency is handled by the engine's reader/writer lock (read-only
-// SELECTs run in parallel). sql.DB.Close closes the engine.
+// engine, and every pooled connection is an engine connection (pgfmu.Conn)
+// over it. Statement concurrency is handled by the engine's reader/writer
+// lock (read-only SELECTs run in parallel). sql.DB.Close closes the engine.
 //
 // Result rows stream: driver.Rows wraps the engine's snapshot-backed
 // iterator, so scanning a large fmu_simulate result does bounded work per
@@ -33,16 +33,16 @@
 //
 // # Transactions
 //
-// Tx maps to an engine MVCC transaction handle: any number can be open
-// concurrently, each reads from the snapshot taken at Begin and writes
-// under per-table latches. While a Tx is open its connection routes every
-// statement through the handle; two transactions updating the same row
-// surface pgfmu.ErrWriteConflict (errors.Is-able through database/sql) on
-// the later one — retry the whole transaction. Statements prepared with
-// Tx.Prepare run outside the transaction (engine prepared statements are
-// connection-scoped); use Tx.Exec / Tx.Query directly instead. Isolation
-// options are rejected unless they request the default (snapshot
-// isolation).
+// A transaction belongs to the connection it began on. Tx opens it, and so
+// does SQL-text BEGIN sent through a sql.Conn (or a pool of one
+// connection); every statement on that connection, Tx.Prepare's included,
+// runs in it until it ends, and closing the connection rolls it back. Any
+// number can be open concurrently, each on its own connection, each
+// reading from the snapshot taken at Begin and writing under per-table
+// latches. Two transactions updating the same row surface
+// pgfmu.ErrWriteConflict (errors.Is-able through database/sql) on the
+// later one — retry the whole transaction. Isolation options are rejected
+// unless they request the default (snapshot isolation).
 package driver
 
 import (
@@ -115,7 +115,7 @@ func (c *Connector) Connect(ctx context.Context) (stddriver.Conn, error) {
 		}
 		c.eng = eng
 	}
-	return &conn{eng: c.eng}, nil
+	return &conn{conn: c.eng.Conn()}, nil
 }
 
 // Driver returns the parent driver.
@@ -133,14 +133,9 @@ func (c *Connector) Close() error {
 	return err
 }
 
-// conn is one pooled connection: a facade over the shared engine. While a
-// driver-level transaction is open, tx routes the connection's statements
-// through it (database/sql serializes use of a conn, so no lock is needed).
-type conn struct {
-	eng    *pgfmu.DB
-	tx     *pgfmu.Tx
-	closed bool
-}
+// conn is one pooled connection over the shared engine; its engine
+// connection holds its transaction.
+type conn struct{ conn *pgfmu.Conn }
 
 var (
 	_ stddriver.Conn               = (*conn)(nil)
@@ -156,59 +151,38 @@ func (c *conn) Prepare(query string) (stddriver.Stmt, error) {
 }
 
 func (c *conn) PrepareContext(ctx context.Context, query string) (stddriver.Stmt, error) {
-	if c.closed {
-		return nil, stddriver.ErrBadConn
-	}
-	st, err := c.eng.PrepareContext(ctx, query)
+	st, err := c.conn.PrepareContext(ctx, query)
 	if err != nil {
 		return nil, err
 	}
-	return &stmt{st: st, query: query}, nil
+	return &stmt{st: st}, nil
 }
 
-func (c *conn) Close() error {
-	// The engine belongs to the Connector; closing a pooled conn only
-	// retires the facade.
-	c.closed = true
-	return nil
-}
+// Close rolls back the connection's open transaction; the engine belongs
+// to the Connector.
+func (c *conn) Close() error { return c.conn.Close() }
 
 func (c *conn) Begin() (stddriver.Tx, error) {
 	return c.BeginTx(context.Background(), stddriver.TxOptions{})
 }
 
 func (c *conn) BeginTx(ctx context.Context, opts stddriver.TxOptions) (stddriver.Tx, error) {
-	if c.closed {
-		return nil, stddriver.ErrBadConn
-	}
 	if iso := sql.IsolationLevel(opts.Isolation); iso != sql.LevelDefault {
-		return nil, fmt.Errorf("pgfmu: unsupported isolation level %s (transactions are database-wide)", iso)
+		return nil, fmt.Errorf("pgfmu: unsupported isolation level %s (transactions run under snapshot isolation)", iso)
 	}
-	if c.tx != nil {
-		return nil, fmt.Errorf("pgfmu: transaction already open on this connection")
-	}
-	etx, err := c.eng.BeginTx(ctx)
+	etx, err := c.conn.BeginTx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	c.tx = etx
-	return &tx{c: c}, nil
+	return etx, nil
 }
 
 func (c *conn) QueryContext(ctx context.Context, query string, args []stddriver.NamedValue) (stddriver.Rows, error) {
-	if c.closed {
-		return nil, stddriver.ErrBadConn
-	}
 	goArgs, err := namedToArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	var it *pgfmu.RowIter
-	if c.tx != nil {
-		it, err = c.tx.QueryRowsContext(ctx, query, goArgs...)
-	} else {
-		it, err = c.eng.QueryRowsContext(ctx, query, goArgs...)
-	}
+	it, err := c.conn.QueryRowsContext(ctx, query, goArgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -216,19 +190,11 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []stddriver.
 }
 
 func (c *conn) ExecContext(ctx context.Context, query string, args []stddriver.NamedValue) (stddriver.Result, error) {
-	if c.closed {
-		return nil, stddriver.ErrBadConn
-	}
 	goArgs, err := namedToArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	var n int
-	if c.tx != nil {
-		n, err = c.tx.ExecContext(ctx, query, goArgs...)
-	} else {
-		n, err = c.eng.ExecContext(ctx, query, goArgs...)
-	}
+	n, err := c.conn.ExecContext(ctx, query, goArgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +202,7 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []stddriver.N
 }
 
 func (c *conn) Ping(ctx context.Context) error {
-	if c.closed {
-		return stddriver.ErrBadConn
-	}
-	_, err := c.eng.QueryContext(ctx, "SELECT 1")
+	_, err := c.conn.QueryContext(ctx, "SELECT 1")
 	if errors.Is(err, pgfmu.ErrClosed) {
 		return stddriver.ErrBadConn
 	}
@@ -247,10 +210,7 @@ func (c *conn) Ping(ctx context.Context) error {
 }
 
 // stmt adapts a pgfmu prepared statement.
-type stmt struct {
-	st    *pgfmu.Stmt
-	query string
-}
+type stmt struct{ st *pgfmu.Stmt }
 
 var (
 	_ stddriver.Stmt             = (*stmt)(nil)
@@ -294,22 +254,6 @@ func (s *stmt) ExecContext(ctx context.Context, args []stddriver.NamedValue) (st
 		return nil, err
 	}
 	return result{rowsAffected: int64(n)}, nil
-}
-
-// tx adapts a pgfmu transaction handle; finishing it detaches the handle
-// from the connection so later statements run auto-committed again.
-type tx struct{ c *conn }
-
-func (t *tx) Commit() error {
-	etx := t.c.tx
-	t.c.tx = nil
-	return etx.Commit()
-}
-
-func (t *tx) Rollback() error {
-	etx := t.c.tx
-	t.c.tx = nil
-	return etx.Rollback()
 }
 
 // rows adapts the engine's streaming iterator to driver.Rows. The iterator

@@ -92,7 +92,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, wire.CodeShutdown, "server is shutting down")
 		return
 	}
-	sess, err := s.sm.create()
+	sess, err := s.sm.create(s.db.Conn())
 	if err != nil {
 		if errors.Is(err, errSessionLimit) {
 			writeError(w, http.StatusTooManyRequests, wire.CodeLimit, err.Error())
@@ -118,6 +118,9 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 
 // ---- statement execution ----
 
+// handleSessionQuery runs one statement on the session's connection, which
+// holds the session's transaction: the engine's grammar recognises
+// BEGIN/COMMIT/ROLLBACK in every spelling it accepts.
 func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 	var req wire.QueryRequest
 	if !decodeBody(w, r, &req) {
@@ -129,7 +132,16 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.sm.release(sess)
-	s.runStatement(w, r, sess, req.SQL, req.Args)
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
+	s.statements.Add(1)
+	t0 := time.Now()
+	it, err := sess.conn.QueryRowsContext(ctx, req.SQL, toBindArgs(req.Args)...)
+	if err != nil {
+		writeStatementError(w, err)
+		return
+	}
+	s.streamRows(w, it, t0)
 }
 
 // handleOneShot runs a single statement with no session state — the curl /
@@ -157,73 +169,6 @@ func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
 	s.streamRows(w, it, t0)
 }
 
-// runStatement executes one statement in a session, mapping transaction
-// control onto the session's *pgfmu.Tx handle and streaming everything
-// else. The engine's grammar classifies the statement, so no spelling of
-// BEGIN/COMMIT/ROLLBACK it accepts reaches the transaction SQL BEGIN opens
-// on the shared DB. Caller holds the session lock.
-func (s *Server) runStatement(w http.ResponseWriter, r *http.Request, sess *session, sql string, args []any) {
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	s.statements.Add(1)
-	t0 := time.Now()
-
-	switch s.db.SQL().TxnControl(sql) {
-	case "BEGIN":
-		if sess.tx != nil {
-			writeError(w, http.StatusConflict, wire.CodeTxState, "transaction already in progress")
-			return
-		}
-		tx, err := s.db.BeginTx(ctx)
-		if err != nil {
-			writeStatementError(w, err)
-			return
-		}
-		sess.tx = tx
-		writeCommandOK(w, t0)
-		return
-	case "COMMIT":
-		if sess.tx == nil {
-			writeError(w, http.StatusConflict, wire.CodeTxState, "no transaction in progress")
-			return
-		}
-		tx := sess.tx
-		sess.tx = nil // the handle is finished whether or not Commit errs
-		if err := tx.Commit(); err != nil {
-			writeStatementError(w, err)
-			return
-		}
-		writeCommandOK(w, t0)
-		return
-	case "ROLLBACK":
-		if sess.tx == nil {
-			writeError(w, http.StatusConflict, wire.CodeTxState, "no transaction in progress")
-			return
-		}
-		tx := sess.tx
-		sess.tx = nil
-		if err := tx.Rollback(); err != nil {
-			writeStatementError(w, err)
-			return
-		}
-		writeCommandOK(w, t0)
-		return
-	}
-
-	var it *pgfmu.RowIter
-	var err error
-	if sess.tx != nil {
-		it, err = sess.tx.QueryRowsContext(ctx, sql, toBindArgs(args)...)
-	} else {
-		it, err = s.db.QueryRowsContext(ctx, sql, toBindArgs(args)...)
-	}
-	if err != nil {
-		writeStatementError(w, err)
-		return
-	}
-	s.streamRows(w, it, t0)
-}
-
 // ---- prepared statements ----
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -243,7 +188,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	defer s.sm.release(sess)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	st, err := s.db.PrepareContext(ctx, req.SQL)
+	st, err := sess.conn.PrepareContext(ctx, req.SQL)
 	if err != nil {
 		writeStatementError(w, err)
 		return
@@ -274,16 +219,7 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	s.statements.Add(1)
 	t0 := time.Now()
-	var it *pgfmu.RowIter
-	var err error
-	if sess.tx != nil {
-		// Inside a transaction the prepared text runs through the Tx handle
-		// so its reads/writes are transactional (plans are shared via the
-		// engine's plan cache either way).
-		it, err = sess.tx.QueryRowsContext(ctx, st.Text(), toBindArgs(req.Args)...)
-	} else {
-		it, err = st.QueryRowsContext(ctx, toBindArgs(req.Args)...)
-	}
+	it, err := st.QueryRowsContext(ctx, toBindArgs(req.Args)...)
 	if err != nil {
 		writeStatementError(w, err)
 		return
@@ -363,15 +299,6 @@ func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Ti
 	}
 	_ = enc.Encode(trailer)
 	flush()
-}
-
-// writeCommandOK answers a statement that produces no rows (BEGIN/COMMIT/
-// ROLLBACK) in stream shape, so clients parse every execution identically.
-func writeCommandOK(w http.ResponseWriter, t0 time.Time) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(wire.Header{Columns: []wire.Column{}})
-	_ = enc.Encode(wire.Trailer{Done: &wire.Done{ElapsedMS: msSince(t0)}})
 }
 
 // ---- shared helpers ----
@@ -476,7 +403,8 @@ func wireError(err error) *wire.Error {
 	switch {
 	case errors.Is(err, pgfmu.ErrWriteConflict):
 		code = wire.CodeConflict
-	case errors.Is(err, pgfmu.ErrTxDone), errors.Is(err, pgfmu.ErrTxInProgress):
+	case errors.Is(err, pgfmu.ErrTxDone), errors.Is(err, pgfmu.ErrTxInProgress),
+		errors.Is(err, pgfmu.ErrNoTx):
 		code = wire.CodeTxState
 	case errors.Is(err, pgfmu.ErrClosed):
 		code = wire.CodeClosed

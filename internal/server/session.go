@@ -10,21 +10,22 @@ import (
 	pgfmu "repro"
 )
 
-// session is one remote client's stateful context: an optional open
-// transaction handle, its server-side prepared statements, and an idle
-// clock. All statement execution on a session serializes on mu — a session
-// is a single logical connection, so two racing requests on the same id run
-// one after the other (each still under its own request timeout).
+// session is one remote client's stateful context: its engine connection
+// (which holds the transaction BEGIN opens), its server-side prepared
+// statements, and an idle clock. All statement execution on a session
+// serializes on mu — a session is a single logical connection, so two
+// racing requests on the same id run one after the other (each still under
+// its own request timeout).
 type session struct {
 	id string
 	// mu is held for the whole of each statement execution (including
 	// response streaming). The reaper only removes a session it can TryLock,
 	// so an in-flight statement is never reaped under.
 	mu sync.Mutex
-	// tx is the session's open transaction (BEGIN ... COMMIT/ROLLBACK
-	// mapped to a *pgfmu.Tx handle); nil outside a transaction.
-	tx *pgfmu.Tx
-	// stmts holds server-side prepared statements by handle id.
+	// conn runs the session's statements and holds its open transaction.
+	conn *pgfmu.Conn
+	// stmts holds server-side prepared statements, prepared on conn, by
+	// handle id.
 	stmts    map[string]*pgfmu.Stmt
 	stmtSeq  int
 	lastUsed atomic.Int64 // unix nanos
@@ -38,10 +39,7 @@ func (s *session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 // finish releases the session's engine resources: the open transaction is
 // rolled back and every prepared statement closed. Caller holds s.mu.
 func (s *session) finish() {
-	if s.tx != nil {
-		_ = s.tx.Rollback()
-		s.tx = nil
-	}
+	_ = s.conn.Close()
 	for id, st := range s.stmts {
 		_ = st.Close()
 		delete(s.stmts, id)
@@ -77,13 +75,13 @@ func newSessionManager(idle time.Duration, max int) *sessionManager {
 
 var errSessionLimit = fmt.Errorf("server: session limit reached")
 
-// create registers a fresh session.
-func (sm *sessionManager) create() (*session, error) {
+// create registers a fresh session running its statements on conn.
+func (sm *sessionManager) create(conn *pgfmu.Conn) (*session, error) {
 	id, err := newSessionID()
 	if err != nil {
 		return nil, err
 	}
-	s := &session{id: id, stmts: make(map[string]*pgfmu.Stmt)}
+	s := &session{id: id, conn: conn, stmts: make(map[string]*pgfmu.Stmt)}
 	s.touch()
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -160,10 +158,7 @@ func (sm *sessionManager) activeTxns() int {
 	defer sm.mu.Unlock()
 	n := 0
 	for _, s := range sm.sessions {
-		// Racy read without s.mu, but this is a monitoring count; the
-		// pointer itself is only mutated under s.mu and a stale answer is
-		// acceptable.
-		if s.tx != nil {
+		if s.conn.InTx() {
 			n++
 		}
 	}

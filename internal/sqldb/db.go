@@ -46,9 +46,10 @@ type DB struct {
 	// production; written only under the exclusive lock.
 	planner plannerOptions
 
-	// sqlTx is the transaction SQL BEGIN sent to the DB opened; every
-	// statement sent to the DB joins it until COMMIT or ROLLBACK.
-	sqlTx atomic.Pointer[Tx]
+	// conn is the DB's default connection: every statement sent to the DB
+	// runs through it, so the transaction SQL BEGIN sent to the DB opens is
+	// joined by every statement sent to the DB, from any goroutine.
+	conn Conn
 	// wal is the attached write-ahead log; nil for an in-memory database
 	// (see wal.go / EnableDurability).
 	wal *wal
@@ -106,6 +107,7 @@ func New() *DB {
 	// makes them visible to the first snapshot.
 	db.clock.Store(1)
 	db.lockWaitNanos.Store(int64(defaultLockWaitTimeout))
+	db.conn.db = db
 	return db
 }
 
@@ -238,11 +240,7 @@ func (db *DB) Query(sql string, args ...any) (*ResultSet, error) {
 // rows, inside long-running UDFs (which receive ctx), and while draining
 // the result.
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...any) (*ResultSet, error) {
-	it, err := db.QueryRowsContext(ctx, sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	return it.Materialize()
+	return db.conn.QueryContext(ctx, sql, args...)
 }
 
 // Exec runs a statement for its side effects and returns the number of rows
@@ -253,11 +251,7 @@ func (db *DB) Exec(sql string, args ...any) (int, error) {
 
 // ExecContext is Exec honouring ctx.
 func (db *DB) ExecContext(ctx context.Context, sql string, args ...any) (int, error) {
-	rs, err := db.QueryContext(ctx, sql, args...)
-	if err != nil {
-		return 0, err
-	}
-	return len(rs.Rows), nil
+	return db.conn.ExecContext(ctx, sql, args...)
 }
 
 // QueryRows runs a statement and returns a streaming row iterator: rows are
@@ -271,54 +265,30 @@ func (db *DB) QueryRows(sql string, args ...any) (*RowIter, error) {
 // QueryRowsContext is QueryRows honouring ctx: iteration stops with the
 // context's error once it is cancelled.
 func (db *DB) QueryRowsContext(ctx context.Context, sql string, args ...any) (*RowIter, error) {
-	cp, err := db.parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	params, err := bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return db.exec(ctx, nil, sql, cp, params)
+	return db.conn.QueryRowsContext(ctx, sql, args...)
 }
 
-// exec runs one statement, and is the one place a statement takes db.mu.
-// tx is the transaction it runs in: nil for a statement sent to the DB,
-// which joins the transaction SQL BEGIN opened or else is a transaction of
-// its own; a Tx, whose statements take db.mu one at a time; an Exclusive
-// Tx, which holds db.mu already; or a function's handle, which runs under
-// its statement's lock.
+// exec runs one statement other than transaction control (a Conn handles
+// those), and is the one place a statement takes db.mu. tx is the
+// transaction it runs in: nil for a transaction of its own; a Tx, whose
+// statements take db.mu one at a time; an Exclusive Tx, which holds db.mu
+// already; or a function's handle, which runs under its statement's lock.
 //
 // A read-only SELECT shares db.mu. DML calling only builtins waits for its
 // table's latch first, holding nothing, then shares db.mu; a statement of
 // its own pins its snapshot after the latch, so writers of one table queue
 // instead of conflicting. Everything else — DDL, ANALYZE, statements
-// calling a function that may write — takes db.mu exclusively. A statement
-// of its own waits as long as it must; a Tx's statement, whose transaction
-// may hold latches from earlier statements, waits at most the lock-wait
-// timeout and then fails with ErrWriteConflict.
+// calling a function that may write — takes db.mu exclusively. Every latch
+// wait is bounded by the lock-wait timeout and then fails with
+// ErrWriteConflict; a statement of its own waits for db.mu as long as it
+// must, a Tx's statement, whose transaction may hold latches from earlier
+// statements, at most the lock-wait timeout.
 func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if isTxnControlStmt(cp.stmt) {
-		if tx != nil {
-			return nil, fmt.Errorf("sql: transaction control is not valid inside a transaction handle")
-		}
-		return db.sqlTxnControl(ctx, cp.stmt)
-	}
-	if tx == nil {
-		if t := db.sqlTx.Load(); t != nil {
-			it, err := t.queryRows(ctx, text, cp, params)
-			if errors.Is(err, ErrTxDone) && db.sqlTx.Load() != t {
-				// COMMIT or ROLLBACK got there first: run after it.
-				return db.exec(ctx, nil, text, cp, params)
-			}
-			return it, err
-		}
 	}
 	udf, writes := db.funcUse(cp.stmt)
 	readOnly := isReadOnlyStmt(cp.stmt, writes)
@@ -363,11 +333,7 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 			if !ok {
 				return fail(fmt.Errorf("%w: %q", ErrNoSuchTable, name))
 			}
-			var wait time.Duration // 0: as long as it takes
-			if bounded {
-				wait = db.lockWaitTimeout()
-			}
-			if err := db.latchTable(ctx, tb, t, wait); err != nil {
+			if err := db.latchTable(ctx, tb, t); err != nil {
 				return fail(err)
 			}
 			latched = tb
@@ -473,41 +439,6 @@ const (
 	lockShared
 	lockExclusive
 )
-
-// sqlTxnControl runs BEGIN, COMMIT and ROLLBACK sent to the DB: BEGIN opens
-// a Concurrent Tx that the DB holds and that every statement sent to the DB
-// joins, from any goroutine, until COMMIT or ROLLBACK ends it.
-func (db *DB) sqlTxnControl(ctx context.Context, stmt Statement) (*RowIter, error) {
-	if _, ok := stmt.(*BeginStmt); ok {
-		tx, err := db.BeginTx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !db.sqlTx.CompareAndSwap(nil, tx) {
-			return nil, errors.Join(ErrTxInProgress, tx.Rollback())
-		}
-		return newRowIter(ctx, NewSliceStream(nil, nil)), nil
-	}
-	_, commit := stmt.(*CommitStmt)
-	verb := "ROLLBACK"
-	if commit {
-		verb = "COMMIT"
-	}
-	tx := db.sqlTx.Swap(nil)
-	if tx == nil {
-		return nil, fmt.Errorf("sql: %s without a transaction in progress", verb)
-	}
-	var err error
-	if commit {
-		err = tx.Commit()
-	} else {
-		err = tx.Rollback()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return newRowIter(ctx, NewSliceStream(nil, nil)), nil
-}
 
 // dmlTable names the table a DML statement writes.
 func dmlTable(s Statement) string {
@@ -689,9 +620,10 @@ func walkExprFuncs(e Expr, fn func(string)) {
 	})
 }
 
-// ExecScript runs a semicolon-separated statement sequence, returning the
-// result of the last statement. BEGIN/COMMIT/ROLLBACK inside the script
-// group statements into transactions exactly as they do through Query.
+// ExecScript runs a semicolon-separated statement sequence on the DB's
+// default connection, returning the result of the last statement.
+// BEGIN/COMMIT/ROLLBACK inside the script group statements into
+// transactions exactly as they do through Query.
 func (db *DB) ExecScript(sql string) (*ResultSet, error) {
 	stmts, texts, err := parseScriptWithText(sql)
 	if err != nil {
@@ -699,7 +631,7 @@ func (db *DB) ExecScript(sql string) (*ResultSet, error) {
 	}
 	var last *ResultSet
 	for i, stmt := range stmts {
-		it, err := db.exec(context.Background(), nil, texts[i], &cachedPlan{stmt: stmt}, nil)
+		it, err := db.conn.queryRows(context.Background(), texts[i], &cachedPlan{stmt: stmt}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1157,11 +1089,12 @@ func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
 
 // InsertRow appends a row of Go values to a table directly (bulk-load path
 // used by dataset loaders; bypasses SQL parsing). It is DML like INSERT:
-// it joins the transaction SQL BEGIN opened, or else commits on its own on
-// the latched write path, so loaders of different tables run in parallel.
+// it joins the transaction SQL BEGIN sent to the DB opened, or else commits
+// on its own on the latched write path, so loaders of different tables run
+// in parallel.
 // A durable database WAL-logs it as a physical row record.
 func (db *DB) InsertRow(table string, values ...any) error {
-	_, err := db.exec(context.Background(), nil, "", &cachedPlan{stmt: &rowInsert{Table: table, Values: values}}, nil)
+	_, err := db.conn.queryRows(context.Background(), "", &cachedPlan{stmt: &rowInsert{Table: table, Values: values}}, nil)
 	return err
 }
 

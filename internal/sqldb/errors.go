@@ -17,9 +17,13 @@ var (
 	// has already been committed or rolled back.
 	ErrTxDone = errors.New("sql: transaction has already been committed or rolled back")
 
-	// ErrTxInProgress is returned by SQL BEGIN sent to a DB while the
-	// transaction an earlier BEGIN opened there is still open.
+	// ErrTxInProgress is returned by a second BEGIN on the same Conn (SQL
+	// text or Conn.BeginTx) while the transaction the first opened is open.
 	ErrTxInProgress = errors.New("sql: a transaction is already in progress")
+
+	// ErrNoTx is returned by SQL COMMIT or ROLLBACK sent to a Conn with no
+	// transaction open.
+	ErrNoTx = errors.New("sql: COMMIT or ROLLBACK without a transaction in progress")
 
 	// ErrClosed is returned by any operation on a closed DB or Stmt.
 	ErrClosed = errors.New("sql: database is closed")

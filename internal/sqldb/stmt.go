@@ -3,6 +3,8 @@ package sqldb
 import (
 	"context"
 	"sync/atomic"
+
+	"repro/internal/variant"
 )
 
 // Stmt is a prepared statement: the parsed plan is resolved once at Prepare
@@ -10,19 +12,56 @@ import (
 // text-keyed plan-cache lookup on the hot path. The entry also carries the
 // compiled physical plan, which executions revalidate against the catalogue
 // epoch — DDL, ANALYZE, or planner-option changes force a transparent
-// replan (see plan.go). A Stmt is safe for concurrent use by multiple
-// goroutines — the parsed statement is immutable, the physical-plan slot is
-// atomic, and every execution binds its own parameters.
+// replan (see plan.go). A Stmt runs on the handle it was prepared on: a
+// Conn, the DB (its default Conn) or a Tx. A Stmt is safe for concurrent
+// use by multiple goroutines — the parsed statement is immutable, the
+// physical-plan slot is atomic, and every execution binds its own
+// parameters.
 type Stmt struct {
 	db     *DB
+	on     handle
 	text   string
 	cp     *cachedPlan
 	closed atomic.Bool
 }
 
-// Prepare parses sql once and returns a reusable statement handle. The plan
-// is shared with the text-keyed plan cache, so preparing an already-cached
-// statement is free.
+// handle is what a statement runs on: a *Conn or a *Tx.
+type handle interface {
+	queryRows(ctx context.Context, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error)
+}
+
+// query parses and binds one statement and runs it on h.
+func (db *DB) query(ctx context.Context, h handle, sql string, args []any) (*RowIter, error) {
+	cp, err := db.parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	params, err := bindArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	return h.queryRows(ctx, sql, cp, params)
+}
+
+// materialize drains a statement's rows (Query); rowCount counts them
+// (Exec).
+func materialize(it *RowIter, err error) (*ResultSet, error) {
+	if err != nil {
+		return nil, err
+	}
+	return it.Materialize()
+}
+
+func rowCount(rs *ResultSet, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return len(rs.Rows), nil
+}
+
+// Prepare parses sql once and returns a reusable statement handle that runs
+// on the DB's default connection. The plan is shared with the text-keyed
+// plan cache, so preparing an already-cached statement is free.
 func (db *DB) Prepare(sql string) (*Stmt, error) {
 	return db.PrepareContext(context.Background(), sql)
 }
@@ -30,6 +69,11 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 // PrepareContext is Prepare honouring ctx (parsing is fast; the context
 // matters when the call races a shutdown).
 func (db *DB) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
+	return db.prepare(ctx, sql, &db.conn)
+}
+
+// prepare parses sql into a Stmt that runs on h.
+func (db *DB) prepare(ctx context.Context, sql string, h handle) (*Stmt, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -45,7 +89,7 @@ func (db *DB) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, text: sql, cp: cp}, nil
+	return &Stmt{db: db, on: h, text: sql, cp: cp}, nil
 }
 
 // Query executes the prepared statement and materializes its rows.
@@ -55,11 +99,7 @@ func (s *Stmt) Query(args ...any) (*ResultSet, error) {
 
 // QueryContext is Query honouring ctx.
 func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*ResultSet, error) {
-	it, err := s.QueryRowsContext(ctx, args...)
-	if err != nil {
-		return nil, err
-	}
-	return it.Materialize()
+	return materialize(s.QueryRowsContext(ctx, args...))
 }
 
 // QueryRows executes the prepared statement as a streaming row iterator.
@@ -76,7 +116,7 @@ func (s *Stmt) QueryRowsContext(ctx context.Context, args ...any) (*RowIter, err
 	if err != nil {
 		return nil, err
 	}
-	return s.db.exec(ctx, nil, s.text, s.cp, params)
+	return s.on.queryRows(ctx, s.text, s.cp, params)
 }
 
 // Plan resolves (or revalidates) the statement's physical plan without
@@ -136,15 +176,8 @@ func (s *Stmt) Exec(args ...any) (int, error) {
 
 // ExecContext is Exec honouring ctx.
 func (s *Stmt) ExecContext(ctx context.Context, args ...any) (int, error) {
-	rs, err := s.QueryContext(ctx, args...)
-	if err != nil {
-		return 0, err
-	}
-	return len(rs.Rows), nil
+	return rowCount(s.QueryContext(ctx, args...))
 }
-
-// Text returns the statement's SQL.
-func (s *Stmt) Text() string { return s.text }
 
 // Close releases the handle; subsequent executions return ErrClosed. The
 // shared plan-cache entry (if any) is unaffected.

@@ -10,9 +10,10 @@ import (
 )
 
 // Tx is a transaction handle, and the only kind of transaction there is:
-// Begin/BeginTx return one, SQL BEGIN sent to the DB opens one the DB
-// holds, a statement outside any transaction runs as a one-statement one,
-// and every UDF receives one for its statement (see ScalarFunc).
+// Begin/BeginTx return one, SQL BEGIN sent to a Conn (or to the DB, through
+// its default Conn) opens one the Conn holds, a statement outside any
+// transaction runs as a one-statement one, and every UDF receives one for
+// its statement (see ScalarFunc).
 //
 // A transaction pins a snapshot at begin (repeatable reads), latches the
 // tables it writes until Commit or Rollback, and commits or rolls back
@@ -22,9 +23,9 @@ import (
 // ErrWriteConflict — roll back and retry the transaction.
 //
 // A Tx is safe for concurrent use: its statements serialize on the handle,
-// and Commit and Rollback wait for the running one. SQL COMMIT/ROLLBACK text
-// sent through a Tx is rejected. After Commit or Rollback every method
-// returns ErrTxDone.
+// and Commit and Rollback wait for the running one. SQL transaction control
+// sent through a Tx is rejected. After Commit or Rollback every method, and
+// every Stmt prepared on the Tx, returns ErrTxDone.
 type Tx struct {
 	db    *DB
 	state *txnState // nil in a read-only statement's function handle
@@ -197,11 +198,7 @@ func (tx *Tx) Exec(sql string, args ...any) (int, error) {
 
 // ExecContext is Exec honouring ctx.
 func (tx *Tx) ExecContext(ctx context.Context, sql string, args ...any) (int, error) {
-	rs, err := tx.QueryContext(ctx, sql, args...)
-	if err != nil {
-		return 0, err
-	}
-	return len(rs.Rows), nil
+	return rowCount(tx.QueryContext(ctx, sql, args...))
 }
 
 // Query runs a statement inside the transaction, materialized.
@@ -211,11 +208,7 @@ func (tx *Tx) Query(sql string, args ...any) (*ResultSet, error) {
 
 // QueryContext is Query honouring ctx.
 func (tx *Tx) QueryContext(ctx context.Context, sql string, args ...any) (*ResultSet, error) {
-	it, err := tx.QueryRowsContext(ctx, sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	return it.Materialize()
+	return materialize(tx.QueryRowsContext(ctx, sql, args...))
 }
 
 // QueryRows runs a statement inside the transaction as a streaming
@@ -229,15 +222,7 @@ func (tx *Tx) QueryRows(sql string, args ...any) (*RowIter, error) {
 
 // QueryRowsContext is QueryRows honouring ctx.
 func (tx *Tx) QueryRowsContext(ctx context.Context, sql string, args ...any) (*RowIter, error) {
-	cp, err := tx.db.parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	params, err := bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return tx.queryRows(ctx, sql, cp, params)
+	return tx.db.query(ctx, tx, sql, args)
 }
 
 // queryRows runs one parsed statement in the transaction, one at a time
@@ -251,13 +236,14 @@ func (tx *Tx) queryRows(ctx context.Context, text string, cp *cachedPlan, params
 	if tx.done.Load() {
 		return nil, ErrTxDone
 	}
+	if isTxnControlStmt(cp.stmt) {
+		return nil, errors.New("sql: transaction control is not valid inside a transaction handle")
+	}
 	return tx.db.exec(ctx, tx, text, cp, params)
 }
 
-// Prepare returns a prepared statement usable inside (and after) the
-// transaction; plans are transaction-independent. Note that statements
-// executed through the returned Stmt run outside this transaction — use
-// the Tx's own Exec/Query for transactional statements.
+// Prepare returns a prepared statement that runs inside the transaction;
+// once the transaction ends, executing it returns ErrTxDone.
 func (tx *Tx) Prepare(sql string) (*Stmt, error) {
 	return tx.PrepareContext(context.Background(), sql)
 }
@@ -267,5 +253,5 @@ func (tx *Tx) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
 	if tx.done.Load() {
 		return nil, ErrTxDone
 	}
-	return tx.db.PrepareContext(ctx, sql)
+	return tx.db.prepare(ctx, sql, tx)
 }
