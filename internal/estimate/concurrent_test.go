@@ -177,3 +177,147 @@ func TestSearchesSameAtAnyGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// lineCands are the candidates project(x + 2⁻ᵏ·d), k = 0..29, of a line
+// search from x along d.
+func lineCands(x, d []float64) [][]float64 {
+	s := &search{params: bowlParams}
+	cands := make([][]float64, 30)
+	for k := range cands {
+		cands[k] = make([]float64, len(x))
+		for i := range x {
+			cands[k][i] = x[i] + math.Ldexp(1, -k)*d[i]
+		}
+		s.project(cands[k])
+	}
+	return cands
+}
+
+// lineFrom is the line search these tests drive directly: a step along d
+// from x, where every candidate stays inside bowlParams' box but the first.
+var lineFrom, lineDir = []float64{0, 10, 5}, []float64{1, 2, 3}
+
+// TestLineSearchScoresEveryHalvingInOrder: a line search that never improves
+// scores 1, ½, …, 2⁻²⁹ — on one core in that order — and then stops.
+func TestLineSearchScoresEveryHalvingInOrder(t *testing.T) {
+	want := lineCands(lineFrom, lineDir)
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var mu sync.Mutex
+			var seen []string
+			s := &search{ctx: context.Background(), params: bowlParams, cost: func(x []float64) (float64, error) {
+				mu.Lock()
+				seen = append(seen, candidateKey(x))
+				mu.Unlock()
+				return 1, nil
+			}}
+			x, _, err := s.lineSearch(lineFrom, lineDir, 1)
+			if x != nil || err != nil {
+				t.Fatalf("%d procs: lineSearch = %v, %v; want no step", procs, x, err)
+			}
+			if len(seen) != len(want) || s.evals != len(want) {
+				t.Fatalf("%d procs: %d candidates scored, %d counted; want %d", procs, len(seen), s.evals, len(want))
+			}
+			for k, c := range want {
+				// Only the pairs' order is fixed on more than one core.
+				if got := seen[k]; got != candidateKey(c) && (procs == 1 || got != candidateKey(want[k^1])) {
+					t.Fatalf("%d procs: candidate %d is %s, want 2^-%d: %s", procs, k, got, k, candidateKey(c))
+				}
+			}
+		}()
+	}
+}
+
+// TestLineSearchErrorIsSerial: a failing α is returned even when α/2, scored
+// beside it (and, on more than one core, finished first), improves; a
+// failing α/2 is returned when α does not improve.
+func TestLineSearchErrorIsSerial(t *testing.T) {
+	cands := lineCands(lineFrom, lineDir)
+	for _, tc := range []struct {
+		name      string
+		fail      int
+		improving int
+	}{
+		{"alpha fails", 2, 3},
+		{"partner fails", 3, 4},
+	} {
+		for _, procs := range []int{1, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				s := &search{ctx: context.Background(), params: bowlParams, cost: func(x []float64) (float64, error) {
+					switch candidateKey(x) {
+					case candidateKey(cands[tc.fail]):
+						time.Sleep(20 * time.Millisecond)
+						return 0, fmt.Errorf("cost failed at %v", x)
+					case candidateKey(cands[tc.improving]):
+						return 0, nil
+					}
+					return 1, nil
+				}}
+				x, _, err := s.lineSearch(lineFrom, lineDir, 1)
+				want := fmt.Sprintf("cost failed at %v", cands[tc.fail])
+				if x != nil || err == nil || err.Error() != want {
+					t.Fatalf("%s, %d procs: lineSearch = %v, %v; want %q", tc.name, procs, x, err, want)
+				}
+			}()
+		}
+	}
+}
+
+// TestLineSearchTakesStepBeforeFailingPartner: when α improves, its partner
+// α/2 failing changes nothing: the search goes on to the same bits, with the
+// same evaluation count, as when the partner succeeds.
+func TestLineSearchTakesStepBeforeFailingPartner(t *testing.T) {
+	start := []float64{0.1, 20, 9}
+	var results []string
+	qn := func(s *search) error {
+		best, cost, _, err := s.quasiNewton(start, LocalOptions{}.withDefaults())
+		results = append(results, fmt.Sprintf("%s %x evals=%d", candidateKey(best), math.Float64bits(cost), s.evals))
+		return err
+	}
+	seen := serialCandidates(t, qn)
+	// seen[0] is the start and seen[1:4] its gradient probes; the first line
+	// search's pairs follow. Its accepted step must be the first of a pair.
+	k := 4
+	for bowlAt(seen[k]) >= bowlAt(seen[0]) {
+		k++
+	}
+	if (k-4)%2 != 0 {
+		t.Fatalf("first line search accepts candidate %d, the second of its pair", k-4)
+	}
+	one, four := failAt(t, qn, [][]float64{seen[k+1]})
+	if one != nil || four != nil {
+		t.Fatalf("err = %v (1 proc), %v (4 procs); want none", one, four)
+	}
+	if results[1] != results[0] || results[2] != results[0] {
+		t.Fatalf("partner failing: %s (1 proc), %s (4 procs); succeeding: %s", results[1], results[2], results[0])
+	}
+}
+
+func bowlAt(x []float64) float64 { c, _ := bowl(x); return c }
+
+// TestCancelInLineSearch: a context cancelled while a line search scores a
+// pair fails the search with ctx.Err(), and no evaluation starts after the
+// pair's partner.
+func TestCancelInLineSearch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	s := &search{ctx: ctx, params: bowlParams, cost: func(x []float64) (float64, error) {
+		// Calls 1..4 are the start and its gradient probes; 5 and 6 are the
+		// first line search's first pair.
+		if calls.Add(1) == 5 {
+			cancel()
+		}
+		return bowl(x)
+	}}
+	_, _, _, err := s.quasiNewton([]float64{0.1, 20, 9}, LocalOptions{}.withDefaults())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ctx.Err()", err)
+	}
+	if n := calls.Load(); n > 6 {
+		t.Errorf("%d objective calls; the cancelled pair ends at call 6", n)
+	}
+}

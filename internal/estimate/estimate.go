@@ -268,22 +268,29 @@ func (s *search) project(x []float64) []float64 {
 
 // score evaluates one candidate.
 func (s *search) score(x []float64) (float64, error) {
-	costs, err := s.scoreAll([][]float64{x})
+	costs, _, err := s.scoreAll([][]float64{x})
 	return costs[0], err
 }
 
 // scoreAll evaluates a batch of candidates, all fixed before any is scored,
 // on ForEach and returns their costs in candidate order: each cost depends on
-// its candidate alone, so costs and error are those of a serial loop. The
-// whole batch counts as evaluated, even when it fails.
-func (s *search) scoreAll(xs [][]float64) ([]float64, error) {
-	costs := make([]float64, len(xs))
-	err := ForEach(len(xs), func(i int) (err error) {
+// its candidate alone, so costs and error are those of a serial loop. done
+// counts the leading candidates that were scored without error (all of them
+// when err is nil); ForEach runs every index below the lowest failing one.
+// The whole batch counts as evaluated, even when it fails.
+func (s *search) scoreAll(xs [][]float64) (costs []float64, done int, err error) {
+	costs = make([]float64, len(xs))
+	ok := make([]bool, len(xs))
+	err = ForEach(len(xs), func(i int) (err error) {
 		if err = s.ctx.Err(); err == nil {
 			costs[i], err = s.cost(xs[i])
 		}
+		ok[i] = err == nil
 		return err
 	})
+	for done < len(xs) && ok[done] {
+		done++
+	}
 	s.evals += len(xs)
-	return costs, err
+	return costs, done, err
 }

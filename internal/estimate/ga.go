@@ -88,7 +88,7 @@ func (s *search) global(opts GAOptions) ([]float64, float64, []TracePoint, error
 	for i := range genes {
 		genes[i] = randomCandidate(s.params, rng)
 	}
-	costs, err := s.scoreAll(genes)
+	costs, _, err := s.scoreAll(genes)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("estimate: GA init: %w", err)
 	}
@@ -148,7 +148,7 @@ func (s *search) global(opts GAOptions) ([]float64, float64, []TracePoint, error
 			}
 			children = append(children, child)
 		}
-		costs, err := s.scoreAll(children)
+		costs, _, err := s.scoreAll(children)
 		if err != nil {
 			return nil, 0, nil, fmt.Errorf("estimate: GA generation %d: %w", gen, err)
 		}

@@ -41,9 +41,10 @@ func (o LocalOptions) withDefaults() LocalOptions {
 }
 
 // LocalSearch refines start within the problem bounds and returns the
-// optimum, its cost, the number of objective evaluations, and an optional
-// iteration trace. The context is polled before every objective evaluation,
-// so cancellation takes effect within one evaluation per worker.
+// optimum, its cost, the number of objective evaluations (the line search's
+// speculative ones included), and an optional iteration trace. The context
+// is polled before every objective evaluation, so cancellation takes effect
+// within one evaluation per worker.
 func LocalSearch(ctx context.Context, p *Problem, start []float64, opts LocalOptions) ([]float64, float64, int, []TracePoint, error) {
 	opts = opts.withDefaults()
 	if len(start) != len(p.Params) {
@@ -59,8 +60,8 @@ func LocalSearch(ctx context.Context, p *Problem, start []float64, opts LocalOpt
 }
 
 // quasiNewton is a projected BFGS with backtracking line search and
-// finite-difference gradients. A gradient's probes are scored as one batch;
-// the line search stays serial, since each of its steps depends on the last.
+// finite-difference gradients. A gradient's probes are scored as one batch,
+// and the line search scores its step lengths in batches of lineWidth.
 func (s *search) quasiNewton(start []float64, opts LocalOptions) ([]float64, float64, []TracePoint, error) {
 	dim := len(start)
 	x := s.project(append([]float64(nil), start...))
@@ -86,7 +87,7 @@ func (s *search) quasiNewton(start []float64, opts LocalOptions) ([]float64, flo
 			probes[i] = append([]float64(nil), x...)
 			probes[i][i] = x[i] + h
 		}
-		costs, err := s.scoreAll(probes)
+		costs, _, err := s.scoreAll(probes)
 		if err != nil {
 			return nil, err
 		}
@@ -143,28 +144,11 @@ func (s *search) quasiNewton(start []float64, opts LocalOptions) ([]float64, flo
 			}
 		}
 
-		// Backtracking line search with projection.
-		alpha := 1.0
-		var xNew []float64
-		var fNew float64
-		improved := false
-		for bt := 0; bt < 30; bt++ {
-			xNew = make([]float64, dim)
-			for i := range xNew {
-				xNew[i] = x[i] + alpha*d[i]
-			}
-			s.project(xNew)
-			fNew, err = s.score(xNew)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			if fNew < fx {
-				improved = true
-				break
-			}
-			alpha *= 0.5
+		xNew, fNew, err := s.lineSearch(x, d, fx)
+		if err != nil {
+			return nil, 0, nil, err
 		}
-		if !improved {
+		if xNew == nil {
 			break
 		}
 
@@ -174,13 +158,13 @@ func (s *search) quasiNewton(start []float64, opts LocalOptions) ([]float64, flo
 		}
 
 		// BFGS update on the inverse Hessian.
-		s := make([]float64, dim)
+		step := make([]float64, dim)
 		yv := make([]float64, dim)
 		sy := 0.0
 		for i := 0; i < dim; i++ {
-			s[i] = xNew[i] - x[i]
+			step[i] = xNew[i] - x[i]
 			yv[i] = gNew[i] - g[i]
-			sy += s[i] * yv[i]
+			sy += step[i] * yv[i]
 		}
 		if sy > 1e-12 {
 			rho := 1 / sy
@@ -197,8 +181,8 @@ func (s *search) quasiNewton(start []float64, opts LocalOptions) ([]float64, flo
 			}
 			for i := 0; i < dim; i++ {
 				for j := 0; j < dim; j++ {
-					H[i][j] += (sy + yHy) * rho * rho * s[i] * s[j]
-					H[i][j] -= rho * (Hy[i]*s[j] + s[i]*Hy[j])
+					H[i][j] += (sy + yHy) * rho * rho * step[i] * step[j]
+					H[i][j] -= rho * (Hy[i]*step[j] + step[i]*Hy[j])
 				}
 			}
 		}
@@ -213,6 +197,40 @@ func (s *search) quasiNewton(start []float64, opts LocalOptions) ([]float64, flo
 	return x, fx, trace, nil
 }
 
+// lineWidth is how many step lengths the line search scores at once: a
+// constant, not the core count, so that CostEvals is the same on every host.
+const lineWidth = 2
+
+// lineSearch backtracks from x along d over the step lengths α = 1, ½, …,
+// 2⁻²⁹ and returns the first candidate project(x + α·d), in that order, whose
+// cost is below fx, or nil when none is. It scores lineWidth candidates at a
+// time (α and α/2; halving is exact), so the step taken, and the error when a
+// candidate fails before one improves, are those of a serial loop.
+func (s *search) lineSearch(x, d []float64, fx float64) ([]float64, float64, error) {
+	alpha := 1.0
+	for bt := 0; bt < 30; bt += lineWidth {
+		trial := make([][]float64, min(lineWidth, 30-bt))
+		for k := range trial {
+			trial[k] = make([]float64, len(x))
+			for i := range x {
+				trial[k][i] = x[i] + alpha*d[i]
+			}
+			s.project(trial[k])
+			alpha *= 0.5
+		}
+		costs, done, err := s.scoreAll(trial)
+		for k, c := range costs[:done] {
+			if c < fx {
+				return trial[k], c, nil
+			}
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return nil, 0, nil
+}
+
 // nelderMead is a bounded simplex search. The initial simplex and a shrink
 // step are scored as batches; every other step scores one point.
 func (s *search) nelderMead(start []float64, opts LocalOptions) ([]float64, float64, []TracePoint, error) {
@@ -224,7 +242,8 @@ func (s *search) nelderMead(start []float64, opts LocalOptions) ([]float64, floa
 		for k, x := range xs {
 			clipped[k] = s.project(append([]float64(nil), x...))
 		}
-		return s.scoreAll(clipped)
+		costs, _, err := s.scoreAll(clipped)
+		return costs, err
 	}
 
 	// Initial simplex: start plus a perturbed vertex per dimension.

@@ -232,7 +232,8 @@ type Result struct {
 	// RMSE is the training-window error at the optimum (the paper's
 	// estimationError).
 	RMSE float64
-	// CostEvals counts objective evaluations (simulations) performed.
+	// CostEvals counts objective evaluations (simulations) performed,
+	// including the line search's speculative candidates that were not taken.
 	CostEvals int
 	// Trace records optimizer iterations when tracing was requested.
 	Trace []TracePoint
