@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -158,7 +157,6 @@ func (sh *shell) meta(cmd string) bool {
 		} else {
 			names = sh.db.SQL().TableNames()
 		}
-		sort.Strings(names)
 		for _, n := range names {
 			fmt.Fprintln(sh.out, n)
 		}

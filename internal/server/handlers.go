@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -81,7 +80,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	names := s.db.SQL().TableNames()
-	sort.Strings(names)
 	writeJSON(w, http.StatusOK, wire.TablesResponse{Tables: names})
 }
 

@@ -328,7 +328,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	// Column types survive.
-	tab, _ := restored.tables.get("t")
+	tab, _ := restored.tables.Load().get("t")
 	if tab.Columns[5].Type != "variant" || tab.Columns[4].Type != "timestamp" {
 		t.Errorf("restored column types = %+v", tab.Columns)
 	}

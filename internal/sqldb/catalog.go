@@ -2,9 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/variant"
@@ -50,24 +50,30 @@ func (rs *ResultSet) Scan(i int, column string) (variant.Value, error) {
 	return rs.Rows[i][idx], nil
 }
 
-// Table is a heap table: a schema plus a versioned row store and its
-// secondary indexes. Row storage is multi-versioned (see mvcc.go): readers
-// resolve a view header and filter by snapshot visibility without locks;
-// writers hold the table's write latch (plus the DB's shared lock) or the
-// DB's exclusive lock. The indexes slice itself is only mutated by DDL
-// under the exclusive lock.
+// Table is a heap table: a schema and its secondary indexes over a
+// multi-versioned row store (see mvcc.go). Readers resolve a view header and
+// filter by snapshot visibility without locks; writers hold the store's
+// write latch (plus the DB's shared lock) or the DB's exclusive lock.
+//
+// A Table in a catalogue value is never changed: index DDL makes a new Table
+// over the same store (withIndexes), which the committed catalogue sees only
+// when the DDL's transaction commits.
 type Table struct {
 	Name    string
 	Columns []Column
+	indexes []*index
+	*tableStore
+}
 
+// tableStore is a table's row storage, shared by every Table value of the
+// table. Write latches are taken on it (see lockMgr).
+type tableStore struct {
 	// view is the current published generation of the version arrays.
 	view atomic.Pointer[tableView]
 
 	// mirror is the typed columnar shadow of view the vectorized executor
 	// reads (colmirror.go).
 	mirror colMirror
-
-	indexes []*index
 
 	// stats is the latest ANALYZE snapshot (nil before the first one); it is
 	// replaced wholesale, never mutated. statMutations counts row churn since
@@ -76,6 +82,20 @@ type Table struct {
 	// inside a commit path could deadlock against the latch holder).
 	stats         atomic.Pointer[tableStats]
 	statMutations atomic.Int64
+}
+
+// newTable makes an empty table.
+func newTable(name string, cols []Column) *Table {
+	t := &Table{Name: name, Columns: cols, tableStore: &tableStore{}}
+	t.view.Store(&tableView{})
+	return t
+}
+
+// withIndexes returns a Table over t's store with the index list ixs.
+func (t *Table) withIndexes(ixs []*index) *Table {
+	nt := *t
+	nt.indexes = ixs
+	return &nt
 }
 
 func (t *Table) columnIndex(name string) int {
@@ -125,116 +145,109 @@ func coerceToColumn(v variant.Value, colType string) (variant.Value, error) {
 	}
 }
 
-// catalog maps lowercase table names to tables and tracks the database-wide
-// index namespace (index names are unique across tables, as in PostgreSQL).
-type catalog struct {
-	mu      sync.RWMutex
+// The catalogue. Its committed state is one immutable catalogValue behind
+// an atomic pointer (DB.tables, stored only under DB.commitMu), as a
+// table's rows are one tableView: a statement resolves names with a single
+// load and no lock. DDL never changes it in place. A transaction records its
+// DDL as catEdits; its own statements resolve names in the committed value
+// with those edits laid over it (DB.catalogFor), and commitTxn publishes the
+// value the edits make of the catalogue current at commit, under commitMu,
+// so publish order is WAL order. Until then no other statement sees the
+// DDL, and a rollback forgets the edits.
+
+// catalogValue is one catalogue: tables by lowercase name, and the
+// database-wide index namespace (index names are unique across tables, as
+// in PostgreSQL).
+type catalogValue struct {
 	tables  map[string]*Table
+	names   []string          // the table names, sorted
 	indexes map[string]string // index name -> owning table name
 
-	// epoch counts catalogue-shape changes: CREATE/DROP TABLE/INDEX (and
-	// their rollback undos), ANALYZE, and planner-option changes. Cached
-	// physical plans record the epoch they were built at and are replanned
-	// when it moves — the invalidation protocol that keeps compiled plans
-	// (which pin table and index pointers and column offsets) from outliving
-	// the schema they were compiled against.
-	epoch atomic.Uint64
+	// epoch identifies a published value for the plan cache: cached
+	// physical plans, which pin table and index pointers and column
+	// offsets, record the epoch they were built at and are replanned when
+	// it moves. Publishing DDL moves it, and so do ANALYZE, Vacuum and
+	// planner-option changes (DB.bumpEpoch). It is 0 in a transaction's
+	// view that includes its uncommitted edits, whose plans are never
+	// cached.
+	epoch uint64
 }
 
-// bumpEpoch invalidates every cached physical plan.
-func (c *catalog) bumpEpoch() { c.epoch.Add(1) }
+// catEdit is one catalogue change of an open transaction: the table a name
+// now resolves to (nil once dropped) and the one it replaced (nil for a new
+// name), which must still be the one under the name when the edit is
+// applied.
+type catEdit struct {
+	name    string
+	base, t *Table
+}
 
-func newCatalog() *catalog {
-	return &catalog{
-		tables:  make(map[string]*Table),
-		indexes: make(map[string]string),
+// newCatalogValue indexes tables into a catalogue value. A duplicate index
+// name can only come from two transactions' CREATE INDEX committing one
+// after the other.
+func newCatalogValue(tables map[string]*Table) (*catalogValue, error) {
+	v := &catalogValue{tables: tables, names: make([]string, 0, len(tables)), indexes: make(map[string]string)}
+	for name := range tables {
+		v.names = append(v.names, name)
 	}
+	sort.Strings(v.names)
+	for _, name := range v.names {
+		for _, ix := range tables[name].indexes {
+			if _, dup := v.indexes[ix.name]; dup {
+				return nil, fmt.Errorf("%w: index %q was created by a concurrent transaction", ErrWriteConflict, ix.name)
+			}
+			v.indexes[ix.name] = name
+		}
+	}
+	return v, nil
 }
 
-func (c *catalog) get(name string) (*Table, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+// with returns the catalogue edits make of c. An edit whose base is no
+// longer under its name lost a race against a transaction that committed
+// DDL of the same name first.
+func (c *catalogValue) with(edits []catEdit) (*catalogValue, error) {
+	tables := maps.Clone(c.tables)
+	for _, e := range edits {
+		if tables[e.name] != e.base {
+			return nil, fmt.Errorf("%w: table %q was created or dropped by a concurrent transaction", ErrWriteConflict, e.name)
+		}
+		if e.t == nil {
+			delete(tables, e.name)
+		} else {
+			tables[e.name] = e.t
+		}
+	}
+	return newCatalogValue(tables)
+}
+
+func (c *catalogValue) get(name string) (*Table, bool) {
 	t, ok := c.tables[strings.ToLower(name)]
 	return t, ok
 }
 
-// create registers a table; created reports whether it was actually added
-// (false for an IF NOT EXISTS no-op), so callers journal the right undo.
-func (c *catalog) create(t *Table, ifNotExists bool) (created bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(t.Name)
-	if _, exists := c.tables[key]; exists {
-		if ifNotExists {
-			return false, nil
-		}
-		return false, fmt.Errorf("sql: table %q already exists", t.Name)
-	}
-	c.tables[key] = t
-	c.bumpEpoch()
-	return true, nil
-}
-
-// drop removes a table, returning it (with rows and indexes intact) so a
-// transaction rollback can restore it; nil for an IF EXISTS no-op.
-func (c *catalog) drop(name string, ifExists bool) (*Table, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(name)
-	t, exists := c.tables[key]
-	if !exists {
-		if ifExists {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	// Dropping a table drops its indexes, freeing their names.
-	for _, ix := range t.indexes {
-		delete(c.indexes, ix.name)
-	}
-	delete(c.tables, key)
-	c.bumpEpoch()
-	return t, nil
-}
-
-// restoreTable undoes a drop: the table re-enters the catalogue and its
-// index names are re-registered.
-func (c *catalog) restoreTable(t *Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tables[t.Name] = t
-	for _, ix := range t.indexes {
-		c.indexes[ix.name] = t.Name
-	}
-	c.bumpEpoch()
-}
-
-// createIndex validates, builds, and attaches a secondary index. created
-// reports whether the index was actually added (false for an IF NOT EXISTS
-// no-op).
-func (c *catalog) createIndex(info IndexInfo, ifNotExists bool) (created bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// createIndex validates and builds a secondary index, returning the edit
+// that attaches it; none for an IF NOT EXISTS no-op.
+func (c *catalogValue) createIndex(info IndexInfo, ifNotExists bool) ([]catEdit, error) {
 	name := strings.ToLower(info.Name)
 	if _, exists := c.indexes[name]; exists {
 		if ifNotExists {
-			return false, nil
+			return nil, nil
 		}
-		return false, fmt.Errorf("sql: index %q already exists", info.Name)
+		return nil, fmt.Errorf("sql: index %q already exists", info.Name)
 	}
-	t, ok := c.tables[strings.ToLower(info.Table)]
+	t, ok := c.get(info.Table)
 	if !ok {
-		return false, fmt.Errorf("%w: %q", ErrNoSuchTable, info.Table)
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, info.Table)
 	}
 	col := t.columnIndex(info.Column)
 	if col < 0 {
-		return false, fmt.Errorf("sql: table %q has no column %q", info.Table, info.Column)
+		return nil, fmt.Errorf("sql: table %q has no column %q", info.Table, info.Column)
 	}
 	if t.Columns[col].Type == "variant" {
-		return false, fmt.Errorf("sql: cannot index variant column %q", info.Column)
+		return nil, fmt.Errorf("sql: cannot index variant column %q", info.Column)
 	}
 	if info.Kind != IndexHash && info.Kind != IndexOrdered {
-		return false, fmt.Errorf("sql: unsupported index access method %q (want hash or btree)", info.Kind)
+		return nil, fmt.Errorf("sql: unsupported index access method %q (want hash or btree)", info.Kind)
 	}
 	ix := &index{
 		name:   name,
@@ -244,61 +257,39 @@ func (c *catalog) createIndex(info IndexInfo, ifNotExists bool) (created bool, e
 		col:    col,
 	}
 	if err := ix.build(t.loadView().rows); err != nil {
-		return false, err
+		return nil, err
 	}
-	t.indexes = append(t.indexes, ix)
-	c.indexes[name] = t.Name
-	c.bumpEpoch()
-	return true, nil
+	ixs := append(t.indexes[:len(t.indexes):len(t.indexes)], ix)
+	return []catEdit{{name: t.Name, base: t, t: t.withIndexes(ixs)}}, nil
 }
 
-// dropIndex removes an index by name, returning its table and the detached
-// index so a rollback can re-attach them; both nil for an IF EXISTS no-op.
-func (c *catalog) dropIndex(name string, ifExists bool) (*Table, *index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// dropIndex returns the edit that detaches an index from its table (the
+// edit's base); none for an IF EXISTS no-op.
+func (c *catalogValue) dropIndex(name string, ifExists bool) ([]catEdit, error) {
 	key := strings.ToLower(name)
 	tableName, exists := c.indexes[key]
 	if !exists {
 		if ifExists {
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchIndex, name)
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchIndex, name)
 	}
-	var table *Table
-	var removed *index
-	if t, ok := c.tables[tableName]; ok {
-		for i, ix := range t.indexes {
-			if ix.name == key {
-				table, removed = t, ix
-				t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
-				break
-			}
+	t := c.tables[tableName]
+	ixs := make([]*index, 0, len(t.indexes))
+	for _, ix := range t.indexes {
+		if ix.name != key {
+			ixs = append(ixs, ix)
 		}
 	}
-	delete(c.indexes, key)
-	c.bumpEpoch()
-	return table, removed, nil
-}
-
-// attachIndex undoes a dropIndex: the detached index rejoins its table and
-// the name registry. The caller rebuilds it against the table's rows.
-func (c *catalog) attachIndex(t *Table, ix *index) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t.indexes = append(t.indexes, ix)
-	c.indexes[ix.name] = t.Name
-	c.bumpEpoch()
+	return []catEdit{{name: t.Name, base: t, t: t.withIndexes(ixs)}}, nil
 }
 
 // indexInfos lists every index, ordered by (table, name) for deterministic
 // dumps and introspection.
-func (c *catalog) indexInfos() []IndexInfo {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+func (c *catalogValue) indexInfos() []IndexInfo {
 	var out []IndexInfo
-	for _, t := range c.tables {
-		for _, ix := range t.indexes {
+	for _, name := range c.names {
+		for _, ix := range c.tables[name].indexes {
 			out = append(out, ix.info())
 		}
 	}
@@ -308,15 +299,5 @@ func (c *catalog) indexInfos() []IndexInfo {
 		}
 		return out[i].Name < out[j].Name
 	})
-	return out
-}
-
-func (c *catalog) names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for name := range c.tables {
-		out = append(out, name)
-	}
 	return out
 }

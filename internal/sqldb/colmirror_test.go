@@ -16,7 +16,7 @@ import (
 
 // mirrorTable is a bare one-column table for driving mirrorColumns directly.
 func mirrorTable(colType string, cells ...variant.Value) *Table {
-	t := &Table{Name: "m", Columns: []Column{{Name: "c", Type: colType}}}
+	t := newTable("m", []Column{{Name: "c", Type: colType}})
 	for _, v := range cells {
 		t.appendVersion(Row{v}, &rowMeta{})
 	}

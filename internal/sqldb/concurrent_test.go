@@ -335,7 +335,7 @@ func TestTxConcurrentStatements(t *testing.T) {
 func TestLockOrderViolationIsCaught(t *testing.T) {
 	db := New()
 	mustExec(t, db, `CREATE TABLE t (a integer)`)
-	tb, _ := db.tables.get("t")
+	tb, _ := db.tables.Load().get("t")
 	tx, err := db.BeginTx(context.Background(), Exclusive)
 	if err != nil {
 		t.Fatal(err)

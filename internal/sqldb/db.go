@@ -2,8 +2,8 @@ package sqldb
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,8 +30,9 @@ import (
 // (see rows.go). No lock is ever held past a method's return: streaming
 // results iterate over snapshot-filtered row sets.
 type DB struct {
-	mu     sync.RWMutex
-	tables *catalog
+	mu sync.RWMutex
+	// tables is the committed catalogue (catalog.go).
+	tables atomic.Pointer[catalogValue]
 	funcs  *registry
 	// planCache caches plan entries keyed by SQL text (the paper's "prepared
 	// SQL queries avoid repeated reevaluation"): the parsed statement plus
@@ -63,10 +64,11 @@ type DB struct {
 	clock atomic.Uint64
 	// txnID allocates transaction identities (their in-flight stamps).
 	txnID atomic.Uint64
-	// commitMu serializes commits: the WAL write, the stamp flips, and the
-	// clock publication happen as one unit per transaction, so WAL order
-	// always matches visibility order and frames from two committing
-	// sessions never interleave.
+	// commitMu serializes commits: the WAL write, the catalogue publish, the
+	// stamp flips, and the clock publication happen as one unit per
+	// transaction, so WAL order always matches visibility order and frames
+	// from two committing sessions never interleave. Every store of the
+	// committed catalogue holds it.
 	commitMu sync.Mutex
 	// locks hands out the per-table write latches.
 	locks *lockMgr
@@ -96,7 +98,6 @@ const defaultLockWaitTimeout = time.Second
 // New creates an empty database with the plan cache enabled.
 func New() *DB {
 	db := &DB{
-		tables:     newCatalog(),
 		funcs:      newRegistry(),
 		planCache:  make(map[string]*cachedPlan),
 		cachePlans: true,
@@ -106,6 +107,7 @@ func New() *DB {
 	// Recovery replay stamps rows with timestamp 1; starting the clock there
 	// makes them visible to the first snapshot.
 	db.clock.Store(1)
+	db.tables.Store(&catalogValue{tables: map[string]*Table{}, indexes: map[string]string{}, epoch: 1})
 	db.lockWaitNanos.Store(int64(defaultLockWaitTimeout))
 	db.conn.db = db
 	return db
@@ -190,12 +192,12 @@ func (db *DB) TxnControl(sql string) string {
 	return ""
 }
 
-// TableNames lists the catalogued tables (lowercased).
-func (db *DB) TableNames() []string { return db.tables.names() }
+// TableNames lists the committed tables (lowercased), sorted by name.
+func (db *DB) TableNames() []string { return slices.Clone(db.tables.Load().names) }
 
-// HasTable reports whether a table exists.
+// HasTable reports whether a committed table exists.
 func (db *DB) HasTable(name string) bool {
-	_, ok := db.tables.get(name)
+	_, ok := db.tables.Load().get(name)
 	return ok
 }
 
@@ -328,8 +330,12 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 	for take {
 		var latched *Table
 		if dml {
+			cat, err := db.catalogFor(t)
+			if err != nil {
+				return fail(err)
+			}
 			name := dmlTable(cp.stmt)
-			tb, ok := db.tables.get(name)
+			tb, ok := cat.get(name)
 			if !ok {
 				return fail(fmt.Errorf("%w: %q", ErrNoSuchTable, name))
 			}
@@ -357,7 +363,7 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 		if latched == nil {
 			break
 		}
-		if cur, ok := db.tables.get(latched.Name); ok && cur == latched {
+		if cat, err := db.catalogFor(t); err == nil && cat.tables[latched.Name] == latched {
 			break
 		}
 		// The table was dropped or replaced while we waited for the latch.
@@ -366,11 +372,15 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 			db.releaseLatches(t)
 		}
 	}
-	if db.closed {
+	cat, err := db.catalogFor(t)
+	if err == nil && db.closed {
+		err = ErrClosed
+	}
+	if err != nil {
 		if take {
 			db.unlock(mode, locks)
 		}
-		return fail(ErrClosed)
+		return fail(err)
 	}
 	var snap snapshot
 	switch {
@@ -383,7 +393,7 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 		snap = tx.snap
 	}
 	exclusive := (own && mode == lockExclusive) || (tx != nil && tx.exclusive)
-	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap,
+	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap, cat: cat,
 		physLog: db.wal != nil && !exclusive && isDMLStmt(cp.stmt)}
 	if udf {
 		cx.tx = tx
@@ -403,7 +413,7 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 			}
 		}
 		if err != nil {
-			err = errors.Join(err, t.unwind(db, txnMarks{}))
+			t.unwind(txnMarks{})
 		}
 		// Before db.mu: the next exclusive statement probes these latches.
 		db.releaseLatches(t)
@@ -419,6 +429,47 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 		return nil, err
 	}
 	return newRowIter(ctx, st), nil
+}
+
+// catalogFor returns the catalogue a statement of transaction t resolves
+// names in: the committed one, with t's uncommitted DDL laid over it (kept
+// in t.view until either changes). It fails with ErrWriteConflict when a
+// transaction committed DDL of a name t also changed.
+func (db *DB) catalogFor(t *txnState) (*catalogValue, error) {
+	cur := db.tables.Load()
+	if t == nil || len(t.edits) == 0 {
+		return cur, nil
+	}
+	if t.viewOf != cur || t.viewEdits != len(t.edits) {
+		v, err := cur.with(t.edits)
+		if err != nil {
+			return nil, err
+		}
+		t.view, t.viewOf, t.viewEdits = v, cur, len(t.edits)
+	}
+	return t.view, nil
+}
+
+// nextCatalogLocked returns the catalogue edits make of the committed one,
+// under the next epoch. Caller holds commitMu.
+func (db *DB) nextCatalogLocked(edits []catEdit) (*catalogValue, error) {
+	cur := db.tables.Load()
+	next, err := cur.with(edits)
+	if err != nil {
+		return nil, err
+	}
+	next.epoch = cur.epoch + 1
+	return next, nil
+}
+
+// bumpEpoch invalidates every cached physical plan: it republishes the
+// committed catalogue under the next epoch.
+func (db *DB) bumpEpoch() {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	next := *db.tables.Load()
+	next.epoch++
+	db.tables.Store(&next)
 }
 
 // unlock releases db.mu taken in mode by exec.
@@ -463,7 +514,7 @@ func dmlTable(s Statement) string {
 // when the statement came through the plan cache, or a throwaway entry for
 // script/ad-hoc execution.
 func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream, error) {
-	plan, err := cp.physFor(db, s)
+	plan, err := cp.physFor(db, cx.cat, s)
 	if err != nil {
 		return nil, err
 	}
@@ -474,20 +525,31 @@ func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream,
 }
 
 // commitTxn makes a finished transaction durable and visible: its WAL
-// records are written (and fsynced per the group-commit policy), then its
-// version stamps flip to the next commit timestamp, and the clock publishes
-// it. Serialized by commitMu, so stamp order always matches WAL order and
-// two committing sessions never interleave WAL frames. Safe under either
-// db.mu mode (an exclusive holder cannot contend with concurrent
-// committers, which hold the shared lock). Reports whether an automatic
-// checkpoint is due; callers run it after unlocking.
+// records are written (and fsynced per the group-commit policy), then the
+// catalogue its DDL makes of the committed one is published, its version
+// stamps flip to the next commit timestamp, and the clock publishes it.
+// Serialized by commitMu, so publish and stamp order always match WAL order
+// and two committing sessions never interleave WAL frames. DDL that lost a
+// race for a name fails the commit with ErrWriteConflict before anything is
+// logged. Safe under either db.mu mode (an exclusive holder cannot contend
+// with concurrent committers, which hold the shared lock). Reports whether
+// an automatic checkpoint is due; callers run it after unlocking.
 func (db *DB) commitTxn(t *txnState) (ckptDue bool, err error) {
 	t.locks.acquire(rankCommit, true)
 	defer t.locks.release(rankCommit)
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
+	var cat *catalogValue
+	if len(t.edits) > 0 {
+		if cat, err = db.nextCatalogLocked(t.edits); err != nil {
+			return false, err
+		}
+	}
 	if err := db.walCommit(t); err != nil {
 		return false, err
+	}
+	if cat != nil {
+		db.tables.Store(cat)
 	}
 	ts := db.clock.Load() + 1
 	for _, m := range t.created {
@@ -525,10 +587,8 @@ func (db *DB) execStatement(cx *evalCtx, text string, cp *cachedPlan) (RowStream
 	}
 	st, err := db.execStream(cx, cp)
 	if err != nil {
-		if t.dirtySince(m) {
-			if uerr := t.unwind(db, m); uerr != nil {
-				return nil, errors.Join(err, uerr)
-			}
+		if t.marks() != m {
+			t.unwind(m)
 		}
 		return nil, err
 	}
@@ -706,20 +766,20 @@ func (db *DB) lockBounded() error {
 func (db *DB) execLocked(cx *evalCtx, stmt Statement) (*ResultSet, error) {
 	switch s := stmt.(type) {
 	case *ExplainStmt:
-		return db.explainLocked(s)
+		return db.explainLocked(cx.cat, s)
 	case *AnalyzeStmt:
-		return db.execAnalyze(s)
+		return db.execAnalyze(cx.cat, s)
 	case *CreateTableStmt:
 		return db.execCreate(cx, s)
 	case *DropTableStmt:
 		return db.execDrop(cx, s)
 	case *CreateIndexStmt:
-		if t, ok := db.tables.get(s.Table); ok {
+		if t, ok := cx.cat.get(s.Table); ok {
 			if err := db.latchForWrite(cx, t); err != nil {
 				return nil, err
 			}
 		}
-		created, err := db.tables.createIndex(IndexInfo{
+		edits, err := cx.cat.createIndex(IndexInfo{
 			Name:   s.Name,
 			Table:  s.Table,
 			Column: s.Column,
@@ -728,29 +788,18 @@ func (db *DB) execLocked(cx *evalCtx, stmt Statement) (*ResultSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		if created {
-			name := s.Name
-			cx.recordUndo(func() { db.tables.dropIndex(name, true) })
-			cx.markDDL()
-		}
-		return &ResultSet{}, nil
+		return db.editCatalog(cx, edits)
 	case *DropIndexStmt:
-		t, ix, err := db.tables.dropIndex(s.Name, s.IfExists)
+		edits, err := cx.cat.dropIndex(s.Name, s.IfExists)
 		if err != nil {
 			return nil, err
 		}
-		if ix != nil {
-			if lerr := db.latchForWrite(cx, t); lerr != nil {
-				db.tables.attachIndex(t, ix)
-				return nil, lerr
+		for _, e := range edits {
+			if err := db.latchForWrite(cx, e.base); err != nil {
+				return nil, err
 			}
-			cx.recordUndo(func() { db.tables.attachIndex(t, ix) })
-			// Re-attachment restores the index as of the drop; a rollback
-			// rebuild brings it back in line with the restored rows.
-			cx.touch(t)
-			cx.markDDL()
 		}
-		return &ResultSet{}, nil
+		return db.editCatalog(cx, edits)
 	case *InsertStmt:
 		return db.execInsert(cx, s)
 	case *UpdateStmt:
@@ -775,36 +824,49 @@ func (db *DB) execCreate(cx *evalCtx, s *CreateTableStmt) (*ResultSet, error) {
 		seen[key] = true
 		cols[i] = Column{Name: c.Name, Type: c.Type}
 	}
-	t := &Table{Name: strings.ToLower(s.Name), Columns: cols}
-	t.view.Store(&tableView{})
-	created, err := db.tables.create(t, s.IfNotExists)
-	if err != nil {
-		return nil, err
+	name := strings.ToLower(s.Name)
+	if _, exists := cx.cat.tables[name]; exists {
+		if s.IfNotExists {
+			return &ResultSet{}, nil
+		}
+		return nil, fmt.Errorf("sql: table %q already exists", name)
 	}
-	if created {
-		cx.recordUndo(func() { db.tables.drop(t.Name, true) })
-		cx.markDDL()
-	}
-	return &ResultSet{}, nil
+	return db.editCatalog(cx, []catEdit{{name: name, t: newTable(name, cols)}})
 }
 
 func (db *DB) execDrop(cx *evalCtx, s *DropTableStmt) (*ResultSet, error) {
-	if t, ok := db.tables.get(s.Name); ok {
-		// A concurrent transaction with in-flight writes on the table would
-		// commit value-based WAL records after our logged DROP — refusing
-		// keeps log order consistent with visibility order.
-		if err := db.latchForWrite(cx, t); err != nil {
-			return nil, err
+	t, ok := cx.cat.get(s.Name)
+	if !ok {
+		if s.IfExists {
+			return &ResultSet{}, nil
 		}
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, s.Name)
 	}
-	dropped, err := db.tables.drop(s.Name, s.IfExists)
+	// A concurrent transaction with in-flight writes on the table would
+	// commit value-based WAL records after our logged DROP — refusing keeps
+	// log order consistent with visibility order. Held to the end of the
+	// transaction, the latch also makes writers wait for the DROP's outcome.
+	if err := db.latchForWrite(cx, t); err != nil {
+		return nil, err
+	}
+	return db.editCatalog(cx, []catEdit{{name: t.Name, base: t}})
+}
+
+// editCatalog records a DDL statement's catalogue edits in its transaction,
+// which publishes them at commit; recovery replay, which runs in no
+// transaction, publishes them at once.
+func (db *DB) editCatalog(cx *evalCtx, edits []catEdit) (*ResultSet, error) {
+	if cx.txn != nil {
+		cx.txn.edits = append(cx.txn.edits, edits...)
+		return &ResultSet{}, nil
+	}
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	next, err := db.nextCatalogLocked(edits)
 	if err != nil {
 		return nil, err
 	}
-	if dropped != nil {
-		cx.recordUndo(func() { db.tables.restoreTable(dropped) })
-		cx.markDDL()
-	}
+	db.tables.Store(next)
 	return &ResultSet{}, nil
 }
 
@@ -847,7 +909,7 @@ func (db *DB) endVersion(cx *evalCtx, t *Table, m *rowMeta) error {
 }
 
 func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
-	t, ok := db.tables.get(s.Table)
+	t, ok := cx.cat.get(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, s.Table)
 	}
@@ -1010,7 +1072,7 @@ func affectedRows(column string, count int) *ResultSet {
 }
 
 func (db *DB) execUpdate(cx *evalCtx, s *UpdateStmt) (*ResultSet, error) {
-	t, ok := db.tables.get(s.Table)
+	t, ok := cx.cat.get(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, s.Table)
 	}
@@ -1062,7 +1124,7 @@ func (db *DB) execUpdate(cx *evalCtx, s *UpdateStmt) (*ResultSet, error) {
 }
 
 func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
-	t, ok := db.tables.get(s.Table)
+	t, ok := cx.cat.get(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, s.Table)
 	}
@@ -1108,7 +1170,7 @@ type rowInsert struct {
 func (*rowInsert) stmt() {}
 
 func (db *DB) execRowInsert(cx *evalCtx, s *rowInsert) error {
-	t, ok := db.tables.get(s.Table)
+	t, ok := cx.cat.get(s.Table)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, s.Table)
 	}
@@ -1165,9 +1227,5 @@ func (db *DB) DropIndex(name string) error {
 	return err
 }
 
-// Indexes lists every secondary index, ordered by (table, name).
-func (db *DB) Indexes() []IndexInfo {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tables.indexInfos()
-}
+// Indexes lists every committed secondary index, ordered by (table, name).
+func (db *DB) Indexes() []IndexInfo { return db.tables.Load().indexInfos() }

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/variant"
@@ -18,24 +17,25 @@ import (
 func (db *DB) Dump(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.dumpLocked(w)
+	return db.dumpCommitted(w)
 }
 
-// dumpLocked writes the dump while the caller holds either lock mode; the
-// checkpoint path calls it under the exclusive lock (where taking the read
-// lock again would self-deadlock).
-func (db *DB) dumpLocked(w io.Writer) error {
-	names := db.tables.names()
-	sort.Strings(names)
+// dumpCommitted writes the dump of one committed state while the caller
+// holds either lock mode; the checkpoint path calls it under the exclusive
+// lock (where taking the read lock again would self-deadlock). The
+// catalogue and the clock are read together under commitMu, so the dump
+// holds every transaction whole or not at all. In-flight writers keep their
+// uncommitted versions and DDL out of it by construction.
+func (db *DB) dumpCommitted(w io.Writer) error {
+	db.commitMu.Lock()
+	cat, snap := db.tables.Load(), snapshot{ts: db.clock.Load()}
+	db.commitMu.Unlock()
 	indexesByTable := make(map[string][]IndexInfo)
-	for _, info := range db.tables.indexInfos() {
+	for _, info := range cat.indexInfos() {
 		indexesByTable[info.Table] = append(indexesByTable[info.Table], info)
 	}
-	for _, name := range names {
-		t, ok := db.tables.get(name)
-		if !ok {
-			continue
-		}
+	for _, name := range cat.names {
+		t := cat.tables[name]
 		cols := make([]string, len(t.Columns))
 		for i, c := range t.Columns {
 			cols[i] = fmt.Sprintf("%s %s", quoteIdent(c.Name), c.Type)
@@ -43,10 +43,6 @@ func (db *DB) dumpLocked(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "CREATE TABLE %s (%s);\n", quoteIdent(t.Name), strings.Join(cols, ", ")); err != nil {
 			return err
 		}
-		// Dump the latest committed state: versions visible to a snapshot at
-		// the current clock. In-flight writers (holding table latches) keep
-		// their uncommitted versions out of the dump by construction.
-		snap := snapshot{ts: db.clock.Load()}
 		v := t.loadView()
 		for pos, row := range v.rows {
 			if !snap.visible(v.meta[pos]) {

@@ -28,9 +28,11 @@ type evalCtx struct {
 	group *aggGroup
 	// txn is the transaction this statement executes in (nil on the plain
 	// read path and during recovery replay); snap is the MVCC snapshot every
-	// table scan filters through (see mvcc.go).
+	// table scan filters through (see mvcc.go); cat is the catalogue its
+	// names resolve in (DB.catalogFor).
 	txn  *txnState
 	snap snapshot
+	cat  *catalogValue
 	// physLog asks DML executors to emit physical WAL records per row
 	// change (set when the statement text is not replayable, and always on
 	// the concurrent write path; see txn.go).
@@ -39,15 +41,9 @@ type evalCtx struct {
 	tx *Tx
 }
 
-// recordUndo, touch, logWAL, and markDDL forward to the statement's
-// transaction; all are no-ops during recovery replay (txn == nil), which
-// rebuilds committed state and never rolls back.
-func (cx *evalCtx) recordUndo(fn func()) {
-	if cx.txn != nil {
-		cx.txn.recordUndo(fn)
-	}
-}
-
+// touch and logWAL forward to the statement's transaction; both are no-ops
+// during recovery replay (txn == nil), which rebuilds committed state and
+// never rolls back.
 func (cx *evalCtx) touch(t *Table) {
 	if cx.txn != nil {
 		cx.txn.touch(t)
@@ -57,12 +53,6 @@ func (cx *evalCtx) touch(t *Table) {
 func (cx *evalCtx) logWAL(db *DB, rec walRecord) {
 	if cx.txn != nil {
 		cx.txn.logWAL(db, rec)
-	}
-}
-
-func (cx *evalCtx) markDDL() {
-	if cx.txn != nil {
-		cx.txn.ddl = true
 	}
 }
 

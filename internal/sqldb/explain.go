@@ -13,9 +13,9 @@ import (
 // plan that would run — the vectorized or the operator pipeline. DML targets
 // render their write node over the scan that feeds it.
 
-// explainLocked renders s.Target under the held database lock.
-func (db *DB) explainLocked(s *ExplainStmt) (*ResultSet, error) {
-	lines, err := db.explainStatement(s.Target)
+// explainLocked renders s.Target over cat under the held database lock.
+func (db *DB) explainLocked(cat *catalogValue, s *ExplainStmt) (*ResultSet, error) {
+	lines, err := db.explainStatement(cat, s.Target)
 	if err != nil {
 		return nil, err
 	}
@@ -26,8 +26,8 @@ func (db *DB) explainLocked(s *ExplainStmt) (*ResultSet, error) {
 	return rs, nil
 }
 
-func (db *DB) explainStatement(st Statement) ([]string, error) {
-	r := &planRenderer{db: db}
+func (db *DB) explainStatement(cat *catalogValue, st Statement) ([]string, error) {
+	r := &planRenderer{db: db, cat: cat}
 	switch s := st.(type) {
 	case *SelectStmt:
 		if err := r.renderSelect(s, 0); err != nil {
@@ -57,6 +57,7 @@ func (db *DB) explainStatement(st Statement) ([]string, error) {
 // planRenderer accumulates indented plan lines.
 type planRenderer struct {
 	db    *DB
+	cat   *catalogValue
 	lines []string
 }
 
@@ -80,7 +81,7 @@ func (r *planRenderer) detail(depth int, text string) {
 
 // renderSelect renders a SELECT's physical plan at the given depth.
 func (r *planRenderer) renderSelect(s *SelectStmt, depth int) error {
-	plan, err := r.db.planSelect(s)
+	plan, err := r.db.planSelect(r.cat, s)
 	if err != nil {
 		return err
 	}
@@ -335,7 +336,7 @@ func (r *planRenderer) renderAccess(ap accessPath, table, alias string, where Ex
 // renderWriteScan renders the leaf that locates an UPDATE/DELETE's target
 // rows: the access path applyToTargets will ask the chooser for.
 func (r *planRenderer) renderWriteScan(table string, where Expr) {
-	t, ok := r.db.tables.get(table)
+	t, ok := r.cat.get(table)
 	if !ok {
 		r.node(1, fmt.Sprintf("Seq Scan on %s", strings.ToLower(table)))
 		return

@@ -29,7 +29,9 @@ func explainDB(t *testing.T) *DB {
 	return db
 }
 
-func explainText(t *testing.T, db *DB, query string) string {
+func explainText(t *testing.T, db interface {
+	Query(string, ...any) (*ResultSet, error)
+}, query string) string {
 	t.Helper()
 	rs, err := db.Query(query)
 	if err != nil {

@@ -39,8 +39,7 @@ type IndexInfo struct {
 // for writes too: UPDATE and DELETE find their targets through the same
 // probes (DB.applyToTargets), and an entry whose version a newer commit
 // ended is what lets the loser of a write-write race see its conflict. Full
-// rebuilds (DDL rollback, vacuum compaction, recovery) run under the DB's
-// exclusive lock. ix.mu makes the insert/lookup pair safe when concurrent
+// rebuilds (vacuum compaction) run under the DB's exclusive lock. ix.mu makes the insert/lookup pair safe when concurrent
 // writers grow the index while snapshot readers probe it.
 type index struct {
 	name   string // lowercase
@@ -417,19 +416,6 @@ func (t *Table) findIndex(column string, needOrdered bool) *index {
 func (t *Table) insertIntoIndexes(pos int, row Row) error {
 	for _, ix := range t.indexes {
 		if err := ix.insertLocked(pos, row[ix.col]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rebuildIndexes reconstructs every index over the current version array —
-// required after positions move (vacuum compaction) or after a DDL rollback
-// re-attaches a detached index. Caller holds the DB's exclusive lock.
-func (t *Table) rebuildIndexes() error {
-	rows := t.loadView().rows
-	for _, ix := range t.indexes {
-		if err := ix.build(rows); err != nil {
 			return err
 		}
 	}

@@ -24,7 +24,7 @@ func joinStrategy(t *testing.T, db *DB, sql string, args ...any) string {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	plan, err := db.planSelect(stmt.(*SelectStmt))
+	plan, err := db.planSelect(db.tables.Load(), stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,19 +113,8 @@ func (s snapshot) visible(m *rowMeta) bool {
 	return false
 }
 
-// loadView returns the table's current view header, initializing an empty
-// one on first touch (tables restored from dumps or built by tests may not
-// have gone through execCreate).
-func (t *Table) loadView() *tableView {
-	v := t.view.Load()
-	if v == nil {
-		v = &tableView{}
-		if !t.view.CompareAndSwap(nil, v) {
-			v = t.view.Load()
-		}
-	}
-	return v
-}
+// loadView returns the table's current view header.
+func (t *Table) loadView() *tableView { return t.view.Load() }
 
 // appendVersion appends one row version and publishes the longer view,
 // returning the version's position. Callers must hold the right to append:
@@ -171,20 +160,21 @@ func visiblePositions(snap snapshot, v *tableView) []int32 {
 	return out
 }
 
-// lockMgr hands out per-table write latches. A latch covers the whole
-// write lifetime of a transaction on that table (acquired before the first
-// write, released after commit/rollback), so at most one transaction has
-// in-flight versions per table at any moment.
+// lockMgr hands out per-table write latches, keyed by the table's store so
+// every Table value of a table shares one. A latch covers the whole write
+// lifetime of a transaction on that table (acquired before the first write
+// or DDL, released after commit/rollback), so at most one transaction has
+// in-flight versions or catalogue edits per table at any moment.
 type lockMgr struct {
 	mu     sync.Mutex
-	owners map[*Table]*txnState
-	queues map[*Table][]chan struct{}
+	owners map[*tableStore]*txnState
+	queues map[*tableStore][]chan struct{}
 }
 
 func newLockMgr() *lockMgr {
 	return &lockMgr{
-		owners: make(map[*Table]*txnState),
-		queues: make(map[*Table][]chan struct{}),
+		owners: make(map[*tableStore]*txnState),
+		queues: make(map[*tableStore][]chan struct{}),
 	}
 }
 
@@ -194,10 +184,10 @@ func newLockMgr() *lockMgr {
 func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	if cur, held := lm.owners[t]; held && cur != tx {
+	if cur, held := lm.owners[t.tableStore]; held && cur != tx {
 		return false
 	}
-	lm.owners[t] = tx
+	lm.owners[t.tableStore] = tx
 	tx.locks.acquire(rankLatch, false)
 	return true
 }
@@ -212,13 +202,13 @@ func (lm *lockMgr) acquire(ctx context.Context, t *Table, tx *txnState, timeout 
 	var deadline *time.Timer
 	for {
 		lm.mu.Lock()
-		if cur, held := lm.owners[t]; !held || cur == tx {
-			lm.owners[t] = tx
+		if cur, held := lm.owners[t.tableStore]; !held || cur == tx {
+			lm.owners[t.tableStore] = tx
 			lm.mu.Unlock()
 			return nil
 		}
 		ch := make(chan struct{})
-		lm.queues[t] = append(lm.queues[t], ch)
+		lm.queues[t.tableStore] = append(lm.queues[t.tableStore], ch)
 		lm.mu.Unlock()
 		if deadline == nil {
 			deadline = time.NewTimer(timeout)
@@ -238,12 +228,12 @@ func (lm *lockMgr) acquire(ctx context.Context, t *Table, tx *txnState, timeout 
 // queue is not a fairness guarantee, just a parking lot).
 func (lm *lockMgr) release(t *Table, tx *txnState) {
 	lm.mu.Lock()
-	if lm.owners[t] == tx {
-		delete(lm.owners, t)
-		for _, ch := range lm.queues[t] {
+	if lm.owners[t.tableStore] == tx {
+		delete(lm.owners, t.tableStore)
+		for _, ch := range lm.queues[t.tableStore] {
 			close(ch)
 		}
-		delete(lm.queues, t)
+		delete(lm.queues, t.tableStore)
 	}
 	lm.mu.Unlock()
 }
@@ -253,16 +243,14 @@ func (lm *lockMgr) release(t *Table, tx *txnState) {
 func (lm *lockMgr) owner(t *Table) *txnState {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return lm.owners[t]
+	return lm.owners[t.tableStore]
 }
 
 // latchTable acquires t's write latch for tx (idempotently), waiting at
 // most the lock-wait timeout, and records it for release at transaction end.
 func (db *DB) latchTable(ctx context.Context, t *Table, tx *txnState) error {
-	for _, held := range tx.latches {
-		if held == t {
-			return nil
-		}
+	if tx.holdsLatch(t) {
+		return nil
 	}
 	if err := db.locks.acquire(ctx, t, tx, db.lockWaitTimeout()); err != nil {
 		return err
@@ -275,16 +263,24 @@ func (db *DB) latchTable(ctx context.Context, t *Table, tx *txnState) error {
 // latch owner may be blocked acquiring it, so waiting here could deadlock.
 // Surfaces ErrWriteConflict instead.
 func (db *DB) tryLatchTable(t *Table, tx *txnState) error {
-	for _, held := range tx.latches {
-		if held == t {
-			return nil
-		}
+	if tx.holdsLatch(t) {
+		return nil
 	}
 	if !db.locks.tryAcquire(t, tx) {
 		return fmt.Errorf("%w: table %q is write-locked by a concurrent transaction", ErrWriteConflict, t.Name)
 	}
 	tx.latches = append(tx.latches, t)
 	return nil
+}
+
+// holdsLatch reports whether tx holds t's write latch.
+func (tx *txnState) holdsLatch(t *Table) bool {
+	for _, held := range tx.latches {
+		if held.tableStore == t.tableStore {
+			return true
+		}
+	}
+	return false
 }
 
 // releaseLatches frees every latch tx holds, in reverse acquisition order.
@@ -329,17 +325,6 @@ func (st *snapTracker) count() int {
 	return len(st.active)
 }
 
-// ddlOpen reports whether an open transaction has run DDL. Caller holds
-// db.mu exclusively, as DDL does.
-func (st *snapTracker) ddlOpen() (ddl bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for t := range st.active {
-		ddl = ddl || t.ddl
-	}
-	return ddl
-}
-
 // oldest returns the smallest active snapshot timestamp, or def when no
 // transaction is registered.
 func (st *snapTracker) oldest(def uint64) uint64 {
@@ -372,12 +357,10 @@ func (db *DB) Vacuum() error {
 // in-flight writer) are skipped: their in-flight stamps must survive.
 func (db *DB) vacuumLocked() error {
 	watermark := db.snaps.oldest(db.clock.Load())
+	cat := db.tables.Load()
 	var firstErr error
-	for _, name := range db.tables.names() {
-		t, ok := db.tables.get(name)
-		if !ok {
-			continue
-		}
+	for _, name := range cat.names {
+		t := cat.tables[name]
 		if db.locks.owner(t) != nil {
 			continue
 		}
@@ -424,7 +407,7 @@ func (db *DB) vacuumTable(t *Table, watermark uint64) error {
 	}
 	// Positions moved: cached physical plans that pinned access paths must
 	// replan.
-	db.tables.bumpEpoch()
+	db.bumpEpoch()
 	return firstErr
 }
 
@@ -445,7 +428,7 @@ func versionDeadAt(m *rowMeta, watermark uint64) bool {
 // are visible to a fresh snapshot — observability for version-GC tests and
 // monitoring.
 func (db *DB) TableVersions(name string) (versions, live int, err error) {
-	t, ok := db.tables.get(name)
+	t, ok := db.tables.Load().get(name)
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}

@@ -273,10 +273,10 @@ func isLateral(i int, item FromItem) bool {
 
 // planOperators builds the operator pipeline for s. Caller holds the
 // database lock (either mode).
-func (db *DB) planOperators(s *SelectStmt) (*opPlan, error) {
+func (db *DB) planOperators(cat *catalogValue, s *SelectStmt) (*opPlan, error) {
 	metas := make([]sourceMeta, len(s.From))
 	for i, item := range s.From {
-		m, err := db.sourceMetaFor(item)
+		m, err := db.sourceMetaFor(cat, item)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +370,7 @@ func (db *DB) planOperators(s *SelectStmt) (*opPlan, error) {
 			leaf.est = leaf.access.estRows
 			leaf.pushedC = compileOver(leaf.pushed, []sourceInfo{metas[i].info()}, nil)
 		case item.Sub != nil:
-			sub, err := db.planOperators(item.Sub)
+			sub, err := db.planOperators(cat, item.Sub)
 			if err != nil {
 				return nil, err
 			}
@@ -437,14 +437,14 @@ func (db *DB) planOperators(s *SelectStmt) (*opPlan, error) {
 
 // sourceMetaFor computes the plan-time shape of one FROM item; a missing
 // table is a planning error.
-func (db *DB) sourceMetaFor(item FromItem) (sourceMeta, error) {
+func (db *DB) sourceMetaFor(cat *catalogValue, item FromItem) (sourceMeta, error) {
 	alias := item.Alias
 	switch {
 	case item.Table != "":
 		if alias == "" {
 			alias = strings.ToLower(item.Table)
 		}
-		t, ok := db.tables.get(item.Table)
+		t, ok := cat.get(item.Table)
 		if !ok {
 			return sourceMeta{}, fmt.Errorf("%w: %q", ErrNoSuchTable, item.Table)
 		}
@@ -1153,8 +1153,8 @@ func (src *opSource) openLateral(cx, tailCx *evalCtx, step *opJoinStep, left Row
 // openIndexedJoin opens join step 0 when its inner table is reachable through
 // an index (step.lookup), choosing between the lookup and the hash join from
 // the outer input's real size. Everything that touches the index happens
-// here, under the caller-held lock, never in the stream's Next: Vacuum and DDL
-// rollback rebuild indexes and move positions under the exclusive lock, and a
+// here, under the caller-held lock, never in the stream's Next: Vacuum
+// rebuilds indexes and moves positions under the exclusive lock, and a
 // stream is drained with no lock held.
 //
 // The lookup reproduces the hash join's candidate lists exactly: per outer

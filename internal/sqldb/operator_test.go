@@ -38,7 +38,7 @@ func planKind(t *testing.T, db *DB, sql string) physKind {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	plan, err := db.planSelect(stmt.(*SelectStmt))
+	plan, err := db.planSelect(db.tables.Load(), stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,10 @@ import (
 //     once into closures (compile.go). Both share the access-path chooser.
 //
 // Physical plans are cached per statement (cachedPlan) and revalidated
-// against the catalogue epoch, so any DDL — CREATE/DROP TABLE or INDEX,
-// ANALYZE, including those rolled back by a transaction — forces a replan
-// before the next execution.
+// against the catalogue epoch, so committed DDL — CREATE/DROP TABLE or
+// INDEX — and ANALYZE force a replan before the next execution. A statement
+// of a transaction with uncommitted DDL plans against its own catalogue and
+// neither reads nor fills the cache.
 
 // --- Planner configuration ---
 
@@ -211,12 +212,13 @@ type physPlan struct {
 	vec *vecPlan
 }
 
-// planSelect builds the physical plan for s under the held database lock.
-func (db *DB) planSelect(s *SelectStmt) (*physPlan, error) {
-	if vp := db.planVectorized(s); vp != nil {
+// planSelect builds the physical plan for s over cat under the held
+// database lock.
+func (db *DB) planSelect(cat *catalogValue, s *SelectStmt) (*physPlan, error) {
+	if vp := db.planVectorized(cat, s); vp != nil {
 		return &physPlan{kind: physVectorized, sel: s, vec: vp}, nil
 	}
-	ops, err := db.planOperators(s)
+	ops, err := db.planOperators(cat, s)
 	if err != nil {
 		return nil, err
 	}
@@ -232,18 +234,21 @@ type cachedPlan struct {
 	phys atomic.Pointer[physPlan]
 }
 
-// physFor returns a physical plan for s valid at the current catalogue
-// epoch, replanning if DDL, ANALYZE, or planner options moved it.
-func (cp *cachedPlan) physFor(db *DB, s *SelectStmt) (*physPlan, error) {
-	epoch := db.tables.epoch.Load()
-	if p := cp.phys.Load(); p != nil && p.epoch == epoch {
+// physFor returns a physical plan for s over cat, replanning if DDL,
+// ANALYZE, or planner options moved the epoch since the cached one was
+// built. A plan over a transaction's uncommitted DDL (epoch 0) is never
+// cached.
+func (cp *cachedPlan) physFor(db *DB, cat *catalogValue, s *SelectStmt) (*physPlan, error) {
+	if p := cp.phys.Load(); p != nil && p.epoch == cat.epoch && cat.epoch != 0 {
 		return p, nil
 	}
-	p, err := db.planSelect(s)
+	p, err := db.planSelect(cat, s)
 	if err != nil {
 		return nil, err
 	}
-	p.epoch = epoch
-	cp.phys.Store(p)
+	p.epoch = cat.epoch
+	if cat.epoch != 0 {
+		cp.phys.Store(p)
+	}
 	return p, nil
 }

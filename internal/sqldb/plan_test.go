@@ -14,7 +14,7 @@ func (db *DB) setPlanner(o plannerOptions) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.planner = o
-	db.tables.bumpEpoch()
+	db.bumpEpoch()
 }
 
 // These tests pin the plan-cache invalidation protocol: physical plans pin
@@ -98,9 +98,9 @@ func TestPlanCacheInvalidationOnDropIndex(t *testing.T) {
 }
 
 // TestPlanCacheInvalidationViaTx drives the DDL through a concurrent *Tx
-// handle, covering both the commit and the rollback path: a rollback
-// re-attaches the index (bumping the epoch again), so plans made while the
-// index was dropped must not survive it either.
+// handle: inside the transaction the dropped index is gone from its plans,
+// outside it the committed catalogue still has it, and after the rollback
+// the index is still live and maintained.
 func TestPlanCacheInvalidationViaTx(t *testing.T) {
 	db := New()
 	mustExec(t, db, `CREATE TABLE tx (k integer)`)
@@ -129,9 +129,13 @@ func TestPlanCacheInvalidationViaTx(t *testing.T) {
 	if rs, err := stmt.Query(); err != nil || len(rs.Rows) != 1 {
 		t.Fatalf("mid-tx after drop: %v %v", rs, err)
 	}
-	out := explainText(t, db, `EXPLAIN SELECT k FROM tx WHERE k = 5`)
+	out := explainText(t, tx, `EXPLAIN SELECT k FROM tx WHERE k = 5`)
 	if strings.Contains(out, "Index Scan") {
 		t.Fatalf("index dropped in open tx, plan still probes it:\n%s", out)
+	}
+	out = explainText(t, db, `EXPLAIN SELECT k FROM tx WHERE k = 5`)
+	if !strings.Contains(out, "Index Scan using tx_k") {
+		t.Fatalf("index dropped in another open tx, committed plan should probe it:\n%s", out)
 	}
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 	materialize := func(sc *scope) (*ResultSet, error) {
 		switch {
 		case item.Table != "":
-			t, ok := cx.db.tables.get(item.Table)
+			t, ok := cx.db.tables.Load().get(item.Table)
 			if !ok {
 				return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, item.Table)
 			}
@@ -560,7 +560,7 @@ func tryIndexScan(cx *evalCtx, s *SelectStmt) ([]Row, sourceInfo, bool) {
 	if item.Table == "" || len(item.ColAliases) > 0 {
 		return nil, sourceInfo{}, false
 	}
-	t, ok := cx.db.tables.get(item.Table)
+	t, ok := cx.db.tables.Load().get(item.Table)
 	if !ok || len(t.indexes) == 0 {
 		return nil, sourceInfo{}, false
 	}

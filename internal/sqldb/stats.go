@@ -81,23 +81,21 @@ func computeTableStats(db *DB, t *Table) *tableStats {
 func (db *DB) analyzeTableLocked(t *Table) {
 	t.stats.Store(computeTableStats(db, t))
 	t.statMutations.Store(0)
-	db.tables.bumpEpoch()
+	db.bumpEpoch()
 }
 
-// execAnalyze runs ANALYZE [table] under the exclusive lock.
-func (db *DB) execAnalyze(s *AnalyzeStmt) (*ResultSet, error) {
+// execAnalyze runs ANALYZE [table] over cat under the exclusive lock.
+func (db *DB) execAnalyze(cat *catalogValue, s *AnalyzeStmt) (*ResultSet, error) {
 	if s.Table != "" {
-		t, ok := db.tables.get(s.Table)
+		t, ok := cat.get(s.Table)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, s.Table)
 		}
 		db.analyzeTableLocked(t)
 		return &ResultSet{}, nil
 	}
-	for _, name := range db.tables.names() {
-		if t, ok := db.tables.get(name); ok {
-			db.analyzeTableLocked(t)
-		}
+	for _, name := range cat.names {
+		db.analyzeTableLocked(cat.tables[name])
 	}
 	return &ResultSet{}, nil
 }
@@ -142,7 +140,7 @@ func (db *DB) Analyze(name string) error {
 	if db.closed {
 		return ErrClosed
 	}
-	_, err := db.execAnalyze(&AnalyzeStmt{Table: name})
+	_, err := db.execAnalyze(db.tables.Load(), &AnalyzeStmt{Table: name})
 	return err
 }
 
@@ -150,7 +148,7 @@ func (db *DB) Analyze(name string) error {
 // ANALYZE time and each column's distinct-value count. ok is false when the
 // table does not exist or has never been analyzed.
 func (db *DB) TableStats(name string) (rowCount int, distinct map[string]int, ok bool) {
-	t, found := db.tables.get(name)
+	t, found := db.tables.Load().get(name)
 	if !found {
 		return 0, nil, false
 	}

@@ -124,19 +124,7 @@ func (s *Stmt) QueryRowsContext(ctx context.Context, args ...any) (*RowIter, err
 // execution — the pgfmu shell's \timing uses it to report parse / plan /
 // execute phases. It is a no-op for statements that are not SELECTs.
 func (s *Stmt) Plan() error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	sel, ok := s.cp.stmt.(*SelectStmt)
-	if !ok {
-		return nil
-	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	if s.db.closed {
-		return ErrClosed
-	}
-	_, err := s.cp.physFor(s.db, sel)
+	_, err := s.physPlan()
 	return err
 }
 
@@ -146,26 +134,50 @@ func (s *Stmt) Plan() error {
 // Non-SELECT statements report "". The pgfmu shell surfaces this next to
 // \timing so a user can see which executor a query took.
 func (s *Stmt) ExecutorKind() (string, error) {
-	if s.closed.Load() {
-		return "", ErrClosed
-	}
-	sel, ok := s.cp.stmt.(*SelectStmt)
-	if !ok {
-		return "", nil
-	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	if s.db.closed {
-		return "", ErrClosed
-	}
-	plan, err := s.cp.physFor(s.db, sel)
-	if err != nil {
+	plan, err := s.physPlan()
+	if plan == nil || err != nil {
 		return "", err
 	}
 	if plan.kind == physVectorized {
 		return "vectorized", nil
 	}
 	return "operators", nil
+}
+
+// physPlan resolves a SELECT's physical plan in the catalogue its execution
+// would see: the committed one, with the uncommitted DDL of the transaction
+// it would join laid over it. nil for other statements.
+func (s *Stmt) physPlan() (*physPlan, error) {
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	sel, ok := s.cp.stmt.(*SelectStmt)
+	if !ok {
+		return nil, nil
+	}
+	tx, _ := s.on.(*Tx)
+	if c, ok := s.on.(*Conn); ok {
+		tx = c.current()
+	}
+	var t *txnState
+	if tx != nil {
+		// A function's handle never takes its mu: it is free here.
+		tx.mu.Lock()
+		defer tx.mu.Unlock()
+		if !tx.done.Load() {
+			t = tx.state
+		}
+	}
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
+	if s.db.closed {
+		return nil, ErrClosed
+	}
+	cat, err := s.db.catalogFor(t)
+	if err != nil {
+		return nil, err
+	}
+	return s.cp.physFor(s.db, cat, sel)
 }
 
 // Exec executes the prepared statement for its side effects, returning the

@@ -108,7 +108,7 @@ func (db *DB) BeginTx(ctx context.Context, mode ...TxMode) (*Tx, error) {
 func (tx *Tx) Commit() error { return tx.end(true) }
 
 // Rollback undoes every change made inside the transaction — its row
-// versions vanish atomically, DDL undoes replay, and OnRollback
+// versions vanish atomically, its DDL is never published, and OnRollback
 // compensators run. ErrTxDone if the transaction already finished, so
 // `defer tx.Rollback()` after a successful Commit is harmless.
 func (tx *Tx) Rollback() error { return tx.end(false) }
@@ -151,20 +151,11 @@ func (tx *Tx) end(commit bool) error {
 			return nil
 		}
 	}
-	// Pure DML rolls back by atomic stamp flips; undo closures and DDL
-	// undos rebuild catalogue state and need db.mu exclusively.
-	relock := !tx.exclusive && (t.ddl || len(t.undo) > 0)
-	if relock {
-		t.locks.acquire(rankDB, true)
-		db.mu.Lock()
-	}
-	uerr := t.unwind(db, txnMarks{})
-	if relock {
-		db.mu.Unlock()
-		t.locks.release(rankDB)
-	}
+	// Rollback flips stamps and forgets the catalogue edits, which nothing
+	// else sees: it needs no lock.
+	t.unwind(txnMarks{})
 	tx.release()
-	return errors.Join(err, uerr)
+	return err
 }
 
 // release frees what the finished transaction holds: its latches, its

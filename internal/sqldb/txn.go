@@ -3,20 +3,21 @@ package sqldb
 // Transaction support. Every write statement runs inside a transaction —
 // a Tx handle (see tx.go), or a one-statement transaction of its own.
 // Writes are multi-versioned (see mvcc.go): each mutation appends or
-// end-stamps row versions under the transaction's in-flight stamp, buffers a
-// WAL record on a durable database, and — for DDL and API compensators —
-// pushes an undo closure. COMMIT writes the pending WAL records plus a
-// commit marker, then flips the transaction's stamps to its commit
-// timestamp; ROLLBACK flips the stamps to aborted/live and replays the undo
-// journal in reverse.
+// end-stamps row versions under the transaction's in-flight stamp and
+// buffers a WAL record on a durable database; DDL records catalogue edits
+// (see catalog.go). COMMIT writes the pending WAL records plus a commit
+// marker, publishes the edits, then flips the transaction's stamps to its
+// commit timestamp; ROLLBACK flips the stamps to aborted/live, forgets the
+// edits and runs the OnRollback compensators in reverse.
 
 // txnState is one open transaction: its identity and snapshot, the row
 // versions it created and ended (the write set whose stamps commit/abort
-// flips), the undo journal for DDL and compensators, the WAL records to
-// write at commit, and the table latches it holds.
+// flips), its catalogue edits, the OnRollback compensators, the WAL records
+// to write at commit, and the table latches it holds.
 type txnState struct {
 	id      uint64
 	snap    snapshot
+	edits   []catEdit
 	undo    []func()
 	touched map[*Table]struct{}
 	created []*rowMeta
@@ -24,10 +25,10 @@ type txnState struct {
 	pending []walRecord
 	latches []*Table
 	locks   heldLocks
-	// ddl records that a DDL undo closure was journalled; rollback then
-	// rebuilds the indexes of touched tables (pure DML rollback needs no
-	// rebuild — aborted versions are filtered by visibility).
-	ddl bool
+
+	// view caches catalogFor's result: edits[:viewEdits] laid over viewOf.
+	view, viewOf *catalogValue
+	viewEdits    int
 }
 
 // newTxn allocates a transaction with a fresh ID; the caller pins its
@@ -42,8 +43,7 @@ func (t *txnState) stamp() uint64 { return txnBit | t.id }
 // recordUndo registers a rollback closure.
 func (t *txnState) recordUndo(fn func()) { t.undo = append(t.undo, fn) }
 
-// touch marks a table as mutated, for rollback index rebuilds (DDL only)
-// and the auto-ANALYZE refresh at commit.
+// touch marks a table as mutated, for the auto-ANALYZE refresh at commit.
 func (t *txnState) touch(tb *Table) {
 	if t.touched == nil {
 		t.touched = make(map[*Table]struct{})
@@ -62,11 +62,12 @@ func (t *txnState) logWAL(db *DB, rec walRecord) {
 // txnMarks is a point in a transaction's journals, for statement-level
 // atomicity: a failed statement unwinds to the marks taken before it ran.
 type txnMarks struct {
-	undo, pending, created, ended int
+	edits, undo, pending, created, ended int
 }
 
 func (t *txnState) marks() txnMarks {
 	return txnMarks{
+		edits:   len(t.edits),
 		undo:    len(t.undo),
 		pending: len(t.pending),
 		created: len(t.created),
@@ -74,21 +75,14 @@ func (t *txnState) marks() txnMarks {
 	}
 }
 
-// dirtySince reports whether the transaction journalled anything past m —
-// i.e. whether a failed statement left state to unwind.
-func (t *txnState) dirtySince(m txnMarks) bool {
-	return len(t.undo) > m.undo || len(t.pending) > m.pending ||
-		len(t.created) > m.created || len(t.ended) > m.ended
-}
-
 // unwind rolls the transaction back to a prior point: versions created past
 // the mark are stamped aborted, end stamps placed past the mark are cleared
-// back to live, undo closures past the mark run in reverse, and pending WAL
-// records are discarded. unwind(db, txnMarks{}) is full rollback;
-// execStatement uses non-zero marks for statement-level atomicity. Stamp
-// flips are atomic, so concurrent snapshot readers see a consistent before-
-// or-after state for every version.
-func (t *txnState) unwind(db *DB, m txnMarks) error {
+// back to live, catalogue edits and pending WAL records past the mark are
+// discarded, and compensators past the mark run in reverse.
+// unwind(txnMarks{}) is full rollback; execStatement uses non-zero marks for
+// statement-level atomicity. Stamp flips are atomic, so concurrent snapshot
+// readers see a consistent before-or-after state for every version.
+func (t *txnState) unwind(m txnMarks) {
 	for _, rm := range t.created[m.created:] {
 		rm.begin.Store(stampAborted)
 	}
@@ -101,22 +95,15 @@ func (t *txnState) unwind(db *DB, m txnMarks) error {
 		t.undo[i]()
 	}
 	t.undo = t.undo[:m.undo]
+	t.edits = t.edits[:m.edits]
+	t.viewOf = nil // edits past the mark may be replaced by others
 	t.pending = t.pending[:m.pending]
-	var firstErr error
 	for tb := range t.touched {
-		if t.ddl {
-			// A DDL undo may have re-attached an index that went stale while
-			// detached; rebuild from the current view.
-			if err := tb.rebuildIndexes(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 		// Unwound churn must not count toward the auto-ANALYZE threshold:
 		// the visible rows are back to their prior state, and a spurious
 		// refresh is an O(rows) scan inside a later commit.
 		tb.statMutations.Store(0)
 	}
-	return firstErr
 }
 
 // isMutatingStmt reports whether a statement can change the database (DML

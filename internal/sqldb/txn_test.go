@@ -78,8 +78,9 @@ func TestTxnRollbackUndoesDDLAndIndexes(t *testing.T) {
 		t.Fatalf("indexed lookup after rollback = %v, %v", rs, err)
 	}
 
-	// DROP INDEX rolls back too, and the re-attached index tracks rows
-	// inserted earlier in the same transaction.
+	// DROP INDEX rolls back too: the committed index stays, and rows
+	// inserted earlier in the rolled-back transaction never surface
+	// through it.
 	mustExec(t, db, `BEGIN`)
 	mustExec(t, db, `INSERT INTO keep VALUES (30)`)
 	mustExec(t, db, `DROP INDEX keep_a`)

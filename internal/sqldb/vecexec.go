@@ -92,7 +92,7 @@ type vecPlan struct {
 // planVectorized decides whether s runs on the vectorized executor and
 // compiles its plan; nil falls through to the other strategies. Caller holds
 // the database lock (either mode).
-func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
+func (db *DB) planVectorized(cat *catalogValue, s *SelectStmt) *vecPlan {
 	if db.planner.disableVectorized {
 		return nil
 	}
@@ -117,7 +117,7 @@ func (db *DB) planVectorized(s *SelectStmt) *vecPlan {
 	if s.Having != nil && !hasAgg {
 		return nil
 	}
-	t, ok := db.tables.get(item.Table)
+	t, ok := cat.get(item.Table)
 	if !ok {
 		return nil // the fallback paths surface ErrNoSuchTable
 	}

@@ -386,9 +386,15 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 		}
 		// The snapshot is a complete image: it replaces whatever the caller
 		// pre-installed (e.g. an empty catalogue).
-		db.tables = newCatalog()
+		var drops []catEdit
+		for _, t := range db.tables.Load().tables {
+			drops = append(drops, catEdit{name: t.Name, base: t})
+		}
+		if _, err := db.editCatalog(db.replayCtx(), drops); err != nil {
+			return err
+		}
 		for _, stmt := range stmts {
-			if _, err := db.execLocked(&evalCtx{db: db, snap: snapshot{ts: db.clock.Load()}}, stmt); err != nil {
+			if _, err := db.execLocked(db.replayCtx(), stmt); err != nil {
 				return fmt.Errorf("sql: restoring snapshot: %w", err)
 			}
 		}
@@ -495,11 +501,17 @@ func (db *DB) findWALRow(t *Table, old []walValue) (*rowMeta, error) {
 	return nil, fmt.Errorf("table %q: logged row not found for replay", t.Name)
 }
 
+// replayCtx is the context recovery replays one statement or record in: no
+// transaction, the latest committed state.
+func (db *DB) replayCtx() *evalCtx {
+	return &evalCtx{db: db, snap: snapshot{ts: db.clock.Load()}, cat: db.tables.Load()}
+}
+
 // applyWALRecord redoes one logged record during recovery, rebuilding
 // committed state directly: replayed versions get begin (and, when ended,
 // end) stamp 1, matching the clock's starting position.
 func (db *DB) applyWALRecord(rec walRecord) error {
-	cx := &evalCtx{db: db, snap: snapshot{ts: db.clock.Load()}}
+	cx := db.replayCtx()
 	switch rec.Op {
 	case "stmt":
 		cp, err := db.parse(rec.SQL)
@@ -516,7 +528,7 @@ func (db *DB) applyWALRecord(rec walRecord) error {
 		}
 		return nil
 	case "ins":
-		t, ok := db.tables.get(rec.Table)
+		t, ok := cx.cat.get(rec.Table)
 		if !ok {
 			return fmt.Errorf("insert into unknown table %q", rec.Table)
 		}
@@ -529,7 +541,7 @@ func (db *DB) applyWALRecord(rec walRecord) error {
 		}
 		return db.insertVersion(cx, t, row)
 	case "upd":
-		t, ok := db.tables.get(rec.Table)
+		t, ok := cx.cat.get(rec.Table)
 		if !ok {
 			return fmt.Errorf("update of unknown table %q", rec.Table)
 		}
@@ -549,7 +561,7 @@ func (db *DB) applyWALRecord(rec walRecord) error {
 		}
 		return db.insertVersion(cx, t, row)
 	case "del":
-		t, ok := db.tables.get(rec.Table)
+		t, ok := cx.cat.get(rec.Table)
 		if !ok {
 			return fmt.Errorf("delete from unknown table %q", rec.Table)
 		}
@@ -582,10 +594,10 @@ func (db *DB) walCheckpointDue() bool {
 	return w != nil && w.checkpointEvery > 0 && w.recordsSinceCheckpoint >= w.checkpointEvery
 }
 
-// Checkpoint writes a fresh snapshot and resets the WAL, bounding recovery
-// time. It is automatic every DurabilityOptions.CheckpointEvery records;
-// call it manually for a durability point before e.g. handing the directory
-// to another process. It fails while an open transaction has run DDL.
+// Checkpoint writes a fresh snapshot of the committed state and resets the
+// WAL, bounding recovery time. It is automatic every
+// DurabilityOptions.CheckpointEvery records; call it manually for a
+// durability point before e.g. handing the directory to another process.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -597,18 +609,12 @@ func (db *DB) checkpointLocked() error {
 	if w == nil {
 		return fmt.Errorf("sql: database is not durable (no WAL attached)")
 	}
-	// An open transaction's DDL changed the catalogue in place but reaches
-	// the WAL only at commit: a snapshot now would replay it twice, or keep
-	// it past a rollback. An automatic checkpoint stays due meanwhile.
-	if db.snaps.ddlOpen() {
-		return fmt.Errorf("sql: cannot checkpoint while an open transaction has run DDL")
-	}
 	// Reclaim dead versions while we hold the exclusive lock anyway: the
 	// snapshot about to be written contains only visible rows, so compacting
 	// first keeps memory in line with it. (Open concurrent transactions are
 	// fine — vacuum skips their latched tables, and the snapshot simply
-	// omits their uncommitted versions; their WAL records land in the new
-	// generation at commit.)
+	// omits their uncommitted versions and DDL; their WAL records land in
+	// the new generation at commit.)
 	db.vacuumLocked()
 	// Flush group-commit residue: if the snapshot write fails midway we fall
 	// back to the current (snapshot, WAL) pair, which must be complete. A
@@ -640,7 +646,7 @@ func (db *DB) checkpointLocked() error {
 		if _, err := fmt.Fprintf(tf, "%s%d\n", snapshotHeader, newGen); err != nil {
 			return err
 		}
-		if err := db.dumpLocked(tf); err != nil {
+		if err := db.dumpCommitted(tf); err != nil {
 			return err
 		}
 		return tf.Sync()
