@@ -173,15 +173,17 @@ func TestFig7SweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	// pgFMU+ must beat pgFMU- and Python on multi-instance workloads: its
-	// warm starts are counted in objective evaluations, the Python stack's
-	// full fits plus CSV interchange in wall time.
+	// pgFMU+ must beat pgFMU- and Python on multi-instance workloads,
+	// counted in objective evaluations: its warm starts against the full
+	// fits of both. Wall time on a shared host is too noisy to assert.
 	if r.EvalsPlus >= r.EvalsMin {
 		t.Errorf("pgFMU+ (%d evaluations) should need fewer than pgFMU- (%d)", r.EvalsPlus, r.EvalsMin)
 	}
-	if r.PgFMUPlus >= r.Python {
-		t.Errorf("pgFMU+ (%v) should be faster than Python (%v)", r.PgFMUPlus, r.Python)
+	if r.EvalsPlus >= r.EvalsPython {
+		t.Errorf("pgFMU+ (%d evaluations) should need fewer than Python (%d)", r.EvalsPlus, r.EvalsPython)
 	}
+	t.Logf("pgFMU+ %d evaluations in %v, pgFMU- %d in %v, Python %d in %v",
+		r.EvalsPlus, r.PgFMUPlus, r.EvalsMin, r.PgFMUMin, r.EvalsPython, r.Python)
 }
 
 func TestFig8(t *testing.T) {

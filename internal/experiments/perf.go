@@ -558,10 +558,11 @@ type Fig7Row struct {
 	Python    time.Duration
 	PgFMUMin  time.Duration // pgFMU-
 	PgFMUPlus time.Duration // pgFMU+
-	// EvalsMin and EvalsPlus count the objective evaluations of every
-	// calibration in the pgFMU- and pgFMU+ runs.
-	EvalsMin  int
-	EvalsPlus int
+	// EvalsPython, EvalsMin and EvalsPlus count the objective evaluations
+	// of every calibration in the Python, pgFMU- and pgFMU+ runs.
+	EvalsPython int
+	EvalsMin    int
+	EvalsPlus   int
 }
 
 // Fig7Sweep measures the multi-instance workflow at increasing instance
@@ -602,10 +603,14 @@ func Fig7Sweep(model string, scale Scale, counts []int) ([]Fig7Row, error) {
 			}
 		}
 		start := time.Now()
-		if _, err := w.RunMultiInstance(ids, sqls, "predictions"); err != nil {
+		results, err := w.RunMultiInstance(ids, sqls, "predictions")
+		if err != nil {
 			return nil, err
 		}
 		row.Python = time.Since(start)
+		for _, r := range results {
+			row.EvalsPython += r.CostEvals
+		}
 		os.RemoveAll(w.WorkDir)
 
 		// pgFMU- and pgFMU+.

@@ -42,24 +42,20 @@ func FitARIMA(series []float64, p, d, q int) (*ARIMAModel, error) {
 
 	// Stage 1: AR + constant via OLS on lagged values.
 	if p > 0 {
-		rows := len(z) - p
-		x := make([][]float64, rows)
-		y := make([]float64, rows)
+		lags := make([][]float64, 0, len(z)-p)
 		for t := p; t < len(z); t++ {
-			row := make([]float64, p+1)
-			row[0] = 1
-			for i := 1; i <= p; i++ {
-				row[i] = z[t-i]
+			row := make([]float64, p)
+			for i := range row {
+				row[i] = z[t-1-i]
 			}
-			x[t-p] = row
-			y[t-p] = z[t]
+			lags = append(lags, row)
 		}
-		w, err := normalEquations(x, y)
+		ols, err := FitLinear(lags, z[p:])
 		if err != nil {
 			return nil, fmt.Errorf("ml: ARIMA AR stage: %w", err)
 		}
-		m.Constant = w[0]
-		copy(m.AR, w[1:])
+		m.Constant = ols.Intercept
+		copy(m.AR, ols.Coef)
 	} else {
 		mean := 0.0
 		for _, v := range z {
@@ -102,17 +98,11 @@ func FitARIMA(series []float64, p, d, q int) (*ARIMAModel, error) {
 	}
 
 	resid, ss := arimaResiduals(z, p, q, flatParams(m))
-	m.Sigma2 = ss / float64(maxInt(1, len(z)-p))
+	m.Sigma2 = ss / float64(max(1, len(z)-p))
 	// Keep the state needed for forecasting.
-	tailLen := maxInt(p, 1) + d
-	if tailLen > len(series) {
-		tailLen = len(series)
-	}
+	tailLen := min(max(p, 1)+d, len(series))
 	m.Tail = append([]float64(nil), series[len(series)-tailLen:]...)
-	rTail := q
-	if rTail > len(resid) {
-		rTail = len(resid)
-	}
+	rTail := min(q, len(resid))
 	m.residTail = append([]float64(nil), resid[len(resid)-rTail:]...)
 	return m, nil
 }
@@ -168,13 +158,10 @@ func (m *ARIMAModel) Forecast(steps int) ([]float64, error) {
 		return nil, fmt.Errorf("ml: forecast steps must be positive")
 	}
 	// Reconstruct differenced history from the tail.
-	hist := append([]float64(nil), m.Tail...)
-	z := difference(hist, m.D)
+	zf := difference(m.Tail, m.D)
 	resid := append([]float64(nil), m.residTail...)
-
-	zf := append([]float64(nil), z...)
 	out := make([]float64, steps)
-	lastLevels := append([]float64(nil), hist...)
+	lastLevels := append([]float64(nil), m.Tail...)
 	for s := 0; s < steps; s++ {
 		pred := m.Constant
 		for i := 0; i < m.P; i++ {
@@ -191,16 +178,14 @@ func (m *ARIMAModel) Forecast(steps int) ([]float64, error) {
 		}
 		zf = append(zf, pred)
 		resid = append(resid, 0) // future shocks have zero expectation
-		// Integrate back d times.
-		level := pred
-		if m.D > 0 {
-			level = lastLevels[len(lastLevels)-1] + pred
-			if m.D > 1 {
-				// Higher-order integration: cumulative over the diff chain.
-				// Supported orders in practice are d ∈ {0, 1}; for d ≥ 2 we
-				// integrate repeatedly through the stored levels.
-				level = integrate(lastLevels, zf, m.D)
-			}
+		// Integrate back: x_t = x_{t-1} + z_t, or for d=2
+		// x_t = 2x_{t-1} - x_{t-2} + z_t. Higher orders integrate once.
+		level, n := pred, len(lastLevels)
+		switch {
+		case m.D == 2 && n >= 2:
+			level = 2*lastLevels[n-1] - lastLevels[n-2] + pred
+		case m.D > 0:
+			level = lastLevels[n-1] + pred
 		}
 		lastLevels = append(lastLevels, level)
 		out[s] = level
@@ -208,40 +193,13 @@ func (m *ARIMAModel) Forecast(steps int) ([]float64, error) {
 	return out, nil
 }
 
-// integrate reconstructs the next level for d ≥ 2 from the level history and
-// differenced forecasts.
-func integrate(levels []float64, z []float64, d int) float64 {
-	// For d=2: x_t = 2x_{t-1} - x_{t-2} + z_t.
-	n := len(levels)
-	switch d {
-	case 2:
-		if n >= 2 {
-			return 2*levels[n-1] - levels[n-2] + z[len(z)-1]
-		}
-	}
-	if n > 0 {
-		return levels[n-1] + z[len(z)-1]
-	}
-	return z[len(z)-1]
-}
-
 // RMSEOnSeries computes the one-step-ahead in-sample RMSE of the model.
 func (m *ARIMAModel) RMSEOnSeries(series []float64) (float64, error) {
 	z := difference(series, m.D)
-	if len(z) <= m.P {
-		return 0, fmt.Errorf("ml: series too short")
-	}
-	resid, ss := arimaResiduals(z, m.P, m.Q, flatParams(m))
-	n := len(resid) - m.P
+	_, ss := arimaResiduals(z, m.P, m.Q, flatParams(m))
+	n := len(z) - m.P
 	if n <= 0 {
 		return 0, fmt.Errorf("ml: series too short")
 	}
 	return math.Sqrt(ss / float64(n)), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

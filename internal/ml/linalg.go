@@ -1,9 +1,9 @@
 // Package ml implements the in-DBMS machine-learning substrate standing in
 // for MADlib in the paper's §8.2 combined experiments: linear regression
 // (OLS), logistic regression (Newton/IRLS), and ARIMA time-series models,
-// each exposed both as a Go API and as SQL UDFs (arima_train,
-// arima_forecast, logregr_train, logregr_predict, linregr_train) in the
-// MADlib style of source-table/output-table arguments.
+// each exposed both as a Go API and as SQL UDFs in the MADlib style:
+// *_train writes the model into its output table (modeltable.go), and the
+// prediction functions read it from there.
 package ml
 
 import (

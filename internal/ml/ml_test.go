@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -374,6 +375,26 @@ func TestUDFLinearRoundTrip(t *testing.T) {
 func TestUDFArgErrors(t *testing.T) {
 	db := sqldb.New()
 	RegisterUDFs(db)
+	// A one-feature linear model, a two-feature logistic one, and tables
+	// that are not model tables.
+	for _, q := range []string{
+		`CREATE TABLE d (label boolean, y float, f1 float, f2 float)`,
+		`INSERT INTO d VALUES (true, 1, 1, 0), (false, 2, 2, 1), (true, 3, 3, 0), (false, 5, 4, 1), (true, 4, 2, 0)`,
+		`SELECT linregr_train('d', 'lm', 'y', 'f1')`,
+		`SELECT logregr_train('d', 'lg', 'label', 'f1, f2')`,
+		`CREATE TABLE no_intercept (param text, value float)`,
+		`INSERT INTO no_intercept VALUES ('r2', 1), ('coef1', 2)`,
+		`CREATE TABLE coef_gap (param text, value float)`,
+		`INSERT INTO coef_gap VALUES ('r2', 1), ('intercept', 0), ('coef1', 2), ('coef3', 4)`,
+		`CREATE TABLE text_values (param text, value text)`,
+		`INSERT INTO text_values VALUES ('r2', '1'), ('intercept', 'zero'), ('coef1', '2')`,
+		`CREATE TABLE short_arima (param text, value float)`,
+		`INSERT INTO short_arima VALUES ('p', 2), ('d', 1), ('q', 0), ('constant', 0), ('ar1', 0.5), ('sigma2', 1), ('tail1', 1)`,
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
 	bad := []string{
 		`SELECT arima_train('a')`,
 		`SELECT arima_train('a', 'b', 'c', 'd', 1, 1)`,
@@ -382,10 +403,54 @@ func TestUDFArgErrors(t *testing.T) {
 		`SELECT linregr_train('a', 'b', 'c')`,
 		`SELECT linregr_predict('m')`,
 		`SELECT logregr_accuracy('m', 's', 'l')`,
+		// Wrong feature counts.
+		`SELECT linregr_predict('lm', 1.0, 2.0)`,
+		`SELECT logregr_predict('lg', 1.0)`,
+		`SELECT logregr_predict('lg', 1.0, 2.0, 3.0)`,
+		`SELECT logregr_accuracy('lg', 'd', 'label', 'f1')`,
+		// Tables that hold no model, or another kind of model.
+		`SELECT linregr_predict('d', 1.0)`,
+		`SELECT linregr_predict('no_intercept', 1.0)`,
+		`SELECT linregr_predict('coef_gap', 1.0)`,
+		`SELECT linregr_predict('text_values', 1.0)`,
+		`SELECT * FROM arima_forecast('short_arima', 3)`,
+		`SELECT * FROM arima_forecast('lm', 3)`,
+		`SELECT logregr_predict('lm', 1.0)`,
 	}
 	for _, q := range bad {
 		if _, err := db.Query(q); err == nil {
 			t.Errorf("%s should fail", q)
+		} else if errors.Is(err, sqldb.ErrInternal) {
+			t.Errorf("%s panicked: %v", q, err)
+		}
+	}
+}
+
+// BenchmarkLinregrPredictStatement times one statement that predicts for
+// each of 337 rows: the model is decoded once per statement, so a row costs
+// a memo lookup.
+func BenchmarkLinregrPredictStatement(b *testing.B) {
+	db := sqldb.New()
+	RegisterUDFs(db)
+	if _, err := db.Exec(`CREATE TABLE m (x float, u float, t float)`); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 337; i++ {
+		u := math.Sin(float64(i) / 9)
+		if err := db.InsertRow("m", 20+2*u+0.01*float64(i), u, float64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := db.Exec(`SELECT linregr_train('m', 'lr_x', 'x', 'u, t')`); err != nil {
+		b.Fatal(err)
+	}
+	const q = `SELECT count(*), avg(linregr_predict('lr_x', m.u, m.t) - m.x) FROM m`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := db.Query(q)
+		if err != nil || rs.Rows[0][0].Int() != 337 {
+			b.Fatalf("%v, %v", rs, err)
 		}
 	}
 }

@@ -48,13 +48,17 @@ func FitLinear(features [][]float64, target []float64) (*LinearModel, error) {
 
 // Predict evaluates the linear model on one feature vector.
 func (m *LinearModel) Predict(features []float64) float64 {
-	out := m.Intercept
-	for i, c := range m.Coef {
-		if i < len(features) {
-			out += c * features[i]
+	return linear(m.Intercept, m.Coef, features)
+}
+
+// linear returns intercept + Σ coef·x; a missing feature counts as 0.
+func linear(intercept float64, coef, x []float64) float64 {
+	for i, c := range coef {
+		if i < len(x) {
+			intercept += c * x[i]
 		}
 	}
-	return out
+	return intercept
 }
 
 // LogisticModel is a binary classifier P(y=1|x) = sigmoid(intercept + Σ w·x).
@@ -149,13 +153,7 @@ func FitLogistic(features [][]float64, labels []bool, maxIters int) (*LogisticMo
 
 // Prob returns P(y=1|x).
 func (m *LogisticModel) Prob(features []float64) float64 {
-	z := m.Intercept
-	for i, c := range m.Coef {
-		if i < len(features) {
-			z += c * features[i]
-		}
-	}
-	return sigmoid(z)
+	return sigmoid(linear(m.Intercept, m.Coef, features))
 }
 
 // Predict classifies with the 0.5 threshold.

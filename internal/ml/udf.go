@@ -4,20 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/sqldb"
 	"repro/internal/variant"
 )
-
-// modelStore keeps trained models by output-table name, the way MADlib pairs
-// a summary table with an in-database model object.
-type modelStore struct {
-	mu       sync.Mutex
-	arima    map[string]*ARIMAModel
-	logistic map[string]*LogisticModel
-	linear   map[string]*LinearModel
-}
 
 // RegisterUDFs installs the MADlib-style functions into the database:
 //
@@ -28,206 +18,123 @@ type modelStore struct {
 //	logregr_accuracy(output_table, source_table, label_col, 'f1, ...') -> float
 //	linregr_train(source_table, output_table, target_col, 'f1, f2, ...')
 //	linregr_predict(output_table, f1, f2, ...) -> value
+//
+// Each *_train replaces its output table with the model (see writeModel)
+// inside the calling statement's transaction; the other functions read it
+// from there.
 func RegisterUDFs(db *sqldb.DB) {
-	store := &modelStore{
-		arima:    make(map[string]*ARIMAModel),
-		logistic: make(map[string]*LogisticModel),
-		linear:   make(map[string]*LinearModel),
-	}
-
 	db.RegisterScalar("arima_train", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 4 && len(args) != 7 {
 			return variant.Value{}, fmt.Errorf("arima_train(source, output, time_col, value_col [, p, d, q]) expects 4 or 7 arguments")
 		}
-		source, output := args[0].AsText(), args[1].AsText()
-		timeCol, valueCol := args[2].AsText(), args[3].AsText()
-		p, dOrder, q := 1, 1, 1 // MADlib's default ARIMA(1,1,1)
-		if len(args) == 7 {
+		orders := []int{1, 1, 1} // p, d, q: MADlib's default ARIMA(1,1,1)
+		for i := range orders[:len(args)-4] {
 			var err error
-			if p, err = intArg(args[4], "p"); err != nil {
-				return variant.Value{}, err
-			}
-			if dOrder, err = intArg(args[5], "d"); err != nil {
-				return variant.Value{}, err
-			}
-			if q, err = intArg(args[6], "q"); err != nil {
+			if orders[i], err = intArg(args[4+i], "pdq"[i:i+1]); err != nil {
 				return variant.Value{}, err
 			}
 		}
-		rs, err := tx.QueryContext(ctx, fmt.Sprintf(
-			`SELECT %s FROM %s ORDER BY %s`, quoteIdent(valueCol), quoteIdent(source), quoteIdent(timeCol)))
+		series, _, err := loadSamples(ctx, tx, args[0].AsText(), args[3].AsText(), nil, args[2].AsText(), variant.Value.AsFloat)
 		if err != nil {
 			return variant.Value{}, fmt.Errorf("arima_train: %w", err)
 		}
-		series := make([]float64, 0, len(rs.Rows))
-		for _, r := range rs.Rows {
-			if r[0].IsNull() {
-				continue
-			}
-			v, err := r[0].AsFloat()
-			if err != nil {
-				return variant.Value{}, fmt.Errorf("arima_train: %w", err)
-			}
-			series = append(series, v)
-		}
-		model, err := FitARIMA(series, p, dOrder, q)
+		m, err := FitARIMA(series, orders[0], orders[1], orders[2])
 		if err != nil {
 			return variant.Value{}, err
 		}
-		store.mu.Lock()
-		store.arima[strings.ToLower(output)] = model
-		store.mu.Unlock()
-		// Summary table in the MADlib style.
-		if _, err := tx.QueryContext(ctx, fmt.Sprintf(`DROP TABLE IF EXISTS %s`, quoteIdent(output))); err != nil {
-			return variant.Value{}, err
-		}
-		if _, err := tx.QueryContext(ctx, fmt.Sprintf(
-			`CREATE TABLE %s (param text, value float)`, quoteIdent(output))); err != nil {
-			return variant.Value{}, err
-		}
-		insert := func(name string, v float64) error {
-			_, err := tx.QueryContext(ctx, fmt.Sprintf(
-				`INSERT INTO %s VALUES ($1, $2)`, quoteIdent(output)), name, v)
-			return err
-		}
-		if err := insert("constant", model.Constant); err != nil {
-			return variant.Value{}, err
-		}
-		for i, phi := range model.AR {
-			if err := insert(fmt.Sprintf("ar%d", i+1), phi); err != nil {
-				return variant.Value{}, err
-			}
-		}
-		for i, theta := range model.MA {
-			if err := insert(fmt.Sprintf("ma%d", i+1), theta); err != nil {
-				return variant.Value{}, err
-			}
-		}
-		if err := insert("sigma2", model.Sigma2); err != nil {
-			return variant.Value{}, err
-		}
-		return variant.NewText(output), nil
+		return writeModel(ctx, tx, args[1].AsText(), m)
 	}, false)
 
-	db.RegisterTable("arima_forecast", func(_ context.Context, _ *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
+	db.RegisterTable("arima_forecast", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("arima_forecast(output_table, steps) expects 2 arguments")
 		}
-		store.mu.Lock()
-		model := store.arima[strings.ToLower(args[0].AsText())]
-		store.mu.Unlock()
-		if model == nil {
-			return nil, fmt.Errorf("arima_forecast: no trained model %q", args[0].AsText())
+		m, err := loadModel[*ARIMAModel](ctx, tx, args[0].AsText())
+		if err != nil {
+			return nil, fmt.Errorf("arima_forecast: %w", err)
 		}
 		steps, err := intArg(args[1], "steps")
 		if err != nil {
 			return nil, err
 		}
-		fc, err := model.Forecast(steps)
+		fc, err := m.Forecast(steps)
 		if err != nil {
 			return nil, err
 		}
-		out := &sqldb.ResultSet{Columns: []sqldb.Column{
-			{Name: "step", Type: "integer"},
-			{Name: "forecast", Type: "float"},
-		}}
+		out := &sqldb.ResultSet{Columns: []sqldb.Column{{Name: "step", Type: "integer"}, {Name: "forecast", Type: "float"}}}
 		for i, v := range fc {
 			out.Rows = append(out.Rows, sqldb.Row{variant.NewInt(int64(i + 1)), variant.NewFloat(v)})
 		}
 		return out.Stream(), nil
 	}, true)
 
-	db.RegisterScalar("logregr_train", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
-		if len(args) != 4 {
-			return variant.Value{}, fmt.Errorf("logregr_train(source, output, label_col, features) expects 4 arguments")
-		}
-		source, output := args[0].AsText(), args[1].AsText()
-		labelCol := args[2].AsText()
-		featureCols := splitCols(args[3].AsText())
-		features, labels, err := loadLabelled(ctx, tx, source, labelCol, featureCols)
-		if err != nil {
-			return variant.Value{}, fmt.Errorf("logregr_train: %w", err)
-		}
-		model, err := FitLogistic(features, labels, 0)
-		if err != nil {
-			return variant.Value{}, err
-		}
-		store.mu.Lock()
-		store.logistic[strings.ToLower(output)] = model
-		store.mu.Unlock()
-		return variant.NewText(output), nil
-	}, false)
-
-	db.RegisterScalar("logregr_predict", func(_ context.Context, _ *sqldb.Tx, args []variant.Value) (variant.Value, error) {
-		if len(args) < 2 {
-			return variant.Value{}, fmt.Errorf("logregr_predict(output_table, features...) expects at least 2 arguments")
-		}
-		store.mu.Lock()
-		model := store.logistic[strings.ToLower(args[0].AsText())]
-		store.mu.Unlock()
-		if model == nil {
-			return variant.Value{}, fmt.Errorf("logregr_predict: no trained model %q", args[0].AsText())
-		}
-		fv, err := floatArgs(args[1:])
-		if err != nil {
-			return variant.Value{}, err
-		}
-		return variant.NewFloat(model.Prob(fv)), nil
-	}, true)
+	registerTrain(db, "logregr_train", "label_col", variant.Value.AsBool,
+		func(x [][]float64, y []bool) (model, error) { return FitLogistic(x, y, 0) })
+	registerTrain(db, "linregr_train", "target_col", variant.Value.AsFloat,
+		func(x [][]float64, y []float64) (model, error) { return FitLinear(x, y) })
+	registerPredict(db, "logregr_predict", func(m *LogisticModel) (float64, []float64) { return m.Intercept, m.Coef }, sigmoid)
+	registerPredict(db, "linregr_predict", func(m *LinearModel) (float64, []float64) { return m.Intercept, m.Coef },
+		func(z float64) float64 { return z })
 
 	db.RegisterScalar("logregr_accuracy", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 4 {
 			return variant.Value{}, fmt.Errorf("logregr_accuracy(output_table, source, label_col, features) expects 4 arguments")
 		}
-		store.mu.Lock()
-		model := store.logistic[strings.ToLower(args[0].AsText())]
-		store.mu.Unlock()
-		if model == nil {
-			return variant.Value{}, fmt.Errorf("logregr_accuracy: no trained model %q", args[0].AsText())
+		cols := splitCols(args[3].AsText())
+		m, err := loadModel[*LogisticModel](ctx, tx, args[0].AsText())
+		if err == nil {
+			err = featureCount(len(m.Coef), len(cols))
 		}
-		features, labels, err := loadLabelled(ctx, tx, args[1].AsText(), args[2].AsText(), splitCols(args[3].AsText()))
+		var features [][]float64
+		var labels []bool
+		if err == nil {
+			labels, features, err = loadSamples(ctx, tx, args[1].AsText(), args[2].AsText(), cols, "", variant.Value.AsBool)
+		}
 		if err != nil {
 			return variant.Value{}, fmt.Errorf("logregr_accuracy: %w", err)
 		}
-		return variant.NewFloat(model.Accuracy(features, labels)), nil
+		return variant.NewFloat(m.Accuracy(features, labels)), nil
 	}, true)
+}
 
-	db.RegisterScalar("linregr_train", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
+// registerTrain installs fn(source, output, yCol, 'f1, f2, ...'), which fits
+// a model to source's samples and writes it to output.
+func registerTrain[Y any](db *sqldb.DB, fn, yCol string, as func(variant.Value) (Y, error),
+	fit func([][]float64, []Y) (model, error)) {
+	db.RegisterScalar(fn, func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) != 4 {
-			return variant.Value{}, fmt.Errorf("linregr_train(source, output, target_col, features) expects 4 arguments")
+			return variant.Value{}, fmt.Errorf("%s(source, output, %s, features) expects 4 arguments", fn, yCol)
 		}
-		source, output := args[0].AsText(), args[1].AsText()
-		targetCol := args[2].AsText()
-		featureCols := splitCols(args[3].AsText())
-		features, target, err := loadNumeric(ctx, tx, source, targetCol, featureCols)
+		y, x, err := loadSamples(ctx, tx, args[0].AsText(), args[2].AsText(), splitCols(args[3].AsText()), "", as)
 		if err != nil {
-			return variant.Value{}, fmt.Errorf("linregr_train: %w", err)
+			return variant.Value{}, fmt.Errorf("%s: %w", fn, err)
 		}
-		model, err := FitLinear(features, target)
+		m, err := fit(x, y)
 		if err != nil {
 			return variant.Value{}, err
 		}
-		store.mu.Lock()
-		store.linear[strings.ToLower(output)] = model
-		store.mu.Unlock()
-		return variant.NewText(output), nil
+		return writeModel(ctx, tx, args[1].AsText(), m)
 	}, false)
+}
 
-	db.RegisterScalar("linregr_predict", func(_ context.Context, _ *sqldb.Tx, args []variant.Value) (variant.Value, error) {
+// registerPredict installs fn(output_table, f1, f2, ...), which returns
+// link(intercept + Σ coef·f) for the output table's model of type M.
+func registerPredict[M model](db *sqldb.DB, fn string, terms func(M) (float64, []float64), link func(float64) float64) {
+	db.RegisterScalar(fn, func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
 		if len(args) < 2 {
-			return variant.Value{}, fmt.Errorf("linregr_predict(output_table, features...) expects at least 2 arguments")
+			return variant.Value{}, fmt.Errorf("%s(output_table, features...) expects at least 2 arguments", fn)
 		}
-		store.mu.Lock()
-		model := store.linear[strings.ToLower(args[0].AsText())]
-		store.mu.Unlock()
-		if model == nil {
-			return variant.Value{}, fmt.Errorf("linregr_predict: no trained model %q", args[0].AsText())
-		}
-		fv, err := floatArgs(args[1:])
+		m, err := loadModel[M](ctx, tx, args[0].AsText())
 		if err != nil {
-			return variant.Value{}, err
+			return variant.Value{}, fmt.Errorf("%s: %w", fn, err)
 		}
-		return variant.NewFloat(model.Predict(fv)), nil
+		intercept, coef := terms(m)
+		var buf [16]float64 // one call's features, off the heap
+		x, err := featureArgs(buf[:0], len(coef), args[1:])
+		if err != nil {
+			return variant.Value{}, fmt.Errorf("%s: %w", fn, err)
+		}
+		return variant.NewFloat(link(linear(intercept, coef, x))), nil
 	}, true)
 }
 
@@ -239,16 +146,27 @@ func intArg(v variant.Value, name string) (int, error) {
 	return int(i), nil
 }
 
-func floatArgs(args []variant.Value) ([]float64, error) {
-	out := make([]float64, len(args))
-	for i, a := range args {
+// featureArgs appends the feature arguments of a model with want features
+// to dst.
+func featureArgs(dst []float64, want int, args []variant.Value) ([]float64, error) {
+	if err := featureCount(want, len(args)); err != nil {
+		return nil, err
+	}
+	for _, a := range args {
 		f, err := a.AsFloat()
 		if err != nil {
 			return nil, err
 		}
-		out[i] = f
+		dst = append(dst, f)
 	}
-	return out, nil
+	return dst, nil
+}
+
+func featureCount(want, got int) error {
+	if want != got {
+		return fmt.Errorf("the model has %d features, got %d", want, got)
+	}
+	return nil
 }
 
 func splitCols(s string) []string {
@@ -268,84 +186,43 @@ func quoteIdent(s string) string {
 	return `"` + strings.ReplaceAll(strings.ToLower(s), `"`, `""`) + `"`
 }
 
-func loadLabelled(ctx context.Context, tx *sqldb.Tx, table, labelCol string, featureCols []string) ([][]float64, []bool, error) {
-	cols := make([]string, 0, len(featureCols)+1)
-	cols = append(cols, quoteIdent(labelCol))
+// loadSamples reads table's (y, features...) rows, ordered by orderBy
+// unless it is empty, skipping every row with a NULL; as converts y.
+func loadSamples[Y any](ctx context.Context, tx *sqldb.Tx, table, yCol string, featureCols []string,
+	orderBy string, as func(variant.Value) (Y, error)) ([]Y, [][]float64, error) {
+	cols := []string{quoteIdent(yCol)}
 	for _, c := range featureCols {
 		cols = append(cols, quoteIdent(c))
 	}
-	rs, err := tx.QueryContext(ctx, fmt.Sprintf(
-		`SELECT %s FROM %s`, strings.Join(cols, ", "), quoteIdent(table)))
+	query := fmt.Sprintf(`SELECT %s FROM %s`, strings.Join(cols, ", "), quoteIdent(table))
+	if orderBy != "" {
+		query += ` ORDER BY ` + quoteIdent(orderBy)
+	}
+	rs, err := tx.QueryContext(ctx, query)
 	if err != nil {
 		return nil, nil, err
 	}
+	var ys []Y
 	var features [][]float64
-	var labels []bool
+rows:
 	for _, r := range rs.Rows {
-		if r[0].IsNull() {
-			continue
+		for _, v := range r {
+			if v.IsNull() {
+				continue rows
+			}
 		}
-		b, err := r[0].AsBool()
+		y, err := as(r[0])
 		if err != nil {
 			return nil, nil, err
 		}
 		fv := make([]float64, len(featureCols))
-		ok := true
-		for i := range featureCols {
-			if r[i+1].IsNull() {
-				ok = false
-				break
-			}
+		for i := range fv {
 			if fv[i], err = r[i+1].AsFloat(); err != nil {
 				return nil, nil, err
 			}
 		}
-		if !ok {
-			continue
-		}
+		ys = append(ys, y)
 		features = append(features, fv)
-		labels = append(labels, b)
 	}
-	return features, labels, nil
-}
-
-func loadNumeric(ctx context.Context, tx *sqldb.Tx, table, targetCol string, featureCols []string) ([][]float64, []float64, error) {
-	cols := make([]string, 0, len(featureCols)+1)
-	cols = append(cols, quoteIdent(targetCol))
-	for _, c := range featureCols {
-		cols = append(cols, quoteIdent(c))
-	}
-	rs, err := tx.QueryContext(ctx, fmt.Sprintf(
-		`SELECT %s FROM %s`, strings.Join(cols, ", "), quoteIdent(table)))
-	if err != nil {
-		return nil, nil, err
-	}
-	var features [][]float64
-	var target []float64
-	for _, r := range rs.Rows {
-		if r[0].IsNull() {
-			continue
-		}
-		y, err := r[0].AsFloat()
-		if err != nil {
-			return nil, nil, err
-		}
-		fv := make([]float64, len(featureCols))
-		ok := true
-		for i := range featureCols {
-			if r[i+1].IsNull() {
-				ok = false
-				break
-			}
-			if fv[i], err = r[i+1].AsFloat(); err != nil {
-				return nil, nil, err
-			}
-		}
-		if !ok {
-			continue
-		}
-		features = append(features, fv)
-		target = append(target, y)
-	}
-	return features, target, nil
+	return ys, features, nil
 }

@@ -75,7 +75,9 @@ type Result struct {
 	RMSE       float64
 	Validation float64
 	Params     map[string]float64
-	Steps      StepTimes
+	// CostEvals counts the calibration's objective evaluations.
+	CostEvals int
+	Steps     StepTimes
 }
 
 // RunSingleInstance executes the complete 7-step workflow of Figure 1 for
@@ -134,6 +136,7 @@ func (w *Workflow) RunSingleInstance(instanceID, measurementsSQL, predictionsTab
 	}
 	res.RMSE = fit.RMSE
 	res.Params = fit.Params
+	res.CostEvals = fit.CostEvals
 	res.Steps.Calibrate = time.Since(start)
 
 	// Step 4: validate and update the FMU model (manual parameter update

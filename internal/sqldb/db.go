@@ -405,6 +405,9 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 	if cx.tx != nil && cx.tx != tx {
 		cx.tx.done.Store(true)
 	}
+	if tx != nil && tx.fn && !readOnly {
+		tx.memo = nil
+	}
 	ckptDue := false
 	if own {
 		if err == nil {

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,6 +100,36 @@ func TestRecoveryCommittedSurviveKill(t *testing.T) {
 	// Index metadata and function survive.
 	if ix := re.Indexes(); len(ix) != 1 || ix[0].Name != "m_id" || ix[0].Kind != IndexHash {
 		t.Fatalf("recovered indexes = %+v", ix)
+	}
+}
+
+// TestRecoveryNonFiniteFloatsThroughSnapshot commits NaN, ±Inf and -0,
+// both into the snapshot (a checkpoint) and into the WAL tail after it: the
+// directory must reopen with every value bit for bit.
+func TestRecoveryNonFiniteFloatsThroughSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	db := openDurable(t, dir, DurabilityOptions{})
+	mustExec(t, db, `CREATE TABLE f (id integer, v float)`)
+	want := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), -0.5}
+	for i, v := range want[:4] {
+		mustExec(t, db, `INSERT INTO f VALUES ($1, $2)`, i, v)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `INSERT INTO f VALUES ($1, $2)`, 4, want[4])
+	db.SimulateCrash()
+
+	re := openDurable(t, dir, DurabilityOptions{})
+	defer re.Close()
+	rs, err := re.Query(`SELECT id, v FROM f ORDER BY id`)
+	if err != nil || len(rs.Rows) != len(want) {
+		t.Fatalf("recovered rows = %v, %v", rs, err)
+	}
+	for i, r := range rs.Rows {
+		if got, _ := r[1].AsFloat(); math.Float64bits(got) != math.Float64bits(want[i]) {
+			t.Errorf("row %d: recovered %v, want %v", i, got, want[i])
+		}
 	}
 }
 

@@ -374,6 +374,64 @@ func TestTxHandleUDFJoinsTransaction(t *testing.T) {
 	}
 }
 
+// TestTxHandleMemo: a function's handle builds a Memo value once per
+// statement and forgets it after a write through the handle; a new
+// statement, and a Tx that is not a function's, build afresh.
+func TestTxHandleMemo(t *testing.T) {
+	db := newSuiteDB(t)
+	mustExec(t, db, `CREATE TABLE t (a int)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1), (2), (3)`)
+	builds := 0
+	count := func(ctx context.Context, tx *Tx) (any, error) {
+		return tx.Memo("count t", func() (any, error) {
+			builds++
+			rs, err := tx.QueryContext(ctx, `SELECT count(*) FROM t`)
+			if err != nil {
+				return nil, err
+			}
+			return rs.Rows[0][0], nil
+		})
+	}
+	db.RegisterScalar("memo_count", func(ctx context.Context, tx *Tx, _ []variant.Value) (variant.Value, error) {
+		v, err := count(ctx, tx)
+		if err != nil {
+			return variant.Value{}, err
+		}
+		return v.(variant.Value), nil
+	}, true)
+	db.RegisterScalar("put", func(ctx context.Context, tx *Tx, args []variant.Value) (variant.Value, error) {
+		_, err := tx.QueryContext(ctx, `INSERT INTO t VALUES ($1)`, args[0])
+		return args[0], err
+	}, false)
+
+	for round := 1; round <= 2; round++ {
+		rs := mustQuery(t, db, `SELECT memo_count() FROM t`)
+		if len(rs.Rows) != 3 || rs.Rows[2][0].Int() != 3 || builds != round {
+			t.Fatalf("round %d: rows %v after %d builds, want three 3s after %d", round, rs.Rows, builds, round)
+		}
+	}
+	builds = 0
+	rs := mustQuery(t, db, `SELECT memo_count(), put(9), memo_count()`)
+	if got := rs.Rows[0]; got[0].Int() != 3 || got[2].Int() != 4 || builds != 2 {
+		t.Fatalf("read, write, read in one statement = %v after %d builds, want 3 then 4 after 2", got, builds)
+	}
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	builds = 0
+	for i := 0; i < 2; i++ {
+		if _, err := count(context.Background(), tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds != 2 {
+		t.Errorf("a transaction handle built %d times for two calls, want 2", builds)
+	}
+}
+
 // TestTxHandleInteropWithSQLText: Tx handles are independent of the
 // transaction SQL-text BEGIN opens — a SQL COMMIT with no BEGIN is an
 // error and never finishes a handle, and transaction control inside a

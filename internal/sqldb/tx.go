@@ -43,6 +43,9 @@ type Tx struct {
 	// begin to end, so a DML statement's text replays to the same rows and
 	// is WAL-logged as such; otherwise DML is logged as row records.
 	exclusive bool
+	// memo holds a function's handle's Memo values until a write through
+	// the handle or the statement's end.
+	memo map[string]any
 	// mu serializes the transaction's statements; it is first in the lock
 	// order (see lockorder.go).
 	mu   sync.Mutex
@@ -180,6 +183,25 @@ func (tx *Tx) OnRollback(fn func()) {
 	if tx.state != nil {
 		tx.state.recordUndo(fn)
 	}
+}
+
+// Memo returns the value build makes for key, building it at most once per
+// statement: a function's handle keeps it until any write through the handle
+// (so a statement that changes what build read sees the change) or the
+// statement's end. Any other Tx runs build every time. Keys are shared by
+// every function the statement calls, and a failed build is not kept.
+func (tx *Tx) Memo(key string, build func() (any, error)) (any, error) {
+	if v, ok := tx.memo[key]; ok {
+		return v, nil
+	}
+	v, err := build()
+	if err == nil && tx.fn {
+		if tx.memo == nil {
+			tx.memo = make(map[string]any)
+		}
+		tx.memo[key] = v
+	}
+	return v, err
 }
 
 // Exec runs a statement inside the transaction.

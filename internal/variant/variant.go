@@ -303,9 +303,14 @@ func (v Value) SQLLiteral() string {
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case Time:
 		return "'" + v.t.Format(TimeLayout) + "'"
-	default:
-		return v.String()
+	case Float:
+		// NaN, ±Inf and -0 have no numeric literal (-0 would parse as the
+		// integer 0).
+		if math.IsNaN(v.f) || math.IsInf(v.f, 0) || v.f == 0 && math.Signbit(v.f) {
+			return "'" + v.String() + "'::float"
+		}
 	}
+	return v.String()
 }
 
 // Equal reports deep equality: same kind and same datum. Int/Float values

@@ -245,6 +245,10 @@ func TestSQLLiteral(t *testing.T) {
 		{NewText("it's"), "'it''s'"},
 		{NewInt(5), "5"},
 		{NewFloat(0.5), "0.5"},
+		{NewFloat(math.NaN()), "'NaN'::float"},
+		{NewFloat(math.Inf(1)), "'+Inf'::float"},
+		{NewFloat(math.Inf(-1)), "'-Inf'::float"},
+		{NewFloat(math.Copysign(0, -1)), "'-0'::float"},
 		{NewBool(true), "true"},
 		{NewNull(), "NULL"},
 		{NewTime(time.Date(2015, 2, 1, 0, 0, 0, 0, time.UTC)), "'2015-02-01 00:00:00'"},

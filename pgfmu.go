@@ -16,7 +16,9 @@
 //
 // Every UDF is also reachable through typed Go methods (CreateModel,
 // Calibrate, Simulate, ...). The MADlib-equivalent ML UDFs (arima_train,
-// logregr_train, ...) are installed alongside.
+// logregr_train, ...) are installed alongside; as in MADlib, a trained
+// model lives in its output table, so it commits, rolls back and survives
+// a reopen like any other row.
 //
 // # Standard-shaped execution API
 //
