@@ -18,16 +18,18 @@ import (
 )
 
 // The async job subsystem: fmu_submit enqueues long-running parest/simulate
-// work as a row in the fmujobs catalogue table, a bounded worker pool drains
-// the queue, fmu_jobs() exposes state/progress/error as a system table, and
-// fmu_cancel aborts by id. Job rows ride the engine's WAL like every other
-// catalogue write, so a kill -9 recovers them: still-queued jobs re-queue on
-// the next open, jobs that died mid-run surface as 'interrupted'.
+// work as a row in the fmujobs catalogue table, and the commit that makes the
+// row visible hands its id to a bounded worker pool (Tx.OnCommit), so jobs
+// start in commit order and a rolled-back submission never runs. fmu_jobs()
+// exposes state/progress/error as a system table, and fmu_cancel aborts by
+// id. Job rows ride the engine's WAL like every other catalogue write, so a
+// kill -9 recovers them: still-queued jobs re-queue on the next open, jobs
+// that died mid-run surface as 'interrupted'.
 //
 // Lock ordering: jm.mu is a leaf — it is never held across a database call.
 // Workers run their transactions with jm.mu released; fmu_jobs/fmu_cancel
 // run under the statement's database lock and take jm.mu only for map
-// reads/ctx cancellation.
+// reads/ctx cancellation; OnCommit closures run with no database lock held.
 
 const fmujobsDDL = `CREATE TABLE IF NOT EXISTS fmujobs (
 	jobid int, kind text, args text, state text, progress float,
@@ -61,15 +63,13 @@ type jobManager struct {
 	workers int
 
 	mu      sync.Mutex
+	ready   sync.Cond          // signalled when queue grows or the pool stops
+	queue   []int64            // committed queued jobs, in commit order
 	live    map[int64]*liveJob // running jobs, by id
-	claimed map[int64]struct{} // dispatched but not yet finished
-	started bool
 	stopped bool
 
 	nextID atomic.Int64
-	nudge  chan struct{}
-	stop   chan struct{}
-	queue  chan int64
+	stop   chan struct{} // closed by shutdown; ends write's backoff
 	wg     sync.WaitGroup
 
 	submitted, completed, failed, cancelled atomic.Uint64
@@ -84,44 +84,24 @@ type liveJob struct {
 func (lj *liveJob) setProgress(f float64) { lj.progress.Store(math.Float64bits(f)) }
 func (lj *liveJob) getProgress() float64  { return math.Float64frombits(lj.progress.Load()) }
 
+// newJobManager launches the worker pool; it idles until a commit (or
+// recoverJobs) enqueues a job.
 func newJobManager(s *Session, workers int) *jobManager {
 	if workers < 1 {
 		workers = defaultJobWorkers
 	}
-	return &jobManager{
+	jm := &jobManager{
 		s:       s,
 		workers: workers,
 		live:    make(map[int64]*liveJob),
-		claimed: make(map[int64]struct{}),
-		nudge:   make(chan struct{}, 1),
 		stop:    make(chan struct{}),
-		queue:   make(chan int64, 1024),
 	}
-}
-
-// start seeds the id allocator from the recovered table and launches the
-// dispatcher and workers. Idempotent.
-func (jm *jobManager) start() {
-	jm.mu.Lock()
-	if jm.started || jm.stopped {
-		jm.mu.Unlock()
-		return
-	}
-	jm.started = true
-	jm.mu.Unlock()
-
-	if rs, err := jm.s.db.Query(`SELECT max(jobid) FROM fmujobs`); err == nil &&
-		len(rs.Rows) > 0 && !rs.Rows[0][0].IsNull() {
-		if id, err := rs.Rows[0][0].AsInt(); err == nil {
-			jm.nextID.Store(id)
-		}
-	}
-
-	jm.wg.Add(1 + jm.workers)
-	go jm.dispatch()
-	for i := 0; i < jm.workers; i++ {
+	jm.ready.L = &jm.mu
+	jm.wg.Add(workers)
+	for i := 0; i < workers; i++ {
 		go jm.work()
 	}
+	return jm
 }
 
 // shutdown cancels live jobs and stops the pool. Queued rows stay queued in
@@ -133,93 +113,84 @@ func (jm *jobManager) shutdown() {
 		return
 	}
 	jm.stopped = true
-	wasStarted := jm.started
 	for _, lj := range jm.live {
 		lj.cancel()
 	}
+	jm.ready.Broadcast()
 	jm.mu.Unlock()
 	close(jm.stop)
-	if wasStarted {
-		jm.wg.Wait()
-	}
+	jm.wg.Wait()
 }
 
-// dispatch polls for committed queued rows — submissions become visible here
-// only once their enclosing transaction commits, so a rolled-back fmu_submit
-// never runs — and hands unclaimed ids to the workers in jobid order.
-func (jm *jobManager) dispatch() {
-	defer jm.wg.Done()
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-jm.stop:
-			return
-		case <-jm.nudge:
-		case <-tick.C:
-		}
-		rs, err := jm.s.db.Query(`SELECT jobid FROM fmujobs WHERE state = $1 ORDER BY jobid`, JobQueued)
-		if err != nil {
-			continue
-		}
-		for _, row := range rs.Rows {
-			id, err := row[0].AsInt()
-			if err != nil {
-				continue
-			}
-			jm.mu.Lock()
-			_, busy := jm.claimed[id]
-			if !busy {
-				jm.claimed[id] = struct{}{}
-			}
-			jm.mu.Unlock()
-			if busy {
-				continue
-			}
-			select {
-			case jm.queue <- id:
-			case <-jm.stop:
-				return
-			}
-		}
+// enqueue hands a committed queued job to the pool. It never blocks; once
+// the pool has stopped the row stays queued for the next open.
+func (jm *jobManager) enqueue(id int64) {
+	jm.mu.Lock()
+	if !jm.stopped {
+		jm.queue = append(jm.queue, id)
+		jm.ready.Signal()
 	}
+	jm.mu.Unlock()
 }
 
+// work runs queued jobs in the order their submissions committed until the
+// pool stops.
 func (jm *jobManager) work() {
 	defer jm.wg.Done()
 	for {
-		select {
-		case <-jm.stop:
-			return
-		case id := <-jm.queue:
-			jm.runJob(id)
+		jm.mu.Lock()
+		for len(jm.queue) == 0 && !jm.stopped {
+			jm.ready.Wait()
 		}
+		if jm.stopped {
+			jm.mu.Unlock()
+			return
+		}
+		id := jm.queue[0]
+		jm.queue = jm.queue[1:]
+		jm.mu.Unlock()
+		jm.runJob(id)
 	}
 }
 
 func jobNow() string { return time.Now().UTC().Format(time.RFC3339Nano) }
 
 // errJobSkipped reports a claim that found the job no longer queued (a
-// concurrent fmu_cancel won, or a duplicate dispatch).
+// concurrent fmu_cancel won) or the pool stopping.
 var errJobSkipped = errors.New("core: job no longer queued")
 
-// runJob claims one queued job and drives it to a terminal state. All
-// fmujobs writes run in Exclusive transactions: a Concurrent one would hold
+// write runs fn in an Exclusive transaction until it commits. Every fmujobs
+// write the pool makes goes through it: a Concurrent transaction would hold
 // the table latch while it waits for db.mu, and collide with UDF statements
 // (which hold the exclusive lock the latch holder needs), surfacing spurious
-// write conflicts to fmu_submit callers.
-func (jm *jobManager) runJob(id int64) {
-	defer func() {
-		jm.mu.Lock()
-		delete(jm.claimed, id)
-		jm.mu.Unlock()
-	}()
+// write conflicts to fmu_submit callers. An Exclusive one only tries the
+// latch, so an open transaction that wrote fmujobs makes it fail with a
+// write conflict; write retries that with capped backoff, so a claim or a
+// final state is never dropped. It gives up only when the pool stops (a
+// row left 'running' then reads 'interrupted' at the next open).
+func (jm *jobManager) write(fn func(tx *sqldb.Tx) error) error {
+	backoff := time.Millisecond
+	for {
+		err := jm.s.inTx(context.Background(), sqldb.Exclusive, fn)
+		if !errors.Is(err, sqldb.ErrWriteConflict) {
+			return err
+		}
+		select {
+		case <-jm.stop:
+			return err
+		case <-time.After(backoff):
+		}
+		backoff = min(2*backoff, 50*time.Millisecond)
+	}
+}
 
+// runJob claims one queued job and drives it to a terminal state.
+func (jm *jobManager) runJob(id int64) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	lj := &liveJob{id: id, cancel: cancel}
 	var kind, rawArgs string
-	claimErr := jm.s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) error {
+	claimErr := jm.write(func(tx *sqldb.Tx) error {
 		rs, err := tx.Query(
 			`SELECT state, kind, args FROM fmujobs WHERE jobid = $1`, id)
 		if err != nil {
@@ -246,7 +217,7 @@ func (jm *jobManager) runJob(id int64) {
 		return nil
 	})
 	if claimErr != nil {
-		return // skipped, or transient conflict: the dispatcher re-polls
+		return // cancelled before start, or the pool stopped
 	}
 	defer jm.forget(id)
 	var args []string
@@ -293,22 +264,15 @@ func (jm *jobManager) forget(id int64) {
 	jm.mu.Unlock()
 }
 
-// finish writes the terminal state (exclusive, like every fmujobs write),
-// retrying briefly around conflicts with concurrent calibration latches.
+// finish writes the terminal state.
 func (jm *jobManager) finish(id int64, state, result, errText string) {
-	for attempt := 0; attempt < 20; attempt++ {
-		err := jm.s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) error {
-			_, e := tx.Exec(
-				`UPDATE fmujobs SET state = $1, progress = $2, result = $3, error = $4, finished = $5
-				 WHERE jobid = $6 AND state = $7`,
-				state, 1.0, result, errText, jobNow(), id, JobRunning)
-			return e
-		})
-		if err == nil || !errors.Is(err, sqldb.ErrWriteConflict) {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	_ = jm.write(func(tx *sqldb.Tx) error {
+		_, err := tx.Exec(
+			`UPDATE fmujobs SET state = $1, progress = $2, result = $3, error = $4, finished = $5
+			 WHERE jobid = $6 AND state = $7`,
+			state, 1.0, result, errText, jobNow(), id, JobRunning)
+		return err
+	})
 }
 
 func (jm *jobManager) execute(ctx context.Context, lj *liveJob, kind string, args []string) (string, error) {
@@ -324,34 +288,27 @@ func (jm *jobManager) execute(ctx context.Context, lj *liveJob, kind string, arg
 	}
 }
 
+// execParest runs a 'parest' job: its arguments are fmu_parest's, stored as
+// text ("" for NULL), and decode the same way.
 func (jm *jobManager) execParest(ctx context.Context, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", fmt.Errorf("core: parest job needs instanceIds and input_sqls")
-	}
-	ids := splitBraceList(args[0])
-	sqls := splitBraceList(args[1])
-	var pars []string
-	if len(args) >= 3 && args[2] != "" {
-		pars = splitBraceList(args[2])
-	}
-	threshold := jm.s.threshold
-	if len(args) >= 4 && args[3] != "" {
-		var err error
-		if threshold, err = strconv.ParseFloat(args[3], 64); err != nil {
-			return "", fmt.Errorf("threshold: %w", err)
+	vals := make([]variant.Value, len(args))
+	for i, a := range args {
+		if a != "" {
+			vals[i] = variant.NewText(a)
 		}
 	}
 	var results []ParestResult
 	err := jm.s.inTx(ctx, sqldb.Concurrent, func(tx *sqldb.Tx) (err error) {
-		results, err = jm.s.parest(ctx, tx, ids, sqls, pars, threshold)
+		results, err = jm.s.parestFromArgs(ctx, tx, vals)
 		return err
 	})
 	if err != nil {
 		return "", err
 	}
+	ids := make([]string, len(results))
 	rmse := make([]float64, len(results))
 	for i, r := range results {
-		rmse[i] = r.RMSE
+		ids[i], rmse[i] = r.InstanceID, r.RMSE
 	}
 	out, _ := json.Marshal(map[string]any{"instances": ids, "rmse": rmse})
 	return string(out), nil
@@ -622,16 +579,9 @@ func (jm *jobManager) statsSnapshot() JobStats {
 	}
 }
 
-// wake nudges the dispatcher without blocking.
-func (jm *jobManager) wake() {
-	select {
-	case jm.nudge <- struct{}{}:
-	default:
-	}
-}
-
 // submit validates and encodes a job, inserts its row in tx, the invoking
-// statement's transaction (so a rollback un-submits it), and returns the id.
+// statement's transaction, and returns the id. The job reaches the pool when
+// that transaction commits; a rollback un-submits it.
 func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, args []string) (int64, error) {
 	switch kind {
 	case "parest":
@@ -653,7 +603,7 @@ func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, arg
 			return 0, err
 		}
 	default:
-		return 0, fmt.Errorf("core: unknown job kind %q (want 'parest' or 'simulate')", kind)
+		return 0, fmt.Errorf("core: unknown job kind %q (want 'parest', 'simulate' or 'sweep')", kind)
 	}
 	encoded, err := json.Marshal(args)
 	if err != nil {
@@ -666,7 +616,7 @@ func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, arg
 		return 0, err
 	}
 	jm.submitted.Add(1)
-	jm.wake()
+	tx.OnCommit(func() { jm.enqueue(id) })
 	return id, nil
 }
 
@@ -728,8 +678,8 @@ func (jm *jobManager) jobsTable(ctx context.Context, q querier) (*sqldb.ResultSe
 
 // recoverJobs is the open-time crash protocol for durable sessions: jobs
 // that died mid-run surface as 'interrupted' (their worker is gone and any
-// partial transaction already rolled back at WAL replay), queued jobs stay
-// queued and re-dispatch once the pool starts.
+// partial transaction already rolled back at WAL replay), queued jobs are
+// enqueued in jobid order, and the id allocator resumes after the largest id.
 func (s *Session) recoverJobs() error {
 	if _, err := s.db.Exec(fmujobsDDL); err != nil {
 		return fmt.Errorf("core: ensuring fmujobs table: %w", err)
@@ -738,6 +688,20 @@ func (s *Session) recoverJobs() error {
 		`UPDATE fmujobs SET state = $1, error = $2, finished = $3 WHERE state = $4`,
 		JobInterrupted, "interrupted by restart", jobNow(), JobRunning); err != nil {
 		return fmt.Errorf("core: marking interrupted jobs: %w", err)
+	}
+	rs, err := s.db.Query(`SELECT jobid, state FROM fmujobs ORDER BY jobid`)
+	if err != nil {
+		return fmt.Errorf("core: reading queued jobs: %w", err)
+	}
+	for _, row := range rs.Rows {
+		id, err := row[0].AsInt()
+		if err != nil {
+			continue
+		}
+		s.jobs.nextID.Store(id)
+		if row[1].AsText() == JobQueued {
+			s.jobs.enqueue(id)
+		}
 	}
 	return nil
 }
@@ -770,15 +734,12 @@ func (s *Session) registerJobUDFs() {
 	// fmu_sweep(instanceId, grid [, input_sql [, time_from, time_to]])
 	//   -> job id for a parameter-grid scenario sweep.
 	db.RegisterScalar("fmu_sweep", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
-		if len(args) < 2 || len(args) > 5 {
-			return variant.Value{}, fmt.Errorf("fmu_sweep(instanceId, grid [, input_sql [, time_from, time_to]]) expects 2–5 arguments")
-		}
 		rest := make([]string, len(args))
 		for i, a := range args {
 			if a.IsNull() {
 				continue
 			}
-			if i >= 3 { // time bounds normalize through timeArg
+			if i == 3 || i == 4 { // time bounds normalize through timeArg
 				f, err := timeArg(a)
 				if err != nil {
 					return variant.Value{}, err

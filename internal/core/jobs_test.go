@@ -211,6 +211,103 @@ func TestJobCancelQueued(t *testing.T) {
 	waitJobState(t, s, busy)
 }
 
+// TestJobTerminalStateBehindOpenTransaction: a job's final state waits out an
+// open transaction that holds the fmujobs latch instead of being dropped, and
+// the job that transaction submitted runs once it commits.
+func TestJobTerminalStateBehindOpenTransaction(t *testing.T) {
+	s := newTestSession(t, WithJobWorkers(1))
+	defer s.Close()
+	if _, err := s.Create(hpSource, "hp"); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := s.DB().Query(`SELECT fmu_sweep('hp', '{B=0:20:200, E=0:10:20}')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, _ := rs.Rows[0][0].AsInt()
+	deadline := time.Now().Add(10 * time.Second)
+	for jobRow(t, s, sweep)["state"] != JobRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never started: %v", jobRow(t, s, sweep))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	tx, err := s.DB().BeginTx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	rs, err = tx.Query(`SELECT fmu_submit('simulate', 'hp')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, _ := rs.Rows[0][0].AsInt()
+	crs, err := s.DB().Query(`SELECT fmu_cancel($1)`, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := crs.Rows[0][0].AsText(); got != JobCancelled {
+		t.Fatalf("fmu_cancel = %q, want cancelled", got)
+	}
+	for s.JobStats().Cancelled != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker never saw the cancellation: %+v", s.JobStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if state, err := s.WaitJob(ctx, sweep); err != nil || state != JobCancelled {
+		t.Fatalf("sweep = %q, %v; want cancelled (row: %v)", state, err, jobRow(t, s, sweep))
+	}
+	if state := waitJobState(t, s, inner); state != JobDone {
+		t.Fatalf("job submitted in the transaction = %q, want done", state)
+	}
+}
+
+// TestJobConcurrentSubmittersEachRunOnce: jobs committed from several
+// goroutines at once each reach the pool exactly once.
+func TestJobConcurrentSubmittersEachRunOnce(t *testing.T) {
+	s := newTestSession(t, WithJobWorkers(2))
+	defer s.Close()
+	if _, err := s.Create(hpSource, "hp"); err != nil {
+		t.Fatal(err)
+	}
+	const submitters, each = 4, 3
+	ids := make(chan int64, submitters*each)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id, err := s.SubmitJob("simulate", "hp")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids <- id
+			}
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	for id := range ids {
+		if state := waitJobState(t, s, id); state != JobDone {
+			t.Errorf("job %d state = %q, want done", id, state)
+		}
+	}
+	if js := s.JobStats(); js.Completed != submitters*each {
+		t.Errorf("stats = %+v, want %d completed", js, submitters*each)
+	}
+}
+
 func TestJobPoolSaturationOrdering(t *testing.T) {
 	s := newTestSession(t, WithJobWorkers(1), WithSimCacheEntries(0))
 	defer s.Close()
@@ -539,6 +636,8 @@ func TestJobUnknownKindRejected(t *testing.T) {
 	defer s.Close()
 	if _, err := s.DB().Query(`SELECT fmu_submit('mine_bitcoin', 'hp')`); err == nil {
 		t.Fatal("unknown job kind accepted")
+	} else if !strings.Contains(err.Error(), "sweep") {
+		t.Errorf("unknown-kind error %q does not name 'sweep'", err)
 	}
 	if _, err := s.DB().Query(`SELECT fmu_cancel(99999)`); err == nil {
 		t.Fatal("cancelling a nonexistent job did not error")

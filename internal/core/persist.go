@@ -82,10 +82,9 @@ func (s *Session) cacheUnit(unit *fmu.Unit) {
 // records. A Dump placed as <dir>/snapshot.sql opens the same way: that is
 // how a database is copied or migrated.
 func OpenDurable(dir string, opts ...Option) (*Session, error) {
-	// Job workers stay parked until recovery finishes: the snapshot restore
-	// below replaces the whole catalogue, and running a queued job against a
-	// half-recovered database would corrupt it.
-	s, err := NewSession(append(append([]Option{}, opts...), deferJobs())...)
+	// The job pool has nothing to run until recoverJobs enqueues the
+	// queued rows: no worker touches a half-recovered database.
+	s, err := NewSession(opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -93,23 +92,23 @@ func OpenDurable(dir string, opts ...Option) (*Session, error) {
 		SyncEvery:       s.walSyncEvery,
 		CheckpointEvery: defaultAutoCheckpointEvery,
 	}); err != nil {
+		s.Close()
 		return nil, fmt.Errorf("core: opening durable session: %w", err)
 	}
 	if err := s.checkCatalog(); err != nil {
 		// Release the WAL descriptor and the directory's single-opener
 		// lock, or a retry in this process would see the directory as
 		// still held.
-		s.db.Close()
+		s.Close()
 		return nil, err
 	}
 	// Crash protocol for jobs: the restored snapshot may predate the job
 	// subsystem (ensure the table), jobs that died mid-run become
-	// 'interrupted', and still-queued rows re-dispatch once the pool starts.
+	// 'interrupted', and still-queued rows re-enter the pool.
 	if err := s.recoverJobs(); err != nil {
-		s.db.Close()
+		s.Close()
 		return nil, err
 	}
-	s.jobs.start()
 	return s, nil
 }
 

@@ -59,11 +59,9 @@ type Session struct {
 	simcache        *simCache
 	simCacheEntries int
 	// jobs is the async job subsystem (jobs.go); jobWorkers bounds its
-	// worker pool. deferJobStart keeps the dispatcher parked until durable
-	// recovery has settled the fmujobs table (OpenDurable starts it).
-	jobs          *jobManager
-	jobWorkers    int
-	deferJobStart bool
+	// worker pool.
+	jobs       *jobManager
+	jobWorkers int
 }
 
 // Option configures a Session.
@@ -116,12 +114,6 @@ func WithSimCacheEntries(n int) Option {
 	return func(s *Session) { s.simCacheEntries = n }
 }
 
-// deferJobs keeps the job dispatcher parked; OpenDurable uses it so
-// recovery settles the fmujobs table before any worker runs.
-func deferJobs() Option {
-	return func(s *Session) { s.deferJobStart = true }
-}
-
 // NewSession creates a database, installs the model catalogue and all pgFMU
 // UDFs, and returns the session. MI optimization defaults to on (pgFMU+)
 // with the paper's 20% threshold.
@@ -145,7 +137,6 @@ func NewSession(opts ...Option) (*Session, error) {
 		s.db.SetLockWaitTimeout(s.lockWait)
 	}
 	s.simcache = newSimCache(s.simCacheEntries)
-	s.jobs = newJobManager(s, s.jobWorkers)
 	if err := s.installCatalog(); err != nil {
 		return nil, err
 	}
@@ -153,9 +144,7 @@ func NewSession(opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	s.registerUDFs()
-	if !s.deferJobStart {
-		s.jobs.start()
-	}
+	s.jobs = newJobManager(s, s.jobWorkers)
 	return s, nil
 }
 

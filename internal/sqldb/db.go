@@ -424,6 +424,9 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 	if take {
 		db.unlock(mode, locks)
 	}
+	if own && err == nil {
+		t.committed()
+	}
 	if ckptDue {
 		// Best effort, with no lock held; the WAL stays valid if it fails.
 		_ = db.Checkpoint()

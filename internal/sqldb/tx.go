@@ -106,14 +106,15 @@ func (db *DB) BeginTx(ctx context.Context, mode ...TxMode) (*Tx, error) {
 // Commit makes the transaction's changes durable and visible: its WAL
 // records are written and fsynced (per the group-commit policy), then its
 // versions flip to a fresh commit timestamp — atomically with respect to
-// every snapshot reader. A failed commit rolls back. ErrTxDone if the
-// transaction already finished.
+// every snapshot reader — and its OnCommit closures run. A failed commit
+// rolls back. ErrTxDone if the transaction already finished.
 func (tx *Tx) Commit() error { return tx.end(true) }
 
 // Rollback undoes every change made inside the transaction — its row
-// versions vanish atomically, its DDL is never published, and OnRollback
-// compensators run. ErrTxDone if the transaction already finished, so
-// `defer tx.Rollback()` after a successful Commit is harmless.
+// versions vanish atomically, its DDL is never published, its OnCommit
+// closures are dropped, and OnRollback compensators run. ErrTxDone if the
+// transaction already finished, so `defer tx.Rollback()` after a successful
+// Commit is harmless.
 func (tx *Tx) Rollback() error { return tx.end(false) }
 
 var errFnTxEnd = errors.New("sql: a function cannot commit or roll back its statement's transaction")
@@ -146,6 +147,7 @@ func (tx *Tx) end(commit bool) error {
 		}
 		if err == nil {
 			tx.release()
+			t.committed()
 			if ckptDue {
 				// Best effort, with no lock held; the WAL stays valid if it
 				// fails.
@@ -182,6 +184,19 @@ func (tx *Tx) release() {
 func (tx *Tx) OnRollback(fn func()) {
 	if tx.state != nil {
 		tx.state.recordUndo(fn)
+	}
+}
+
+// OnCommit registers a closure run once (in registration order) after the
+// transaction's commit is published, with no database lock held; a rollback,
+// a failed commit, or the failure of the statement that registered it drops
+// it. A function's handle registers on its statement's transaction, so the
+// closure runs when the enclosing transaction commits. Callers use it to act
+// on what the commit made visible (e.g. the pgFMU job scheduler starts a
+// submitted job). A read-only statement's handle ignores it.
+func (tx *Tx) OnCommit(fn func()) {
+	if tx.state != nil {
+		tx.state.commit = append(tx.state.commit, fn)
 	}
 }
 

@@ -12,13 +12,14 @@ package sqldb
 
 // txnState is one open transaction: its identity and snapshot, the row
 // versions it created and ended (the write set whose stamps commit/abort
-// flips), its catalogue edits, the OnRollback compensators, the WAL records
-// to write at commit, and the table latches it holds.
+// flips), its catalogue edits, the OnRollback compensators, the OnCommit
+// closures, the WAL records to write at commit, and the table latches it holds.
 type txnState struct {
 	id      uint64
 	snap    snapshot
 	edits   []catEdit
 	undo    []func()
+	commit  []func()
 	touched map[*Table]struct{}
 	created []*rowMeta
 	ended   []*rowMeta
@@ -43,6 +44,15 @@ func (t *txnState) stamp() uint64 { return txnBit | t.id }
 // recordUndo registers a rollback closure.
 func (t *txnState) recordUndo(fn func()) { t.undo = append(t.undo, fn) }
 
+// committed runs the OnCommit closures of a transaction whose commit is
+// published, in registration order, with no database lock held.
+func (t *txnState) committed() {
+	for _, fn := range t.commit {
+		fn()
+	}
+	t.commit = nil
+}
+
 // touch marks a table as mutated, for the auto-ANALYZE refresh at commit.
 func (t *txnState) touch(tb *Table) {
 	if t.touched == nil {
@@ -62,13 +72,14 @@ func (t *txnState) logWAL(db *DB, rec walRecord) {
 // txnMarks is a point in a transaction's journals, for statement-level
 // atomicity: a failed statement unwinds to the marks taken before it ran.
 type txnMarks struct {
-	edits, undo, pending, created, ended int
+	edits, undo, commit, pending, created, ended int
 }
 
 func (t *txnState) marks() txnMarks {
 	return txnMarks{
 		edits:   len(t.edits),
 		undo:    len(t.undo),
+		commit:  len(t.commit),
 		pending: len(t.pending),
 		created: len(t.created),
 		ended:   len(t.ended),
@@ -77,8 +88,8 @@ func (t *txnState) marks() txnMarks {
 
 // unwind rolls the transaction back to a prior point: versions created past
 // the mark are stamped aborted, end stamps placed past the mark are cleared
-// back to live, catalogue edits and pending WAL records past the mark are
-// discarded, and compensators past the mark run in reverse.
+// back to live, catalogue edits, OnCommit closures and pending WAL records
+// past the mark are discarded, and compensators past the mark run in reverse.
 // unwind(txnMarks{}) is full rollback; execStatement uses non-zero marks for
 // statement-level atomicity. Stamp flips are atomic, so concurrent snapshot
 // readers see a consistent before-or-after state for every version.
@@ -95,6 +106,7 @@ func (t *txnState) unwind(m txnMarks) {
 		t.undo[i]()
 	}
 	t.undo = t.undo[:m.undo]
+	t.commit = t.commit[:m.commit]
 	t.edits = t.edits[:m.edits]
 	t.viewOf = nil // edits past the mark may be replaced by others
 	t.pending = t.pending[:m.pending]

@@ -1,8 +1,13 @@
 package sqldb
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/variant"
 )
 
 func countRows(t *testing.T, db *DB, table string) int64 {
@@ -192,4 +197,102 @@ func TestTxnScriptGrouping(t *testing.T) {
 	if got, _ := rs.Rows[0][0].AsInt(); got != 2 {
 		t.Fatalf("surviving row = %d, want 2", got)
 	}
+}
+
+// TestTxOnCommit: a closure a function registers with OnCommit runs exactly
+// once, in registration order, when the enclosing transaction commits —
+// through Tx.Commit, SQL COMMIT on a Conn, or as an autocommit statement —
+// and sees the committed row from a fresh read. A rollback, a failed commit
+// and a failed statement drop it; a read-only statement's handle ignores it.
+func TestTxOnCommit(t *testing.T) {
+	db := newSuiteDB(t)
+	mustExec(t, db, `CREATE TABLE t (a int)`)
+	var fired []int64 // per run: the value, negated if the row was not visible
+	calls := 0
+	db.RegisterScalar("put", func(ctx context.Context, tx *Tx, args []variant.Value) (variant.Value, error) {
+		calls++
+		v := args[0].Int()
+		tx.OnCommit(func() {
+			rs, err := db.Query(`SELECT count(*) FROM t WHERE a = $1`, v)
+			if err != nil || rs.Rows[0][0].Int() != 1 {
+				v = -v
+			}
+			fired = append(fired, v)
+		})
+		_, err := tx.QueryContext(ctx, `INSERT INTO t VALUES ($1)`, v)
+		return args[0], err
+	}, false)
+	db.RegisterScalar("peek", func(ctx context.Context, tx *Tx, _ []variant.Value) (variant.Value, error) {
+		tx.OnCommit(func() { fired = append(fired, 0) })
+		return variant.NewInt(0), nil
+	}, true)
+	want := func(step string, vals ...int64) {
+		t.Helper()
+		if !slices.Equal(fired, vals) {
+			t.Fatalf("%s: closures ran %v, want %v", step, fired, vals)
+		}
+	}
+	ctx := context.Background()
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(`SELECT put(1)`); err != nil {
+		t.Fatal(err)
+	}
+	want("before Tx.Commit")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want("after Tx.Commit", 1)
+
+	c := db.Conn()
+	connExec(t, c, `BEGIN`, `SELECT put(2)`)
+	want("before SQL COMMIT", 1)
+	connExec(t, c, `COMMIT`)
+	want("after SQL COMMIT", 1, 2)
+
+	mustExec(t, db, `SELECT put(3), put(4)`)
+	want("after an autocommit statement", 1, 2, 3, 4)
+
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(`SELECT put(5)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	want("after Rollback", 1, 2, 3, 4)
+
+	a, b := db.Conn(), db.Conn()
+	connExec(t, a, `BEGIN`, `CREATE TABLE s (v int)`)
+	connExec(t, b, `BEGIN`, `CREATE TABLE s (v int)`, `SELECT put(6)`)
+	connExec(t, a, `COMMIT`)
+	if _, err := b.ExecContext(ctx, `COMMIT`); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("commit losing the name s: %v, want ErrWriteConflict", err)
+	}
+	want("after a failed commit", 1, 2, 3, 4)
+
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := calls
+	if _, err := tx.Exec(`SELECT put(7), 1/0`); err == nil {
+		t.Fatal("SELECT put(7), 1/0 succeeded")
+	}
+	if calls != before+1 {
+		t.Fatalf("put ran %d times in the failed statement, want 1", calls-before)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want("after a failed statement's transaction commits", 1, 2, 3, 4)
+
+	mustExec(t, db, `SELECT peek()`)
+	want("after a read-only statement", 1, 2, 3, 4)
 }
