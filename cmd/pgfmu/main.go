@@ -20,7 +20,8 @@
 //	\d          list tables
 //	\timing     toggle per-statement timing (local: parse / plan / execute
 //	            phases plus the executor that ran — vectorized or
-//	            operators; remote: server execute + round trip)
+//	            operators; remote: the server's time, the round trip, and
+//	            the server's non-zero phases from the stream trailer)
 //	\explain Q  show the physical plan for statement Q (shorthand for EXPLAIN Q)
 //	\i FILE     execute statements from FILE
 package main
@@ -37,6 +38,7 @@ import (
 
 	pgfmu "repro"
 	"repro/internal/server/client"
+	"repro/internal/server/wire"
 )
 
 func main() {
@@ -165,7 +167,7 @@ func (sh *shell) meta(cmd string) bool {
 		if !sh.timing {
 			fmt.Fprintln(sh.out, "Timing is off.")
 		} else if sh.remote != nil {
-			fmt.Fprintln(sh.out, "Timing is on (server execute / round trip).")
+			fmt.Fprintln(sh.out, "Timing is on (server / round trip, server phases).")
 		} else {
 			fmt.Fprintln(sh.out, "Timing is on (parse / plan / execute).")
 		}
@@ -251,8 +253,8 @@ func (sh *shell) query(sql string) (tableIter, error) {
 
 // exec runs one statement, streaming the printed result. Locally the three
 // phases (parse / plan / execute) are timed separately; remotely the
-// server reports its execute time in the stream trailer and the shell adds
-// the observed round trip.
+// server reports its time and phases in the stream trailer and the shell
+// adds the observed round trip.
 func (sh *shell) exec(sql string) {
 	sql = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
 	if sql == "" {
@@ -310,13 +312,40 @@ func (sh *shell) execRemote(sql string) {
 		return
 	}
 	if sh.timing {
-		serverMS := 0.0
-		if d := rows.Done(); d != nil {
-			serverMS = d.ElapsedMS
+		rt := ms(time.Since(start))
+		d := rows.Done()
+		if d == nil {
+			fmt.Fprintf(sh.out, "Time: round trip %.3f ms\n", rt)
+			return
 		}
-		fmt.Fprintf(sh.out, "Time: server execute %.3f ms, round trip %.3f ms\n",
-			serverMS, ms(time.Since(start)))
+		fmt.Fprintf(sh.out, "Time: server %.3f ms, round trip %.3f ms\n", d.ElapsedMS, rt)
+		if p := d.Phases; p != nil {
+			fmt.Fprintf(sh.out, "Phases (µs):%s\n", phaseList(p))
+		}
 	}
+}
+
+// phaseList renders a trailer's non-zero phases in the order a request
+// passes through them, plus whether the statement skipped the parser.
+func phaseList(p *wire.Phases) string {
+	var b strings.Builder
+	for _, ph := range []struct {
+		name string
+		us   int64
+	}{
+		{"decode", p.Decode}, {"session", p.Session}, {"parse", p.Parse},
+		{"latch", p.Latch}, {"lock", p.Lock}, {"open", p.Open},
+		{"execute", p.Execute}, {"wal", p.WAL}, {"fsync", p.Fsync},
+		{"commit", p.Commit}, {"encode", p.Encode}, {"write", p.Write},
+	} {
+		if ph.us > 0 {
+			fmt.Fprintf(&b, " %s %d", ph.name, ph.us)
+		}
+	}
+	if p.Cached {
+		b.WriteString(" (plan cached)")
+	}
+	return b.String()
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

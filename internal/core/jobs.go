@@ -69,8 +69,11 @@ type jobManager struct {
 	stopped bool
 
 	nextID atomic.Int64
-	stop   chan struct{} // closed by shutdown; ends write's backoff
+	stop   chan struct{} // closed by shutdown; ends retryConflicts' backoff
 	wg     sync.WaitGroup
+
+	// body runs a claimed job's work: execute, which tests replace.
+	body func(ctx context.Context, lj *liveJob, kind string, args []string) (string, error)
 
 	submitted, completed, failed, cancelled atomic.Uint64
 }
@@ -96,6 +99,7 @@ func newJobManager(s *Session, workers int) *jobManager {
 		live:    make(map[int64]*liveJob),
 		stop:    make(chan struct{}),
 	}
+	jm.body = jm.execute
 	jm.ready.L = &jm.mu
 	jm.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -159,29 +163,44 @@ func jobNow() string { return time.Now().UTC().Format(time.RFC3339Nano) }
 // concurrent fmu_cancel won) or the pool stopping.
 var errJobSkipped = errors.New("core: job no longer queued")
 
-// write runs fn in an Exclusive transaction until it commits. Every fmujobs
-// write the pool makes goes through it: a Concurrent transaction would hold
-// the table latch while it waits for db.mu, and collide with UDF statements
-// (which hold the exclusive lock the latch holder needs), surfacing spurious
-// write conflicts to fmu_submit callers. An Exclusive one only tries the
-// latch, so an open transaction that wrote fmujobs makes it fail with a
-// write conflict; write retries that with capped backoff, so a claim or a
-// final state is never dropped. It gives up only when the pool stops (a
-// row left 'running' then reads 'interrupted' at the next open).
-func (jm *jobManager) write(fn func(tx *sqldb.Tx) error) error {
+// retryConflicts runs attempt until it ends in something other than a write
+// conflict, with backoff from 1 ms doubling to 50 ms between tries and no
+// attempt limit. It gives up, returning the conflict, only when ctx is done
+// or the pool stops. A conflict (a bounded lock wait lost against a burst of
+// exclusive statements, or a first-updater-wins loss) rolls the attempt's
+// transaction back cleanly, so for the pool it is a reason to retry, never a
+// job's outcome.
+func (jm *jobManager) retryConflicts(ctx context.Context, attempt func() error) error {
 	backoff := time.Millisecond
 	for {
-		err := jm.s.inTx(context.Background(), sqldb.Exclusive, fn)
+		err := attempt()
 		if !errors.Is(err, sqldb.ErrWriteConflict) {
 			return err
 		}
 		select {
+		case <-ctx.Done():
+			return err
 		case <-jm.stop:
 			return err
 		case <-time.After(backoff):
 		}
 		backoff = min(2*backoff, 50*time.Millisecond)
 	}
+}
+
+// write runs fn in an Exclusive transaction until it commits. Every fmujobs
+// write the pool makes goes through it: a Concurrent transaction would hold
+// the table latch while it waits for db.mu, and collide with UDF statements
+// (which hold the exclusive lock the latch holder needs), surfacing spurious
+// write conflicts to fmu_submit callers. An Exclusive one only tries the
+// latch, so an open transaction that wrote fmujobs makes it fail with a
+// write conflict, which write retries, so a claim or a final state is never
+// dropped. It gives up only when the pool stops (a row left 'running' then
+// reads 'interrupted' at the next open).
+func (jm *jobManager) write(fn func(tx *sqldb.Tx) error) error {
+	return jm.retryConflicts(context.Background(), func() error {
+		return jm.s.inTx(context.Background(), sqldb.Exclusive, fn)
+	})
 }
 
 // runJob claims one queued job and drives it to a terminal state.
@@ -227,23 +246,12 @@ func (jm *jobManager) runJob(id int64) {
 		return
 	}
 
-	// A write conflict (bounded lock wait lost against a burst of exclusive
-	// statements, or a first-updater-wins loss) rolls the body's transaction
-	// back cleanly — for an async job that is a reason to retry, not a
-	// terminal error. Backoff keeps retries from re-joining the same burst.
 	var result string
-	var err error
-	for attempt := 0; ; attempt++ {
-		result, err = jm.execute(ctx, lj, kind, args)
-		if err == nil || ctx.Err() != nil || !errors.Is(err, sqldb.ErrWriteConflict) || attempt >= 10 {
-			break
-		}
+	err := jm.retryConflicts(ctx, func() (err error) {
 		lj.setProgress(0)
-		select {
-		case <-ctx.Done():
-		case <-time.After(time.Duration(attempt+1) * 25 * time.Millisecond):
-		}
-	}
+		result, err = jm.body(ctx, lj, kind, args)
+		return err
+	})
 	switch {
 	case err == nil:
 		jm.completed.Add(1)

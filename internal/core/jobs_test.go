@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/estimate"
+	"repro/internal/sqldb"
 )
 
 // waitJobState polls fmu_jobs() until job id reaches a terminal state.
@@ -668,5 +669,35 @@ func TestParseGridCrossProduct(t *testing.T) {
 				t.Errorf("missing grid point A=%v C=%v", a, c)
 			}
 		}
+	}
+}
+
+// TestJobBodyRetryConflictsUntilDone: a job body that keeps losing write
+// conflicts is retried, like the claim and the final-state write, until it
+// commits; it does not end 'error' after a fixed number of attempts.
+func TestJobBodyRetryConflictsUntilDone(t *testing.T) {
+	s := newTestSession(t)
+	defer s.Close()
+	if _, err := s.Create(hpSource, "hp"); err != nil {
+		t.Fatal(err)
+	}
+	loadMeasurements(t, s, "meas", 1.0)
+	attempts := 0
+	s.jobs.body = func(context.Context, *liveJob, string, []string) (string, error) {
+		if attempts++; attempts <= 15 {
+			return "", fmt.Errorf("attempt %d: %w", attempts, sqldb.ErrWriteConflict)
+		}
+		return `"ok"`, nil
+	}
+	rs, err := s.DB().Query(`SELECT fmu_submit('simulate', 'hp', 'SELECT time, u FROM meas')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := rs.Rows[0][0].AsInt()
+	if state := waitJobState(t, s, id); state != JobDone {
+		t.Fatalf("state = %q after %d attempts, want done (row: %v)", state, attempts, jobRow(t, s, id))
+	}
+	if attempts != 16 {
+		t.Fatalf("body ran %d times, want 15 conflicts and one success", attempts)
 	}
 }

@@ -139,7 +139,7 @@ func (c *Client) stream(ctx context.Context, path, sql string, args []any) (*Row
 	}
 	rows := &Rows{body: resp.Body}
 	rows.sc = bufio.NewScanner(resp.Body)
-	rows.sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	rows.sc.Buffer(make([]byte, 4*1024), 16*1024*1024)
 	if err := rows.readHeader(); err != nil {
 		resp.Body.Close()
 		return nil, err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	pgfmu "repro"
 	"repro/internal/buildinfo"
 	"repro/internal/server/wire"
+	"repro/internal/sqldb"
 	"repro/internal/variant"
 )
 
@@ -20,8 +22,9 @@ import (
 const maxBodyBytes = 1 << 20
 
 // flushEvery is the row-batch granularity of statement streaming: rows are
-// flushed to the client every flushEvery rows, so a huge result is chunked
-// instead of materialized while a small one costs one flush.
+// written and flushed to the client every flushEvery rows, so a huge result
+// is chunked instead of materialized while a small one is never flushed
+// early.
 const flushEvery = 128
 
 // ---- plain-JSON endpoints ----
@@ -120,32 +123,29 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 // holds the session's transaction: the engine's grammar recognises
 // BEGIN/COMMIT/ROLLBACK in every spelling it accepts.
 func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
+	tr := newStmtTrace()
 	var req wire.QueryRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	tr.lap(&tr.decode)
 	sess := s.sm.acquire(r.PathValue("id"))
 	if sess == nil {
 		writeError(w, http.StatusNotFound, wire.CodeNoSession, "no such session")
 		return
 	}
 	defer s.sm.release(sess)
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	s.statements.Add(1)
-	t0 := time.Now()
-	it, err := sess.conn.QueryRowsContext(ctx, req.SQL, toBindArgs(req.Args)...)
-	if err != nil {
-		writeStatementError(w, err)
-		return
-	}
-	s.streamRows(w, it, t0)
+	tr.lap(&tr.session)
+	s.runStatement(w, r, tr, func(ctx context.Context) (*pgfmu.RowIter, error) {
+		return sess.conn.QueryRowsContext(ctx, req.SQL, toBindArgs(req.Args)...)
+	})
 }
 
 // handleOneShot runs a single statement with no session state — the curl /
 // smoke-test path. Transaction-control statements are rejected: there is
 // no session to hold the transaction open.
 func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
+	tr := newStmtTrace()
 	var req wire.QueryRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -155,16 +155,25 @@ func (s *Server) handleOneShot(w http.ResponseWriter, r *http.Request) {
 			kw+" requires a session (POST /v1/sessions)")
 		return
 	}
+	tr.lap(&tr.decode)
+	s.runStatement(w, r, tr, func(ctx context.Context) (*pgfmu.RowIter, error) {
+		return s.db.QueryRowsContext(ctx, req.SQL, toBindArgs(req.Args)...)
+	})
+}
+
+// runStatement runs one statement, with the request's deadline and tr's
+// engine trace on its context, and streams its answer.
+func (s *Server) runStatement(w http.ResponseWriter, r *http.Request, tr *stmtTrace, run func(context.Context) (*pgfmu.RowIter, error)) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	s.statements.Add(1)
 	t0 := time.Now()
-	it, err := s.db.QueryRowsContext(ctx, req.SQL, toBindArgs(req.Args)...)
+	it, err := run(sqldb.WithTrace(ctx, &tr.eng))
 	if err != nil {
 		writeStatementError(w, err)
 		return
 	}
-	s.streamRows(w, it, t0)
+	s.streamRows(w, it, t0, tr)
 }
 
 // ---- prepared statements ----
@@ -198,10 +207,12 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
+	tr := newStmtTrace()
 	var req wire.QueryRequest
 	if !decodeArgs(w, r, &req) {
 		return
 	}
+	tr.lap(&tr.decode)
 	sess := s.sm.acquire(r.PathValue("id"))
 	if sess == nil {
 		writeError(w, http.StatusNotFound, wire.CodeNoSession, "no such session")
@@ -213,16 +224,10 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, wire.CodeNoStmt, "no such prepared statement")
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	s.statements.Add(1)
-	t0 := time.Now()
-	it, err := st.QueryRowsContext(ctx, toBindArgs(req.Args)...)
-	if err != nil {
-		writeStatementError(w, err)
-		return
-	}
-	s.streamRows(w, it, t0)
+	tr.lap(&tr.session)
+	s.runStatement(w, r, tr, func(ctx context.Context) (*pgfmu.RowIter, error) {
+		return st.QueryRowsContext(ctx, toBindArgs(req.Args)...)
+	})
 }
 
 func (s *Server) handleStmtClose(w http.ResponseWriter, r *http.Request) {
@@ -245,33 +250,66 @@ func (s *Server) handleStmtClose(w http.ResponseWriter, r *http.Request) {
 
 // ---- streaming ----
 
+// stmtTrace times one statement request: the server's phases around the
+// engine's.
+type stmtTrace struct {
+	eng                                     sqldb.Trace
+	last                                    time.Time
+	decode, session, execute, encode, write time.Duration
+}
+
+func newStmtTrace() *stmtTrace { return &stmtTrace{last: time.Now()} }
+
+// lap adds the time since the previous lap to *d.
+func (t *stmtTrace) lap(d *time.Duration) {
+	now := time.Now()
+	*d += now.Sub(t.last)
+	t.last = now
+}
+
+func (t *stmtTrace) phases() *wire.Phases {
+	us := func(d time.Duration) int64 { return d.Microseconds() }
+	e := &t.eng
+	return &wire.Phases{
+		Decode: us(t.decode), Session: us(t.session),
+		Parse: us(e.Parse), Cached: e.Cached,
+		Latch: us(e.LatchWait), Lock: us(e.LockWait), Open: us(e.Open),
+		Execute: us(t.execute),
+		WAL:     us(e.WALAppend), Fsync: us(e.Fsync), Commit: us(e.Commit),
+		Encode: us(t.encode), Write: us(t.write),
+	}
+}
+
 // streamRows renders a RowIter as an ndjson stream: header, row arrays,
-// trailer. Rows flush to the client in flushEvery batches, so results
-// stream with bounded server memory. Errors surfacing mid-iteration ride
-// the trailer (the 200 status is already on the wire by then).
-func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Time) {
+// trailer. Lines collect in one buffer, written every flushEvery rows with
+// a flush and once more with the trailer, so an answer under net/http's
+// 2 KiB pre-chunking buffer leaves in one write with a Content-Length and a
+// large one streams chunked with bounded server memory. Errors surfacing
+// mid-iteration ride the trailer (a 200 status may be on the wire by then).
+func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Time, tr *stmtTrace) {
 	defer it.Close()
+	tr.last = time.Now()
 	cols := it.Columns()
 	hdr := wire.Header{Columns: make([]wire.Column, len(cols))}
 	for i, c := range cols {
 		hdr.Columns[i] = wire.Column{Name: c.Name, Type: c.Type}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(hdr); err != nil {
-		return // client went away before the header landed
-	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	_ = enc.Encode(hdr) // column names and types always encode
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	flush()
-
 	rows := 0
 	out := make([]any, len(cols))
-	for it.Next() {
+	var err error
+	tr.lap(&tr.encode)
+	for {
+		more := it.Next()
+		tr.lap(&tr.execute)
+		if !more {
+			err = it.Err()
+			break
+		}
 		row := it.Row()
 		for i := range cols {
 			if i < len(row) {
@@ -280,23 +318,32 @@ func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Ti
 				out[i] = nil
 			}
 		}
-		if err := enc.Encode(out); err != nil {
-			return // broken pipe: the client hung up mid-stream
+		if err = enc.Encode(out); err != nil {
+			err = fmt.Errorf("encoding row %d: %w", rows+1, err)
+			break
 		}
 		rows++
+		tr.lap(&tr.encode)
 		if rows%flushEvery == 0 {
-			flush()
+			if _, werr := w.Write(buf.Bytes()); werr != nil {
+				return // broken pipe: the client hung up mid-stream
+			}
+			buf.Reset()
+			if flusher != nil {
+				flusher.Flush()
+			}
+			tr.lap(&tr.write)
 		}
 	}
 	s.rowsStreamed.Add(uint64(rows))
 	trailer := wire.Trailer{}
-	if err := it.Err(); err != nil {
+	if err != nil {
 		trailer.Error = wireError(err)
 	} else {
-		trailer.Done = &wire.Done{Rows: rows, ElapsedMS: msSince(t0)}
+		trailer.Done = &wire.Done{Rows: rows, ElapsedMS: msSince(t0), Phases: tr.phases()}
 	}
 	_ = enc.Encode(trailer)
-	flush()
+	_, _ = w.Write(buf.Bytes())
 }
 
 // ---- shared helpers ----

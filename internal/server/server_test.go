@@ -28,7 +28,14 @@ import (
 // database closed at test cleanup.
 func newTestServer(t *testing.T, cfg Config, opts ...pgfmu.Option) (*Server, *client.Client) {
 	t.Helper()
-	db, err := pgfmu.Open("", opts...)
+	return newTestServerAt(t, "", cfg, opts...)
+}
+
+// newTestServerAt is newTestServer over the database in dir ("" for one in
+// memory).
+func newTestServerAt(t *testing.T, dir string, cfg Config, opts ...pgfmu.Option) (*Server, *client.Client) {
+	t.Helper()
+	db, err := pgfmu.Open(dir, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

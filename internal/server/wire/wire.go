@@ -11,9 +11,9 @@
 // JSON array of values, and the final line is a Trailer object carrying
 // either the row count or the error that stopped the stream. Because rows
 // are arrays and header/trailer are objects, a reader disambiguates on the
-// first byte of each line. Chunked transfer keeps server-side memory
-// bounded: a 100k-row SELECT is flushed row-batch by row-batch, never
-// materialized.
+// first byte of each line. An answer under 2 KiB goes out in one write
+// with a Content-Length; a larger one is chunked and flushed row-batch by
+// row-batch, so a 100k-row SELECT never materializes server-side.
 package wire
 
 import "fmt"
@@ -42,6 +42,30 @@ type Done struct {
 	Rows int `json:"rows"`
 	// ElapsedMS is the server-side execution time in milliseconds.
 	ElapsedMS float64 `json:"elapsed_ms"`
+	// Phases says where the request's server time went.
+	Phases *Phases `json:"phases,omitempty"`
+}
+
+// Phases is one statement request's server time by phase, in whole
+// microseconds. The phases are disjoint. Decode, Session, Execute, Encode
+// and Write are the server's; the rest are the engine's (sqldb.Trace).
+// Write covers the writes and flushes made before the trailer: the final
+// write, which carries the trailer, cannot be in it, and a small answer
+// makes no other.
+type Phases struct {
+	Decode  int64 `json:"decode,omitempty"`  // reading and decoding the request body
+	Session int64 `json:"session,omitempty"` // finding the session and statement
+	Parse   int64 `json:"parse,omitempty"`   // plan-cache lookup and parsing
+	Cached  bool  `json:"cached,omitempty"`  // the statement skipped the parser
+	Latch   int64 `json:"latch,omitempty"`   // waiting for the written table's latch
+	Lock    int64 `json:"lock,omitempty"`    // waiting for the database lock
+	Open    int64 `json:"open,omitempty"`    // planning and opening; DML does its work here
+	Execute int64 `json:"execute,omitempty"` // producing rows
+	WAL     int64 `json:"wal,omitempty"`     // appending the commit to the log
+	Fsync   int64 `json:"fsync,omitempty"`   // waiting for the log's fsync
+	Commit  int64 `json:"commit,omitempty"`  // the rest of the commit
+	Encode  int64 `json:"encode,omitempty"`  // encoding rows as JSON
+	Write   int64 `json:"write,omitempty"`   // writing and flushing rows
 }
 
 // Error is the wire form of a failure, both as a non-2xx response body and

@@ -96,7 +96,7 @@ func TestMVCCDDLDropHidesNothingUntilCommit(t *testing.T) {
 	if n := len(mustQuery(t, db, probe).Rows); n != 1 {
 		t.Fatalf("warm-up rows = %d", n)
 	}
-	cp, err := db.parse(probe)
+	cp, err := db.parse(probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

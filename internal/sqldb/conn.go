@@ -63,15 +63,12 @@ func (c *Conn) BeginTx(ctx context.Context) (*Tx, error) {
 }
 
 // end runs COMMIT or ROLLBACK sent to the Conn.
-func (c *Conn) end(commit bool) error {
+func (c *Conn) end(commit bool, tr *Trace) error {
 	t := c.current()
 	if t == nil || !c.tx.CompareAndSwap(t, nil) {
 		return ErrNoTx
 	}
-	if commit {
-		return t.Commit()
-	}
-	return t.Rollback()
+	return t.end(commit, tr)
 }
 
 // Close rolls back the transaction open on the Conn, if any; later
@@ -108,7 +105,7 @@ func (c *Conn) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
 }
 
 // queryRows runs one parsed statement on the Conn.
-func (c *Conn) queryRows(ctx context.Context, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
+func (c *Conn) queryRows(ctx context.Context, tr *Trace, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -117,16 +114,16 @@ func (c *Conn) queryRows(ctx context.Context, text string, cp *cachedPlan, param
 	case *BeginStmt:
 		_, err = c.BeginTx(ctx)
 	case *CommitStmt:
-		err = c.end(true)
+		err = c.end(true, tr)
 	case *RollbackStmt:
-		err = c.end(false)
+		err = c.end(false, tr)
 	default:
 		for {
 			t := c.current()
 			if t == nil {
-				return c.db.exec(ctx, nil, text, cp, params)
+				return c.db.exec(ctx, tr, nil, text, cp, params)
 			}
-			it, err := t.queryRows(ctx, text, cp, params)
+			it, err := t.queryRows(ctx, tr, text, cp, params)
 			if errors.Is(err, ErrTxDone) && t.done.Load() {
 				continue // the transaction ended first: run after it
 			}

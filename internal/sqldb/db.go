@@ -163,7 +163,7 @@ func (db *DB) RegisterTable(name string, fn TableFunc, readOnly bool) {
 // statement path. UDFs that execute caller-supplied SQL use it to keep their
 // own read-only promise.
 func (db *DB) IsReadOnly(sql string) (bool, error) {
-	cp, err := db.parse(sql)
+	cp, err := db.parse(sql, nil)
 	if err != nil {
 		return false, err
 	}
@@ -177,7 +177,7 @@ func (db *DB) IsReadOnly(sql string) (bool, error) {
 // Like IsReadOnly it goes through the plan cache, so a repeated statement
 // costs a lookup, not a parse.
 func (db *DB) TxnControl(sql string) string {
-	cp, err := db.parse(sql)
+	cp, err := db.parse(sql, nil)
 	if err != nil {
 		return ""
 	}
@@ -202,12 +202,19 @@ func (db *DB) HasTable(name string) bool {
 }
 
 // parse resolves SQL text to its plan-cache entry: the parsed statement
-// plus the slot where the compiled physical plan accumulates.
-func (db *DB) parse(sql string) (*cachedPlan, error) {
+// plus the slot where the compiled physical plan accumulates. tr, if not
+// nil, records the time and whether the cache hit.
+func (db *DB) parse(sql string, tr *Trace) (*cachedPlan, error) {
+	if tr != nil {
+		defer func(t0 time.Time) { tr.Parse += time.Since(t0) }(time.Now())
+	}
 	db.planCacheMu.Lock()
 	if db.cachePlans {
 		if cp, ok := db.planCache[sql]; ok {
 			db.planCacheMu.Unlock()
+			if tr != nil {
+				tr.Cached = true
+			}
 			return cp, nil
 		}
 	}
@@ -284,8 +291,9 @@ func (db *DB) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 // wait is bounded by the lock-wait timeout and then fails with
 // ErrWriteConflict; a statement of its own waits for db.mu as long as it
 // must, a Tx's statement, whose transaction may hold latches from earlier
-// statements, at most the lock-wait timeout.
-func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
+// statements, at most the lock-wait timeout. tr, if not nil, records the
+// statement's waits, its open and its commit.
+func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -339,12 +347,18 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 			if !ok {
 				return fail(fmt.Errorf("%w: %q", ErrNoSuchTable, name))
 			}
-			if err := db.latchTable(ctx, tb, t); err != nil {
+			w := tr.now()
+			err = db.latchTable(ctx, tb, t)
+			if tr != nil {
+				tr.LatchWait += time.Since(w)
+			}
+			if err != nil {
 				return fail(err)
 			}
 			latched = tb
 		}
 		locks.acquire(rankDB, !bounded)
+		w := tr.now()
 		var err error
 		switch {
 		case mode == lockExclusive && bounded:
@@ -355,6 +369,9 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 			err = db.rlockBounded()
 		default:
 			db.mu.RLock()
+		}
+		if tr != nil {
+			tr.LockWait += time.Since(w)
 		}
 		if err != nil {
 			locks.release(rankDB)
@@ -401,7 +418,11 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 			cx.tx = &Tx{db: db, state: t, snap: snap, held: mode, fn: true, exclusive: exclusive}
 		}
 	}
+	o := tr.now()
 	st, err := db.execStatement(cx, text, cp)
+	if tr != nil {
+		tr.Open += time.Since(o)
+	}
 	if cx.tx != nil && cx.tx != tx {
 		cx.tx.done.Store(true)
 	}
@@ -411,7 +432,7 @@ func (db *DB) exec(ctx context.Context, tx *Tx, text string, cp *cachedPlan, par
 	ckptDue := false
 	if own {
 		if err == nil {
-			if ckptDue, err = db.commitTxn(t); err == nil {
+			if ckptDue, err = db.commitTxn(t, tr); err == nil {
 				db.autoAnalyzeTouched(t)
 			}
 		}
@@ -539,8 +560,14 @@ func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream,
 // race for a name fails the commit with ErrWriteConflict before anything is
 // logged. Safe under either db.mu mode (an exclusive holder cannot contend
 // with concurrent committers, which hold the shared lock). Reports whether
-// an automatic checkpoint is due; callers run it after unlocking.
-func (db *DB) commitTxn(t *txnState) (ckptDue bool, err error) {
+// an automatic checkpoint is due; callers run it after unlocking. tr, if not
+// nil, records the WAL append, the fsync and the rest as Commit.
+func (db *DB) commitTxn(t *txnState, tr *Trace) (ckptDue bool, err error) {
+	if tr != nil {
+		defer func(t0 time.Time, wal, fsync time.Duration) {
+			tr.Commit += time.Since(t0) - (tr.WALAppend - wal) - (tr.Fsync - fsync)
+		}(time.Now(), tr.WALAppend, tr.Fsync)
+	}
 	t.locks.acquire(rankCommit, true)
 	defer t.locks.release(rankCommit)
 	db.commitMu.Lock()
@@ -551,7 +578,7 @@ func (db *DB) commitTxn(t *txnState) (ckptDue bool, err error) {
 			return false, err
 		}
 	}
-	if err := db.walCommit(t); err != nil {
+	if err := db.walCommit(t, tr); err != nil {
 		return false, err
 	}
 	if cat != nil {
@@ -697,7 +724,7 @@ func (db *DB) ExecScript(sql string) (*ResultSet, error) {
 	}
 	var last *ResultSet
 	for i, stmt := range stmts {
-		it, err := db.conn.queryRows(context.Background(), texts[i], &cachedPlan{stmt: stmt}, nil)
+		it, err := db.conn.queryRows(context.Background(), nil, texts[i], &cachedPlan{stmt: stmt}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1162,7 +1189,7 @@ func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
 // in parallel.
 // A durable database WAL-logs it as a physical row record.
 func (db *DB) InsertRow(table string, values ...any) error {
-	_, err := db.conn.queryRows(context.Background(), "", &cachedPlan{stmt: &rowInsert{Table: table, Values: values}}, nil)
+	_, err := db.conn.queryRows(context.Background(), nil, "", &cachedPlan{stmt: &rowInsert{Table: table, Values: values}}, nil)
 	return err
 }
 

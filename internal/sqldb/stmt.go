@@ -25,14 +25,16 @@ type Stmt struct {
 	closed atomic.Bool
 }
 
-// handle is what a statement runs on: a *Conn or a *Tx.
+// handle is what a statement runs on: a *Conn or a *Tx. tr is the
+// statement's trace, nil when it is not traced.
 type handle interface {
-	queryRows(ctx context.Context, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error)
+	queryRows(ctx context.Context, tr *Trace, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error)
 }
 
 // query parses and binds one statement and runs it on h.
 func (db *DB) query(ctx context.Context, h handle, sql string, args []any) (*RowIter, error) {
-	cp, err := db.parse(sql)
+	tr := traceFor(ctx, h)
+	cp, err := db.parse(sql, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +42,7 @@ func (db *DB) query(ctx context.Context, h handle, sql string, args []any) (*Row
 	if err != nil {
 		return nil, err
 	}
-	return h.queryRows(ctx, sql, cp, params)
+	return h.queryRows(ctx, tr, sql, cp, params)
 }
 
 // materialize drains a statement's rows (Query); rowCount counts them
@@ -85,7 +87,7 @@ func (db *DB) prepare(ctx context.Context, sql string, h handle) (*Stmt, error) 
 	if closed {
 		return nil, ErrClosed
 	}
-	cp, err := db.parse(sql)
+	cp, err := db.parse(sql, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +118,11 @@ func (s *Stmt) QueryRowsContext(ctx context.Context, args ...any) (*RowIter, err
 	if err != nil {
 		return nil, err
 	}
-	return s.on.queryRows(ctx, s.text, s.cp, params)
+	tr := traceFor(ctx, s.on)
+	if tr != nil {
+		tr.Cached = true
+	}
+	return s.on.queryRows(ctx, tr, s.text, s.cp, params)
 }
 
 // Plan resolves (or revalidates) the statement's physical plan without

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/variant"
 )
@@ -108,18 +109,20 @@ func (db *DB) BeginTx(ctx context.Context, mode ...TxMode) (*Tx, error) {
 // versions flip to a fresh commit timestamp — atomically with respect to
 // every snapshot reader — and its OnCommit closures run. A failed commit
 // rolls back. ErrTxDone if the transaction already finished.
-func (tx *Tx) Commit() error { return tx.end(true) }
+func (tx *Tx) Commit() error { return tx.end(true, nil) }
 
 // Rollback undoes every change made inside the transaction — its row
 // versions vanish atomically, its DDL is never published, its OnCommit
 // closures are dropped, and OnRollback compensators run. ErrTxDone if the
 // transaction already finished, so `defer tx.Rollback()` after a successful
 // Commit is harmless.
-func (tx *Tx) Rollback() error { return tx.end(false) }
+func (tx *Tx) Rollback() error { return tx.end(false, nil) }
 
 var errFnTxEnd = errors.New("sql: a function cannot commit or roll back its statement's transaction")
 
-func (tx *Tx) end(commit bool) error {
+// end commits or rolls back the transaction; tr, if not nil, records the
+// commit's lock wait and phases.
+func (tx *Tx) end(commit bool, tr *Trace) error {
 	if tx.fn {
 		return errFnTxEnd
 	}
@@ -133,12 +136,16 @@ func (tx *Tx) end(commit bool) error {
 	if commit {
 		if !tx.exclusive {
 			t.locks.acquire(rankDB, true)
+			w := tr.now()
 			db.mu.RLock()
+			if tr != nil {
+				tr.LockWait += time.Since(w)
+			}
 		}
 		ckptDue := false
 		if db.closed {
 			err = ErrClosed
-		} else if ckptDue, err = db.commitTxn(t); err == nil {
+		} else if ckptDue, err = db.commitTxn(t, tr); err == nil {
 			db.autoAnalyzeTouched(t)
 		}
 		if !tx.exclusive {
@@ -256,7 +263,7 @@ func (tx *Tx) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 // queryRows runs one parsed statement in the transaction, one at a time
 // unless the handle is a function's (which runs on its statement's
 // goroutine, under its statement's lock).
-func (tx *Tx) queryRows(ctx context.Context, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
+func (tx *Tx) queryRows(ctx context.Context, tr *Trace, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if !tx.fn {
 		tx.mu.Lock()
 		defer tx.mu.Unlock()
@@ -267,7 +274,7 @@ func (tx *Tx) queryRows(ctx context.Context, text string, cp *cachedPlan, params
 	if isTxnControlStmt(cp.stmt) {
 		return nil, errors.New("sql: transaction control is not valid inside a transaction handle")
 	}
-	return tx.db.exec(ctx, tx, text, cp, params)
+	return tx.db.exec(ctx, tr, tx, text, cp, params)
 }
 
 // Prepare returns a prepared statement that runs inside the transaction;

@@ -280,7 +280,7 @@ func walGenPath(dir string, gen int) string {
 // write, then fsyncs per the group-commit policy. On failure the file is
 // rolled back to the last committed offset; if even that fails, the log is
 // poisoned and every later commit errors until a checkpoint rotates it.
-func (w *wal) commit(recs []walRecord) error {
+func (w *wal) commit(recs []walRecord, tr *Trace) error {
 	if w.failed {
 		return fmt.Errorf("sql: wal failed a previous append and may be torn; checkpoint to rotate it")
 	}
@@ -293,12 +293,21 @@ func (w *wal) commit(recs []walRecord) error {
 	if err := appendFrame(&buf, walRecord{Op: "commit"}); err != nil {
 		return err
 	}
+	t0 := tr.now()
 	if _, err := w.f.Write(buf.Bytes()); err != nil {
 		w.rollbackTail()
 		return fmt.Errorf("sql: appending to wal: %w", err)
 	}
+	if tr != nil {
+		tr.WALAppend += time.Since(t0)
+	}
 	if w.commitsSinceSync+1 >= w.syncEvery {
-		if err := w.f.Sync(); err != nil {
+		t0 = tr.now()
+		err := w.f.Sync()
+		if tr != nil {
+			tr.Fsync += time.Since(t0)
+		}
+		if err != nil {
 			// The frames are written but not durable; keeping them would let
 			// a crash resurrect this rolled-back transaction.
 			w.rollbackTail()
@@ -514,7 +523,7 @@ func (db *DB) applyWALRecord(rec walRecord) error {
 	cx := db.replayCtx()
 	switch rec.Op {
 	case "stmt":
-		cp, err := db.parse(rec.SQL)
+		cp, err := db.parse(rec.SQL, nil)
 		if err != nil {
 			return fmt.Errorf("statement %q: %w", rec.SQL, err)
 		}
@@ -576,11 +585,11 @@ func (db *DB) applyWALRecord(rec walRecord) error {
 }
 
 // walCommit writes a finished transaction's buffered records to the WAL.
-func (db *DB) walCommit(t *txnState) error {
+func (db *DB) walCommit(t *txnState, tr *Trace) error {
 	if db.wal == nil || len(t.pending) == 0 {
 		return nil
 	}
-	if err := db.wal.commit(t.pending); err != nil {
+	if err := db.wal.commit(t.pending, tr); err != nil {
 		return err
 	}
 	db.walRecordCount.Add(uint64(len(t.pending)))
