@@ -1,7 +1,7 @@
 package pgfmu
 
 // Benchmark harness: one bench per table and figure of the paper's
-// evaluation (§8), plus the ablation benches DESIGN.md calls out. Benches
+// evaluation (§8), plus ablation benches of the estimator. Benches
 // run the same code paths as cmd/experiments at a reduced scale so
 // `go test -bench=. -benchmem` regenerates every result in minutes; pass
 // paper-sized workloads through cmd/experiments -scale paper.
@@ -134,7 +134,7 @@ func BenchmarkMADlibCombination(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md) ---
+// --- Ablation benches ---
 
 func benchProblem(b *testing.B, delta float64) *estimate.Problem {
 	b.Helper()

@@ -6,7 +6,7 @@
 // known ground-truth parameters, realistic forcing (weather, occupancy,
 // thermostat control), and Gaussian measurement noise calibrated so the
 // resulting calibration RMSEs land in the paper's reported range (Table 7).
-// DESIGN.md documents why this substitution preserves the evaluation: both
+// docs/reproduction.md says why this substitution preserves the evaluation: both
 // parameter-recovery quality and runtime scaling depend on the model class,
 // series length and noise level, not on data provenance.
 package dataset

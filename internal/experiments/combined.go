@@ -35,7 +35,7 @@ func Fig8() *Table {
 	})
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("development-time speedup: %.2fx (paper: 11.74x)", study.Speedup),
-		"simulated cost model replacing the 30-participant human study; see DESIGN.md")
+		"simulated cost model replacing the 30-participant human study; see docs/reproduction.md")
 	return t
 }
 

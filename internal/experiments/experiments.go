@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§8) on top of the reproduction's substrates. Each runner
 // returns a Table — headers, rows, and notes — that cmd/experiments renders
-// and bench_test.go measures. DESIGN.md carries the experiment index; the
-// expected *shape* (who wins, by what factor) is documented per runner and
-// recorded against measurements in EXPERIMENTS.md.
+// and bench_test.go measures. docs/reproduction.md says what stands in for
+// the paper's data, tools and user study; the expected *shape* (who wins,
+// by what factor) is documented per runner.
 package experiments
 
 import (
@@ -199,7 +199,7 @@ func Table5() *Table {
 	for _, r := range rows {
 		pars, _ := dataset.EstimatedParameters(r.id)
 		t.Rows = append(t.Rows, []string{
-			r.id, "synthetic (see DESIGN.md)", r.inputs, r.outputs, strings.Join(pars, ", "),
+			r.id, "synthetic (see docs/reproduction.md)", r.inputs, r.outputs, strings.Join(pars, ", "),
 		})
 	}
 	return t

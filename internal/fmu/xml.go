@@ -2,7 +2,7 @@
 // PyFMI plus the FMU files themselves play in the paper's stack. An FMU here
 // is a real .fmu zip archive holding an FMI-2.0-shaped modelDescription.xml
 // plus a Go-interpretable equation payload (binaries/go/model.json) in place
-// of compiled C binaries (see DESIGN.md, substitution table). The package
+// of compiled C binaries (see docs/reproduction.md). The package
 // covers the full FMU lifecycle the paper exercises: build from Modelica,
 // write/load .fmu files, read metadata (variables, causalities, default
 // experiment), instantiate, set/get values, and simulate with input series.

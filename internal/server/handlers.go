@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,9 +21,8 @@ import (
 const maxBodyBytes = 1 << 20
 
 // flushEvery is the row-batch granularity of statement streaming: rows are
-// written and flushed to the client every flushEvery rows, so a huge result
-// is chunked instead of materialized while a small one is never flushed
-// early.
+// flushed to the client every flushEvery rows, so a huge result is chunked
+// instead of materialized while a small one leaves in one write.
 const flushEvery = 128
 
 // ---- plain-JSON endpoints ----
@@ -281,9 +279,9 @@ func (t *stmtTrace) phases() *wire.Phases {
 }
 
 // streamRows renders a RowIter as an ndjson stream: header, row arrays,
-// trailer. Lines collect in one buffer, written every flushEvery rows with
-// a flush and once more with the trailer, so an answer under net/http's
-// 2 KiB pre-chunking buffer leaves in one write with a Content-Length and a
+// trailer. Lines go into the response's buffer, which is flushed every
+// flushEvery rows and never before, so an answer under net/http's 2 KiB
+// pre-chunking buffer leaves in one write with a Content-Length, and a
 // large one streams chunked with bounded server memory. Errors surfacing
 // mid-iteration ride the trailer (a 200 status may be on the wire by then).
 func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Time, tr *stmtTrace) {
@@ -295,14 +293,15 @@ func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Ti
 		hdr.Columns[i] = wire.Column{Name: c.Name, Type: c.Type}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	_ = enc.Encode(hdr) // column names and types always encode
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(hdr); err != nil {
+		return // client went away
+	}
+	tr.lap(&tr.encode)
 	flusher, _ := w.(http.Flusher)
 	rows := 0
 	out := make([]any, len(cols))
 	var err error
-	tr.lap(&tr.encode)
 	for {
 		more := it.Next()
 		tr.lap(&tr.execute)
@@ -318,20 +317,17 @@ func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Ti
 				out[i] = nil
 			}
 		}
+		// An unencodable value (a NaN) writes nothing and ends the stream
+		// with an error trailer; so does a hung-up client, which never
+		// reads it.
 		if err = enc.Encode(out); err != nil {
-			err = fmt.Errorf("encoding row %d: %w", rows+1, err)
+			err = fmt.Errorf("sending row %d: %w", rows+1, err)
 			break
 		}
 		rows++
 		tr.lap(&tr.encode)
-		if rows%flushEvery == 0 {
-			if _, werr := w.Write(buf.Bytes()); werr != nil {
-				return // broken pipe: the client hung up mid-stream
-			}
-			buf.Reset()
-			if flusher != nil {
-				flusher.Flush()
-			}
+		if rows%flushEvery == 0 && flusher != nil {
+			flusher.Flush()
 			tr.lap(&tr.write)
 		}
 	}
@@ -343,7 +339,6 @@ func (s *Server) streamRows(w http.ResponseWriter, it *pgfmu.RowIter, t0 time.Ti
 		trailer.Done = &wire.Done{Rows: rows, ElapsedMS: msSince(t0), Phases: tr.phases()}
 	}
 	_ = enc.Encode(trailer)
-	_, _ = w.Write(buf.Bytes())
 }
 
 // ---- shared helpers ----

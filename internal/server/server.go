@@ -5,9 +5,9 @@
 // tunable, New wires handlers onto a method-routed mux, and the endpoints
 // are small functions over two building blocks — the session manager
 // (stateful per-client context: transactions, prepared statements, idle
-// reaping; see session.go) and the statement streamer (chunked
-// newline-delimited JSON so large results never materialize server-side;
-// see handlers.go). The wire types live in internal/server/wire, shared
+// reaping; see session.go) and the statement streamer (newline-delimited
+// JSON, one write for a small answer and chunked for a large one, so large
+// results never materialize server-side; see handlers.go). The wire types live in internal/server/wire, shared
 // with the Go client in internal/server/client.
 //
 // # Endpoints

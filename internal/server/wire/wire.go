@@ -49,9 +49,8 @@ type Done struct {
 // Phases is one statement request's server time by phase, in whole
 // microseconds. The phases are disjoint. Decode, Session, Execute, Encode
 // and Write are the server's; the rest are the engine's (sqldb.Trace).
-// Write covers the writes and flushes made before the trailer: the final
-// write, which carries the trailer, cannot be in it, and a small answer
-// makes no other.
+// Write covers the flushes made before the trailer: the final write, which
+// carries the trailer, cannot be in it, and a small answer makes no other.
 type Phases struct {
 	Decode  int64 `json:"decode,omitempty"`  // reading and decoding the request body
 	Session int64 `json:"session,omitempty"` // finding the session and statement
@@ -64,8 +63,8 @@ type Phases struct {
 	WAL     int64 `json:"wal,omitempty"`     // appending the commit to the log
 	Fsync   int64 `json:"fsync,omitempty"`   // waiting for the log's fsync
 	Commit  int64 `json:"commit,omitempty"`  // the rest of the commit
-	Encode  int64 `json:"encode,omitempty"`  // encoding rows as JSON
-	Write   int64 `json:"write,omitempty"`   // writing and flushing rows
+	Encode  int64 `json:"encode,omitempty"`  // encoding rows into the response buffer
+	Write   int64 `json:"write,omitempty"`   // flushing rows to the client
 }
 
 // Error is the wire form of a failure, both as a non-2xx response body and

@@ -1,10 +1,10 @@
 // Package sqldb implements the embedded SQL engine that stands in for
-// PostgreSQL in this reproduction (see DESIGN.md). It provides the surface
-// pgFMU needs: CREATE/DROP TABLE, INSERT/UPDATE/DELETE, SELECT with WHERE,
-// GROUP BY/aggregates, ORDER BY/LIMIT, cross and LATERAL joins, scalar and
-// set-returning user-defined functions (the UDF mechanism pgFMU's SQL API is
-// built on), generate_series, casts, and prepared statements with $n
-// parameters.
+// PostgreSQL in this reproduction (see docs/reproduction.md). It provides
+// the surface pgFMU needs: CREATE/DROP TABLE, INSERT/UPDATE/DELETE, SELECT
+// with WHERE, GROUP BY/aggregates, ORDER BY/LIMIT, cross and LATERAL joins,
+// scalar and set-returning user-defined functions (the UDF mechanism
+// pgFMU's SQL API is built on), generate_series, casts, and prepared
+// statements with $n parameters.
 package sqldb
 
 import (
