@@ -201,7 +201,8 @@ func TestMIDeltas(t *testing.T) {
 
 func TestTruthValuesMatchTable7(t *testing.T) {
 	// Guard: the ground-truth parameters must stay pinned to the values the
-	// paper's Table 7 reports, since EXPERIMENTS.md compares against them.
+	// paper's Table 7 reports, which docs/reproduction.md lists as the
+	// generators' truth.
 	if TruthHP0["Cp"] != 1.53 || TruthHP0["R"] != 1.51 {
 		t.Errorf("HP0 truth = %v", TruthHP0)
 	}

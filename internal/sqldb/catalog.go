@@ -147,8 +147,8 @@ func coerceToColumn(v variant.Value, colType string) (variant.Value, error) {
 
 // The catalogue. Its committed state is one immutable catalogValue behind
 // an atomic pointer (DB.tables, stored only under DB.commitMu), as a
-// table's rows are one tableView: a statement resolves names with a single
-// load and no lock. DDL never changes it in place. A transaction records its
+// table's rows are one tableView: a statement resolves names with a load
+// and no lock, paired with a snapshot of the same commit (DB.pinRead). DDL never changes it in place. A transaction records its
 // DDL as catEdits; its own statements resolve names in the committed value
 // with those edits laid over it (DB.catalogFor), and commitTxn publishes the
 // value the edits make of the catalogue current at commit, under commitMu,
@@ -171,6 +171,10 @@ type catalogValue struct {
 	// view that includes its uncommitted edits, whose plans are never
 	// cached.
 	epoch uint64
+	// ts is the commit timestamp the value was published under (0 for one
+	// published outside a commit); a reader pairs it with a snapshot no
+	// older (DB.pinRead).
+	ts uint64
 }
 
 // catEdit is one catalogue change of an open transaction: the table a name
@@ -256,7 +260,7 @@ func (c *catalogValue) createIndex(info IndexInfo, ifNotExists bool) ([]catEdit,
 		kind:   info.Kind,
 		col:    col,
 	}
-	if err := ix.build(t.loadView().rows); err != nil {
+	if err := ix.build(t.loadView()); err != nil {
 		return nil, err
 	}
 	ixs := append(t.indexes[:len(t.indexes):len(t.indexes)], ix)

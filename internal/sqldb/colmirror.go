@@ -170,8 +170,8 @@ type mirrorScan struct {
 	vis    []int32
 }
 
-// openMirrorScan pins t's current view for cx's snapshot. Caller holds the
-// database lock (either mode), as for any scan source.
+// openMirrorScan pins t's current view for cx's snapshot. It runs while the
+// statement opens, as for any scan source.
 func openMirrorScan(cx *evalCtx, t *Table, wanted []bool) *mirrorScan {
 	v := t.loadView()
 	return &mirrorScan{

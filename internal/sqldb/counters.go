@@ -26,8 +26,8 @@ type EngineStats struct {
 }
 
 // EngineStats returns the engine's operational counters. Safe for
-// concurrent use; the snapshot is internally consistent enough for
-// monitoring (counters are read individually, not under one lock).
+// concurrent use, and takes no lock; the snapshot is internally consistent
+// enough for monitoring (counters are read individually).
 func (db *DB) EngineStats() EngineStats {
 	s := EngineStats{
 		Tables:      len(db.TableNames()),
@@ -36,11 +36,9 @@ func (db *DB) EngineStats() EngineStats {
 		WALRecords:  db.walRecordCount.Load(),
 		ActiveTxns:  db.snaps.count(),
 	}
-	db.mu.RLock()
-	if db.wal != nil {
+	if w := db.wal.Load(); w != nil {
 		s.Durable = true
-		s.WALGeneration = db.wal.gen
+		s.WALGeneration = w.gen
 	}
-	db.mu.RUnlock()
 	return s
 }

@@ -15,14 +15,13 @@ import (
 // DB is an embedded, in-memory SQL database with a UDF registry — the
 // PostgreSQL stand-in the pgFMU core extends. It is safe for concurrent use.
 //
-// Concurrency is multi-version (see mvcc.go): readers run against a
-// snapshot with no lock held on the row-iteration hot path, and writers
-// serialize per table through write latches, so transactions writing
-// disjoint tables execute and commit in parallel. The database-wide
-// reader/writer lock remains, but in a weaker role: plain DML shares it
-// (db.mu.RLock) and only DDL, UDF-bearing statements and Exclusive
-// transactions take it exclusively. DB.exec is the one place a statement
-// takes it.
+// Concurrency is multi-version (see mvcc.go): a read runs against a
+// snapshot and takes no database lock, and writers serialize per table
+// through write latches, so transactions writing disjoint tables execute
+// and commit in parallel. The database-wide reader/writer lock remains for
+// writers only: plain DML shares it (db.mu.RLock); DDL, statements calling
+// a writing function, Exclusive transactions, Checkpoint and Vacuum take it
+// exclusively. DB.exec is the one place a statement takes it.
 //
 // The execution API follows the standard Go contract: Exec/Query/QueryRows
 // with Context variants, Prepare for reusable statements (see stmt.go),
@@ -44,7 +43,7 @@ type DB struct {
 	planCacheMu sync.Mutex
 
 	// planner holds the tests' planner overrides (plannerOptions), zero in
-	// production; written only under the exclusive lock.
+	// production; tests set it between statements.
 	planner plannerOptions
 
 	// conn is the DB's default connection: every statement sent to the DB
@@ -52,11 +51,11 @@ type DB struct {
 	// joined by every statement sent to the DB, from any goroutine.
 	conn Conn
 	// wal is the attached write-ahead log; nil for an in-memory database
-	// (see wal.go / EnableDurability).
-	wal *wal
+	// (see wal.go / EnableDurability). Stored under the exclusive lock.
+	wal atomic.Pointer[wal]
 	// closed marks a DB shut down by Close; all statement entry points
-	// return ErrClosed afterwards. Guarded by mu.
-	closed bool
+	// return ErrClosed afterwards. Stored under the exclusive lock.
+	closed atomic.Bool
 
 	// clock is the commit-timestamp clock: the stamp of the newest committed
 	// transaction. Reading it IS taking a snapshot. Advanced only inside
@@ -72,7 +71,7 @@ type DB struct {
 	commitMu sync.Mutex
 	// locks hands out the per-table write latches.
 	locks *lockMgr
-	// snaps tracks open explicit concurrent transactions for Vacuum's
+	// snaps tracks the snapshots readers hold, for Vacuum's
 	// oldest-active-snapshot watermark.
 	snaps *snapTracker
 
@@ -142,7 +141,7 @@ func (db *DB) EnablePlanCache(on bool) {
 
 // RegisterScalar registers a scalar UDF callable from any expression.
 // readOnly is the function's promise not to modify the database: SELECTs
-// calling only read-only functions run concurrently under the shared lock,
+// calling only read-only functions are reads, which take no database lock,
 // and the handle their functions receive refuses any statement that writes;
 // any other statement takes the database lock exclusively.
 func (db *DB) RegisterScalar(name string, fn ScalarFunc, readOnly bool) {
@@ -150,8 +149,8 @@ func (db *DB) RegisterScalar(name string, fn ScalarFunc, readOnly bool) {
 }
 
 // RegisterTable registers a set-returning UDF callable in FROM; readOnly as
-// for RegisterScalar. The function body runs while the database lock is
-// held; the returned stream may be consumed after the lock is released and
+// for RegisterScalar. The function body runs while its statement opens;
+// the returned stream may be consumed after the statement returns and
 // therefore must only read data private to the stream (see TableFunc).
 func (db *DB) RegisterTable(name string, fn TableFunc, readOnly bool) {
 	db.funcs.registerTable(name, fn, readOnly)
@@ -159,8 +158,8 @@ func (db *DB) RegisterTable(name string, fn TableFunc, readOnly bool) {
 
 // IsReadOnly parses sql and reports whether the engine classifies it
 // read-only — a SELECT (or EXPLAIN) whose every function is an aggregate, a
-// builtin or a UDF registered read-only — which is what decides the shared
-// statement path. UDFs that execute caller-supplied SQL use it to keep their
+// builtin or a UDF registered read-only — which is what decides the
+// lock-free read path. UDFs that execute caller-supplied SQL use it to keep their
 // own read-only promise.
 func (db *DB) IsReadOnly(sql string) (bool, error) {
 	cp, err := db.parse(sql, nil)
@@ -280,15 +279,15 @@ func (db *DB) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 // exec runs one statement other than transaction control (a Conn handles
 // those), and is the one place a statement takes db.mu. tx is the
 // transaction it runs in: nil for a transaction of its own; a Tx, whose
-// statements take db.mu one at a time; an Exclusive Tx, which holds db.mu
-// already; or a function's handle, which runs under its statement's lock.
+// writing statements take db.mu one at a time; an Exclusive Tx, which holds
+// db.mu already; or a function's handle, which runs inside its statement.
 //
-// A read-only SELECT shares db.mu. DML calling only builtins waits for its
-// table's latch first, holding nothing, then shares db.mu; a statement of
-// its own pins its snapshot after the latch, so writers of one table queue
-// instead of conflicting. Everything else — DDL, ANALYZE, statements
-// calling a function that may write — takes db.mu exclusively. Every latch
-// wait is bounded by the lock-wait timeout and then fails with
+// A read-only statement takes no lock (see read). DML calling only builtins
+// waits for its table's latch first, holding nothing, then shares db.mu; a
+// statement of its own pins its snapshot after the latch, so writers of one
+// table queue instead of conflicting. Everything else — DDL, ANALYZE,
+// statements calling a function that may write — takes db.mu exclusively.
+// Every latch wait is bounded by the lock-wait timeout and then fails with
 // ErrWriteConflict; a statement of its own waits for db.mu as long as it
 // must, a Tx's statement, whose transaction may hold latches from earlier
 // statements, at most the lock-wait timeout. tr, if not nil, records the
@@ -301,34 +300,26 @@ func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 		return nil, err
 	}
 	udf, writes := db.funcUse(cp.stmt)
-	readOnly := isReadOnlyStmt(cp.stmt, writes)
-	if tx != nil && tx.fn && tx.held == lockShared && !readOnly {
+	if isReadOnlyStmt(cp.stmt, writes) {
+		return db.read(ctx, tr, tx, text, cp, params, udf)
+	}
+	if tx != nil && tx.readOnly {
 		return nil, fmt.Errorf("sql: a function called by a read-only statement cannot run %q", text)
 	}
-	dml := !readOnly && !udf && isDMLStmt(cp.stmt)
-	mode := lockShared
-	if !readOnly && !dml {
-		mode = lockExclusive
+	dml := !udf && isDMLStmt(cp.stmt)
+	mode := lockExclusive
+	if dml {
+		mode = lockShared
 	}
-	take := tx == nil || tx.held == lockNone // else db.mu is held in tx.held
-	own := tx == nil && !readOnly            // the statement is its own transaction
+	own := tx == nil // the statement is its own transaction
+	take := own || !tx.locked
 	var t *txnState
-	var held heldLocks // a read-only statement's own locks
-	locks := &held
-	switch {
-	case own:
+	if own {
 		t = db.newTxn()
-		locks = &t.locks
-	case tx != nil:
+	} else {
 		t = tx.state
-		if t != nil {
-			locks = &t.locks
-		}
-		if !take {
-			mode = tx.held
-		}
 	}
-	bounded := tx != nil
+	bounded := !own
 	fail := func(err error) (*RowIter, error) {
 		if own {
 			db.releaseLatches(t)
@@ -357,7 +348,7 @@ func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 			}
 			latched = tb
 		}
-		locks.acquire(rankDB, !bounded)
+		t.locks.acquire(rankDB, !bounded)
 		w := tr.now()
 		var err error
 		switch {
@@ -374,7 +365,7 @@ func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 			tr.LockWait += time.Since(w)
 		}
 		if err != nil {
-			locks.release(rankDB)
+			t.locks.release(rankDB)
 			return fail(err)
 		}
 		if latched == nil {
@@ -384,49 +375,36 @@ func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 			break
 		}
 		// The table was dropped or replaced while we waited for the latch.
-		db.unlock(mode, locks)
+		db.unlock(mode, &t.locks)
 		if own {
 			db.releaseLatches(t)
 		}
 	}
 	cat, err := db.catalogFor(t)
-	if err == nil && db.closed {
+	if err == nil && db.closed.Load() {
 		err = ErrClosed
 	}
 	if err != nil {
 		if take {
-			db.unlock(mode, locks)
+			db.unlock(mode, &t.locks)
 		}
 		return fail(err)
 	}
-	var snap snapshot
-	switch {
-	case own:
+	if own {
 		t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
-		snap = t.snap
-	case tx == nil:
-		snap = snapshot{ts: db.clock.Load()}
-	default:
-		snap = tx.snap
 	}
+	snap := t.snap
 	exclusive := (own && mode == lockExclusive) || (tx != nil && tx.exclusive)
 	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap, cat: cat,
-		physLog: db.wal != nil && !exclusive && isDMLStmt(cp.stmt)}
+		physLog: db.wal.Load() != nil && !exclusive && isDMLStmt(cp.stmt)}
 	if udf {
 		cx.tx = tx
 		if tx == nil || !tx.fn {
-			cx.tx = &Tx{db: db, state: t, snap: snap, held: mode, fn: true, exclusive: exclusive}
+			cx.tx = &Tx{db: db, state: t, snap: snap, locked: true, fn: true, exclusive: exclusive}
 		}
 	}
-	o := tr.now()
-	st, err := db.execStatement(cx, text, cp)
-	if tr != nil {
-		tr.Open += time.Since(o)
-	}
-	if cx.tx != nil && cx.tx != tx {
-		cx.tx.done.Store(true)
-	}
-	if tx != nil && tx.fn && !readOnly {
+	st, err := db.open(cx, tr, tx, text, cp)
+	if tx != nil && tx.fn {
 		tx.memo = nil
 	}
 	ckptDue := false
@@ -443,7 +421,7 @@ func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 		db.releaseLatches(t)
 	}
 	if take {
-		db.unlock(mode, locks)
+		db.unlock(mode, &t.locks)
 	}
 	if own && err == nil {
 		t.committed()
@@ -456,6 +434,61 @@ func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 		return nil, err
 	}
 	return newRowIter(ctx, st), nil
+}
+
+// read runs a read-only statement in tx (nil: on a snapshot of its own),
+// taking no lock. A statement of its own pins the committed catalogue and a
+// snapshot of one commit (pinRead), registered with Vacuum until its open is
+// over: every view it reads is loaded by then. A transaction's statement
+// reads on the transaction's snapshot, registered from begin to end. The
+// functions the statement calls get a handle that refuses to write, whose
+// reads share the statement's catalogue and snapshot.
+func (db *DB) read(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cachedPlan, params []variant.Value, udf bool) (*RowIter, error) {
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
+	var t *txnState
+	var cat *catalogValue
+	var snap snapshot
+	switch {
+	case tx == nil:
+		cat, snap.ts = db.pinRead()
+		defer db.snaps.unpin(snap.ts, false)
+	case tx.readOnly:
+		t, cat, snap = tx.state, tx.cat, tx.snap
+	default:
+		var err error
+		if cat, err = db.catalogFor(tx.state); err != nil {
+			return nil, err
+		}
+		t, snap = tx.state, tx.snap
+	}
+	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap, cat: cat}
+	if udf {
+		cx.tx = tx
+		if tx == nil || !tx.fn {
+			cx.tx = &Tx{db: db, state: t, snap: snap, fn: true, readOnly: true, cat: cat}
+		}
+	}
+	st, err := db.open(cx, tr, tx, text, cp)
+	if err != nil {
+		return nil, err
+	}
+	return newRowIter(ctx, st), nil
+}
+
+// open runs the statement's open in cx, then retires the function handle
+// exec made for it, if any.
+func (db *DB) open(cx *evalCtx, tr *Trace, tx *Tx, text string, cp *cachedPlan) (RowStream, error) {
+	o := tr.now()
+	st, err := db.execStatement(cx, text, cp)
+	if tr != nil {
+		tr.Open += time.Since(o)
+	}
+	if cx.tx != nil && cx.tx != tx {
+		cx.tx.done.Store(true)
+	}
+	return st, err
 }
 
 // catalogFor returns the catalogue a statement of transaction t resolves
@@ -513,8 +546,7 @@ func (db *DB) unlock(mode lockMode, locks *heldLocks) {
 type lockMode uint8
 
 const (
-	lockNone lockMode = iota
-	lockShared
+	lockShared lockMode = iota
 	lockExclusive
 )
 
@@ -533,12 +565,13 @@ func dmlTable(s Statement) string {
 	return ""
 }
 
-// openSelect executes a SELECT under the held lock and returns its rows as a
-// stream, routed through the physical planner: both executors resolve their
-// sources now and return a tail that is safe to iterate after the lock is
-// released (a statement calling a UDF outside FROM is evaluated completely
-// here). cp carries the physical plan: cached (and epoch-revalidated)
-// when the statement came through the plan cache, or a throwaway entry for
+// openSelect executes a SELECT and returns its rows as a stream, routed
+// through the physical planner: both executors resolve their sources now
+// and return a tail that is safe to iterate after the statement returns,
+// with its snapshot unregistered and its lock, if any, released (a
+// statement calling a UDF outside FROM is evaluated completely here). cp
+// carries the physical plan: cached (and epoch-revalidated) when the
+// statement came through the plan cache, or a throwaway entry for
 // script/ad-hoc execution.
 func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream, error) {
 	plan, err := cp.physFor(db, cx.cat, s)
@@ -581,10 +614,11 @@ func (db *DB) commitTxn(t *txnState, tr *Trace) (ckptDue bool, err error) {
 	if err := db.walCommit(t, tr); err != nil {
 		return false, err
 	}
+	ts := db.clock.Load() + 1
 	if cat != nil {
+		cat.ts = ts
 		db.tables.Store(cat)
 	}
-	ts := db.clock.Load() + 1
 	for _, m := range t.created {
 		m.begin.Store(ts)
 	}
@@ -592,7 +626,6 @@ func (db *DB) commitTxn(t *txnState, tr *Trace) (ckptDue bool, err error) {
 		m.end.Store(ts)
 	}
 	db.clock.Store(ts)
-	db.snaps.drop(t)
 	db.commitCount.Add(1)
 	return db.walCheckpointDue(), nil
 }
@@ -611,7 +644,7 @@ func (db *DB) execStatement(cx *evalCtx, text string, cp *cachedPlan) (RowStream
 	}
 	m := t.marks()
 	logStmt := false
-	if isMutatingStmt(stmt) && db.wal != nil && !cx.physLog {
+	if isMutatingStmt(stmt) && db.wal.Load() != nil && !cx.physLog {
 		if cx.tx == nil {
 			logStmt = true
 		} else {
@@ -663,7 +696,7 @@ func (db *DB) funcUse(stmt Statement) (udf, writes bool) {
 	return udf, writes
 }
 
-// isReadOnlyStmt reports whether a statement can run under the shared
+// isReadOnlyStmt reports whether a statement is a read, which takes no
 // lock: an EXPLAIN (planning never executes), or a SELECT calling no
 // function that writes. Anything else — DML, DDL, ANALYZE — needs a
 // write path.

@@ -262,7 +262,7 @@ func TestPlannerAccessPathEquivalenceDML(t *testing.T) {
 
 	var logs [2][][]walRecord
 	for i, db := range dbs {
-		txns, _, err := readWALTxns(walGenPath(dirs[i], db.wal.gen))
+		txns, _, err := readWALTxns(walGenPath(dirs[i], db.wal.Load().gen))
 		if err != nil {
 			t.Fatalf("reading wal: %v", err)
 		}

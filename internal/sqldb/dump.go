@@ -13,23 +13,16 @@ import (
 // export — a dump placed as <dir>/snapshot.sql opens as a database. Tables
 // are emitted in name order; values are rendered as re-parseable literals;
 // each table's secondary indexes follow its rows so a reload rebuilds them
-// in one pass.
+// in one pass. It takes no database lock (a checkpoint calls it under the
+// exclusive one). The catalogue and the clock are read together under
+// commitMu, so the dump holds every transaction whole or not at all, and the
+// snapshot stays registered with Vacuum to the end. In-flight writers keep
+// their uncommitted versions and DDL out of it by construction.
 func (db *DB) Dump(w io.Writer) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.dumpCommitted(w)
-}
-
-// dumpCommitted writes the dump of one committed state while the caller
-// holds either lock mode; the checkpoint path calls it under the exclusive
-// lock (where taking the read lock again would self-deadlock). The
-// catalogue and the clock are read together under commitMu, so the dump
-// holds every transaction whole or not at all. In-flight writers keep their
-// uncommitted versions and DDL out of it by construction.
-func (db *DB) dumpCommitted(w io.Writer) error {
 	db.commitMu.Lock()
-	cat, snap := db.tables.Load(), snapshot{ts: db.clock.Load()}
+	cat, snap := db.tables.Load(), snapshot{ts: db.snaps.pin(&db.clock, false)}
 	db.commitMu.Unlock()
+	defer db.snaps.unpin(snap.ts, false)
 	indexesByTable := make(map[string][]IndexInfo)
 	for _, info := range cat.indexInfos() {
 		indexesByTable[info.Table] = append(indexesByTable[info.Table], info)

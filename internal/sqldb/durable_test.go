@@ -29,10 +29,7 @@ func newSuiteDB(t testing.TB) *DB {
 		t.Fatalf("EnableDurability: %v", err)
 	}
 	t.Cleanup(func() {
-		db.mu.RLock()
-		closed := db.closed
-		db.mu.RUnlock()
-		if closed {
+		if db.closed.Load() {
 			return
 		}
 		var before, after strings.Builder

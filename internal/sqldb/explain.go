@@ -13,7 +13,7 @@ import (
 // plan that would run — the vectorized or the operator pipeline. DML targets
 // render their write node over the scan that feeds it.
 
-// explainLocked renders s.Target over cat under the held database lock.
+// explainLocked renders s.Target over cat; planning takes no lock.
 func (db *DB) explainLocked(cat *catalogValue, s *ExplainStmt) (*ResultSet, error) {
 	lines, err := db.explainStatement(cat, s.Target)
 	if err != nil {

@@ -13,10 +13,10 @@ import (
 )
 
 // ScalarFunc is a user-defined scalar function. tx is the calling
-// statement's transaction: its Query/Exec run under the lock the statement
-// holds (the way PostgreSQL UDFs use SPI — pgFMU's fmu_parest evaluates
-// input_sql through it), and a function registered read-only gets a handle
-// that refuses to write. The handle is valid for the call only, on the
+// statement's transaction: its Query/Exec run inside the statement, on its
+// snapshot and under any lock it holds (the way PostgreSQL UDFs use SPI —
+// pgFMU's fmu_parest evaluates input_sql through it), and a function
+// registered read-only gets a handle that refuses to write. The handle is valid for the call only, on the
 // calling goroutine. ctx is the statement's context, so long-running
 // functions can honour cancellation.
 type ScalarFunc func(ctx context.Context, tx *Tx, args []variant.Value) (variant.Value, error)
@@ -24,9 +24,9 @@ type ScalarFunc func(ctx context.Context, tx *Tx, args []variant.Value) (variant
 // TableFunc is a set-returning function usable in FROM (like PostgreSQL's
 // SRFs); tx and ctx as for ScalarFunc. It produces its relation as a
 // RowStream; a body that has a full ResultSet returns rs.Stream(). The
-// function itself runs while the database lock is held, but the
-// returned stream may be iterated after the lock is released: it must only
-// read data private to the stream — e.g. a result frame the function already
+// function itself runs while its statement opens, but the returned stream
+// may be iterated after the statement returns: it must only read data
+// private to the stream — e.g. a result frame the function already
 // computed — never live catalogue state. This is the streaming seam that lets
 // large results (like fmu_simulate trajectories) flow to the client row by
 // row.
@@ -34,7 +34,8 @@ type TableFunc func(ctx context.Context, tx *Tx, args []variant.Value) (RowStrea
 
 // registry holds scalar and table functions, case-insensitively keyed.
 // readOnly records which UDFs declared themselves free of side effects — the
-// statement classifier uses it to decide shared vs exclusive locking.
+// statement classifier uses it to tell a read, which takes no lock, from a
+// statement that locks the database exclusively.
 type registry struct {
 	mu       sync.RWMutex
 	scalars  map[string]ScalarFunc

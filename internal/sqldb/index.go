@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -38,9 +39,15 @@ type IndexInfo struct {
 // stale entries cost a filtered candidate, never a wrong result. That holds
 // for writes too: UPDATE and DELETE find their targets through the same
 // probes (DB.applyToTargets), and an entry whose version a newer commit
-// ended is what lets the loser of a write-write race see its conflict. Full
-// rebuilds (vacuum compaction) run under the DB's exclusive lock. ix.mu makes the insert/lookup pair safe when concurrent
-// writers grow the index while snapshot readers probe it.
+// ended is what lets the loser of a write-write race see its conflict. ix.mu
+// makes the insert/lookup pair safe when concurrent writers grow the index
+// while snapshot readers probe it.
+//
+// Vacuum rebuilds an index in place, after it publishes the compacted view,
+// while readers holding the views they loaded before keep probing. gen is
+// the layout generation (tableView.gen) the positions belong to: every probe
+// passes its own view's, and one of another generation fails with
+// errIndexMoved, which sends the reader down its non-index path.
 type index struct {
 	name   string // lowercase
 	table  string // lowercase
@@ -49,6 +56,7 @@ type index struct {
 	col    int    // column position in the table
 
 	mu      sync.RWMutex
+	gen     uint64           // the view generation of the positions
 	hash    map[string][]int // IndexHash: key -> row positions
 	entries []indexEntry     // IndexOrdered: sorted by val, distinct keys
 }
@@ -90,16 +98,21 @@ func hashKey(v variant.Value) string {
 	}
 }
 
-// build (re)constructs the index from a table's row versions.
-func (ix *index) build(rows []Row) error {
+// errIndexMoved fails a probe from a view of another generation than the
+// index's positions.
+var errIndexMoved = errors.New("sql: index positions belong to another view generation")
+
+// build (re)constructs the index over the row versions of view v.
+func (ix *index) build(v *tableView) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.gen = v.gen
 	if ix.kind == IndexHash {
 		ix.hash = make(map[string][]int)
 	} else {
 		ix.entries = nil
 	}
-	for pos, row := range rows {
+	for pos, row := range v.rows {
 		if err := ix.insert(pos, row[ix.col]); err != nil {
 			return err
 		}
@@ -167,17 +180,21 @@ func (ix *index) insertLocked(pos int, v variant.Value) error {
 	return ix.insert(pos, v)
 }
 
-// appendEqual appends the row positions whose key equals v to dst and
-// returns it. Positions are copied out under ix.mu — ordered-index inserts
-// shift entries in place, so handing out the backing array would race later
-// writers — but into the caller's buffer, so a probe loop (the index lookup
-// join issues one per outer row) reuses one allocation.
-func (ix *index) appendEqual(dst []int, v variant.Value) ([]int, error) {
+// appendEqual appends the positions, in a view of generation gen, of the
+// rows whose key equals v to dst and returns it. Positions are copied out
+// under ix.mu — ordered-index inserts shift entries in place, so handing out
+// the backing array would race later writers — but into the caller's
+// buffer, so a probe loop (the index lookup join issues one per outer row)
+// reuses one allocation.
+func (ix *index) appendEqual(dst []int, v variant.Value, gen uint64) ([]int, error) {
 	if v.IsNull() {
 		return dst, nil
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	if ix.gen != gen {
+		return dst, errIndexMoved
+	}
 	if ix.kind == IndexHash {
 		return append(dst, ix.hash[hashKey(v)]...), nil
 	}
@@ -188,15 +205,19 @@ func (ix *index) appendEqual(dst []int, v variant.Value) ([]int, error) {
 	return append(dst, ix.entries[i].rows...), nil
 }
 
-// lookupRange returns row positions with lo ⟨op⟩ key ⟨op⟩ hi on an ordered
-// index. nil bounds are open; loInc/hiInc select >=,<= over >,<. The result
-// is a private slice (see appendEqual).
-func (ix *index) lookupRange(lo, hi *variant.Value, loInc, hiInc bool) ([]int, error) {
+// lookupRange returns the positions, in a view of generation gen, of the
+// rows with lo ⟨op⟩ key ⟨op⟩ hi on an ordered index. nil bounds are open;
+// loInc/hiInc select >=,<= over >,<. The result is a private slice (see
+// appendEqual).
+func (ix *index) lookupRange(lo, hi *variant.Value, loInc, hiInc bool, gen uint64) ([]int, error) {
 	if ix.kind != IndexOrdered {
 		return nil, fmt.Errorf("sql: index %q does not support range lookups", ix.name)
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	if ix.gen != gen {
+		return nil, errIndexMoved
+	}
 	start := 0
 	if lo != nil {
 		if lo.IsNull() {
@@ -334,9 +355,10 @@ func matchProbe(e Expr, alias string) *indexProbe {
 
 // probeIndex evaluates a probe's constant expressions, coerces them to the
 // indexed column's type (mirroring the insert path so hash keys line up),
-// and performs the lookup. An equality probe appends into buf (see
-// appendEqual); a range probe allocates its own result.
-func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe, buf []int) ([]int, bool) {
+// and performs the lookup for a view of generation gen. An equality probe
+// appends into buf (see appendEqual); a range probe allocates its own
+// result.
+func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe, buf []int, gen uint64) ([]int, bool) {
 	colType := t.Columns[ix.col].Type
 	evalBound := func(e Expr) (*variant.Value, bool) {
 		if e == nil {
@@ -364,7 +386,7 @@ func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe, buf []int) ([]i
 		if !ok {
 			return nil, false
 		}
-		positions, err := ix.appendEqual(buf, *v)
+		positions, err := ix.appendEqual(buf, *v, gen)
 		if err != nil {
 			return nil, false
 		}
@@ -378,7 +400,7 @@ func probeIndex(cx *evalCtx, t *Table, ix *index, p *indexProbe, buf []int) ([]i
 	if !ok {
 		return nil, false
 	}
-	positions, err := ix.lookupRange(lo, hi, p.loInc, p.hiInc)
+	positions, err := ix.lookupRange(lo, hi, p.loInc, p.hiInc, gen)
 	if err != nil {
 		return nil, false
 	}

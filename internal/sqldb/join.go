@@ -400,7 +400,8 @@ type lookupCands struct {
 
 // probe resolves every outer row's candidates through the index, within the
 // view v the caller loaded beforehand. It returns nil once more than budget
-// candidates have accumulated.
+// candidates have accumulated, or when the index holds positions of another
+// generation of the view (see index.gen): the caller hash-joins instead.
 func (lk *joinLookup) probe(cx *evalCtx, outer []Row, v *tableView, pred *rowPred, budget int) (*lookupCands, error) {
 	c := &lookupCands{rows: make([]Row, 0, len(outer)), off: make([]int, 1, len(outer)+1)}
 	var buf []int
@@ -410,7 +411,9 @@ func (lk *joinLookup) probe(cx *evalCtx, outer []Row, v *tableView, pred *rowPre
 		}
 		var err error
 		// A NULL key appends nothing; positions ascend within one key.
-		if buf, err = lk.ix.appendEqual(buf[:0], row[lk.outerCol]); err != nil {
+		if buf, err = lk.ix.appendEqual(buf[:0], row[lk.outerCol], v.gen); err == errIndexMoved {
+			return nil, nil
+		} else if err != nil {
 			return nil, err
 		}
 		for _, pos := range buf {

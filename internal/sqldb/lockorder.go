@@ -44,8 +44,8 @@ func (r lockRank) String() string {
 // checkLockOrder turns the assertion on in test binaries.
 var checkLockOrder = testing.Testing()
 
-// heldLocks is the set of ranks a transaction (or a read-only statement)
-// holds; the goroutine holding its Tx.mu is the only one touching it.
+// heldLocks is the set of ranks a transaction holds; the goroutine holding
+// its Tx.mu is the only one touching it. A read takes none of these locks.
 type heldLocks uint8
 
 // acquire records r. A blocking acquire must rank above every lock held,

@@ -22,8 +22,6 @@ func joinStrategy(t *testing.T, db *DB, sql string, args ...any) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	plan, err := db.planSelect(db.tables.Load(), stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)

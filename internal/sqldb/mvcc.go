@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,13 +132,12 @@ func (t *Table) appendVersion(row Row, m *rowMeta) int {
 // versions; ANALYZE refines it).
 func (t *Table) versionCount() int { return len(t.loadView().rows) }
 
-// visibleRows materializes the rows visible under cx's snapshot. The result
-// is an immutable private slice: downstream operators, lazy stream tails,
-// and open RowIters can consume it without locks or visibility re-checks,
-// which is what keeps an open iterator pinned to its snapshot while writers
-// commit underneath it.
-func visibleRows(cx *evalCtx, t *Table) []Row {
-	v := t.loadView()
+// visibleRows materializes the rows of view v visible under cx's snapshot.
+// The result is an immutable private slice: downstream operators, lazy
+// stream tails, and open RowIters can consume it without locks or
+// visibility re-checks, which is what keeps an open iterator pinned to its
+// snapshot while writers commit underneath it.
+func visibleRows(cx *evalCtx, v *tableView) []Row {
 	out := make([]Row, 0, len(v.rows))
 	for i, m := range v.meta {
 		if cx.snap.visible(m) {
@@ -292,46 +292,60 @@ func (db *DB) releaseLatches(tx *txnState) {
 	tx.locks.release(rankLatch)
 }
 
-// snapTracker records the snapshot timestamp of every open explicit
-// concurrent transaction, giving Vacuum its oldest-active watermark.
-// Implicit statements and plain reads need no registration: they resolve
-// their sources under the shared lock, and Vacuum runs under the exclusive
-// lock, so their snapshots cannot be mid-scan when Vacuum looks.
+// snapTracker records every snapshot a reader may still resolve views
+// under — an open transaction's, a lone statement's while it opens, a
+// dump's — giving Vacuum its oldest-active watermark. A snapshot is read
+// from the clock under the tracker's mutex as it is registered, and oldest
+// reads the clock under the same mutex, so a snapshot is either counted by
+// Vacuum or no older than its watermark.
 type snapTracker struct {
 	mu     sync.Mutex
-	active map[*txnState]uint64
+	active map[uint64]int // snapshot timestamp -> readers pinned at it
+	txns   int            // how many of the readers are transactions
 }
 
 func newSnapTracker() *snapTracker {
-	return &snapTracker{active: make(map[*txnState]uint64)}
+	return &snapTracker{active: make(map[uint64]int)}
 }
 
-func (st *snapTracker) register(tx *txnState, ts uint64) {
+// pin reads a snapshot timestamp from clock and registers it; txn marks an
+// open transaction's. Every pin is undone by one unpin.
+func (st *snapTracker) pin(clock *atomic.Uint64, txn bool) uint64 {
 	st.mu.Lock()
-	st.active[tx] = ts
+	ts := clock.Load()
+	st.active[ts]++
+	if txn {
+		st.txns++
+	}
+	st.mu.Unlock()
+	return ts
+}
+
+func (st *snapTracker) unpin(ts uint64, txn bool) {
+	st.mu.Lock()
+	if st.active[ts]--; st.active[ts] == 0 {
+		delete(st.active, ts)
+	}
+	if txn {
+		st.txns--
+	}
 	st.mu.Unlock()
 }
 
-func (st *snapTracker) drop(tx *txnState) {
-	st.mu.Lock()
-	delete(st.active, tx)
-	st.mu.Unlock()
-}
-
-// count returns the number of registered (open) concurrent transactions.
+// count returns the number of open transactions.
 func (st *snapTracker) count() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.active)
+	return st.txns
 }
 
-// oldest returns the smallest active snapshot timestamp, or def when no
-// transaction is registered.
-func (st *snapTracker) oldest(def uint64) uint64 {
+// oldest returns the smallest registered snapshot timestamp, or the clock's
+// reading when none is registered.
+func (st *snapTracker) oldest(clock *atomic.Uint64) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	min := def
-	for _, ts := range st.active {
+	min := clock.Load()
+	for ts := range st.active {
 		if ts < min {
 			min = ts
 		}
@@ -339,15 +353,33 @@ func (st *snapTracker) oldest(def uint64) uint64 {
 	return min
 }
 
-// Vacuum compacts every table: versions invisible to the oldest active
+// pinRead returns the committed catalogue and a registered snapshot of one
+// commit: a catalogue is published (commitTxn) before the clock reaches the
+// timestamp it is stamped with, so the pair is retaken until the catalogue
+// is no newer than the snapshot and did not change while the clock was
+// read. The caller unpins the timestamp once its views are resolved.
+func (db *DB) pinRead() (*catalogValue, uint64) {
+	for {
+		cat := db.tables.Load()
+		ts := db.snaps.pin(&db.clock, false)
+		if cat.ts <= ts && db.tables.Load() == cat {
+			return cat, ts
+		}
+		db.snaps.unpin(ts, false)
+		runtime.Gosched() // a commit is between its publish and its clock
+	}
+}
+
+// Vacuum compacts every table: versions invisible to the oldest registered
 // snapshot (aborted inserts, superseded updates, committed deletes) are
 // dropped and indexes rebuilt over the surviving versions. It runs under
-// the exclusive lock and automatically piggybacks on Checkpoint; long
-// -running databases can also call it directly.
+// the exclusive lock, beside readers, which hold the views they loaded
+// (see index.gen); it piggybacks on Checkpoint, and long-running databases
+// can also call it directly.
 func (db *DB) Vacuum() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	return db.vacuumLocked()
@@ -356,7 +388,7 @@ func (db *DB) Vacuum() error {
 // vacuumLocked compacts under db.mu.Lock. Tables with a latch owner (an
 // in-flight writer) are skipped: their in-flight stamps must survive.
 func (db *DB) vacuumLocked() error {
-	watermark := db.snaps.oldest(db.clock.Load())
+	watermark := db.snaps.oldest(&db.clock)
 	cat := db.tables.Load()
 	var firstErr error
 	for _, name := range cat.names {
@@ -401,7 +433,7 @@ func (db *DB) vacuumTable(t *Table, watermark uint64) error {
 	t.view.Store(nv)
 	var firstErr error
 	for _, ix := range t.indexes {
-		if err := ix.build(nv.rows); err != nil && firstErr == nil {
+		if err := ix.build(nv); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

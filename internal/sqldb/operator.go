@@ -38,11 +38,12 @@ import (
 // arguments compile against the left layout; a LATERAL subquery's
 // expressions see it as an enclosing level.
 //
-// Locking: open() resolves every source under the caller-held database lock
-// (table snapshots, index probes, FROM-clause UDF calls — lateral ones
-// included — and subqueries); the returned stream's Next does only pure work
-// over private data, so LIMIT early-exits, context cancellation applies
-// between rows, and no lock is held while the caller iterates. A plan whose
+// Opening: open() resolves every source while the statement opens, on its
+// registered snapshot (table snapshots, index probes, FROM-clause UDF calls
+// — lateral ones included — and subqueries); the returned stream's Next
+// does only pure work over private data, so LIMIT early-exits, context
+// cancellation applies between rows, and nothing is held while the caller
+// iterates. A plan whose
 // expressions outside FROM call a UDF (opPlan.udf) is drained by open
 // instead, so no UDF is ever called from Next. Evaluation follows the order
 // docs/sql-reference.md states, which the reference executor
@@ -240,8 +241,8 @@ const (
 	// order of magnitude off for a range-filtered outer). Measured on the
 	// traj_analytics join (674 outer rows onto 16 176): 740 ns per hash-built
 	// inner row, ~0.35 µs per probe with its visibility check — parity near
-	// 2; 8 leaves a margin for duplicate keys and keeps the probing under
-	// the shared lock below the inner-table copy it replaces.
+	// 2; 8 leaves a margin for duplicate keys and keeps the probing at open
+	// below the inner-table copy it replaces.
 	lookupJoinRatio = 8
 	// defaultRelationRows estimates sources whose cardinality the planner
 	// cannot see (function scans, subqueries).
@@ -271,8 +272,9 @@ func isLateral(i int, item FromItem) bool {
 	return i > 0 && (item.Func != nil || (item.Sub != nil && item.Lateral))
 }
 
-// planOperators builds the operator pipeline for s. Caller holds the
-// database lock (either mode).
+// planOperators builds the operator pipeline for s. Planning reads only the
+// immutable catalogue value cat and atomically published table state, so
+// it takes no lock.
 func (db *DB) planOperators(cat *catalogValue, s *SelectStmt) (*opPlan, error) {
 	metas := make([]sourceMeta, len(s.From))
 	for i, item := range s.From {
@@ -471,7 +473,7 @@ func (db *DB) sourceMetaFor(cat *catalogValue, item FromItem) (sourceMeta, error
 
 // selectPureBuiltin reports whether no expression of s outside the FROM
 // sources calls a UDF (exprCallsUDF). FROM-clause UDFs and subquery
-// internals are exempt: every plan runs them under the lock at open.
+// internals are exempt: every plan runs them at open.
 func selectPureBuiltin(s *SelectStmt) bool {
 	exprs := []Expr{s.Where, s.Having, s.Limit, s.Offset}
 	for _, it := range s.Items {
@@ -806,23 +808,23 @@ func (db *DB) chooseOrderedScan(s *SelectStmt, leaf *opSource, meta sourceMeta) 
 	return &orderedScanInfo{ix: ix, col: ci, desc: key.Desc}
 }
 
-// --- Opening: plan → streams, under the caller-held lock ---
+// --- Opening: plan → streams, while the statement opens ---
 
 // open resolves every source and assembles the operator pipeline, whose
 // tail evaluates in tailCx: the context of a subquery's run, which carries
 // the rows enclosing it (opSource.openItem), or nil at top level. It must
-// run under the database lock; the returned stream's Next is pure.
+// run while the statement opens; the returned stream's Next is pure.
 func (p *opPlan) open(cx, tailCx *evalCtx) (RowStream, error) {
 	if tailCx == nil {
 		// The tail must not inherit transaction bookkeeping; the UDF calls it
-		// makes run below, under the held lock.
+		// makes run below, while the statement opens.
 		tailCx = &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx, tx: cx.tx}
 	}
 	st, err := p.openPipeline(cx, tailCx)
 	if err != nil || !p.udf {
 		return st, err
 	}
-	// Every UDF call outside FROM happens now, under the held lock.
+	// Every UDF call outside FROM happens now, while the statement opens.
 	rs, err := drainStreamCtx(cx, st)
 	if err != nil {
 		return nil, err
@@ -936,7 +938,7 @@ func (p *opPlan) openPipeline(cx, tailCx *evalCtx) (RowStream, error) {
 	return cur, nil
 }
 
-// open resolves one leaf under the held lock: snapshot / index probe /
+// open resolves one leaf: snapshot / index probe /
 // ordered index walk for tables, UDF call for function scans, the drained
 // plan for subqueries. The pushed filter wraps the source.
 func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo) (RowStream, sourceInfo, error) {
@@ -974,7 +976,7 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 			return st, info, nil // opPlan.open decides how to filter it
 		}
 		base = st
-	default: // subquery, drained once under the lock
+	default: // subquery, drained once at open
 		st, err := src.openItem(cx, tailCx, nil, nil, nil)
 		if err != nil {
 			return nil, sourceInfo{}, err
@@ -1024,7 +1026,7 @@ func (src *opSource) tableRows(cx *evalCtx) []Row {
 	}
 	// Materialize the versions visible to this statement's snapshot; the
 	// private slice is a consistent point-in-time view.
-	return visibleRows(cx, src.table)
+	return visibleRows(cx, src.table.loadView())
 }
 
 // filter builds the leaf's pushed predicate (src.pushed != nil) over rows of
@@ -1039,7 +1041,7 @@ func (src *opSource) filter(tailCx *evalCtx, info sourceInfo) *rowPred {
 }
 
 // openLateral joins a lateral leaf onto the pipeline opened so far (left, of
-// shape leftSources). Under the held lock it drains left and, for each left
+// shape leftSources). At open it drains left and, for each left
 // row in order, runs the item on that row (openItem) and drains it;
 // the rows that pass ON — evaluated once the item drained — join that left
 // row, a LEFT JOIN null-pads a left row none passed, and the leaf's lenient
@@ -1153,9 +1155,10 @@ func (src *opSource) openLateral(cx, tailCx *evalCtx, step *opJoinStep, left Row
 // openIndexedJoin opens join step 0 when its inner table is reachable through
 // an index (step.lookup), choosing between the lookup and the hash join from
 // the outer input's real size. Everything that touches the index happens
-// here, under the caller-held lock, never in the stream's Next: Vacuum
-// rebuilds indexes and moves positions under the exclusive lock, and a
-// stream is drained with no lock held.
+// here, never in the stream's Next, and within the view loaded before
+// probing: Vacuum rebuilds indexes in place for the compacted view it
+// publishes, and a probe from an older view hash-joins instead (see
+// index.gen).
 //
 // The lookup reproduces the hash join's candidate lists exactly: per outer
 // row that survives its (lenient, so error-free) prefilter, the inner
@@ -1196,7 +1199,7 @@ func (p *opPlan) openIndexedJoin(cx *evalCtx, tailCx *evalCtx) (RowStream, []sou
 
 	// limit is the inner table's own size: an outer input above a ratio'th
 	// of it hash-joins, and so does one whose duplicate keys would make the
-	// lookup materialize more candidates under the lock than the hash build
+	// lookup materialize more candidates at open than the hash build
 	// it replaces copies.
 	v := innerLeaf.table.loadView()
 	limit := len(v.rows)
@@ -1235,9 +1238,24 @@ func (p *opPlan) openIndexedJoin(cx *evalCtx, tailCx *evalCtx) (RowStream, []sou
 // sort's exact output. The view is resolved before the index walk so every
 // entry position is bounded by the view, and each position passes through
 // the statement's snapshot-visibility filter; concurrent inserts published
-// after the view header was loaded are invisible by construction.
+// after the view header was loaded are invisible by construction. An index
+// Vacuum rebuilt for another generation of the view is not walked: the
+// visible rows are sorted by the key as the sort path would sort them.
 func orderedSnapshot(cx *evalCtx, t *Table, o *orderedScanInfo) []Row {
 	v := t.loadView()
+	o.ix.mu.RLock()
+	if o.ix.gen != v.gen {
+		o.ix.mu.RUnlock()
+		rows := visibleRows(cx, v)
+		sort.SliceStable(rows, func(a, b int) bool {
+			c, _ := variant.Compare(rows[a][o.col], rows[b][o.col])
+			if o.desc {
+				return c > 0
+			}
+			return c < 0
+		})
+		return rows
+	}
 	n := len(v.rows)
 	order := make([]int, 0, n)
 	present := make([]bool, n)
@@ -1253,7 +1271,6 @@ func orderedSnapshot(cx *evalCtx, t *Table, o *orderedScanInfo) []Row {
 			}
 		}
 	}
-	o.ix.mu.RLock()
 	if o.desc {
 		for i := len(o.ix.entries) - 1; i >= 0; i-- {
 			appendEntry(o.ix.entries[i].rows)

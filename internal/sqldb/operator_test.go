@@ -36,8 +36,6 @@ func planKind(t *testing.T, db *DB, sql string) physKind {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	plan, err := db.planSelect(db.tables.Load(), stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)

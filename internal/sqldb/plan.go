@@ -143,7 +143,8 @@ func chooseAccessPath(db *DB, t *Table, alias string, where Expr) accessPath {
 // equality probe appends into buf. ok=false means there is no probe to use
 // (a sequential path, a type mismatch, a NULL bound…) and the caller must
 // take every position of the header — behaviour stays identical because the
-// full WHERE is applied either way.
+// full WHERE is applied either way. That includes an index Vacuum rebuilt for
+// another generation of the view than the header (see index.gen).
 func (ap *accessPath) lookupPositions(cx *evalCtx, t *Table, buf []int) (v *tableView, positions []int, ok bool) {
 	// Resolve the view BEFORE probing: any position the index can surface
 	// beyond this header belongs to a version committed after the probe
@@ -152,7 +153,7 @@ func (ap *accessPath) lookupPositions(cx *evalCtx, t *Table, buf []int) (v *tabl
 	if ap.kind == accessSeq {
 		return v, nil, false
 	}
-	positions, ok = probeIndex(cx, t, ap.ix, ap.probe, buf)
+	positions, ok = probeIndex(cx, t, ap.ix, ap.probe, buf, v.gen)
 	if !ok {
 		return v, nil, false
 	}
@@ -212,8 +213,7 @@ type physPlan struct {
 	vec *vecPlan
 }
 
-// planSelect builds the physical plan for s over cat under the held
-// database lock.
+// planSelect builds the physical plan for s over cat; it takes no lock.
 func (db *DB) planSelect(cat *catalogValue, s *SelectStmt) (*physPlan, error) {
 	if vp := db.planVectorized(cat, s); vp != nil {
 		return &physPlan{kind: physVectorized, sel: s, vec: vp}, nil

@@ -42,7 +42,7 @@ func refQuery(t testing.TB, db *DB, sql string, args ...any) (*ResultSet, error)
 		return nil, err
 	}
 	cx := &evalCtx{db: db, params: params, ctx: context.Background(), txn: tx.state, snap: tx.snap,
-		tx: &Tx{db: db, state: tx.state, snap: tx.snap, held: lockExclusive, fn: true, exclusive: true}}
+		tx: &Tx{db: db, state: tx.state, snap: tx.snap, locked: true, fn: true, exclusive: true}}
 	rs, err := execSelect(cx, sel, nil)
 	if err != nil {
 		return nil, errors.Join(err, tx.Rollback())
@@ -216,7 +216,7 @@ func joinItem(cx *evalCtx, left []Row, sources []sourceInfo, item FromItem, oute
 			if !ok {
 				return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, item.Table)
 			}
-			return &ResultSet{Columns: t.Columns, Rows: visibleRows(cx, t)}, nil
+			return &ResultSet{Columns: t.Columns, Rows: visibleRows(cx, t.loadView())}, nil
 		case item.Func != nil:
 			st, err := refCallFromItem(cx, item.Func, sc)
 			if err != nil {

@@ -13,10 +13,10 @@ import (
 // RowStream is the engine's pull-based row producer contract: Next returns
 // one row at a time and (nil, io.EOF) when the stream is exhausted. Streams
 // handed across the API boundary (from QueryRows, or returned by a
-// RegisterTable UDF) must be iterable after the database lock is
-// released: they may only touch data private to the stream — snapshots taken
-// while the lock was held, or results the producing UDF already computed —
-// never live catalogue state.
+// RegisterTable UDF) must be iterable after the statement returns: they may
+// only touch data private to the stream — snapshots taken while it opened,
+// or results the producing UDF already computed — never live catalogue
+// state.
 type RowStream interface {
 	// Columns describes the stream's row shape.
 	Columns() []Column

@@ -137,7 +137,7 @@ func (db *DB) autoAnalyzeTouched(t *txnState) {
 func (db *DB) Analyze(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	_, err := db.execAnalyze(db.tables.Load(), &AnalyzeStmt{Table: name})

@@ -81,10 +81,7 @@ func (db *DB) prepare(ctx context.Context, sql string, h handle) (*Stmt, error) 
 			return nil, err
 		}
 	}
-	db.mu.RLock()
-	closed := db.closed
-	db.mu.RUnlock()
-	if closed {
+	if db.closed.Load() {
 		return nil, ErrClosed
 	}
 	cp, err := db.parse(sql, nil)
@@ -174,9 +171,7 @@ func (s *Stmt) physPlan() (*physPlan, error) {
 			t = tx.state
 		}
 	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	if s.db.closed {
+	if s.db.closed.Load() {
 		return nil, ErrClosed
 	}
 	cat, err := s.db.catalogFor(t)

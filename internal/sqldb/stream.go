@@ -45,9 +45,9 @@ func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ R
 
 // udfStream recovers a panic in the Next or Close of a table UDF's stream
 // into ErrInternal, as recoverUDF does for the call. Every Next runs on the
-// statement's goroutine, some under the database lock (a lateral item is
-// drained at open), so this one wrapper keeps a panicking stream from
-// unwinding past the lock or the caller.
+// statement's goroutine, some while it opens (a lateral item is drained at
+// open), perhaps under its lock, so this one wrapper keeps a panicking
+// stream from unwinding past the lock or the caller.
 type udfStream struct {
 	RowStream
 	name string

@@ -19,7 +19,8 @@ type Trace struct {
 	Parse time.Duration
 	// LatchWait is the wait for the written table's latch (DML only).
 	LatchWait time.Duration
-	// LockWait is the wait for the database lock, db.mu.
+	// LockWait is the wait for the database lock, db.mu, which only a
+	// writing statement takes: a read's is zero.
 	LockWait time.Duration
 	// Open is planning and opening the statement's executor; DML and DDL
 	// do all their work here.

@@ -48,8 +48,35 @@ func TestTracePhases(t *testing.T) {
 			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); read.Cached || read.Parse <= 0 {
 				t.Fatalf("first read trace %+v", *read)
 			}
-			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); !read.Cached || read.Open <= 0 || read.Fsync != 0 || read.Commit != 0 {
+			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); !read.Cached || read.Open <= 0 || read.Fsync != 0 || read.Commit != 0 || read.LockWait != 0 {
 				t.Fatalf("repeated read trace %+v", *read)
+			}
+			// Neither a read nor a BEGIN waits out an Exclusive transaction.
+			ex, err := db.BeginTx(context.Background(), Exclusive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); read.LockWait != 0 {
+				t.Fatalf("read beside an Exclusive transaction: %+v", *read)
+			}
+			begin := make(chan error, 1)
+			go func() {
+				tx, err := db.Begin()
+				if err == nil {
+					err = tx.Rollback()
+				}
+				begin <- err
+			}()
+			select {
+			case err := <-begin:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("BEGIN waited for an Exclusive transaction")
+			}
+			if err := ex.Rollback(); err != nil {
+				t.Fatal(err)
 			}
 			traced(t, c, `BEGIN`)
 			if _, _, in := traced(t, c, `INSERT INTO kv VALUES (2, 1.5)`); in.Fsync != 0 || in.Commit != 0 {

@@ -31,15 +31,20 @@ type Tx struct {
 	db    *DB
 	state *txnState // nil in a read-only statement's function handle
 	snap  snapshot
-	// held is the db.mu mode the handle's statements run under without
-	// taking it: lockExclusive for an Exclusive transaction, the statement's
-	// mode for a function's handle, lockNone otherwise (each statement takes
-	// db.mu itself).
-	held lockMode
+	// locked reports that db.mu is held exclusively for the handle's
+	// statements, which write without taking it: by an Exclusive
+	// transaction, or by the writing statement whose function handle this
+	// is. Otherwise each writing statement takes db.mu itself.
+	locked bool
 	// fn marks the handle a statement passes to the functions it calls: it
-	// runs under that statement's lock, cannot end the transaction, and is
-	// retired when the statement's locked work is over.
+	// runs inside that statement, cannot end the transaction, and is
+	// retired when the statement's open is over.
 	fn bool
+	// readOnly marks a read-only statement's function handle, which refuses
+	// every statement that writes; cat is the catalogue that statement
+	// resolved, which the handle's reads share with its snapshot.
+	readOnly bool
+	cat      *catalogValue
 	// exclusive reports that the transaction holds db.mu exclusively from
 	// begin to end, so a DML statement's text replays to the same rows and
 	// is WAL-logged as such; otherwise DML is logged as row records.
@@ -57,14 +62,14 @@ type Tx struct {
 type TxMode int
 
 const (
-	// Concurrent, the default: each statement takes the database lock for
-	// itself (shared for reads and DML), so transactions writing different
-	// tables run in parallel.
+	// Concurrent, the default: reads take no database lock, and each
+	// writing statement takes it for itself (shared for DML), so
+	// transactions writing different tables run in parallel.
 	Concurrent TxMode = iota
 	// Exclusive holds the database lock exclusively from BeginTx until
-	// Commit or Rollback: the transaction's statements run in isolation from
-	// every other statement, and nothing else runs until it ends. Catalogue
-	// writers use it.
+	// Commit or Rollback: no other statement writes, and no other
+	// transaction commits, until it ends; reads run beside it on their own
+	// snapshots. Catalogue writers use it.
 	Exclusive
 )
 
@@ -75,7 +80,7 @@ func (db *DB) Begin() (*Tx, error) {
 
 // BeginTx is Begin honouring ctx, with an optional TxMode. A cancelled
 // context rejects the begin; it does not roll back later (call Rollback,
-// e.g. via defer). An Exclusive begin waits for the database lock.
+// e.g. via defer). Only an Exclusive begin waits, for the database lock.
 func (db *DB) BeginTx(ctx context.Context, mode ...TxMode) (*Tx, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -85,22 +90,18 @@ func (db *DB) BeginTx(ctx context.Context, mode ...TxMode) (*Tx, error) {
 	t := db.newTxn()
 	tx := &Tx{db: db, state: t}
 	if len(mode) > 0 && mode[0] == Exclusive {
-		tx.held, tx.exclusive = lockExclusive, true
+		tx.locked, tx.exclusive = true, true
 		t.locks.acquire(rankDB, true)
 		db.mu.Lock()
-	} else {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
 	}
-	if db.closed {
+	if db.closed.Load() {
 		if tx.exclusive {
 			db.mu.Unlock()
 		}
 		return nil, ErrClosed
 	}
-	t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
+	t.snap = snapshot{ts: db.snaps.pin(&db.clock, true), self: t.stamp()}
 	tx.snap = t.snap
-	db.snaps.register(t, t.snap.ts)
 	return tx, nil
 }
 
@@ -143,7 +144,7 @@ func (tx *Tx) end(commit bool, tr *Trace) error {
 			}
 		}
 		ckptDue := false
-		if db.closed {
+		if db.closed.Load() {
 			err = ErrClosed
 		} else if ckptDue, err = db.commitTxn(t, tr); err == nil {
 			db.autoAnalyzeTouched(t)
@@ -175,7 +176,7 @@ func (tx *Tx) end(commit bool, tr *Trace) error {
 func (tx *Tx) release() {
 	db := tx.db
 	db.releaseLatches(tx.state)
-	db.snaps.drop(tx.state)
+	db.snaps.unpin(tx.snap.ts, true)
 	if tx.exclusive {
 		db.mu.Unlock()
 		tx.state.locks.release(rankDB)
@@ -262,7 +263,7 @@ func (tx *Tx) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 
 // queryRows runs one parsed statement in the transaction, one at a time
 // unless the handle is a function's (which runs on its statement's
-// goroutine, under its statement's lock).
+// goroutine, inside its statement).
 func (tx *Tx) queryRows(ctx context.Context, tr *Trace, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if !tx.fn {
 		tx.mu.Lock()

@@ -64,7 +64,7 @@ func (t *txnState) touch(tb *Table) {
 // logWAL buffers a WAL record for commit on a durable database; it is a
 // no-op in memory-only mode.
 func (t *txnState) logWAL(db *DB, rec walRecord) {
-	if db.wal != nil {
+	if db.wal.Load() != nil {
 		t.pending = append(t.pending, rec)
 	}
 }

@@ -90,8 +90,8 @@ type vecPlan struct {
 }
 
 // planVectorized decides whether s runs on the vectorized executor and
-// compiles its plan; nil falls through to the other strategies. Caller holds
-// the database lock (either mode).
+// compiles its plan; nil falls through to the other strategies. Like
+// planOperators it takes no lock.
 func (db *DB) planVectorized(cat *catalogValue, s *SelectStmt) *vecPlan {
 	if db.planner.disableVectorized {
 		return nil
@@ -316,7 +316,7 @@ func windowsOutsideItems(s *SelectStmt) bool {
 	return found
 }
 
-// open resolves the snapshot under the caller-held lock — the view, the
+// open resolves the snapshot while the statement opens — the view, the
 // mirror headers of the columns the kernels read, the visible positions —
 // and returns the stream; its lazy tail reads only what open pinned.
 func (p *vecPlan) open(cx *evalCtx) (RowStream, error) {

@@ -61,9 +61,7 @@ func runVecBoth(t *testing.T, db *DB, sql string, wantVec bool) (vec, row *Resul
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		db.mu.RLock()
 		plan, err := db.planSelect(db.tables.Load(), st.(*SelectStmt))
-		db.mu.RUnlock()
 		if err != nil {
 			t.Fatalf("%s: plan: %v", sql, err)
 		}

@@ -359,8 +359,8 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.wal != nil {
-		return fmt.Errorf("sql: durability already enabled (dir %s)", db.wal.dir)
+	if w := db.wal.Load(); w != nil {
+		return fmt.Errorf("sql: durability already enabled (dir %s)", w.dir)
 	}
 	if db.snaps.count() > 0 {
 		return fmt.Errorf("sql: cannot enable durability with a transaction in progress")
@@ -445,7 +445,7 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	}
 	removeStaleWALs(dir, gen)
 
-	db.wal = &wal{
+	db.wal.Store(&wal{
 		dir:             dir,
 		gen:             gen,
 		f:               f,
@@ -453,7 +453,7 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 		off:             keep,
 		syncEvery:       o.SyncEvery,
 		checkpointEvery: o.CheckpointEvery,
-	}
+	})
 	ok = true
 	return nil
 }
@@ -586,10 +586,11 @@ func (db *DB) applyWALRecord(rec walRecord) error {
 
 // walCommit writes a finished transaction's buffered records to the WAL.
 func (db *DB) walCommit(t *txnState, tr *Trace) error {
-	if db.wal == nil || len(t.pending) == 0 {
+	w := db.wal.Load()
+	if w == nil || len(t.pending) == 0 {
 		return nil
 	}
-	if err := db.wal.commit(t.pending, tr); err != nil {
+	if err := w.commit(t.pending, tr); err != nil {
 		return err
 	}
 	db.walRecordCount.Add(uint64(len(t.pending)))
@@ -599,7 +600,7 @@ func (db *DB) walCommit(t *txnState, tr *Trace) error {
 // walCheckpointDue reports whether the configured record budget is
 // exhausted. Caller holds commitMu or excludes all committers.
 func (db *DB) walCheckpointDue() bool {
-	w := db.wal
+	w := db.wal.Load()
 	return w != nil && w.checkpointEvery > 0 && w.recordsSinceCheckpoint >= w.checkpointEvery
 }
 
@@ -614,7 +615,7 @@ func (db *DB) Checkpoint() error {
 }
 
 func (db *DB) checkpointLocked() error {
-	w := db.wal
+	w := db.wal.Load()
 	if w == nil {
 		return fmt.Errorf("sql: database is not durable (no WAL attached)")
 	}
@@ -655,7 +656,7 @@ func (db *DB) checkpointLocked() error {
 		if _, err := fmt.Fprintf(tf, "%s%d\n", snapshotHeader, newGen); err != nil {
 			return err
 		}
-		if err := db.dumpCommitted(tf); err != nil {
+		if err := db.Dump(tf); err != nil {
 			return err
 		}
 		return tf.Sync()
@@ -676,14 +677,11 @@ func (db *DB) checkpointLocked() error {
 	}
 	syncDir(w.dir)
 
-	old := w.f
-	w.f = nf
-	w.gen = newGen
-	w.off = 0
-	w.commitsSinceSync = 0
-	w.recordsSinceCheckpoint = 0
-	w.failed = false
-	old.Close()
+	// A new attachment, so a lock-free reader of the old one (EngineStats)
+	// never sees its file or generation change.
+	db.wal.Store(&wal{dir: w.dir, gen: newGen, f: nf, lock: w.lock,
+		syncEvery: w.syncEvery, checkpointEvery: w.checkpointEvery})
+	w.f.Close()
 	os.Remove(walGenPath(w.dir, newGen-1))
 	db.checkpointCount.Add(1)
 	return nil
@@ -707,20 +705,16 @@ func syncDir(dir string) {
 func (db *DB) SimulateCrash() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.wal == nil {
+	w := db.wal.Swap(nil)
+	if w == nil {
 		return
 	}
-	db.wal.f.Close()
-	db.wal.lock.Close()
-	db.wal = nil
+	w.f.Close()
+	w.lock.Close()
 }
 
 // Durable reports whether a write-ahead log is attached.
-func (db *DB) Durable() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.wal != nil
-}
+func (db *DB) Durable() bool { return db.wal.Load() != nil }
 
 // Close shuts the database down: the write-ahead log (if any) is flushed
 // and detached, and every subsequent statement entry point returns
@@ -728,16 +722,15 @@ func (db *DB) Durable() bool {
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed.Swap(true) {
 		return nil
 	}
-	db.closed = true
-	if db.wal == nil {
+	w := db.wal.Swap(nil)
+	if w == nil {
 		return nil
 	}
-	syncErr := db.wal.f.Sync()
-	closeErr := db.wal.f.Close()
-	lockErr := db.wal.lock.Close()
-	db.wal = nil
+	syncErr := w.f.Sync()
+	closeErr := w.f.Close()
+	lockErr := w.lock.Close()
 	return errors.Join(syncErr, closeErr, lockErr)
 }
