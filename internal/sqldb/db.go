@@ -450,18 +450,17 @@ func (db *DB) read(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 	var t *txnState
 	var cat *catalogValue
 	var snap snapshot
-	switch {
-	case tx == nil:
+	if tx == nil {
 		cat, snap.ts = db.pinRead()
 		defer db.snaps.unpin(snap.ts, false)
-	case tx.readOnly:
-		t, cat, snap = tx.state, tx.cat, tx.snap
-	default:
-		var err error
-		if cat, err = db.catalogFor(tx.state); err != nil {
-			return nil, err
+	} else {
+		t, cat, snap = tx.state, tx.cat, tx.snap // cat: a read's function handle
+		if cat == nil {
+			var err error
+			if cat, err = db.catalogFor(t); err != nil {
+				return nil, err
+			}
 		}
-		t, snap = tx.state, tx.snap
 	}
 	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap, cat: cat}
 	if udf {

@@ -94,6 +94,7 @@ func readersBesideVacuum(t *testing.T) {
 		}
 	}
 	mustLookup(t, db, "lookup", join)
+	mustLookup(t, db, "hash", self)
 	if st, err := db.Prepare(vecAgg); err != nil {
 		t.Fatal(err)
 	} else if kind, err := st.ExecutorKind(); err != nil || kind != "vectorized" {
