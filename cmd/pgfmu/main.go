@@ -334,7 +334,7 @@ func phaseList(p *wire.Phases) string {
 		us   int64
 	}{
 		{"decode", p.Decode}, {"session", p.Session}, {"parse", p.Parse},
-		{"latch", p.Latch}, {"lock", p.Lock}, {"open", p.Open},
+		{"latch", p.Latch}, {"open", p.Open},
 		{"execute", p.Execute}, {"wal", p.WAL}, {"fsync", p.Fsync},
 		{"commit", p.Commit}, {"encode", p.Encode}, {"write", p.Write},
 	} {

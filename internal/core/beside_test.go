@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/sqldb"
 )
 
-// TestReadBesideParest: a SQL fmu_parest calls a writing function, so its
-// statement holds the database lock exclusively for the whole fit, but a
-// read takes no database lock. On the 48 h HP1 set with the default
-// estimator, a read of a one-row table the fit never touches, started 2 ms
-// into the fit, finishes within a tenth of the fit's duration.
-func TestReadBesideParest(t *testing.T) {
+// besideParest runs q on a Conn of its own 2 ms into a SQL fmu_parest (the
+// 48 h HP1 set, the default estimator), which latches nothing until its
+// final write, and requires q to finish within a tenth of the fit's
+// duration. q touches other, a one-row table (v = 7) the fit never reads.
+func besideParest(t *testing.T, q string) *sqldb.ResultSet {
+	t.Helper()
 	s, err := NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -47,16 +48,33 @@ func TestReadBesideParest(t *testing.T) {
 	}()
 	time.Sleep(2 * time.Millisecond)
 	r0 := time.Now()
-	rs, err := s.DB().Conn().QueryContext(ctx, `SELECT v FROM other`)
-	read := time.Since(r0)
-	if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 7 {
-		t.Fatalf("read beside the fit: %v, %v", rs, err)
+	rs, err := s.DB().Conn().QueryContext(ctx, q)
+	took := time.Since(r0)
+	if err != nil {
+		t.Fatalf("%s beside the fit: %v", q, err)
 	}
 	done := <-end
 	if !done.After(r0) {
-		t.Fatalf("the fit (%v) ended before the read began", done.Sub(start))
+		t.Fatalf("the fit (%v) ended before %s began", done.Sub(start), q)
 	}
-	if fit := done.Sub(start); read > fit/10 {
-		t.Fatalf("a read beside a %v fmu_parest took %v", fit, read)
+	if fit := done.Sub(start); took > fit/10 {
+		t.Fatalf("%s beside a %v fmu_parest took %v", q, fit, took)
+	}
+	return rs
+}
+
+// TestReadBesideParest: a read takes no lock, so it does not wait out a
+// SQL fmu_parest.
+func TestReadBesideParest(t *testing.T) {
+	if rs := besideParest(t, `SELECT v FROM other`); len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 7 {
+		t.Fatalf("read beside the fit: %v", rs.Rows)
+	}
+}
+
+// TestWriteBesideParest: an INSERT latches only its table, which the fit
+// does not hold, so it does not wait out a SQL fmu_parest either.
+func TestWriteBesideParest(t *testing.T) {
+	if rs := besideParest(t, `INSERT INTO other VALUES (8)`); len(rs.Rows) != 1 {
+		t.Fatalf("insert beside the fit affected %d rows", len(rs.Rows))
 	}
 }

@@ -26,14 +26,24 @@ import (
 // kill -9 recovers them: still-queued jobs re-queue on the next open, jobs
 // that died mid-run surface as 'interrupted'.
 //
-// Lock ordering: jm.mu is a leaf — it is never held across a database call.
-// Workers run their transactions with jm.mu released; fmu_jobs/fmu_cancel
-// run under the statement's database lock and take jm.mu only for map
-// reads/ctx cancellation; OnCommit closures run with no database lock held.
+// Lock ordering: jm.mu and liveJob.mu are leaves — never held across a
+// database call. Workers run their transactions with jm.mu released;
+// fmu_jobs/fmu_cancel take jm.mu only for map reads; OnCommit closures run
+// with no latch held. idMu is held across the transaction that reserves a
+// block of job ids, which latches only fmujobids; nothing waits for idMu
+// holding that latch.
 
-const fmujobsDDL = `CREATE TABLE IF NOT EXISTS fmujobs (
+// jobTablesDDL creates the job table and the one-row table holding the
+// reserved job-id high-water mark.
+var jobTablesDDL = []string{`CREATE TABLE IF NOT EXISTS fmujobs (
 	jobid int, kind text, args text, state text, progress float,
-	error text, result text, submitted text, started text, finished text)`
+	error text, result text, submitted text, started text, finished text)`,
+	`CREATE TABLE IF NOT EXISTS fmujobids (reserved int)`}
+
+// jobIDBlock is how many job ids one reservation hands out: an id is
+// never reissued, also after a restart, because the ids up to the reserved
+// mark are skipped then, as PostgreSQL's sequence cache skips them.
+const jobIDBlock = 64
 
 // defaultJobWorkers bounds the pool when WithJobWorkers is not given.
 const defaultJobWorkers = 4
@@ -68,9 +78,13 @@ type jobManager struct {
 	live    map[int64]*liveJob // running jobs, by id
 	stopped bool
 
-	nextID atomic.Int64
-	stop   chan struct{} // closed by shutdown; ends retryConflicts' backoff
-	wg     sync.WaitGroup
+	// idMu guards nextID, the last id handed out, and idLimit, the last
+	// one reserved in fmujobids.
+	idMu            sync.Mutex
+	nextID, idLimit int64
+
+	stop chan struct{} // closed by shutdown; ends retryConflicts' backoff
+	wg   sync.WaitGroup
 
 	// body runs a claimed job's work: execute, which tests replace.
 	body func(ctx context.Context, lj *liveJob, kind string, args []string) (string, error)
@@ -82,6 +96,33 @@ type liveJob struct {
 	id       int64
 	cancel   context.CancelFunc
 	progress atomic.Uint64 // math.Float64bits
+
+	// mu orders fmu_cancel against the job's outcome: a job whose outcome
+	// is settled cannot be cancelled, and a cancelled one never settles.
+	mu                 sync.Mutex
+	cancelled, settled bool
+}
+
+// stop cancels the job unless its outcome is settled, and reports whether
+// it did.
+func (lj *liveJob) stop() bool {
+	lj.mu.Lock()
+	defer lj.mu.Unlock()
+	if lj.settled {
+		return false
+	}
+	lj.cancelled = true
+	lj.cancel()
+	return true
+}
+
+// settle fixes the job's outcome as its body's, unless a cancel came
+// first; it reports whether it did.
+func (lj *liveJob) settle() bool {
+	lj.mu.Lock()
+	defer lj.mu.Unlock()
+	lj.settled = !lj.cancelled
+	return lj.settled
 }
 
 func (lj *liveJob) setProgress(f float64) { lj.progress.Store(math.Float64bits(f)) }
@@ -166,8 +207,8 @@ var errJobSkipped = errors.New("core: job no longer queued")
 // retryConflicts runs attempt until it ends in something other than a write
 // conflict, with backoff from 1 ms doubling to 50 ms between tries and no
 // attempt limit. It gives up, returning the conflict, only when ctx is done
-// or the pool stops. A conflict (a bounded lock wait lost against a burst of
-// exclusive statements, or a first-updater-wins loss) rolls the attempt's
+// or the pool stops. A conflict (a bounded latch wait lost against a long
+// writer, or a first-updater-wins loss) rolls the attempt's
 // transaction back cleanly, so for the pool it is a reason to retry, never a
 // job's outcome.
 func (jm *jobManager) retryConflicts(ctx context.Context, attempt func() error) error {
@@ -188,18 +229,16 @@ func (jm *jobManager) retryConflicts(ctx context.Context, attempt func() error) 
 	}
 }
 
-// write runs fn in an Exclusive transaction until it commits. Every fmujobs
-// write the pool makes goes through it: a Concurrent transaction would hold
-// the table latch while it waits for db.mu, and collide with UDF statements
-// (which hold the exclusive lock the latch holder needs), surfacing spurious
-// write conflicts to fmu_submit callers. An Exclusive one only tries the
-// latch, so an open transaction that wrote fmujobs makes it fail with a
-// write conflict, which write retries, so a claim or a final state is never
-// dropped. It gives up only when the pool stops (a row left 'running' then
-// reads 'interrupted' at the next open).
+// write runs fn in a transaction that latches fmujobs before its snapshot,
+// until it commits. Every fmujobs write the pool makes goes through it: fn
+// reads a job's state and writes the next one, and sees every commit before
+// it. An open transaction that wrote fmujobs makes the latch wait time out
+// with a write conflict, which write retries, so a claim or a final state is
+// never dropped. It gives up only when the pool stops (a row left 'running'
+// then reads 'interrupted' at the next open).
 func (jm *jobManager) write(fn func(tx *sqldb.Tx) error) error {
 	return jm.retryConflicts(context.Background(), func() error {
-		return jm.s.inTx(context.Background(), sqldb.Exclusive, fn)
+		return jm.s.inTx(context.Background(), []string{"fmujobs"}, fn)
 	})
 }
 
@@ -224,8 +263,8 @@ func (jm *jobManager) runJob(id int64) {
 			JobRunning, jobNow(), id); err != nil {
 			return err
 		}
-		// Live before the claim commits: fmu_cancel needs db.mu, so it
-		// finds the job running only once it can cancel it.
+		// Live before the claim commits: an fmu_cancel that sees the claim
+		// committed finds the job live.
 		jm.mu.Lock()
 		defer jm.mu.Unlock()
 		if jm.stopped {
@@ -252,11 +291,12 @@ func (jm *jobManager) runJob(id int64) {
 		result, err = jm.body(ctx, lj, kind, args)
 		return err
 	})
+	settled := lj.settle()
 	switch {
-	case err == nil:
+	case settled && err == nil:
 		jm.completed.Add(1)
 		jm.finish(id, JobDone, result, "")
-	case ctx.Err() != nil || errors.Is(err, context.Canceled):
+	case !settled || ctx.Err() != nil || errors.Is(err, context.Canceled):
 		jm.cancelled.Add(1)
 		jm.finish(id, JobCancelled, "", "cancelled")
 	default:
@@ -306,7 +346,7 @@ func (jm *jobManager) execParest(ctx context.Context, args []string) (string, er
 		}
 	}
 	var results []ParestResult
-	err := jm.s.inTx(ctx, sqldb.Concurrent, func(tx *sqldb.Tx) (err error) {
+	err := jm.s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
 		results, err = jm.s.parestFromArgs(ctx, tx, vals)
 		return err
 	})
@@ -617,7 +657,10 @@ func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, arg
 	if err != nil {
 		return 0, err
 	}
-	id := jm.nextID.Add(1)
+	id, err := jm.newID(ctx)
+	if err != nil {
+		return 0, err
+	}
 	if _, err := tx.QueryContext(ctx,
 		`INSERT INTO fmujobs VALUES ($1, $2, $3, $4, $5, $6, $7, $8, $9, $10)`,
 		id, kind, string(encoded), JobQueued, 0.0, "", "", jobNow(), "", ""); err != nil {
@@ -628,15 +671,42 @@ func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, arg
 	return id, nil
 }
 
-// cancel aborts a job: a running job's context is cancelled (the worker
-// records the terminal state), a queued job's row flips to cancelled inside
-// the invoking statement's transaction, tx. Returns the resulting state.
+// newID hands out the next job id, first reserving a block of jobIDBlock
+// in fmujobids, in a transaction of its own that commits whatever becomes
+// of the caller's, when the reserved ones are used up.
+func (jm *jobManager) newID(ctx context.Context) (int64, error) {
+	jm.idMu.Lock()
+	defer jm.idMu.Unlock()
+	if jm.nextID >= jm.idLimit {
+		limit := jm.nextID + jobIDBlock
+		err := jm.s.inTx(ctx, []string{"fmujobids"}, func(tx *sqldb.Tx) error {
+			n, err := tx.ExecContext(ctx, `UPDATE fmujobids SET reserved = $1`, limit)
+			if err == nil && n == 0 {
+				_, err = tx.ExecContext(ctx, `INSERT INTO fmujobids VALUES ($1)`, limit)
+			}
+			return err
+		})
+		if err != nil {
+			return 0, err
+		}
+		jm.idLimit = limit
+	}
+	jm.nextID++
+	return jm.nextID, nil
+}
+
+// cancel aborts a job and returns its resulting state. A job running here
+// is cancelled unless its outcome is settled: its worker records the
+// terminal state. Otherwise a queued or running row flips to cancelled
+// inside the invoking statement's transaction, tx, through a conditional
+// UPDATE: if a claim or a final state committed after tx's snapshot, the
+// UPDATE fails with a write conflict (first-updater-wins), so cancel never
+// reports a job cancelled that then completes.
 func (jm *jobManager) cancel(ctx context.Context, tx *sqldb.Tx, id int64) (string, error) {
 	jm.mu.Lock()
-	lj, isLive := jm.live[id]
+	lj := jm.live[id]
 	jm.mu.Unlock()
-	if isLive {
-		lj.cancel()
+	if lj != nil && lj.stop() {
 		return JobCancelled, nil
 	}
 	rs, err := tx.QueryContext(ctx, `SELECT state FROM fmujobs WHERE jobid = $1`, id)
@@ -647,15 +717,20 @@ func (jm *jobManager) cancel(ctx context.Context, tx *sqldb.Tx, id int64) (strin
 		return "", fmt.Errorf("core: no such job %d", id)
 	}
 	state := rs.Rows[0][0].AsText()
-	if state != JobQueued {
-		return state, nil // already terminal (or running on another node)
+	msg := "cancelled before start"
+	switch state {
+	case JobQueued:
+	case JobRunning: // by a worker that is gone, or one that settled
+		msg = "cancelled"
+	default:
+		return state, nil // already terminal
 	}
 	if _, err := tx.QueryContext(ctx,
-		`UPDATE fmujobs SET state = $1, finished = $2, error = $3 WHERE jobid = $4 AND state = $5`,
-		JobCancelled, jobNow(), "cancelled before start", id, JobQueued); err != nil {
+		`UPDATE fmujobs SET state = $1, finished = $2, error = $3 WHERE jobid = $4 AND state IN ($5, $6)`,
+		JobCancelled, jobNow(), msg, id, JobQueued, JobRunning); err != nil {
 		return "", err
 	}
-	jm.cancelled.Add(1)
+	tx.OnCommit(func() { jm.cancelled.Add(1) })
 	return JobCancelled, nil
 }
 
@@ -687,10 +762,13 @@ func (jm *jobManager) jobsTable(ctx context.Context, q querier) (*sqldb.ResultSe
 // recoverJobs is the open-time crash protocol for durable sessions: jobs
 // that died mid-run surface as 'interrupted' (their worker is gone and any
 // partial transaction already rolled back at WAL replay), queued jobs are
-// enqueued in jobid order, and the id allocator resumes after the largest id.
+// enqueued in jobid order, and the id allocator resumes after the largest id
+// committed or reserved.
 func (s *Session) recoverJobs() error {
-	if _, err := s.db.Exec(fmujobsDDL); err != nil {
-		return fmt.Errorf("core: ensuring fmujobs table: %w", err)
+	for _, ddl := range jobTablesDDL {
+		if _, err := s.db.Exec(ddl); err != nil {
+			return fmt.Errorf("core: ensuring the job tables: %w", err)
+		}
 	}
 	if _, err := s.db.Exec(
 		`UPDATE fmujobs SET state = $1, error = $2, finished = $3 WHERE state = $4`,
@@ -701,16 +779,26 @@ func (s *Session) recoverJobs() error {
 	if err != nil {
 		return fmt.Errorf("core: reading queued jobs: %w", err)
 	}
+	s.jobs.idMu.Lock()
+	defer s.jobs.idMu.Unlock()
 	for _, row := range rs.Rows {
 		id, err := row[0].AsInt()
 		if err != nil {
 			continue
 		}
-		s.jobs.nextID.Store(id)
+		s.jobs.nextID = id
 		if row[1].AsText() == JobQueued {
 			s.jobs.enqueue(id)
 		}
 	}
+	rs, err = s.db.Query(`SELECT max(reserved) FROM fmujobids`)
+	if err != nil {
+		return fmt.Errorf("core: reading the reserved job ids: %w", err)
+	}
+	if r, err := rs.Rows[0][0].AsInt(); err == nil && r > s.jobs.nextID {
+		s.jobs.nextID = r
+	}
+	s.jobs.idLimit = s.jobs.nextID
 	return nil
 }
 
@@ -793,7 +881,7 @@ func (s *Session) registerJobUDFs() {
 func (s *Session) SubmitJob(kind string, args ...string) (int64, error) {
 	var id int64
 	ctx := context.Background()
-	err := s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+	err := s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
 		id, err = s.jobs.submit(ctx, tx, kind, args)
 		return err
 	})
@@ -804,7 +892,7 @@ func (s *Session) SubmitJob(kind string, args ...string) (int64, error) {
 func (s *Session) CancelJob(id int64) (string, error) {
 	var state string
 	ctx := context.Background()
-	err := s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+	err := s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
 		state, err = s.jobs.cancel(ctx, tx, id)
 		return err
 	})

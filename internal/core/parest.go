@@ -38,13 +38,12 @@ func (s *Session) Parest(instanceIDs, inputSQLs, pars []string) ([]ParestResult,
 // local-search iterations within one objective evaluation per worker, the
 // enclosing transaction rolls back, and the instances keep their pre-call
 // parameters.
-// The estimation runs as a Concurrent transaction: it holds no
-// database-wide lock and latches only the catalogue table it updates, at the
-// end, so a long calibration stalls neither writers of unrelated tables nor
-// calibrations of other instances.
+// The estimation runs as an ordinary transaction: it latches only the
+// catalogue table it updates, at the end, so a long calibration stalls
+// neither writers of unrelated tables nor calibrations of other instances.
 func (s *Session) ParestContext(ctx context.Context, instanceIDs, inputSQLs, pars []string) ([]ParestResult, error) {
 	var results []ParestResult
-	err := s.inTx(ctx, sqldb.Concurrent, func(tx *sqldb.Tx) (err error) {
+	err := s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
 		results, err = s.parest(ctx, tx, instanceIDs, inputSQLs, pars, s.threshold)
 		return err
 	})

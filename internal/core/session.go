@@ -163,10 +163,16 @@ func (s *Session) DB() *sqldb.DB { return s.db }
 // the catalogue alone: a reader builds a private fmu.Instance from
 // modelinstancevalues through the querier it has (snapshot), so it sees what
 // that querier's snapshot sees — committed data plus its own transaction's
-// writes — and works lock-free. A writer's catalogue statement is its only
-// publication: competing writers serialise on the table latches, the loser
-// rolls back with ErrWriteConflict, and a rollback leaves nothing to undo
-// outside the tables. See docs/architecture.md "Lock hierarchy".
+// writes — and works lock-free. A catalogue writer latches catalogTables
+// before its snapshot (a typed writer through BeginTx, a UDF through its
+// registration), so writers run one at a time and each one's checks see
+// every commit before it; its statements are its only publication, and a
+// rollback leaves nothing to undo outside the tables. See
+// docs/architecture.md "Lock hierarchy".
+
+// catalogTables are the tables the catalogue writers check and write:
+// every one of them latches all of them before pinning its snapshot.
+var catalogTables = []string{"fmustorage", "model", "modelinstance", "modelinstancevalues", "modelvariable"}
 
 // snapshot builds a private instance from the catalogue, read through q:
 // the instance's modelinstancevalues rows (which carry its model UUID) on
@@ -215,9 +221,8 @@ func (s *Session) installCatalog() error {
 			instanceid text, modelid text)`,
 		`CREATE TABLE IF NOT EXISTS modelinstancevalues (
 			modelid text, instanceid text, varname text, value variant)`,
-		fmujobsDDL,
 	}
-	for _, q := range ddl {
+	for _, q := range append(ddl, jobTablesDDL...) {
 		if _, err := s.db.Exec(q); err != nil {
 			return fmt.Errorf("core: installing catalogue: %w", err)
 		}
@@ -252,18 +257,19 @@ func (s *Session) Create(modelRef, instanceID string) (string, error) {
 		return "", err
 	}
 	var id string
-	err = s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+	err = s.inTx(context.Background(), catalogTables, func(tx *sqldb.Tx) (err error) {
 		id, err = s.create(context.Background(), tx, unit, instanceID)
 		return err
 	})
 	return id, err
 }
 
-// inTx runs fn as one transaction begun in mode: committed when fn returns
-// nil, rolled back when it fails. The typed catalogue writers run
-// Exclusive, as their UDFs' statements do; calibration runs Concurrent.
-func (s *Session) inTx(ctx context.Context, mode sqldb.TxMode, fn func(tx *sqldb.Tx) error) error {
-	tx, err := s.db.BeginTx(ctx, mode)
+// inTx runs fn as one transaction that latches the tables named by latch
+// before its snapshot: committed when fn returns nil, rolled back when it
+// fails. The typed catalogue writers latch catalogTables, as their UDFs'
+// statements do; calibration latches nothing until its final write.
+func (s *Session) inTx(ctx context.Context, latch []string, fn func(tx *sqldb.Tx) error) error {
+	tx, err := s.db.BeginTx(ctx, latch...)
 	if err != nil {
 		return err
 	}
@@ -324,8 +330,9 @@ func (s *Session) create(ctx context.Context, tx *sqldb.Tx, unit *fmu.Unit, inst
 
 // newInstanceID returns id — or, when id is empty, a generated one — after
 // checking through tx that modelinstance does not hold it. A generated id
-// skips the ids already taken. An id a concurrent open transaction has
-// written is refused later, by the modelinstance write latch.
+// skips the ids already taken. The writer latched modelinstance before its
+// snapshot, so the check sees every committed instance and no other writer
+// adds one until it ends.
 func (s *Session) newInstanceID(ctx context.Context, tx *sqldb.Tx, id, prefix string) (string, error) {
 	generated := id == ""
 	for {
@@ -422,7 +429,7 @@ func resolveModelRef(modelRef string) (*fmu.Unit, error) {
 // new identifier, reusing the stored FMU.
 func (s *Session) Copy(instanceID, newInstanceID string) (string, error) {
 	var id string
-	err := s.inTx(context.Background(), sqldb.Exclusive, func(tx *sqldb.Tx) (err error) {
+	err := s.inTx(context.Background(), catalogTables, func(tx *sqldb.Tx) (err error) {
 		id, err = s.copy(context.Background(), tx, instanceID, newInstanceID)
 		return err
 	})
@@ -495,7 +502,7 @@ func (s *Session) SetMaximum(instanceID, varName string, value float64) error {
 
 func (s *Session) setTyped(instanceID, varName, attr string, value float64) error {
 	ctx := context.Background()
-	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error {
+	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error {
 		return s.setValue(ctx, tx, instanceID, varName, attr, value)
 	})
 }
@@ -531,7 +538,7 @@ func (s *Session) get(ctx context.Context, q querier, instanceID, varName string
 // refresh the catalogue values.
 func (s *Session) Reset(instanceID string) error {
 	ctx := context.Background()
-	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error { return s.reset(ctx, tx, instanceID) })
+	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error { return s.reset(ctx, tx, instanceID) })
 }
 
 func (s *Session) reset(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
@@ -554,7 +561,7 @@ func (s *Session) reset(ctx context.Context, tx *sqldb.Tx, instanceID string) er
 // DeleteInstance implements fmu_delete_instance.
 func (s *Session) DeleteInstance(instanceID string) error {
 	ctx := context.Background()
-	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error { return s.deleteInstance(ctx, tx, instanceID) })
+	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error { return s.deleteInstance(ctx, tx, instanceID) })
 }
 
 func (s *Session) deleteInstance(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
@@ -573,7 +580,7 @@ func (s *Session) deleteInstance(ctx context.Context, tx *sqldb.Tx, instanceID s
 // its instances.
 func (s *Session) DeleteModel(modelID string) error {
 	ctx := context.Background()
-	return s.inTx(ctx, sqldb.Exclusive, func(tx *sqldb.Tx) error { return s.deleteModel(ctx, tx, modelID) })
+	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error { return s.deleteModel(ctx, tx, modelID) })
 }
 
 func (s *Session) deleteModel(ctx context.Context, tx *sqldb.Tx, modelID string) error {

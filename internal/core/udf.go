@@ -11,12 +11,13 @@ import (
 )
 
 // registerUDFs wires the pgFMU UDF suite into the SQL engine. A UDF body runs
-// its SQL through tx, its statement's transaction, under the lock the
-// statement holds. Functions that only read — including fmu_simulate,
+// its SQL through tx, its statement's transaction. The catalogue writers
+// register catalogTables, which their statements latch before pinning their
+// snapshot. Functions that only read — including fmu_simulate,
 // fmu_validate and fmu_control, which compute from a snapshot of the
 // instance and a read-only input query — are registered read-only, so
-// statements calling them take the shared path: no latch, no WAL record,
-// and a tx that refuses to write.
+// statements calling them are reads: no latch, no WAL record, and a tx
+// that refuses to write.
 func (s *Session) registerUDFs() {
 	db := s.db
 
@@ -44,7 +45,7 @@ func (s *Session) registerUDFs() {
 			return variant.Value{}, err
 		}
 		return variant.NewText(id), nil
-	}, false)
+	}, false, catalogTables...)
 
 	// fmu_copy(instanceId [, instanceId2]) -> instanceId2
 	db.RegisterScalar("fmu_copy", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
@@ -60,7 +61,7 @@ func (s *Session) registerUDFs() {
 			return variant.Value{}, err
 		}
 		return variant.NewText(id), nil
-	}, false)
+	}, false, catalogTables...)
 
 	// fmu_variables(instanceId) -> table
 	db.RegisterTable("fmu_variables", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (sqldb.RowStream, error) {
@@ -101,7 +102,7 @@ func (s *Session) registerUDFs() {
 				return variant.Value{}, err
 			}
 			return args[0], nil
-		}, false)
+		}, false, catalogTables...)
 	}
 	setter("fmu_set_initial", "initial")
 	setter("fmu_set_minimum", "min")
@@ -116,7 +117,7 @@ func (s *Session) registerUDFs() {
 			return variant.Value{}, err
 		}
 		return args[0], nil
-	}, false)
+	}, false, catalogTables...)
 
 	// fmu_delete_instance(instanceId)
 	db.RegisterScalar("fmu_delete_instance", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
@@ -127,7 +128,7 @@ func (s *Session) registerUDFs() {
 			return variant.Value{}, err
 		}
 		return variant.NewBool(true), nil
-	}, false)
+	}, false, catalogTables...)
 
 	// fmu_delete_model(modelId)
 	db.RegisterScalar("fmu_delete_model", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
@@ -138,7 +139,7 @@ func (s *Session) registerUDFs() {
 			return variant.Value{}, err
 		}
 		return variant.NewBool(true), nil
-	}, false)
+	}, false, catalogTables...)
 
 	// fmu_parest(instanceIds, input_sqls [, pars [, threshold]])
 	//   -> '{rmse1, rmse2, ...}' (the paper's estimationErrors list)

@@ -265,6 +265,13 @@ func (r *Rows) Next() bool {
 			r.err = fmt.Errorf("client: decoding row: %w", err)
 			return false
 		}
+		for i, v := range row {
+			if s, ok := v.(string); ok && i < len(r.columns) && r.columns[i].Type == "float" {
+				if f, ok := wire.ParseNonFinite(s); ok {
+					row[i] = f
+				}
+			}
+		}
 		r.cur = row
 		return true
 	}

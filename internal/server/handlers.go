@@ -271,7 +271,7 @@ func (t *stmtTrace) phases() *wire.Phases {
 	return &wire.Phases{
 		Decode: us(t.decode), Session: us(t.session),
 		Parse: us(e.Parse), Cached: e.Cached,
-		Latch: us(e.LatchWait), Lock: us(e.LockWait), Open: us(e.Open),
+		Latch: us(e.LatchWait), Open: us(e.Open),
 		Execute: us(t.execute),
 		WAL:     us(e.WALAppend), Fsync: us(e.Fsync), Commit: us(e.Commit),
 		Encode: us(t.encode), Write: us(t.write),
@@ -367,10 +367,16 @@ func toBindArgs(args []any) []any {
 }
 
 // wireValue converts an engine value to its JSON form. Timestamps use the
-// engine's SQL text layout so they round-trip through text binds.
+// engine's SQL text layout so they round-trip through text binds; a NaN or
+// ±Inf, which JSON has no literal for, goes as wire.NonFinite's string.
 func wireValue(v variant.Value) any {
-	if v.Kind() == variant.Time {
+	switch v.Kind() {
+	case variant.Time:
 		return v.Time().Format(variant.TimeLayout)
+	case variant.Float:
+		if s, ok := wire.NonFinite(v.Float()); ok {
+			return s
+		}
 	}
 	return v.Native()
 }

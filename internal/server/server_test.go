@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -758,4 +759,58 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Fatalf("total rows = %v, want %d", rows.Row(), clients*perClient)
 	}
 	rows.Close()
+}
+
+// TestNonFiniteFloatsRoundTrip: NaN, ±Inf and −0 in a float column cross
+// the protocol, which sends the first three as strings (JSON has no literal
+// for them), and come back as the same floats. A column the header does not
+// type float (an expression's) carries them as those strings, and no longer
+// fails the stream.
+func TestNonFiniteFloatsRoundTrip(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	sess, err := c.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close(ctx)
+	if _, err := sess.Exec(ctx, `CREATE TABLE f (i integer, x float)`); err != nil {
+		t.Fatal(err)
+	}
+	lits := []string{`'NaN'::float`, `'Infinity'::float`, `'-Infinity'::float`, `-0.0`}
+	for i, lit := range lits {
+		if _, err := sess.Exec(ctx, `INSERT INTO f VALUES ($1, `+lit+`)`, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	rows, err := sess.Query(ctx, `SELECT * FROM f ORDER BY i`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols := rows.Columns(); len(cols) != 2 || cols[1].Type != "float" {
+		t.Fatalf("columns %v, want x typed float", cols)
+	}
+	n := 0
+	for ; rows.Next(); n++ {
+		got, ok := rows.Row()[1].(float64)
+		if !ok || !(math.IsNaN(got) && math.IsNaN(want[n]) || got == want[n] && math.Signbit(got) == math.Signbit(want[n])) {
+			t.Errorf("row %d: x = %#v, want %v", n, rows.Row()[1], want[n])
+		}
+	}
+	if err := rows.Err(); err != nil || n != len(want) {
+		t.Fatalf("read %d rows, %v", n, err)
+	}
+	for i, text := range []string{"NaN", "Infinity", "-Infinity"} {
+		rows, err := sess.Query(ctx, `SELECT `+lits[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() || rows.Row()[0] != text {
+			t.Errorf("SELECT %s: %v, %v; want %q", lits[i], rows.Row(), rows.Err(), text)
+		}
+		if _, err := rows.Drain(); err != nil {
+			t.Errorf("SELECT %s: %v", lits[i], err)
+		}
+	}
 }

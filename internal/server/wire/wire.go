@@ -16,12 +16,43 @@
 // row-batch, so a 100k-row SELECT never materializes server-side.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Column describes one result column.
 type Column struct {
 	Name string `json:"name"`
 	Type string `json:"type"`
+}
+
+// NonFinite is the wire form of a float JSON has no literal for: "NaN",
+// "Infinity" or "-Infinity"; ok is false for a finite f. The server sends a
+// row value that way, and the client reads it back in a float column.
+func NonFinite(f float64) (s string, ok bool) {
+	switch {
+	case math.IsNaN(f):
+		return "NaN", true
+	case math.IsInf(f, 1):
+		return "Infinity", true
+	case math.IsInf(f, -1):
+		return "-Infinity", true
+	}
+	return "", false
+}
+
+// ParseNonFinite is NonFinite's inverse.
+func ParseNonFinite(s string) (float64, bool) {
+	switch s {
+	case "NaN":
+		return math.NaN(), true
+	case "Infinity":
+		return math.Inf(1), true
+	case "-Infinity":
+		return math.Inf(-1), true
+	}
+	return 0, false
 }
 
 // Header is the first line of a statement stream.
@@ -56,8 +87,7 @@ type Phases struct {
 	Session int64 `json:"session,omitempty"` // finding the session and statement
 	Parse   int64 `json:"parse,omitempty"`   // plan-cache lookup and parsing
 	Cached  bool  `json:"cached,omitempty"`  // the statement skipped the parser
-	Latch   int64 `json:"latch,omitempty"`   // waiting for the written table's latch
-	Lock    int64 `json:"lock,omitempty"`    // waiting for the database lock
+	Latch   int64 `json:"latch,omitempty"`   // waiting for the latches of the tables written
 	Open    int64 `json:"open,omitempty"`    // planning and opening; DML does its work here
 	Execute int64 `json:"execute,omitempty"` // producing rows
 	WAL     int64 `json:"wal,omitempty"`     // appending the commit to the log

@@ -331,22 +331,23 @@ func TestTxConcurrentStatements(t *testing.T) {
 
 // TestLockOrderViolationIsCaught: in a test binary, waiting for a lock
 // that ranks below one already held panics instead of risking a deadlock —
-// here a transaction holding db.mu that would wait for a table latch.
+// here a transaction holding commitMu that would wait for a table latch.
 func TestLockOrderViolationIsCaught(t *testing.T) {
 	db := New()
 	mustExec(t, db, `CREATE TABLE t (a integer)`)
 	tb, _ := db.tables.Load().get("t")
-	tx, err := db.BeginTx(context.Background(), Exclusive)
+	tx, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx.Rollback()
+	tx.state.locks.acquire(rankCommit, true) // as commitTxn records commitMu
 	defer func() {
 		r := recover()
-		if msg, _ := r.(string); !strings.Contains(msg, "lock order violated: waiting for a table latch while holding db.mu") {
+		if msg, _ := r.(string); !strings.Contains(msg, "lock order violated: waiting for a table latch while holding commitMu") {
 			t.Fatalf("recovered %v, want a lock order violation", r)
 		}
 	}()
 	_ = db.locks.acquire(context.Background(), tb, tx.state, 0)
-	t.Fatal("an unbounded latch wait under db.mu was not caught")
+	t.Fatal("an unbounded latch wait under commitMu was not caught")
 }

@@ -16,12 +16,10 @@ import (
 // PostgreSQL stand-in the pgFMU core extends. It is safe for concurrent use.
 //
 // Concurrency is multi-version (see mvcc.go): a read runs against a
-// snapshot and takes no database lock, and writers serialize per table
-// through write latches, so transactions writing disjoint tables execute
-// and commit in parallel. The database-wide reader/writer lock remains for
-// writers only: plain DML shares it (db.mu.RLock); DDL, statements calling
-// a writing function, Exclusive transactions, Checkpoint and Vacuum take it
-// exclusively. DB.exec is the one place a statement takes it.
+// snapshot and takes no lock, and writers serialize per table through write
+// latches, so transactions writing disjoint tables execute and commit in
+// parallel. There is no database-wide lock: commits serialize on commitMu,
+// and the lock order is the one lockorder.go states.
 //
 // The execution API follows the standard Go contract: Exec/Query/QueryRows
 // with Context variants, Prepare for reusable statements (see stmt.go),
@@ -29,7 +27,6 @@ import (
 // (see rows.go). No lock is ever held past a method's return: streaming
 // results iterate over snapshot-filtered row sets.
 type DB struct {
-	mu sync.RWMutex
 	// tables is the committed catalogue (catalog.go).
 	tables atomic.Pointer[catalogValue]
 	funcs  *registry
@@ -51,10 +48,11 @@ type DB struct {
 	// joined by every statement sent to the DB, from any goroutine.
 	conn Conn
 	// wal is the attached write-ahead log; nil for an in-memory database
-	// (see wal.go / EnableDurability). Stored under the exclusive lock.
+	// (see wal.go / EnableDurability). Stored under commitMu.
 	wal atomic.Pointer[wal]
-	// closed marks a DB shut down by Close; all statement entry points
-	// return ErrClosed afterwards. Stored under the exclusive lock.
+	// closed marks a DB shut down by Close or SimulateCrash; all statement
+	// entry points return ErrClosed afterwards, and so does a commit.
+	// Stored under commitMu.
 	closed atomic.Bool
 
 	// clock is the commit-timestamp clock: the stamp of the newest committed
@@ -67,7 +65,9 @@ type DB struct {
 	// stamp flips, and the clock publication happen as one unit per
 	// transaction, so WAL order always matches visibility order and frames
 	// from two committing sessions never interleave. Every store of the
-	// committed catalogue holds it.
+	// committed catalogue holds it, and so do the WAL's attachment changes
+	// (EnableDurability, a checkpoint's switch of generation, Close,
+	// SimulateCrash).
 	commitMu sync.Mutex
 	// locks hands out the per-table write latches.
 	locks *lockMgr
@@ -82,10 +82,9 @@ type DB struct {
 	checkpointCount atomic.Uint64
 	walRecordCount  atomic.Uint64
 
-	// lockWaitNanos bounds how long a transaction that already holds latches
-	// (or the shared lock) waits for another table's latch; expiry surfaces
-	// as ErrWriteConflict, converting potential latch-order deadlocks into a
-	// retryable error. Configurable because slow CI machines can hold
+	// lockWaitNanos bounds how long a statement or transaction waits for a
+	// table's latch; expiry surfaces as ErrWriteConflict, converting
+	// potential latch-order deadlocks into a retryable error. Configurable because slow CI machines can hold
 	// latches past the default (see SetLockWaitTimeout).
 	lockWaitNanos atomic.Int64
 }
@@ -141,19 +140,23 @@ func (db *DB) EnablePlanCache(on bool) {
 
 // RegisterScalar registers a scalar UDF callable from any expression.
 // readOnly is the function's promise not to modify the database: SELECTs
-// calling only read-only functions are reads, which take no database lock,
-// and the handle their functions receive refuses any statement that writes;
-// any other statement takes the database lock exclusively.
-func (db *DB) RegisterScalar(name string, fn ScalarFunc, readOnly bool) {
-	db.funcs.registerScalar(name, fn, readOnly)
+// calling only read-only functions are reads, which take no lock, and the
+// handle their functions receive refuses any statement that writes.
+// latch names the tables a writing function checks before it writes them
+// (a count, then an insert): a statement calling it latches them, waiting,
+// before it pins its snapshot, so two such statements run one after the
+// other and the second sees the first's commit. The tables it writes
+// without checking are latched as it writes them.
+func (db *DB) RegisterScalar(name string, fn ScalarFunc, readOnly bool, latch ...string) {
+	db.funcs.register(name, fn, nil, readOnly, latch)
 }
 
-// RegisterTable registers a set-returning UDF callable in FROM; readOnly as
-// for RegisterScalar. The function body runs while its statement opens;
-// the returned stream may be consumed after the statement returns and
-// therefore must only read data private to the stream (see TableFunc).
-func (db *DB) RegisterTable(name string, fn TableFunc, readOnly bool) {
-	db.funcs.registerTable(name, fn, readOnly)
+// RegisterTable registers a set-returning UDF callable in FROM; readOnly and
+// latch as for RegisterScalar. The function body runs while its statement
+// opens; the returned stream may be consumed after the statement returns
+// and therefore must only read data private to the stream (see TableFunc).
+func (db *DB) RegisterTable(name string, fn TableFunc, readOnly bool, latch ...string) {
+	db.funcs.register(name, nil, fn, readOnly, latch)
 }
 
 // IsReadOnly parses sql and reports whether the engine classifies it
@@ -166,8 +169,7 @@ func (db *DB) IsReadOnly(sql string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	_, writes := db.funcUse(cp.stmt)
-	return isReadOnlyStmt(cp.stmt, writes), nil
+	return isReadOnlyStmt(cp.stmt, db.funcUse(cp.stmt).writes), nil
 }
 
 // TxnControl classifies sql by the engine's grammar: "BEGIN", "COMMIT" or
@@ -277,21 +279,19 @@ func (db *DB) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 }
 
 // exec runs one statement other than transaction control (a Conn handles
-// those), and is the one place a statement takes db.mu. tx is the
-// transaction it runs in: nil for a transaction of its own; a Tx, whose
-// writing statements take db.mu one at a time; an Exclusive Tx, which holds
-// db.mu already; or a function's handle, which runs inside its statement.
+// those). tx is the transaction it runs in: nil for a transaction of its
+// own, a Tx, or a function's handle, which runs inside its statement.
 //
-// A read-only statement takes no lock (see read). DML calling only builtins
-// waits for its table's latch first, holding nothing, then shares db.mu; a
-// statement of its own pins its snapshot after the latch, so writers of one
-// table queue instead of conflicting. Everything else — DDL, ANALYZE,
-// statements calling a function that may write — takes db.mu exclusively.
-// Every latch wait is bounded by the lock-wait timeout and then fails with
-// ErrWriteConflict; a statement of its own waits for db.mu as long as it
-// must, a Tx's statement, whose transaction may hold latches from earlier
-// statements, at most the lock-wait timeout. tr, if not nil, records the
-// statement's waits, its open and its commit.
+// A read-only statement takes no lock (see read). A writing statement
+// latches the tables whose rows it checks or writes — DML its target, a
+// statement calling a writing function the tables the function registered
+// — and only then pins its snapshot (a statement of its own; a Tx's was
+// pinned at begin), so writers of one table queue instead of conflicting,
+// and a check before a write sees every commit before it. Any other table a
+// statement writes (DDL's, a function's other writes) it latches when it
+// reaches it. Every latch wait is bounded by the lock-wait timeout and then
+// fails with ErrWriteConflict. tr, if not nil, records the statement's
+// latch wait, its open and its commit.
 func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -299,141 +299,125 @@ func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cach
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	udf, writes := db.funcUse(cp.stmt)
-	if isReadOnlyStmt(cp.stmt, writes) {
-		return db.read(ctx, tr, tx, text, cp, params, udf)
+	use := db.funcUse(cp.stmt)
+	if isReadOnlyStmt(cp.stmt, use.writes) {
+		return db.read(ctx, tr, tx, text, cp, params, use.udf)
 	}
 	if tx != nil && tx.readOnly {
 		return nil, fmt.Errorf("sql: a function called by a read-only statement cannot run %q", text)
 	}
-	dml := !udf && isDMLStmt(cp.stmt)
-	mode := lockExclusive
-	if dml {
-		mode = lockShared
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
+	latch := use.latch
+	if name := dmlTable(cp.stmt); name != "" {
+		latch = append(latch, name)
 	}
 	own := tx == nil // the statement is its own transaction
-	take := own || !tx.locked
 	var t *txnState
 	if own {
 		t = db.newTxn()
 	} else {
 		t = tx.state
 	}
-	bounded := !own
-	fail := func(err error) (*RowIter, error) {
+	cat, snap, err := db.latchWrites(ctx, tr, t, latch, own)
+	if err != nil {
 		if own {
 			db.releaseLatches(t)
 		}
 		return nil, err
 	}
-	for take {
-		var latched *Table
-		if dml {
-			cat, err := db.catalogFor(t)
-			if err != nil {
-				return fail(err)
-			}
-			name := dmlTable(cp.stmt)
-			tb, ok := cat.get(name)
-			if !ok {
-				return fail(fmt.Errorf("%w: %q", ErrNoSuchTable, name))
-			}
-			w := tr.now()
-			err = db.latchTable(ctx, tb, t)
-			if tr != nil {
-				tr.LatchWait += time.Since(w)
-			}
-			if err != nil {
-				return fail(err)
-			}
-			latched = tb
-		}
-		t.locks.acquire(rankDB, !bounded)
-		w := tr.now()
-		var err error
-		switch {
-		case mode == lockExclusive && bounded:
-			err = db.lockBounded()
-		case mode == lockExclusive:
-			db.mu.Lock()
-		case bounded:
-			err = db.rlockBounded()
-		default:
-			db.mu.RLock()
-		}
-		if tr != nil {
-			tr.LockWait += time.Since(w)
-		}
-		if err != nil {
-			t.locks.release(rankDB)
-			return fail(err)
-		}
-		if latched == nil {
-			break
-		}
-		if cat, err := db.catalogFor(t); err == nil && cat.tables[latched.Name] == latched {
-			break
-		}
-		// The table was dropped or replaced while we waited for the latch.
-		db.unlock(mode, &t.locks)
-		if own {
-			db.releaseLatches(t)
-		}
-	}
-	cat, err := db.catalogFor(t)
-	if err == nil && db.closed.Load() {
-		err = ErrClosed
-	}
-	if err != nil {
-		if take {
-			db.unlock(mode, &t.locks)
-		}
-		return fail(err)
-	}
 	if own {
-		t.snap = snapshot{ts: db.clock.Load(), self: t.stamp()}
+		t.snap = snap
+	} else {
+		snap = t.snap
 	}
-	snap := t.snap
-	exclusive := (own && mode == lockExclusive) || (tx != nil && tx.exclusive)
-	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap, cat: cat,
-		physLog: db.wal.Load() != nil && !exclusive && isDMLStmt(cp.stmt)}
-	if udf {
+	cx := &evalCtx{db: db, params: params, ctx: ctx, txn: t, snap: snap, cat: cat}
+	if use.udf {
 		cx.tx = tx
 		if tx == nil || !tx.fn {
-			cx.tx = &Tx{db: db, state: t, snap: snap, locked: true, fn: true, exclusive: exclusive}
+			cx.tx = &Tx{db: db, state: t, snap: snap, fn: true}
 		}
 	}
 	st, err := db.open(cx, tr, tx, text, cp)
 	if tx != nil && tx.fn {
 		tx.memo = nil
 	}
-	ckptDue := false
-	if own {
-		if err == nil {
-			if ckptDue, err = db.commitTxn(t, tr); err == nil {
-				db.autoAnalyzeTouched(t)
-			}
-		}
+	if !own {
 		if err != nil {
-			t.unwind(txnMarks{})
+			return nil, err
 		}
-		// Before db.mu: the next exclusive statement probes these latches.
-		db.releaseLatches(t)
+		return newRowIter(ctx, st), nil
 	}
-	if take {
-		db.unlock(mode, &t.locks)
+	ckptDue := false
+	if err == nil {
+		if ckptDue, err = db.commitTxn(t, tr); err == nil {
+			db.autoAnalyzeTouched(t)
+		}
 	}
-	if own && err == nil {
-		t.committed()
+	if err != nil {
+		t.unwind(txnMarks{})
 	}
+	db.releaseLatches(t)
+	db.snaps.unpin(snap.ts, false)
+	if err != nil {
+		return nil, err
+	}
+	t.committed()
 	if ckptDue {
 		// Best effort, with no lock held; the WAL stays valid if it fails.
 		_ = db.Checkpoint()
 	}
-	if err != nil {
-		return nil, err
-	}
 	return newRowIter(ctx, st), nil
+}
+
+// latchWrites latches the tables named for t, waiting at most the lock-wait
+// timeout for each, then resolves the catalogue t's statement runs in and,
+// for a statement of its own (own), pins a snapshot of the same commit,
+// registered with Vacuum, which the caller unpins. A name that resolves to
+// no table is left to the executor to report. While it waited, a DROP or
+// index DDL may have committed a new table under a latched name: it then
+// latches and resolves again, so every table the statement writes is one
+// the returned catalogue holds.
+func (db *DB) latchWrites(ctx context.Context, tr *Trace, t *txnState, names []string, own bool) (*catalogValue, snapshot, error) {
+	for {
+		cat, err := db.catalogFor(t)
+		if err != nil {
+			return nil, snapshot{}, err
+		}
+		var buf [4]*Table
+		latched := buf[:0]
+		w := tr.now()
+		for _, name := range names {
+			tb, ok := cat.get(name)
+			if !ok {
+				continue
+			}
+			if err = db.latchTable(ctx, tb, t); err != nil {
+				break
+			}
+			latched = append(latched, tb)
+		}
+		if tr != nil {
+			tr.LatchWait += time.Since(w)
+		}
+		if err != nil {
+			return nil, snapshot{}, err
+		}
+		var snap snapshot
+		if own {
+			cat, snap.ts = db.pinRead()
+			snap.self = t.stamp()
+		} else if cat, err = db.catalogFor(t); err != nil {
+			return nil, snapshot{}, err
+		}
+		if !slices.ContainsFunc(latched, func(tb *Table) bool { return cat.tables[tb.Name] != tb }) {
+			return cat, snap, nil
+		}
+		if own {
+			db.snaps.unpin(snap.ts, false)
+		}
+	}
 }
 
 // read runs a read-only statement in tx (nil: on a snapshot of its own),
@@ -526,30 +510,18 @@ func (db *DB) nextCatalogLocked(edits []catEdit) (*catalogValue, error) {
 func (db *DB) bumpEpoch() {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
+	db.bumpEpochLocked()
+}
+
+// bumpEpochLocked is bumpEpoch for a caller holding commitMu.
+func (db *DB) bumpEpochLocked() {
 	next := *db.tables.Load()
 	next.epoch++
 	db.tables.Store(&next)
 }
 
-// unlock releases db.mu taken in mode by exec.
-func (db *DB) unlock(mode lockMode, locks *heldLocks) {
-	if mode == lockExclusive {
-		db.mu.Unlock()
-	} else {
-		db.mu.RUnlock()
-	}
-	locks.release(rankDB)
-}
-
-// lockMode is a mode of db.mu.
-type lockMode uint8
-
-const (
-	lockShared lockMode = iota
-	lockExclusive
-)
-
-// dmlTable names the table a DML statement writes.
+// dmlTable names the table a DML statement writes; "" for any other
+// statement.
 func dmlTable(s Statement) string {
 	switch t := s.(type) {
 	case *InsertStmt:
@@ -590,10 +562,11 @@ func (db *DB) openSelect(cx *evalCtx, s *SelectStmt, cp *cachedPlan) (RowStream,
 // Serialized by commitMu, so publish and stamp order always match WAL order
 // and two committing sessions never interleave WAL frames. DDL that lost a
 // race for a name fails the commit with ErrWriteConflict before anything is
-// logged. Safe under either db.mu mode (an exclusive holder cannot contend
-// with concurrent committers, which hold the shared lock). Reports whether
-// an automatic checkpoint is due; callers run it after unlocking. tr, if not
-// nil, records the WAL append, the fsync and the rest as Commit.
+// logged. A closed (or crashed) database refuses the commit: its log is
+// detached. Reports whether
+// an automatic checkpoint is due; callers run it after releasing their
+// latches. tr, if not nil, records the WAL append, the fsync and the rest as
+// Commit.
 func (db *DB) commitTxn(t *txnState, tr *Trace) (ckptDue bool, err error) {
 	if tr != nil {
 		defer func(t0 time.Time, wal, fsync time.Duration) {
@@ -604,6 +577,9 @@ func (db *DB) commitTxn(t *txnState, tr *Trace) (ckptDue bool, err error) {
 	defer t.locks.release(rankCommit)
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
+	if db.closed.Load() {
+		return false, ErrClosed
+	}
 	var cat *catalogValue
 	if len(t.edits) > 0 {
 		if cat, err = db.nextCatalogLocked(t.edits); err != nil {
@@ -630,26 +606,16 @@ func (db *DB) commitTxn(t *txnState, tr *Trace) (ckptDue bool, err error) {
 }
 
 // execStatement runs one statement with statement-level atomicity inside
-// cx's transaction (unwind to the statement's marks on error) and captures
-// its WAL records: the physical row changes when exec asked for them
-// (cx.physLog) or the statement calls a UDF, else the statement text (see
+// cx's transaction (unwind to the statement's marks on error). DML logs its
+// row changes as it makes them; DDL is logged here, as its text (see
 // txn.go).
 func (db *DB) execStatement(cx *evalCtx, text string, cp *cachedPlan) (RowStream, error) {
-	stmt := cp.stmt
 	t := cx.txn
 	if t == nil {
 		// Read path or recovery replay: nothing to journal.
 		return db.execStream(cx, cp)
 	}
 	m := t.marks()
-	logStmt := false
-	if isMutatingStmt(stmt) && db.wal.Load() != nil && !cx.physLog {
-		if cx.tx == nil {
-			logStmt = true
-		} else {
-			cx.physLog = true
-		}
-	}
 	st, err := db.execStream(cx, cp)
 	if err != nil {
 		if t.marks() != m {
@@ -657,7 +623,7 @@ func (db *DB) execStatement(cx *evalCtx, text string, cp *cachedPlan) (RowStream
 		}
 		return nil, err
 	}
-	if logStmt {
+	if isDDLStmt(cp.stmt) && cx.logging() {
 		t.pending = append(t.pending, stmtWALRecord(text, cx.params))
 	}
 	return st, nil
@@ -675,12 +641,18 @@ func (db *DB) execStream(cx *evalCtx, cp *cachedPlan) (RowStream, error) {
 	return rs.Stream(), nil
 }
 
-// funcUse reports whether a statement calls a function that is not an
-// aggregate or engine builtin (udf), and one not registered read-only
-// (writes). A statement calling a UDF is WAL-logged as row records, never
-// as text: UDFs may be volatile (fmu_create loads files, trainers search
-// stochastically) and are not registered when the log replays on open.
-func (db *DB) funcUse(stmt Statement) (udf, writes bool) {
+// funcUse is what a statement's functions ask of it: udf, that it calls a
+// function that is not an aggregate or engine builtin; writes, that one is
+// not registered read-only; latch, the tables its writing functions
+// registered, sorted, each once.
+type funcUse struct {
+	udf, writes bool
+	latch       []string
+}
+
+// funcUse reports the statement's funcUse.
+func (db *DB) funcUse(stmt Statement) funcUse {
+	var u funcUse
 	walkStmtFuncs(stmt, func(name string) {
 		name = strings.ToLower(name)
 		if _, ok := builtinScalars[name]; ok || isAggregateName(name) {
@@ -689,10 +661,16 @@ func (db *DB) funcUse(stmt Statement) (udf, writes bool) {
 		if _, ok := builtinTableFunc(name); ok {
 			return
 		}
-		udf = true
-		writes = writes || !db.funcs.isReadOnly(name)
+		u.udf = true
+		ro, latch := db.funcs.writeSet(name)
+		u.writes = u.writes || !ro
+		u.latch = append(u.latch, latch...)
 	})
-	return udf, writes
+	if len(u.latch) > 1 {
+		slices.Sort(u.latch)
+		u.latch = slices.Compact(u.latch)
+	}
+	return u
 }
 
 // isReadOnlyStmt reports whether a statement is a read, which takes no
@@ -783,51 +761,27 @@ func bindArgs(args []any) ([]variant.Value, error) {
 	return params, nil
 }
 
-// latchForWrite takes t's write latch for cx's transaction at execution
-// time. Callers hold db.mu in some mode, so waiting is never safe here —
-// the latch is probed, and a holder surfaces as ErrWriteConflict. The
-// concurrent DML path pre-acquires its target latch (with waiting) before
-// taking the shared lock, making this a no-op there. Recovery replay
-// (txn == nil) runs single-threaded under the exclusive lock and needs no
-// latch.
+// latchForWrite takes t's write latch for cx's transaction when a statement
+// reaches a table it did not latch before its snapshot (DDL, a function's
+// nested write), waiting at most the lock-wait timeout. If a DDL commit
+// replaced the table while it waited, the statement, which resolved the old
+// one, fails with ErrWriteConflict. Recovery replay (txn == nil) runs
+// single-threaded and needs no latch.
 func (db *DB) latchForWrite(cx *evalCtx, t *Table) error {
-	if cx.txn == nil {
+	if cx.txn == nil || cx.txn.holdsLatch(t) {
 		return nil
 	}
-	return db.tryLatchTable(t, cx.txn)
-}
-
-// rlockBounded acquires db.mu.RLock with a bounded wait; lockBounded does
-// the same for the exclusive mode. A Tx's statements use them (see exec)
-// so a statement issued while holding caller-side locks cannot wait forever
-// on a lock holder that is itself waiting on the caller.
-func (db *DB) rlockBounded() error {
-	deadline := time.Now().Add(db.lockWaitTimeout())
-	for !db.mu.TryRLock() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: database is exclusively locked by another statement", ErrWriteConflict)
-		}
-		time.Sleep(100 * time.Microsecond)
+	if err := db.latchTable(cx.ctxOrBackground(), t, cx.txn); err != nil {
+		return err
 	}
-	return nil
-}
-
-func (db *DB) lockBounded() error {
-	deadline := time.Now().Add(db.lockWaitTimeout())
-	for !db.mu.TryLock() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: database is locked by another statement", ErrWriteConflict)
-		}
-		time.Sleep(100 * time.Microsecond)
+	if cat, err := db.catalogFor(cx.txn); err != nil || cat.tables[t.Name] != t {
+		return fmt.Errorf("%w: table %q changed while this statement waited for it", ErrWriteConflict, t.Name)
 	}
 	return nil
 }
 
 // execLocked executes one parsed statement other than SELECT (execStream
 // routes those to openSelect) and materializes its result.
-// cx.physLog asks DML executors to emit physical WAL records for each row
-// change (used when the statement text itself cannot be replayed because it
-// references UDFs, and always on the concurrent path).
 func (db *DB) execLocked(cx *evalCtx, stmt Statement) (*ResultSet, error) {
 	switch s := stmt.(type) {
 	case *ExplainStmt:
@@ -919,14 +873,12 @@ func (db *DB) execDrop(cx *evalCtx, s *DropTableStmt) (*ResultSet, error) {
 
 // editCatalog records a DDL statement's catalogue edits in its transaction,
 // which publishes them at commit; recovery replay, which runs in no
-// transaction, publishes them at once.
+// transaction, under commitMu, publishes them at once.
 func (db *DB) editCatalog(cx *evalCtx, edits []catEdit) (*ResultSet, error) {
 	if cx.txn != nil {
 		cx.txn.edits = append(cx.txn.edits, edits...)
 		return &ResultSet{}, nil
 	}
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
 	next, err := db.nextCatalogLocked(edits)
 	if err != nil {
 		return nil, err
@@ -1017,8 +969,8 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 		if err := db.insertVersion(cx, t, row); err != nil {
 			return err
 		}
-		if cx.physLog {
-			cx.logWAL(db, walRecord{Op: "ins", Table: t.Name, Row: encodeWALValues(row)})
+		if cx.logging() {
+			cx.logWAL(walRecord{Op: "ins", Table: t.Name, Row: encodeWALValues(row)})
 		}
 		return nil
 	}
@@ -1176,8 +1128,8 @@ func (db *DB) execUpdate(cx *evalCtx, s *UpdateStmt) (*ResultSet, error) {
 		if err := db.insertVersion(cx, t, newRow); err != nil {
 			return err
 		}
-		if cx.physLog {
-			cx.logWAL(db, walRecord{Op: "upd", Table: t.Name,
+		if cx.logging() {
+			cx.logWAL(walRecord{Op: "upd", Table: t.Name,
 				Old: encodeWALValues(row), Row: encodeWALValues(newRow)})
 		}
 		return nil
@@ -1203,8 +1155,8 @@ func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
 		if err := db.endVersion(cx, t, m); err != nil {
 			return err
 		}
-		if cx.physLog {
-			cx.logWAL(db, walRecord{Op: "del", Table: t.Name, Old: encodeWALValues(row)})
+		if cx.logging() {
+			cx.logWAL(walRecord{Op: "del", Table: t.Name, Old: encodeWALValues(row)})
 		}
 		return nil
 	})
@@ -1218,8 +1170,7 @@ func (db *DB) execDelete(cx *evalCtx, s *DeleteStmt) (*ResultSet, error) {
 // used by dataset loaders; bypasses SQL parsing). It is DML like INSERT:
 // it joins the transaction SQL BEGIN sent to the DB opened, or else commits
 // on its own on the latched write path, so loaders of different tables run
-// in parallel.
-// A durable database WAL-logs it as a physical row record.
+// in parallel. A durable database WAL-logs it as a row record.
 func (db *DB) InsertRow(table string, values ...any) error {
 	_, err := db.conn.queryRows(context.Background(), nil, "", &cachedPlan{stmt: &rowInsert{Table: table, Values: values}}, nil)
 	return err
@@ -1260,7 +1211,9 @@ func (db *DB) execRowInsert(cx *evalCtx, s *rowInsert) error {
 		return err
 	}
 	t.noteMutations(1)
-	cx.logWAL(db, walRecord{Op: "ins", Table: t.Name, Row: encodeWALValues(row)})
+	if cx.logging() {
+		cx.logWAL(walRecord{Op: "ins", Table: t.Name, Row: encodeWALValues(row)})
+	}
 	return nil
 }
 

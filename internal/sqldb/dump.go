@@ -13,16 +13,28 @@ import (
 // export — a dump placed as <dir>/snapshot.sql opens as a database. Tables
 // are emitted in name order; values are rendered as re-parseable literals;
 // each table's secondary indexes follow its rows so a reload rebuilds them
-// in one pass. It takes no database lock (a checkpoint calls it under the
-// exclusive one). The catalogue and the clock are read together under
+// in one pass. The catalogue and the clock are read together under
 // commitMu, so the dump holds every transaction whole or not at all, and the
 // snapshot stays registered with Vacuum to the end. In-flight writers keep
 // their uncommitted versions and DDL out of it by construction.
 func (db *DB) Dump(w io.Writer) error {
 	db.commitMu.Lock()
-	cat, snap := db.tables.Load(), snapshot{ts: db.snaps.pin(&db.clock, false)}
+	cat, ts := db.tables.Load(), db.snaps.pin(&db.clock, false)
 	db.commitMu.Unlock()
-	defer db.snaps.unpin(snap.ts, false)
+	defer db.snaps.unpin(ts, false)
+	return db.dumpAt(w, cat, snapshot{ts: ts})
+}
+
+// dumpLocked is Dump for a caller holding commitMu (a checkpoint, which
+// holds it until the dump is written).
+func (db *DB) dumpLocked(w io.Writer) error {
+	cat, ts := db.tables.Load(), db.snaps.pin(&db.clock, false)
+	defer db.snaps.unpin(ts, false)
+	return db.dumpAt(w, cat, snapshot{ts: ts})
+}
+
+// dumpAt writes the tables of cat as snap sees them.
+func (db *DB) dumpAt(w io.Writer, cat *catalogValue, snap snapshot) error {
 	indexesByTable := make(map[string][]IndexInfo)
 	for _, info := range cat.indexInfos() {
 		indexesByTable[info.Table] = append(indexesByTable[info.Table], info)

@@ -33,28 +33,27 @@ type evalCtx struct {
 	txn  *txnState
 	snap snapshot
 	cat  *catalogValue
-	// physLog asks DML executors to emit physical WAL records per row
-	// change (set when the statement text is not replayable, and always on
-	// the concurrent write path; see txn.go).
-	physLog bool
 	// tx is the handle the statement's UDFs receive; nil when it calls none.
 	tx *Tx
 }
 
-// touch and logWAL forward to the statement's transaction; both are no-ops
-// during recovery replay (txn == nil), which rebuilds committed state and
-// never rolls back.
+// touch forwards to the statement's transaction; it is a no-op during
+// recovery replay (txn == nil), which rebuilds committed state and never
+// rolls back.
 func (cx *evalCtx) touch(t *Table) {
 	if cx.txn != nil {
 		cx.txn.touch(t)
 	}
 }
 
-func (cx *evalCtx) logWAL(db *DB, rec walRecord) {
-	if cx.txn != nil {
-		cx.txn.logWAL(db, rec)
-	}
-}
+// logging reports whether the statement's changes are logged: it runs in a
+// transaction (not recovery replay) on a durable database. Callers check it
+// before encoding a record.
+func (cx *evalCtx) logging() bool { return cx.txn != nil && cx.db.wal.Load() != nil }
+
+// logWAL buffers a record of the statement's change for its transaction's
+// commit; callers check logging first.
+func (cx *evalCtx) logWAL(rec walRecord) { cx.txn.pending = append(cx.txn.pending, rec) }
 
 // ctxOrBackground returns the statement context for handing to UDFs.
 func (cx *evalCtx) ctxOrBackground() context.Context {

@@ -14,7 +14,7 @@ import (
 
 // ScalarFunc is a user-defined scalar function. tx is the calling
 // statement's transaction: its Query/Exec run inside the statement, on its
-// snapshot and under any lock it holds (the way PostgreSQL UDFs use SPI —
+// snapshot and under the latches it holds (the way PostgreSQL UDFs use SPI —
 // pgFMU's fmu_parest evaluates input_sql through it), and a function
 // registered read-only gets a handle that refuses to write. The handle is valid for the call only, on the
 // calling goroutine. ctx is the statement's context, so long-running
@@ -33,44 +33,50 @@ type ScalarFunc func(ctx context.Context, tx *Tx, args []variant.Value) (variant
 type TableFunc func(ctx context.Context, tx *Tx, args []variant.Value) (RowStream, error)
 
 // registry holds scalar and table functions, case-insensitively keyed.
-// readOnly records which UDFs declared themselves free of side effects — the
-// statement classifier uses it to tell a read, which takes no lock, from a
-// statement that locks the database exclusively.
+// writes records what each UDF declared of its writes: whether it is free
+// of side effects — the statement classifier uses it to tell a read, which
+// takes no lock, from a write — and which tables its statement latches
+// before pinning its snapshot.
 type registry struct {
-	mu       sync.RWMutex
-	scalars  map[string]ScalarFunc
-	tables   map[string]TableFunc
-	readOnly map[string]bool
+	mu      sync.RWMutex
+	scalars map[string]ScalarFunc
+	tables  map[string]TableFunc
+	writes  map[string]funcWrites
+}
+
+type funcWrites struct {
+	readOnly bool
+	latch    []string
 }
 
 func newRegistry() *registry {
 	return &registry{
-		scalars:  make(map[string]ScalarFunc),
-		tables:   make(map[string]TableFunc),
-		readOnly: make(map[string]bool),
+		scalars: make(map[string]ScalarFunc),
+		tables:  make(map[string]TableFunc),
+		writes:  make(map[string]funcWrites),
 	}
 }
 
-func (r *registry) registerScalar(name string, fn ScalarFunc, ro bool) {
+// register adds a scalar function (sfn) or a table function (tfn).
+func (r *registry) register(name string, sfn ScalarFunc, tfn TableFunc, ro bool, latch []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := strings.ToLower(name)
-	r.scalars[key] = fn
-	r.readOnly[key] = ro
+	if sfn != nil {
+		r.scalars[key] = sfn
+	} else {
+		r.tables[key] = tfn
+	}
+	r.writes[key] = funcWrites{readOnly: ro, latch: latch}
 }
 
-func (r *registry) registerTable(name string, fn TableFunc, ro bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := strings.ToLower(name)
-	r.tables[key] = fn
-	r.readOnly[key] = ro
-}
-
-func (r *registry) isReadOnly(name string) bool {
+// writeSet reports whether a function is read-only and the tables it
+// latches.
+func (r *registry) writeSet(name string) (readOnly bool, latch []string) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.readOnly[strings.ToLower(name)]
+	w := r.writes[strings.ToLower(name)]
+	return w.readOnly, w.latch
 }
 
 func (r *registry) scalar(name string) (ScalarFunc, bool) {

@@ -119,16 +119,22 @@ func TestRandomHistories(t *testing.T) {
 }
 
 // registerHistAppend registers hist_append(key, elem), a writing function
-// that appends elem to key's list through its statement's transaction and
-// returns how many rows it changed.
+// that appends elem and then elem+"+" to key's list, in two statements
+// through its statement's transaction (the second must see the first), and
+// returns how many rows they changed. It registers h, which its statement
+// latches before its snapshot.
 func registerHistAppend(db *DB) {
 	db.RegisterScalar("hist_append", func(ctx context.Context, tx *Tx, args []variant.Value) (variant.Value, error) {
-		n, err := tx.ExecContext(ctx, `UPDATE h SET v = v || $1 WHERE k = $2`, " "+args[1].AsText(), args[0])
-		if err != nil {
-			return variant.Value{}, err
+		total := 0
+		for _, suffix := range []string{"", "+"} {
+			n, err := tx.ExecContext(ctx, `UPDATE h SET v = v || $1 WHERE k = $2`, " "+args[1].AsText()+suffix, args[0])
+			if err != nil {
+				return variant.Value{}, err
+			}
+			total += n
 		}
-		return variant.NewInt(int64(n)), nil
-	}, false)
+		return variant.NewInt(int64(total)), nil
+	}, false, "h")
 }
 
 func runHistory(t *testing.T, seed int64, conns, iters int) {
@@ -331,11 +337,13 @@ func (h *histRun) micro(conn *Conn, x *histTxn, rng *rand.Rand, elem func() stri
 	switch r := rng.Intn(100); {
 	case r < 45:
 		k, e := rng.Intn(histKeys), elem()
+		appended := []histWrite{{k, e}}
 		var n int
 		var err error
 		if r < 30 {
 			n, err = h.exec(conn, x, `UPDATE h SET v = v || $1 WHERE k = $2`, " "+e, k)
 		} else {
+			appended = append(appended, histWrite{k, e + "+"})
 			var rs *ResultSet
 			rs, err = h.query(conn, x, `SELECT hist_append($1, $2)`, k, e)
 			if err == nil {
@@ -345,10 +353,10 @@ func (h *histRun) micro(conn *Conn, x *histTxn, rng *rand.Rand, elem func() stri
 		if err != nil {
 			return err
 		}
-		if n != 1 {
-			h.fail("append to key %d changed %d rows (%s)", k, n, x)
+		if n != len(appended) {
+			h.fail("appending %d elements to key %d changed %d rows (%s)", len(appended), k, n, x)
 		}
-		x.writes = append(x.writes, histWrite{k, e})
+		x.writes = append(x.writes, appended...)
 		return nil
 	case r < 90:
 		keys := rng.Perm(histKeys)[:1+rng.Intn(3)]

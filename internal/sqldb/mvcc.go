@@ -14,9 +14,9 @@ import (
 // Row storage is append-only: every INSERT appends a version, every UPDATE
 // ends the old version and appends a new one, every DELETE ends a version.
 // Versions are never moved or overwritten on the hot path (only Vacuum,
-// under the exclusive lock, compacts them away), so readers need no lock at
-// all once they hold a view header — visibility is decided per version from
-// two atomic stamps:
+// holding the table's latch, compacts them away), so readers need no lock
+// at all once they hold a view header — visibility is decided per version
+// from two atomic stamps:
 //
 //   - begin: the commit timestamp of the creating transaction, or
 //     txnBit|id while that transaction is in flight, or stampAborted if it
@@ -58,9 +58,9 @@ type rowMeta struct {
 // tableView is one published generation of a table's version arrays. The
 // slices use append semantics over a shared backing array: appending
 // publishes a new header with a longer length, and existing readers — bound
-// by their own header's length — never observe the new element. All
-// appenders are mutually excluded (table latch + shared DB lock, or the
-// exclusive DB lock), so concurrent append-append races cannot occur.
+// by their own header's length — never observe the new element. Every
+// appender, and Vacuum, holds the table's latch (recovery replay runs
+// alone), so concurrent append-append races cannot occur.
 //
 // gen is the layout generation: every view with the same gen agrees on the
 // version at each position both hold (appends copy it; only vacuumTable,
@@ -75,8 +75,8 @@ type tableView struct {
 // snapshot fixes what one statement or transaction can see.
 //
 // ts is the highest visible commit timestamp; ts == 0 means "latest
-// committed" (used under the exclusive lock, where the clock cannot move
-// concurrently). self is the reader's own in-flight stamp (txnBit|id) so a
+// committed" (recovery replay, where the clock cannot move concurrently).
+// self is the reader's own in-flight stamp (txnBit|id) so a
 // transaction sees its own uncommitted writes; 0 outside a transaction.
 type snapshot struct {
 	ts   uint64
@@ -118,9 +118,8 @@ func (s snapshot) visible(m *rowMeta) bool {
 func (t *Table) loadView() *tableView { return t.view.Load() }
 
 // appendVersion appends one row version and publishes the longer view,
-// returning the version's position. Callers must hold the right to append:
-// the table's write latch plus the DB's shared lock, or the DB's exclusive
-// lock.
+// returning the version's position. Callers must hold the table's write
+// latch, or be recovery replay.
 func (t *Table) appendVersion(row Row, m *rowMeta) int {
 	v := t.loadView()
 	nv := &tableView{rows: append(v.rows, row), meta: append(v.meta, m), gen: v.gen}
@@ -179,8 +178,8 @@ func newLockMgr() *lockMgr {
 }
 
 // tryAcquire takes the latch if it is free (or already held by tx) and
-// reports whether it did. Used under the DB's exclusive lock, where waiting
-// could deadlock against a latch owner blocked on the lock.
+// reports whether it did. Vacuum probes latches with it: a table an open
+// transaction writes is not one to compact.
 func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
@@ -195,8 +194,8 @@ func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 // acquire blocks until the latch is granted, ctx is done, or timeout
 // elapses — the latter surfaces as ErrWriteConflict, so a writer fails fast
 // instead of deadlocking on crossed latch orders or stalling behind an idle
-// open transaction. The waiter may hold other latches, never db.mu: every
-// statement would stall behind it for the timeout.
+// open transaction. The waiter may hold other latches, never commitMu: every
+// commit would stall behind it for the timeout.
 func (lm *lockMgr) acquire(ctx context.Context, t *Table, tx *txnState, timeout time.Duration) error {
 	tx.locks.acquire(rankLatch, true)
 	var deadline *time.Timer
@@ -238,14 +237,6 @@ func (lm *lockMgr) release(t *Table, tx *txnState) {
 	lm.mu.Unlock()
 }
 
-// owner returns the latch holder, nil if free. Vacuum uses it to skip
-// tables with in-flight writes.
-func (lm *lockMgr) owner(t *Table) *txnState {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.owners[t.tableStore]
-}
-
 // latchTable acquires t's write latch for tx (idempotently), waiting at
 // most the lock-wait timeout, and records it for release at transaction end.
 func (db *DB) latchTable(ctx context.Context, t *Table, tx *txnState) error {
@@ -254,20 +245,6 @@ func (db *DB) latchTable(ctx context.Context, t *Table, tx *txnState) error {
 	}
 	if err := db.locks.acquire(ctx, t, tx, db.lockWaitTimeout()); err != nil {
 		return err
-	}
-	tx.latches = append(tx.latches, t)
-	return nil
-}
-
-// tryLatchTable is latchTable without waiting: callers hold db.mu, and a
-// latch owner may be blocked acquiring it, so waiting here could deadlock.
-// Surfaces ErrWriteConflict instead.
-func (db *DB) tryLatchTable(t *Table, tx *txnState) error {
-	if tx.holdsLatch(t) {
-		return nil
-	}
-	if !db.locks.tryAcquire(t, tx) {
-		return fmt.Errorf("%w: table %q is write-locked by a concurrent transaction", ErrWriteConflict, t.Name)
 	}
 	tx.latches = append(tx.latches, t)
 	return nil
@@ -372,41 +349,54 @@ func (db *DB) pinRead() (*catalogValue, uint64) {
 
 // Vacuum compacts every table: versions invisible to the oldest registered
 // snapshot (aborted inserts, superseded updates, committed deletes) are
-// dropped and indexes rebuilt over the surviving versions. It runs under
-// the exclusive lock, beside readers, which hold the views they loaded
-// (see index.gen); it piggybacks on Checkpoint, and long-running databases
-// can also call it directly.
+// dropped and indexes rebuilt over the surviving versions. It holds each
+// table's latch while it compacts it, and skips a table whose latch is
+// taken: an open transaction writes it, and its in-flight stamps must
+// survive. Readers run beside it on the views they loaded (see index.gen).
+// It piggybacks on Checkpoint, and long-running databases can also call it
+// directly.
 func (db *DB) Vacuum() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	return db.vacuumLocked()
+	compacted, err := db.vacuum()
+	if compacted {
+		// Positions moved: cached physical plans that pinned access paths
+		// must replan.
+		db.bumpEpoch()
+	}
+	return err
 }
 
-// vacuumLocked compacts under db.mu.Lock. Tables with a latch owner (an
-// in-flight writer) are skipped: their in-flight stamps must survive.
-func (db *DB) vacuumLocked() error {
+// vacuum compacts every table whose latch is free and reports whether it
+// compacted any; the caller moves the catalogue epoch if so.
+func (db *DB) vacuum() (compacted bool, firstErr error) {
 	watermark := db.snaps.oldest(&db.clock)
-	cat := db.tables.Load()
-	var firstErr error
-	for _, name := range cat.names {
-		t := cat.tables[name]
-		if db.locks.owner(t) != nil {
+	owner := db.newTxn()
+	for _, name := range db.tables.Load().names {
+		t, ok := db.tables.Load().get(name)
+		if !ok || !db.locks.tryAcquire(t, owner) {
 			continue
 		}
-		if err := db.vacuumTable(t, watermark); err != nil && firstErr == nil {
-			firstErr = err
+		// Under the latch no DDL of t commits: resolve the Table again, so
+		// an index created since the first load is rebuilt too.
+		if cur, ok := db.tables.Load().get(name); ok && cur.tableStore == t.tableStore {
+			c, err := db.vacuumTable(cur, watermark)
+			compacted = compacted || c
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
+		db.locks.release(t, owner)
 	}
-	return firstErr
+	return compacted, firstErr
 }
 
-// vacuumTable drops the dead versions of one table. A version is dead when
-// its creator aborted or when it was ended at or before the watermark — no
-// current or future snapshot can see it.
-func (db *DB) vacuumTable(t *Table, watermark uint64) error {
+// vacuumTable drops the dead versions of one table and reports whether
+// there were any. A version is dead when its creator aborted or when it was
+// ended at or before the watermark — no current or future snapshot can see
+// it.
+func (db *DB) vacuumTable(t *Table, watermark uint64) (bool, error) {
 	v := t.loadView()
 	kept := 0
 	for _, m := range v.meta {
@@ -416,7 +406,7 @@ func (db *DB) vacuumTable(t *Table, watermark uint64) error {
 		kept++
 	}
 	if kept == len(v.meta) {
-		return nil
+		return false, nil
 	}
 	nv := &tableView{
 		rows: make([]Row, 0, kept),
@@ -437,10 +427,7 @@ func (db *DB) vacuumTable(t *Table, watermark uint64) error {
 			firstErr = err
 		}
 	}
-	// Positions moved: cached physical plans that pinned access paths must
-	// replan.
-	db.bumpEpoch()
-	return firstErr
+	return true, firstErr
 }
 
 func versionDeadAt(m *rowMeta, watermark uint64) bool {

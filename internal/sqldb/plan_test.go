@@ -9,12 +9,12 @@ import (
 )
 
 // setPlanner installs planner switches (plannerOptions) and invalidates
-// cached plans, under the exclusive lock.
+// cached plans, under commitMu.
 func (db *DB) setPlanner(o plannerOptions) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	db.planner = o
-	db.bumpEpoch()
+	db.bumpEpochLocked()
 }
 
 // These tests pin the plan-cache invalidation protocol: physical plans pin

@@ -123,9 +123,9 @@ func TestPlannerAccessPathEquivalence(t *testing.T) {
 // forceFullScan runs fn with index scans disabled, then restores the planner
 // options.
 func forceFullScan(db *DB, fn func() (*ResultSet, error)) (*ResultSet, error) {
-	db.mu.Lock()
+	db.commitMu.Lock()
 	saved := db.planner
-	db.mu.Unlock()
+	db.commitMu.Unlock()
 	db.setPlanner(plannerOptions{disableIndexScan: true})
 	defer db.setPlanner(saved)
 	return fn()

@@ -21,8 +21,8 @@ import (
 // comparator.
 
 // refQuery runs one SELECT on the reference executor the way exec runs a
-// statement calling a UDF that may write: in a transaction of its own that
-// holds the exclusive lock, its UDFs handed that transaction.
+// statement calling a UDF that may write: in a transaction of its own, its
+// UDFs handed a function handle of that transaction.
 func refQuery(t testing.TB, db *DB, sql string, args ...any) (*ResultSet, error) {
 	t.Helper()
 	stmt, err := Parse(sql)
@@ -37,12 +37,12 @@ func refQuery(t testing.TB, db *DB, sql string, args ...any) (*ResultSet, error)
 	if err != nil {
 		return nil, err
 	}
-	tx, err := db.BeginTx(context.Background(), Exclusive)
+	tx, err := db.Begin()
 	if err != nil {
 		return nil, err
 	}
 	cx := &evalCtx{db: db, params: params, ctx: context.Background(), txn: tx.state, snap: tx.snap,
-		tx: &Tx{db: db, state: tx.state, snap: tx.snap, locked: true, fn: true, exclusive: true}}
+		tx: &Tx{db: db, state: tx.state, snap: tx.snap, fn: true}}
 	rs, err := execSelect(cx, sel, nil)
 	if err != nil {
 		return nil, errors.Join(err, tx.Rollback())

@@ -13,8 +13,8 @@ import "fmt"
 // WAL-logged, and survive a rollback unchanged — a stale estimate can only
 // produce a slower plan, never a wrong result, because every access path
 // re-verifies the full WHERE clause. Both Table fields involved (stats,
-// statMutations) are atomic, so the refresh runs under either lock mode and
-// never takes a table latch — a latch-waiting ANALYZE inside a commit path
+// statMutations) are atomic, so the refresh takes no lock at all, and
+// never a table latch — a latch-waiting ANALYZE inside a commit path
 // could deadlock against the latch holder (and, symmetrically, a latch
 // holder's commit must be able to refresh statistics without waiting).
 
@@ -48,7 +48,8 @@ const (
 )
 
 // computeTableStats scans the latest committed versions of t once and
-// builds a fresh snapshot. Safe under either lock mode.
+// builds a fresh snapshot. It needs no lock: the view it loads never
+// changes.
 func computeTableStats(db *DB, t *Table) *tableStats {
 	v := t.loadView()
 	snap := snapshot{ts: db.clock.Load()}
@@ -75,27 +76,26 @@ func computeTableStats(db *DB, t *Table) *tableStats {
 	return st
 }
 
-// analyzeTableLocked refreshes t's statistics and invalidates cached plans
-// (their cost estimates are now stale). Caller holds the database lock in
-// either mode.
-func (db *DB) analyzeTableLocked(t *Table) {
+// analyzeTable refreshes t's statistics and invalidates cached plans
+// (their cost estimates are now stale).
+func (db *DB) analyzeTable(t *Table) {
 	t.stats.Store(computeTableStats(db, t))
 	t.statMutations.Store(0)
 	db.bumpEpoch()
 }
 
-// execAnalyze runs ANALYZE [table] over cat under the exclusive lock.
+// execAnalyze runs ANALYZE [table] over cat.
 func (db *DB) execAnalyze(cat *catalogValue, s *AnalyzeStmt) (*ResultSet, error) {
 	if s.Table != "" {
 		t, ok := cat.get(s.Table)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, s.Table)
 		}
-		db.analyzeTableLocked(t)
+		db.analyzeTable(t)
 		return &ResultSet{}, nil
 	}
 	for _, name := range cat.names {
-		db.analyzeTableLocked(cat.tables[name])
+		db.analyzeTable(cat.tables[name])
 	}
 	return &ResultSet{}, nil
 }
@@ -109,7 +109,7 @@ func (t *Table) noteMutations(n int) {
 
 // maybeAutoAnalyze refreshes t's statistics when its churn since the last
 // snapshot crosses the threshold. Called for each touched table after a
-// transaction commits (under whichever lock mode the commit ran), so bulk
+// transaction commits, with no lock held, so bulk
 // loads pick up statistics without an explicit ANALYZE, at amortized
 // O(rows) cost. Two concurrent refreshes are benign: each publishes a
 // complete snapshot.
@@ -121,7 +121,7 @@ func (db *DB) maybeAutoAnalyze(t *Table) {
 	if st := t.stats.Load(); st != nil && churn*autoAnalyzeFraction < st.rowCount {
 		return
 	}
-	db.analyzeTableLocked(t)
+	db.analyzeTable(t)
 }
 
 // autoAnalyzeTouched runs the automatic refresh over every table a
@@ -133,10 +133,9 @@ func (db *DB) autoAnalyzeTouched(t *txnState) {
 }
 
 // Analyze refreshes planner statistics through the typed API: one table, or
-// every table when name is empty.
+// every table when name is empty. Like the automatic refresh, it takes no
+// lock and runs beside writers.
 func (db *DB) Analyze(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.closed.Load() {
 		return ErrClosed
 	}

@@ -17,11 +17,10 @@ type Trace struct {
 	Cached bool
 	// Parse is the plan-cache lookup plus, on a miss, parsing.
 	Parse time.Duration
-	// LatchWait is the wait for the written table's latch (DML only).
+	// LatchWait is the wait for the latches a writing statement takes
+	// before its snapshot: DML's target table, a writing function's
+	// registered tables. A read's is zero.
 	LatchWait time.Duration
-	// LockWait is the wait for the database lock, db.mu, which only a
-	// writing statement takes: a read's is zero.
-	LockWait time.Duration
 	// Open is planning and opening the statement's executor; DML and DDL
 	// do all their work here.
 	Open time.Duration

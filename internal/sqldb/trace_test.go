@@ -48,16 +48,17 @@ func TestTracePhases(t *testing.T) {
 			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); read.Cached || read.Parse <= 0 {
 				t.Fatalf("first read trace %+v", *read)
 			}
-			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); !read.Cached || read.Open <= 0 || read.Fsync != 0 || read.Commit != 0 || read.LockWait != 0 {
+			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); !read.Cached || read.Open <= 0 || read.Fsync != 0 || read.Commit != 0 || read.LatchWait != 0 {
 				t.Fatalf("repeated read trace %+v", *read)
 			}
-			// Neither a read nor a BEGIN waits out an Exclusive transaction.
-			ex, err := db.BeginTx(context.Background(), Exclusive)
+			// Neither a read nor a BEGIN waits out a transaction that
+			// latched the table.
+			ex, err := db.BeginTx(context.Background(), "kv")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); read.LockWait != 0 {
-				t.Fatalf("read beside an Exclusive transaction: %+v", *read)
+			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); read.LatchWait != 0 {
+				t.Fatalf("read beside a transaction that latched its table: %+v", *read)
 			}
 			begin := make(chan error, 1)
 			go func() {
@@ -73,7 +74,7 @@ func TestTracePhases(t *testing.T) {
 					t.Fatal(err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatal("BEGIN waited for an Exclusive transaction")
+				t.Fatal("BEGIN waited for a transaction that latched a table")
 			}
 			if err := ex.Rollback(); err != nil {
 				t.Fatal(err)

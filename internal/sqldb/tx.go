@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/variant"
 )
@@ -19,7 +18,7 @@ import (
 // A transaction pins a snapshot at begin (repeatable reads), latches the
 // tables it writes until Commit or Rollback, and commits or rolls back
 // independently of every other. Writes to one table serialize on its
-// latch; a statement that waits for a lock longer than the lock-wait
+// latch; a statement that waits for a latch longer than the lock-wait
 // timeout, or wants to change a row modified after its snapshot, fails with
 // ErrWriteConflict — roll back and retry the transaction.
 //
@@ -31,11 +30,6 @@ type Tx struct {
 	db    *DB
 	state *txnState // nil in a read-only statement's function handle
 	snap  snapshot
-	// locked reports that db.mu is held exclusively for the handle's
-	// statements, which write without taking it: by an Exclusive
-	// transaction, or by the writing statement whose function handle this
-	// is. Otherwise each writing statement takes db.mu itself.
-	locked bool
 	// fn marks the handle a statement passes to the functions it calls: it
 	// runs inside that statement, cannot end the transaction, and is
 	// retired when the statement's open is over.
@@ -45,10 +39,6 @@ type Tx struct {
 	// resolved, which the handle's reads share with its snapshot.
 	readOnly bool
 	cat      *catalogValue
-	// exclusive reports that the transaction holds db.mu exclusively from
-	// begin to end, so a DML statement's text replays to the same rows and
-	// is WAL-logged as such; otherwise DML is logged as row records.
-	exclusive bool
 	// memo holds a function's handle's Memo values until a write through
 	// the handle or the statement's end.
 	memo map[string]any
@@ -58,51 +48,37 @@ type Tx struct {
 	done atomic.Bool
 }
 
-// TxMode names the lock a transaction takes when it begins.
-type TxMode int
-
-const (
-	// Concurrent, the default: reads take no database lock, and each
-	// writing statement takes it for itself (shared for DML), so
-	// transactions writing different tables run in parallel.
-	Concurrent TxMode = iota
-	// Exclusive holds the database lock exclusively from BeginTx until
-	// Commit or Rollback: no other statement writes, and no other
-	// transaction commits, until it ends; reads run beside it on their own
-	// snapshots. Catalogue writers use it.
-	Exclusive
-)
-
-// Begin opens a Concurrent transaction and returns its handle.
+// Begin opens a transaction and returns its handle.
 func (db *DB) Begin() (*Tx, error) {
 	return db.BeginTx(context.Background())
 }
 
-// BeginTx is Begin honouring ctx, with an optional TxMode. A cancelled
-// context rejects the begin; it does not roll back later (call Rollback,
-// e.g. via defer). Only an Exclusive begin waits, for the database lock.
-func (db *DB) BeginTx(ctx context.Context, mode ...TxMode) (*Tx, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+// BeginTx is Begin honouring ctx. latch names tables the transaction checks
+// before it writes them (a count, then an insert): they are latched,
+// waiting at most the lock-wait timeout for each, before the snapshot is
+// pinned, so the transaction sees every commit to them made before it, and
+// no other transaction writes them until it ends. A cancelled context
+// rejects the begin; it does not roll back later (call Rollback, e.g. via
+// defer).
+func (db *DB) BeginTx(ctx context.Context, latch ...string) (*Tx, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
+	t := db.newTxn()
+	if len(latch) > 0 {
+		if _, _, err := db.latchWrites(ctx, nil, t, latch, false); err != nil {
+			db.releaseLatches(t)
 			return nil, err
 		}
 	}
-	t := db.newTxn()
-	tx := &Tx{db: db, state: t}
-	if len(mode) > 0 && mode[0] == Exclusive {
-		tx.locked, tx.exclusive = true, true
-		t.locks.acquire(rankDB, true)
-		db.mu.Lock()
-	}
-	if db.closed.Load() {
-		if tx.exclusive {
-			db.mu.Unlock()
-		}
-		return nil, ErrClosed
-	}
 	t.snap = snapshot{ts: db.snaps.pin(&db.clock, true), self: t.stamp()}
-	tx.snap = t.snap
-	return tx, nil
+	return &Tx{db: db, state: t, snap: t.snap}, nil
 }
 
 // Commit makes the transaction's changes durable and visible: its WAL
@@ -122,7 +98,7 @@ func (tx *Tx) Rollback() error { return tx.end(false, nil) }
 var errFnTxEnd = errors.New("sql: a function cannot commit or roll back its statement's transaction")
 
 // end commits or rolls back the transaction; tr, if not nil, records the
-// commit's lock wait and phases.
+// commit's phases.
 func (tx *Tx) end(commit bool, tr *Trace) error {
 	if tx.fn {
 		return errFnTxEnd
@@ -135,23 +111,9 @@ func (tx *Tx) end(commit bool, tr *Trace) error {
 	db, t := tx.db, tx.state
 	var err error
 	if commit {
-		if !tx.exclusive {
-			t.locks.acquire(rankDB, true)
-			w := tr.now()
-			db.mu.RLock()
-			if tr != nil {
-				tr.LockWait += time.Since(w)
-			}
-		}
-		ckptDue := false
-		if db.closed.Load() {
-			err = ErrClosed
-		} else if ckptDue, err = db.commitTxn(t, tr); err == nil {
+		var ckptDue bool
+		if ckptDue, err = db.commitTxn(t, tr); err == nil {
 			db.autoAnalyzeTouched(t)
-		}
-		if !tx.exclusive {
-			db.mu.RUnlock()
-			t.locks.release(rankDB)
 		}
 		if err == nil {
 			tx.release()
@@ -171,16 +133,11 @@ func (tx *Tx) end(commit bool, tr *Trace) error {
 	return err
 }
 
-// release frees what the finished transaction holds: its latches, its
-// snapshot's claim on Vacuum, and db.mu for an Exclusive transaction.
+// release frees what the finished transaction holds: its latches and its
+// snapshot's claim on Vacuum.
 func (tx *Tx) release() {
-	db := tx.db
-	db.releaseLatches(tx.state)
-	db.snaps.unpin(tx.snap.ts, true)
-	if tx.exclusive {
-		db.mu.Unlock()
-		tx.state.locks.release(rankDB)
-	}
+	tx.db.releaseLatches(tx.state)
+	tx.db.snaps.unpin(tx.snap.ts, true)
 }
 
 // OnRollback registers a compensating closure, run (in reverse
@@ -196,7 +153,7 @@ func (tx *Tx) OnRollback(fn func()) {
 }
 
 // OnCommit registers a closure run once (in registration order) after the
-// transaction's commit is published, with no database lock held; a rollback,
+// transaction's commit is published, with no latch held; a rollback,
 // a failed commit, or the failure of the statement that registered it drops
 // it. A function's handle registers on its statement's transaction, so the
 // closure runs when the enclosing transaction commits. Callers use it to act

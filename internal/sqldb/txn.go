@@ -61,14 +61,6 @@ func (t *txnState) touch(tb *Table) {
 	t.touched[tb] = struct{}{}
 }
 
-// logWAL buffers a WAL record for commit on a durable database; it is a
-// no-op in memory-only mode.
-func (t *txnState) logWAL(db *DB, rec walRecord) {
-	if db.wal.Load() != nil {
-		t.pending = append(t.pending, rec)
-	}
-}
-
 // txnMarks is a point in a transaction's journals, for statement-level
 // atomicity: a failed statement unwinds to the marks taken before it ran.
 type txnMarks struct {
@@ -118,23 +110,11 @@ func (t *txnState) unwind(m txnMarks) {
 	}
 }
 
-// isMutatingStmt reports whether a statement can change the database (DML
-// or DDL). SELECT is excluded: its side effects, if any, come from UDFs
-// whose nested statements are captured individually.
-func isMutatingStmt(s Statement) bool {
+// isDDLStmt reports whether a statement changes the catalogue; the WAL logs
+// such a statement as its text (a "stmt" record).
+func isDDLStmt(s Statement) bool {
 	switch s.(type) {
-	case *InsertStmt, *UpdateStmt, *DeleteStmt,
-		*CreateTableStmt, *DropTableStmt, *CreateIndexStmt, *DropIndexStmt:
-		return true
-	}
-	return false
-}
-
-// isDMLStmt reports whether a statement is row-level DML — the statement
-// class eligible for the concurrent (latched, shared-lock) write path.
-func isDMLStmt(s Statement) bool {
-	switch s.(type) {
-	case *InsertStmt, *UpdateStmt, *DeleteStmt, *rowInsert:
+	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt, *DropIndexStmt:
 		return true
 	}
 	return false

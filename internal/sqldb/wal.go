@@ -244,10 +244,9 @@ func decodeWALTxns(data []byte) (txns [][]walRecord, keep int64) {
 }
 
 // wal is the open write-ahead log of a durable database. Appends (commit
-// and the counters it advances) are guarded by the owning DB's commitMu;
-// structural changes — attachment, rotation, close — additionally hold the
-// DB's exclusive lock, which excludes every committer (concurrent
-// transactions commit under the shared lock).
+// and the counters it advances) and structural changes — attachment,
+// rotation, close — are guarded by the owning DB's commitMu, which excludes
+// every committer.
 type wal struct {
 	dir string
 	gen int
@@ -357,8 +356,8 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	if o.SyncEvery < 1 {
 		o.SyncEvery = 1
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	if w := db.wal.Load(); w != nil {
 		return fmt.Errorf("sql: durability already enabled (dir %s)", w.dir)
 	}
@@ -425,7 +424,9 @@ func (db *DB) EnableDurability(dir string, o DurabilityOptions) error {
 	}
 	// Replay of updates and deletes leaves dead versions behind; compact
 	// them away before serving queries.
-	db.vacuumLocked()
+	if compacted, _ := db.vacuum(); compacted {
+		db.bumpEpochLocked()
+	}
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -608,55 +609,72 @@ func (db *DB) walCheckpointDue() bool {
 // WAL, bounding recovery time. It is automatic every
 // DurabilityOptions.CheckpointEvery records; call it manually for a
 // durability point before e.g. handing the directory to another process.
+//
+// It first vacuums, then holds commitMu from the log's sync to the switch
+// to the next generation: statements keep executing beside it, and only
+// commits wait. Open transactions are fine — the snapshot omits their
+// uncommitted versions and DDL, and their WAL records land in the new
+// generation at commit.
 func (db *DB) Checkpoint() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.checkpointLocked()
-}
-
-func (db *DB) checkpointLocked() error {
-	w := db.wal.Load()
-	if w == nil {
+	if db.wal.Load() == nil {
 		return fmt.Errorf("sql: database is not durable (no WAL attached)")
 	}
-	// Reclaim dead versions while we hold the exclusive lock anyway: the
-	// snapshot about to be written contains only visible rows, so compacting
-	// first keeps memory in line with it. (Open concurrent transactions are
-	// fine — vacuum skips their latched tables, and the snapshot simply
-	// omits their uncommitted versions and DDL; their WAL records land in
-	// the new generation at commit.)
-	db.vacuumLocked()
+	// The snapshot about to be written contains only visible rows, so
+	// compacting first keeps memory in line with it.
+	if compacted, _ := db.vacuum(); compacted {
+		db.bumpEpoch()
+	}
+	db.commitMu.Lock()
+	old, err := db.switchGeneration()
+	db.commitMu.Unlock()
+	if err != nil {
+		return err
+	}
+	old.f.Close()
+	os.Remove(walGenPath(old.dir, old.gen))
+	db.checkpointCount.Add(1)
+	return nil
+}
+
+// switchGeneration writes the snapshot of the committed state under a new
+// generation and attaches that generation's empty log, returning the old
+// attachment for the caller to close and remove. Caller holds commitMu.
+func (db *DB) switchGeneration() (*wal, error) {
+	w := db.wal.Load()
+	if w == nil {
+		return nil, fmt.Errorf("sql: database is not durable (no WAL attached)")
+	}
 	// Flush group-commit residue: if the snapshot write fails midway we fall
 	// back to the current (snapshot, WAL) pair, which must be complete. A
 	// poisoned log skips this — its tail is being abandoned anyway, and the
 	// in-memory state the snapshot captures is the committed truth.
 	if !w.failed {
 		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("sql: syncing wal before checkpoint: %w", err)
+			return nil, fmt.Errorf("sql: syncing wal before checkpoint: %w", err)
 		}
 	}
 
 	newGen := w.gen + 1
 	nf, err := os.OpenFile(walGenPath(w.dir, newGen), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("sql: creating checkpoint wal: %w", err)
+		return nil, fmt.Errorf("sql: creating checkpoint wal: %w", err)
 	}
 	if err := nf.Sync(); err != nil {
 		nf.Close()
-		return err
+		return nil, err
 	}
 
 	tmp := filepath.Join(w.dir, snapshotTmp)
 	tf, err := os.Create(tmp)
 	if err != nil {
 		nf.Close()
-		return fmt.Errorf("sql: creating snapshot: %w", err)
+		return nil, fmt.Errorf("sql: creating snapshot: %w", err)
 	}
 	writeErr := func() error {
 		if _, err := fmt.Fprintf(tf, "%s%d\n", snapshotHeader, newGen); err != nil {
 			return err
 		}
-		if err := db.Dump(tf); err != nil {
+		if err := db.dumpLocked(tf); err != nil {
 			return err
 		}
 		return tf.Sync()
@@ -667,13 +685,13 @@ func (db *DB) checkpointLocked() error {
 	if writeErr != nil {
 		nf.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("sql: writing snapshot: %w", writeErr)
+		return nil, fmt.Errorf("sql: writing snapshot: %w", writeErr)
 	}
 	// The rename is the commit point of the checkpoint.
 	if err := os.Rename(tmp, filepath.Join(w.dir, snapshotFile)); err != nil {
 		nf.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("sql: publishing snapshot: %w", err)
+		return nil, fmt.Errorf("sql: publishing snapshot: %w", err)
 	}
 	syncDir(w.dir)
 
@@ -681,10 +699,7 @@ func (db *DB) checkpointLocked() error {
 	// never sees its file or generation change.
 	db.wal.Store(&wal{dir: w.dir, gen: newGen, f: nf, lock: w.lock,
 		syncEvery: w.syncEvery, checkpointEvery: w.checkpointEvery})
-	w.f.Close()
-	os.Remove(walGenPath(w.dir, newGen-1))
-	db.checkpointCount.Add(1)
-	return nil
+	return w, nil
 }
 
 // syncDir fsyncs a directory so renames/creates inside it are durable
@@ -700,11 +715,14 @@ func syncDir(dir string) {
 
 // SimulateCrash abruptly drops the WAL attachment: the descriptors close
 // without syncing, checkpointing, or orderly unlocking — exactly what the
-// kernel does to a killed process. It exists so crash-recovery tests can
-// simulate a kill in-process; production code uses Close.
+// kernel does to a killed process. Like a killed process, the database
+// then runs nothing more: every statement and commit returns ErrClosed. It
+// exists so crash-recovery tests can simulate a kill in-process; production
+// code uses Close.
 func (db *DB) SimulateCrash() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	db.closed.Store(true)
 	w := db.wal.Swap(nil)
 	if w == nil {
 		return
@@ -717,11 +735,12 @@ func (db *DB) SimulateCrash() {
 func (db *DB) Durable() bool { return db.wal.Load() != nil }
 
 // Close shuts the database down: the write-ahead log (if any) is flushed
-// and detached, and every subsequent statement entry point returns
-// ErrClosed (errors.Is-able). Close is idempotent.
+// and detached, and every subsequent statement entry point, and every
+// later commit of a transaction still open, returns ErrClosed
+// (errors.Is-able). Close is idempotent.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	if db.closed.Swap(true) {
 		return nil
 	}
