@@ -34,8 +34,7 @@ type ControlRequest struct {
 
 // Control optimizes a control trajectory over the horizon and returns one
 // row per segment: (time, control, value) plus the predicted target
-// trajectory rows (time, 'predicted:<target>', value). It only reads: each
-// of its queries shares the database lock.
+// trajectory rows (time, 'predicted:<target>', value). It only reads.
 func (s *Session) Control(req ControlRequest) (*sqldb.ResultSet, error) {
 	return s.control(context.Background(), s.db, req)
 }

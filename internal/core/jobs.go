@@ -26,24 +26,19 @@ import (
 // kill -9 recovers them: still-queued jobs re-queue on the next open, jobs
 // that died mid-run surface as 'interrupted'.
 //
-// Lock ordering: jm.mu and liveJob.mu are leaves — never held across a
-// database call. Workers run their transactions with jm.mu released;
-// fmu_jobs/fmu_cancel take jm.mu only for map reads; OnCommit closures run
-// with no latch held. idMu is held across the transaction that reserves a
-// block of job ids, which latches only fmujobids; nothing waits for idMu
-// holding that latch.
+// Lock ordering: jm.mu is a leaf — never held across a database call.
+// Workers run their transactions with jm.mu released; fmu_jobs/fmu_cancel
+// take jm.mu only for map reads; OnCommit closures run with no latch held.
+// idMu is held across the statement that reserves job ids, which latches
+// only fmujobids; nothing waits for idMu holding that latch.
 
-// jobTablesDDL creates the job table and the one-row table holding the
-// reserved job-id high-water mark.
-var jobTablesDDL = []string{`CREATE TABLE IF NOT EXISTS fmujobs (
+// jobTablesSQL creates the job table and the one-row table holding the
+// reserved job-id high-water mark (see newID).
+var jobTablesSQL = []string{`CREATE TABLE IF NOT EXISTS fmujobs (
 	jobid int, kind text, args text, state text, progress float,
 	error text, result text, submitted text, started text, finished text)`,
-	`CREATE TABLE IF NOT EXISTS fmujobids (reserved int)`}
-
-// jobIDBlock is how many job ids one reservation hands out: an id is
-// never reissued, also after a restart, because the ids up to the reserved
-// mark are skipped then, as PostgreSQL's sequence cache skips them.
-const jobIDBlock = 64
+	`CREATE TABLE IF NOT EXISTS fmujobids (reserved int)`,
+	`INSERT INTO fmujobids SELECT 0 FROM (SELECT count(*) AS n FROM fmujobids) AS c WHERE c.n = 0`}
 
 // defaultJobWorkers bounds the pool when WithJobWorkers is not given.
 const defaultJobWorkers = 4
@@ -96,34 +91,16 @@ type liveJob struct {
 	id       int64
 	cancel   context.CancelFunc
 	progress atomic.Uint64 // math.Float64bits
-
-	// mu orders fmu_cancel against the job's outcome: a job whose outcome
-	// is settled cannot be cancelled, and a cancelled one never settles.
-	mu                 sync.Mutex
-	cancelled, settled bool
+	// outcome orders fmu_cancel against the body's result: whichever moves
+	// it from running first, to cancelled or to settled, decides the job.
+	outcome atomic.Int32
 }
 
-// stop cancels the job unless its outcome is settled, and reports whether
-// it did.
-func (lj *liveJob) stop() bool {
-	lj.mu.Lock()
-	defer lj.mu.Unlock()
-	if lj.settled {
-		return false
-	}
-	lj.cancelled = true
-	lj.cancel()
-	return true
-}
-
-// settle fixes the job's outcome as its body's, unless a cancel came
-// first; it reports whether it did.
-func (lj *liveJob) settle() bool {
-	lj.mu.Lock()
-	defer lj.mu.Unlock()
-	lj.settled = !lj.cancelled
-	return lj.settled
-}
+// liveJob outcomes.
+const (
+	jobCancelled = 1 + iota
+	jobSettled
+)
 
 func (lj *liveJob) setProgress(f float64) { lj.progress.Store(math.Float64bits(f)) }
 func (lj *liveJob) getProgress() float64  { return math.Float64frombits(lj.progress.Load()) }
@@ -291,7 +268,7 @@ func (jm *jobManager) runJob(id int64) {
 		result, err = jm.body(ctx, lj, kind, args)
 		return err
 	})
-	settled := lj.settle()
+	settled := lj.outcome.CompareAndSwap(0, jobSettled)
 	switch {
 	case settled && err == nil:
 		jm.completed.Add(1)
@@ -671,42 +648,46 @@ func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, arg
 	return id, nil
 }
 
-// newID hands out the next job id, first reserving a block of jobIDBlock
-// in fmujobids, in a transaction of its own that commits whatever becomes
-// of the caller's, when the reserved ones are used up.
+// newID hands out the next job id. Ids are reserved 64 at a time in
+// fmujobids, by a statement of its own that commits whatever becomes of the
+// caller's transaction, as PostgreSQL's sequence cache reserves them, so an
+// id is never reissued, also after a restart.
 func (jm *jobManager) newID(ctx context.Context) (int64, error) {
 	jm.idMu.Lock()
 	defer jm.idMu.Unlock()
-	if jm.nextID >= jm.idLimit {
-		limit := jm.nextID + jobIDBlock
-		err := jm.s.inTx(ctx, []string{"fmujobids"}, func(tx *sqldb.Tx) error {
-			n, err := tx.ExecContext(ctx, `UPDATE fmujobids SET reserved = $1`, limit)
-			if err == nil && n == 0 {
-				_, err = tx.ExecContext(ctx, `INSERT INTO fmujobids VALUES ($1)`, limit)
-			}
-			return err
-		})
-		if err != nil {
+	if jm.nextID == jm.idLimit {
+		if _, err := jm.s.db.Conn().ExecContext(ctx, `UPDATE fmujobids SET reserved = $1`, jm.nextID+64); err != nil {
 			return 0, err
 		}
-		jm.idLimit = limit
+		jm.idLimit = jm.nextID + 64
 	}
 	jm.nextID++
 	return jm.nextID, nil
 }
 
 // cancel aborts a job and returns its resulting state. A job running here
-// is cancelled unless its outcome is settled: its worker records the
-// terminal state. Otherwise a queued or running row flips to cancelled
-// inside the invoking statement's transaction, tx, through a conditional
-// UPDATE: if a claim or a final state committed after tx's snapshot, the
-// UPDATE fails with a write conflict (first-updater-wins), so cancel never
-// reports a job cancelled that then completes.
+// is cancelled unless its outcome is settled; its worker records the
+// terminal state. Otherwise a queued or running row flips to cancelled in
+// tx, the invoking statement's transaction, by a conditional UPDATE: a
+// claim or final state committed after tx's snapshot makes it fail with a
+// write conflict (first-updater-wins), so a job cancel reports cancelled
+// never completes.
 func (jm *jobManager) cancel(ctx context.Context, tx *sqldb.Tx, id int64) (string, error) {
 	jm.mu.Lock()
 	lj := jm.live[id]
 	jm.mu.Unlock()
-	if lj != nil && lj.stop() {
+	if lj != nil && lj.outcome.CompareAndSwap(0, jobCancelled) {
+		lj.cancel()
+		return JobCancelled, nil
+	}
+	n, err := tx.ExecContext(ctx,
+		`UPDATE fmujobs SET state = $1, finished = $2, error = $3 WHERE jobid = $4 AND state IN ($5, $6)`,
+		JobCancelled, jobNow(), "cancelled", id, JobQueued, JobRunning)
+	if err != nil {
+		return "", err
+	}
+	if n > 0 {
+		tx.OnCommit(func() { jm.cancelled.Add(1) })
 		return JobCancelled, nil
 	}
 	rs, err := tx.QueryContext(ctx, `SELECT state FROM fmujobs WHERE jobid = $1`, id)
@@ -716,22 +697,7 @@ func (jm *jobManager) cancel(ctx context.Context, tx *sqldb.Tx, id int64) (strin
 	if len(rs.Rows) == 0 {
 		return "", fmt.Errorf("core: no such job %d", id)
 	}
-	state := rs.Rows[0][0].AsText()
-	msg := "cancelled before start"
-	switch state {
-	case JobQueued:
-	case JobRunning: // by a worker that is gone, or one that settled
-		msg = "cancelled"
-	default:
-		return state, nil // already terminal
-	}
-	if _, err := tx.QueryContext(ctx,
-		`UPDATE fmujobs SET state = $1, finished = $2, error = $3 WHERE jobid = $4 AND state IN ($5, $6)`,
-		JobCancelled, jobNow(), msg, id, JobQueued, JobRunning); err != nil {
-		return "", err
-	}
-	tx.OnCommit(func() { jm.cancelled.Add(1) })
-	return JobCancelled, nil
+	return rs.Rows[0][0].AsText(), nil // already terminal
 }
 
 // jobsTable renders fmujobs with live in-memory progress merged over the
@@ -765,8 +731,8 @@ func (jm *jobManager) jobsTable(ctx context.Context, q querier) (*sqldb.ResultSe
 // enqueued in jobid order, and the id allocator resumes after the largest id
 // committed or reserved.
 func (s *Session) recoverJobs() error {
-	for _, ddl := range jobTablesDDL {
-		if _, err := s.db.Exec(ddl); err != nil {
+	for _, q := range jobTablesSQL {
+		if _, err := s.db.Exec(q); err != nil {
 			return fmt.Errorf("core: ensuring the job tables: %w", err)
 		}
 	}
@@ -791,13 +757,10 @@ func (s *Session) recoverJobs() error {
 			s.jobs.enqueue(id)
 		}
 	}
-	rs, err = s.db.Query(`SELECT max(reserved) FROM fmujobids`)
-	if err != nil {
+	if rs, err = s.db.Query(`SELECT max(reserved) FROM fmujobids`); err != nil {
 		return fmt.Errorf("core: reading the reserved job ids: %w", err)
 	}
-	if r, err := rs.Rows[0][0].AsInt(); err == nil && r > s.jobs.nextID {
-		s.jobs.nextID = r
-	}
+	s.jobs.nextID = max(s.jobs.nextID, rs.Rows[0][0].Int())
 	s.jobs.idLimit = s.jobs.nextID
 	return nil
 }

@@ -194,7 +194,7 @@ func (s *Session) ValidateInstance(instanceID, inputSQL string, pars []string) (
 }
 
 // ValidateInstanceContext is ValidateInstance honouring ctx. Like simulation
-// it only reads: each of its queries shares the database lock.
+// it only reads.
 func (s *Session) ValidateInstanceContext(ctx context.Context, instanceID, inputSQL string, pars []string) (float64, error) {
 	return s.validate(ctx, s.db, instanceID, inputSQL, pars)
 }

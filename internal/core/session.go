@@ -222,7 +222,7 @@ func (s *Session) installCatalog() error {
 		`CREATE TABLE IF NOT EXISTS modelinstancevalues (
 			modelid text, instanceid text, varname text, value variant)`,
 	}
-	for _, q := range append(ddl, jobTablesDDL...) {
+	for _, q := range append(ddl, jobTablesSQL...) {
 		if _, err := s.db.Exec(q); err != nil {
 			return fmt.Errorf("core: installing catalogue: %w", err)
 		}
@@ -252,22 +252,24 @@ func varTypeOf(inst *fmu.Instance, name string) string {
 // instance. modelRef may be a .fmu path, a .mo path, or inline Modelica.
 // instanceID may be empty to auto-generate one.
 func (s *Session) Create(modelRef, instanceID string) (string, error) {
-	unit, err := resolveModelRef(modelRef)
+	v, err := s.call(`SELECT fmu_create($1, $2)`, modelRef, instanceID)
+	return v.AsText(), err
+}
+
+// call runs a catalogue writer's SQL function as a statement of its own
+// and returns its value: the typed writers are their functions, so they
+// latch what the function registered, as its statements do.
+func (s *Session) call(sql string, args ...any) (variant.Value, error) {
+	rs, err := s.db.Conn().QueryContext(context.Background(), sql, args...)
 	if err != nil {
-		return "", err
+		return variant.Value{}, err
 	}
-	var id string
-	err = s.inTx(context.Background(), catalogTables, func(tx *sqldb.Tx) (err error) {
-		id, err = s.create(context.Background(), tx, unit, instanceID)
-		return err
-	})
-	return id, err
+	return rs.Rows[0][0], nil
 }
 
 // inTx runs fn as one transaction that latches the tables named by latch
 // before its snapshot: committed when fn returns nil, rolled back when it
-// fails. The typed catalogue writers latch catalogTables, as their UDFs'
-// statements do; calibration latches nothing until its final write.
+// fails. Calibration latches nothing until its final write.
 func (s *Session) inTx(ctx context.Context, latch []string, fn func(tx *sqldb.Tx) error) error {
 	tx, err := s.db.BeginTx(ctx, latch...)
 	if err != nil {
@@ -428,12 +430,8 @@ func resolveModelRef(modelRef string) (*fmu.Unit, error) {
 // Copy implements fmu_copy: duplicate an instance (values included) under a
 // new identifier, reusing the stored FMU.
 func (s *Session) Copy(instanceID, newInstanceID string) (string, error) {
-	var id string
-	err := s.inTx(context.Background(), catalogTables, func(tx *sqldb.Tx) (err error) {
-		id, err = s.copy(context.Background(), tx, instanceID, newInstanceID)
-		return err
-	})
-	return id, err
+	v, err := s.call(`SELECT fmu_copy($1, $2)`, instanceID, newInstanceID)
+	return v.AsText(), err
 }
 
 func (s *Session) copy(ctx context.Context, tx *sqldb.Tx, instanceID, newInstanceID string) (string, error) {
@@ -487,24 +485,20 @@ func (s *Session) setValue(ctx context.Context, tx *sqldb.Tx, instanceID, varNam
 
 // SetInitial implements fmu_set_initial.
 func (s *Session) SetInitial(instanceID, varName string, value float64) error {
-	return s.setTyped(instanceID, varName, "initial", value)
+	_, err := s.call(`SELECT fmu_set_initial($1, $2, $3)`, instanceID, varName, value)
+	return err
 }
 
 // SetMinimum implements fmu_set_minimum.
 func (s *Session) SetMinimum(instanceID, varName string, value float64) error {
-	return s.setTyped(instanceID, varName, "min", value)
+	_, err := s.call(`SELECT fmu_set_minimum($1, $2, $3)`, instanceID, varName, value)
+	return err
 }
 
 // SetMaximum implements fmu_set_maximum.
 func (s *Session) SetMaximum(instanceID, varName string, value float64) error {
-	return s.setTyped(instanceID, varName, "max", value)
-}
-
-func (s *Session) setTyped(instanceID, varName, attr string, value float64) error {
-	ctx := context.Background()
-	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error {
-		return s.setValue(ctx, tx, instanceID, varName, attr, value)
-	})
+	_, err := s.call(`SELECT fmu_set_maximum($1, $2, $3)`, instanceID, varName, value)
+	return err
 }
 
 // Get implements fmu_get: the current value plus catalogue min/max for one
@@ -537,8 +531,8 @@ func (s *Session) get(ctx context.Context, q querier, instanceID, varName string
 // Reset implements fmu_reset: restore the instance to model defaults and
 // refresh the catalogue values.
 func (s *Session) Reset(instanceID string) error {
-	ctx := context.Background()
-	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error { return s.reset(ctx, tx, instanceID) })
+	_, err := s.call(`SELECT fmu_reset($1)`, instanceID)
+	return err
 }
 
 func (s *Session) reset(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
@@ -560,8 +554,8 @@ func (s *Session) reset(ctx context.Context, tx *sqldb.Tx, instanceID string) er
 
 // DeleteInstance implements fmu_delete_instance.
 func (s *Session) DeleteInstance(instanceID string) error {
-	ctx := context.Background()
-	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error { return s.deleteInstance(ctx, tx, instanceID) })
+	_, err := s.call(`SELECT fmu_delete_instance($1)`, instanceID)
+	return err
 }
 
 func (s *Session) deleteInstance(ctx context.Context, tx *sqldb.Tx, instanceID string) error {
@@ -579,8 +573,8 @@ func (s *Session) deleteInstance(ctx context.Context, tx *sqldb.Tx, instanceID s
 // DeleteModel implements fmu_delete_model: remove the FMU and cascade to all
 // its instances.
 func (s *Session) DeleteModel(modelID string) error {
-	ctx := context.Background()
-	return s.inTx(ctx, catalogTables, func(tx *sqldb.Tx) error { return s.deleteModel(ctx, tx, modelID) })
+	_, err := s.call(`SELECT fmu_delete_model($1)`, modelID)
+	return err
 }
 
 func (s *Session) deleteModel(ctx context.Context, tx *sqldb.Tx, modelID string) error {

@@ -38,8 +38,7 @@ func (s *Session) Simulate(req SimulateRequest) (*sqldb.ResultSet, error) {
 // SimulateContext is Simulate honouring ctx: cancellation is observed
 // during integration stepping, so a long simulation aborts mid-run.
 // Simulation is a read — a pure function of the instance's current values
-// and the input query — so it takes no transaction: its input query shares
-// the database lock for the query alone.
+// and the input query — so it takes no transaction and no lock.
 func (s *Session) SimulateContext(ctx context.Context, req SimulateRequest) (*sqldb.ResultSet, error) {
 	res, timestamps, err := s.simulateFrame(ctx, s.db, req)
 	if err != nil {
@@ -102,8 +101,8 @@ func simTableColumns() []sqldb.Column {
 // simResultStream renders a simulation result in the Table-4 long format
 // lazily: the backing store stays the compact per-variable frame, and each
 // Next materializes exactly one (time, instance, var, value) row. The frame
-// is private to the stream, so iteration is safe after the database lock is
-// released.
+// is private to the stream, so iteration is safe after the statement
+// returns.
 type simResultStream struct {
 	res        *fmu.SimResult
 	cols       []string // sorted variable names

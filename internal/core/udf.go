@@ -197,7 +197,7 @@ func (s *Session) registerUDFs() {
 
 	// fmu_simulate(instanceId [, input_sql [, time_from, time_to]])
 	//   -> table(simulationTime, instanceId, varName, value)
-	// The simulation runs under the statement's (shared) lock, but the
+	// The simulation runs while the statement opens, but the
 	// Table-4 long-format rows are rendered lazily from the compact result
 	// frame — so `SELECT ... FROM fmu_simulate(...) LIMIT k` does bounded
 	// materialization work, and large trajectories stream to the client with

@@ -266,7 +266,7 @@ func (db *DB) ExecContext(ctx context.Context, sql string, args ...any) (int, er
 
 // QueryRows runs a statement and returns a streaming row iterator: rows are
 // produced on demand, so LIMIT does bounded work and large results never
-// materialize. The iterator holds no database lock — it reads a snapshot-
+// materialize. The iterator holds no lock — it reads a snapshot-
 // filtered row set — and must be closed (or exhausted).
 func (db *DB) QueryRows(sql string, args ...any) (*RowIter, error) {
 	return db.QueryRowsContext(context.Background(), sql, args...)
@@ -979,8 +979,7 @@ func (db *DB) execInsert(cx *evalCtx, s *InsertStmt) (*ResultSet, error) {
 	if s.Query != nil {
 		// Draining the source before the first write makes INSERT ... SELECT
 		// over the target table read a fixed snapshot (no Halloween
-		// re-reads). Every plan yields a deterministic row order, so replay
-		// of the logged statement appends the rows in the same order.
+		// re-reads). Its row records are logged, and replay, in that order.
 		st, err := db.openSelect(cx, s.Query, &cachedPlan{stmt: s.Query})
 		if err != nil {
 			return nil, err

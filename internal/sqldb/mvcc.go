@@ -373,9 +373,10 @@ func (db *DB) Vacuum() error {
 func (db *DB) vacuum() (compacted bool, firstErr error) {
 	watermark := db.snaps.oldest(&db.clock)
 	owner := db.newTxn()
-	for _, name := range db.tables.Load().names {
-		t, ok := db.tables.Load().get(name)
-		if !ok || !db.locks.tryAcquire(t, owner) {
+	cat := db.tables.Load()
+	for _, name := range cat.names {
+		t := cat.tables[name]
+		if !db.locks.tryAcquire(t, owner) {
 			continue
 		}
 		// Under the latch no DDL of t commits: resolve the Table again, so

@@ -84,7 +84,7 @@ func drainStreamCtx(cx *evalCtx, st RowStream) (*ResultSet, error) {
 
 // RowIter is the public streaming query result: a cursor over a RowStream
 // with database/sql-style Next/Scan/Err/Close semantics. A RowIter holds no
-// database lock — its source is a point-in-time snapshot (or private UDF
+// lock — its source is a point-in-time snapshot (or private UDF
 // data) — so callers may interleave iteration with other statements freely.
 // Iteration observes the bound context: once it is cancelled, Next returns
 // false and Err reports the cancellation.

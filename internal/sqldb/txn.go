@@ -45,7 +45,7 @@ func (t *txnState) stamp() uint64 { return txnBit | t.id }
 func (t *txnState) recordUndo(fn func()) { t.undo = append(t.undo, fn) }
 
 // committed runs the OnCommit closures of a transaction whose commit is
-// published, in registration order, with no database lock held.
+// published, in registration order, with no latch held.
 func (t *txnState) committed() {
 	for _, fn := range t.commit {
 		fn()

@@ -70,8 +70,7 @@ type DurabilityOptions struct {
 // walRecord is one logged unit. Op selects the shape:
 //
 //	"stmt"   logical record: re-executable SQL text plus bound parameters
-//	         (DDL, and builtin-only DML of a transaction holding db.mu
-//	         exclusively from begin to end)
+//	         (DDL; replay also reads DML ones that older logs hold)
 //	"ins"    physical record: one row version inserted into Table
 //	"upd"    physical record: the visible row matching Old superseded by Row
 //	"del"    physical record: the visible row matching Old deleted
@@ -610,8 +609,8 @@ func (db *DB) walCheckpointDue() bool {
 // DurabilityOptions.CheckpointEvery records; call it manually for a
 // durability point before e.g. handing the directory to another process.
 //
-// It first vacuums, then holds commitMu from the log's sync to the switch
-// to the next generation: statements keep executing beside it, and only
+// It first vacuums, then holds commitMu from the log's sync until the next
+// generation is attached: statements keep executing beside it, and only
 // commits wait. Open transactions are fine — the snapshot omits their
 // uncommitted versions and DDL, and their WAL records land in the new
 // generation at commit.
@@ -625,24 +624,16 @@ func (db *DB) Checkpoint() error {
 		db.bumpEpoch()
 	}
 	db.commitMu.Lock()
-	old, err := db.switchGeneration()
-	db.commitMu.Unlock()
-	if err != nil {
-		return err
-	}
-	old.f.Close()
-	os.Remove(walGenPath(old.dir, old.gen))
-	db.checkpointCount.Add(1)
-	return nil
+	defer db.commitMu.Unlock()
+	return db.checkpointLocked()
 }
 
-// switchGeneration writes the snapshot of the committed state under a new
-// generation and attaches that generation's empty log, returning the old
-// attachment for the caller to close and remove. Caller holds commitMu.
-func (db *DB) switchGeneration() (*wal, error) {
+// checkpointLocked writes the snapshot and switches generations. Caller
+// holds commitMu.
+func (db *DB) checkpointLocked() error {
 	w := db.wal.Load()
 	if w == nil {
-		return nil, fmt.Errorf("sql: database is not durable (no WAL attached)")
+		return fmt.Errorf("sql: database is not durable (no WAL attached)")
 	}
 	// Flush group-commit residue: if the snapshot write fails midway we fall
 	// back to the current (snapshot, WAL) pair, which must be complete. A
@@ -650,25 +641,25 @@ func (db *DB) switchGeneration() (*wal, error) {
 	// in-memory state the snapshot captures is the committed truth.
 	if !w.failed {
 		if err := w.f.Sync(); err != nil {
-			return nil, fmt.Errorf("sql: syncing wal before checkpoint: %w", err)
+			return fmt.Errorf("sql: syncing wal before checkpoint: %w", err)
 		}
 	}
 
 	newGen := w.gen + 1
 	nf, err := os.OpenFile(walGenPath(w.dir, newGen), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("sql: creating checkpoint wal: %w", err)
+		return fmt.Errorf("sql: creating checkpoint wal: %w", err)
 	}
 	if err := nf.Sync(); err != nil {
 		nf.Close()
-		return nil, err
+		return err
 	}
 
 	tmp := filepath.Join(w.dir, snapshotTmp)
 	tf, err := os.Create(tmp)
 	if err != nil {
 		nf.Close()
-		return nil, fmt.Errorf("sql: creating snapshot: %w", err)
+		return fmt.Errorf("sql: creating snapshot: %w", err)
 	}
 	writeErr := func() error {
 		if _, err := fmt.Fprintf(tf, "%s%d\n", snapshotHeader, newGen); err != nil {
@@ -685,13 +676,13 @@ func (db *DB) switchGeneration() (*wal, error) {
 	if writeErr != nil {
 		nf.Close()
 		os.Remove(tmp)
-		return nil, fmt.Errorf("sql: writing snapshot: %w", writeErr)
+		return fmt.Errorf("sql: writing snapshot: %w", writeErr)
 	}
 	// The rename is the commit point of the checkpoint.
 	if err := os.Rename(tmp, filepath.Join(w.dir, snapshotFile)); err != nil {
 		nf.Close()
 		os.Remove(tmp)
-		return nil, fmt.Errorf("sql: publishing snapshot: %w", err)
+		return fmt.Errorf("sql: publishing snapshot: %w", err)
 	}
 	syncDir(w.dir)
 
@@ -699,7 +690,10 @@ func (db *DB) switchGeneration() (*wal, error) {
 	// never sees its file or generation change.
 	db.wal.Store(&wal{dir: w.dir, gen: newGen, f: nf, lock: w.lock,
 		syncEvery: w.syncEvery, checkpointEvery: w.checkpointEvery})
-	return w, nil
+	w.f.Close()
+	os.Remove(walGenPath(w.dir, newGen-1))
+	db.checkpointCount.Add(1)
+	return nil
 }
 
 // syncDir fsyncs a directory so renames/creates inside it are durable

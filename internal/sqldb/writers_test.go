@@ -118,7 +118,15 @@ func TestCommitRacingClose(t *testing.T) {
 					}
 				}(w)
 			}
-			time.Sleep(20 * time.Millisecond)
+			// Close once some commits are acknowledged.
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				mu.Lock()
+				n := len(acked)
+				mu.Unlock()
+				if n >= 20 {
+					break
+				}
+			}
 			if crash {
 				db.SimulateCrash()
 			} else if err := db.Close(); err != nil {
@@ -165,6 +173,10 @@ func TestTxWriterBesideVacuumLoop(t *testing.T) {
 	rate := func(transfer func(c *Conn, m int) error) float64 {
 		var stop atomic.Bool
 		var wg sync.WaitGroup
+		defer func() {
+			stop.Store(true)
+			wg.Wait()
+		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -184,8 +196,6 @@ func TestTxWriterBesideVacuumLoop(t *testing.T) {
 			}
 			commits++
 		}
-		stop.Store(true)
-		wg.Wait()
 		return float64(commits) / time.Since(t0).Seconds()
 	}
 	single := rate(func(c *Conn, m int) error {

@@ -95,7 +95,7 @@ type DB struct {
 type Rows = sqldb.ResultSet
 
 // RowIter is a streaming query result: a pull cursor with Next/Scan/Close
-// semantics that holds no database lock. See DB.QueryRows.
+// semantics that holds no lock. See DB.QueryRows.
 type RowIter = sqldb.RowIter
 
 // Stmt is a prepared statement holding its parsed plan; safe for concurrent
