@@ -66,7 +66,7 @@ type DB struct {
 	// transaction, so WAL order always matches visibility order and frames
 	// from two committing sessions never interleave. Every store of the
 	// committed catalogue holds it, and so do the WAL's attachment changes
-	// (EnableDurability, a checkpoint's switch of generation, Close,
+	// (EnableDurability, a checkpoint's snapshot and new generation, Close,
 	// SimulateCrash).
 	commitMu sync.Mutex
 	// locks hands out the per-table write latches.

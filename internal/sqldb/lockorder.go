@@ -15,7 +15,7 @@ import (
 // ErrWriteConflict: its holder may be an open transaction gone idle, and
 // the waiter's own transaction may hold latches from earlier statements.
 // Nothing waits for a latch holding commitMu; Vacuum only probes latches.
-// commitMu is held for a commit, a checkpoint's switch of generation, and
+// commitMu is held for a commit, a checkpoint's snapshot write, and
 // the WAL's attachment changes. core.Session.mu, jobManager.mu,
 // simCache.mu and colMirror.mu are leaves: nothing is acquired under them.
 //
