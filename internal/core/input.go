@@ -202,13 +202,7 @@ func decodeWide(rs *sqldb.ResultSet, timeIdx int) (*inputData, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: column %q row %d: %w", col.Name, ri+1, err)
 			}
-			key := strings.ToLower(col.Name)
-			s := in.series[key]
-			if s == nil {
-				s = &timeseries.Series{}
-				in.series[key] = s
-			}
-			if err := s.Append(t, f); err != nil {
+			if err := in.add(strings.ToLower(col.Name), t, f); err != nil {
 				return nil, fmt.Errorf("core: column %q: %w", col.Name, err)
 			}
 		}
@@ -240,12 +234,7 @@ func decodeLong(rs *sqldb.ResultSet, timeIdx, varIdx, valIdx int) (*inputData, e
 		if err != nil {
 			return nil, fmt.Errorf("core: value at row %d: %w", ri+1, err)
 		}
-		s := in.series[name]
-		if s == nil {
-			s = &timeseries.Series{}
-			in.series[name] = s
-		}
-		if err := s.Append(t, f); err != nil {
+		if err := in.add(name, t, f); err != nil {
 			return nil, fmt.Errorf("core: variable %q: %w", name, err)
 		}
 	}
@@ -255,27 +244,26 @@ func decodeLong(rs *sqldb.ResultSet, timeIdx, varIdx, valIdx int) (*inputData, e
 	return in, nil
 }
 
+// add appends one sample to the named series, creating it.
+func (in *inputData) add(name string, t, f float64) error {
+	s := in.series[name]
+	if s == nil {
+		s = &timeseries.Series{}
+		in.series[name] = s
+	}
+	return s.Append(t, f)
+}
+
 // window reports the [min start, max end] across all series.
 func (in *inputData) window() (t0, t1 float64, err error) {
-	first := true
+	t0, t1 = math.Inf(1), math.Inf(-1)
 	for _, s := range in.series {
-		start, serr := s.Start()
-		if serr != nil {
-			continue
-		}
-		end, _ := s.End()
-		if first {
-			t0, t1, first = start, end, false
-			continue
-		}
-		if start < t0 {
-			t0 = start
-		}
-		if end > t1 {
-			t1 = end
+		if start, err := s.Start(); err == nil {
+			end, _ := s.End()
+			t0, t1 = min(t0, start), max(t1, end)
 		}
 	}
-	if first {
+	if t0 > t1 {
 		return 0, 0, fmt.Errorf("core: input contains no samples")
 	}
 	return t0, t1, nil
@@ -290,9 +278,7 @@ func (in *inputData) get(name string) *timeseries.Series {
 func (in *inputData) maxLen() int {
 	n := 0
 	for _, s := range in.series {
-		if s.Len() > n {
-			n = s.Len()
-		}
+		n = max(n, s.Len())
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,11 +30,11 @@ import (
 // Lock ordering: jm.mu is a leaf — never held across a database call.
 // Workers run their transactions with jm.mu released; fmu_jobs/fmu_cancel
 // take jm.mu only for map reads; OnCommit closures run with no latch held.
-// idMu is held across the statement that reserves job ids, which latches
+// idMu is held across the statement that records a job id, which latches
 // only fmujobids; nothing waits for idMu holding that latch.
 
 // jobTablesSQL creates the job table and the one-row table holding the
-// reserved job-id high-water mark (see newID).
+// last job id handed out (see newID).
 var jobTablesSQL = []string{`CREATE TABLE IF NOT EXISTS fmujobs (
 	jobid int, kind text, args text, state text, progress float,
 	error text, result text, submitted text, started text, finished text)`,
@@ -73,10 +74,9 @@ type jobManager struct {
 	live    map[int64]*liveJob // running jobs, by id
 	stopped bool
 
-	// idMu guards nextID, the last id handed out, and idLimit, the last
-	// one reserved in fmujobids.
-	idMu            sync.Mutex
-	nextID, idLimit int64
+	// idMu guards nextID, the last id handed out.
+	idMu   sync.Mutex
+	nextID int64
 
 	stop chan struct{} // closed by shutdown; ends retryConflicts' backoff
 	wg   sync.WaitGroup
@@ -91,16 +91,19 @@ type liveJob struct {
 	id       int64
 	cancel   context.CancelFunc
 	progress atomic.Uint64 // math.Float64bits
-	// outcome orders fmu_cancel against the body's result: whichever moves
-	// it from running first, to cancelled or to settled, decides the job.
-	outcome atomic.Int32
+	outcome  atomic.Pointer[string]
 }
 
-// liveJob outcomes.
-const (
-	jobCancelled = 1 + iota
-	jobSettled
-)
+// settle decides the job's terminal state unless fmu_cancel or the worker
+// decided it first, and returns the state that stands. A job that writes
+// settles done just before its commit (inJobTx), so a job reported
+// cancelled commits nothing, and one whose writes commit ends done.
+func (lj *liveJob) settle(state string) string {
+	if lj.outcome.CompareAndSwap(nil, &state) {
+		return state
+	}
+	return *lj.outcome.Load()
+}
 
 func (lj *liveJob) setProgress(f float64) { lj.progress.Store(math.Float64bits(f)) }
 func (lj *liveJob) getProgress() float64  { return math.Float64frombits(lj.progress.Load()) }
@@ -206,16 +209,15 @@ func (jm *jobManager) retryConflicts(ctx context.Context, attempt func() error) 
 	}
 }
 
-// write runs fn in a transaction that latches fmujobs before its snapshot,
-// until it commits. Every fmujobs write the pool makes goes through it: fn
-// reads a job's state and writes the next one, and sees every commit before
-// it. An open transaction that wrote fmujobs makes the latch wait time out
-// with a write conflict, which write retries, so a claim or a final state is
-// never dropped. It gives up only when the pool stops (a row left 'running'
-// then reads 'interrupted' at the next open).
+// write runs fn in a transaction until it commits. Every fmujobs write the
+// pool makes goes through it, as an UPDATE conditional on the job's state;
+// a latch wait behind an open transaction and a state committed after the
+// snapshot both fail with a write conflict, which write retries. It gives
+// up only when the pool stops (a row left 'running' then reads
+// 'interrupted' at the next open).
 func (jm *jobManager) write(fn func(tx *sqldb.Tx) error) error {
 	return jm.retryConflicts(context.Background(), func() error {
-		return jm.s.inTx(context.Background(), []string{"fmujobs"}, fn)
+		return jm.s.inTx(context.Background(), fn)
 	})
 }
 
@@ -226,22 +228,18 @@ func (jm *jobManager) runJob(id int64) {
 	lj := &liveJob{id: id, cancel: cancel}
 	var kind, rawArgs string
 	claimErr := jm.write(func(tx *sqldb.Tx) error {
-		rs, err := tx.Query(
-			`SELECT state, kind, args FROM fmujobs WHERE jobid = $1`, id)
+		n, err := tx.Exec(`UPDATE fmujobs SET state = $1, started = $2 WHERE jobid = $3 AND state = $4`,
+			JobRunning, jobNow(), id, JobQueued)
+		if err != nil || n == 0 {
+			return cmp.Or(err, errJobSkipped)
+		}
+		rs, err := tx.Query(`SELECT kind, args FROM fmujobs WHERE jobid = $1`, id)
 		if err != nil {
 			return err
 		}
-		if len(rs.Rows) == 0 || rs.Rows[0][0].AsText() != JobQueued {
-			return errJobSkipped
-		}
-		kind, rawArgs = rs.Rows[0][1].AsText(), rs.Rows[0][2].AsText()
-		if _, err = tx.Exec(
-			`UPDATE fmujobs SET state = $1, started = $2 WHERE jobid = $3`,
-			JobRunning, jobNow(), id); err != nil {
-			return err
-		}
-		// Live before the claim commits: an fmu_cancel that sees the claim
-		// committed finds the job live.
+		kind, rawArgs = rs.Rows[0][0].AsText(), rs.Rows[0][1].AsText()
+		// Live before the claim commits: an fmu_cancel whose snapshot holds
+		// the claim finds the job live.
 		jm.mu.Lock()
 		defer jm.mu.Unlock()
 		if jm.stopped {
@@ -268,12 +266,23 @@ func (jm *jobManager) runJob(id int64) {
 		result, err = jm.body(ctx, lj, kind, args)
 		return err
 	})
-	settled := lj.outcome.CompareAndSwap(0, jobSettled)
+	state := JobDone
 	switch {
-	case settled && err == nil:
+	case ctx.Err() != nil || errors.Is(err, context.Canceled):
+		state = JobCancelled
+	case err != nil:
+		state = JobError
+	}
+	// The first decision stands, except that a body that settled done and
+	// then failed to commit ends as its error says.
+	if won := lj.settle(state); err == nil || won != JobDone {
+		state = won
+	}
+	switch state {
+	case JobDone:
 		jm.completed.Add(1)
 		jm.finish(id, JobDone, result, "")
-	case !settled || ctx.Err() != nil || errors.Is(err, context.Canceled):
+	case JobCancelled:
 		jm.cancelled.Add(1)
 		jm.finish(id, JobCancelled, "", "cancelled")
 	default:
@@ -303,7 +312,7 @@ func (jm *jobManager) finish(id int64, state, result, errText string) {
 func (jm *jobManager) execute(ctx context.Context, lj *liveJob, kind string, args []string) (string, error) {
 	switch kind {
 	case "parest":
-		return jm.execParest(ctx, args)
+		return jm.execParest(ctx, lj, args)
 	case "simulate":
 		return jm.execSimulate(ctx, args)
 	case "sweep":
@@ -315,7 +324,7 @@ func (jm *jobManager) execute(ctx context.Context, lj *liveJob, kind string, arg
 
 // execParest runs a 'parest' job: its arguments are fmu_parest's, stored as
 // text ("" for NULL), and decode the same way.
-func (jm *jobManager) execParest(ctx context.Context, args []string) (string, error) {
+func (jm *jobManager) execParest(ctx context.Context, lj *liveJob, args []string) (string, error) {
 	vals := make([]variant.Value, len(args))
 	for i, a := range args {
 		if a != "" {
@@ -323,7 +332,7 @@ func (jm *jobManager) execParest(ctx context.Context, args []string) (string, er
 		}
 	}
 	var results []ParestResult
-	err := jm.s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
+	err := jm.inJobTx(ctx, lj, func(tx *sqldb.Tx) (err error) {
 		results, err = jm.s.parestFromArgs(ctx, tx, vals)
 		return err
 	})
@@ -337,6 +346,20 @@ func (jm *jobManager) execParest(ctx context.Context, args []string) (string, er
 	}
 	out, _ := json.Marshal(map[string]any{"instances": ids, "rmse": rmse})
 	return string(out), nil
+}
+
+// inJobTx runs fn, a job's writes, in a transaction that commits only if
+// the job settles done first: else fmu_cancel won, and it rolls back.
+func (jm *jobManager) inJobTx(ctx context.Context, lj *liveJob, fn func(tx *sqldb.Tx) error) error {
+	return jm.s.inTx(ctx, func(tx *sqldb.Tx) error {
+		if err := fn(tx); err != nil {
+			return err
+		}
+		if lj.settle(JobDone) != JobDone {
+			return context.Canceled
+		}
+		return nil
+	})
 }
 
 // jobWindow decodes a job's optional time_from/time_to arguments at
@@ -415,12 +438,8 @@ func parseGrid(spec string) ([]gridPoint, []string, error) {
 				return nil, nil, fmt.Errorf("core: sweep grid %s: want lo:hi:n with n >= 1", name)
 			}
 			vals = make([]float64, n)
-			for i := 0; i < n; i++ {
-				if n == 1 {
-					vals[i] = lo
-				} else {
-					vals[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-				}
+			for i := range vals {
+				vals[i] = lo + (hi-lo)*float64(i)/float64(max(n-1, 1))
 			}
 		default:
 			return nil, nil, fmt.Errorf("core: sweep grid entry %q: want name=lo:hi:n or name=value", d)
@@ -494,18 +513,29 @@ func (jm *jobManager) execSweep(ctx context.Context, lj *liveJob, args []string)
 		metric = unit.Model.States[0].Name
 	}
 
-	type pointResult struct {
-		ok    bool
-		final float64
+	// point simulates grid point i on an ephemeral clone and returns the
+	// metric's final value (NaN when the run has none).
+	point := func(i int) (float64, error) {
+		clone := base.Clone(fmt.Sprintf("%s#%d", instanceID, i))
+		for name, v := range points[i] {
+			if err := clone.SetReal(name, v); err != nil {
+				return 0, err
+			}
+		}
+		res, err := clone.Simulate(in.series, t0, t1, &fmu.SimOptions{OutputStep: step, Ctx: ctx})
+		if err != nil {
+			return 0, err
+		}
+		if data := res.Frame.Data[metric]; len(data) > 0 {
+			return data[len(data)-1], nil
+		}
+		return math.NaN(), nil
 	}
-	results := make([]pointResult, len(points))
+	finals := make([]float64, len(points))
 	var done atomic.Int64
 	var firstErr atomic.Value
 	idxCh := make(chan int)
-	nw := jm.workers
-	if nw > len(points) {
-		nw = len(points)
-	}
+	nw := min(jm.workers, len(points))
 	var wg sync.WaitGroup
 	wg.Add(nw)
 	for w := 0; w < nw; w++ {
@@ -515,32 +545,15 @@ func (jm *jobManager) execSweep(ctx context.Context, lj *liveJob, args []string)
 				if ctx.Err() != nil {
 					continue
 				}
-				clone := base.Clone(fmt.Sprintf("%s#%d", instanceID, i))
-				bad := false
-				for name, v := range points[i] {
-					if err := clone.SetReal(name, v); err != nil {
-						firstErr.CompareAndSwap(nil, error(fmt.Errorf("core: sweep point %d: %w", i, err)))
-						bad = true
-						break
-					}
-				}
-				if bad {
-					continue
-				}
-				res, serr := clone.Simulate(in.series, t0, t1, &fmu.SimOptions{OutputStep: step, Ctx: ctx})
-				if serr != nil {
+				f, err := point(i)
+				if err != nil {
 					if ctx.Err() == nil {
-						firstErr.CompareAndSwap(nil, error(fmt.Errorf("core: sweep point %d: %w", i, serr)))
+						firstErr.CompareAndSwap(nil, fmt.Errorf("core: sweep point %d: %w", i, err))
 					}
 					continue
 				}
-				if data, ok := res.Frame.Data[metric]; ok && len(data) > 0 {
-					results[i] = pointResult{ok: true, final: data[len(data)-1]}
-				} else {
-					results[i] = pointResult{ok: true, final: math.NaN()}
-				}
-				n := done.Add(1)
-				lj.setProgress(float64(n) / float64(len(points)))
+				finals[i] = f
+				lj.setProgress(float64(done.Add(1)) / float64(len(points)))
 			}
 		}()
 	}
@@ -556,35 +569,24 @@ func (jm *jobManager) execSweep(ctx context.Context, lj *liveJob, args []string)
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	if e, ok := firstErr.Load().(error); ok && e != nil {
+	if e, ok := firstErr.Load().(error); ok {
 		return "", e
 	}
-
-	completed := 0
+	// Every point completed.
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, r := range results {
-		if !r.ok {
-			continue
-		}
-		completed++
-		if !math.IsNaN(r.final) {
-			if r.final < lo {
-				lo = r.final
-			}
-			if r.final > hi {
-				hi = r.final
-			}
+	for _, f := range finals {
+		if !math.IsNaN(f) {
+			lo, hi = min(lo, f), max(hi, f)
 		}
 	}
 	summary := map[string]any{
 		"instance": instanceID,
 		"points":   len(points),
-		"done":     completed,
+		"done":     len(points),
 		"metric":   metric,
 	}
-	if completed > 0 && !math.IsInf(lo, 1) {
-		summary["min"] = lo
-		summary["max"] = hi
+	if !math.IsInf(lo, 1) {
+		summary["min"], summary["max"] = lo, hi
 	}
 	out, _ := json.Marshal(summary)
 	return string(out), nil
@@ -648,56 +650,61 @@ func (jm *jobManager) submit(ctx context.Context, tx *sqldb.Tx, kind string, arg
 	return id, nil
 }
 
-// newID hands out the next job id. Ids are reserved 64 at a time in
-// fmujobids, by a statement of its own that commits whatever becomes of the
-// caller's transaction, as PostgreSQL's sequence cache reserves them, so an
-// id is never reissued, also after a restart.
+// newID hands out the next job id after recording it in fmujobids by a
+// statement of its own, which commits whatever becomes of the caller's
+// transaction, as a PostgreSQL sequence does, so an id is never reissued,
+// also after a restart.
 func (jm *jobManager) newID(ctx context.Context) (int64, error) {
 	jm.idMu.Lock()
 	defer jm.idMu.Unlock()
-	if jm.nextID == jm.idLimit {
-		if _, err := jm.s.db.Conn().ExecContext(ctx, `UPDATE fmujobids SET reserved = $1`, jm.nextID+64); err != nil {
-			return 0, err
-		}
-		jm.idLimit = jm.nextID + 64
+	if _, err := jm.s.db.Conn().ExecContext(ctx, `UPDATE fmujobids SET reserved = $1`, jm.nextID+1); err != nil {
+		return 0, err
 	}
 	jm.nextID++
 	return jm.nextID, nil
 }
 
 // cancel aborts a job and returns its resulting state. A job running here
-// is cancelled unless its outcome is settled; its worker records the
-// terminal state. Otherwise a queued or running row flips to cancelled in
-// tx, the invoking statement's transaction, by a conditional UPDATE: a
-// claim or final state committed after tx's snapshot makes it fail with a
-// write conflict (first-updater-wins), so a job cancel reports cancelled
-// never completes.
+// settles cancelled unless its worker settled it first, and the state that
+// stands is returned; the worker records it. Otherwise a queued or running
+// row flips to cancelled in tx, the invoking statement's transaction, by a
+// conditional UPDATE. tx's snapshot was pinned before the lookup of live
+// jobs, so a claim the lookup missed committed after that snapshot: the
+// UPDATE fails with a write conflict (first-updater-wins) instead of
+// cancelling a running job's row, and the job, live now, is looked up again.
 func (jm *jobManager) cancel(ctx context.Context, tx *sqldb.Tx, id int64) (string, error) {
-	jm.mu.Lock()
-	lj := jm.live[id]
-	jm.mu.Unlock()
-	if lj != nil && lj.outcome.CompareAndSwap(0, jobCancelled) {
-		lj.cancel()
-		return JobCancelled, nil
+	for retried := false; ; retried = true {
+		jm.mu.Lock()
+		lj := jm.live[id]
+		jm.mu.Unlock()
+		if lj != nil {
+			state := lj.settle(JobCancelled)
+			if state == JobCancelled {
+				lj.cancel()
+			}
+			return state, nil
+		}
+		n, err := tx.ExecContext(ctx,
+			`UPDATE fmujobs SET state = $1, finished = $2, error = $3 WHERE jobid = $4 AND state IN ($5, $6)`,
+			JobCancelled, jobNow(), "cancelled", id, JobQueued, JobRunning)
+		switch {
+		case errors.Is(err, sqldb.ErrWriteConflict) && !retried:
+			continue
+		case err != nil:
+			return "", err
+		case n > 0:
+			tx.OnCommit(func() { jm.cancelled.Add(1) })
+			return JobCancelled, nil
+		}
+		rs, err := tx.QueryContext(ctx, `SELECT state FROM fmujobs WHERE jobid = $1`, id)
+		if err != nil {
+			return "", err
+		}
+		if len(rs.Rows) == 0 {
+			return "", fmt.Errorf("core: no such job %d", id)
+		}
+		return rs.Rows[0][0].AsText(), nil // already terminal
 	}
-	n, err := tx.ExecContext(ctx,
-		`UPDATE fmujobs SET state = $1, finished = $2, error = $3 WHERE jobid = $4 AND state IN ($5, $6)`,
-		JobCancelled, jobNow(), "cancelled", id, JobQueued, JobRunning)
-	if err != nil {
-		return "", err
-	}
-	if n > 0 {
-		tx.OnCommit(func() { jm.cancelled.Add(1) })
-		return JobCancelled, nil
-	}
-	rs, err := tx.QueryContext(ctx, `SELECT state FROM fmujobs WHERE jobid = $1`, id)
-	if err != nil {
-		return "", err
-	}
-	if len(rs.Rows) == 0 {
-		return "", fmt.Errorf("core: no such job %d", id)
-	}
-	return rs.Rows[0][0].AsText(), nil // already terminal
 }
 
 // jobsTable renders fmujobs with live in-memory progress merged over the
@@ -729,7 +736,7 @@ func (jm *jobManager) jobsTable(ctx context.Context, q querier) (*sqldb.ResultSe
 // that died mid-run surface as 'interrupted' (their worker is gone and any
 // partial transaction already rolled back at WAL replay), queued jobs are
 // enqueued in jobid order, and the id allocator resumes after the largest id
-// committed or reserved.
+// committed or handed out. It runs before the session is shared.
 func (s *Session) recoverJobs() error {
 	for _, q := range jobTablesSQL {
 		if _, err := s.db.Exec(q); err != nil {
@@ -745,23 +752,17 @@ func (s *Session) recoverJobs() error {
 	if err != nil {
 		return fmt.Errorf("core: reading queued jobs: %w", err)
 	}
-	s.jobs.idMu.Lock()
-	defer s.jobs.idMu.Unlock()
 	for _, row := range rs.Rows {
-		id, err := row[0].AsInt()
-		if err != nil {
-			continue
-		}
-		s.jobs.nextID = id
+		id := row[0].Int()
+		s.jobs.nextID = max(s.jobs.nextID, id)
 		if row[1].AsText() == JobQueued {
 			s.jobs.enqueue(id)
 		}
 	}
 	if rs, err = s.db.Query(`SELECT max(reserved) FROM fmujobids`); err != nil {
-		return fmt.Errorf("core: reading the reserved job ids: %w", err)
+		return fmt.Errorf("core: reading the last job id: %w", err)
 	}
 	s.jobs.nextID = max(s.jobs.nextID, rs.Rows[0][0].Int())
-	s.jobs.idLimit = s.jobs.nextID
 	return nil
 }
 
@@ -844,7 +845,7 @@ func (s *Session) registerJobUDFs() {
 func (s *Session) SubmitJob(kind string, args ...string) (int64, error) {
 	var id int64
 	ctx := context.Background()
-	err := s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
+	err := s.inTx(ctx, func(tx *sqldb.Tx) (err error) {
 		id, err = s.jobs.submit(ctx, tx, kind, args)
 		return err
 	})
@@ -853,13 +854,8 @@ func (s *Session) SubmitJob(kind string, args ...string) (int64, error) {
 
 // CancelJob is the typed-API fmu_cancel.
 func (s *Session) CancelJob(id int64) (string, error) {
-	var state string
-	ctx := context.Background()
-	err := s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
-		state, err = s.jobs.cancel(ctx, tx, id)
-		return err
-	})
-	return state, err
+	v, err := s.call(`SELECT fmu_cancel($1)`, id)
+	return v.AsText(), err
 }
 
 // WaitJob blocks until job id reaches a terminal state (or ctx expires) and

@@ -43,7 +43,7 @@ func (s *Session) Parest(instanceIDs, inputSQLs, pars []string) ([]ParestResult,
 // neither writers of unrelated tables nor calibrations of other instances.
 func (s *Session) ParestContext(ctx context.Context, instanceIDs, inputSQLs, pars []string) ([]ParestResult, error) {
 	var results []ParestResult
-	err := s.inTx(ctx, nil, func(tx *sqldb.Tx) (err error) {
+	err := s.inTx(ctx, func(tx *sqldb.Tx) (err error) {
 		results, err = s.parest(ctx, tx, instanceIDs, inputSQLs, pars, s.threshold)
 		return err
 	})

@@ -14,21 +14,10 @@ import (
 // the WAL into a fresh snapshot.
 const defaultAutoCheckpointEvery = 4096
 
-// The fmustorage table persists the .fmu archives themselves (base64 text),
-// making the catalogue self-contained: a dumped database carries everything
-// needed to rebuild the session — the paper's "FMU storage (non-volatile
-// memory)".
-
-func (s *Session) installStorage() error {
-	_, err := s.db.Exec(
-		`CREATE TABLE IF NOT EXISTS fmustorage (modelid text, content text)`)
-	if err != nil {
-		return fmt.Errorf("core: installing FMU storage: %w", err)
-	}
-	return nil
-}
-
-// storeFMU persists the archive bytes for a model.
+// storeFMU persists the archive bytes for a model in fmustorage, which
+// holds the .fmu archives themselves (base64 text), making the catalogue
+// self-contained: a dumped database carries everything needed to rebuild
+// the session — the paper's "FMU storage (non-volatile memory)".
 func (s *Session) storeFMU(ctx context.Context, tx *sqldb.Tx, modelID string, data []byte) error {
 	encoded := base64.StdEncoding.EncodeToString(data)
 	_, err := tx.QueryContext(ctx, `INSERT INTO fmustorage VALUES ($1, $2)`, modelID, encoded)
@@ -128,7 +117,7 @@ func (s *Session) Close() error {
 
 // checkCatalog refuses a restored database that lacks a catalogue table.
 func (s *Session) checkCatalog() error {
-	for _, t := range []string{"model", "modelvariable", "modelinstance", "modelinstancevalues", "fmustorage"} {
+	for _, t := range catalogTables {
 		if !s.db.HasTable(t) {
 			return fmt.Errorf("core: restored database is missing catalogue table %q", t)
 		}

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/sqldb"
+	"repro/internal/variant"
 )
 
 // The check-then-write races a database-wide lock used to close: each
@@ -83,16 +85,53 @@ func TestConcurrentCreateOneModel(t *testing.T) {
 	}
 }
 
-// TestCancelRacingClaim: fmu_cancel issued as its job is claimed, run and
-// finished either reports the job's terminal state, fails with a write
-// conflict, or returns cancelled — and then the job ends cancelled, never
-// done.
-func TestCancelRacingClaim(t *testing.T) {
-	s := newTestSession(t, WithJobWorkers(1))
+// TestConcurrentCreatesAllSucceed: creates of different ids queue on the
+// catalogue latches behind writers that hold them for 60 ms each, and each
+// waits its turn however long the queue: with a lock-wait timeout of
+// 150 ms, far shorter than the queue, every one succeeds.
+func TestConcurrentCreatesAllSucceed(t *testing.T) {
+	s := newTestSession(t, WithLockWaitTimeout(150*time.Millisecond))
 	defer s.Close()
-	s.jobs.body = func(context.Context, *liveJob, string, []string) (string, error) {
-		return `"ok"`, nil
+	s.DB().RegisterScalar("hold_catalog", func(context.Context, *sqldb.Tx, []variant.Value) (variant.Value, error) {
+		time.Sleep(60 * time.Millisecond)
+		return variant.NewNull(), nil
+	}, false, catalogTables...)
+	const holders, creates = 4, 16
+	errs := make([]error, holders+creates)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id := fmt.Sprintf("c%d", i)
+			switch {
+			case i < holders:
+				_, errs[i] = s.DB().Conn().QueryContext(context.Background(), `SELECT hold_catalog()`)
+			case i%2 == 0:
+				_, errs[i] = s.Create(hpSource, id)
+			default:
+				_, errs[i] = s.DB().Conn().QueryContext(context.Background(), `SELECT fmu_create($1, $2)`, hpSource, id)
+			}
+		}(i)
 	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("writer %d: %v", i, err)
+		}
+	}
+	if got := count(t, s, `SELECT count(*) FROM modelinstance`); got != creates {
+		t.Fatalf("%d modelinstance rows, want %d", got, creates)
+	}
+}
+
+// raceCancels submits jobs and cancels each as it is claimed, run and
+// finished, through SQL and the typed API in turn. fmu_cancel either
+// reports the job's terminal state, fails with a write conflict, or
+// returns cancelled — and then the job ends cancelled, never done. check
+// sees each job's id and final state.
+func raceCancels(t *testing.T, s *Session, check func(id int64, final string)) {
+	t.Helper()
 	for i := 0; i < 40; i++ {
 		rs, err := s.DB().Query(`SELECT fmu_submit('simulate', 'hp')`)
 		if err != nil {
@@ -122,7 +161,42 @@ func TestCancelRacingClaim(t *testing.T) {
 		if state != "" && final != state {
 			t.Fatalf("job %d: cancel returned %q, and the job ended %q (row %v)", id, state, final, jobRow(t, s, id))
 		}
+		check(id, final)
 	}
+}
+
+// TestCancelRacingClaim: cancels racing jobs that write nothing.
+func TestCancelRacingClaim(t *testing.T) {
+	s := newTestSession(t, WithJobWorkers(1))
+	defer s.Close()
+	s.jobs.body = func(context.Context, *liveJob, string, []string) (string, error) {
+		return `"ok"`, nil
+	}
+	raceCancels(t, s, func(int64, string) {})
+}
+
+// TestCancelRacingCommit: cancels racing jobs that commit a row, as a
+// calibration commits its fit: a job that ends cancelled committed nothing,
+// and one that ends done committed its row.
+func TestCancelRacingCommit(t *testing.T) {
+	s := newTestSession(t, WithJobWorkers(1))
+	defer s.Close()
+	if _, err := s.DB().Exec(`CREATE TABLE marks (jobid int)`); err != nil {
+		t.Fatal(err)
+	}
+	s.jobs.body = func(ctx context.Context, lj *liveJob, _ string, _ []string) (string, error) {
+		return `"ok"`, s.jobs.inJobTx(ctx, lj, func(tx *sqldb.Tx) error {
+			_, err := tx.Exec(`INSERT INTO marks VALUES ($1)`, lj.id)
+			time.Sleep(500 * time.Microsecond) // a cancel may land here
+			return err
+		})
+	}
+	raceCancels(t, s, func(id int64, final string) {
+		n := count(t, s, `SELECT count(*) FROM marks WHERE jobid = $1`, id)
+		if (final == JobDone) != (n == 1) || n > 1 {
+			t.Fatalf("job %d ended %q with %d rows committed", id, final, n)
+		}
+	})
 }
 
 // TestJobIDsNotReissuedAfterRestart: an id a rolled-back fmu_submit took is

@@ -140,9 +140,6 @@ func NewSession(opts ...Option) (*Session, error) {
 	if err := s.installCatalog(); err != nil {
 		return nil, err
 	}
-	if err := s.installStorage(); err != nil {
-		return nil, err
-	}
 	s.registerUDFs()
 	s.jobs = newJobManager(s, s.jobWorkers)
 	return s, nil
@@ -163,12 +160,12 @@ func (s *Session) DB() *sqldb.DB { return s.db }
 // the catalogue alone: a reader builds a private fmu.Instance from
 // modelinstancevalues through the querier it has (snapshot), so it sees what
 // that querier's snapshot sees — committed data plus its own transaction's
-// writes — and works lock-free. A catalogue writer latches catalogTables
-// before its snapshot (a typed writer through BeginTx, a UDF through its
-// registration), so writers run one at a time and each one's checks see
-// every commit before it; its statements are its only publication, and a
-// rollback leaves nothing to undo outside the tables. See
-// docs/architecture.md "Lock hierarchy".
+// writes — and works lock-free. A catalogue writer is a SQL function that
+// registers catalogTables, which its statement latches before its snapshot
+// (a typed writer runs its function, see call), so writers run one at a
+// time and each one's checks see every commit before it; its statements are
+// its only publication, and a rollback leaves nothing to undo outside the
+// tables. See docs/architecture.md "Lock hierarchy".
 
 // catalogTables are the tables the catalogue writers check and write:
 // every one of them latches all of them before pinning its snapshot.
@@ -209,7 +206,8 @@ func (s *Session) snapshot(ctx context.Context, q querier, instanceID string) (*
 	return inst, modelID, nil
 }
 
-// installCatalog creates the Figure-4 model catalogue tables.
+// installCatalog creates the Figure-4 model catalogue tables, the job
+// tables and the FMU storage.
 func (s *Session) installCatalog() error {
 	ddl := []string{
 		`CREATE TABLE IF NOT EXISTS model (
@@ -222,7 +220,8 @@ func (s *Session) installCatalog() error {
 		`CREATE TABLE IF NOT EXISTS modelinstancevalues (
 			modelid text, instanceid text, varname text, value variant)`,
 	}
-	for _, q := range append(ddl, jobTablesSQL...) {
+	ddl = append(append(ddl, jobTablesSQL...), `CREATE TABLE IF NOT EXISTS fmustorage (modelid text, content text)`)
+	for _, q := range ddl {
 		if _, err := s.db.Exec(q); err != nil {
 			return fmt.Errorf("core: installing catalogue: %w", err)
 		}
@@ -267,11 +266,10 @@ func (s *Session) call(sql string, args ...any) (variant.Value, error) {
 	return rs.Rows[0][0], nil
 }
 
-// inTx runs fn as one transaction that latches the tables named by latch
-// before its snapshot: committed when fn returns nil, rolled back when it
-// fails. Calibration latches nothing until its final write.
-func (s *Session) inTx(ctx context.Context, latch []string, fn func(tx *sqldb.Tx) error) error {
-	tx, err := s.db.BeginTx(ctx, latch...)
+// inTx runs fn as one transaction: committed when fn returns nil, rolled
+// back when it fails.
+func (s *Session) inTx(ctx context.Context, fn func(tx *sqldb.Tx) error) error {
+	tx, err := s.db.BeginTx(ctx)
 	if err != nil {
 		return err
 	}
@@ -515,17 +513,8 @@ func (s *Session) get(ctx context.Context, q querier, instanceID, varName string
 	if inst.KindOf(varName) == fmu.VarUnknown {
 		return variant.Value{}, variant.Value{}, variant.Value{}, fmt.Errorf("%w: %q", ErrNoSuchVariable, varName)
 	}
-	rs, err := q.QueryContext(ctx,
-		`SELECT minvalue, maxvalue FROM modelvariable WHERE modelid = $1 AND varname = $2`,
-		modelID, varName)
-	if err != nil {
-		return variant.Value{}, variant.Value{}, variant.Value{}, err
-	}
-	minV, maxV = variant.NewNull(), variant.NewNull()
-	if len(rs.Rows) > 0 {
-		minV, maxV = rs.Rows[0][0], rs.Rows[0][1]
-	}
-	return valueOf(inst, varName), minV, maxV, nil
+	minV, maxV, err = bounds(ctx, q, modelID, varName)
+	return valueOf(inst, varName), minV, maxV, err
 }
 
 // Reset implements fmu_reset: restore the instance to model defaults and
@@ -636,28 +625,28 @@ func (s *Session) variables(ctx context.Context, q querier, instanceID string) (
 	return out, nil
 }
 
+// bounds reads the catalogued min/max of a variable, NULL when unset.
+func bounds(ctx context.Context, q querier, modelID, varName string) (minV, maxV variant.Value, err error) {
+	rs, err := q.QueryContext(ctx,
+		`SELECT minvalue, maxvalue FROM modelvariable WHERE modelid = $1 AND varname = $2`,
+		modelID, varName)
+	if err != nil || len(rs.Rows) == 0 {
+		return variant.NewNull(), variant.NewNull(), err
+	}
+	return rs.Rows[0][0], rs.Rows[0][1], nil
+}
+
 // parameterBounds reads the min/max bounds of a catalogued variable (the
 // estimation bounds of a parameter, the range of a control input); a missing
 // bound is NaN.
 func (s *Session) parameterBounds(ctx context.Context, q querier, modelID, varName string) (lo, hi float64, err error) {
-	rs, err := q.QueryContext(ctx,
-		`SELECT minvalue, maxvalue FROM modelvariable WHERE modelid = $1 AND varname = $2`,
-		modelID, varName)
-	if err != nil {
-		return 0, 0, err
+	minV, maxV, err := bounds(ctx, q, modelID, varName)
+	return floatOrNaN(minV), floatOrNaN(maxV), err
+}
+
+func floatOrNaN(v variant.Value) float64 {
+	if f, err := v.AsFloat(); err == nil && !v.IsNull() {
+		return f
 	}
-	lo, hi = math.NaN(), math.NaN()
-	if len(rs.Rows) > 0 {
-		if !rs.Rows[0][0].IsNull() {
-			if f, err := rs.Rows[0][0].AsFloat(); err == nil {
-				lo = f
-			}
-		}
-		if !rs.Rows[0][1].IsNull() {
-			if f, err := rs.Rows[0][1].AsFloat(); err == nil {
-				hi = f
-			}
-		}
-	}
-	return lo, hi, nil
+	return math.NaN()
 }

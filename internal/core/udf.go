@@ -108,38 +108,25 @@ func (s *Session) registerUDFs() {
 	setter("fmu_set_minimum", "min")
 	setter("fmu_set_maximum", "max")
 
-	// fmu_reset(instanceId) -> instanceId
-	db.RegisterScalar("fmu_reset", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
-		if len(args) != 1 {
-			return variant.Value{}, fmt.Errorf("fmu_reset(instanceId) expects 1 argument")
-		}
-		if err := s.reset(ctx, tx, args[0].AsText()); err != nil {
-			return variant.Value{}, err
-		}
-		return args[0], nil
-	}, false, catalogTables...)
-
-	// fmu_delete_instance(instanceId)
-	db.RegisterScalar("fmu_delete_instance", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
-		if len(args) != 1 {
-			return variant.Value{}, fmt.Errorf("fmu_delete_instance(instanceId) expects 1 argument")
-		}
-		if err := s.deleteInstance(ctx, tx, args[0].AsText()); err != nil {
-			return variant.Value{}, err
-		}
-		return variant.NewBool(true), nil
-	}, false, catalogTables...)
-
-	// fmu_delete_model(modelId)
-	db.RegisterScalar("fmu_delete_model", func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
-		if len(args) != 1 {
-			return variant.Value{}, fmt.Errorf("fmu_delete_model(modelId) expects 1 argument")
-		}
-		if err := s.deleteModel(ctx, tx, args[0].AsText()); err != nil {
-			return variant.Value{}, err
-		}
-		return variant.NewBool(true), nil
-	}, false, catalogTables...)
+	// fmu_reset(instanceId) -> instanceId; fmu_delete_instance(instanceId)
+	// and fmu_delete_model(modelId) -> true.
+	oneArg := func(name, param string, fn func(context.Context, *sqldb.Tx, string) error, echo bool) {
+		db.RegisterScalar(name, func(ctx context.Context, tx *sqldb.Tx, args []variant.Value) (variant.Value, error) {
+			if len(args) != 1 {
+				return variant.Value{}, fmt.Errorf("%s(%s) expects 1 argument", name, param)
+			}
+			if err := fn(ctx, tx, args[0].AsText()); err != nil {
+				return variant.Value{}, err
+			}
+			if echo {
+				return args[0], nil
+			}
+			return variant.NewBool(true), nil
+		}, false, catalogTables...)
+	}
+	oneArg("fmu_reset", "instanceId", s.reset, true)
+	oneArg("fmu_delete_instance", "instanceId", s.deleteInstance, false)
+	oneArg("fmu_delete_model", "modelId", s.deleteModel, false)
 
 	// fmu_parest(instanceIds, input_sqls [, pars [, threshold]])
 	//   -> '{rmse1, rmse2, ...}' (the paper's estimationErrors list)

@@ -83,9 +83,10 @@ type DB struct {
 	walRecordCount  atomic.Uint64
 
 	// lockWaitNanos bounds how long a statement or transaction waits for a
-	// table's latch; expiry surfaces as ErrWriteConflict, converting
-	// potential latch-order deadlocks into a retryable error. Configurable because slow CI machines can hold
-	// latches past the default (see SetLockWaitTimeout).
+	// table's latch to be released (each release restarts it); expiry
+	// surfaces as ErrWriteConflict, converting potential latch-order
+	// deadlocks into a retryable error. Configurable because slow CI
+	// machines can hold latches past the default (see SetLockWaitTimeout).
 	lockWaitNanos atomic.Int64
 }
 
@@ -112,7 +113,7 @@ func New() *DB {
 }
 
 // SetLockWaitTimeout adjusts how long writers wait for a busy table latch
-// before giving up with ErrWriteConflict. Zero or negative restores the
+// to be released before giving up with ErrWriteConflict. Zero or negative restores the
 // default. Safe to call at any time; in-flight waits keep their old bound.
 func (db *DB) SetLockWaitTimeout(d time.Duration) {
 	if d <= 0 {
@@ -289,8 +290,8 @@ func (db *DB) QueryRowsContext(ctx context.Context, sql string, args ...any) (*R
 // pinned at begin), so writers of one table queue instead of conflicting,
 // and a check before a write sees every commit before it. Any other table a
 // statement writes (DDL's, a function's other writes) it latches when it
-// reaches it. Every latch wait is bounded by the lock-wait timeout and then
-// fails with ErrWriteConflict. tr, if not nil, records the statement's
+// reaches it. Every latch wait is bounded by the lock-wait timeout per
+// holder (see lockMgr.acquire). tr, if not nil, records the statement's
 // latch wait, its open and its commit.
 func (db *DB) exec(ctx context.Context, tr *Trace, tx *Tx, text string, cp *cachedPlan, params []variant.Value) (*RowIter, error) {
 	if ctx == nil {

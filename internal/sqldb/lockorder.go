@@ -11,9 +11,9 @@ import (
 //
 //	table write latches → commitMu
 //
-// A latch is waited for at most the lock-wait timeout, then fails with
-// ErrWriteConflict: its holder may be an open transaction gone idle, and
-// the waiter's own transaction may hold latches from earlier statements.
+// A latch wait fails with ErrWriteConflict once one holder has kept the
+// latch for the lock-wait timeout: that holder may be an open transaction
+// gone idle, or wait in a cycle for latches the waiter's transaction holds.
 // Nothing waits for a latch holding commitMu; Vacuum only probes latches.
 // commitMu is held for a commit, a checkpoint's snapshot write, and
 // the WAL's attachment changes. core.Session.mu, jobManager.mu,

@@ -191,14 +191,15 @@ func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 	return true
 }
 
-// acquire blocks until the latch is granted, ctx is done, or timeout
-// elapses — the latter surfaces as ErrWriteConflict, so a writer fails fast
-// instead of deadlocking on crossed latch orders or stalling behind an idle
-// open transaction. The waiter may hold other latches, never commitMu: every
+// acquire blocks until the latch is granted, ctx is done, or one holder
+// keeps it for timeout — the latter surfaces as ErrWriteConflict, so a
+// writer fails fast instead of deadlocking on crossed latch orders or
+// stalling behind an idle open transaction. Each release restarts the
+// bound: a waiter behind a queue of short writers waits its turn however
+// long the queue. The waiter may hold other latches, never commitMu: every
 // commit would stall behind it for the timeout.
 func (lm *lockMgr) acquire(ctx context.Context, t *Table, tx *txnState, timeout time.Duration) error {
 	tx.locks.acquire(rankLatch, true)
-	var deadline *time.Timer
 	for {
 		lm.mu.Lock()
 		if cur, held := lm.owners[t.tableStore]; !held || cur == tx {
@@ -209,13 +210,12 @@ func (lm *lockMgr) acquire(ctx context.Context, t *Table, tx *txnState, timeout 
 		ch := make(chan struct{})
 		lm.queues[t.tableStore] = append(lm.queues[t.tableStore], ch)
 		lm.mu.Unlock()
-		if deadline == nil {
-			deadline = time.NewTimer(timeout)
-			defer deadline.Stop()
-		}
+		deadline := time.NewTimer(timeout)
 		select {
 		case <-ch:
+			deadline.Stop()
 		case <-ctx.Done():
+			deadline.Stop()
 			return ctx.Err()
 		case <-deadline.C:
 			return fmt.Errorf("%w: table %q is write-locked by a concurrent transaction", ErrWriteConflict, t.Name)
@@ -237,8 +237,8 @@ func (lm *lockMgr) release(t *Table, tx *txnState) {
 	lm.mu.Unlock()
 }
 
-// latchTable acquires t's write latch for tx (idempotently), waiting at
-// most the lock-wait timeout, and records it for release at transaction end.
+// latchTable acquires t's write latch for tx (idempotently), waiting as
+// acquire does, and records it for release at transaction end.
 func (db *DB) latchTable(ctx context.Context, t *Table, tx *txnState) error {
 	if tx.holdsLatch(t) {
 		return nil

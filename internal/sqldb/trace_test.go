@@ -53,8 +53,11 @@ func TestTracePhases(t *testing.T) {
 			}
 			// Neither a read nor a BEGIN waits out a transaction that
 			// latched the table.
-			ex, err := db.BeginTx(context.Background(), "kv")
+			ex, err := db.BeginTx(context.Background())
 			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ex.Exec(`INSERT INTO kv VALUES (3, 2.5)`); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, read := traced(t, c, `SELECT v FROM kv WHERE k = 1`); read.LatchWait != 0 {

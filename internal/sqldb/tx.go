@@ -53,14 +53,9 @@ func (db *DB) Begin() (*Tx, error) {
 	return db.BeginTx(context.Background())
 }
 
-// BeginTx is Begin honouring ctx. latch names tables the transaction checks
-// before it writes them (a count, then an insert): they are latched,
-// waiting at most the lock-wait timeout for each, before the snapshot is
-// pinned, so the transaction sees every commit to them made before it, and
-// no other transaction writes them until it ends. A cancelled context
-// rejects the begin; it does not roll back later (call Rollback, e.g. via
-// defer).
-func (db *DB) BeginTx(ctx context.Context, latch ...string) (*Tx, error) {
+// BeginTx is Begin honouring ctx. A cancelled context rejects the begin; it
+// does not roll back later (call Rollback, e.g. via defer).
+func (db *DB) BeginTx(ctx context.Context) (*Tx, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -71,12 +66,6 @@ func (db *DB) BeginTx(ctx context.Context, latch ...string) (*Tx, error) {
 		return nil, ErrClosed
 	}
 	t := db.newTxn()
-	if len(latch) > 0 {
-		if _, _, err := db.latchWrites(ctx, nil, t, latch, false); err != nil {
-			db.releaseLatches(t)
-			return nil, err
-		}
-	}
 	t.snap = snapshot{ts: db.snaps.pin(&db.clock, true), self: t.stamp()}
 	return &Tx{db: db, state: t, snap: t.snap}, nil
 }
