@@ -165,25 +165,28 @@ func visiblePositions(snap snapshot, v *tableView) []int32 {
 // or DDL, released after commit/rollback), so at most one transaction has
 // in-flight versions or catalogue edits per table at any moment.
 type lockMgr struct {
-	mu     sync.Mutex
-	owners map[*tableStore]*txnState
-	queues map[*tableStore][]chan struct{}
+	mu      sync.Mutex
+	owners  map[*tableStore]*txnState
+	queues  map[*tableStore][]chan struct{}
+	waiting map[*tableStore]int // writers in acquire that found the latch held
 }
 
 func newLockMgr() *lockMgr {
 	return &lockMgr{
-		owners: make(map[*tableStore]*txnState),
-		queues: make(map[*tableStore][]chan struct{}),
+		owners:  make(map[*tableStore]*txnState),
+		queues:  make(map[*tableStore][]chan struct{}),
+		waiting: make(map[*tableStore]int),
 	}
 }
 
-// tryAcquire takes the latch if it is free (or already held by tx) and
-// reports whether it did. Vacuum probes latches with it: a table an open
-// transaction writes is not one to compact.
+// tryAcquire takes the latch if it is free (or already held by tx) and no
+// writer waits for it, and reports whether it did. Vacuum probes latches
+// with it: a table an open transaction writes is not one to compact, and a
+// Vacuum loop must not take the latch again ahead of a writer it woke.
 func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	if cur, held := lm.owners[t.tableStore]; held && cur != tx {
+	if cur, held := lm.owners[t.tableStore]; held && cur != tx || lm.waiting[t.tableStore] > 0 {
 		return false
 	}
 	lm.owners[t.tableStore] = tx
@@ -200,12 +203,26 @@ func (lm *lockMgr) tryAcquire(t *Table, tx *txnState) bool {
 // commit would stall behind it for the timeout.
 func (lm *lockMgr) acquire(ctx context.Context, t *Table, tx *txnState, timeout time.Duration) error {
 	tx.locks.acquire(rankLatch, true)
+	waited := false
+	defer func() {
+		if waited {
+			lm.mu.Lock()
+			if lm.waiting[t.tableStore]--; lm.waiting[t.tableStore] == 0 {
+				delete(lm.waiting, t.tableStore)
+			}
+			lm.mu.Unlock()
+		}
+	}()
 	for {
 		lm.mu.Lock()
 		if cur, held := lm.owners[t.tableStore]; !held || cur == tx {
 			lm.owners[t.tableStore] = tx
 			lm.mu.Unlock()
 			return nil
+		}
+		if !waited {
+			lm.waiting[t.tableStore]++
+			waited = true
 		}
 		ch := make(chan struct{})
 		lm.queues[t.tableStore] = append(lm.queues[t.tableStore], ch)
