@@ -173,8 +173,10 @@ func TestGoldenFits(t *testing.T) {
 }
 
 // BenchmarkCost times one objective evaluation — the unit fmu_parest repeats
-// a few hundred times per calibration — on the paper's two calibrated models.
-// Profile it (-cpuprofile) to see where an evaluation goes.
+// a few hundred times per calibration — on the paper's two calibrated models,
+// and reports the solver's accepted and rejected steps and right-hand-side
+// calls per evaluation. Profile it (-cpuprofile) to see where an evaluation
+// goes.
 func BenchmarkCost(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -188,12 +190,20 @@ func BenchmarkCost(b *testing.B) {
 		for i, ps := range p.Params {
 			at[i] = ps.Lo + 0.3*(ps.Hi-ps.Lo)
 		}
+		tr, _, err := p.simulate(at)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Cost(at); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(tr.Stats.Accepted), "accepted/op")
+			b.ReportMetric(float64(tr.Stats.Rejected), "rejected/op")
+			b.ReportMetric(float64(tr.Stats.RHSCalls), "rhs/op")
 		})
 	}
 }

@@ -147,42 +147,7 @@ func (p *Problem) Validate() error {
 // the paper's sum-of-squared-errors objective expressed as RMSE. It reads the
 // problem only, so concurrent calls are safe.
 func (p *Problem) Cost(vals []float64) (float64, error) {
-	if len(vals) != len(p.Params) {
-		return 0, fmt.Errorf("estimate: candidate has %d values, want %d", len(vals), len(p.Params))
-	}
-	prep := p.prep
-	if prep == nil || prep.t0 != p.T0 || prep.t1 != p.T1 {
-		// Not validated, or the window was moved since.
-		var err error
-		if prep, err = p.prepare(); err != nil {
-			return 0, err
-		}
-	}
-	// Work on a scratch clone so the caller's instance stays untouched.
-	scratch := p.Instance.Clone(p.Instance.Name() + "/scratch")
-	for i, ps := range p.Params {
-		if err := scratch.SetReal(ps.Name, vals[i]); err != nil {
-			return 0, err
-		}
-	}
-	// Anchor the initial state to the first measured sample inside the
-	// window for measured states, as calibration tooling does: the initial
-	// condition is data, not a free variable.
-	for k, w := range prep.windows {
-		if w.isState {
-			if err := scratch.SetReal(prep.names[k], w.values[0]); err != nil {
-				return 0, err
-			}
-		}
-	}
-	method := p.Method
-	if method == nil {
-		// Tighter tolerances than the simulation default: the objective must
-		// be smooth enough for finite-difference gradients in Local Search
-		// (adaptive step-acceptance jitter otherwise swamps the differences).
-		method = solver.NewDormandPrince(1e-9, 1e-11)
-	}
-	tr, err := scratch.Integrate(p.Inputs, p.T0, p.T1, &fmu.SimOptions{Method: method})
+	tr, prep, err := p.simulate(vals)
 	if err != nil {
 		return 0, err
 	}
@@ -201,6 +166,51 @@ func (p *Problem) Cost(vals []float64) (float64, error) {
 		}
 	}
 	return math.Sqrt(totalSSE / float64(prep.samples)), nil
+}
+
+// simulate integrates the instance with the candidate parameter vector over
+// the training window: the trajectory Cost compares with the measurements.
+func (p *Problem) simulate(vals []float64) (*fmu.Trajectory, *prepared, error) {
+	if len(vals) != len(p.Params) {
+		return nil, nil, fmt.Errorf("estimate: candidate has %d values, want %d", len(vals), len(p.Params))
+	}
+	prep := p.prep
+	if prep == nil || prep.t0 != p.T0 || prep.t1 != p.T1 {
+		// Not validated, or the window was moved since.
+		var err error
+		if prep, err = p.prepare(); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Work on a scratch clone so the caller's instance stays untouched.
+	scratch := p.Instance.Clone(p.Instance.Name() + "/scratch")
+	for i, ps := range p.Params {
+		if err := scratch.SetReal(ps.Name, vals[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Anchor the initial state to the first measured sample inside the
+	// window for measured states, as calibration tooling does: the initial
+	// condition is data, not a free variable.
+	for k, w := range prep.windows {
+		if w.isState {
+			if err := scratch.SetReal(prep.names[k], w.values[0]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	method := p.Method
+	if method == nil {
+		// Tighter tolerances than the simulation default: the objective must
+		// be smooth enough for finite-difference gradients in Local Search
+		// (adaptive step-acceptance jitter otherwise swamps the differences).
+		method = solver.NewDormandPrince(1e-9, 1e-11)
+	}
+	tr, err := scratch.Integrate(p.Inputs, p.T0, p.T1, &fmu.SimOptions{Method: method})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr, prep, nil
 }
 
 // clip projects v into [lo, hi].

@@ -201,6 +201,9 @@ type run struct {
 	regs   []float64
 	series []seriesInput
 	interp timeseries.Interpolation
+	// inputsAt is the time the series inputs in regs were read at; NaN
+	// before the first load.
+	inputsAt float64
 	// derivErr[i] / outErr[i] hold the division by zero, if any, in the
 	// parameter-only part of that program: raised once by Bind, it belongs
 	// to every evaluation (see modelica.Program.Bind).
@@ -208,19 +211,52 @@ type run struct {
 }
 
 // seriesInput is an input read from a series into its slot at each load.
+// It keeps the open segment (t0, t1) it last interpolated in: the stages of
+// an ODE step mostly fall inside one, and there a read needs neither the
+// cursor nor the segment's samples.
 type seriesInput struct {
-	slot   int
-	values []float64
-	cursor timeseries.Cursor
+	slot          int
+	times, values []float64
+	cursor        timeseries.Cursor
+	// t0 < t < t1 reads v0 + ((t-t0)/dt)*dv, timeseries.Interpolate's
+	// formula on the segment's samples: dt = t1-t0 and dv = v1-v0. NaN
+	// bounds hold no segment.
+	t0, t1, dt, v0, dv float64
+}
+
+func newSeriesInput(slot int, s *timeseries.Series) seriesInput {
+	nan := math.NaN()
+	return seriesInput{slot: slot, times: s.Times, values: s.Values, cursor: timeseries.NewCursor(s.Times), t0: nan, t1: nan}
+}
+
+// at reads the input at t: what Series.At returns for the same t and mode
+// (a NaN t reads NaN under Linear, as from a Cursor).
+func (in *seriesInput) at(t float64, mode timeseries.Interpolation) float64 {
+	if !(in.t0 < t && t < in.t1) {
+		lo, hi := in.cursor.Seek(t)
+		if lo == hi {
+			return in.values[lo]
+		}
+		in.t0, in.t1, in.v0 = in.times[lo], in.times[hi], in.values[lo]
+		in.dt, in.dv = in.t1-in.t0, in.values[hi]-in.v0
+	}
+	if mode == timeseries.Hold {
+		return in.v0
+	}
+	return in.v0 + ((t-in.t0)/in.dt)*in.dv
 }
 
 // load writes the evaluation point into the slots: time, every series input
-// at that time, and the state vector.
+// at that time, and the state vector. The inputs are read again only when t
+// differs from the last load's (an ODE step's last two stages share theirs).
 func (r *run) load(t float64, x []float64) {
-	r.regs[modelica.TimeSlot] = t
-	for i := range r.series {
-		in := &r.series[i]
-		r.regs[in.slot] = in.cursor.At(in.values, t, r.interp)
+	if math.Float64bits(t) != math.Float64bits(r.inputsAt) || math.IsNaN(t) {
+		r.regs[modelica.TimeSlot] = t
+		for i := range r.series {
+			in := &r.series[i]
+			r.regs[in.slot] = in.at(t, r.interp)
+		}
+		r.inputsAt = t
 	}
 	copy(r.regs[r.unit.kernel.StateSlot:], x)
 }
@@ -235,7 +271,7 @@ func (inst *Instance) bind(inputs map[string]*timeseries.Series, interp timeseri
 			return nil, nil, fmt.Errorf("fmu: parameter %q has no value; set it before simulating", p.Name)
 		}
 	}
-	r := &run{unit: u, regs: k.NewRegisters(), interp: interp}
+	r := &run{unit: u, regs: k.NewRegisters(), interp: interp, inputsAt: math.NaN()}
 	copy(r.regs[k.ParamSlot:k.StateSlot], inst.vals[k.ParamSlot:k.StateSlot])
 	// Every input needs a series or a fallback value.
 	bySeries := make([]bool, len(m.Inputs))
@@ -248,7 +284,7 @@ func (inst *Instance) bind(inputs map[string]*timeseries.Series, interp timeseri
 			return nil, nil, fmt.Errorf("fmu: empty input series for %q", name)
 		}
 		bySeries[ref.slot-k.InputSlot] = true
-		r.series = append(r.series, seriesInput{slot: ref.slot, values: s.Values, cursor: timeseries.NewCursor(s.Times)})
+		r.series = append(r.series, newSeriesInput(ref.slot, s))
 	}
 	for i, in := range m.Inputs {
 		if !bySeries[i] && !inst.set[k.InputSlot+i] {
@@ -280,6 +316,9 @@ func (inst *Instance) bind(inputs map[string]*timeseries.Series, interp timeseri
 type Trajectory struct {
 	// Times is the time axis, strictly increasing.
 	Times []float64
+	// Stats counts the solver's steps and right-hand-side evaluations; a
+	// resampled trajectory keeps the counts of the one it was sampled from.
+	Stats solver.Stats
 	// states[i][j] is state j (model order) at Times[i].
 	states [][]float64
 	run    *run
@@ -339,7 +378,7 @@ func (inst *Instance) Integrate(inputs map[string]*timeseries.Series, t0, t1 flo
 	if err != nil {
 		return nil, fmt.Errorf("fmu: simulating %s: %w", m.Name, err)
 	}
-	return &Trajectory{Times: res.Times, states: res.States, run: r}, nil
+	return &Trajectory{Times: res.Times, Stats: res.Stats, states: res.States, run: r}, nil
 }
 
 // resample interpolates the states linearly onto grid in one forward merge
@@ -361,7 +400,7 @@ func (tr *Trajectory) resample(grid []float64) *Trajectory {
 		}
 		rows[i] = row
 	}
-	return &Trajectory{Times: grid, states: rows, run: tr.run}
+	return &Trajectory{Times: grid, Stats: tr.Stats, states: rows, run: tr.run}
 }
 
 // Columns tabulates the named states and outputs along the trajectory, one

@@ -125,7 +125,7 @@ func (c *Client) NewSession(ctx context.Context) (*Session, error) {
 }
 
 func (c *Client) stream(ctx context.Context, path, sql string, args []any) (*Rows, error) {
-	r, err := c.req(ctx, http.MethodPost, path, wire.QueryRequest{SQL: sql, Args: args})
+	r, err := c.req(ctx, http.MethodPost, path, wire.QueryRequest{SQL: sql, Args: wireArgs(args)})
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +145,35 @@ func (c *Client) stream(ctx context.Context, path, sql string, args []any) (*Row
 		return nil, err
 	}
 	return rows, nil
+}
+
+// wireArgs returns args with each NaN or ±Inf float, which JSON has no
+// literal for, replaced by wire.NonFinite's string. The engine coerces that
+// text where a float column takes it (INSERT, UPDATE); elsewhere the
+// statement casts it (`$1::float`). The caller's slice is not modified.
+func wireArgs(args []any) []any {
+	var out []any
+	for i, a := range args {
+		var f float64
+		switch v := a.(type) {
+		case float64:
+			f = v
+		case float32:
+			f = float64(v)
+		default:
+			continue
+		}
+		if s, ok := wire.NonFinite(f); ok {
+			if out == nil {
+				out = append([]any(nil), args...)
+			}
+			out[i] = s
+		}
+	}
+	if out == nil {
+		return args
+	}
+	return out
 }
 
 // Session is one server-side session: statements run one at a time, and

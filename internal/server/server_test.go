@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -759,6 +760,56 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Fatalf("total rows = %v, want %d", rows.Row(), clients*perClient)
 	}
 	rows.Close()
+}
+
+// TestNonFiniteArgsRoundTrip: NaN and ±Inf bound as statement arguments
+// cross the protocol as wire.NonFinite's strings, which INSERT coerces into
+// the float column, and read back as the same bits. A comparison with such
+// an argument needs its cast.
+func TestNonFiniteArgsRoundTrip(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	sess, err := c.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close(ctx)
+	if _, err := sess.Exec(ctx, `CREATE TABLE f (i integer, x float)`); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i, v := range want {
+		if _, err := sess.Exec(ctx, `INSERT INTO f VALUES ($1, $2)`, i, v); err != nil {
+			t.Fatalf("INSERT %v: %v", v, err)
+		}
+	}
+	rows, err := sess.Query(ctx, `SELECT * FROM f ORDER BY i`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; rows.Next(); n++ {
+		got, ok := rows.Row()[1].(float64)
+		if !ok || math.Float64bits(got) != math.Float64bits(want[n]) {
+			t.Errorf("row %d: x = %#v, want %v", n, rows.Row()[1], want[n])
+		}
+	}
+	if err := rows.Err(); err != nil || n != len(want) {
+		t.Fatalf("read %d rows, %v", n, err)
+	}
+	// The NaN row is not asserted either way: the engine compares NaN equal
+	// to every float.
+	rows, err = sess.Query(ctx, `SELECT i FROM f WHERE x = $1::float ORDER BY i`, math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []any
+	for rows.Next() {
+		ids = append(ids, rows.Row()[0])
+	}
+	if err := rows.Err(); err != nil || len(ids) == 0 || ids[len(ids)-1] != float64(2) || slices.Contains(ids, any(float64(1))) {
+		t.Errorf("WHERE x = $1::float with -Inf: i in %v, %v; want 2 and not 1", ids, err)
+	}
 }
 
 // TestNonFiniteFloatsRoundTrip: NaN, ±Inf and −0 in a float column cross

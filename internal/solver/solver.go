@@ -28,6 +28,16 @@ var ErrBadInterval = errors.New("solver: integration interval must have t1 > t0"
 type Result struct {
 	Times  []float64
 	States [][]float64
+	Stats
+}
+
+// Stats counts the work of one integration.
+type Stats struct {
+	// Accepted and Rejected count the steps taken; a fixed-step method
+	// rejects none.
+	Accepted, Rejected int
+	// RHSCalls counts evaluations of the right-hand side.
+	RHSCalls int
 }
 
 // recorder collects accepted steps into one growing flat buffer, so that a
@@ -36,6 +46,18 @@ type recorder struct {
 	n     int
 	times []float64
 	flat  []float64
+	Stats
+}
+
+// newRecorder returns a recorder with room for the steps a step size of step
+// takes over span, up to 1024 rows, so that the buffers grow a few times at
+// most instead of from empty.
+func newRecorder(n int, span, step float64) recorder {
+	rows := 1024.0
+	if est := span/step + 2; est < rows {
+		rows = est
+	}
+	return recorder{n: n, times: make([]float64, 0, int(rows)), flat: make([]float64, 0, int(rows)*n)}
 }
 
 func (r *recorder) add(t float64, x []float64) {
@@ -49,7 +71,7 @@ func (r *recorder) result() *Result {
 	for i := range states {
 		states[i] = r.flat[i*r.n : (i+1)*r.n : (i+1)*r.n]
 	}
-	return &Result{Times: r.times, States: states}
+	return &Result{Times: r.times, States: states, Stats: r.Stats}
 }
 
 // Method integrates x' = f over [t0, t1] from x0 and returns the trajectory.
@@ -121,7 +143,7 @@ func (m *FixedStep) Integrate(f System, t0, t1 float64, x0 []float64) (*Result, 
 	xs := make([]float64, n) // stage state scratch
 	x := append([]float64(nil), x0...)
 
-	rec := recorder{n: n}
+	rec := newRecorder(n, t1-t0, m.step)
 	rec.add(t0, x0)
 	t := t0
 	for t < t1 {
@@ -146,6 +168,8 @@ func (m *FixedStep) Integrate(f System, t0, t1 float64, x0 []float64) (*Result, 
 				return nil, fmt.Errorf("solver: RHS at t=%v: %w", t+m.c[s]*h, err)
 			}
 		}
+		rec.RHSCalls += stages
+		rec.Accepted++
 		for i := range x {
 			acc := 0.0
 			for s := 0; s < stages; s++ {
@@ -243,14 +267,15 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 	x5 := make([]float64, n)
 	x := append([]float64(nil), x0...)
 
-	rec := recorder{n: n}
+	rec := newRecorder(n, t1-t0, h)
 	rec.add(t0, x0)
 
 	if err := f(t0, x, k[0]); err != nil {
 		return nil, fmt.Errorf("solver: RHS at t=%v: %w", t0, err)
 	}
+	rec.RHSCalls++
 	t := t0
-	prevErrNorm := 1.0
+	pi := piController{powPrev: 1}
 	for steps := 0; t < t1; steps++ {
 		if steps >= maxSteps {
 			return nil, fmt.Errorf("solver: exceeded %d steps at t=%v", maxSteps, t)
@@ -258,20 +283,24 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 		if t+h > t1 {
 			h = t1 - t
 		}
-		// Stages 1..6 (stage 0 derivative already in k[0]).
+		// Stages 1..6 (stage 0 derivative already in k[0]). Component i of
+		// a stage state is x[i] plus its terms in j order, as one running
+		// sum.
 		for s := 1; s < 7; s++ {
-			copy(xs, x)
-			for j := 0; j < s; j++ {
-				if a := dpA[s][j]; a != 0 {
-					for i := range xs {
-						xs[i] += h * a * k[j][i]
+			row, ks := dpA[s], k[:s]
+			for i, xi := range x {
+				for j, a := range row {
+					if a != 0 {
+						xi += h * a * ks[j][i]
 					}
 				}
+				xs[i] = xi
 			}
 			if err := f(t+dpC[s]*h, xs, k[s]); err != nil {
 				return nil, fmt.Errorf("solver: RHS at t=%v: %w", t+dpC[s]*h, err)
 			}
 		}
+		rec.RHSCalls += 6
 		// 5th order solution and embedded error estimate.
 		errNorm := 0.0
 		for i := range x {
@@ -282,7 +311,7 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 			}
 			x5[i] = x[i] + h*sum5
 			e := h * (sum5 - sum4)
-			sc := absTol + relTol*math.Max(math.Abs(x[i]), math.Abs(x5[i]))
+			sc := absTol + relTol*max(math.Abs(x[i]), math.Abs(x5[i]))
 			errNorm += (e / sc) * (e / sc)
 		}
 		if n > 0 {
@@ -293,19 +322,13 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 			t += h
 			copy(x, x5)
 			rec.add(t, x)
+			rec.Accepted++
 			// FSAL: last stage derivative is the first of the next step.
 			copy(k[0], k[6])
-			// PI controller (Gustafsson).
-			if errNorm == 0 {
-				h *= 5
-			} else {
-				factor := 0.9 * math.Pow(errNorm, -0.7/5) * math.Pow(prevErrNorm, 0.4/5)
-				h *= math.Min(5, math.Max(0.2, factor))
-			}
-			prevErrNorm = math.Max(errNorm, 1e-4)
+			h *= pi.accept(errNorm)
 		} else {
-			// Reject, shrink.
-			h *= math.Max(0.1, 0.9*math.Pow(errNorm, -1.0/5))
+			rec.Rejected++
+			h *= rejectFactor(errNorm)
 		}
 		if h > maxStep {
 			h = maxStep
@@ -315,4 +338,61 @@ func (m *DormandPrince) Integrate(f System, t0, t1 float64, x0 []float64) (*Resu
 		}
 	}
 	return rec.result(), nil
+}
+
+// The step-size controller is the standard PI rule (Gustafsson 1991; Hairer &
+// Wanner, Solving ODEs I, §II.4): after an accepted step with error norm e, h
+// grows by 0.9·e^(−0.7/5)·p^(0.4/5), where p is the previous accepted norm
+// clamped below at 1e-4; after a rejected one it shrinks by 0.9·e^(−1/5).
+//
+// The powers are formed the way math.Pow forms x^y for 0 < |y| < ½ where it
+// has no assembly version (every platform but s390x): Exp(|y|·Log(x)), then
+// the reciprocal for y < 0, then an Ldexp by 0, which leaves a finite non-zero
+// value alone. So each factor equals the math.Pow expression bit for bit,
+// while one Log of e serves both of its powers and no Pow runs. A norm that
+// is not finite and positive takes math.Pow itself. The builtin min and max
+// treat NaN and ±0 as math.Min and math.Max do.
+const (
+	piAlpha     = 0.7 / 5 // exponent of the current norm, negated
+	piBeta      = 0.4 / 5 // exponent of the previous norm
+	rejectAlpha = 1.0 / 5 // exponent of a rejected step's norm, negated
+	minPrevNorm = 1e-4
+)
+
+// powMinPrev is the clamped norm's power, minPrevNorm^piBeta.
+var powMinPrev = math.Exp(piBeta * math.Log(minPrevNorm))
+
+// piController carries p^(0.4/5) from one accepted step to the next; it
+// starts at 1, for p = 1.
+type piController struct{ powPrev float64 }
+
+// accept returns the factor h grows by after an accepted step of norm e.
+func (c *piController) accept(e float64) float64 {
+	if e == 0 {
+		c.powPrev = powMinPrev
+		return 5
+	}
+	pe, logE := invPow(e, piAlpha)
+	factor := 0.9 * pe * c.powPrev
+	if e < minPrevNorm {
+		c.powPrev = powMinPrev
+	} else {
+		c.powPrev = math.Exp(piBeta * logE)
+	}
+	return min(5, max(0.2, factor))
+}
+
+// rejectFactor returns the factor h shrinks by after a rejected step of norm e.
+func rejectFactor(e float64) float64 {
+	pe, _ := invPow(e, rejectAlpha)
+	return max(0.1, 0.9*pe)
+}
+
+// invPow returns math.Pow(e, -y), for 0 < y < ½, together with Log(e).
+func invPow(e, y float64) (pow, logE float64) {
+	logE = math.Log(e)
+	if e > 0 && e <= math.MaxFloat64 {
+		return 1 / math.Exp(y*logE), logE
+	}
+	return math.Pow(e, -y), logE
 }
