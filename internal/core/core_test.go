@@ -1066,3 +1066,35 @@ func TestCreateRejectsUnknownFunction(t *testing.T) {
 		t.Errorf("model rows after failed create = %v, %v", rs, err)
 	}
 }
+
+// TestSimulateVectorizedScan runs fmu_simulate through SQL with a WHERE
+// clause on the function scan itself and checks it agrees with the same
+// query over a subquery source, which drains the stream at open and filters
+// the drained rows.
+func TestSimulateVectorizedScan(t *testing.T) {
+	s := newTestSession(t)
+	if _, err := s.Create(hpSource, "i"); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.SetInitial("i", "A", hpTrueA)
+	_ = s.SetInitial("i", "B", hpTrueB)
+	_ = s.SetInitial("i", "E", hpTrueE)
+
+	const q = `SELECT simulationTime, varName, value
+		FROM fmu_simulate('i', NULL, 0, 10) WHERE varName = 'x' AND value > 0`
+	rs, err := s.DB().Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) == 0 {
+		t.Fatal("no rows from filtered fmu_simulate")
+	}
+	rs2, err := s.DB().Query(`SELECT simulationTime, varName, value
+		FROM (SELECT * FROM fmu_simulate('i', NULL, 0, 10)) AS r WHERE varName = 'x' AND value > 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rs.Rows) != fmt.Sprint(rs2.Rows) {
+		t.Fatalf("function scan/subquery mismatch over fmu_simulate:\n  scan: %v\n  subquery: %v", rs.Rows, rs2.Rows)
+	}
+}

@@ -22,10 +22,8 @@ import (
 // entries are additionally invalidated by instance when fmu_parest commits,
 // keeping the LRU from holding frames no query can ever hit again.
 //
-// Cached *fmu.SimResult frames are shared read-only: the row stream and the
-// vectorized BatchSource both only read the frame (NextBatch hands out
-// zero-copy column views the executors never mutate), so one entry serves
-// both execution paths concurrently.
+// Cached *fmu.SimResult frames are shared read-only: the row stream only
+// reads the frame, so one entry serves concurrent statements.
 type simCache struct {
 	mu    sync.Mutex
 	cap   int // max entries; <= 0 disables the cache

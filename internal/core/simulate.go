@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -148,83 +147,6 @@ func (ss *simResultStream) Next() (sqldb.Row, error) {
 func (ss *simResultStream) Close() error {
 	ss.ti = len(ss.res.Frame.Times)
 	return nil
-}
-
-// NextBatch implements sqldb.BatchSource: the compact trajectory frame feeds
-// the vectorized executor directly as column vectors, skipping the per-cell
-// boxing of Next. Batches hold whole communication points (time-major, the
-// exact Next order); the single-variable case hands out the frame's own
-// float slices zero-copy.
-func (ss *simResultStream) NextBatch(max int) (*sqldb.Batch, error) {
-	k := len(ss.cols)
-	if k == 0 || ss.ti >= len(ss.res.Frame.Times) {
-		return nil, io.EOF
-	}
-	if ss.ci != 0 {
-		return nil, fmt.Errorf("core: mixed Next/NextBatch consumption of simulation stream")
-	}
-	nt := max / k
-	if nt < 1 {
-		nt = 1
-	}
-	if rem := len(ss.res.Frame.Times) - ss.ti; nt > rem {
-		nt = rem
-	}
-	times := ss.res.Frame.Times[ss.ti : ss.ti+nt]
-	n := nt * k
-	b := sqldb.NewBatch(n)
-
-	// simulationTime
-	switch {
-	case ss.timestamps:
-		tv := make([]time.Time, 0, n)
-		for _, t := range times {
-			ts := time.Unix(int64(t), 0).UTC()
-			for j := 0; j < k; j++ {
-				tv = append(tv, ts)
-			}
-		}
-		b.AddTimeColumn(tv)
-	case k == 1:
-		b.AddFloatColumn(times) // zero-copy frame view
-	default:
-		fv := make([]float64, 0, n)
-		for _, t := range times {
-			for j := 0; j < k; j++ {
-				fv = append(fv, t)
-			}
-		}
-		b.AddFloatColumn(fv)
-	}
-
-	b.AddConstTextColumn(ss.instVal.Text())
-
-	// varName
-	if k == 1 {
-		b.AddConstTextColumn(ss.cols[0])
-	} else {
-		sv := make([]string, 0, n)
-		for range times {
-			sv = append(sv, ss.cols...)
-		}
-		b.AddTextColumn(sv)
-	}
-
-	// value
-	if k == 1 {
-		b.AddFloatColumn(ss.res.Frame.Data[ss.cols[0]][ss.ti : ss.ti+nt]) // zero-copy
-	} else {
-		vv := make([]float64, 0, n)
-		for i := 0; i < nt; i++ {
-			for _, c := range ss.cols {
-				vv = append(vv, ss.res.Frame.Data[c][ss.ti+i])
-			}
-		}
-		b.AddFloatColumn(vv)
-	}
-
-	ss.ti += nt
-	return b, nil
 }
 
 // simResultToTable renders a simulation result in the Table-4 long format,

@@ -117,7 +117,6 @@ var mirrorQueries = []string{
 	`SELECT g, v, s FROM mt WHERE v > 10`,
 	`SELECT g, count(*), sum(v), min(s) FROM mt GROUP BY g`,
 	`SELECT s, count(*) FROM mt WHERE g <> 3 GROUP BY s`,
-	`SELECT g, sum(v) OVER (PARTITION BY g ORDER BY v) FROM mt WHERE s IS NOT NULL`,
 }
 
 // TestVectorizedMirrorAfterVacuum: a vacuum republishes the version array in

@@ -65,10 +65,31 @@ func expandItems(items []SelectItem, sources []sourceInfo) ([]Column, []Expr, er
 		if name == "" {
 			name = inferColumnName(item.Expr)
 		}
-		cols = append(cols, Column{Name: name, Type: "variant"})
+		cols = append(cols, Column{Name: name, Type: itemType(item.Expr, sources)})
 		exprs = append(exprs, item.Expr)
 	}
 	return cols, exprs, nil
+}
+
+// itemType is an explicit select item's result type: a bare column reference
+// that resolves to exactly one source column keeps that column's declared
+// type, anything else is variant.
+func itemType(e Expr, sources []sourceInfo) string {
+	ref, ok := e.(*ColumnRef)
+	if !ok {
+		return "variant"
+	}
+	off, matches, _ := resolveIn(sources, ref.Table, ref.Name)
+	if matches != 1 {
+		return "variant"
+	}
+	for _, src := range sources {
+		if off < src.width {
+			return src.columns[off].Type
+		}
+		off -= src.width
+	}
+	return "variant"
 }
 
 // inferColumnName picks the display name for an unaliased projection.

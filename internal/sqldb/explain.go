@@ -121,12 +121,6 @@ func (r *planRenderer) renderVectorized(p *vecPlan, depth int) {
 			r.detail(depth, "Having: "+exprString(s.Having))
 		}
 		depth++
-	case vecWindowMode:
-		r.node(depth, "Vectorized WindowAgg")
-		for _, f := range p.rawCalls {
-			r.detail(depth, "Window: "+exprString(f))
-		}
-		depth++
 	}
 	rowsEq := "rows="
 	if p.analyzed {

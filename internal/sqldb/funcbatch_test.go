@@ -2,25 +2,25 @@ package sqldb
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"reflect"
 	"testing"
 
 	"repro/internal/variant"
 )
 
-// countingBatchStream is a table-UDF result stream that also implements
-// BatchSource, counting which consumption path the executor takes.
-// Columns: (i integer, f float, s text).
-type countingBatchStream struct {
-	n          int
-	pos        int
-	nextCalls  *int
-	batchCalls *int
+// Function scans over a table UDF run on the operator pipeline: the leaf's
+// pushed filter, then projection and OFFSET/LIMIT above it. These cases hold
+// them to the reference executor on rows (in order) and on error text.
+
+// funcSrcStream is a table-UDF result stream of n rows (i integer,
+// f float, s text) with i = 0..n-1, f = i/2 and s "even" or "odd", counting
+// the rows it hands out.
+type funcSrcStream struct {
+	n, pos    int
+	nextCalls *int
 }
 
-func (cb *countingBatchStream) Columns() []Column {
+func (cs *funcSrcStream) Columns() []Column {
 	return []Column{
 		{Name: "i", Type: "integer"},
 		{Name: "f", Type: "float"},
@@ -28,132 +28,93 @@ func (cb *countingBatchStream) Columns() []Column {
 	}
 }
 
-func (cb *countingBatchStream) rowAt(i int) Row {
+func (cs *funcSrcStream) Next() (Row, error) {
+	*cs.nextCalls++
+	if cs.pos >= cs.n {
+		return nil, io.EOF
+	}
+	i := cs.pos
+	cs.pos++
 	s := "even"
 	if i%2 == 1 {
 		s = "odd"
 	}
-	return Row{variant.NewInt(int64(i)), variant.NewFloat(float64(i) / 2), variant.NewText(s)}
+	return Row{variant.NewInt(int64(i)), variant.NewFloat(float64(i) / 2), variant.NewText(s)}, nil
 }
 
-func (cb *countingBatchStream) Next() (Row, error) {
-	*cb.nextCalls++
-	if cb.pos >= cb.n {
-		return nil, io.EOF
-	}
-	r := cb.rowAt(cb.pos)
-	cb.pos++
-	return r, nil
-}
+func (cs *funcSrcStream) Close() error { return nil }
 
-func (cb *countingBatchStream) NextBatch(max int) (*Batch, error) {
-	*cb.batchCalls++
-	if cb.pos >= cb.n {
-		return nil, io.EOF
-	}
-	n := cb.n - cb.pos
-	if n > max {
-		n = max
-	}
-	b := NewBatch(n)
-	iv := make([]variant.Value, n)
-	fv := make([]float64, n)
-	sv := make([]string, n)
-	for j := 0; j < n; j++ {
-		r := cb.rowAt(cb.pos + j)
-		iv[j] = r[0]
-		fv[j], _ = r[1].AsFloat()
-		sv[j] = r[2].Text()
-	}
-	b.AddValueColumn(iv)
-	b.AddFloatColumn(fv)
-	b.AddTextColumn(sv)
-	cb.pos += n
-	return b, nil
-}
-
-func (cb *countingBatchStream) Close() error { return nil }
-
-// newBatchSrcDB registers batchsrc() over n rows and returns the call
-// counters.
-func newBatchSrcDB(t *testing.T, n int) (*DB, *int, *int) {
+// newFuncSrcDB registers funcsrc() over n rows and returns its Next counter.
+func newFuncSrcDB(t *testing.T, n int) (*DB, *int) {
 	t.Helper()
 	db := New()
-	nextCalls, batchCalls := new(int), new(int)
-	db.RegisterTable("batchsrc", func(context.Context, *Tx, []variant.Value) (RowStream, error) {
-		return &countingBatchStream{n: n, nextCalls: nextCalls, batchCalls: batchCalls}, nil
+	nextCalls := new(int)
+	db.RegisterTable("funcsrc", func(context.Context, *Tx, []variant.Value) (RowStream, error) {
+		return &funcSrcStream{n: n, nextCalls: nextCalls}, nil
 	}, true)
-	return db, nextCalls, batchCalls
+	return db, nextCalls
 }
 
-// TestFuncScanBatchSource proves a BatchSource FROM-clause UDF feeds the
-// vectorized tail (NextBatch, no per-row Next) and that results match the
-// row iterator exactly.
+// checkFuncScan runs q on the operator pipeline and on the reference
+// executor and requires the same rows in the same order, or the same error.
+func checkFuncScan(t *testing.T, db *DB, q string) {
+	t.Helper()
+	if k := planKind(t, db, q); k != physOps {
+		t.Errorf("%s: plan kind %d, want physOps", q, k)
+	}
+	got, err := db.Query(q)
+	ref, rerr := refQuery(t, db, q)
+	switch {
+	case (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()):
+		t.Errorf("%s:\noperators err = %v\nreference err = %v", q, err, rerr)
+	case err == nil && !rowsEqual(got, ref):
+		t.Errorf("%s diverges:\noperators %v\nreference %v", q, got.Rows, ref.Rows)
+	}
+}
+
+// TestFuncScanBatchSource: filters, arithmetic projections and OFFSET/LIMIT
+// over a filtered function scan of several thousand rows.
 func TestFuncScanBatchSource(t *testing.T) {
-	const rows = 3000
-	queries := []string{
-		`SELECT i, f, s FROM batchsrc() WHERE f > 10.5`,
-		`SELECT i * 2 + 1, s FROM batchsrc() WHERE s = 'odd'`,
-		`SELECT i FROM batchsrc() WHERE i % 7 = 0 LIMIT 10 OFFSET 5`,
-		`SELECT f FROM batchsrc() WHERE i >= 2990`,
-	}
-	for _, q := range queries {
-		db, nextCalls, batchCalls := newBatchSrcDB(t, rows)
-		rs, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if *batchCalls == 0 || *nextCalls != 0 {
-			t.Errorf("%s: batch=%d next=%d, want batch path only", q, *batchCalls, *nextCalls)
-		}
-
-		db2, nextCalls2, batchCalls2 := newBatchSrcDB(t, rows)
-		db2.setPlanner(plannerOptions{disableVectorized: true})
-		rs2, err := db2.Query(q)
-		if err != nil {
-			t.Fatalf("%s (row path): %v", q, err)
-		}
-		if *batchCalls2 != 0 || *nextCalls2 == 0 {
-			t.Errorf("%s: disableVectorized still used batch path (batch=%d next=%d)", q, *batchCalls2, *nextCalls2)
-		}
-		if !reflect.DeepEqual(fmt.Sprint(rs.Rows), fmt.Sprint(rs2.Rows)) {
-			t.Errorf("%s: vectorized/row mismatch:\n  vec: %v\n  row: %v", q, rs.Rows, rs2.Rows)
-		}
+	db, _ := newFuncSrcDB(t, 3000)
+	for _, q := range []string{
+		`SELECT i, f, s FROM funcsrc() WHERE f > 10.5`,
+		`SELECT i * 2 + 1, s FROM funcsrc() WHERE s = 'odd'`,
+		`SELECT i FROM funcsrc() WHERE i % 7 = 0 LIMIT 10 OFFSET 5`,
+		`SELECT f FROM funcsrc() WHERE i >= 2990`,
+		`SELECT i, s FROM funcsrc() WHERE s IN ('odd', 'none') AND i < 40`,
+		`SELECT r.i FROM funcsrc() AS r WHERE r.f BETWEEN 100 AND 101`,
+	} {
+		checkFuncScan(t, db, q)
 	}
 }
 
-// TestFuncScanBatchSourceErrors checks lane-error discipline on the batch
-// path: an error behind a LIMIT early-exit is discarded, one within reach
-// surfaces with the row executor's message.
+// TestFuncScanBatchSourceErrors: an error behind a LIMIT early-exit is never
+// raised, and one within reach surfaces with the reference's message; the
+// scan reads no further than the LIMIT needs.
 func TestFuncScanBatchSourceErrors(t *testing.T) {
-	db, _, batchCalls := newBatchSrcDB(t, 100)
-	// i = 5 divides by zero, but LIMIT stops after the first three lanes.
-	rs, err := db.Query(`SELECT 10 / (i - 5) FROM batchsrc() WHERE i >= 1 LIMIT 3`)
-	if err != nil {
-		t.Fatalf("limited query: %v", err)
-	}
-	if len(rs.Rows) != 3 || *batchCalls == 0 {
-		t.Fatalf("rows=%d batch=%d, want 3 rows via batch path", len(rs.Rows), *batchCalls)
-	}
-	if _, err := db.Query(`SELECT 10 / (i - 5) FROM batchsrc() WHERE i >= 1 LIMIT 6`); err == nil {
-		t.Fatal("expected division by zero within LIMIT")
-	} else if got := err.Error(); got != "sql: division by zero" {
-		t.Fatalf("error = %q, want sql: division by zero", got)
-	}
-}
-
-// TestFuncScanBatchSourceFallback: shapes the vectorized tail doesn't take
-// (no WHERE, aggregates) still work through the row iterator.
-func TestFuncScanBatchSourceFallback(t *testing.T) {
-	db, nextCalls, _ := newBatchSrcDB(t, 50)
-	rs, err := db.Query(`SELECT count(*), sum(i) FROM batchsrc()`)
-	if err != nil {
+	db, nextCalls := newFuncSrcDB(t, 100)
+	// i = 5 divides by zero, but LIMIT stops after the first three rows.
+	checkFuncScan(t, db, `SELECT 10 / (i - 5) FROM funcsrc() WHERE i >= 1 LIMIT 3`)
+	checkFuncScan(t, db, `SELECT 10 / (i - 5) FROM funcsrc() WHERE i >= 1 LIMIT 6`)
+	checkFuncScan(t, db, `SELECT i FROM funcsrc() WHERE 10 / (i - 50) > 0`)
+	*nextCalls = 0
+	if _, err := db.Query(`SELECT 10 / (i - 5) FROM funcsrc() WHERE i >= 1 LIMIT 3`); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(rs.Rows[0]); got != "[50 1225]" {
-		t.Fatalf("aggregate over batchsrc = %s, want [50 1225]", got)
+	if *nextCalls > 4 {
+		t.Errorf("LIMIT 3 read %d rows of the function scan, want at most 4", *nextCalls)
 	}
-	if *nextCalls == 0 {
-		t.Error("aggregate shape should have used the row iterator")
+}
+
+// TestFuncScanBatchSourceFallback: unfiltered and aggregate shapes over the
+// same function scan.
+func TestFuncScanBatchSourceFallback(t *testing.T) {
+	db, _ := newFuncSrcDB(t, 50)
+	for _, q := range []string{
+		`SELECT count(*), sum(i) FROM funcsrc()`,
+		`SELECT s, count(*), max(f) FROM funcsrc() WHERE i > 10 GROUP BY s`,
+		`SELECT * FROM funcsrc() LIMIT 4 OFFSET 45`,
+	} {
+		checkFuncScan(t, db, q)
 	}
 }

@@ -167,10 +167,6 @@ type opSource struct {
 	pushed  Expr
 	pushedC compiledExpr
 	lenient bool
-	// batchTail marks a single function-scan leaf whose statement tail may
-	// drain the source's columnar batches (newVecFuncScanStream): open then
-	// leaves a BatchSource unfiltered for the tail to take over.
-	batchTail bool
 	// lateral marks a function item after the first, or a LATERAL subquery
 	// there: it runs once per left row, with that row in scope (openLateral).
 	lateral bool
@@ -429,10 +425,6 @@ func (db *DB) planOperators(cat *catalogValue, s *SelectStmt) (*opPlan, error) {
 				lk.residualC = compileOver(lk.residual, layout[:2], nil)
 			}
 		}
-	} else if leaf := plan.leaves[0]; !grouped && (len(s.OrderBy) == 0 || plan.ordered != nil) &&
-		len(plan.leaves) == 1 && leaf.item.Func != nil && s.Where != nil && !s.Distinct &&
-		plan.window == nil && !plan.udf {
-		leaf.batchTail = !db.planner.disableVectorized
 	}
 	return plan, nil
 }
@@ -901,16 +893,6 @@ func (p *opPlan) openPipeline(cx, tailCx *evalCtx) (RowStream, error) {
 		cur.Close()
 		return nil, err
 	}
-	if _, ok := cur.(BatchSource); ok && len(p.leaves) == 1 && p.leaves[0].batchTail {
-		// The function scan's batches feed the vectorized tail when its
-		// filter and projections vec-compile, skipping per-cell boxing of
-		// dropped lanes; otherwise the leaf's filter goes on now.
-		_, exprs, _ := expandItems(items, curSources)
-		if vs := newVecFuncScanStream(tailCx, cur, curSources[0], s, tail.cols, exprs, offset, limit); vs != nil {
-			return vs, nil
-		}
-		cur = &opFilterStream{rowPred: p.leaves[0].filter(tailCx, curSources[0]), src: cur}
-	}
 	// The rows OFFSET skips never reach the result: a plain SELECT drops
 	// them before projecting, as the vectorized scan does.
 	if offset > 0 && !p.grouped && !s.Distinct && (len(s.OrderBy) == 0 || p.ordered != nil) {
@@ -971,9 +953,6 @@ func (src *opSource) open(cx *evalCtx, tailCx *evalCtx, ordered *orderedScanInfo
 		if err != nil {
 			st.Close()
 			return nil, sourceInfo{}, err
-		}
-		if _, ok := st.(BatchSource); ok && src.batchTail {
-			return st, info, nil // opPlan.open decides how to filter it
 		}
 		base = st
 	default: // subquery, drained once at open

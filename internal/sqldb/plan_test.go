@@ -249,7 +249,7 @@ func TestStmtExecutorKind(t *testing.T) {
 		`SELECT g FROM ek WHERE x > 0 ORDER BY g`:                                        "operators",
 		`SELECT ek_udf(x) FROM ek`:                                                       "operators",
 		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek WHERE x = 5`:                         "operators",
-		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek`:                                     "vectorized",
+		`SELECT x, sum(x) OVER (ORDER BY x) FROM ek`:                                     "operators",
 		`SELECT * FROM ek e, LATERAL (SELECT e.x) AS l`:                                  "operators",
 		`SELECT e.x, g FROM ek e, LATERAL generate_series(1, e.x) AS g`:                  "operators",
 		`SELECT e.x, g FROM ek e CROSS JOIN generate_series(1, e.x) AS g`:                "operators",

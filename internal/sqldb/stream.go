@@ -27,11 +27,7 @@ func (db *DB) callTableFunc(cx *evalCtx, name string, args []variant.Value) (_ R
 		if err != nil {
 			return nil, err
 		}
-		g := udfStream{RowStream: st, name: name}
-		if _, ok := st.(BatchSource); ok {
-			return &udfBatchStream{g}, nil
-		}
-		return &g, nil
+		return &udfStream{RowStream: st, name: name}, nil
 	}
 	if fn, ok := db.funcs.scalar(strings.ToLower(name)); ok {
 		v, err := fn(ctx, cx.tx, args)
@@ -61,15 +57,6 @@ func (s *udfStream) Next() (_ Row, err error) {
 func (s *udfStream) Close() (err error) {
 	defer recoverUDF(s.name, &err)
 	return s.RowStream.Close()
-}
-
-// udfBatchStream is udfStream over a BatchSource, so that the batch paths
-// (newVecFuncScanStream, opSource.batchTail) still take it.
-type udfBatchStream struct{ udfStream }
-
-func (s *udfBatchStream) NextBatch(max int) (_ *Batch, err error) {
-	defer recoverUDF(s.name, &err)
-	return s.RowStream.(BatchSource).NextBatch(max)
 }
 
 // fromItemInfo computes the sourceInfo for one FROM item given the raw

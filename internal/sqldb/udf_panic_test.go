@@ -53,8 +53,7 @@ func TestUDFPanicIsContained(t *testing.T) {
 
 	// A panic inside the stream a table UDF returned, on the read path: in
 	// Next, read lazily after open or drained at open as a lateral item
-	// under the database lock; in a BatchSource's NextBatch, which the batch
-	// tail reads; or in Close. No lock stays held: a read and an exclusive
+	// under the database lock; or in Close. No lock stays held: a read and an exclusive
 	// CREATE TABLE both finish afterwards.
 	register := func(name string, st RowStream) {
 		db.RegisterTable(name, func(context.Context, *Tx, []variant.Value) (RowStream, error) {
@@ -62,7 +61,6 @@ func TestUDFPanicIsContained(t *testing.T) {
 		}, true)
 	}
 	register("boom_next", panicStream{msg: "next kaboom"})
-	register("boom_batch", panicBatchStream{panicStream{msg: "batch kaboom"}})
 	register("boom_close", panicStream{msg: "close kaboom", closeOnly: true})
 	mustExec(t, db, `INSERT INTO t VALUES (1), (2)`)
 
@@ -88,7 +86,6 @@ func TestUDFPanicIsContained(t *testing.T) {
 	for i, c := range []struct{ sql, want string }{
 		{`SELECT * FROM boom_next(1)`, "boom_next() panicked: next kaboom"},
 		{`SELECT t.a, r.x FROM t, boom_next(t.a) AS r(x)`, "boom_next() panicked: next kaboom"},
-		{`SELECT x FROM boom_batch(1) WHERE x > 0`, "boom_batch() panicked: batch kaboom in NextBatch"},
 	} {
 		_, err := db.Query(c.sql)
 		if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), c.want) {
@@ -105,7 +102,7 @@ func TestUDFPanicIsContained(t *testing.T) {
 	if err := it.Close(); !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "boom_close() panicked: close kaboom") {
 		t.Fatalf("Close: err = %v, want ErrInternal naming boom_close", err)
 	}
-	answers("a panicking Close", 3)
+	answers("a panicking Close", 2)
 }
 
 // panicStream is a table UDF's stream that panics in Next, or, with
@@ -130,8 +127,3 @@ func (p panicStream) Close() error {
 	}
 	return nil
 }
-
-// panicBatchStream is a columnar panicStream: NextBatch panics too.
-type panicBatchStream struct{ panicStream }
-
-func (p panicBatchStream) NextBatch(int) (*Batch, error) { panic(p.msg + " in NextBatch") }

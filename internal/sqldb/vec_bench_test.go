@@ -85,34 +85,3 @@ func BenchmarkVectorizedAggregate(b *testing.B) {
 		run(b)
 	})
 }
-
-// BenchmarkVectorizedWindow measures the batch-fed window stage (filter,
-// input evaluation, and projection vectorized around the shared partition
-// engine) against the materializing window executor on 100k rows.
-func BenchmarkVectorizedWindow(b *testing.B) {
-	const n = 100000
-	db := vecBenchDB(b, n, 100)
-	const q = `SELECT g, v, sum(v) OVER (PARTITION BY g) FROM m WHERE s = 'hi'`
-
-	run := func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rs, err := db.Query(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rs.Rows) != n/2 {
-				b.Fatalf("rows = %d, want %d", len(rs.Rows), n/2)
-			}
-		}
-	}
-	b.Run("Vectorized100k", func(b *testing.B) {
-		db.setPlanner(plannerOptions{})
-		run(b)
-	})
-	b.Run("Materializing100k", func(b *testing.B) {
-		db.setPlanner(plannerOptions{disableVectorized: true})
-		run(b)
-	})
-}

@@ -32,35 +32,29 @@ type vecExpr func(ve *vecEnv, b *Batch) (*colVec, error)
 // and conversion scratch. Plans are shared across concurrent executions;
 // every execution allocates its own vecEnv.
 type vecEnv struct {
-	env     *evalCtx
-	bufs    []colVec
-	scratch Row // batch-source fallback: one rebuilt row
-	f64a    []float64
-	f64b    []float64
+	env  *evalCtx
+	bufs []colVec
+	f64a []float64
+	f64b []float64
 }
 
-// vecCompiler lowers expressions to vecExprs over a fixed source layout: the
-// scanned relation, then (window plans) the synthetic window-value columns,
-// concatenated into one column offset space as in a joined row.
+// vecCompiler lowers expressions to vecExprs over the scanned table's column
+// offset space.
 type vecCompiler struct {
 	rowComp *compiler
-	width   int
 	nodes   int    // buffers a vecEnv must allocate
 	wanted  []bool // column offsets read by kernels (the gathered set)
 }
 
-// newVecCompiler builds a compiler over the given sources; column references
-// resolve with the row compiler's rules, which its fallback shares.
-func newVecCompiler(srcs []sourceInfo) *vecCompiler {
-	width := 0
-	for _, s := range srcs {
-		width += s.width
-	}
-	return &vecCompiler{rowComp: &compiler{sources: srcs}, width: width, wanted: make([]bool, width)}
+// newVecCompiler builds a compiler over the scanned table's layout; column
+// references resolve with the row compiler's rules, which its fallback
+// shares.
+func newVecCompiler(info sourceInfo) *vecCompiler {
+	return &vecCompiler{rowComp: &compiler{sources: []sourceInfo{info}}, wanted: make([]bool, info.width)}
 }
 
 func (vc *vecCompiler) newEnv(env *evalCtx) *vecEnv {
-	return &vecEnv{env: env, bufs: make([]colVec, vc.nodes), scratch: make(Row, vc.width)}
+	return &vecEnv{env: env, bufs: make([]colVec, vc.nodes)}
 }
 
 // resolve maps a column reference to its offset in the layout, or -1.
@@ -220,8 +214,7 @@ func (vc *vecCompiler) compileConst(get func(*evalCtx) (variant.Value, error)) v
 }
 
 // compileFallback wraps the row compiler's closure: per lane it evaluates
-// against the batch's backing row (or a scratch row rebuilt from the
-// columns), recording the value or the error.
+// against the batch's backing row, recording the value or the error.
 func (vc *vecCompiler) compileFallback(e Expr) (vecExpr, bool) {
 	vc.rowComp.opaque = false
 	ce := vc.rowComp.compile(e)
@@ -232,23 +225,8 @@ func (vc *vecCompiler) compileFallback(e Expr) (vecExpr, bool) {
 	return func(ve *vecEnv, b *Batch) (*colVec, error) {
 		out := &ve.bufs[id]
 		out.reset(vecAny, b.n)
-		if b.heap != nil {
-			for i := 0; i < b.n; i++ {
-				v, err := ce(ve.env, b.row(i))
-				if err != nil {
-					out.setErr(i, b.n, err)
-					continue
-				}
-				out.anys[i] = v
-			}
-			return out, nil
-		}
-		row := ve.scratch
 		for i := 0; i < b.n; i++ {
-			for off := range b.cols {
-				row[off] = b.cols[off].value(i)
-			}
-			v, err := ce(ve.env, row)
+			v, err := ce(ve.env, b.row(i))
 			if err != nil {
 				out.setErr(i, b.n, err)
 				continue
@@ -333,18 +311,12 @@ func (vc *vecCompiler) compileCmp(op string, l, r vecExpr) vecExpr {
 		clean := lc.errs == nil && rc.errs == nil
 		switch {
 		case clean && isNumVec(lc.kind) && isNumVec(rc.kind):
-			// Three-way compare through float64 like variant.Compare, so
-			// NaN ordering matches the row path exactly.
+			// Three-way compare through float64 with variant.Compare's own
+			// helper, so NaN ordering matches the row path exactly.
 			lf := floatView(lc, &ve.f64a)
 			rf := floatView(rc, &ve.f64b)
 			for i := 0; i < b.n; i++ {
-				c := 0
-				if lf[i] < rf[i] {
-					c = -1
-				} else if lf[i] > rf[i] {
-					c = 1
-				}
-				out.bools[i] = test.pass(c)
+				out.bools[i] = test.pass(variant.CompareFloats(lf[i], rf[i]))
 			}
 			orNulls(out.nulls, lc.nulls, rc.nulls)
 			return out, nil

@@ -1,14 +1,12 @@
 package sqldb
 
 import (
-	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/variant"
 )
 
-// Vectorized batch execution. Three statement classes of the single-table
+// Vectorized batch execution. Two statement classes of the single-table
 // analytical kind run over columnar batches (vector.go) with compiled
 // per-type kernels (veccompile.go):
 //
@@ -19,34 +17,18 @@ import (
 //     the SAME incremental accumulators (aggAccum) and group-key encoding
 //     (rowKey bytes) the row paths use, so the fold arithmetic and group
 //     identity cannot diverge; group output goes through the compiled
-//     group projection the row path uses too (emitGroup);
-//   - window: the input is materialized as one wide batch, window-call
-//     inputs evaluate as kernels, and the shared window evaluator
-//     (evalWindowCall) partitions/sorts/frames exactly as the reference
-//     executor.
+//     group projection the row path uses too (emitGroup).
 //
 // Eligibility is deliberately a subset of what the row paths accept: any
-// gate failure returns nil and the planner falls through to the operator
-// pipeline unchanged — which also keeps it alive as the differential
-// reference.
+// gate failure (window calls among them) returns nil and the planner falls
+// through to the operator pipeline unchanged.
 
 type vecMode int
 
 const (
 	vecScanMode vecMode = iota
 	vecAggMode
-	vecWindowMode
 )
-
-// vecWinCall is one window call with its input expressions compiled to
-// kernels (argument columns, PARTITION BY, ORDER BY keys).
-type vecWinCall struct {
-	fn    *FuncExpr
-	args  []vecExpr
-	part  []vecExpr
-	order []vecExpr
-	desc  []bool
-}
 
 // vecPlan is the vectorized physical plan for one SELECT. Like physPlan it
 // pins the table pointer and compiled closures and is immutable after
@@ -57,17 +39,15 @@ type vecPlan struct {
 	sel     *SelectStmt
 	table   *Table
 	sources []sourceInfo
-	srcCols []Column
 	// EXPLAIN annotations from the chosen (sequential) access path.
 	tableRows int
 	analyzed  bool
-	// vc.wanted (aligned with the compiler's offset space) marks the
-	// base-table columns the kernels read: the ones gathered from the
+	// vc.wanted marks the base-table columns the kernels read: the ones gathered from the
 	// table's column mirror.
 	vc     *vecCompiler
 	filter vecExpr // full WHERE; nil when absent
 	cols   []Column
-	projs  []vecExpr // scan and window modes
+	projs  []vecExpr // scan mode
 	// projRefs (scan mode) short-circuits plain column projections: entry i
 	// holds the source offset when projs[i] is a bare ColumnRef — the emit
 	// walk then reads the already-boxed cell straight from the heap row,
@@ -83,10 +63,6 @@ type vecPlan struct {
 	argExprs []vecExpr // aligned with specs; nil for count(*)
 	having   compiledExpr
 	aggProjs []compiledExpr // the SELECT list over finished groups
-
-	// vecWindowMode:
-	rawCalls []*FuncExpr
-	winCalls []vecWinCall
 }
 
 // planVectorized decides whether s runs on the vectorized executor and
@@ -109,11 +85,10 @@ func (db *DB) planVectorized(cat *catalogValue, s *SelectStmt) *vecPlan {
 	if !selectPureBuiltin(s) {
 		return nil
 	}
-	hasWin := selectHasWindows(s)
-	hasAgg := len(s.GroupBy) > 0 || selectHasAggregates(s)
-	if hasWin && hasAgg {
-		return nil // the executor raises the mixing error
+	if selectHasWindows(s) {
+		return nil // windows run on the operator pipeline's window stage
 	}
+	hasAgg := len(s.GroupBy) > 0 || selectHasAggregates(s)
 	if s.Having != nil && !hasAgg {
 		return nil
 	}
@@ -140,44 +115,19 @@ func (db *DB) planVectorized(cat *catalogValue, s *SelectStmt) *vecPlan {
 	}
 
 	p := &vecPlan{
-		sel: s, table: t, srcCols: info.columns, sources: []sourceInfo{info},
+		sel: s, table: t, sources: []sourceInfo{info},
 		tableRows: access.tableRows, analyzed: access.analyzed,
 	}
-	switch {
-	case hasWin:
-		p.mode = vecWindowMode
-	case hasAgg:
+	if hasAgg {
 		p.mode = vecAggMode
-	default:
-		p.mode = vecScanMode
-		if s.Where == nil {
-			// A bare projection scan has no kernel to feed: the operator
-			// pipeline's compiled projection emits each visible row once,
-			// and batches would only add gather and bookkeeping on top.
-			return nil
-		}
+	} else if s.Where == nil {
+		// A bare projection scan has no kernel to feed: the operator
+		// pipeline's compiled projection emits each visible row once, and
+		// batches would only add gather and bookkeeping on top.
+		return nil
 	}
 
-	items := s.Items
-	if p.mode == vecWindowMode {
-		if windowsOutsideItems(s) {
-			return nil // the executor raises the placement error
-		}
-		ws := newWindowStage(s, false)
-		if len(ws.calls) == 0 {
-			return nil
-		}
-		for _, f := range ws.calls {
-			if err := validateWindowCall(f); err != nil {
-				return nil // the pipeline's window stage raises it
-			}
-		}
-		items = ws.items
-		p.sources = append(p.sources, ws.source())
-		p.rawCalls = ws.calls
-	}
-
-	vc := newVecCompiler(p.sources)
+	vc := newVecCompiler(info)
 	p.vc = vc
 	if s.Where != nil {
 		f, ok := vc.compile(s.Where)
@@ -222,23 +172,19 @@ func (db *DB) planVectorized(cat *catalogValue, s *SelectStmt) *vecPlan {
 		p.cols = cols
 		p.having, p.aggProjs = compileGroupProj(s, specs, exprs, p.sources, nil)
 	default:
-		cols, exprs, err := expandItems(items, p.sources)
+		cols, exprs, err := expandItems(s.Items, p.sources)
 		if err != nil {
 			return nil
 		}
 		p.cols = cols
 		p.projs = make([]vecExpr, len(exprs))
-		if p.mode == vecScanMode {
-			p.projRefs = make([]int, len(exprs))
-		}
+		p.projRefs = make([]int, len(exprs))
 		for i, e := range exprs {
-			if p.mode == vecScanMode {
-				p.projRefs[i] = -1
-				if cr, isRef := e.(*ColumnRef); isRef {
-					if off := vc.resolve(cr.Table, cr.Name); off >= 0 {
-						p.projRefs[i] = off
-						continue // read from the heap row, no kernel
-					}
+			p.projRefs[i] = -1
+			if cr, isRef := e.(*ColumnRef); isRef {
+				if off := vc.resolve(cr.Table, cr.Name); off >= 0 {
+					p.projRefs[i] = off
+					continue // read from the heap row, no kernel
 				}
 			}
 			pe, ok := vc.compile(e)
@@ -246,37 +192,6 @@ func (db *DB) planVectorized(cat *catalogValue, s *SelectStmt) *vecPlan {
 				return nil
 			}
 			p.projs[i] = pe
-		}
-		if p.mode == vecWindowMode {
-			p.winCalls = make([]vecWinCall, len(p.rawCalls))
-			for ci, f := range p.rawCalls {
-				wc := vecWinCall{fn: f}
-				if !f.Star {
-					for _, a := range f.Args {
-						ve, ok := vc.compile(a)
-						if !ok {
-							return nil
-						}
-						wc.args = append(wc.args, ve)
-					}
-				}
-				for _, pe := range f.Over.PartitionBy {
-					ve, ok := vc.compile(pe)
-					if !ok {
-						return nil
-					}
-					wc.part = append(wc.part, ve)
-				}
-				for _, o := range f.Over.OrderBy {
-					ve, ok := vc.compile(o.Expr)
-					if !ok {
-						return nil
-					}
-					wc.order = append(wc.order, ve)
-					wc.desc = append(wc.desc, o.Desc)
-				}
-				p.winCalls[ci] = wc
-			}
 		}
 	}
 
@@ -293,51 +208,23 @@ func (db *DB) planVectorized(cat *catalogValue, s *SelectStmt) *vecPlan {
 	return p
 }
 
-// windowsOutsideItems reports window calls anywhere but the select list
-// (ORDER BY and DISTINCT are gated before this is asked).
-func windowsOutsideItems(s *SelectStmt) bool {
-	found := false
-	check := func(e Expr) {
-		walkExpr(e, func(x Expr) bool {
-			if f, ok := x.(*FuncExpr); ok && f.Over != nil {
-				found = true
-			}
-			return !found
-		})
-	}
-	check(s.Where)
-	check(s.Having)
-	for _, g := range s.GroupBy {
-		check(g)
-	}
-	for _, f := range s.From {
-		check(f.On)
-	}
-	return found
-}
-
 // open resolves the snapshot while the statement opens — the view, the
 // mirror headers of the columns the kernels read, the visible positions —
 // and returns the stream; its lazy tail reads only what open pinned.
 func (p *vecPlan) open(cx *evalCtx) (RowStream, error) {
-	scan := openMirrorScan(cx, p.table, p.vc.wanted[:len(p.srcCols)])
+	scan := openMirrorScan(cx, p.table, p.vc.wanted)
 	// Detach the tail from transaction bookkeeping, like the streaming
 	// tails do.
 	tailCx := &evalCtx{db: cx.db, params: cx.params, ctx: cx.ctx}
 	env := p.vc.newEnv(tailCx)
-	switch p.mode {
-	case vecScanMode, vecAggMode:
-		offset, limit, err := evalLimits(tailCx, p.offsetC, p.limitC)
-		if err != nil {
-			return nil, err
-		}
-		if p.mode == vecScanMode {
-			return &vecScanStream{env: env, plan: p, scan: scan, offset: offset, limit: limit}, nil
-		}
-		return &vecAggStream{cx: tailCx, env: env, plan: p, scan: scan, offset: offset, limit: limit}, nil
-	default:
-		return &vecWindowStream{cx: tailCx, env: env, plan: p, scan: scan}, nil
+	offset, limit, err := evalLimits(tailCx, p.offsetC, p.limitC)
+	if err != nil {
+		return nil, err
 	}
+	if p.mode == vecScanMode {
+		return &vecScanStream{env: env, plan: p, scan: scan, offset: offset, limit: limit}, nil
+	}
+	return &vecAggStream{cx: tailCx, env: env, plan: p, scan: scan, offset: offset, limit: limit}, nil
 }
 
 // filterLane classifies one filter-result lane: keep, skip (false/NULL), or
@@ -361,18 +248,6 @@ func filterLane(fc *colVec, i int) (bool, error) {
 		return false, err
 	}
 	return b, nil
-}
-
-// boxLanes boxes a whole column, raising the first lane error in row order.
-func boxLanes(c *colVec, n int) ([]variant.Value, error) {
-	out := make([]variant.Value, n)
-	for i := 0; i < n; i++ {
-		if e := c.laneErr(i); e != nil {
-			return nil, e
-		}
-		out[i] = c.value(i)
-	}
-	return out, nil
 }
 
 // --- Scan mode ---
@@ -523,169 +398,6 @@ func (st *vecScanStream) Close() error {
 	st.out = nil
 	st.outPos = 0
 	return nil
-}
-
-// --- Function-scan batch drain ---
-
-// newVecFuncScanStream wraps a BatchSource function scan (fmu_simulate's
-// trajectory frames) in a batch-draining filter/projection stream, skipping
-// the per-cell boxing of the row iterator for lanes the filter drops. nil
-// when the expressions don't vec-compile — the caller falls back to the
-// row-at-a-time filter and projection of the operator pipeline.
-func newVecFuncScanStream(cx *evalCtx, src RowStream, info sourceInfo, s *SelectStmt, cols []Column, exprs []Expr, offset, limit int) RowStream {
-	bs, ok := src.(BatchSource)
-	if !ok {
-		return nil
-	}
-	vc := newVecCompiler([]sourceInfo{info})
-	filter, ok := vc.compile(s.Where)
-	if !ok {
-		return nil
-	}
-	projs := make([]vecExpr, len(exprs))
-	for i, e := range exprs {
-		pe, ok := vc.compile(e)
-		if !ok {
-			return nil
-		}
-		projs[i] = pe
-	}
-	return &vecFuncScanStream{
-		env:    vc.newEnv(cx),
-		src:    src,
-		bs:     bs,
-		filter: filter,
-		projs:  projs,
-		cols:   cols,
-		offset: offset,
-		limit:  limit,
-	}
-}
-
-// vecFuncScanStream is vecScanStream over a BatchSource instead of heap
-// rows: same selection walk, lazy projections, and in-order lane-error
-// discipline.
-type vecFuncScanStream struct {
-	env    *vecEnv
-	src    RowStream
-	bs     BatchSource
-	filter vecExpr
-	projs  []vecExpr
-	cols   []Column
-	offset int
-	limit  int
-
-	emit   []int
-	pcols  []*colVec
-	out    []Row
-	outPos int
-	pend   error
-	err    error
-	done   bool
-}
-
-func (st *vecFuncScanStream) Columns() []Column { return st.cols }
-
-func (st *vecFuncScanStream) Next() (Row, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
-	for st.outPos >= len(st.out) {
-		if st.pend != nil {
-			st.err = st.pend
-			return nil, st.err
-		}
-		if st.done {
-			return nil, io.EOF
-		}
-		if err := st.fill(); err != nil {
-			st.err = err
-			return nil, err
-		}
-	}
-	r := st.out[st.outPos]
-	st.outPos++
-	return r, nil
-}
-
-func (st *vecFuncScanStream) fill() error {
-	st.out = st.out[:0]
-	st.outPos = 0
-	if st.limit == 0 {
-		st.done = true
-		return nil
-	}
-	if ctx := st.env.env.ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	b, err := st.bs.NextBatch(vecBatchSize)
-	if err == io.EOF {
-		st.done = true
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	fc, err := st.filter(st.env, b)
-	if err != nil {
-		return err
-	}
-	st.emit = st.emit[:0]
-	for i := 0; i < b.n && st.limit != 0; i++ {
-		keep, err := filterLane(fc, i)
-		if err != nil {
-			st.pend = err
-			break
-		}
-		if !keep {
-			continue
-		}
-		if st.offset > 0 {
-			st.offset--
-			continue
-		}
-		st.emit = append(st.emit, i)
-		if st.limit > 0 {
-			st.limit--
-		}
-	}
-	if len(st.emit) == 0 {
-		return nil
-	}
-	if cap(st.pcols) < len(st.projs) {
-		st.pcols = make([]*colVec, len(st.projs))
-	}
-	pcols := st.pcols[:len(st.projs)]
-	for pi, pe := range st.projs {
-		c, err := pe(st.env, b)
-		if err != nil {
-			return err
-		}
-		pcols[pi] = c
-	}
-	flat := make([]variant.Value, len(st.emit)*len(pcols))
-	for _, lane := range st.emit {
-		row := flat[:len(pcols):len(pcols)]
-		flat = flat[len(pcols):]
-		for pi, c := range pcols {
-			if e := c.laneErr(lane); e != nil {
-				st.pend = e
-				return nil
-			}
-			row[pi] = c.value(lane)
-		}
-		st.out = append(st.out, Row(row))
-	}
-	return nil
-}
-
-func (st *vecFuncScanStream) Close() error {
-	st.done = true
-	st.out = nil
-	st.outPos = 0
-	return st.src.Close()
 }
 
 // --- Aggregate mode ---
@@ -939,204 +651,6 @@ func typedGroup[K comparable](ix *groupIndex, m map[K]*aggGroup, k K, box func(K
 func (st *vecAggStream) Close() error {
 	st.closed = true
 	st.groups = nil
-	st.pos = 0
-	return nil
-}
-
-// --- Window mode ---
-
-// vecWindowStream materializes the statement like the reference executor —
-// WHERE over all rows, window calls as synthetic columns, projection, then
-// OFFSET/LIMIT slicing — but evaluates every expression column as a kernel
-// over one wide batch and shares evalWindowCall for the window semantics.
-type vecWindowStream struct {
-	cx     *evalCtx
-	env    *vecEnv
-	plan   *vecPlan
-	scan   *mirrorScan
-	built  bool
-	out    []Row
-	pos    int
-	err    error
-	closed bool
-}
-
-func (st *vecWindowStream) Columns() []Column { return st.plan.cols }
-
-func (st *vecWindowStream) Next() (Row, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
-	if st.closed {
-		return nil, io.EOF
-	}
-	if !st.built {
-		st.built = true
-		out, err := st.build()
-		if err != nil {
-			st.err = err
-			return nil, err
-		}
-		st.out = out
-	}
-	if st.pos < len(st.out) {
-		r := st.out[st.pos]
-		st.pos++
-		return r, nil
-	}
-	return nil, io.EOF
-}
-
-func (st *vecWindowStream) build() ([]Row, error) {
-	p := st.plan
-	baseW := len(p.srcCols)
-
-	// WHERE over every input row; the first error is fatal before anything
-	// emits, exactly like the pipeline's window stage.
-	var fb Batch
-	st.scan.fill(&fb, st.scan.vis)
-	if p.filter != nil {
-		fc, err := p.filter(st.env, &fb)
-		if err != nil {
-			return nil, err
-		}
-		keep := make([]int32, 0, fb.n)
-		for i := 0; i < fb.n; i++ {
-			k, err := filterLane(fc, i)
-			if err != nil {
-				return nil, err
-			}
-			if k {
-				keep = append(keep, fb.pos[i])
-			}
-		}
-		st.scan.fill(&fb, keep)
-	}
-	m := fb.n
-
-	// Window calls: kernel-evaluated input columns into the shared window
-	// evaluator.
-	winVals := make([][]variant.Value, len(p.winCalls))
-	for ci := range p.winCalls {
-		call := &p.winCalls[ci]
-		in := &windowInput{fn: call.fn, name: strings.ToLower(call.fn.Name), desc: call.desc}
-		evalCol := func(ve vecExpr) ([]variant.Value, error) {
-			c, err := ve(st.env, &fb)
-			if err != nil {
-				return nil, err
-			}
-			return boxLanes(c, m)
-		}
-		for _, a := range call.args {
-			col, err := evalCol(a)
-			if err != nil {
-				return nil, err
-			}
-			in.args = append(in.args, col)
-		}
-		for _, pe := range call.part {
-			col, err := evalCol(pe)
-			if err != nil {
-				return nil, err
-			}
-			in.part = append(in.part, col)
-		}
-		for _, oe := range call.order {
-			col, err := evalCol(oe)
-			if err != nil {
-				return nil, err
-			}
-			in.order = append(in.order, col)
-		}
-		col, err := evalWindowCall(st.cx, in, m)
-		if err != nil {
-			return nil, err
-		}
-		winVals[ci] = col
-	}
-
-	// Extend the batch with the window-value columns; the combined rows back
-	// the row-compiled fallbacks (base row ++ window values, matching the
-	// compiler's extra-source offsets), lane i at position i.
-	cr := make([]Row, m)
-	ident := make([]int32, m)
-	for i := 0; i < m; i++ {
-		r := make(Row, 0, baseW+len(p.winCalls))
-		r = append(r, fb.row(i)...)
-		for ci := range p.winCalls {
-			r = append(r, winVals[ci][i])
-		}
-		cr[i] = r
-		ident[i] = int32(i)
-	}
-	fb.heap, fb.pos = cr, ident
-	fb.cols = fb.cols[:baseW]
-	for ci := range p.winCalls {
-		fb.cols = append(fb.cols, colVec{kind: vecAny, anys: winVals[ci]})
-	}
-
-	pcols := make([]*colVec, len(p.projs))
-	for pi, pe := range p.projs {
-		c, err := pe(st.env, &fb)
-		if err != nil {
-			return nil, err
-		}
-		pcols[pi] = c
-	}
-	out := make([]Row, 0, m)
-	flat := make([]variant.Value, m*len(pcols))
-	for i := 0; i < m; i++ {
-		row := flat[:len(pcols):len(pcols)]
-		flat = flat[len(pcols):]
-		for pi, c := range pcols {
-			if e := c.laneErr(i); e != nil {
-				return nil, e
-			}
-			row[pi] = c.value(i)
-		}
-		out = append(out, Row(row))
-	}
-
-	// OFFSET/LIMIT slice the materialized result, evaluated after the
-	// computation like the reference executor.
-	env := st.env.env
-	if p.offsetC != nil {
-		v, err := p.offsetC(env, nil)
-		if err != nil {
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return nil, fmt.Errorf("sql: OFFSET: %w", err)
-		}
-		if n < 0 {
-			n = 0
-		}
-		if int(n) >= len(out) {
-			out = nil
-		} else {
-			out = out[n:]
-		}
-	}
-	if p.limitC != nil {
-		v, err := p.limitC(env, nil)
-		if err != nil {
-			return nil, err
-		}
-		n, err := v.AsInt()
-		if err != nil {
-			return nil, fmt.Errorf("sql: LIMIT: %w", err)
-		}
-		if n >= 0 && int(n) < len(out) {
-			out = out[:n]
-		}
-	}
-	return out, nil
-}
-
-func (st *vecWindowStream) Close() error {
-	st.closed = true
-	st.out = nil
 	st.pos = 0
 	return nil
 }

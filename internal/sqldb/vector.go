@@ -176,10 +176,9 @@ func (c *colVec) value(i int) variant.Value {
 	}
 }
 
-// Batch is one vector of rows in columnar form. When gathered from a table,
-// lane i's backing row is heap[pos[i]], so fallback expressions evaluate
-// against the original row; batches emitted by a BatchSource (trajectory
-// frames) have no heap and fallbacks rebuild a scratch row from the columns.
+// Batch is one vector of rows in columnar form, gathered from a table
+// (colmirror.go): lane i's backing row is heap[pos[i]], so fallback
+// expressions evaluate against the original row.
 type Batch struct {
 	n    int
 	cols []colVec
@@ -187,67 +186,5 @@ type Batch struct {
 	pos  []int32
 }
 
-// row returns lane i's backing row (heap batches only).
+// row returns lane i's backing row.
 func (b *Batch) row(i int) Row { return b.heap[b.pos[i]] }
-
-// NewBatch returns an empty batch of n lanes; columns are appended with the
-// Add*Column builders (all length n, no NULLs unless boxed as values).
-func NewBatch(n int) *Batch { return &Batch{n: n} }
-
-// Len reports the number of lanes.
-func (b *Batch) Len() int { return b.n }
-
-// NumCols reports the number of columns added so far.
-func (b *Batch) NumCols() int { return len(b.cols) }
-
-// AddFloatColumn appends a float64 column referencing vals directly — the
-// zero-copy path for trajectory frames. len(vals) must equal Len.
-func (b *Batch) AddFloatColumn(vals []float64) {
-	c := colVec{kind: vecFloat, floats: vals, nulls: make([]uint64, nullWords(b.n))}
-	b.cols = append(b.cols, c)
-}
-
-// AddTextColumn appends a text column referencing vals directly.
-func (b *Batch) AddTextColumn(vals []string) {
-	c := colVec{kind: vecText, strs: vals, nulls: make([]uint64, nullWords(b.n))}
-	b.cols = append(b.cols, c)
-}
-
-// AddConstTextColumn appends a text column holding the same value in every
-// lane.
-func (b *Batch) AddConstTextColumn(s string) {
-	vals := make([]string, b.n)
-	for i := range vals {
-		vals[i] = s
-	}
-	b.AddTextColumn(vals)
-}
-
-// AddTimeColumn appends a timestamp column referencing vals directly.
-func (b *Batch) AddTimeColumn(vals []time.Time) {
-	c := colVec{kind: vecTime, times: vals, nulls: make([]uint64, nullWords(b.n))}
-	b.cols = append(b.cols, c)
-}
-
-// AddValueColumn appends a boxed column referencing vals directly; NULLs are
-// carried in the values themselves.
-func (b *Batch) AddValueColumn(vals []variant.Value) {
-	b.cols = append(b.cols, colVec{kind: vecAny, anys: vals})
-}
-
-// Value boxes the cell at (row, col) back into a variant value — the
-// row-compatible read path for batch consumers and tests.
-func (b *Batch) Value(row, col int) variant.Value {
-	return b.cols[col].value(row)
-}
-
-// BatchSource is an optional RowStream extension: a source whose backing
-// store is already columnar (fmu_simulate's trajectory frames) can emit
-// batches directly, skipping the per-cell boxing of the row iterator. The
-// batches must contain the stream's full column schema, carry the rows in
-// exactly the order Next would produce them, and return io.EOF when
-// exhausted. A stream being consumed through NextBatch must not also be
-// consumed through Next.
-type BatchSource interface {
-	NextBatch(max int) (*Batch, error)
-}

@@ -337,14 +337,7 @@ func Compare(a, b Value) (int, error) {
 	if isNumeric(a.kind) && isNumeric(b.kind) {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return CompareFloats(af, bf), nil
 	}
 	if a.kind != b.kind {
 		// Allow text/timestamp comparison by parsing the text side.
@@ -380,6 +373,25 @@ func Compare(a, b Value) (int, error) {
 		return compareTimes(a.t, b.t), nil
 	default:
 		return 0, fmt.Errorf("variant: cannot compare %s values", a.kind)
+	}
+}
+
+// CompareFloats orders two floats as PostgreSQL does: NaN equals NaN and
+// sorts above every other value, +Inf included.
+func CompareFloats(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case math.IsNaN(a) && math.IsNaN(b):
+		return 0
+	case math.IsNaN(a):
+		return 1
+	default:
+		return -1
 	}
 }
 
