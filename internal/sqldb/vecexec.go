@@ -42,8 +42,8 @@ type vecPlan struct {
 	// EXPLAIN annotations from the chosen (sequential) access path.
 	tableRows int
 	analyzed  bool
-	// vc.wanted marks the base-table columns the kernels read: the ones gathered from the
-	// table's column mirror.
+	// vc.wanted marks the base-table columns the kernels read: the ones
+	// gathered from the table's column mirror.
 	vc     *vecCompiler
 	filter vecExpr // full WHERE; nil when absent
 	cols   []Column

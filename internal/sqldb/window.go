@@ -11,12 +11,12 @@ import (
 
 // Window functions (sum/avg/count/min/max OVER, row_number, lag, lead).
 //
-// Every execution strategy shares one evaluator: the operator pipeline's
-// WindowAgg stage (windowStream), the vectorized pipeline and the reference
-// executor each gather the call's inputs — argument, PARTITION BY, and
-// ORDER BY values, one column per expression — and hand them to
-// evalWindowCall, which partitions, orders, frames, and folds through the
-// same aggAccum accumulators the grouped executors use. The paths therefore
+// Both execution strategies share one evaluator: the operator pipeline's
+// WindowAgg stage (windowStream) and the reference executor each gather the
+// call's inputs — argument, PARTITION BY, and ORDER BY values, one column
+// per expression — and hand them to evalWindowCall, which partitions,
+// orders, frames, and folds through the same aggAccum accumulators the
+// grouped executors use. The two therefore
 // cannot diverge on partition identity (rowKey encoding), sort order
 // (variant.Compare, stable), or fold arithmetic.
 //
@@ -167,8 +167,8 @@ type windowInput struct {
 }
 
 // buildWindowInput evaluates a call's input expressions through the
-// caller-supplied evaluator (compiled on the row path, vector-kernel backed
-// in the vectorized pipeline, interpreted by the reference executor).
+// caller-supplied evaluator (compiled on the operator pipeline, interpreted
+// by the reference executor).
 func buildWindowInput(f *FuncExpr, n int, evalCol func(e Expr) ([]variant.Value, error)) (*windowInput, error) {
 	in := &windowInput{fn: f, name: strings.ToLower(f.Name)}
 	if !f.Star {
@@ -551,8 +551,8 @@ func rewriteWindowItems(items []SelectItem, byPtr map[*FuncExpr]int, winCols []C
 
 // windowStage computes the window calls of a SELECT list as hidden columns
 // appended to every input row, and rewrites the list to read them. The
-// pipeline's WindowAgg node (windowStream), the vectorized planner and the
-// reference executor share it.
+// pipeline's WindowAgg node (windowStream) and the reference executor share
+// it.
 type windowStage struct {
 	calls []*FuncExpr
 	cols  []Column
